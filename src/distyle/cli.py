@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -144,22 +145,33 @@ def _cmd_characteristics(args) -> int:
 
 
 def _read_field(path: Path) -> np.ndarray:
-    """Load an ``i,j,value`` CSV (extra columns ignored) into a dense array."""
-    triples = []
+    """Load an ``i,j,value`` CSV (extra columns ignored) into a dense array.
+
+    Indices start at 1, each (i, j) appears once and every value is finite.
+    """
+    values: dict[tuple[int, int], float] = {}
     with open(path, newline="") as fp:
         reader = csv.reader(fp)
         next(reader)  # header
-        for row in reader:
-            triples.append((int(row[0]), int(row[1]), float(row[2])))
-    if not triples:
+        for line_no, row in enumerate(reader, 2):
+            i, j, v = int(row[0]), int(row[1]), float(row[2])
+            where = f"{path}:{line_no}"
+            if i < 1 or j < 1:
+                raise ValueError(f"{where}: indices start at 1, got ({i}, {j})")
+            if not math.isfinite(v):
+                raise ValueError(f"{where}: value at ({i}, {j}) is not finite: {row[2]}")
+            if (i, j) in values:
+                raise ValueError(f"{where}: duplicate row for ({i}, {j})")
+            values[i, j] = v
+    if not values:
         raise ValueError(f"{path} holds no data rows")
-    rows = max(t[0] for t in triples)
-    cols = max(t[1] for t in triples)
-    field = np.full((rows, cols), np.nan)
-    for i, j, v in triples:
-        field[i - 1, j - 1] = v
-    if np.isnan(field).any():
+    rows = max(i for i, _ in values)
+    cols = max(j for _, j in values)
+    if len(values) != rows * cols:
         raise ValueError(f"{path} does not cover the full {rows}x{cols} box")
+    field = np.empty((rows, cols))
+    for (i, j), v in values.items():
+        field[i - 1, j - 1] = v
     return field
 
 

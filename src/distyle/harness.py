@@ -313,6 +313,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
                 ("rqe_sublattice_by_grid", sub.rqe_by_b),
                 ("grid_residual", solution.residual),
                 ("grid_iterations", solution.iterations),
+                ("mc_stop_bound", mc.stop_bound),
             ],
         )
         written["comparison_summary"] = summary_path

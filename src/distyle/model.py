@@ -17,17 +17,20 @@ the mating system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Birth rate ``r`` and death rate ``d``, restricted to ``r > d > 0``."""
+    """Finite birth rate ``r`` and death rate ``d``, restricted to ``r > d > 0``."""
 
     r: float
     d: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.r) and math.isfinite(self.d)):
+            raise ValueError(f"rates must be finite, got r={self.r}, d={self.d}")
         if not (self.d > 0.0 and self.r > 0.0):
             raise ValueError(f"rates must be positive, got r={self.r}, d={self.d}")
         if self.r <= self.d:

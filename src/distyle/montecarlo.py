@@ -6,9 +6,23 @@ frequency of absorption is reported with a Wald confidence interval
     p_hat +/- 1.96 sqrt(p_hat (1 - p_hat) / M),
 
 clamped to [0, 1] and flagged as degenerate when p_hat is exactly 0 or 1.
-The estimator targets P[tau_0 <= T], which is below the true extinction
-probability; the censoring bias is one-sided and shrinks as T grows, but it
-is invisible to the confidence interval, so near-critical parameters (where
+
+Early stopping: a path is retired as soon as it enters the exit set
+min(i, j) >= k, where k = :func:`stop_level` is the smallest integer with
+2 (d/r)^k <= ``_STOP_BOUND`` = 1e-6.  By the strong Markov property a path
+retired at X is absorbed later with probability p(X), which the rigorous
+envelope of :func:`~distyle.model.extinction_bounds` caps at
+(d/r)^i + (d/r)^j <= 2 (d/r)^k.  A cell that starts inside the exit set draws
+nothing and reports 0.  The estimand is therefore P[tau_0 <= min(T, tau_stop)],
+which lies below P[tau_0 <= T] by at most ``stop_bound`` = 2 (d/r)^k; both
+results report that bound.  At d/r = 2/3 the level is k = 36, and the paths
+of the supercritical lattice stop within a few hundred steps.  Near
+criticality the level is out of reach (r = 2.002, d = 2 gives k = 14516), so
+no path stops early and the run costs as much as without the rule.
+
+Censoring at T remains: P[tau_0 <= T] is below the true extinction
+probability, the bias is one-sided and shrinks as T grows, but it is
+invisible to the confidence interval, so near-critical parameters (where
 absorption times are long) show a systematic gap against the grid solver.
 
 Reproducibility: every initial cell (i, j) owns a counter-based Philox
@@ -17,6 +31,12 @@ l of the t-th block of M uniforms from the cell's stream, so results do not
 depend on how cells are grouped, on lattice shape, or on which other cells
 are simulated; a lattice run and a single-cell run of the same cell agree
 bitwise, and shortening the horizon only truncates the stream.
+
+Memory: cells are simulated in groups of at most ``_PATH_BUDGET`` paths, and
+each refill buffers at most ``_CHUNK`` steps of a group's uniforms, 32 MiB in
+all.  A single cell with more paths than the budget refills fewer steps at a
+time, down to one; split draws read the same stream, so the grouping stays
+invisible.
 """
 
 from __future__ import annotations
@@ -29,8 +49,32 @@ import numpy as np
 
 from .model import ModelParams, State
 
-_CHUNK = 128  # steps drawn per stream refill; fixed so stream layout never varies
+_CHUNK = 128  # most steps drawn per stream refill
+_PATH_BUDGET = 32_768  # most paths simulated side by side
+_STOP_BOUND = 1e-6  # bias allowed to the exit-set stop, see stop_level
 _Z95 = 1.96
+
+
+def stop_level(params: ModelParams) -> int:
+    """Smallest k >= 1 with 2 (d/r)^k <= ``_STOP_BOUND``.
+
+    Every state with min(i, j) >= k has extinction probability at most
+    2 (d/r)^k, so a path reaching such a state can be retired.
+    """
+    rho = params.ratio
+    if rho == 0.0:
+        return 1
+    k = max(1, math.ceil(math.log(_STOP_BOUND / 2.0) / math.log(rho)))
+    # the logarithms may round either way; settle k on the defining test
+    while k > 1 and 2.0 * rho ** (k - 1) <= _STOP_BOUND:
+        k -= 1
+    while 2.0 * rho**k > _STOP_BOUND:
+        k += 1
+    return k
+
+
+def _stop_bound(params: ModelParams) -> float:
+    return 2.0 * params.ratio ** stop_level(params)
 
 
 @dataclass(frozen=True)
@@ -61,6 +105,7 @@ class McEstimate:
     m: int
     t_horizon: int
     seed: int
+    stop_bound: float  # p_hat may fall below P[tau_0 <= T] by at most this
 
 
 class PathResult(NamedTuple):
@@ -106,50 +151,78 @@ def _run_cells(
 ) -> np.ndarray:
     """Absorption flags, shape (len(cells), m), one Philox stream per cell.
 
-    All M uniforms of a step are drawn whether or not their paths are still
-    alive, preserving the (t, path) -> uniform correspondence; a cell's
-    stream stops being consumed once all its paths are absorbed, which
-    cannot change any outcome.
+    Cells run in groups of at most ``_PATH_BUDGET`` paths (one cell at
+    least), refilling at most ``_CHUNK * _PATH_BUDGET`` uniforms at a time.
+    """
+    level = stop_level(params)
+    group = max(1, _PATH_BUDGET // m)
+    refill = max(1, min(_CHUNK, _CHUNK * _PATH_BUDGET // (group * m)))
+    buf = np.empty((refill, min(group, len(cells)) * m))
+    flags = np.empty((len(cells), m), dtype=bool)
+    for start in range(0, len(cells), group):
+        chunk = cells[start : start + group]
+        flags[start : start + len(chunk)] = _run_group(
+            params, chunk, m, t_horizon, seed, level, buf
+        )
+    return flags
+
+
+def _run_group(
+    params: ModelParams,
+    cells: list[tuple[int, int]],
+    m: int,
+    t_horizon: int,
+    seed: int,
+    level: int,
+    buf: np.ndarray,
+) -> np.ndarray:
+    """Absorption flags of one group of cells, shape (len(cells), m).
+
+    A path runs until it is absorbed, enters the exit set min(i, j) >=
+    ``level``, or reaches the horizon.  All M uniforms of a step are drawn
+    while any path of the cell still runs, preserving the (t, path) ->
+    uniform correspondence; a cell's stream stops being consumed once all its
+    paths are done, which cannot change any outcome.  ``buf`` holds the
+    uniforms of one refill, a row of at least M per cell for each step.
     """
     n_cells = len(cells)
     n = n_cells * m
-    ai = np.empty(n, dtype=np.int32)
-    aj = np.empty(n, dtype=np.int32)
-    for c, (i0, j0) in enumerate(cells):
-        ai[c * m : (c + 1) * m] = i0
-        aj[c * m : (c + 1) * m] = j0
+    start = np.repeat(np.array(cells, dtype=np.int32).reshape(n_cells, 2), m, axis=0)
+    alive = np.flatnonzero(start.min(axis=1) < level)
+    ai = start[alive, 0]
+    aj = start[alive, 1]
     gens = [
         np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, i0, j0])))
         for (i0, j0) in cells
     ]
     absorbed = np.zeros(n, dtype=bool)
-    alive = np.arange(n)
     loss = params.death_step
     loss_or_right = loss + params.birth_step
-    buf = np.empty((_CHUNK, n))
     t = 0
     while t < t_horizon and alive.size:
-        steps = min(_CHUNK, t_horizon - t)
-        active_cells = np.bincount(alive // m, minlength=n_cells) > 0
-        for c in range(n_cells):
-            if active_cells[c]:
-                buf[:steps, c * m : (c + 1) * m] = gens[c].random((steps, m))
+        steps = min(len(buf), t_horizon - t)
+        for c in np.flatnonzero(np.bincount(alive // m, minlength=n_cells)):
+            buf[:steps, c * m : (c + 1) * m] = gens[c].random((steps, m))
         for k in range(steps):
             u = buf[k, alive]
+            # went_left implies in_loss implies below_up (the left threshold
+            # lies below loss), so each xor is a set difference
             went_left = u < loss * ai / (ai + aj)
             in_loss = u < loss
-            went_down = in_loss & ~went_left
-            went_right = ~in_loss & (u < loss_or_right)
-            went_up = ~in_loss & (u >= loss_or_right)
-            ai += went_right.astype(np.int32)
-            ai -= went_left.astype(np.int32)
-            aj += went_up.astype(np.int32)
-            aj -= went_down.astype(np.int32)
-            dead = (ai == 0) | (aj == 0)
-            if dead.any():
+            below_up = u < loss_or_right
+            ai += below_up ^ in_loss
+            ai -= went_left
+            aj += ~below_up
+            aj -= in_loss ^ went_left
+            low = np.minimum(ai, aj)
+            dead = low == 0
+            done = dead | (low >= level)
+            if done.any():
                 absorbed[alive[dead]] = True
-                keep = ~dead
+                keep = ~done
                 alive = alive[keep]
+                if not alive.size:
+                    break
                 ai = ai[keep]
                 aj = aj[keep]
         t += steps
@@ -181,6 +254,7 @@ def estimate(params: ModelParams, config: McConfig) -> McEstimate:
         m=config.m,
         t_horizon=config.t_horizon,
         seed=config.seed,
+        stop_bound=_stop_bound(params),
     )
 
 
@@ -201,6 +275,7 @@ class McLattice:
     ci_low: np.ndarray
     ci_high: np.ndarray
     degenerate: np.ndarray
+    stop_bound: float  # p_hat may fall below P[tau_0 <= T] by at most this
 
 
 def estimate_cells(
@@ -209,21 +284,12 @@ def estimate_cells(
     m: int,
     t_horizon: int,
     seed: int,
-    group_size: int = 512,
 ) -> np.ndarray:
-    """Absorption frequencies for an arbitrary list of initial cells.
-
-    Returns ``p_hat`` aligned with ``cells``; ``group_size`` only caps
-    memory, the per-cell streams make the grouping invisible.
-    """
+    """Absorption frequencies for an arbitrary list of initial cells,
+    aligned with ``cells``."""
     for i0, j0 in cells:
         McConfig(m=m, t_horizon=t_horizon, seed=seed, initial=State(i0, j0))
-    p_hat = np.empty(len(cells))
-    for start in range(0, len(cells), group_size):
-        chunk = cells[start : start + group_size]
-        flags = _run_cells(params, chunk, m, t_horizon, seed)
-        p_hat[start : start + len(chunk)] = flags.mean(axis=1)
-    return p_hat
+    return _run_cells(params, cells, m, t_horizon, seed).mean(axis=1)
 
 
 def estimate_lattice(
@@ -233,13 +299,12 @@ def estimate_lattice(
     m: int,
     t_horizon: int,
     seed: int,
-    group_size: int = 512,
 ) -> McLattice:
-    """Estimate every cell of the box; ``group_size`` only caps memory."""
+    """Estimate every cell of the box."""
     if i_max < 1 or j_max < 1:
         raise ValueError(f"lattice extents must be >= 1, got ({i_max}, {j_max})")
     cells = [(i, j) for i in range(1, i_max + 1) for j in range(1, j_max + 1)]
-    p_hat = estimate_cells(params, cells, m, t_horizon, seed, group_size)
+    p_hat = estimate_cells(params, cells, m, t_horizon, seed)
     p_hat = p_hat.reshape(i_max, j_max)
     half = _Z95 * np.sqrt(p_hat * (1.0 - p_hat) / m)
     return McLattice(
@@ -252,6 +317,7 @@ def estimate_lattice(
         ci_low=np.maximum(0.0, p_hat - half),
         ci_high=np.minimum(1.0, p_hat + half),
         degenerate=(p_hat == 0.0) | (p_hat == 1.0),
+        stop_bound=_stop_bound(params),
     )
 
 

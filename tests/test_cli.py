@@ -114,6 +114,26 @@ class TestCompareCommand:
         metrics = {line.split(",")[0] for line in lines[1:]}
         assert metrics == {"square_error", "absolute_error", "relative_error"}
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (["1,1,0.5", "1,2,0.25", "1,1,0.75"], "duplicate row for (1, 1)"),
+            (["1,1,0.5", "1,2,inf"], "is not finite"),
+            (["1,1,nan", "1,2,0.25"], "is not finite"),
+            (["0,1,0.5", "1,1,0.5"], "indices start at 1"),
+            (["1,1,0.5", "1,-1,0.5"], "indices start at 1"),
+        ],
+        ids=["duplicate", "inf", "nan", "zero-index", "negative-index"],
+    )
+    def test_rejects_malformed_field(self, tmp_path, capsys, rows, message):
+        good = tmp_path / "good.csv"
+        good.write_text("i,j,p\n1,1,0.5\n1,2,0.25\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("i,j,p\n" + "\n".join(rows) + "\n")
+        assert run(["compare", "--field-a", bad, "--field-b", good]) == 2
+        assert message in capsys.readouterr().err
+        assert run(["compare", "--field-a", good, "--field-b", good]) == 0
+
     def test_missing_file(self, tmp_path, capsys):
         code = run(
             ["compare", "--field-a", tmp_path / "nope.csv",

@@ -26,6 +26,14 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(r=r, d=d)
 
+    @pytest.mark.parametrize(
+        "r,d", [(math.inf, 1.0), (math.inf, math.inf), (math.nan, 1.0), (3.0, math.nan)]
+    )
+    def test_rejects_non_finite_rates(self, r, d):
+        # an infinite birth rate used to give birth_step = nan and ratio = 0
+        with pytest.raises(ValueError):
+            ModelParams(r=r, d=d)
+
     def test_derived_steps(self, params3):
         assert params3.ratio == pytest.approx(2.0 / 3.0, rel=1e-15)
         assert params3.birth_step == pytest.approx(0.3, rel=1e-15)

@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from distyle.model import State
+from distyle import montecarlo
+from distyle.model import ModelParams, State, extinction_bounds
 from distyle.montecarlo import (
     McConfig,
     estimate,
     estimate_cells,
     estimate_lattice,
     simulate_path,
+    stop_level,
     write_mc_csv,
 )
 
@@ -93,10 +97,13 @@ class TestLattice:
         solo = estimate(params3, McConfig(m=150, t_horizon=800, seed=42, initial=State(3, 2)))
         assert lat.p_hat[2, 1] == solo.p_hat
 
-    def test_grouping_invisible(self, params3):
+    def test_grouping_invisible(self, params3, monkeypatch):
         a = estimate_lattice(params3, 4, 4, m=60, t_horizon=500, seed=9)
-        b = estimate_lattice(params3, 4, 4, m=60, t_horizon=500, seed=9, group_size=3)
-        assert np.array_equal(a.p_hat, b.p_hat)
+        # 180 paths run three cells per group; 25 < M also splits every refill
+        for budget in (180, 25):
+            monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
+            b = estimate_lattice(params3, 4, 4, m=60, t_horizon=500, seed=9)
+            assert np.array_equal(a.p_hat, b.p_hat)
 
     def test_cells_align_with_singles(self, params3):
         cells = [(1, 1), (5, 2), (2, 5)]
@@ -106,6 +113,18 @@ class TestLattice:
                 params3, McConfig(m=80, t_horizon=600, seed=13, initial=State(i, j))
             )
             assert p[k] == solo.p_hat
+
+    def test_single_path_matches_scalar_reference(self, params3):
+        # with M=1 step t reads the t-th uniform of the cell's stream, as the
+        # scalar simulator does; within 50 steps min(i, j) cannot reach the
+        # stop level 36, so the flags must agree
+        for seed in range(40):
+            for i, j in [(1, 1), (3, 2), (6, 9)]:
+                est = estimate(
+                    params3, McConfig(m=1, t_horizon=50, seed=seed, initial=State(i, j))
+                )
+                ref = simulate_path(params3, State(i, j), 50, make_rng(seed, i, j))
+                assert est.p_hat == float(ref.absorbed)
 
     def test_extent_validation(self, params3):
         with pytest.raises(ValueError):
@@ -124,3 +143,46 @@ class TestCsv:
         assert first[0] == "1" and first[1] == "1"
         assert first[5] == "50" and first[6] == "400" and first[7] == "8"
         assert "\r" not in buf.getvalue()
+
+
+class TestStopRule:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.floats(min_value=0.1, max_value=10.0),
+        st.floats(min_value=1.0001, max_value=5.0),
+        st.integers(0, 50),
+        st.integers(0, 5000),
+    )
+    def test_level_is_smallest_settled_one(self, d, factor, extra_i, extra_j):
+        params = ModelParams(r=d * factor, d=d)
+        k = stop_level(params)
+        assert extinction_bounds(params, k + extra_i, k + extra_j)[1] <= 1e-6
+        assert extinction_bounds(params, k + extra_j, k + extra_i)[1] <= 1e-6
+        assert k == 1 or 2.0 * params.ratio ** (k - 1) > 1e-6
+
+    def test_reference_levels(self, params3, paramsc):
+        assert stop_level(params3) == 36
+        assert stop_level(paramsc) == 14516
+
+    def test_underflowing_ratio_keeps_a_finite_level(self):
+        params = ModelParams(r=1e300, d=1e-300)
+        assert params.ratio == 0.0
+        assert stop_level(params) == 1
+        est = estimate(params, McConfig(m=10, t_horizon=100, seed=0, initial=State(1, 1)))
+        assert est.p_hat == 0.0 and est.stop_bound == 0.0
+
+    def test_start_in_exit_set_draws_nothing(self, params3):
+        # a horizon this long would take minutes if the paths ran
+        k = stop_level(params3)
+        for i, j in [(k, k), (k, 5 * k)]:
+            est = estimate(
+                params3, McConfig(m=500, t_horizon=10**9, seed=4, initial=State(i, j))
+            )
+            assert est.p_hat == 0.0 and est.degenerate
+
+    def test_stop_bound_reported(self, params3):
+        expected = 2.0 * (2.0 / 3.0) ** 36
+        est = estimate(params3, McConfig(m=20, t_horizon=100, seed=1, initial=State(2, 2)))
+        lat = estimate_lattice(params3, 2, 2, m=20, t_horizon=100, seed=1)
+        assert est.stop_bound == lat.stop_bound == pytest.approx(expected, rel=1e-12)
+        assert est.stop_bound <= 1e-6
