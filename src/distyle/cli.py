@@ -18,7 +18,7 @@ import numpy as np
 
 from . import genfunc, harness
 from .characteristics import critical_times, eval_path, integrating_factor, make_path
-from .grid import Method, SolveOptions, solve_grid, write_grid_csv
+from .grid import ConvergenceError, Method, SolveOptions, solve_grid, write_grid_csv
 from .model import ModelParams
 from .montecarlo import McConfig, State, estimate, estimate_lattice, write_mc_csv
 
@@ -46,18 +46,10 @@ def _emit(args, filename: str, header: list[str], rows) -> None:
     try:
         fp.write(",".join(header) + "\n")
         for row in rows:
-            fp.write(",".join(_cell(v) for v in row) + "\n")
+            fp.write(",".join(harness._fmt(v) for v in row) + "\n")
     finally:
         if fp is not sys.stdout:
             fp.close()
-
-
-def _cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(v)
-    return f"{v:.12g}"
 
 
 def _cmd_grid(args) -> int:
@@ -108,7 +100,7 @@ def _cmd_mc(args) -> int:
 def _cmd_greens(args) -> int:
     params = ModelParams(args.r, args.d)
     solution = solve_grid(
-        params, args.n, SolveOptions(method=Method.DIRECT_BANDED, tol=args.tol)
+        params, args.n, SolveOptions(method=Method.DIRECT, tol=args.tol)
     )
     xs = np.linspace(args.xmin, args.xmax, args.nx)
     ys = np.linspace(args.ymin, args.ymax, args.ny)
@@ -246,9 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="solve the truncated recurrence on an NxN box")
     _add_rates(p)
     p.add_argument("--n", type=int, required=True, help="box size N")
-    p.add_argument("--method", choices=[m.value for m in Method], default="sweep")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=200_000)
+    defaults = SolveOptions()
+    p.add_argument("--method", choices=[m.value for m in Method], default=defaults.method.value)
+    p.add_argument("--tol", type=float, default=defaults.tol)
+    p.add_argument("--max-iter", type=int, default=defaults.max_iter)
     p.add_argument(
         "--closure",
         choices=["asymptotic", "bounds-lower", "bounds-upper", "ones"],
@@ -332,7 +325,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, ConvergenceError, genfunc.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

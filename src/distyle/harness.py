@@ -136,7 +136,7 @@ def convergence_series(
     n_values: list[int],
     reference: np.ndarray,
     sublattice: int = 10,
-    method: Method = Method.DIRECT_BANDED,
+    method: Method = Method.DIRECT,
     tol: float = 1e-12,
 ) -> list[tuple[int, float]]:
     """rqe of the N-grid against a fixed reference field on the sub-lattice."""
@@ -158,7 +158,7 @@ class ExperimentSpec:
     r: float
     d: float
     grid_n: int = 50
-    solver: Method = Method.DIRECT_BANDED
+    solver: Method = Method.DIRECT
     tol: float = 1e-12
     mc_m: int = 200
     mc_t: int = 5000
@@ -218,7 +218,7 @@ def load_spec(path: Path, **overrides) -> ExperimentSpec:
     """Read a flat ``key = value`` config file; later overrides win.
 
     Recognised keys are exactly the ExperimentSpec fields; ``solver`` takes
-    the method names sweep, direct or vi.  Lines starting with ``#`` and
+    the method names direct or vi.  Lines starting with ``#`` and
     blank lines are ignored.
     """
     values: dict = {}

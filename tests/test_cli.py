@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from distyle import genfunc
 from distyle.cli import main
 from distyle.grid import solve_grid
 from distyle.model import ModelParams
@@ -175,6 +176,20 @@ class TestExperimentCommand:
     def test_out_required(self):
         with pytest.raises(SystemExit):
             run(["experiment", "--preset", "supercritical"])
+
+
+def test_solver_failures_exit_cleanly(capsys, monkeypatch):
+    # both errors are RuntimeErrors and used to end in a traceback
+    assert run(["grid", "--r", 3, "--d", 2, "--n", 20, "--max-iter", 3]) == 2
+    monkeypatch.setattr(genfunc, "_MAX_PANELS", 2)
+    code = run(
+        ["greens", "--r", 3, "--d", 2, "--n", 12, "--quad-tol", 1e-18,
+         "--xmin", 0.6, "--xmax", 0.6, "--nx", 1, "--ymin", 0.6, "--ymax", 0.6, "--ny", 1]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: no convergence within 3 iterations" in err
+    assert "error: quadrature did not meet its budget" in err
 
 
 def test_subcommand_required():

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distyle.grid import (
     ConvergenceError,
@@ -15,7 +17,7 @@ from distyle.grid import (
     solve_grid,
     write_grid_csv,
 )
-from distyle.model import extinction_bounds
+from distyle.model import ModelParams, extinction_bounds
 
 
 class TestKernel:
@@ -64,10 +66,8 @@ class TestAssembly:
 
 class TestSolvers:
     def test_methods_agree(self, params3):
-        sweep = solve_grid(params3, 20, SolveOptions(method=Method.ITERATIVE_SWEEP))
-        direct = solve_grid(params3, 20, SolveOptions(method=Method.DIRECT_BANDED))
+        direct = solve_grid(params3, 20, SolveOptions(method=Method.DIRECT))
         vi = solve_grid(params3, 20, SolveOptions(method=Method.VALUE_ITERATION))
-        assert np.max(np.abs(sweep.values - direct.values)) < 1e-10
         assert np.max(np.abs(vi.values - direct.values)) < 1e-10
 
     def test_symmetry(self, params3):
@@ -75,16 +75,14 @@ class TestSolvers:
         assert np.max(np.abs(sol.values - sol.values.T)) < 1e-12
 
     def test_unit_closure_gives_constant_solution(self, params3):
-        sol = solve_grid(
-            params3, 12, SolveOptions(method=Method.DIRECT_BANDED), closure="ones"
-        )
+        sol = solve_grid(params3, 12, SolveOptions(method=Method.DIRECT), closure="ones")
         assert np.max(np.abs(sol.values - 1.0)) < 1e-12
 
     def test_closure_ordering_is_monotone(self, params3):
         # the system matrix is monotone, so raising the closure raises the
         # solution; the lower-bound field itself sits below every variant
         # because the axes carry the value 1 >= (d/r)^k
-        opts = SolveOptions(method=Method.DIRECT_BANDED)
+        opts = SolveOptions(method=Method.DIRECT)
         low = solve_grid(params3, 15, opts, closure="bounds-lower")
         mid = solve_grid(params3, 15, opts)
         high = solve_grid(params3, 15, opts, closure="bounds-upper")
@@ -104,9 +102,36 @@ class TestSolvers:
         with pytest.raises(ValueError):
             solve_grid(params3, 5, closure="midpoint")
 
-    def test_direct_refuses_huge_grids(self, params3):
-        with pytest.raises(ValueError):
-            solve_grid(params3, 121, SolveOptions(method=Method.DIRECT_BANDED))
+    def test_direct_solves_large_near_critical_grid(self, paramsc):
+        # beyond the reach of value iteration's default max_iter
+        n = 150
+        sol = solve_grid(paramsc, n, SolveOptions(method=Method.DIRECT))
+        powers = paramsc.ratio ** np.arange(1, n + 1)
+        lo = np.outer(powers, powers)
+        hi = np.add.outer(powers, powers) - lo
+        assert sol.residual < 1e-12
+        assert np.min(sol.values - lo) > -1e-12
+        assert np.min(hi - sol.values) > -1e-12
+        assert np.max(np.abs(sol.values - sol.values.T)) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(min_value=0.05, max_value=0.999),
+        st.integers(1, 12),
+        st.data(),
+    )
+    def test_direct_monotone_and_symmetric_in_closure(self, ratio, n, data):
+        # T = K - I with K substochastic, so -T^-1 >= 0 and the solution
+        # rises with the closure; a symmetric closure gives a symmetric field
+        params = ModelParams(r=2.0 / ratio, d=2.0)
+        edge = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(np.array)
+        up, right, lift_up, lift_right = (data.draw(edge) for _ in range(4))
+        opts = SolveOptions(method=Method.DIRECT)
+        base = solve_grid(params, n, opts, closure=(up, right))
+        raised = solve_grid(params, n, opts, closure=(up + lift_up, right + lift_right))
+        assert np.min(raised.values - base.values) > -1e-12
+        sym = solve_grid(params, n, opts, closure=(up, up))
+        assert np.max(np.abs(sym.values - sym.values.T)) < 1e-12
 
     def test_iteration_cap_raises(self, params3):
         with pytest.raises(ConvergenceError) as info:
@@ -139,7 +164,7 @@ class TestSolutionAccess:
             grid50.p(1, -2)
 
     def test_column_recursion_defect(self, params3):
-        sol = solve_grid(params3, 10, SolveOptions(method=Method.DIRECT_BANDED))
+        sol = solve_grid(params3, 10, SolveOptions(method=Method.DIRECT))
         assert column_recursion_check(sol) < 1e-12
 
 

@@ -75,7 +75,7 @@ class TestFit:
 
 class TestConvergenceSeries:
     def test_errors_shrink_toward_reference(self, params3):
-        reference = solve_grid(params3, 16, SolveOptions(method=Method.DIRECT_BANDED))
+        reference = solve_grid(params3, 16, SolveOptions(method=Method.DIRECT))
         series = convergence_series(
             params3, [6, 9, 12], reference.values, sublattice=5
         )
@@ -113,7 +113,7 @@ class TestSpec:
         )
         spec = load_spec(cfg)
         assert spec.grid_n == 9
-        assert spec.solver is Method.DIRECT_BANDED
+        assert spec.solver is Method.DIRECT
         assert spec.run_mc is False
         assert spec.seed == 77
         spec2 = load_spec(cfg, grid_n=11)
@@ -137,7 +137,7 @@ def tiny_spec():
         r=3.0,
         d=2.0,
         grid_n=8,
-        solver=Method.DIRECT_BANDED,
+        solver=Method.DIRECT,
         mc_m=10,
         mc_t=300,
         seed=5,
