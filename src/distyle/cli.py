@@ -54,7 +54,8 @@ def _emit(args, filename: str, header: list[str], rows) -> None:
 
 def _cmd_grid(args) -> int:
     params = ModelParams(args.r, args.d)
-    options = SolveOptions(method=Method(args.method), tol=args.tol, max_iter=args.max_iter)
+    method = Method(args.method) if args.method is not None else None
+    options = SolveOptions(method=method, tol=args.tol, max_iter=args.max_iter)
     solution = solve_grid(params, args.n, options, closure=args.closure)
     fp = _open_out(args, "grid_p.csv")
     try:
@@ -63,7 +64,7 @@ def _cmd_grid(args) -> int:
         if fp is not sys.stdout:
             fp.close()
     print(
-        f"solved N={args.n} via {options.method.value}: "
+        f"solved N={args.n} via {solution.method.value}: "
         f"iterations={solution.iterations} residual={solution.residual:.3e} "
         f"closure: {solution.closure}",
         file=sys.stderr,
@@ -99,9 +100,7 @@ def _cmd_mc(args) -> int:
 
 def _cmd_greens(args) -> int:
     params = ModelParams(args.r, args.d)
-    solution = solve_grid(
-        params, args.n, SolveOptions(method=Method.DIRECT, tol=args.tol)
-    )
+    solution = solve_grid(params, args.n)
     xs = np.linspace(args.xmin, args.xmax, args.nx)
     ys = np.linspace(args.ymin, args.ymax, args.ny)
     rows = []
@@ -239,7 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rates(p)
     p.add_argument("--n", type=int, required=True, help="box size N")
     defaults = SolveOptions()
-    p.add_argument("--method", choices=[m.value for m in Method], default=defaults.method.value)
+    p.add_argument(
+        "--method",
+        choices=[m.value for m in Method],
+        default=None,
+        help="default: direct up to N=150, vi above",
+    )
     p.add_argument("--tol", type=float, default=defaults.tol)
     p.add_argument("--max-iter", type=int, default=defaults.max_iter)
     p.add_argument(
@@ -271,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ymax", type=float, default=0.5)
     p.add_argument("--ny", type=int, default=5)
     p.add_argument("--n", type=int, default=50, help="grid size for the series reference")
-    p.add_argument("--tol", type=float, default=1e-12, help="grid solver tolerance")
     p.add_argument("--quad-tol", type=float, default=1e-8, help="quadrature budget")
     _add_out(p)
     p.set_defaults(func=_cmd_greens)

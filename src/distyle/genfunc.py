@@ -129,12 +129,15 @@ def _adaptive(
     f, a: float, b: float, tol: float, depth: int, whole: float, budget: list[int]
 ) -> tuple[float, float]:
     """Recursive bisection; accepts a panel when halving moves it by less
-    than its share of the budget.  Returns (integral, error bound)."""
+    than its share of the budget, or by no more than rounding (a few ulps
+    of the panel), which further halving cannot reduce.  A budget below the
+    rounding floor then fails the caller's check at once instead of
+    bisecting to the panel cap.  Returns (integral, error bound)."""
     mid = 0.5 * (a + b)
     left, right = _panel(f, a, mid), _panel(f, mid, b)
     err = abs(left + right - whole)
     budget[0] += 2
-    if err <= tol or depth >= 48 or budget[0] >= _MAX_PANELS:
+    if err <= max(tol, 4 * math.ulp(left + right)) or depth >= 48 or budget[0] >= _MAX_PANELS:
         return left + right, err
     le, lerr = _adaptive(f, a, mid, 0.5 * tol, depth + 1, left, budget)
     re, rerr = _adaptive(f, mid, b, 0.5 * tol, depth + 1, right, budget)

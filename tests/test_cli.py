@@ -81,6 +81,12 @@ class TestGreensCommand:
             assert np.isfinite(vals).all()
             assert vals[4] < 1e-2
 
+    def test_tol_option_is_gone(self):
+        # the grid behind the series is solved with the default options
+        with pytest.raises(SystemExit) as info:
+            run(["greens", "--r", 3, "--d", 2, "--n", 12, "--tol", 1e-3])
+        assert info.value.code == 2
+
 
 class TestCharacteristicsCommand:
     def test_curve_csv(self, tmp_path, capsys):
@@ -180,7 +186,7 @@ class TestExperimentCommand:
 
 def test_solver_failures_exit_cleanly(capsys, monkeypatch):
     # both errors are RuntimeErrors and used to end in a traceback
-    assert run(["grid", "--r", 3, "--d", 2, "--n", 20, "--max-iter", 3]) == 2
+    assert run(["grid", "--r", 3, "--d", 2, "--n", 20, "--method", "vi", "--max-iter", 3]) == 2
     monkeypatch.setattr(genfunc, "_MAX_PANELS", 2)
     code = run(
         ["greens", "--r", 3, "--d", 2, "--n", 12, "--quad-tol", 1e-18,

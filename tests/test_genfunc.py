@@ -1,5 +1,6 @@
 import pytest
 
+from distyle import genfunc
 from distyle.genfunc import (
     GenFuncQuery,
     QuadratureError,
@@ -8,6 +9,7 @@ from distyle.genfunc import (
     eval_from_grid,
     query_from_grid,
 )
+from distyle.grid import solve_grid
 
 
 class TestQuery:
@@ -75,3 +77,19 @@ class TestQuadrature:
         quad = eval_by_quadrature(paramsc, q)
         series = eval_from_grid(grid100c, 0.3, 0.4)
         assert quad == pytest.approx(series.value, abs=2e-3 + series.tail_bound)
+
+    def test_budget_below_rounding_floor_fails_fast(self, params3, monkeypatch):
+        # no bisection can meet 1e-18 on values near 1; the search used to
+        # run to the 20,000-panel cap (20,063 panels) before raising
+        sol = solve_grid(params3, 12)
+        calls = [0]
+        panel = genfunc._panel
+
+        def counting(*args):
+            calls[0] += 1
+            return panel(*args)
+
+        monkeypatch.setattr(genfunc, "_panel", counting)
+        with pytest.raises(QuadratureError):
+            eval_by_quadrature(params3, query_from_grid(sol, 0.6, 0.6, tol=1e-18))
+        assert calls[0] < 2000

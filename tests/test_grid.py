@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,9 +134,41 @@ class TestSolvers:
         sym = solve_grid(params, n, opts, closure=(up, up))
         assert np.max(np.abs(sym.values - sym.values.T)) < 1e-12
 
+    def test_default_method_follows_box_size(self, params3):
+        assert solve_grid(params3, 150).method is Method.DIRECT
+        assert solve_grid(params3, 151).method is Method.VALUE_ITERATION
+        vi = SolveOptions(method=Method.VALUE_ITERATION)
+        assert solve_grid(params3, 20, vi).method is Method.VALUE_ITERATION
+        direct = SolveOptions(method=Method.DIRECT)
+        assert solve_grid(params3, 151, direct).method is Method.DIRECT
+
+    def test_folded_direct_matches_unfolded_solve(self, paramsc):
+        n = 60
+        sol = solve_grid(paramsc, n)
+        up, right, _ = closure_arrays(paramsc, n, "asymptotic")
+        mat, rhs = assemble_system(paramsc, n, up, right)
+        ref = scipy.sparse.linalg.spsolve(mat.tocsc(), rhs).reshape(n, n)
+        assert np.max(np.abs(sol.values - ref)) < 1e-13
+        assert np.array_equal(sol.values, sol.values.T)
+
+    def test_value_iteration_residual_is_system_residual(self, params3):
+        n = 20
+        sol = solve_grid(params3, n, SolveOptions(method=Method.VALUE_ITERATION))
+        mat, rhs = assemble_system(params3, n, sol.closure_up, sol.closure_right)
+        full = float(np.max(np.abs(mat @ sol.values.reshape(-1) - rhs)))
+        assert sol.residual > 0.0
+        assert abs(sol.residual - full) < 1e-15
+
+    def test_near_critical_default_factors(self, paramsc):
+        # the largest box the old value-iteration default could solve
+        sol = solve_grid(paramsc, 142)
+        assert sol.method is Method.DIRECT
+        assert sol.iterations == 1
+        assert sol.residual < 1e-12
+
     def test_iteration_cap_raises(self, params3):
         with pytest.raises(ConvergenceError) as info:
-            solve_grid(params3, 20, SolveOptions(max_iter=3))
+            solve_grid(params3, 20, SolveOptions(method=Method.VALUE_ITERATION, max_iter=3))
         assert info.value.residual > 0.0
 
     def test_options_validated(self):
