@@ -1,5 +1,11 @@
 import io
 import math
+import os
+import signal
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +135,165 @@ class TestLattice:
     def test_extent_validation(self, params3):
         with pytest.raises(ValueError):
             estimate_lattice(params3, 0, 3, m=10, t_horizon=10, seed=0)
+
+
+class TestOutcomes:
+    def test_short_horizon_near_critical_is_censored(self, paramsc):
+        m = 200
+        est = estimate(paramsc, McConfig(m=m, t_horizon=100, seed=5, initial=State(10, 10)))
+        assert est.censored_frac > 0.0
+        assert est.stopped_frac == 0.0  # the stop level 14516 is out of reach
+        fractions = np.array([est.p_hat, est.stopped_frac, est.censored_frac])
+        assert fractions.sum() <= 1.0 + 1e-12
+        assert np.round(fractions * m).sum() == m
+
+    def test_lattice_fractions_match_singles(self, params3):
+        m = 50
+        lat = estimate_lattice(params3, 3, 3, m=m, t_horizon=2000, seed=3)
+        total = np.round((lat.p_hat + lat.stopped_frac + lat.censored_frac) * m)
+        assert np.all(total == m)
+        assert np.all(lat.stopped_frac > 0.0)
+        assert np.all(lat.censored_frac == 0.0)  # every path stops or dies by T
+        solo = estimate(params3, McConfig(m=m, t_horizon=2000, seed=3, initial=State(2, 3)))
+        assert lat.stopped_frac[1, 2] == solo.stopped_frac
+        assert lat.censored_frac[1, 2] == solo.censored_frac
+
+    def test_start_in_exit_set_counts_as_stopped(self, params3):
+        est = estimate(params3, McConfig(m=20, t_horizon=100, seed=1, initial=State(36, 40)))
+        assert est.stopped_frac == 1.0 and est.censored_frac == 0.0
+
+
+class TestRefill:
+    @pytest.mark.parametrize(
+        "r, cells",
+        [
+            (3.0, [(i, j) for i in range(1, 5) for j in range(1, 5)]),
+            # stop level 3: every path ends within the first default refill
+            (1000.0, [(2, 2), (1, 4)]),
+        ],
+    )
+    def test_refill_size_invisible(self, monkeypatch, r, cells):
+        # T = 500 is not a multiple of any refill size below; with fewer
+        # than _HELPER_MIN_PATHS paths the default run draws without the
+        # helper, so the runs with a zero threshold compare the two
+        params = ModelParams(r=r, d=2.0)
+        ends = np.empty((2, len(cells)))
+        a = estimate_cells(params, cells, m=60, t_horizon=500, seed=9, ends=ends)
+        if r == 1000.0:
+            first = np.empty_like(ends)
+            estimate_cells(params, cells, m=60, t_horizon=montecarlo._CHUNK, seed=9, ends=first)
+            assert np.all(first[1] == 0.0)  # nothing left running after one refill
+        for helper_min in (0, montecarlo._HELPER_MIN_PATHS):
+            monkeypatch.setattr(montecarlo, "_HELPER_MIN_PATHS", helper_min)
+            for chunk in (1, 3, 128, montecarlo._CHUNK):
+                monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+                ends_b = np.empty_like(ends)
+                b = estimate_cells(params, cells, m=60, t_horizon=500, seed=9, ends=ends_b)
+                assert np.array_equal(a, b)
+                assert np.array_equal(ends, ends_b)
+
+    def test_helper_invisible_on_wide_groups(self, params3, monkeypatch):
+        # 40 cells of 200 paths run with the helper by default; a threshold
+        # above the group width makes the caller draw every block alone
+        cells = [(i, j) for i in range(1, 9) for j in range(1, 6)]
+        assert len(cells) * 200 >= montecarlo._HELPER_MIN_PATHS
+        a = estimate_cells(params3, cells, m=200, t_horizon=3000, seed=5)
+        monkeypatch.setattr(montecarlo, "_HELPER_MIN_PATHS", 10**9)
+        b = estimate_cells(params3, cells, m=200, t_horizon=3000, seed=5)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "budget, m, n_cells",
+        [
+            (1024, 16, 300),  # 64 cells a group, five groups
+            (256, 1000, 1),  # M above the budget: fewer steps per bank
+            (64, 10_000, 1),  # one row above half the cap: one step per bank
+        ],
+    )
+    def test_banks_stay_within_cap(self, params3, monkeypatch, budget, m, n_cells):
+        monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
+        cells = [(1 + k % 20, 1 + k // 20) for k in range(n_cells)]
+        held = []
+        run_group = montecarlo._run_group
+
+        def spy(*args):
+            # the banks and the flag arrays exist before any group runs
+            held.append(tracemalloc.get_traced_memory()[0])
+            return run_group(*args)
+
+        monkeypatch.setattr(montecarlo, "_run_group", spy)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            estimate_cells(params3, cells, m=m, t_horizon=100, seed=3)
+        finally:
+            tracemalloc.stop()
+        banks = max(held) - before - 2 * n_cells * m  # less the bool flag arrays
+        cap = 8 * max(128 * budget, 2 * m)
+        assert 2 * 8 * m <= banks <= cap + 4096  # a few small objects besides
+
+    def test_error_waits_for_pending_fill(self, params3, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_HELPER_MIN_PATHS", 0)
+        refills = []
+        init, draw = montecarlo._Refill.__init__, montecarlo._Refill._draw
+
+        def record(self, *args):
+            refills.append(self)
+            init(self, *args)
+
+        def slow_draw(self, live):
+            time.sleep(0.05)
+            draw(self, live)
+
+        def interrupted(self, live=None):
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(montecarlo._Refill, "__init__", record)
+        monkeypatch.setattr(montecarlo._Refill, "_draw", slow_draw)
+        monkeypatch.setattr(montecarlo._Refill, "finish", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            estimate_cells(params3, [(1, 1)], m=10, t_horizon=100, seed=0)
+        assert len(refills) == 1 and refills[0]._helper.done()
+
+    def test_concurrent_callers_agree(self, params3, monkeypatch):
+        # four callers share the one helper thread; a cell drawn twice, or
+        # read before its draw finished, would change the estimates
+        monkeypatch.setattr(montecarlo, "_CHUNK", 3)
+        monkeypatch.setattr(montecarlo, "_HELPER_MIN_PATHS", 0)
+        cells = [(i, j) for i in range(1, 7) for j in range(1, 7)]
+        expected = estimate_cells(params3, cells, m=40, t_horizon=400, seed=2)
+        results = [None] * 4
+
+        def run(k):
+            results[k] = estimate_cells(params3, cells, m=40, t_horizon=400, seed=2)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for result in results:
+            assert np.array_equal(result, expected)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_can_draw(self, params3, monkeypatch):
+        # the child inherits the pool after the parent has used its thread
+        monkeypatch.setattr(montecarlo, "_HELPER_MIN_PATHS", 0)
+        cells = [(1, 1), (2, 3)]
+        a = estimate_cells(params3, cells, m=50, t_horizon=300, seed=1)
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(30)  # a hung refill kills the child instead of the suite
+            b = estimate_cells(params3, cells, m=50, t_horizon=300, seed=1)
+            os._exit(0 if np.array_equal(a, b) else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestCsv:
