@@ -30,7 +30,6 @@ from .grid import (
     SolveOptions,
     apply_kernel,
     assemble_system,
-    column_recursion_check,
     solve_grid,
 )
 from .harness import ExperimentSpec, compare, fit_log_slope, run_experiment
@@ -55,7 +54,6 @@ __all__ = [
     "asymptotic_p1j",
     "asymptotic_pij",
     "closure_value",
-    "column_recursion_check",
     "compare",
     "critical_times",
     "estimate",

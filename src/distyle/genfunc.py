@@ -88,13 +88,14 @@ def query_from_grid(
 ) -> GenFuncQuery:
     """Build a query whose first-column data comes from a solved grid.
 
-    Entries beyond the grid (only possible for evaluation points extremely
-    close to 1) fall back to the asymptotic first-column estimates.
+    Entries beyond the grid (evaluation points near 1, where ``n_terms``
+    exceeds N) fall back to the asymptotic first-row estimates, by symmetry
+    p_{i,1} = p_{1,i}.
     """
     n_terms = default_n_terms(x0, y0, tol)
     row1 = [solution.values[i - 1, 0] for i in range(1, min(n_terms, solution.n) + 1)]
     for i in range(solution.n + 1, n_terms + 1):
-        row1.append(asymptotics.asymptotic_pij(solution.params, i, 1))
+        row1.append(asymptotics.closure_value(solution.params, 1, i))
     return GenFuncQuery(x0=x0, y0=y0, row1=tuple(row1), n_terms=n_terms, tol=tol)
 
 
@@ -104,10 +105,9 @@ def _integrand(params: ModelParams, path, query: GenFuncQuery):
 
     def f(u: np.ndarray) -> np.ndarray:
         x, y, wx, wy = characteristics.weighted_coords(path, u)
-        monomials = 0.5 * r * (
-            wx * np.polynomial.polynomial.polyval(x, coeffs)
-            + wy * np.polynomial.polynomial.polyval(y, coeffs)
-        )
+        # sum_i i p_{i,1} t^(i-1) at t = x and t = y, as one matrix product
+        sums = np.vander(np.concatenate((x, y)), query.n_terms, increasing=True) @ coeffs
+        monomials = 0.5 * r * (wx * sums[: x.size] + wy * sums[x.size :])
         tail = d * (
             wx * (x**query.n_terms - y) / (1.0 - x)
             + wy * (y**query.n_terms - x) / (1.0 - y)

@@ -9,25 +9,27 @@ with p_{i,0} = p_{0,j} = 1 on the axes.  The quadrant is truncated to the
 box 1 <= i, j <= N and the unknown values just outside, p_{i,N+1} and
 p_{N+1,j}, are closed with asymptotic estimates.  Unknowns are stacked
 row-major, k = (i-1) N + (j-1), producing a banded system T p = b with
-bandwidth N that two solvers handle:
+bandwidth N.
 
-* ``DIRECT``           sparse LU of T (SuperLU, minimum-degree ordering on
-                       T + T^T), with no size cap,
-* ``VALUE_ITERATION``  Jacobi iteration from zero, which increases
+When the two closure edges are equal (every named policy), the solution is
+transpose-symmetric, p_{i,j} = p_{j,i}, and the system is folded onto the
+N(N+1)/2 unknowns with i <= j: A q = c keeps those rows of T and merges
+each column into its mirror.  Otherwise (explicit asymmetric closures)
+A = T.  Both solvers work on A q = c:
+
+* ``DIRECT``           sparse LU of A (SuperLU, minimum-degree ordering on
+                       A + A^T), with no size cap,
+* ``VALUE_ITERATION``  Jacobi iteration q <- (A + I) q - c from zero, one
+                       sparse mat-vec per step, which increases
                        monotonically toward the minimal solution.
 
 When the caller names no method, the box size picks it: ``DIRECT`` for
-N <= ``_DIRECT_MAX_N`` (150), ``VALUE_ITERATION`` above.
-
-When the two closure edges are equal (every named policy), the solution is
-transpose-symmetric, p_{i,j} = p_{j,i}, and ``DIRECT`` solves for the
-N(N+1)/2 unknowns with i <= j only: it keeps those rows of T and merges
-each column into its mirror.  The folded LU has 2.6-2.8 times less fill
-than the full one (141k against 371k nonzeros at N=100).  The cap exists
-for memory: at r=3, N=200 even the folded LU holds 700k nonzeros, and a
-fresh interpreter peaks at 78 MiB for it against 63 MiB for value
-iteration (70 MiB for the folded LU at N=150).  Explicit asymmetric
-closures are factored unfolded.
+N <= ``_DIRECT_MAX_N`` (150), ``VALUE_ITERATION`` above.  The folded LU
+has 2.6-2.8 times less fill than the full one (141k against 371k nonzeros
+at N=100).  The cap exists for memory: at r=3, N=200 even the folded LU
+holds 700k nonzeros, and a fresh interpreter peaks at 79 MiB for it
+against 71 MiB for value iteration, whose peak comes from assembling and
+folding T (71 MiB for the folded LU at N=150).
 
 The constant field 1 satisfies the interior recurrence, so value iteration
 must start below the solution (from zero) to select the probabilistic
@@ -37,16 +39,19 @@ projected remaining change, update * rate / (1 - rate), drops under tol/2,
 so the returned field is within tol of the exact solution of the closed
 system, not merely quasi-stationary.
 
-Near criticality value iteration needs about 20 N^2 steps: at r=2.002 it
-takes 68,889 at N=60 and 399,323 at N=142, the largest box within the
-default ``max_iter``.  Boxes up to N=150 factor by default, but from
-N=151 the default is value iteration and such near-critical boxes raise
-``ConvergenceError``; solve them with ``Method.DIRECT``.
+Near criticality value iteration needs about 17-19 N^2 steps: at r=2.002
+it takes 69,044 at N=60, 336,185 at N=142 and 377,058 at N=150.  There
+the stopping threshold lies at the rounding level of the field, so the
+count is erratic.  Boxes up to N=150 factor by default, but from N=151 the
+default is value iteration, and such near-critical boxes mostly exhaust
+the default ``max_iter`` and raise ``ConvergenceError`` (N=151 does, N=154
+stops after 389,733 steps); solve them with ``Method.DIRECT``.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,25 +159,6 @@ def apply_kernel(params: ModelParams, field_arr: np.ndarray, i: int, j: int) -> 
     )
 
 
-def _loss_coeffs(params: ModelParams, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Left and down coefficients on the interior, indexed [i-1, j-1]."""
-    ii, jj = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
-    scale = params.d / ((params.r + params.d) * (ii + jj))
-    return scale * ii, scale * jj
-
-
-def _kernel_image(
-    params: ModelParams, f: np.ndarray, cl: np.ndarray, cd: np.ndarray
-) -> np.ndarray:
-    n = f.shape[0] - 2
-    a = params.birth_step
-    return (
-        cl * f[0:n, 1 : n + 1]
-        + cd * f[1 : n + 1, 0:n]
-        + a * (f[1 : n + 1, 2 : n + 2] + f[2 : n + 2, 1 : n + 1])
-    )
-
-
 # ---------------------------------------------------------------------------
 # closure policies
 
@@ -265,6 +251,42 @@ def assemble_system(
 # solvers
 
 
+def _folded_system(
+    params: ModelParams, n: int, closure_up: np.ndarray, closure_right: np.ndarray
+) -> tuple[
+    scipy.sparse.csr_matrix,
+    np.ndarray,
+    scipy.sparse.csr_matrix,
+    np.ndarray,
+    Callable[[np.ndarray], np.ndarray],
+]:
+    """The full system T p = b and the system A q = c the solvers work on.
+
+    For equal closure edges the fold keeps the rows i <= j of T and adds
+    each column (i, j) with i > j into its mirror (j, i): A = T[half] M and
+    c = b[half], with the 0/1 matrix M that copies q to both (i, j) and
+    (j, i).  No cell neighbours its own mirror, so A keeps the diagonal -1.
+    Otherwise A = T and c = b.  Returns (T, b, A, c, unfold), where
+    ``unfold`` maps a solution q to the stacked field p.
+    """
+    t, b = assemble_system(params, n, closure_up, closure_right)
+    if not np.array_equal(closure_up, closure_right):
+        return t, b, t, b, lambda q: q
+    rows, cols = np.triu_indices(n)
+    half = rows * n + cols
+    pos = np.empty((n, n), dtype=np.int64)
+    pos[rows, cols] = pos[cols, rows] = np.arange(half.size)
+    mirror = scipy.sparse.csr_matrix(
+        (np.ones(n * n), (np.arange(n * n), pos.reshape(-1))),
+        shape=(n * n, half.size),
+    )
+    return t, b, t[half] @ mirror, b[half], lambda q: mirror @ q
+
+
+def _residual(t: scipy.sparse.csr_matrix, b: np.ndarray, p: np.ndarray) -> float:
+    return float(np.max(np.abs(t @ p - b)))
+
+
 def _iterate(
     params: ModelParams,
     n: int,
@@ -272,21 +294,25 @@ def _iterate(
     closure_right: np.ndarray,
     options: SolveOptions,
 ) -> tuple[np.ndarray, int, float]:
-    """Value iteration: Jacobi steps from zero.
+    """Value iteration q <- K q - c from zero, with K = A + I of the
+    (folded) system A q = c: one sparse mat-vec per Jacobi step.
 
+    K is nonnegative, and so is -c for nonnegative closures, so the
+    iterates rise monotonically.
     Convergence is geometric; the observed update ratio feeds the tail bound
-    used for stopping.  The residual max |K p - p| of the returned field is
-    max |T p - b| of the assembled system, taken from one more kernel image.
+    used for stopping.  The residual is max |T p - b| on the full system.
     """
-    cl, cd = _loss_coeffs(params, n)
-    f = padded_field(n, closure_up, closure_right)
-    interior = f[1 : n + 1, 1 : n + 1]
+    t, b, a, c, unfold = _folded_system(params, n, closure_up, closure_right)
+    k = a + scipy.sparse.identity(a.shape[0], format="csr")
+    source = -c
+    q = np.zeros_like(source)
     ratios = []
     prev_delta = None
     for it in range(1, options.max_iter + 1):
-        image = _kernel_image(params, f, cl, cd)
-        delta = float(np.max(np.abs(image - interior)))
-        interior[:] = image
+        image = k @ q
+        image += source
+        delta = float(np.max(np.abs(image - q)))
+        q = image
         if delta == 0.0:
             break
         if prev_delta is not None and prev_delta > 0.0:
@@ -299,42 +325,23 @@ def _iterate(
     else:
         raise ConvergenceError(
             f"no convergence within {options.max_iter} iterations",
-            float(np.max(np.abs(_kernel_image(params, f, cl, cd) - interior))),
+            _residual(t, b, unfold(q)),
         )
-    residual = float(np.max(np.abs(_kernel_image(params, f, cl, cd) - interior)))
-    return interior.copy(), it, residual
+    p = unfold(q)
+    return p.reshape(n, n), it, _residual(t, b, p)
 
 
 def _direct(
     params: ModelParams, n: int, closure_up: np.ndarray, closure_right: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Sparse LU; folded onto the unknowns with i <= j for equal closure edges.
-
-    The fold keeps the rows i <= j of T and adds each column (i, j) with
-    i > j into its mirror (j, i), i.e. solves T[half] M q = b[half] with the
-    0/1 matrix M that copies q to both (i, j) and (j, i).  Returns the field
-    and max |T p - b| on the full system.
-    """
-    t, b = assemble_system(params, n, closure_up, closure_right)
-    if np.array_equal(closure_up, closure_right):
-        rows, cols = np.triu_indices(n)
-        half = rows * n + cols
-        pos = np.empty((n, n), dtype=np.int64)
-        pos[rows, cols] = pos[cols, rows] = np.arange(half.size)
-        mirror = scipy.sparse.csr_matrix(
-            (np.ones(n * n), (np.arange(n * n), pos.reshape(-1))),
-            shape=(n * n, half.size),
-        )
-        lu = scipy.sparse.linalg.splu(
-            (t[half] @ mirror).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            relax=1,
-            panel_size=1,
-        )
-        p = mirror @ lu.solve(b[half])
-    else:
-        p = scipy.sparse.linalg.splu(t.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
-    return p.reshape(n, n), float(np.max(np.abs(t @ p - b)))
+    """Sparse LU of the (folded) system; returns the field and max |T p - b|
+    on the full system."""
+    t, b, a, c, unfold = _folded_system(params, n, closure_up, closure_right)
+    lu = scipy.sparse.linalg.splu(
+        a.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1
+    )
+    p = unfold(lu.solve(c))
+    return p.reshape(n, n), _residual(t, b, p)
 
 
 def solve_grid(
@@ -377,32 +384,6 @@ def solve_grid(
 
 # ---------------------------------------------------------------------------
 # diagnostics and export
-
-
-def column_recursion_check(solution: GridSolution) -> float:
-    """Maximum defect of the rearranged recurrence
-
-        p_{i,j+1} = 2(r+d)/r p_{i,j} - 2di/(r(i+j)) p_{i-1,j}
-                  - 2dj/(r(i+j)) p_{i,j-1} - p_{i+1,j}
-
-    over 1 <= i, j <= N-1.  Diagnostic only: marching this recursion is
-    numerically unstable (the 2(r+d)/r factor amplifies solver noise
-    geometrically), so it serves as a consistency check, never as a solver.
-    """
-    params, n = solution.params, solution.n
-    if n < 2:
-        raise ValueError("defect check needs N >= 2")
-    r, d = params.r, params.d
-    v = np.ones((n + 1, n + 1))
-    v[1:, 1:] = solution.values
-    ii, jj = np.meshgrid(np.arange(1, n), np.arange(1, n), indexing="ij")
-    predicted = (
-        2.0 * (r + d) / r * v[1:n, 1:n]
-        - 2.0 * d * ii / (r * (ii + jj)) * v[0 : n - 1, 1:n]
-        - 2.0 * d * jj / (r * (ii + jj)) * v[1:n, 0 : n - 1]
-        - v[2 : n + 1, 1:n]
-    )
-    return float(np.max(np.abs(predicted - v[1:n, 2 : n + 1])))
 
 
 def write_grid_csv(solution: GridSolution, fp) -> None:

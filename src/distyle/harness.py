@@ -134,18 +134,21 @@ def fit_log_slope(
 def convergence_series(
     params: ModelParams,
     n_values: list[int],
-    reference: np.ndarray,
+    *references: np.ndarray,
     sublattice: int = 10,
     method: Method = Method.DIRECT,
     tol: float = 1e-12,
-) -> list[tuple[int, float]]:
-    """rqe of the N-grid against a fixed reference field on the sub-lattice."""
+) -> list[tuple]:
+    """rqe of the N-grid against fixed reference fields on the sub-lattice.
+
+    Each N is solved once; its row is (N, rqe against each reference in turn).
+    """
     options = SolveOptions(method=method, tol=tol)
+    sub = (sublattice, sublattice)
     out = []
     for n in n_values:
-        solution = solve_grid(params, n, options)
-        report = compare(solution.values, reference, sub=(sublattice, sublattice))
-        out.append((n, report.rqe_by_b))
+        values = solve_grid(params, n, options).values
+        out.append((n, *(compare(values, ref, sub=sub).rqe_by_b for ref in references)))
     return out
 
 
@@ -327,34 +330,26 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
                 params, spec.conv_reference, SolveOptions(method=spec.solver, tol=spec.tol)
             )
         )
-        series_ref = convergence_series(
-            params, n_values, reference.values, spec.sublattice, spec.solver, spec.tol
+        targets = [reference.values] if mc is None else [reference.values, mc.p_hat]
+        series = convergence_series(
+            params,
+            n_values,
+            *targets,
+            sublattice=spec.sublattice,
+            method=spec.solver,
+            tol=spec.tol,
         )
-        rows = []
-        series_mc = None
-        if mc is not None:
-            series_mc = convergence_series(
-                params, n_values, mc.p_hat, spec.sublattice, spec.solver, spec.tol
-            )
-            for (n, e_ref), (_, e_mc) in zip(series_ref, series_mc):
-                rows.append((n, e_ref, e_mc))
-            header = ["n", "rqe_vs_reference", "rqe_vs_mc"]
-        else:
-            rows = series_ref
-            header = ["n", "rqe_vs_reference"]
+        header = ["n", "rqe_vs_reference", "rqe_vs_mc"][: 1 + len(targets)]
         nconv_path = out_dir / "nconv.csv"
-        _write_csv(nconv_path, header, rows)
+        _write_csv(nconv_path, header, series)
         written["nconv"] = nconv_path
 
-        fits = []
-        ns = np.array([n for n, _ in series_ref])
-        ref_errors = np.array([e for _, e in series_ref])
+        table = np.array(series, dtype=float)
+        ns = table[:, 0]
         not_self = ns != spec.conv_reference
-        fit = fit_log_slope(ns[not_self], ref_errors[not_self])
-        fits.append(("reference", *fit))
-        if series_mc is not None:
-            fit_mc = fit_log_slope(ns, np.array([e for _, e in series_mc]))
-            fits.append(("mc", *fit_mc))
+        fits = [("reference", *fit_log_slope(ns[not_self], table[not_self, 1]))]
+        if mc is not None:
+            fits.append(("mc", *fit_log_slope(ns, table[:, 2])))
         fit_path = out_dir / "nconv_fit.csv"
         _write_csv(
             fit_path, ["target", "slope", "intercept", "r_squared", "n_used"], fits

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from distyle import genfunc
+from distyle import characteristics, genfunc
 from distyle.genfunc import (
     GenFuncQuery,
     QuadratureError,
@@ -66,6 +67,25 @@ class TestQuadrature:
             series = eval_from_grid(grid50, x0, y0)
             assert quad == pytest.approx(series.value, abs=1e-6 + series.tail_bound)
 
+    def test_first_column_past_the_grid(self, params3, grid50):
+        # at (0.9, 0.9) the sum keeps 174 terms, 124 of them past N=50; with
+        # the envelope clamp (about d/r) in place of p_{i,1} the gap was 0.56
+        q = query_from_grid(grid50, 0.9, 0.9, tol=1e-8)
+        assert q.n_terms > grid50.n
+        quad = eval_by_quadrature(params3, q)
+        series = eval_from_grid(grid50, 0.9, 0.9)
+        assert abs(quad - series.value) <= series.tail_bound + q.tol
+
+    @pytest.mark.parametrize("x0", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("y0", [0.1, 0.5, 0.9])
+    def test_integrand_matches_horner_oracle(self, params3, grid50, x0, y0):
+        q = query_from_grid(grid50, x0, y0)
+        path = characteristics.make_path(params3, x0, y0)
+        u = np.linspace(0.0, path.s0, 41)
+        got = genfunc._integrand(params3, path, q)(u)
+        want = horner_integrand(params3, path, q, u)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
+
     def test_symmetric_arguments(self, params3, grid50):
         qa = query_from_grid(grid50, 0.1, 0.5)
         qb = query_from_grid(grid50, 0.5, 0.1)
@@ -93,3 +113,14 @@ class TestQuadrature:
         with pytest.raises(QuadratureError):
             eval_by_quadrature(params3, query_from_grid(sol, 0.6, 0.6, tol=1e-18))
         assert calls[0] < 2000
+
+
+def horner_integrand(params, path, query, u):
+    """The quadrature integrand with each monomial sum by Horner's rule."""
+    r, d, m = params.r, params.d, query.n_terms
+    coeffs = np.arange(1, m + 1) * np.asarray(query.row1[:m])
+    x, y, wx, wy = characteristics.weighted_coords(path, u)
+    polyval = np.polynomial.polynomial.polyval
+    monomials = 0.5 * r * (wx * polyval(x, coeffs) + wy * polyval(y, coeffs))
+    tail = d * (wx * (x**m - y) / (1.0 - x) + wy * (y**m - x) / (1.0 - y))
+    return monomials + tail

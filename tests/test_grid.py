@@ -13,7 +13,6 @@ from distyle.grid import (
     apply_kernel,
     assemble_system,
     closure_arrays,
-    column_recursion_check,
     padded_field,
     solve_grid,
     write_grid_csv,
@@ -166,6 +165,48 @@ class TestSolvers:
         assert sol.iterations == 1
         assert sol.residual < 1e-12
 
+    @pytest.mark.parametrize("closure", ["asymptotic", "bounds-lower", "bounds-upper"])
+    @pytest.mark.parametrize("rate, n", [("rc", 40), ("r3", 60)])
+    def test_folded_value_iteration_matches_direct(self, params3, paramsc, rate, n, closure):
+        params = params3 if rate == "r3" else paramsc
+        vi = SolveOptions(method=Method.VALUE_ITERATION)
+        sol = solve_grid(params, n, vi, closure=closure)
+        ref = solve_grid(params, n, SolveOptions(method=Method.DIRECT), closure=closure)
+        assert np.max(np.abs(sol.values - ref.values)) < 10 * vi.tol
+        assert np.array_equal(sol.values, sol.values.T)
+        assert sol.residual < 1e-12
+
+    def test_unfolded_value_iteration_matches_direct(self, params3):
+        # unequal edges cannot fold; the field is then not symmetric
+        n = 30
+        up, right, _ = closure_arrays(params3, n, "bounds-upper")
+        right = 0.5 * right
+        vi = SolveOptions(method=Method.VALUE_ITERATION)
+        sol = solve_grid(params3, n, vi, closure=(up, right))
+        ref = solve_grid(params3, n, SolveOptions(method=Method.DIRECT), closure=(up, right))
+        assert np.max(np.abs(sol.values - ref.values)) < 10 * vi.tol
+        assert np.max(np.abs(sol.values - sol.values.T)) > 1e-6
+        mat, rhs = assemble_system(params3, n, up, right)
+        full = float(np.max(np.abs(mat @ sol.values.reshape(-1) - rhs)))
+        assert sol.residual == full
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.floats(min_value=0.05, max_value=0.999),
+        st.integers(1, 12),
+        st.data(),
+    )
+    def test_value_iteration_monotone_in_closure(self, ratio, n, data):
+        # every iterate rises with the closure; the two stopping points may
+        # differ by what the tolerance allows, as in acceptance 03
+        params = ModelParams(r=2.0 / ratio, d=2.0)
+        edge = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(np.array)
+        up, right, lift_up, lift_right = (data.draw(edge) for _ in range(4))
+        opts = SolveOptions(method=Method.VALUE_ITERATION)
+        base = solve_grid(params, n, opts, closure=(up, right))
+        raised = solve_grid(params, n, opts, closure=(up + lift_up, right + lift_right))
+        assert np.min(raised.values - base.values) > -10 * opts.tol
+
     def test_iteration_cap_raises(self, params3):
         with pytest.raises(ConvergenceError) as info:
             solve_grid(params3, 20, SolveOptions(method=Method.VALUE_ITERATION, max_iter=3))
@@ -198,7 +239,31 @@ class TestSolutionAccess:
 
     def test_column_recursion_defect(self, params3):
         sol = solve_grid(params3, 10, SolveOptions(method=Method.DIRECT))
-        assert column_recursion_check(sol) < 1e-12
+        assert column_recursion_defect(sol) < 1e-12
+
+
+def column_recursion_defect(solution) -> float:
+    """Maximum defect of the rearranged recurrence
+
+        p_{i,j+1} = 2(r+d)/r p_{i,j} - 2di/(r(i+j)) p_{i-1,j}
+                  - 2dj/(r(i+j)) p_{i,j-1} - p_{i+1,j}
+
+    over 1 <= i, j <= N-1, an oracle independent of the solver's own
+    stencil.  Marching this recursion is numerically unstable (the 2(r+d)/r
+    factor amplifies noise geometrically), so it only checks a solution.
+    """
+    params, n = solution.params, solution.n
+    r, d = params.r, params.d
+    v = np.ones((n + 1, n + 1))
+    v[1:, 1:] = solution.values
+    ii, jj = np.meshgrid(np.arange(1, n), np.arange(1, n), indexing="ij")
+    predicted = (
+        2.0 * (r + d) / r * v[1:n, 1:n]
+        - 2.0 * d * ii / (r * (ii + jj)) * v[0 : n - 1, 1:n]
+        - 2.0 * d * jj / (r * (ii + jj)) * v[1:n, 0 : n - 1]
+        - v[2 : n + 1, 1:n]
+    )
+    return float(np.max(np.abs(predicted - v[1:n, 2 : n + 1])))
 
 
 class TestCsv:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from distyle import harness
 from distyle.grid import Method, SolveOptions, solve_grid
 from distyle.harness import (
     ExperimentSpec,
@@ -83,6 +84,13 @@ class TestConvergenceSeries:
         errs = [e for _, e in series]
         assert ns == [6, 9, 12]
         assert errs[0] > errs[1] > errs[2] > 0.0
+
+    def test_references_share_each_solve(self, params3):
+        first = solve_grid(params3, 16).values
+        second = solve_grid(params3, 14).values
+        both = convergence_series(params3, [6, 9], first, second, sublattice=5)
+        alone = [convergence_series(params3, [6, 9], ref, sublattice=5) for ref in (first, second)]
+        assert both == [(n, a, b) for (n, a), (_, b) in zip(*alone)]
 
 
 class TestSpec:
@@ -178,6 +186,21 @@ class TestRunExperiment:
         assert set(first) == set(second)
         for name in first:
             assert first[name].read_bytes() == second[name].read_bytes(), name
+
+    def test_convergence_solves_each_n_once(self, tmp_path, monkeypatch):
+        calls = []
+        solve = harness.solve_grid
+
+        def counting(params, n, *args, **kwargs):
+            calls.append(n)
+            return solve(params, n, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_grid", counting)
+        spec = tiny_spec()
+        run_experiment(spec, tmp_path / "out")
+        # the main grid, then one solve per N, compared with both the
+        # reference and the Monte-Carlo field
+        assert calls == [spec.grid_n, *range(spec.conv_min, spec.conv_max + 1)]
 
     def test_stages_can_be_disabled(self, tmp_path):
         spec = ExperimentSpec(
