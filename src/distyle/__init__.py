@@ -33,7 +33,7 @@ from .grid import (
     solve_grid,
 )
 from .harness import ExperimentSpec, compare, fit_log_slope, run_experiment
-from .model import ModelParams, State, extinction_bounds, step_distribution
+from .model import ModelParams, State, extinction_bounds
 from .montecarlo import McConfig, estimate, estimate_cells, estimate_lattice, simulate_path
 
 __version__ = "0.1.0"
@@ -71,6 +71,5 @@ __all__ = [
     "run_experiment",
     "simulate_path",
     "solve_grid",
-    "step_distribution",
     "transport_velocity",
 ]

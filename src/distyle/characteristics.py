@@ -61,11 +61,7 @@ def reaction_coeff(params: ModelParams, x, y):
 
 @dataclass(frozen=True)
 class CharacteristicPath:
-    """Closed-form characteristic through (x0, y0); see the module docstring.
-
-    lam and mu are the classical integration constants, undefined (None) on
-    the diagonal where the normalized constants kappa and b remain regular.
-    """
+    """Closed-form characteristic through (x0, y0); see the module docstring."""
 
     params: ModelParams
     x0: float
@@ -73,8 +69,6 @@ class CharacteristicPath:
     kappa: float
     s0: float
     b: float
-    lam: float | None
-    mu: float | None
 
 
 def make_path(params: ModelParams, x0: float, y0: float) -> CharacteristicPath:
@@ -87,12 +81,7 @@ def make_path(params: ModelParams, x0: float, y0: float) -> CharacteristicPath:
     kappa = (x0 + y0 - 2.0 * x0 * y0) / denom
     s0 = math.log(kappa) / (d - r)
     b = (1.0 - rho) * (y0 - x0) / denom
-    if x0 == y0:
-        lam = mu = None
-    else:
-        lam = (2.0 * d * x0 * y0 - d * (x0 + y0)) / ((y0 - x0) * (r - d))
-        mu = (r * (x0 + y0) - 2.0 * d * x0 * y0) / ((y0 - x0) * (r - d))
-    return CharacteristicPath(params, x0, y0, kappa, s0, b, lam, mu)
+    return CharacteristicPath(params, x0, y0, kappa, s0, b)
 
 
 def _pieces(path: CharacteristicPath, s):

@@ -27,6 +27,7 @@ tail of the series.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -95,8 +96,15 @@ def query_from_grid(
     n_terms = default_n_terms(x0, y0, tol)
     row1 = [solution.values[i - 1, 0] for i in range(1, min(n_terms, solution.n) + 1)]
     for i in range(solution.n + 1, n_terms + 1):
-        row1.append(asymptotics.closure_value(solution.params, 1, i))
+        row1.append(_first_row(solution.params, i))
     return GenFuncQuery(x0=x0, y0=y0, row1=tuple(row1), n_terms=n_terms, tol=tol)
+
+
+@functools.lru_cache(maxsize=1024)
+def _first_row(params: ModelParams, i: int) -> float:
+    """Asymptotic p_{1,i}, computed once for all the queries that reach past
+    the same grid edge; ``default_n_terms`` caps i at 200."""
+    return asymptotics.closure_value(params, 1, i)
 
 
 def _integrand(params: ModelParams, path, query: GenFuncQuery):

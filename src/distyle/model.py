@@ -76,36 +76,6 @@ class State:
         return self.i == 0 or self.j == 0
 
 
-@dataclass(frozen=True)
-class StepDistribution:
-    """One-step move probabilities out of a transient state."""
-
-    right: float
-    up: float
-    left: float
-    down: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.right, self.up, self.left, self.down)
-
-
-def step_distribution(params: ModelParams, state: State) -> StepDistribution:
-    """Move distribution of the embedded chain at ``state``.
-
-    Raises ValueError on absorbed states, which have no outgoing moves.
-    """
-    if state.absorbed:
-        raise ValueError(f"state ({state.i}, {state.j}) is absorbing")
-    r, d = params.r, params.d
-    total = state.i + state.j
-    return StepDistribution(
-        right=params.birth_step,
-        up=params.birth_step,
-        left=d * state.i / ((r + d) * total),
-        down=d * state.j / ((r + d) * total),
-    )
-
-
 def extinction_bounds(params: ModelParams, i: int, j: int) -> tuple[float, float]:
     """Rigorous envelope ``(d/r)^(i+j) <= p_{i,j} <= (d/r)^i + (d/r)^j - (d/r)^(i+j)``.
 

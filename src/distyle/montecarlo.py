@@ -31,35 +31,37 @@ with the absorbed fraction p_hat they account for every path.
 Reproducibility: every initial cell (i, j) owns a counter-based Philox
 stream keyed by ``SeedSequence([seed, i, j])``.  Step t of path l reads slot
 l of the t-th block of M uniforms from the cell's stream, so results do not
-depend on how cells are grouped, on lattice shape, on the refill size, or on
-which other cells are simulated; a lattice run and a single-cell run of the
-same cell agree bitwise, and shortening the horizon only truncates the
-stream.  The uniforms are drawn into two banks: while the step kernel reads
-one, a single helper thread (one module-level worker, started on first use)
-draws the next block into the other, and the caller draws the cells the
-helper has not reached once its steps are done.  Each cell is drawn by
-exactly one of the two threads and its blocks are drawn in stream order, so
-the thread that draws a block never changes a value.  The helper joins in
-only while at least ``_HELPER_MIN_PATHS`` paths run: narrower kernels hold
-the interpreter lock almost throughout, and the helper, which needs the lock
-between cells, would slow them down (near-critical runs of 2000 paths took
-up to twice as long with it).
+depend on how cells are grouped, on how many worker processes run the
+groups, on lattice shape, on the refill size, or on which other cells are
+simulated; a lattice run and a single-cell run of the same cell agree
+bitwise, and shortening the horizon only truncates the stream.
 
-Memory: cells are simulated in groups of at most ``_PATH_BUDGET`` paths.
-Each group's two banks hold at most ``_CHUNK`` steps of its uniforms each,
-laid out (cell, step, path), and both together stay within 128 x
-``_PATH_BUDGET`` doubles (32 MiB), or within two rows of M when one row alone
-exceeds half of that.  A single cell with more paths than the budget thus
-refills fewer steps at a time, down to one; split draws read the same
+Workers: the groups of a large job run on forked worker processes, one per
+CPU this process may run on and at most one per group; each worker draws a
+block of uniforms and then steps through it, one group at a time, and the
+flags come back in group order.  Jobs below ``_POOL_MIN_PATHS`` paths, a
+single group, a single CPU, a platform without ``fork`` or a daemonic caller
+(a ``multiprocessing.Pool`` worker, say) run in the calling process instead.  Workers are forked: a spawned or forkserver worker starts
+a fresh interpreter that imports NumPy, about half a second, which cancels
+most of what a second core saves on a lattice that runs for a few seconds.
+Python 3.12 and later warn when a process that already runs threads, such as
+a BLAS thread pool, forks.
+
+Memory: cells are simulated in groups of at most ``_PATH_BUDGET`` // (W M)
+cells, one at least, W being the number of workers.  Each group's bank holds
+at most ``_CHUNK`` steps of its uniforms, laid out (cell, step, path), and
+the banks of all W workers together stay within 128 x ``_PATH_BUDGET``
+doubles (32 MiB), or within one row of M per worker when one row alone
+exceeds a worker's share.  A single cell with more paths than the budget
+thus refills fewer steps at a time, down to one; split draws read the same
 stream, so the grouping stays invisible.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from collections import deque
-from concurrent import futures
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -68,25 +70,12 @@ import numpy as np
 from .model import ModelParams, State
 
 _CHUNK = 32  # most steps drawn per stream refill
-_PATH_BUDGET = 32_768  # most paths simulated side by side
-# fewest running paths for which the helper thread draws the next block: on
-# narrower vectors the kernel holds the interpreter lock almost throughout,
-# so the helper would wait for it between cells and slow the run down
-_HELPER_MIN_PATHS = 4096
+_PATH_BUDGET = 32_768  # most paths simulated side by side, over all workers
+# fewest paths for which the groups go to worker processes: starting a forked
+# pool takes about 13 ms, more than a smaller job gains from a second core
+_POOL_MIN_PATHS = 8192
 _STOP_BOUND = 1e-6  # bias allowed to the exit-set stop, see stop_level
 _Z95 = 1.96
-
-
-def _start_filler() -> None:
-    """One worker that draws the next block of uniforms while the caller runs
-    the current one; its thread starts on first use."""
-    global _FILLER
-    _FILLER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="distyle-mc-fill")
-
-
-_start_filler()
-# a forked child inherits the pool but not its thread
-os.register_at_fork(after_in_child=_start_filler)
 
 
 def stop_level(params: ModelParams) -> int:
@@ -178,6 +167,22 @@ def simulate_path(
     return PathResult(False, None)
 
 
+def _workers() -> int:
+    """Worker processes the Monte-Carlo may use: one per CPU this process may
+    run on, or one where processes cannot be forked or this process, being
+    daemonic, may not have children."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if multiprocessing.current_process().daemon:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def _run_cells(
     params: ModelParams,
     cells: list[tuple[int, int]],
@@ -188,72 +193,54 @@ def _run_cells(
     """Absorbed and censored flags, each of shape (len(cells), m), one
     Philox stream per cell; a path that is neither was stopped at the exit set.
 
-    Cells run in groups of at most ``_PATH_BUDGET`` paths (one cell at
-    least).  The two banks of a group refill at most ``_CHUNK`` steps each
-    and together hold at most ``128 * _PATH_BUDGET`` doubles, or one step
-    each when a single cell has more than ``64 * _PATH_BUDGET`` paths.
+    Cells run in groups of at most ``_PATH_BUDGET // (workers * m)`` cells
+    (one at least), or of ``len(cells) / workers`` cells, rounded up, when
+    that is fewer, so that every worker gets a group.
+    Each group refills at most ``_CHUNK`` steps at a time into a bank of its
+    own, and the banks of all workers hold at most ``128 * _PATH_BUDGET``
+    doubles together, or one step per worker when a single cell has more
+    paths than a worker's share of that.
     """
     level = stop_level(params)
-    group = max(1, _PATH_BUDGET // m)
-    width = min(group, len(cells))
-    depth = max(1, min(_CHUNK, 64 * _PATH_BUDGET // (width * m)))
-    banks = np.empty((2, width, depth, m))
+    workers = _workers() if len(cells) * m >= _POOL_MIN_PATHS else 1
+    group = max(1, min(_PATH_BUDGET // (workers * m), -(-len(cells) // workers)))
+    starts = range(0, len(cells), group)
+    workers = min(workers, len(starts))
+    depth = max(1, min(_CHUNK, 128 * _PATH_BUDGET // (workers * group * m)))
+    run = functools.partial(_group_task, params, m, t_horizon, seed, level, depth)
+    chunks = (cells[start : start + group] for start in starts)
     absorbed = np.empty((len(cells), m), dtype=bool)
     censored = np.empty((len(cells), m), dtype=bool)
-    for start in range(0, len(cells), group):
-        chunk = cells[start : start + group]
-        rows = slice(start, start + len(chunk))
-        absorbed[rows], censored[rows] = _run_group(
-            params, chunk, m, t_horizon, seed, level, banks[:, : len(chunk)]
-        )
+    pool = None
+    try:
+        if workers > 1:
+            import multiprocessing
+            from concurrent.futures import process
+
+            pool = process.ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+        results = pool.map(run, chunks) if pool else map(run, chunks)
+        for start, (a, c) in zip(starts, results):
+            absorbed[start : start + group] = a
+            censored[start : start + group] = c
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return absorbed, censored
 
 
-class _Refill:
-    """One block of ``steps`` steps drawn into a bank for the cells with
-    ``live[c]`` true, by the caller alone or, if ``helped``, by the helper
-    thread and the caller together.
-
-    Both threads pop cells from one deque, whose pops are thread-safe, so
-    each cell is drawn by exactly one of them.  The caller finishes a refill
-    before it starts the next, so the blocks of a cell are drawn in stream
-    order.
-    """
-
-    def __init__(
-        self,
-        gens: list[np.random.Generator],
-        bank: np.ndarray,
-        live: np.ndarray,
-        steps: int,
-        helped: bool,
-    ) -> None:
-        self._gens = gens
-        self._bank = bank
-        self._todo = deque(np.flatnonzero(live).tolist())
-        self.steps = steps
-        self._helper = _FILLER.submit(self._draw, None) if helped else None
-
-    def _draw(self, live: np.ndarray | None) -> None:
-        while True:
-            try:
-                c = self._todo.popleft()
-            except IndexError:
-                return
-            if live is None or live[c]:
-                self._gens[c].random(out=self._bank[c, : self.steps])
-
-    def finish(self, live: np.ndarray) -> None:
-        """Draw the cells the helper has not taken, skipping those with
-        ``live[c]`` false, and wait for the helper."""
-        self._draw(live)
-        self.close()
-
-    def close(self) -> None:
-        """Drop the cells not yet taken and wait for the helper."""
-        self._todo.clear()
-        if self._helper is not None:
-            self._helper.result()
+def _group_task(
+    params: ModelParams,
+    m: int,
+    t_horizon: int,
+    seed: int,
+    level: int,
+    depth: int,
+    cells: list[tuple[int, int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The flags of one group, run on a bank of ``depth`` steps allocated
+    here, in whichever process runs the group."""
+    bank = np.empty((len(cells), depth, m))
+    return _run_group(params, cells, m, t_horizon, seed, level, bank)
 
 
 def _run_group(
@@ -263,7 +250,7 @@ def _run_group(
     t_horizon: int,
     seed: int,
     level: int,
-    banks: np.ndarray,
+    bank: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Absorbed and censored flags of one group of cells, each of shape
     (len(cells), m).
@@ -272,14 +259,14 @@ def _run_group(
     ``level``, or reaches the horizon.  All M uniforms of a step are drawn
     while any path of the cell still runs, preserving the (t, path) ->
     uniform correspondence; a cell's stream stops being consumed once all its
-    paths are done, which cannot change any outcome.  ``banks`` has shape
-    (2, len(cells), depth, M); while the kernel steps through one bank on at
-    least ``_HELPER_MIN_PATHS`` paths, the helper draws the next block into
-    the other.  Path l of cell c reads step k of a block at ``base + k * M``
-    of the flattened bank, base = c * depth * M + l.
+    paths are done, which cannot change any outcome.  ``bank`` has shape
+    (len(cells), depth, M) and receives one block of up to depth steps at a
+    time; path l of cell c reads step k of the block at ``base + k * M`` of
+    the flattened bank, base = c * depth * M + l.
     """
     n_cells = len(cells)
-    depth = banks.shape[2]
+    depth = bank.shape[1]
+    flat = bank.reshape(-1)
     start = np.repeat(np.array(cells, dtype=np.int32).reshape(n_cells, 2), m, axis=0)
     alive = np.flatnonzero(start.min(axis=1) < level)
     ai = start[alive, 0]
@@ -292,54 +279,35 @@ def _run_group(
     absorbed = np.zeros(n_cells * m, dtype=bool)
     loss = params.death_step
     loss_or_right = loss + params.birth_step
-    live = np.bincount(alive // m, minlength=n_cells) > 0  # cells with a running path
     t = 0
-    block = 0
-    refill = None
-    try:
-        if alive.size:
-            helped = alive.size >= _HELPER_MIN_PATHS
-            refill = _Refill(gens, banks[0], live, min(depth, t_horizon), helped)
-        while refill is not None:
-            refill.finish(live)
-            steps = refill.steps
-            flat = banks[block % 2].reshape(-1)
-            t += steps
-            refill = None
-            if t < t_horizon:
-                steps_next = min(depth, t_horizon - t)
-                helped = alive.size >= _HELPER_MIN_PATHS
-                refill = _Refill(gens, banks[1 - block % 2], live, steps_next, helped)
-            for k in range(steps):
-                u = flat[k * m :][base]
-                # went_left implies in_loss implies below_up (the left threshold
-                # lies below loss), so each xor is a set difference
-                went_left = u < loss * ai / (ai + aj)
-                in_loss = u < loss
-                below_up = u < loss_or_right
-                ai += below_up ^ in_loss
-                ai -= went_left
-                aj += ~below_up
-                aj -= in_loss ^ went_left
-                low = np.minimum(ai, aj)
-                dead = low == 0
-                done = dead | (low >= level)
-                if done.any():
-                    absorbed[alive[dead]] = True
-                    keep = ~done
-                    alive = alive[keep]
-                    ai = ai[keep]
-                    aj = aj[keep]
-                    base = base[keep]
-                    if not alive.size:
-                        break
-            if not alive.size:
-                break
-            live = np.bincount(alive // m, minlength=n_cells) > 0
-            block += 1
-    finally:
-        if refill is not None:
-            refill.close()
+    while t < t_horizon and alive.size:
+        steps = min(depth, t_horizon - t)
+        for c in np.flatnonzero(np.bincount(alive // m, minlength=n_cells)):
+            gens[c].random(out=bank[c, :steps])
+        for k in range(steps):
+            u = flat[k * m :][base]
+            # went_left implies in_loss implies below_up (the left threshold
+            # lies below loss), so each xor is a set difference
+            went_left = u < loss * ai / (ai + aj)
+            in_loss = u < loss
+            below_up = u < loss_or_right
+            ai += below_up ^ in_loss
+            ai -= went_left
+            aj += ~below_up
+            aj -= in_loss ^ went_left
+            low = np.minimum(ai, aj)
+            dead = low == 0
+            done = dead | (low >= level)
+            if done.any():
+                absorbed[alive[dead]] = True
+                keep = ~done
+                alive = alive[keep]
+                ai = ai[keep]
+                aj = aj[keep]
+                base = base[keep]
+                if not alive.size:
+                    break
+        t += steps
     censored = np.zeros(n_cells * m, dtype=bool)
     censored[alive] = True
     return absorbed.reshape(n_cells, m), censored.reshape(n_cells, m)

@@ -24,18 +24,33 @@ def params_strategy():
     ).map(lambda t: ModelParams(r=t[0] * t[1], d=t[0]))
 
 
+def classical_constants(params, x0, y0):
+    """The classical integration constants (lam, mu) of the characteristic
+    through (x0, y0), undefined (None) on the diagonal."""
+    if x0 == y0:
+        return None, None
+    r, d = params.r, params.d
+    lam = (2.0 * d * x0 * y0 - d * (x0 + y0)) / ((y0 - x0) * (r - d))
+    mu = (r * (x0 + y0) - 2.0 * d * x0 * y0) / ((y0 - x0) * (r - d))
+    return lam, mu
+
+
 class TestPathConstants:
     def test_diagonal_midpoint(self, params3):
         path = make_path(params3, 0.5, 0.5)
         assert path.kappa == pytest.approx(0.75, rel=1e-15)
         assert path.s0 == pytest.approx(0.28768207245178107, rel=1e-14)
         assert path.b == 0.0
-        assert path.lam is None and path.mu is None
+        assert classical_constants(params3, 0.5, 0.5) == (None, None)
 
     def test_off_diagonal_constants(self, params3):
+        lam, mu = classical_constants(params3, 0.3, 0.6)
+        assert lam == pytest.approx(-3.6, rel=1e-12)
+        assert mu == pytest.approx(6.6, rel=1e-12)
+        # the normalized constants: b = 1/mu and kappa = -lam / (rho mu)
         path = make_path(params3, 0.3, 0.6)
-        assert path.lam == pytest.approx(-3.6, rel=1e-12)
-        assert path.mu == pytest.approx(6.6, rel=1e-12)
+        assert path.b == pytest.approx(1.0 / mu, rel=1e-12)
+        assert path.kappa == pytest.approx(-lam / (params3.ratio * mu), rel=1e-12)
 
     def test_rejects_points_outside_open_square(self, params3):
         for bad in [(0.0, 0.5), (0.5, 1.0), (-0.1, 0.5), (0.5, 1.7)]:
@@ -53,8 +68,10 @@ class TestPathConstants:
     @given(params_strategy(), st.floats(0.01, 0.99), st.floats(0.01, 0.99))
     def test_constant_sum_identity(self, params, x0, y0):
         assume(abs(x0 - y0) > 1e-3)
+        lam, mu = classical_constants(params, x0, y0)
+        assert lam + mu == pytest.approx((x0 + y0) / (y0 - x0), rel=1e-9)
         path = make_path(params, x0, y0)
-        assert path.lam + path.mu == pytest.approx((x0 + y0) / (y0 - x0), rel=1e-9)
+        assert path.b * mu == pytest.approx(1.0, rel=1e-9)
 
 
 class TestTrajectory:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from distyle import characteristics, genfunc
+from distyle import asymptotics, characteristics, genfunc
 from distyle.genfunc import (
     GenFuncQuery,
     QuadratureError,
@@ -35,6 +35,25 @@ class TestQuery:
         assert q.row1[0] == grid50.values[0, 0]
         assert q.row1[2] == grid50.values[2, 0]
         assert q.n_terms == default_n_terms(0.4, 0.2, 1e-8)
+
+    def test_first_row_past_the_grid_computed_once(self, grid50, params3, monkeypatch):
+        # every point near the corner reaches past N=50 to the 200-term cap;
+        # each p_{1,i} there is computed once and equals a direct evaluation
+        genfunc._first_row.cache_clear()
+        closure_value = asymptotics.closure_value
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return closure_value(*args)
+
+        monkeypatch.setattr(asymptotics, "closure_value", counted)
+        points = [(0.95, 0.95), (0.97, 0.5), (0.9, 0.96), (0.99, 0.99)]
+        queries = [query_from_grid(grid50, x0, y0, tol=1e-8) for x0, y0 in points]
+        assert all(q.n_terms == 200 for q in queries)
+        assert sorted(calls) == [(params3, 1, i) for i in range(51, 201)]
+        for q in queries:
+            assert q.row1[50:] == tuple(closure_value(params3, 1, i) for i in range(51, 201))
 
     def test_error_carries_diagnostics(self):
         err = QuadratureError("no luck", estimate=0.25, error_bound=3e-4)

@@ -4,8 +4,8 @@ import os
 import signal
 import sys
 import threading
-import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -173,9 +173,7 @@ class TestRefill:
         ],
     )
     def test_refill_size_invisible(self, monkeypatch, r, cells):
-        # T = 500 is not a multiple of any refill size below; with fewer
-        # than _HELPER_MIN_PATHS paths the default run draws without the
-        # helper, so the runs with a zero threshold compare the two
+        # T = 500 is not a multiple of any refill size below
         params = ModelParams(r=r, d=2.0)
         ends = np.empty((2, len(cells)))
         a = estimate_cells(params, cells, m=60, t_horizon=500, seed=9, ends=ends)
@@ -183,41 +181,31 @@ class TestRefill:
             first = np.empty_like(ends)
             estimate_cells(params, cells, m=60, t_horizon=montecarlo._CHUNK, seed=9, ends=first)
             assert np.all(first[1] == 0.0)  # nothing left running after one refill
-        for helper_min in (0, montecarlo._HELPER_MIN_PATHS):
-            monkeypatch.setattr(montecarlo, "_HELPER_MIN_PATHS", helper_min)
-            for chunk in (1, 3, 128, montecarlo._CHUNK):
-                monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-                ends_b = np.empty_like(ends)
-                b = estimate_cells(params, cells, m=60, t_horizon=500, seed=9, ends=ends_b)
-                assert np.array_equal(a, b)
-                assert np.array_equal(ends, ends_b)
-
-    def test_helper_invisible_on_wide_groups(self, params3, monkeypatch):
-        # 40 cells of 200 paths run with the helper by default; a threshold
-        # above the group width makes the caller draw every block alone
-        cells = [(i, j) for i in range(1, 9) for j in range(1, 6)]
-        assert len(cells) * 200 >= montecarlo._HELPER_MIN_PATHS
-        a = estimate_cells(params3, cells, m=200, t_horizon=3000, seed=5)
-        monkeypatch.setattr(montecarlo, "_HELPER_MIN_PATHS", 10**9)
-        b = estimate_cells(params3, cells, m=200, t_horizon=3000, seed=5)
-        assert np.array_equal(a, b)
+        for chunk in (1, 3, 128, montecarlo._CHUNK):
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+            ends_b = np.empty_like(ends)
+            b = estimate_cells(params, cells, m=60, t_horizon=500, seed=9, ends=ends_b)
+            assert np.array_equal(a, b)
+            assert np.array_equal(ends, ends_b)
 
     @pytest.mark.parametrize(
         "budget, m, n_cells",
         [
             (1024, 16, 300),  # 64 cells a group, five groups
             (256, 1000, 1),  # M above the budget: fewer steps per bank
-            (64, 10_000, 1),  # one row above half the cap: one step per bank
+            (64, 10_000, 1),  # one row above the cap: one step per bank
         ],
     )
     def test_banks_stay_within_cap(self, params3, monkeypatch, budget, m, n_cells):
+        # tracemalloc sees only this process, so the groups run in it
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
         monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
         cells = [(1 + k % 20, 1 + k // 20) for k in range(n_cells)]
         held = []
         run_group = montecarlo._run_group
 
         def spy(*args):
-            # the banks and the flag arrays exist before any group runs
+            # the group's bank and the flag arrays exist before it runs
             held.append(tracemalloc.get_traced_memory()[0])
             return run_group(*args)
 
@@ -228,38 +216,14 @@ class TestRefill:
             estimate_cells(params3, cells, m=m, t_horizon=100, seed=3)
         finally:
             tracemalloc.stop()
-        banks = max(held) - before - 2 * n_cells * m  # less the bool flag arrays
-        cap = 8 * max(128 * budget, 2 * m)
-        assert 2 * 8 * m <= banks <= cap + 4096  # a few small objects besides
-
-    def test_error_waits_for_pending_fill(self, params3, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_HELPER_MIN_PATHS", 0)
-        refills = []
-        init, draw = montecarlo._Refill.__init__, montecarlo._Refill._draw
-
-        def record(self, *args):
-            refills.append(self)
-            init(self, *args)
-
-        def slow_draw(self, live):
-            time.sleep(0.05)
-            draw(self, live)
-
-        def interrupted(self, live=None):
-            raise RuntimeError("interrupted")
-
-        monkeypatch.setattr(montecarlo._Refill, "__init__", record)
-        monkeypatch.setattr(montecarlo._Refill, "_draw", slow_draw)
-        monkeypatch.setattr(montecarlo._Refill, "finish", interrupted)
-        with pytest.raises(RuntimeError, match="interrupted"):
-            estimate_cells(params3, [(1, 1)], m=10, t_horizon=100, seed=0)
-        assert len(refills) == 1 and refills[0]._helper.done()
+        bank = max(held) - before - 2 * n_cells * m  # less the bool flag arrays
+        cap = 8 * max(128 * budget, m)
+        assert 8 * m <= bank <= cap + 4096  # a few small objects besides
 
     def test_concurrent_callers_agree(self, params3, monkeypatch):
-        # four callers share the one helper thread; a cell drawn twice, or
-        # read before its draw finished, would change the estimates
+        # four callers run at once; state shared between calls would change
+        # the estimates
         monkeypatch.setattr(montecarlo, "_CHUNK", 3)
-        monkeypatch.setattr(montecarlo, "_HELPER_MIN_PATHS", 0)
         cells = [(i, j) for i in range(1, 7) for j in range(1, 7)]
         expected = estimate_cells(params3, cells, m=40, t_horizon=400, seed=2)
         results = [None] * 4
@@ -283,17 +247,112 @@ class TestRefill:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_can_draw(self, params3, monkeypatch):
-        # the child inherits the pool after the parent has used its thread
-        monkeypatch.setattr(montecarlo, "_HELPER_MIN_PATHS", 0)
+        # the child runs its own worker pool after the parent has run one
+        monkeypatch.setattr(montecarlo, "_POOL_MIN_PATHS", 0)
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
         cells = [(1, 1), (2, 3)]
         a = estimate_cells(params3, cells, m=50, t_horizon=300, seed=1)
         pid = os.fork()
         if pid == 0:
-            signal.alarm(30)  # a hung refill kills the child instead of the suite
+            signal.alarm(30)  # a hung pool kills the child instead of the suite
             b = estimate_cells(params3, cells, m=50, t_horizon=300, seed=1)
             os._exit(0 if np.array_equal(a, b) else 1)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+class TestWorkers:
+    def _run(self, params, cells, m, t_horizon):
+        ends = np.empty((2, len(cells)))
+        p_hat = estimate_cells(params, cells, m=m, t_horizon=t_horizon, seed=11, ends=ends)
+        return p_hat, ends
+
+    @needs_fork
+    @pytest.mark.parametrize(
+        "r, cells, t_horizon",
+        [
+            (3.0, [(i, j) for i in range(1, 7) for j in range(1, 7)], 5000),
+            # near criticality nothing stops early and many paths are censored
+            (2.002, [(k, k + 10) for k in range(10, 101, 10)], 400),
+        ],
+    )
+    def test_results_independent_of_worker_count(self, monkeypatch, r, cells, t_horizon):
+        params = ModelParams(r=r, d=2.0)
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
+        expected = self._run(params, cells, 100, t_horizon)
+        monkeypatch.setattr(montecarlo, "_POOL_MIN_PATHS", 0)
+        for budget in (montecarlo._PATH_BUDGET, 1000):  # 1000: more groups than workers
+            monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+                p_hat, ends = self._run(params, cells, 100, t_horizon)
+                assert np.array_equal(p_hat, expected[0])
+                assert np.array_equal(ends, expected[1])
+
+    @needs_fork
+    @pytest.mark.parametrize("m", [60, 700])  # 700 paths exceed a worker's share
+    def test_groups_share_the_budget(self, params3, monkeypatch, tmp_path, m):
+        budget, workers = 1000, 2
+        monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
+        monkeypatch.setattr(montecarlo, "_POOL_MIN_PATHS", 0)
+        monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+        log = tmp_path / "groups.txt"
+        run_group = montecarlo._run_group
+
+        def spy(params, cells, m, *args):
+            # runs in a worker process, so it reports through a file
+            with open(log, "a") as fp:
+                fp.write(f"{len(cells)} {len(cells) * m}\n")
+            return run_group(params, cells, m, *args)
+
+        monkeypatch.setattr(montecarlo, "_run_group", spy)
+        cells = [(i, j) for i in range(1, 7) for j in range(1, 7)]
+        estimate_cells(params3, cells, m=m, t_horizon=200, seed=4)
+        groups = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert sum(n for n, _ in groups) == len(cells)
+        assert len(groups) > workers
+        for n, paths in groups:
+            assert paths <= budget // workers or n == 1
+
+    @needs_fork
+    def test_worker_error_reaches_caller(self, params3, monkeypatch):
+        import multiprocessing
+
+        def broken(*args):
+            raise RuntimeError("broken group")
+
+        monkeypatch.setattr(montecarlo, "_run_group", broken)
+        monkeypatch.setattr(montecarlo, "_POOL_MIN_PATHS", 0)
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+        cells = [(i, j) for i in range(1, 7) for j in range(1, 7)]
+        with pytest.raises(RuntimeError, match="broken group"):
+            estimate_cells(params3, cells, m=50, t_horizon=100, seed=0)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cause", ["no fork", "daemonic caller"])
+    def test_fallback_runs_in_process(self, params3, monkeypatch, cause):
+        import multiprocessing
+        from concurrent.futures import process
+
+        cells = [(i, j) for i in range(1, 7) for j in range(1, 7)]
+        expected = estimate_cells(params3, cells, m=50, t_horizon=300, seed=6)  # in process
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError(f"a worker pool started with {cause}")
+
+        if cause == "no fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        else:  # a daemonic process may not have children
+            monkeypatch.setattr(
+                multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=True)
+            )
+        monkeypatch.setattr(process, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(montecarlo, "_POOL_MIN_PATHS", 0)
+        assert montecarlo._workers() == 1
+        assert np.array_equal(estimate_cells(params3, cells, m=50, t_horizon=300, seed=6), expected)
 
 
 class TestCsv:
