@@ -1,14 +1,15 @@
 """Command line front end.
 
-Every subcommand emits CSV (comma separated, header row, 12 significant
-digits, LF line endings) either to stdout or, with ``--out DIR``, into that
-directory under a fixed file name.  Run ``distyle <command> --help`` for the
-flags of each command.
+Every subcommand emits CSV through :func:`distyle.harness.write_csv` (comma
+separated, header row, 12 significant digits, LF line endings) either to
+stdout or, with ``--out DIR``, into that directory under a fixed file name.
+Run ``distyle <command> --help`` for the flags of each command.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -18,9 +19,10 @@ import numpy as np
 
 from . import genfunc, harness
 from .characteristics import critical_times, eval_path, integrating_factor, make_path
-from .grid import ConvergenceError, Method, SolveOptions, solve_grid, write_grid_csv
+from .grid import ConvergenceError, Method, SolveOptions, solve_grid
+from .harness import write_csv, write_grid_csv, write_mc_csv
 from .model import ModelParams
-from .montecarlo import McConfig, State, estimate, estimate_lattice, write_mc_csv
+from .montecarlo import McConfig, State, estimate, estimate_lattice
 
 
 def _add_rates(parser: argparse.ArgumentParser) -> None:
@@ -34,22 +36,12 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _open_out(args, filename: str):
+def _output(args, filename: str):
+    """Where a command writes its table: stdout, or ``--out DIR/filename``."""
     if args.out is None:
-        return sys.stdout
+        return contextlib.nullcontext(sys.stdout)
     args.out.mkdir(parents=True, exist_ok=True)
     return open(args.out / filename, "w", newline="")
-
-
-def _emit(args, filename: str, header: list[str], rows) -> None:
-    fp = _open_out(args, filename)
-    try:
-        fp.write(",".join(header) + "\n")
-        for row in rows:
-            fp.write(",".join(harness._fmt(v) for v in row) + "\n")
-    finally:
-        if fp is not sys.stdout:
-            fp.close()
 
 
 def _cmd_grid(args) -> int:
@@ -57,12 +49,8 @@ def _cmd_grid(args) -> int:
     method = Method(args.method) if args.method is not None else None
     options = SolveOptions(method=method, tol=args.tol, max_iter=args.max_iter)
     solution = solve_grid(params, args.n, options, closure=args.closure)
-    fp = _open_out(args, "grid_p.csv")
-    try:
+    with _output(args, "grid_p.csv") as fp:
         write_grid_csv(solution, fp)
-    finally:
-        if fp is not sys.stdout:
-            fp.close()
     print(
         f"solved N={args.n} via {solution.method.value}: "
         f"iterations={solution.iterations} residual={solution.residual:.3e} "
@@ -78,23 +66,19 @@ def _cmd_mc(args) -> int:
         if args.imax is None or args.jmax is None:
             raise ValueError("lattice mode needs both --imax and --jmax")
         lattice = estimate_lattice(params, args.imax, args.jmax, args.m, args.t, args.seed)
-        fp = _open_out(args, "mc_p.csv")
-        try:
+        with _output(args, "mc_p.csv") as fp:
             write_mc_csv(lattice, fp)
-        finally:
-            if fp is not sys.stdout:
-                fp.close()
         return 0
     if args.i is None or args.j is None:
         raise ValueError("point mode needs --i and --j (or --imax/--jmax for a lattice)")
     config = McConfig(m=args.m, t_horizon=args.t, seed=args.seed, initial=State(args.i, args.j))
     est = estimate(params, config)
-    _emit(
-        args,
-        "mc_p.csv",
-        ["i", "j", "p_hat", "ci_low", "ci_high", "M", "T", "seed"],
-        [(args.i, args.j, est.p_hat, est.ci_low, est.ci_high, est.m, est.t_horizon, est.seed)],
-    )
+    with _output(args, "mc_p.csv") as fp:
+        write_csv(
+            fp,
+            harness.MC_HEADER,
+            [(args.i, args.j, est.p_hat, est.ci_low, est.ci_high, est.m, est.t_horizon, est.seed)],
+        )
     return 0
 
 
@@ -103,14 +87,9 @@ def _cmd_greens(args) -> int:
     solution = solve_grid(params, args.n)
     xs = np.linspace(args.xmin, args.xmax, args.nx)
     ys = np.linspace(args.ymin, args.ymax, args.ny)
-    rows = []
-    for x0 in xs:
-        for y0 in ys:
-            query = genfunc.query_from_grid(solution, float(x0), float(y0), args.quad_tol)
-            quad = genfunc.eval_by_quadrature(params, query)
-            series = genfunc.eval_from_grid(solution, float(x0), float(y0))
-            rows.append((x0, y0, quad, series.value, abs(quad - series.value)))
-    _emit(args, "genfunc.csv", ["x", "y", "P_quadrature", "P_series", "abs_diff"], rows)
+    table = harness.genfunc_table(solution, xs, ys, args.quad_tol)
+    with _output(args, "genfunc.csv") as fp:
+        write_csv(fp, *table)
     return 0
 
 
@@ -121,12 +100,8 @@ def _cmd_characteristics(args) -> int:
     times = np.linspace(0.0, path.s0 * (1.0 - 1e-9), args.samples)
     x, y = eval_path(path, times)
     factor = integrating_factor(path, times)
-    _emit(
-        args,
-        "characteristic.csv",
-        ["s", "x", "y", "integrating_factor"],
-        zip(times, x, y, factor),
-    )
+    with _output(args, "characteristic.csv") as fp:
+        write_csv(fp, ["s", "x", "y", "integrating_factor"], zip(times, x, y, factor))
     print(
         f"s0={path.s0:.12g} s_plus={s_plus:.12g} s_minus={s_minus:.12g} "
         f"kappa={path.kappa:.12g}",
@@ -143,10 +118,14 @@ def _read_field(path: Path) -> np.ndarray:
     values: dict[tuple[int, int], float] = {}
     with open(path, newline="") as fp:
         reader = csv.reader(fp)
-        next(reader)  # header
+        if next(reader, None) is None:
+            raise ValueError(f"{path}:1: expected a header row, the file is empty")
         for line_no, row in enumerate(reader, 2):
-            i, j, v = int(row[0]), int(row[1]), float(row[2])
             where = f"{path}:{line_no}"
+            try:
+                i, j, v = int(row[0]), int(row[1]), float(row[2])
+            except (IndexError, ValueError):
+                raise ValueError(f"{where}: expected integer i, j and a value, got {row}") from None
             if i < 1 or j < 1:
                 raise ValueError(f"{where}: indices start at 1, got ({i}, {j})")
             if not math.isfinite(v):
@@ -171,10 +150,8 @@ def _cmd_compare(args) -> int:
     b = _read_field(args.field_b)
     sub = (args.sub, args.sub) if args.sub else None
     report = harness.compare(a, b, sub=sub)
-    rows = [
-        (name, s.mean, s.st_dev, s.min, s.max) for name, s in report.stats.items()
-    ]
-    _emit(args, "comparison_stats.csv", ["metric", "mean", "st_dev", "min", "max"], rows)
+    with _output(args, "comparison_stats.csv") as fp:
+        write_csv(fp, *harness.stats_table(report))
     print(
         f"cells_excluded={report.cells_excluded} "
         f"rqe_by_a={report.rqe_by_a:.12g} rqe_by_b={report.rqe_by_b:.12g}",

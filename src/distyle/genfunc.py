@@ -76,7 +76,8 @@ class GenFuncQuery:
 
 def default_n_terms(x0: float, y0: float, tol: float, cap: int = 200) -> int:
     """Smallest I0 with max(x0, y0)^(I0+1) < tol; the folded tail then sits
-    below the quadrature budget.  Capped to keep the monomial sum short."""
+    below the quadrature budget.  Capped at ``cap`` to keep the monomial sum
+    short; :func:`eval_by_quadrature` rejects a query the cap leaves short."""
     base = max(x0, y0)
     n = 1
     while base ** (n + 1) >= tol and n < cap:
@@ -139,13 +140,18 @@ def _adaptive(
     """Recursive bisection; accepts a panel when halving moves it by less
     than its share of the budget, or by no more than rounding (a few ulps
     of the panel), which further halving cannot reduce.  A budget below the
-    rounding floor then fails the caller's check at once instead of
-    bisecting to the panel cap.  Returns (integral, error bound)."""
+    rounding floor, or a NaN integrand, then fails the caller's check at once
+    instead of bisecting to the panel cap.  Returns (integral, error bound)."""
     mid = 0.5 * (a + b)
     left, right = _panel(f, a, mid), _panel(f, mid, b)
     err = abs(left + right - whole)
     budget[0] += 2
-    if err <= max(tol, 4 * math.ulp(left + right)) or depth >= 48 or budget[0] >= _MAX_PANELS:
+    if (
+        err <= max(tol, 4 * math.ulp(left + right))
+        or math.isnan(err)
+        or depth >= 48
+        or budget[0] >= _MAX_PANELS
+    ):
         return left + right, err
     le, lerr = _adaptive(f, a, mid, 0.5 * tol, depth + 1, left, budget)
     re, rerr = _adaptive(f, mid, b, 0.5 * tol, depth + 1, right, budget)
@@ -153,13 +159,24 @@ def _adaptive(
 
 
 def eval_by_quadrature(params: ModelParams, query: GenFuncQuery) -> float:
-    """P(x0, y0) by adaptive 15-point Gauss-Legendre along the characteristic."""
+    """P(x0, y0) by adaptive 15-point Gauss-Legendre along the characteristic.
+
+    Raises :class:`QuadratureError` when the panels miss the budget (or the
+    integrand is NaN, as on points within about 1e-17 of an axis, where the
+    path collapses to s0 = 0), or when ``n_terms`` is too short for the
+    folded tail, max(x0, y0)^(n_terms+1), to fall below it.
+    """
     path = characteristics.make_path(params, query.x0, query.y0)
     f = _integrand(params, path, query)
     budget = [0]
     value, err = _adaptive(f, 0.0, path.s0, query.tol, 0, _panel(f, 0.0, path.s0), budget)
-    if err > query.tol:
+    if not err <= query.tol:  # a NaN integrand fails here too
         raise QuadratureError("quadrature did not meet its budget", value, err)
+    tail = max(query.x0, query.y0) ** (query.n_terms + 1)
+    if tail >= query.tol:
+        raise QuadratureError(
+            f"{query.n_terms} terms leave a folded tail above the budget", value, tail
+        )
     return value
 
 

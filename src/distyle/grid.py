@@ -46,6 +46,9 @@ count is erratic.  Boxes up to N=150 factor by default, but from N=151 the
 default is value iteration, and such near-critical boxes mostly exhaust
 the default ``max_iter`` and raise ``ConvergenceError`` (N=151 does, N=154
 stops after 389,733 steps); solve them with ``Method.DIRECT``.
+
+The module only computes; :func:`distyle.harness.write_grid_csv` writes a
+solved field as CSV.
 """
 
 from __future__ import annotations
@@ -380,15 +383,3 @@ def solve_grid(
         iterations=iterations,
         method=method,
     )
-
-
-# ---------------------------------------------------------------------------
-# diagnostics and export
-
-
-def write_grid_csv(solution: GridSolution, fp) -> None:
-    """Rows ``i,j,p`` over the solved box, 12 significant digits, LF endings."""
-    fp.write("i,j,p\n")
-    for i in range(1, solution.n + 1):
-        for j in range(1, solution.n + 1):
-            fp.write(f"{i},{j},{solution.values[i - 1, j - 1]:.12g}\n")

@@ -9,6 +9,12 @@ differences, plus the relative quadratic error
 over a chosen sub-lattice.  ``run_experiment`` wires the solvers together
 for a parameter set, writes every table as CSV, and is deterministic: the
 same spec writes byte-identical files.
+
+This module owns all table output; the solver modules do no I/O.  Every
+table goes through :func:`write_csv`: a header row, then one line per row
+with each cell formatted by ``_fmt`` (12 significant digits for floats),
+comma separated with LF line endings.  The command line writes the same
+tables through the same functions.
 """
 
 from __future__ import annotations
@@ -22,9 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import genfunc
-from .grid import Method, SolveOptions, solve_grid, write_grid_csv
+from .grid import GridSolution, Method, SolveOptions, solve_grid
 from .model import ModelParams
-from .montecarlo import estimate_lattice, write_mc_csv
+from .montecarlo import McLattice, estimate_lattice
 
 
 @dataclass(frozen=True)
@@ -134,22 +140,18 @@ def fit_log_slope(
 def convergence_series(
     params: ModelParams,
     n_values: list[int],
-    *references: np.ndarray,
+    reference: np.ndarray,
     sublattice: int = 10,
     method: Method = Method.DIRECT,
     tol: float = 1e-12,
-) -> list[tuple]:
-    """rqe of the N-grid against fixed reference fields on the sub-lattice.
-
-    Each N is solved once; its row is (N, rqe against each reference in turn).
-    """
+) -> list[tuple[int, float]]:
+    """Rows (N, rqe of the N-grid against ``reference`` on the sub-lattice)."""
     options = SolveOptions(method=method, tol=tol)
     sub = (sublattice, sublattice)
-    out = []
-    for n in n_values:
-        values = solve_grid(params, n, options).values
-        out.append((n, *(compare(values, ref, sub=sub).rqe_by_b for ref in references)))
-    return out
+    return [
+        (n, compare(solve_grid(params, n, options).values, reference, sub=sub).rqe_by_b)
+        for n in n_values
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -240,23 +242,73 @@ def load_spec(path: Path, **overrides) -> ExperimentSpec:
     return ExperimentSpec(**values)
 
 
+# ---------------------------------------------------------------------------
+# tables
+
+
 def _fmt(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return f"{value:.12g}"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(value)
-    if isinstance(value, (float, np.floating)):
-        return f"{value:.12g}"
     if isinstance(value, Method):
         return value.value
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fp:
-        fp.write(",".join(header) + "\n")
-        for row in rows:
-            fp.write(",".join(_fmt(v) for v in row) + "\n")
+def write_csv(fp, header: list[str], rows) -> None:
+    """The header row, then one line per row with every cell through ``_fmt``."""
+    fp.write(",".join(header) + "\n")
+    for row in rows:
+        fp.write(",".join(map(_fmt, row)) + "\n")
+
+
+def write_grid_csv(solution: GridSolution, fp) -> None:
+    """Rows ``i,j,p`` over the solved box."""
+    rows = (
+        (i, j, p)
+        for i, row in enumerate(solution.values.tolist(), 1)
+        for j, p in enumerate(row, 1)
+    )
+    write_csv(fp, ["i", "j", "p"], rows)
+
+
+MC_HEADER = ["i", "j", "p_hat", "ci_low", "ci_high", "M", "T", "seed"]
+
+
+def write_mc_csv(lattice: McLattice, fp) -> None:
+    """Rows ``i,j,p_hat,ci_low,ci_high,M,T,seed`` over the lattice."""
+    m, t, seed = lattice.m, lattice.t_horizon, lattice.seed
+    by_row = zip(lattice.p_hat.tolist(), lattice.ci_low.tolist(), lattice.ci_high.tolist())
+    rows = (
+        (i, j, p, lo, hi, m, t, seed)
+        for i, (ps, los, his) in enumerate(by_row, 1)
+        for j, (p, lo, hi) in enumerate(zip(ps, los, his), 1)
+    )
+    write_csv(fp, MC_HEADER, rows)
+
+
+def stats_table(report: ComparisonReport) -> tuple[list[str], list[tuple]]:
+    """Header and rows of the summary statistics of each error measure."""
+    rows = [(name, s.mean, s.st_dev, s.min, s.max) for name, s in report.stats.items()]
+    return ["metric", "mean", "st_dev", "min", "max"], rows
+
+
+def genfunc_table(
+    solution: GridSolution, xs, ys, tol: float
+) -> tuple[list[str], list[tuple]]:
+    """Header and rows of the quadrature-vs-series check of the generating
+    function at every point of ``xs`` x ``ys``; quadrature budget ``tol``."""
+    rows = []
+    for x0 in xs:
+        for y0 in ys:
+            query = genfunc.query_from_grid(solution, float(x0), float(y0), tol)
+            quad = genfunc.eval_by_quadrature(solution.params, query)
+            series = genfunc.eval_from_grid(solution, float(x0), float(y0))
+            rows.append((x0, y0, quad, series.value, abs(quad - series.value)))
+    return ["x", "y", "P_quadrature", "P_series", "abs_diff"], rows
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
@@ -264,7 +316,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
 
     Always writes the solved grid and a manifest of the resolved spec; the
     Monte-Carlo table, comparison summaries, truncation-convergence series
-    with fitted decay slopes, and the generating-function cross-check are
+    with its fitted decay slope, and the generating-function cross-check are
     optional stages.  Output is a name -> path map.
     """
     out_dir = Path(out_dir)
@@ -272,57 +324,44 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
     params = ModelParams(spec.r, spec.d)
     written: dict[str, Path] = {}
 
-    manifest = out_dir / "manifest.txt"
-    with open(manifest, "w", newline="") as fp:
+    def output(name: str, filename: str):
+        written[name] = out_dir / filename
+        return open(written[name], "w", newline="")
+
+    with output("manifest", "manifest.txt") as fp:
         for f in dataclasses.fields(spec):
             fp.write(f"{f.name} = {_fmt(getattr(spec, f.name))}\n")
-    written["manifest"] = manifest
 
     solution = solve_grid(params, spec.grid_n, SolveOptions(method=spec.solver, tol=spec.tol))
-    grid_path = out_dir / "grid_p.csv"
-    with open(grid_path, "w", newline="") as fp:
+    with output("grid", "grid_p.csv") as fp:
         write_grid_csv(solution, fp)
-    written["grid"] = grid_path
 
-    mc = None
     if spec.run_mc:
         mc = estimate_lattice(
             params, spec.grid_n, spec.grid_n, spec.mc_m, spec.mc_t, spec.seed
         )
-        mc_path = out_dir / "mc_p.csv"
-        with open(mc_path, "w", newline="") as fp:
+        with output("mc", "mc_p.csv") as fp:
             write_mc_csv(mc, fp)
-        written["mc"] = mc_path
 
         full = compare(mc.p_hat, solution.values)
         sub = compare(mc.p_hat, solution.values, sub=(spec.sublattice, spec.sublattice))
-        stats_path = out_dir / "comparison_stats.csv"
-        _write_csv(
-            stats_path,
-            ["metric", "mean", "st_dev", "min", "max"],
-            [
-                (name, s.mean, s.st_dev, s.min, s.max)
-                for name, s in full.stats.items()
-            ],
-        )
-        written["comparison_stats"] = stats_path
-        summary_path = out_dir / "comparison_summary.csv"
-        _write_csv(
-            summary_path,
-            ["name", "value"],
-            [
-                ("cells_excluded", full.cells_excluded),
-                ("rqe_sublattice_by_mc", sub.rqe_by_a),
-                ("rqe_sublattice_by_grid", sub.rqe_by_b),
-                ("grid_residual", solution.residual),
-                ("grid_iterations", solution.iterations),
-                ("mc_stop_bound", mc.stop_bound),
-            ],
-        )
-        written["comparison_summary"] = summary_path
+        with output("comparison_stats", "comparison_stats.csv") as fp:
+            write_csv(fp, *stats_table(full))
+        with output("comparison_summary", "comparison_summary.csv") as fp:
+            write_csv(
+                fp,
+                ["name", "value"],
+                [
+                    ("cells_excluded", full.cells_excluded),
+                    ("rqe_sublattice_by_mc", sub.rqe_by_a),
+                    ("rqe_sublattice_by_grid", sub.rqe_by_b),
+                    ("grid_residual", solution.residual),
+                    ("grid_iterations", solution.iterations),
+                    ("mc_stop_bound", mc.stop_bound),
+                ],
+            )
 
     if spec.run_convergence:
-        n_values = list(range(spec.conv_min, spec.conv_max + 1))
         reference = (
             solution
             if spec.conv_reference == spec.grid_n
@@ -330,45 +369,29 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
                 params, spec.conv_reference, SolveOptions(method=spec.solver, tol=spec.tol)
             )
         )
-        targets = [reference.values] if mc is None else [reference.values, mc.p_hat]
         series = convergence_series(
             params,
-            n_values,
-            *targets,
+            list(range(spec.conv_min, spec.conv_max + 1)),
+            reference.values,
             sublattice=spec.sublattice,
             method=spec.solver,
             tol=spec.tol,
         )
-        header = ["n", "rqe_vs_reference", "rqe_vs_mc"][: 1 + len(targets)]
-        nconv_path = out_dir / "nconv.csv"
-        _write_csv(nconv_path, header, series)
-        written["nconv"] = nconv_path
+        with output("nconv", "nconv.csv") as fp:
+            write_csv(fp, ["n", "rqe_vs_reference"], series)
 
-        table = np.array(series, dtype=float)
-        ns = table[:, 0]
+        ns, errors = np.array(series, dtype=float).T
         not_self = ns != spec.conv_reference
-        fits = [("reference", *fit_log_slope(ns[not_self], table[not_self, 1]))]
-        if mc is not None:
-            fits.append(("mc", *fit_log_slope(ns, table[:, 2])))
-        fit_path = out_dir / "nconv_fit.csv"
-        _write_csv(
-            fit_path, ["target", "slope", "intercept", "r_squared", "n_used"], fits
-        )
-        written["nconv_fit"] = fit_path
+        fit = fit_log_slope(ns[not_self], errors[not_self])
+        with output("nconv_fit", "nconv_fit.csv") as fp:
+            write_csv(
+                fp, ["target", "slope", "intercept", "r_squared", "n_used"], [("reference", *fit)]
+            )
 
     if spec.run_genfunc:
         points = np.linspace(spec.genfunc_min, spec.genfunc_max, spec.genfunc_count)
-        rows = []
-        for x0 in points:
-            for y0 in points:
-                query = genfunc.query_from_grid(solution, float(x0), float(y0), spec.quad_tol)
-                quad = genfunc.eval_by_quadrature(params, query)
-                series = genfunc.eval_from_grid(solution, float(x0), float(y0))
-                rows.append((x0, y0, quad, series.value, abs(quad - series.value)))
-        genfunc_path = out_dir / "genfunc.csv"
-        _write_csv(
-            genfunc_path, ["x", "y", "P_quadrature", "P_series", "abs_diff"], rows
-        )
-        written["genfunc"] = genfunc_path
+        table = genfunc_table(solution, points, points, spec.quad_tol)
+        with output("genfunc", "genfunc.csv") as fp:
+            write_csv(fp, *table)
 
     return written

@@ -55,6 +55,9 @@ doubles (32 MiB), or within one row of M per worker when one row alone
 exceeds a worker's share.  A single cell with more paths than the budget
 thus refills fewer steps at a time, down to one; split draws read the same
 stream, so the grouping stays invisible.
+
+The module only computes; :func:`distyle.harness.write_mc_csv` writes a
+lattice as CSV.
 """
 
 from __future__ import annotations
@@ -427,16 +430,3 @@ def estimate_lattice(
         stopped_frac=ends[0].reshape(i_max, j_max),
         censored_frac=ends[1].reshape(i_max, j_max),
     )
-
-
-def write_mc_csv(lattice: McLattice, fp) -> None:
-    """Rows ``i,j,p_hat,ci_low,ci_high,M,T,seed``, 12 significant digits."""
-    fp.write("i,j,p_hat,ci_low,ci_high,M,T,seed\n")
-    for i in range(1, lattice.i_max + 1):
-        for j in range(1, lattice.j_max + 1):
-            fp.write(
-                f"{i},{j},{lattice.p_hat[i - 1, j - 1]:.12g},"
-                f"{lattice.ci_low[i - 1, j - 1]:.12g},"
-                f"{lattice.ci_high[i - 1, j - 1]:.12g},"
-                f"{lattice.m},{lattice.t_horizon},{lattice.seed}\n"
-            )

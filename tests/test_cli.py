@@ -1,10 +1,14 @@
+import io
+
 import numpy as np
 import pytest
 
 from distyle import genfunc
 from distyle.cli import main
 from distyle.grid import solve_grid
+from distyle.harness import ExperimentSpec, run_experiment, write_grid_csv, write_mc_csv
 from distyle.model import ModelParams
+from distyle.montecarlo import estimate_lattice
 
 
 def run(argv):
@@ -30,6 +34,14 @@ class TestGridCommand:
         out = capsys.readouterr().out
         assert out.startswith("i,j,p\n")
         assert len(out.splitlines()) == 10
+
+    def test_same_bytes_as_library(self, tmp_path, capsys):
+        expected = io.StringIO()
+        write_grid_csv(solve_grid(ModelParams(3.0, 2.0), 9), expected)
+        assert run(["grid", "--r", 3, "--d", 2, "--n", 9, "--out", tmp_path]) == 0
+        assert (tmp_path / "grid_p.csv").read_bytes() == expected.getvalue().encode()
+        assert run(["grid", "--r", 3, "--d", 2, "--n", 9]) == 0
+        assert capsys.readouterr().out == expected.getvalue()
 
     def test_rejects_bad_rates(self, capsys):
         assert run(["grid", "--r", 2, "--d", 3, "--n", 4]) == 2
@@ -58,6 +70,16 @@ class TestMcCommand:
         lines = (tmp_path / "mc_p.csv").read_text().splitlines()
         assert len(lines) == 7
 
+    def test_lattice_same_bytes_as_library(self, tmp_path):
+        expected = io.StringIO()
+        write_mc_csv(estimate_lattice(ModelParams(3.0, 2.0), 4, 3, 20, 100, 6), expected)
+        code = run(
+            ["mc", "--r", 3, "--d", 2, "--imax", 4, "--jmax", 3,
+             "--m", 20, "--t", 100, "--seed", 6, "--out", tmp_path]
+        )
+        assert code == 0
+        assert (tmp_path / "mc_p.csv").read_bytes() == expected.getvalue().encode()
+
     def test_incomplete_modes_rejected(self, capsys):
         assert run(["mc", "--r", 3, "--d", 2, "--imax", 3]) == 2
         assert run(["mc", "--r", 3, "--d", 2]) == 2
@@ -80,6 +102,20 @@ class TestGreensCommand:
             vals = [float(v) for v in line.split(",")]
             assert np.isfinite(vals).all()
             assert vals[4] < 1e-2
+
+    def test_same_bytes_as_experiment(self, tmp_path):
+        spec = ExperimentSpec(
+            r=3.0, d=2.0, grid_n=12, run_mc=False, run_convergence=False,
+            run_genfunc=True, genfunc_min=0.2, genfunc_max=0.4, genfunc_count=3,
+        )
+        written = run_experiment(spec, tmp_path / "run")
+        code = run(
+            ["greens", "--r", 3, "--d", 2, "--n", 12,
+             "--xmin", 0.2, "--xmax", 0.4, "--nx", 3,
+             "--ymin", 0.2, "--ymax", 0.4, "--ny", 3, "--out", tmp_path / "cli"]
+        )
+        assert code == 0
+        assert (tmp_path / "cli" / "genfunc.csv").read_bytes() == written["genfunc"].read_bytes()
 
     def test_tol_option_is_gone(self):
         # the grid behind the series is solved with the default options
@@ -121,22 +157,49 @@ class TestCompareCommand:
         metrics = {line.split(",")[0] for line in lines[1:]}
         assert metrics == {"square_error", "absolute_error", "relative_error"}
 
+    def test_stats_match_experiment(self, tmp_path, capsys):
+        spec = ExperimentSpec(
+            r=3.0, d=2.0, grid_n=8, mc_m=10, mc_t=300, seed=5, run_convergence=False
+        )
+        written = run_experiment(spec, tmp_path / "run")
+        code = run(
+            ["compare", "--field-a", written["mc"], "--field-b", written["grid"],
+             "--out", tmp_path / "cli"]
+        )
+        assert code == 0
+        # the command reads both fields back at 12 significant digits, so
+        # its statistics agree with the experiment's to that rounding
+        got = [line.split(",") for line in
+               (tmp_path / "cli" / "comparison_stats.csv").read_text().splitlines()]
+        want = [line.split(",") for line in
+                written["comparison_stats"].read_text().splitlines()]
+        assert [row[0] for row in got] == [row[0] for row in want]
+        assert got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
+            assert [float(v) for v in g[1:]] == pytest.approx(
+                [float(v) for v in w[1:]], rel=1e-8
+            )
+
     @pytest.mark.parametrize(
-        "rows,message",
+        "text,message",
         [
-            (["1,1,0.5", "1,2,0.25", "1,1,0.75"], "duplicate row for (1, 1)"),
-            (["1,1,0.5", "1,2,inf"], "is not finite"),
-            (["1,1,nan", "1,2,0.25"], "is not finite"),
-            (["0,1,0.5", "1,1,0.5"], "indices start at 1"),
-            (["1,1,0.5", "1,-1,0.5"], "indices start at 1"),
+            ("i,j,p\n1,1,0.5\n1,2,0.25\n1,1,0.75\n", "bad.csv:4: duplicate row for (1, 1)"),
+            ("i,j,p\n1,1,0.5\n1,2,inf\n", "bad.csv:3: value at (1, 2) is not finite"),
+            ("i,j,p\n1,1,nan\n1,2,0.25\n", "bad.csv:2: value at (1, 1) is not finite"),
+            ("i,j,p\n0,1,0.5\n1,1,0.5\n", "bad.csv:2: indices start at 1"),
+            ("i,j,p\n1,1,0.5\n1,-1,0.5\n", "bad.csv:3: indices start at 1"),
+            ("i,j,p\n1,1,0.5\n1,2\n", "bad.csv:3: expected integer i, j and a value"),
+            ("", "bad.csv:1: expected a header row"),
+            ("i,j,p\n1,1,0.5\n1,two,0.25\n", "bad.csv:3: expected integer i, j and a value"),
         ],
-        ids=["duplicate", "inf", "nan", "zero-index", "negative-index"],
+        ids=["duplicate", "inf", "nan", "zero-index", "negative-index",
+             "two-fields", "empty-file", "non-integer-index"],
     )
-    def test_rejects_malformed_field(self, tmp_path, capsys, rows, message):
+    def test_rejects_malformed_field(self, tmp_path, capsys, text, message):
         good = tmp_path / "good.csv"
         good.write_text("i,j,p\n1,1,0.5\n1,2,0.25\n")
         bad = tmp_path / "bad.csv"
-        bad.write_text("i,j,p\n" + "\n".join(rows) + "\n")
+        bad.write_text(text)
         assert run(["compare", "--field-a", bad, "--field-b", good]) == 2
         assert message in capsys.readouterr().err
         assert run(["compare", "--field-a", good, "--field-b", good]) == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distyle import asymptotics, characteristics, genfunc
 from distyle.genfunc import (
@@ -78,6 +80,14 @@ class TestSeriesFromGrid:
             eval_from_grid(grid50, 1.0, 0.5)
 
 
+@pytest.fixture(scope="module")
+def grid100(params3):
+    return solve_grid(params3, 100)
+
+
+inside = st.floats(min_value=0.0, max_value=0.97, exclude_min=True)
+
+
 class TestQuadrature:
     def test_matches_series(self, params3, grid50):
         for x0, y0 in [(0.3, 0.3), (0.1, 0.5), (0.45, 0.2)]:
@@ -93,6 +103,30 @@ class TestQuadrature:
         assert q.n_terms > grid50.n
         quad = eval_by_quadrature(params3, q)
         series = eval_from_grid(grid50, 0.9, 0.9)
+        assert abs(quad - series.value) <= series.tail_bound + q.tol
+
+    def test_term_cap_raises(self, params3, grid100):
+        # 200 terms leave a folded tail of 0.95^201 = 3.3e-5, far above tol;
+        # the value used to come back as if it were within tol
+        q = query_from_grid(grid100, 0.95, 0.5, tol=1e-8)
+        assert q.n_terms == 200
+        with pytest.raises(QuadratureError, match="folded tail above the budget"):
+            eval_by_quadrature(params3, q)
+
+    def test_nan_near_an_axis_raises(self, params3, grid100):
+        # s0 rounds to 0 and the integrand is 0/0; NaN used to come back
+        with pytest.raises(QuadratureError, match="did not meet its budget"):
+            eval_by_quadrature(params3, query_from_grid(grid100, 0.5, 1e-30))
+
+    @settings(max_examples=200, deadline=None)
+    @given(inside, inside)
+    def test_raises_or_meets_series_tail(self, params3, grid100, x0, y0):
+        q = query_from_grid(grid100, x0, y0, tol=1e-8)
+        series = eval_from_grid(grid100, x0, y0)
+        try:
+            quad = eval_by_quadrature(params3, q)
+        except QuadratureError:
+            return
         assert abs(quad - series.value) <= series.tail_bound + q.tol
 
     @pytest.mark.parametrize("x0", [0.1, 0.5, 0.9])

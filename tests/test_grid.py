@@ -15,8 +15,8 @@ from distyle.grid import (
     closure_arrays,
     padded_field,
     solve_grid,
-    write_grid_csv,
 )
+from distyle.harness import write_grid_csv
 from distyle.model import ModelParams, extinction_bounds
 
 

@@ -85,13 +85,6 @@ class TestConvergenceSeries:
         assert ns == [6, 9, 12]
         assert errs[0] > errs[1] > errs[2] > 0.0
 
-    def test_references_share_each_solve(self, params3):
-        first = solve_grid(params3, 16).values
-        second = solve_grid(params3, 14).values
-        both = convergence_series(params3, [6, 9], first, second, sublattice=5)
-        alone = [convergence_series(params3, [6, 9], ref, sublattice=5) for ref in (first, second)]
-        assert both == [(n, a, b) for (n, a), (_, b) in zip(*alone)]
-
 
 class TestSpec:
     def test_presets(self):
@@ -198,8 +191,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "solve_grid", counting)
         spec = tiny_spec()
         run_experiment(spec, tmp_path / "out")
-        # the main grid, then one solve per N, compared with both the
-        # reference and the Monte-Carlo field
+        # the main grid, which is also the reference, then one solve per N
         assert calls == [spec.grid_n, *range(spec.conv_min, spec.conv_max + 1)]
 
     def test_stages_can_be_disabled(self, tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distyle import montecarlo
+from distyle.harness import write_mc_csv
 from distyle.model import ModelParams, State, extinction_bounds
 from distyle.montecarlo import (
     McConfig,
@@ -21,7 +22,6 @@ from distyle.montecarlo import (
     estimate_lattice,
     simulate_path,
     stop_level,
-    write_mc_csv,
 )
 
 
