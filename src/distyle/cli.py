@@ -65,20 +65,14 @@ def _cmd_mc(args) -> int:
     if args.imax is not None or args.jmax is not None:
         if args.imax is None or args.jmax is None:
             raise ValueError("lattice mode needs both --imax and --jmax")
-        lattice = estimate_lattice(params, args.imax, args.jmax, args.m, args.t, args.seed)
-        with _output(args, "mc_p.csv") as fp:
-            write_mc_csv(lattice, fp)
-        return 0
-    if args.i is None or args.j is None:
+        result = estimate_lattice(params, args.imax, args.jmax, args.m, args.t, args.seed)
+    elif args.i is None or args.j is None:
         raise ValueError("point mode needs --i and --j (or --imax/--jmax for a lattice)")
-    config = McConfig(m=args.m, t_horizon=args.t, seed=args.seed, initial=State(args.i, args.j))
-    est = estimate(params, config)
+    else:
+        config = McConfig(m=args.m, t_horizon=args.t, seed=args.seed, initial=State(args.i, args.j))
+        result = estimate(params, config)
     with _output(args, "mc_p.csv") as fp:
-        write_csv(
-            fp,
-            harness.MC_HEADER,
-            [(args.i, args.j, est.p_hat, est.ci_low, est.ci_high, est.m, est.t_horizon, est.seed)],
-        )
+        write_mc_csv(result, fp)
     return 0
 
 

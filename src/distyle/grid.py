@@ -53,6 +53,7 @@ solved field as CSV.
 
 from __future__ import annotations
 
+import collections
 import enum
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -302,14 +303,16 @@ def _iterate(
 
     K is nonnegative, and so is -c for nonnegative closures, so the
     iterates rise monotonically.
-    Convergence is geometric; the observed update ratio feeds the tail bound
-    used for stopping.  The residual is max |T p - b| on the full system.
+    Convergence is geometric; the largest of the last three update ratios
+    feeds the tail bound used for stopping, and only those three are kept,
+    so memory does not grow with the step count.  The residual is
+    max |T p - b| on the full system.
     """
     t, b, a, c, unfold = _folded_system(params, n, closure_up, closure_right)
     k = a + scipy.sparse.identity(a.shape[0], format="csr")
     source = -c
     q = np.zeros_like(source)
-    ratios = []
+    ratios = collections.deque(maxlen=3)
     prev_delta = None
     for it in range(1, options.max_iter + 1):
         image = k @ q
@@ -322,7 +325,7 @@ def _iterate(
             ratios.append(delta / prev_delta)
         prev_delta = delta
         if len(ratios) >= 3:
-            rate = min(max(ratios[-3:]), 1.0 - 1e-9)
+            rate = min(max(ratios), 1.0 - 1e-9)
             if delta * rate / (1.0 - rate) <= 0.5 * options.tol:
                 break
     else:

@@ -30,7 +30,7 @@ import numpy as np
 from . import genfunc
 from .grid import GridSolution, Method, SolveOptions, solve_grid
 from .model import ModelParams
-from .montecarlo import McLattice, estimate_lattice
+from .montecarlo import McEstimate, estimate_lattice
 
 
 @dataclass(frozen=True)
@@ -275,19 +275,12 @@ def write_grid_csv(solution: GridSolution, fp) -> None:
     write_csv(fp, ["i", "j", "p"], rows)
 
 
-MC_HEADER = ["i", "j", "p_hat", "ci_low", "ci_high", "M", "T", "seed"]
-
-
-def write_mc_csv(lattice: McLattice, fp) -> None:
-    """Rows ``i,j,p_hat,ci_low,ci_high,M,T,seed`` over the lattice."""
-    m, t, seed = lattice.m, lattice.t_horizon, lattice.seed
-    by_row = zip(lattice.p_hat.tolist(), lattice.ci_low.tolist(), lattice.ci_high.tolist())
-    rows = (
-        (i, j, p, lo, hi, m, t, seed)
-        for i, (ps, los, his) in enumerate(by_row, 1)
-        for j, (p, lo, hi) in enumerate(zip(ps, los, his), 1)
-    )
-    write_csv(fp, MC_HEADER, rows)
+def write_mc_csv(estimate: McEstimate, fp) -> None:
+    """Rows ``i,j,p_hat,ci_low,ci_high,M,T,seed``, one per estimated cell."""
+    m, t, seed = estimate.m, estimate.t_horizon, estimate.seed
+    columns = (np.ravel(f).tolist() for f in (estimate.p_hat, estimate.ci_low, estimate.ci_high))
+    rows = ((i, j, p, lo, hi, m, t, seed) for (i, j), p, lo, hi in zip(estimate.cells, *columns))
+    write_csv(fp, ["i", "j", "p_hat", "ci_low", "ci_high", "M", "T", "seed"], rows)
 
 
 def stats_table(report: ComparisonReport) -> tuple[list[str], list[tuple]]:

@@ -14,8 +14,8 @@ retired at X is absorbed later with probability p(X), which the rigorous
 envelope of :func:`~distyle.model.extinction_bounds` caps at
 (d/r)^i + (d/r)^j <= 2 (d/r)^k.  A cell that starts inside the exit set draws
 nothing and reports 0.  The estimand is therefore P[tau_0 <= min(T, tau_stop)],
-which lies below P[tau_0 <= T] by at most ``stop_bound`` = 2 (d/r)^k; both
-results report that bound.  At d/r = 2/3 the level is k = 36, and the paths
+which lies below P[tau_0 <= T] by at most 2 (d/r)^k; every result reports
+that bound as ``stop_bound``.  At d/r = 2/3 the level is k = 36, and the paths
 of the supercritical lattice stop within a few hundred steps.  Near
 criticality the level is out of reach (r = 2.002, d = 2 gives k = 14516), so
 no path stops early and the run costs as much as without the rule.
@@ -24,7 +24,7 @@ Censoring at T remains: P[tau_0 <= T] is below the true extinction
 probability, the bias is one-sided and shrinks as T grows, but it is
 invisible to the confidence interval, so near-critical parameters (where
 absorption times are long) show a systematic gap against the grid solver.
-Both results report, per cell, the fraction of paths stopped at the exit set
+Every result reports, per cell, the fraction of paths stopped at the exit set
 (cells starting inside it count as stopped) and the fraction censored at T;
 with the absorbed fraction p_hat they account for every path.
 
@@ -56,8 +56,10 @@ exceeds a worker's share.  A single cell with more paths than the budget
 thus refills fewer steps at a time, down to one; split draws read the same
 stream, so the grouping stays invisible.
 
-The module only computes; :func:`distyle.harness.write_mc_csv` writes a
-lattice as CSV.
+One result type serves a single cell and a lattice alike: an
+:class:`McEstimate` whose per-cell fields are numpy scalars or arrays.  The
+module only computes; :func:`distyle.harness.write_mc_csv` writes an
+estimate as CSV, one row per cell.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -99,10 +101,6 @@ def stop_level(params: ModelParams) -> int:
     return k
 
 
-def _stop_bound(params: ModelParams) -> float:
-    return 2.0 * params.ratio ** stop_level(params)
-
-
 @dataclass(frozen=True)
 class McConfig:
     m: int
@@ -123,17 +121,27 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    p_hat: float
-    ci_low: float
-    ci_high: float
-    half_width: float
-    degenerate: bool
+    """Monte-Carlo estimate of one cell or of a box of cells.
+
+    Every per-cell field is shaped like the request: a numpy scalar from
+    :func:`estimate`, an array indexed [i-1, j-1] from
+    :func:`estimate_lattice`.  ``cells`` lists the estimated cells in
+    row-major order.  Each cell equals the single-cell estimate run with the
+    same seed, bit for bit.
+    """
+
+    p_hat: np.ndarray
+    ci_low: np.ndarray
+    ci_high: np.ndarray
+    half_width: np.ndarray
+    degenerate: np.ndarray
     m: int
     t_horizon: int
     seed: int
     stop_bound: float  # p_hat may fall below P[tau_0 <= T] by at most this
-    stopped_frac: float  # fraction of paths stopped at the exit set
-    censored_frac: float  # fraction of paths still running at T
+    stopped_frac: np.ndarray  # fraction of paths stopped at the exit set
+    censored_frac: np.ndarray  # fraction of paths still running at T
+    cells: list[tuple[int, int]] = field(repr=False)
 
 
 class PathResult(NamedTuple):
@@ -316,65 +324,12 @@ def _run_group(
     return absorbed.reshape(n_cells, m), censored.reshape(n_cells, m)
 
 
-def _wald(p_hat: float, m: int) -> tuple[float, float, float]:
-    half = _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / m)
-    return max(0.0, p_hat - half), min(1.0, p_hat + half), half
-
-
 def _fractions(
     absorbed: np.ndarray, censored: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-cell fractions of paths absorbed, stopped and censored."""
     stopped = ~(absorbed | censored)
     return absorbed.mean(axis=-1), stopped.mean(axis=-1), censored.mean(axis=-1)
-
-
-def estimate(params: ModelParams, config: McConfig) -> McEstimate:
-    """Absorption frequency from ``config.initial`` with its Wald interval."""
-    flags = _run_cells(
-        params,
-        [(config.initial.i, config.initial.j)],
-        config.m,
-        config.t_horizon,
-        config.seed,
-    )
-    p_hat, stopped, censored = (float(f[0]) for f in _fractions(*flags))
-    lo, hi, half = _wald(p_hat, config.m)
-    return McEstimate(
-        p_hat=p_hat,
-        ci_low=lo,
-        ci_high=hi,
-        half_width=half,
-        degenerate=p_hat in (0.0, 1.0),
-        m=config.m,
-        t_horizon=config.t_horizon,
-        seed=config.seed,
-        stop_bound=_stop_bound(params),
-        stopped_frac=stopped,
-        censored_frac=censored,
-    )
-
-
-@dataclass(frozen=True)
-class McLattice:
-    """Estimates over the box 1 <= i <= i_max, 1 <= j <= j_max.
-
-    Arrays are indexed [i-1, j-1]; each cell equals the single-cell
-    :func:`estimate` run with the same seed, bit for bit.
-    """
-
-    i_max: int
-    j_max: int
-    m: int
-    t_horizon: int
-    seed: int
-    p_hat: np.ndarray
-    ci_low: np.ndarray
-    ci_high: np.ndarray
-    degenerate: np.ndarray
-    stop_bound: float  # p_hat may fall below P[tau_0 <= T] by at most this
-    stopped_frac: np.ndarray  # fraction of paths stopped at the exit set
-    censored_frac: np.ndarray  # fraction of paths still running at T
 
 
 def estimate_cells(
@@ -392,12 +347,49 @@ def estimate_cells(
     ``ends``, if given, of shape (2, len(cells)), receives the fractions of
     paths stopped at the exit set and censored at the horizon.
     """
+    if not cells:
+        raise ValueError("need at least one initial cell")
     for i0, j0 in cells:
         McConfig(m=m, t_horizon=t_horizon, seed=seed, initial=State(i0, j0))
     p_hat, *rest = _fractions(*_run_cells(params, cells, m, t_horizon, seed))
     if ends is not None:
         ends[:] = rest
     return p_hat
+
+
+def _summarise(
+    params: ModelParams,
+    cells: list[tuple[int, int]],
+    shape: tuple[int, ...],
+    m: int,
+    t_horizon: int,
+    seed: int,
+) -> McEstimate:
+    """Estimate ``cells`` and summarise them with every per-cell field
+    reshaped to ``shape``; the empty shape ``()`` gives numpy scalars."""
+    ends = np.empty((2, len(cells)))
+    p_hat = estimate_cells(params, cells, m, t_horizon, seed, ends=ends).reshape(shape)
+    half = _Z95 * np.sqrt(p_hat * (1.0 - p_hat) / m)
+    return McEstimate(
+        p_hat=p_hat[()],
+        ci_low=np.maximum(0.0, p_hat - half)[()],
+        ci_high=np.minimum(1.0, p_hat + half)[()],
+        half_width=half[()],
+        degenerate=((p_hat == 0.0) | (p_hat == 1.0))[()],
+        m=m,
+        t_horizon=t_horizon,
+        seed=seed,
+        stop_bound=2.0 * params.ratio ** stop_level(params),
+        stopped_frac=ends[0].reshape(shape)[()],
+        censored_frac=ends[1].reshape(shape)[()],
+        cells=cells,
+    )
+
+
+def estimate(params: ModelParams, config: McConfig) -> McEstimate:
+    """Absorption frequency from ``config.initial`` with its Wald interval."""
+    cell = (config.initial.i, config.initial.j)
+    return _summarise(params, [cell], (), config.m, config.t_horizon, config.seed)
 
 
 def estimate_lattice(
@@ -407,26 +399,9 @@ def estimate_lattice(
     m: int,
     t_horizon: int,
     seed: int,
-) -> McLattice:
-    """Estimate every cell of the box."""
+) -> McEstimate:
+    """Estimate every cell of the box 1 <= i <= i_max, 1 <= j <= j_max."""
     if i_max < 1 or j_max < 1:
         raise ValueError(f"lattice extents must be >= 1, got ({i_max}, {j_max})")
     cells = [(i, j) for i in range(1, i_max + 1) for j in range(1, j_max + 1)]
-    ends = np.empty((2, len(cells)))
-    p_hat = estimate_cells(params, cells, m, t_horizon, seed, ends=ends)
-    p_hat = p_hat.reshape(i_max, j_max)
-    half = _Z95 * np.sqrt(p_hat * (1.0 - p_hat) / m)
-    return McLattice(
-        i_max=i_max,
-        j_max=j_max,
-        m=m,
-        t_horizon=t_horizon,
-        seed=seed,
-        p_hat=p_hat,
-        ci_low=np.maximum(0.0, p_hat - half),
-        ci_high=np.minimum(1.0, p_hat + half),
-        degenerate=(p_hat == 0.0) | (p_hat == 1.0),
-        stop_bound=_stop_bound(params),
-        stopped_frac=ends[0].reshape(i_max, j_max),
-        censored_frac=ends[1].reshape(i_max, j_max),
-    )
+    return _summarise(params, cells, (i_max, j_max), m, t_horizon, seed)

@@ -80,6 +80,15 @@ class TestMcCommand:
         assert code == 0
         assert (tmp_path / "mc_p.csv").read_bytes() == expected.getvalue().encode()
 
+    def test_point_row_is_the_lattice_row(self, tmp_path):
+        common = ["--r", 3, "--d", 2, "--m", 40, "--t", 300, "--seed", 5]
+        assert run(["mc", "--i", 3, "--j", 2, *common, "--out", tmp_path / "point"]) == 0
+        assert run(["mc", "--imax", 3, "--jmax", 2, *common, "--out", tmp_path / "box"]) == 0
+        point = (tmp_path / "point" / "mc_p.csv").read_bytes().split(b"\n")
+        box = (tmp_path / "box" / "mc_p.csv").read_bytes().split(b"\n")
+        assert point[0] == box[0]
+        assert [row for row in box if row.startswith(b"3,2,")] == [point[1]]
+
     def test_incomplete_modes_rejected(self, capsys):
         assert run(["mc", "--r", 3, "--d", 2, "--imax", 3]) == 2
         assert run(["mc", "--r", 3, "--d", 2]) == 2

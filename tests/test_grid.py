@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,18 @@ class TestSolvers:
         with pytest.raises(ConvergenceError) as info:
             solve_grid(params3, 20, SolveOptions(method=Method.VALUE_ITERATION, max_iter=3))
         assert info.value.residual > 0.0
+
+    def test_value_iteration_memory_stays_flat(self, paramsc):
+        # about 29,500 steps; keeping every update ratio would add about
+        # 0.9 MiB to a peak that otherwise stays near 0.3 MiB
+        tracemalloc.start()
+        try:
+            sol = solve_grid(paramsc, 40, SolveOptions(method=Method.VALUE_ITERATION))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.iterations > 20_000
+        assert peak < 0.6 * 2**20
 
     def test_options_validated(self):
         with pytest.raises(ValueError):

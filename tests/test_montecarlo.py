@@ -25,6 +25,18 @@ from distyle.montecarlo import (
 )
 
 
+# the fields of McEstimate that hold one value per cell
+PER_CELL = (
+    "p_hat",
+    "ci_low",
+    "ci_high",
+    "half_width",
+    "degenerate",
+    "stopped_frac",
+    "censored_frac",
+)
+
+
 def make_rng(seed, i, j):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, i, j])))
 
@@ -101,7 +113,14 @@ class TestLattice:
     def test_matches_single_cell_bitwise(self, params3):
         lat = estimate_lattice(params3, 3, 2, m=150, t_horizon=800, seed=42)
         solo = estimate(params3, McConfig(m=150, t_horizon=800, seed=42, initial=State(3, 2)))
-        assert lat.p_hat[2, 1] == solo.p_hat
+        for name in PER_CELL:
+            assert getattr(lat, name)[2, 1] == getattr(solo, name), name
+            assert np.ndim(getattr(solo, name)) == 0, name
+            assert getattr(lat, name).shape == (3, 2), name
+        assert lat.stop_bound == solo.stop_bound
+        assert solo.cells == [(3, 2)]
+        assert lat.cells == [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
+        assert "cells" not in repr(solo)
 
     def test_grouping_invisible(self, params3, monkeypatch):
         a = estimate_lattice(params3, 4, 4, m=60, t_horizon=500, seed=9)
@@ -135,6 +154,10 @@ class TestLattice:
     def test_extent_validation(self, params3):
         with pytest.raises(ValueError):
             estimate_lattice(params3, 0, 3, m=10, t_horizon=10, seed=0)
+
+    def test_empty_cell_list_rejected(self, params3):
+        with pytest.raises(ValueError):
+            estimate_cells(params3, [], m=10, t_horizon=10, seed=0)
 
 
 class TestOutcomes:
