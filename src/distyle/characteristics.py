@@ -22,6 +22,14 @@ trajectory is explicit.  Writing rho = d/r,
     x(s)  = nu(s) / (e^{d s} (1 - rho kappa e^{(r-d) s}) + b),
     y(s)  = nu(s) / (e^{d s} (1 - rho kappa e^{(r-d) s}) - b).
 
+kappa itself rounds to 1 once min(x0, y0) falls below about 1e-16, so s0 is
+computed as log1p(kappa - 1) / (d - r) from the exact difference
+
+    kappa - 1 = -2 (1 - rho) x0 y0 / (x0 + y0 - 2 rho x0 y0),
+
+which keeps its full relative precision however close to an axis the start
+point lies.
+
 Both denominators increase up to s0 and decrease afterwards, each crossing
 zero exactly once past s0 (the blow-up times s_plus and s_minus).  The
 integrating factor exp(int_0^u R) along the curve has the closed form
@@ -78,8 +86,9 @@ def make_path(params: ModelParams, x0: float, y0: float) -> CharacteristicPath:
     r, d = params.r, params.d
     rho = params.ratio
     denom = x0 + y0 - 2.0 * rho * x0 * y0
-    kappa = (x0 + y0 - 2.0 * x0 * y0) / denom
-    s0 = math.log(kappa) / (d - r)
+    kappa_m1 = -2.0 * (1.0 - rho) * x0 * y0 / denom
+    kappa = 1.0 + kappa_m1
+    s0 = math.log1p(kappa_m1) / (d - r)
     b = (1.0 - rho) * (y0 - x0) / denom
     return CharacteristicPath(params, x0, y0, kappa, s0, b)
 

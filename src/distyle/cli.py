@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import genfunc, harness
 from .characteristics import critical_times, eval_path, integrating_factor, make_path
-from .grid import ConvergenceError, Method, SolveOptions, solve_grid
+from .grid import CLOSURES, ConvergenceError, Method, SolveOptions, solve_grid
 from .harness import write_csv, write_grid_csv, write_mc_csv
 from .model import ModelParams
 from .montecarlo import McConfig, State, estimate, estimate_lattice
@@ -46,13 +47,12 @@ def _output(args, filename: str):
 
 def _cmd_grid(args) -> int:
     params = ModelParams(args.r, args.d)
-    method = Method(args.method) if args.method is not None else None
-    options = SolveOptions(method=method, tol=args.tol, max_iter=args.max_iter)
+    options = SolveOptions(method=args.method, tol=args.tol, max_iter=args.max_iter)
     solution = solve_grid(params, args.n, options, closure=args.closure)
     with _output(args, "grid_p.csv") as fp:
         write_grid_csv(solution, fp)
     print(
-        f"solved N={args.n} via {solution.method.value}: "
+        f"solved N={args.n} via {solution.method}: "
         f"iterations={solution.iterations} residual={solution.residual:.3e} "
         f"closure: {solution.closure}",
         file=sys.stderr,
@@ -63,6 +63,8 @@ def _cmd_grid(args) -> int:
 def _cmd_mc(args) -> int:
     params = ModelParams(args.r, args.d)
     if args.imax is not None or args.jmax is not None:
+        if args.i is not None or args.j is not None:
+            raise ValueError("give either --i/--j (point mode) or --imax/--jmax (lattice mode)")
         if args.imax is None or args.jmax is None:
             raise ValueError("lattice mode needs both --imax and --jmax")
         result = estimate_lattice(params, args.imax, args.jmax, args.m, args.t, args.seed)
@@ -155,33 +157,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    overrides = {}
-    for name in (
-        "r",
-        "d",
-        "grid_n",
-        "tol",
-        "mc_m",
-        "mc_t",
-        "seed",
-        "sublattice",
-        "conv_min",
-        "conv_max",
-        "conv_reference",
-        "quad_tol",
-    ):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.solver is not None:
-        overrides["solver"] = Method(args.solver)
-    if args.no_mc:
-        overrides["run_mc"] = False
-    if args.no_convergence:
-        overrides["run_convergence"] = False
-    if args.genfunc:
-        overrides["run_genfunc"] = True
-
+    # every flag stores into its ExperimentSpec field and defaults to None
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(harness.ExperimentSpec)
+        if getattr(args, f.name, None) is not None
+    }
     runs: list[tuple[str, harness.ExperimentSpec]] = []
     if args.config is not None:
         runs.append(("config", harness.load_spec(args.config, **overrides)))
@@ -219,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=defaults.max_iter)
     p.add_argument(
         "--closure",
-        choices=["asymptotic", "bounds-lower", "bounds-upper", "ones"],
+        choices=list(CLOSURES),
         default="asymptotic",
     )
     _add_out(p)
@@ -275,20 +256,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, default=None, help="key = value spec file")
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--d", type=float, default=None)
-    p.add_argument("--grid-n", dest="grid_n", type=int, default=None)
+    p.add_argument("--grid-n", type=int, default=None)
     p.add_argument("--solver", choices=[m.value for m in Method], default=None)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--mc-m", dest="mc_m", type=int, default=None)
-    p.add_argument("--mc-t", dest="mc_t", type=int, default=None)
+    p.add_argument("--mc-m", type=int, default=None)
+    p.add_argument("--mc-t", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sublattice", type=int, default=None)
-    p.add_argument("--conv-min", dest="conv_min", type=int, default=None)
-    p.add_argument("--conv-max", dest="conv_max", type=int, default=None)
-    p.add_argument("--conv-reference", dest="conv_reference", type=int, default=None)
-    p.add_argument("--no-mc", action="store_true")
-    p.add_argument("--no-convergence", action="store_true")
-    p.add_argument("--genfunc", action="store_true", help="add the quadrature cross-check")
-    p.add_argument("--quad-tol", dest="quad_tol", type=float, default=None)
+    p.add_argument("--conv-min", type=int, default=None)
+    p.add_argument("--conv-max", type=int, default=None)
+    p.add_argument("--conv-reference", type=int, default=None)
+    p.add_argument("--no-mc", dest="run_mc", action="store_false", default=None)
+    p.add_argument("--no-convergence", dest="run_convergence", action="store_false", default=None)
+    p.add_argument(
+        "--genfunc", dest="run_genfunc", action="store_true", default=None,
+        help="add the quadrature cross-check",
+    )
+    p.add_argument("--quad-tol", type=float, default=None)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=_cmd_experiment)
     return parser

@@ -139,20 +139,17 @@ def _adaptive(
 ) -> tuple[float, float]:
     """Recursive bisection; accepts a panel when halving moves it by less
     than its share of the budget, or by no more than rounding (a few ulps
-    of the panel), which further halving cannot reduce.  A budget below the
-    rounding floor, or a NaN integrand, then fails the caller's check at once
-    instead of bisecting to the panel cap.  Returns (integral, error bound)."""
+    of the panel), which further halving cannot reduce.  An accepted panel
+    reports at least that floor as its error, so a budget below rounding, or
+    a NaN integrand, fails the caller's check at once instead of bisecting to
+    the panel cap.  Returns (integral, error bound)."""
     mid = 0.5 * (a + b)
     left, right = _panel(f, a, mid), _panel(f, mid, b)
     err = abs(left + right - whole)
+    floor = 4 * math.ulp(left + right)
     budget[0] += 2
-    if (
-        err <= max(tol, 4 * math.ulp(left + right))
-        or math.isnan(err)
-        or depth >= 48
-        or budget[0] >= _MAX_PANELS
-    ):
-        return left + right, err
+    if err <= max(tol, floor) or math.isnan(err) or depth >= 48 or budget[0] >= _MAX_PANELS:
+        return left + right, max(err, floor)
     le, lerr = _adaptive(f, a, mid, 0.5 * tol, depth + 1, left, budget)
     re, rerr = _adaptive(f, mid, b, 0.5 * tol, depth + 1, right, budget)
     return le + re, lerr + rerr
@@ -162,9 +159,10 @@ def eval_by_quadrature(params: ModelParams, query: GenFuncQuery) -> float:
     """P(x0, y0) by adaptive 15-point Gauss-Legendre along the characteristic.
 
     Raises :class:`QuadratureError` when the panels miss the budget (or the
-    integrand is NaN, as on points within about 1e-17 of an axis, where the
-    path collapses to s0 = 0), or when ``n_terms`` is too short for the
-    folded tail, max(x0, y0)^(n_terms+1), to fall below it.
+    integrand is NaN, as on points within about 5e-17 of an axis, where a
+    trajectory denominator cancels to zero in rounding), or when
+    ``n_terms`` is too short for the folded tail, max(x0, y0)^(n_terms+1),
+    to fall below it.
     """
     path = characteristics.make_path(params, query.x0, query.y0)
     f = _integrand(params, path, query)

@@ -70,6 +70,9 @@ class Method(enum.Enum):
     DIRECT = "direct"
     VALUE_ITERATION = "vi"
 
+    def __str__(self) -> str:
+        return self.value
+
 
 # Largest box the default method factors; above it value iteration keeps
 # the memory bounded.
@@ -78,13 +81,16 @@ _DIRECT_MAX_N = 150
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """``method=None`` picks ``DIRECT`` for N <= 150, value iteration above."""
+    """``method`` is a :class:`Method` or its name ("direct", "vi");
+    ``None`` picks ``DIRECT`` for N <= 150, value iteration above."""
 
     method: Method | None = None
     tol: float = 1e-12
     max_iter: int = 400_000
 
     def __post_init__(self) -> None:
+        if self.method is not None:
+            object.__setattr__(self, "method", Method(self.method))
         if self.tol <= 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
@@ -167,35 +173,40 @@ def apply_kernel(params: ModelParams, field_arr: np.ndarray, i: int, j: int) -> 
 # closure policies
 
 
+# The named closure policies: name -> (description, p~_{k,N+1} as a
+# function of (params, k, N+1)).  The one list of the policy names; the
+# asymptotic entry looks ``closure_value`` up on its module at call time.
+CLOSURES = {
+    "asymptotic": (
+        f"asymptotic ({asymptotics.CLOSURE_DESCRIPTION})",
+        lambda params, k, m: asymptotics.closure_value(params, k, m),
+    ),
+    "bounds-lower": (
+        "rigorous lower bound (d/r)^(i+j)",
+        lambda params, k, m: extinction_bounds(params, k, m)[0],
+    ),
+    "bounds-upper": (
+        "rigorous upper bound (d/r)^i + (d/r)^j - (d/r)^(i+j)",
+        lambda params, k, m: extinction_bounds(params, k, m)[1],
+    ),
+    "ones": ("constant 1", lambda params, k, m: 1.0),
+}
+
+
 def closure_arrays(
     params: ModelParams, n: int, closure="asymptotic"
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """Resolve a closure policy to the two edge arrays (p~_{i,N+1}, p~_{N+1,j}).
 
-    By symmetry p_{N+1,j} = p_{j,N+1}, so the named policies fill both edges
-    from the same sequence; an explicit pair of arrays may break symmetry.
+    ``closure`` names one of :data:`CLOSURES` or is an explicit pair of
+    arrays.  By symmetry p_{N+1,j} = p_{j,N+1}, so the named policies fill
+    both edges from the same sequence; an explicit pair may break symmetry.
     """
     if isinstance(closure, str):
-        if closure == "asymptotic":
-            edge = np.array(
-                [asymptotics.closure_value(params, k, n + 1) for k in range(1, n + 1)]
-            )
-            desc = f"asymptotic ({asymptotics.CLOSURE_DESCRIPTION})"
-        elif closure == "bounds-lower":
-            edge = np.array(
-                [extinction_bounds(params, k, n + 1)[0] for k in range(1, n + 1)]
-            )
-            desc = "rigorous lower bound (d/r)^(i+j)"
-        elif closure == "bounds-upper":
-            edge = np.array(
-                [extinction_bounds(params, k, n + 1)[1] for k in range(1, n + 1)]
-            )
-            desc = "rigorous upper bound (d/r)^i + (d/r)^j - (d/r)^(i+j)"
-        elif closure == "ones":
-            edge = np.ones(n)
-            desc = "constant 1"
-        else:
+        if closure not in CLOSURES:
             raise ValueError(f"unknown closure policy {closure!r}")
+        desc, value = CLOSURES[closure]
+        edge = np.array([value(params, k, n + 1) for k in range(1, n + 1)])
         return edge, edge.copy(), desc
     up, right = closure
     up = np.asarray(up, dtype=float)
@@ -358,10 +369,10 @@ def solve_grid(
 ) -> GridSolution:
     """Solve the closed box system and return the probability field.
 
-    ``closure`` is a named policy ("asymptotic", "bounds-lower",
-    "bounds-upper", "ones") or an explicit pair of edge arrays.  Without an
-    explicit ``options.method`` the box size picks the solver (see the
-    module docstring); ``GridSolution.method`` reports the choice.
+    ``closure`` is a named policy (a key of :data:`CLOSURES`) or an
+    explicit pair of edge arrays.  Without an explicit ``options.method``
+    the box size picks the solver (see the module docstring);
+    ``GridSolution.method`` reports the choice.
     """
     options = options or SolveOptions()
     method = options.method

@@ -23,7 +23,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -142,11 +142,10 @@ def convergence_series(
     n_values: list[int],
     reference: np.ndarray,
     sublattice: int = 10,
-    method: Method = Method.DIRECT,
-    tol: float = 1e-12,
+    options: SolveOptions = SolveOptions(method=Method.DIRECT),
 ) -> list[tuple[int, float]]:
-    """Rows (N, rqe of the N-grid against ``reference`` on the sub-lattice)."""
-    options = SolveOptions(method=method, tol=tol)
+    """Rows (N, rqe of the N-grid against ``reference`` on the sub-lattice),
+    each N-grid solved with ``options``."""
     sub = (sublattice, sublattice)
     return [
         (n, compare(solve_grid(params, n, options).values, reference, sub=sub).rqe_by_b)
@@ -180,6 +179,42 @@ class ExperimentSpec:
     genfunc_count: int = 5
     quad_tol: float = 1e-8
 
+    def __post_init__(self) -> None:
+        """Reject a spec the run would fail on, before it writes any file.
+
+        The rates and ``tol`` are checked by building ModelParams and
+        SolveOptions, which also reads a solver name as a Method.
+        """
+        ModelParams(self.r, self.d)
+        options = SolveOptions(method=self.solver, tol=self.tol)
+        object.__setattr__(self, "solver", options.method)
+        for name in ("grid_n", "mc_m", "mc_t", "sublattice"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
+        if not self.quad_tol > 0.0:
+            raise ValueError(f"quad_tol must be positive, got {self.quad_tol}")
+        if self.run_convergence:
+            if not (1 <= self.conv_min <= self.conv_max and self.conv_reference >= 1):
+                raise ValueError(
+                    "need 1 <= conv_min <= conv_max and conv_reference >= 1, got "
+                    f"{self.conv_min}, {self.conv_max} and {self.conv_reference}"
+                )
+            ns = range(self.conv_min, self.conv_max + 1)
+            fitted = len(ns) - (self.conv_reference in ns)
+            if fitted < 3:
+                raise ValueError(
+                    f"the convergence fit needs three N in {self.conv_min}..{self.conv_max} "
+                    f"other than conv_reference={self.conv_reference}, got {fitted}"
+                )
+        if self.run_genfunc:
+            if not (0.0 < self.genfunc_min <= self.genfunc_max < 1.0 and self.genfunc_count >= 1):
+                raise ValueError(
+                    "need 0 < genfunc_min <= genfunc_max < 1 and genfunc_count >= 1, got "
+                    f"{self.genfunc_min}, {self.genfunc_max} and {self.genfunc_count}"
+                )
+
 
 PRESETS: dict[str, dict] = {
     # comfortably supercritical rates: fast absorption, tight MC agreement
@@ -199,24 +234,20 @@ def spec_from_preset(name: str, **overrides) -> ExperimentSpec:
     return ExperimentSpec(**merged)
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentSpec)}
+_FIELD_TYPES = get_type_hints(ExperimentSpec)
 
 
 def _coerce(name: str, raw: str):
-    if name == "solver":
-        return Method(raw)
+    """A config value read as its field's type; the solver name stays text,
+    which the spec reads as a Method."""
     kind = _FIELD_TYPES[name]
-    if kind == "bool":
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"cannot read {raw!r} as a boolean for {name}")
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
+    return kind(raw) if kind in (int, float) else raw
 
 
 def load_spec(path: Path, **overrides) -> ExperimentSpec:
@@ -251,10 +282,6 @@ def _fmt(value) -> str:
         return f"{value:.12g}"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(value)
-    if isinstance(value, Method):
-        return value.value
     return str(value)
 
 
@@ -325,7 +352,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
         for f in dataclasses.fields(spec):
             fp.write(f"{f.name} = {_fmt(getattr(spec, f.name))}\n")
 
-    solution = solve_grid(params, spec.grid_n, SolveOptions(method=spec.solver, tol=spec.tol))
+    options = SolveOptions(method=spec.solver, tol=spec.tol)
+    solution = solve_grid(params, spec.grid_n, options)
     with output("grid", "grid_p.csv") as fp:
         write_grid_csv(solution, fp)
 
@@ -358,17 +386,14 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
         reference = (
             solution
             if spec.conv_reference == spec.grid_n
-            else solve_grid(
-                params, spec.conv_reference, SolveOptions(method=spec.solver, tol=spec.tol)
-            )
+            else solve_grid(params, spec.conv_reference, options)
         )
         series = convergence_series(
             params,
             list(range(spec.conv_min, spec.conv_max + 1)),
             reference.values,
             sublattice=spec.sublattice,
-            method=spec.solver,
-            tol=spec.tol,
+            options=options,
         )
         with output("nconv", "nconv.csv") as fp:
             write_csv(fp, ["n", "rqe_vs_reference"], series)

@@ -93,7 +93,11 @@ class TestMcCommand:
         assert run(["mc", "--r", 3, "--d", 2, "--imax", 3]) == 2
         assert run(["mc", "--r", 3, "--d", 2]) == 2
         assert run(["mc", "--r", 3, "--d", 2, "--i", 0, "--j", 4]) == 2
-        assert capsys.readouterr().err.count("error:") == 3
+        # a point next to a lattice used to be dropped without a word
+        assert run(["mc", "--r", 3, "--d", 2, "--i", 3, "--j", 2, "--imax", 2, "--jmax", 2]) == 2
+        err = capsys.readouterr()
+        assert err.err.count("error:") == 4
+        assert err.out == ""
 
 
 class TestGreensCommand:
@@ -246,6 +250,85 @@ class TestExperimentCommand:
         assert "r = 3" in sup
         assert "r = 2.002" in near
         assert "grid_n = 5" in sup and "grid_n = 5" in near
+
+    def test_every_flag_reaches_the_manifest(self, tmp_path):
+        code = run(
+            ["experiment", "--preset", "supercritical", "--r", 2.5, "--d", 1.5,
+             "--grid-n", 7, "--solver", "vi", "--tol", 1e-10, "--mc-m", 11,
+             "--mc-t", 333, "--seed", 42, "--sublattice", 3, "--conv-min", 3,
+             "--conv-max", 9, "--conv-reference", 8, "--quad-tol", 1e-7,
+             "--no-mc", "--no-convergence", "--genfunc", "--out", tmp_path]
+        )
+        assert code == 0
+        assert (tmp_path / "manifest.txt").read_text().splitlines() == [
+            "r = 2.5",
+            "d = 1.5",
+            "grid_n = 7",
+            "solver = vi",
+            "tol = 1e-10",
+            "mc_m = 11",
+            "mc_t = 333",
+            "seed = 42",
+            "sublattice = 3",
+            "run_mc = false",
+            "run_convergence = false",
+            "conv_min = 3",
+            "conv_max = 9",
+            "conv_reference = 8",
+            "run_genfunc = true",
+            "genfunc_min = 0.1",
+            "genfunc_max = 0.5",
+            "genfunc_count = 5",
+            "quad_tol = 1e-07",
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "genfunc.csv", "grid_p.csv", "manifest.txt"
+        ]
+
+    def test_flags_beat_the_config_file(self, tmp_path):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text("r = 3\nd = 2\ngrid_n = 5\nsolver = vi\nrun_mc = true\n"
+                       "run_convergence = false\n")
+        code = run(["experiment", "--config", cfg, "--solver", "direct", "--no-mc",
+                    "--out", tmp_path / "run"])
+        assert code == 0
+        manifest = (tmp_path / "run" / "manifest.txt").read_text().splitlines()
+        assert "solver = direct" in manifest
+        assert "run_mc = false" in manifest
+        assert "grid_n = 5" in manifest
+
+    def test_unknown_choice_errors(self, capsys):
+        for argv, message in [
+            (["experiment", "--solver", "x", "--out", "x"],
+             "distyle experiment: error: argument --solver: invalid choice: 'x' "
+             "(choose from 'direct', 'vi')"),
+            (["grid", "--r", 3, "--d", 2, "--n", 4, "--method", "x"],
+             "distyle grid: error: argument --method: invalid choice: 'x' "
+             "(choose from 'direct', 'vi')"),
+            (["grid", "--r", 3, "--d", 2, "--n", 4, "--closure", "x"],
+             "distyle grid: error: argument --closure: invalid choice: 'x' "
+             "(choose from 'asymptotic', 'bounds-lower', 'bounds-upper', 'ones')"),
+        ]:
+            with pytest.raises(SystemExit) as info:
+                run(argv)
+            assert info.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1] == message
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--no-mc", "--conv-min", 30, "--conv-max", 20], "need 1 <= conv_min <= conv_max"),
+            (["--sublattice", 0], "sublattice must be >= 1"),
+            (["--no-mc", "--conv-min", 20, "--conv-max", 21, "--conv-reference", 50],
+             "the convergence fit needs three N"),
+        ],
+        ids=["empty-convergence-range", "empty-sublattice", "two-fit-points"],
+    )
+    def test_bad_spec_writes_nothing(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "run"
+        assert run(["experiment", "--preset", "supercritical", *flags, "--out", out]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(SystemExit):

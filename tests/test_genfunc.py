@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distyle import asymptotics, characteristics, genfunc
@@ -114,12 +114,16 @@ class TestQuadrature:
             eval_by_quadrature(params3, q)
 
     def test_nan_near_an_axis_raises(self, params3, grid100):
-        # s0 rounds to 0 and the integrand is 0/0; NaN used to come back
+        # the trajectory denominator cancels to 0 and the integrand is 0/0;
+        # NaN used to come back
         with pytest.raises(QuadratureError, match="did not meet its budget"):
             eval_by_quadrature(params3, query_from_grid(grid100, 0.5, 1e-30))
 
     @settings(max_examples=200, deadline=None)
     @given(inside, inside)
+    # kappa rounded to 1 here and s0 came out four times too long: the
+    # quadrature returned 8.5e-5 against a series value of 5.4e-17
+    @example(0.6875, 4.358518910596399e-17)
     def test_raises_or_meets_series_tail(self, params3, grid100, x0, y0):
         q = query_from_grid(grid100, x0, y0, tol=1e-8)
         series = eval_from_grid(grid100, x0, y0)

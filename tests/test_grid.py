@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distyle.grid import (
+    CLOSURES,
     ConvergenceError,
     Method,
     SolveOptions,
@@ -102,6 +103,22 @@ class TestSolvers:
     def test_unknown_closure_rejected(self, params3):
         with pytest.raises(ValueError):
             solve_grid(params3, 5, closure="midpoint")
+
+    def test_named_closures(self, params3):
+        assert list(CLOSURES) == ["asymptotic", "bounds-lower", "bounds-upper", "ones"]
+        lower, upper = np.array([extinction_bounds(params3, k, 7) for k in range(1, 7)]).T
+        for name, want in [("bounds-lower", lower), ("bounds-upper", upper), ("ones", 1.0)]:
+            up, right, _ = closure_arrays(params3, 6, name)
+            assert np.array_equal(up, np.broadcast_to(want, (6,)))
+            assert np.array_equal(right, up)
+
+    def test_method_by_name(self):
+        assert SolveOptions(method="vi").method is Method.VALUE_ITERATION
+        assert SolveOptions(method=Method.DIRECT).method is Method.DIRECT
+        assert SolveOptions().method is None
+        assert [str(m) for m in Method] == ["direct", "vi"]
+        with pytest.raises(ValueError):
+            SolveOptions(method="lu")
 
     def test_direct_solves_large_near_critical_grid(self, paramsc):
         # beyond the reach of value iteration's default max_iter

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,48 @@ class TestSpec:
         spec2 = load_spec(cfg, grid_n=11)
         assert spec2.grid_n == 11
 
+    def test_solver_name_read_as_method(self, tmp_path):
+        assert ExperimentSpec(r=3.0, d=2.0, solver="vi").solver is Method.VALUE_ITERATION
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("r = 3\nd = 2\nsolver = vi\n")
+        assert load_spec(cfg).solver is Method.VALUE_ITERATION
+        assert load_spec(cfg, solver="direct").solver is Method.DIRECT
+        cfg.write_text("r = 3\nd = 2\nsolver = lu\n")
+        with pytest.raises(ValueError, match="'lu' is not a valid Method"):
+            load_spec(cfg)
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            (dict(r=2.0), "supercritical regime"),
+            (dict(tol=0.0), "tol must be positive"),
+            (dict(grid_n=0), "grid_n must be >= 1"),
+            (dict(mc_m=0), "mc_m must be >= 1"),
+            (dict(mc_t=0), "mc_t must be >= 1"),
+            (dict(sublattice=0), "sublattice must be >= 1"),
+            (dict(seed=-1), "seed must lie in"),
+            (dict(seed=2**64), "seed must lie in"),
+            (dict(quad_tol=0.0), "quad_tol must be positive"),
+            (dict(conv_min=0), "conv_min <= conv_max"),
+            (dict(conv_min=30, conv_max=20), "conv_min <= conv_max"),
+            (dict(conv_reference=0), "conv_reference >= 1"),
+            (dict(conv_min=20, conv_max=22, conv_reference=21), "three N in 20..22"),
+            (dict(run_genfunc=True, genfunc_min=0.0), "0 < genfunc_min"),
+            (dict(run_genfunc=True, genfunc_min=0.6), "genfunc_min <= genfunc_max"),
+            (dict(run_genfunc=True, genfunc_max=1.0), "genfunc_max < 1"),
+            (dict(run_genfunc=True, genfunc_count=0), "genfunc_count >= 1"),
+        ],
+    )
+    def test_bad_spec_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message.replace("^", r"\^")):
+            ExperimentSpec(**{"r": 3.0, "d": 2.0, **fields})
+
+    def test_disabled_stage_skips_its_checks(self):
+        ExperimentSpec(r=3.0, d=2.0, run_convergence=False, conv_min=30, conv_max=20)
+        ExperimentSpec(r=3.0, d=2.0, genfunc_min=0.0, genfunc_count=0)
+        # three fitted N besides the reference, which may lie outside the range
+        ExperimentSpec(r=3.0, d=2.0, conv_min=20, conv_max=22, conv_reference=50)
+
     def test_load_spec_rejects_unknown_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("grid_m = 9\nr = 3\nd = 2\n")
@@ -193,6 +237,23 @@ class TestRunExperiment:
         run_experiment(spec, tmp_path / "out")
         # the main grid, which is also the reference, then one solve per N
         assert calls == [spec.grid_n, *range(spec.conv_min, spec.conv_max + 1)]
+
+    def test_every_solve_uses_the_spec_options(self, tmp_path, monkeypatch):
+        options = []
+        solve = harness.solve_grid
+
+        def recording(params, n, opts, *args, **kwargs):
+            options.append(opts)
+            return solve(params, n, opts, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_grid", recording)
+        spec = dataclasses.replace(
+            tiny_spec(), solver=Method.VALUE_ITERATION, tol=1e-10, conv_reference=9
+        )
+        run_experiment(spec, tmp_path / "out")
+        # the main grid, the reference and one solve per N
+        assert len(options) == 2 + spec.conv_max - spec.conv_min + 1
+        assert set(options) == {SolveOptions(method=Method.VALUE_ITERATION, tol=1e-10)}
 
     def test_stages_can_be_disabled(self, tmp_path):
         spec = ExperimentSpec(
