@@ -28,13 +28,12 @@ from .grid import (
     GridSolution,
     Method,
     SolveOptions,
-    apply_kernel,
     assemble_system,
     solve_grid,
 )
 from .harness import ExperimentSpec, compare, fit_log_slope, run_experiment
 from .model import ModelParams, State, extinction_bounds
-from .montecarlo import McConfig, estimate, estimate_cells, estimate_lattice, simulate_path
+from .montecarlo import McConfig, estimate, estimate_cells, estimate_lattice
 
 __version__ = "0.1.0"
 
@@ -49,7 +48,6 @@ __all__ = [
     "ModelParams",
     "SolveOptions",
     "State",
-    "apply_kernel",
     "assemble_system",
     "asymptotic_p1j",
     "asymptotic_pij",
@@ -69,7 +67,6 @@ __all__ = [
     "query_from_grid",
     "reaction_coeff",
     "run_experiment",
-    "simulate_path",
     "solve_grid",
     "transport_velocity",
 ]

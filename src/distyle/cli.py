@@ -144,7 +144,9 @@ def _read_field(path: Path) -> np.ndarray:
 def _cmd_compare(args) -> int:
     a = _read_field(args.field_a)
     b = _read_field(args.field_b)
-    sub = (args.sub, args.sub) if args.sub else None
+    if args.sub is not None and args.sub < 1:
+        raise ValueError(f"--sub must be >= 1, got {args.sub}")
+    sub = None if args.sub is None else (args.sub, args.sub)
     report = harness.compare(a, b, sub=sub)
     with _output(args, "comparison_stats.csv") as fp:
         write_csv(fp, *harness.stats_table(report))

@@ -70,7 +70,7 @@ class GenFuncQuery:
             raise ValueError(
                 f"need at least n_terms={self.n_terms} first-column values, got {len(self.row1)}"
             )
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
 

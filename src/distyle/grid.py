@@ -11,11 +11,11 @@ p_{N+1,j}, are closed with asymptotic estimates.  Unknowns are stacked
 row-major, k = (i-1) N + (j-1), producing a banded system T p = b with
 bandwidth N.
 
-When the two closure edges are equal (every named policy), the solution is
-transpose-symmetric, p_{i,j} = p_{j,i}, and the system is folded onto the
-N(N+1)/2 unknowns with i <= j: A q = c keeps those rows of T and merges
-each column into its mirror.  Otherwise (explicit asymmetric closures)
-A = T.  Both solvers work on A q = c:
+The walk treats the two morphs alike, so one edge array closes both sides,
+p~_{k,N+1} = p~_{N+1,k}.  The solution is then transpose-symmetric,
+p_{i,j} = p_{j,i}, and the system is folded onto the N(N+1)/2 unknowns with
+i <= j: A q = c keeps those rows of T and merges each column into its
+mirror.  Both solvers work on A q = c:
 
 * ``DIRECT``           sparse LU of A (SuperLU, minimum-degree ordering on
                        A + A^T), with no size cap,
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import collections
 import enum
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,7 +90,7 @@ class SolveOptions:
     def __post_init__(self) -> None:
         if self.method is not None:
             object.__setattr__(self, "method", Method(self.method))
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
@@ -111,8 +110,7 @@ class GridSolution:
     n: int
     values: np.ndarray
     closure: str
-    closure_up: np.ndarray = field(repr=False)  # p~_{i,N+1}, i = 1..N
-    closure_right: np.ndarray = field(repr=False)  # p~_{N+1,j}, j = 1..N
+    closure_edge: np.ndarray = field(repr=False)  # p~_{k,N+1} = p~_{N+1,k}, k = 1..N
     residual: float = float("nan")
     iterations: int = 0
     method: Method = Method.VALUE_ITERATION
@@ -124,49 +122,6 @@ class GridSolution:
         if i == 0 or j == 0:
             return 1.0
         return float(self.values[i - 1, j - 1])
-
-
-# ---------------------------------------------------------------------------
-# field layout and kernel
-
-
-def padded_field(
-    n: int,
-    closure_up: np.ndarray,
-    closure_right: np.ndarray,
-    interior: float | np.ndarray = 0.0,
-) -> np.ndarray:
-    """(N+2)x(N+2) array: row/col 0 hold the boundary 1, row/col N+1 the closure.
-
-    The four corners are never read by the kernel and are set to NaN so that
-    any accidental use surfaces immediately.
-    """
-    f = np.empty((n + 2, n + 2))
-    f[1 : n + 1, 1 : n + 1] = interior
-    f[0, :] = 1.0
-    f[:, 0] = 1.0
-    f[1 : n + 1, n + 1] = closure_up
-    f[n + 1, 1 : n + 1] = closure_right
-    f[0, 0] = f[0, n + 1] = f[n + 1, 0] = f[n + 1, n + 1] = np.nan
-    return f
-
-
-def apply_kernel(params: ModelParams, field_arr: np.ndarray, i: int, j: int) -> float:
-    """One application of the recurrence right-hand side at interior cell (i, j).
-
-    ``field_arr`` uses the :func:`padded_field` layout; a fixed point of this
-    map on every interior cell solves the closed system.
-    """
-    n = field_arr.shape[0] - 2
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError(f"({i}, {j}) is not an interior cell of the {n}x{n} box")
-    r, d = params.r, params.d
-    loss = d / ((r + d) * (i + j))
-    return float(
-        loss * i * field_arr[i - 1, j]
-        + loss * j * field_arr[i, j - 1]
-        + params.birth_step * (field_arr[i, j + 1] + field_arr[i + 1, j])
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -196,24 +151,22 @@ CLOSURES = {
 def closure_arrays(
     params: ModelParams, n: int, closure="asymptotic"
 ) -> tuple[np.ndarray, np.ndarray, str]:
-    """Resolve a closure policy to the two edge arrays (p~_{i,N+1}, p~_{N+1,j}).
+    """Resolve a closure policy to the edge arrays (p~_{i,N+1}, p~_{N+1,j}).
 
-    ``closure`` names one of :data:`CLOSURES` or is an explicit pair of
-    arrays.  By symmetry p_{N+1,j} = p_{j,N+1}, so the named policies fill
-    both edges from the same sequence; an explicit pair may break symmetry.
+    ``closure`` names one of :data:`CLOSURES` or is one explicit edge array
+    of shape (N,).  By symmetry p~_{N+1,k} = p~_{k,N+1}, so both returned
+    edges are that one array.
     """
     if isinstance(closure, str):
         if closure not in CLOSURES:
             raise ValueError(f"unknown closure policy {closure!r}")
         desc, value = CLOSURES[closure]
         edge = np.array([value(params, k, n + 1) for k in range(1, n + 1)])
-        return edge, edge.copy(), desc
-    up, right = closure
-    up = np.asarray(up, dtype=float)
-    right = np.asarray(right, dtype=float)
-    if up.shape != (n,) or right.shape != (n,):
-        raise ValueError(f"explicit closure arrays must have shape ({n},)")
-    return up, right, "explicit arrays"
+        return edge, edge, desc
+    edge = np.asarray(closure, dtype=float)
+    if edge.shape != (n,):
+        raise ValueError(f"an explicit closure is one edge array of shape ({n},)")
+    return edge, edge, "explicit array"
 
 
 # ---------------------------------------------------------------------------
@@ -267,26 +220,24 @@ def assemble_system(
 
 
 def _folded_system(
-    params: ModelParams, n: int, closure_up: np.ndarray, closure_right: np.ndarray
+    params: ModelParams, n: int, edge: np.ndarray
 ) -> tuple[
     scipy.sparse.csr_matrix,
     np.ndarray,
     scipy.sparse.csr_matrix,
     np.ndarray,
-    Callable[[np.ndarray], np.ndarray],
+    scipy.sparse.csr_matrix,
 ]:
-    """The full system T p = b and the system A q = c the solvers work on.
+    """The full system T p = b and the folded system A q = c the solvers
+    work on, for the closure ``edge`` on both sides of the box.
 
-    For equal closure edges the fold keeps the rows i <= j of T and adds
-    each column (i, j) with i > j into its mirror (j, i): A = T[half] M and
-    c = b[half], with the 0/1 matrix M that copies q to both (i, j) and
-    (j, i).  No cell neighbours its own mirror, so A keeps the diagonal -1.
-    Otherwise A = T and c = b.  Returns (T, b, A, c, unfold), where
-    ``unfold`` maps a solution q to the stacked field p.
+    The fold keeps the rows i <= j of T and adds each column (i, j) with
+    i > j into its mirror (j, i): A = T[half] M and c = b[half], with the
+    0/1 mirror matrix M that copies q to both (i, j) and (j, i), so that
+    p = M q.  No cell neighbours its own mirror, so A keeps the diagonal -1.
+    Returns (T, b, A, c, M).
     """
-    t, b = assemble_system(params, n, closure_up, closure_right)
-    if not np.array_equal(closure_up, closure_right):
-        return t, b, t, b, lambda q: q
+    t, b = assemble_system(params, n, edge, edge)
     rows, cols = np.triu_indices(n)
     half = rows * n + cols
     pos = np.empty((n, n), dtype=np.int64)
@@ -295,7 +246,7 @@ def _folded_system(
         (np.ones(n * n), (np.arange(n * n), pos.reshape(-1))),
         shape=(n * n, half.size),
     )
-    return t, b, t[half] @ mirror, b[half], lambda q: mirror @ q
+    return t, b, t[half] @ mirror, b[half], mirror
 
 
 def _residual(t: scipy.sparse.csr_matrix, b: np.ndarray, p: np.ndarray) -> float:
@@ -303,14 +254,10 @@ def _residual(t: scipy.sparse.csr_matrix, b: np.ndarray, p: np.ndarray) -> float
 
 
 def _iterate(
-    params: ModelParams,
-    n: int,
-    closure_up: np.ndarray,
-    closure_right: np.ndarray,
-    options: SolveOptions,
+    params: ModelParams, n: int, edge: np.ndarray, options: SolveOptions
 ) -> tuple[np.ndarray, int, float]:
     """Value iteration q <- K q - c from zero, with K = A + I of the
-    (folded) system A q = c: one sparse mat-vec per Jacobi step.
+    folded system A q = c: one sparse mat-vec per Jacobi step.
 
     K is nonnegative, and so is -c for nonnegative closures, so the
     iterates rise monotonically.
@@ -319,7 +266,7 @@ def _iterate(
     so memory does not grow with the step count.  The residual is
     max |T p - b| on the full system.
     """
-    t, b, a, c, unfold = _folded_system(params, n, closure_up, closure_right)
+    t, b, a, c, mirror = _folded_system(params, n, edge)
     k = a + scipy.sparse.identity(a.shape[0], format="csr")
     source = -c
     q = np.zeros_like(source)
@@ -342,22 +289,20 @@ def _iterate(
     else:
         raise ConvergenceError(
             f"no convergence within {options.max_iter} iterations",
-            _residual(t, b, unfold(q)),
+            _residual(t, b, mirror @ q),
         )
-    p = unfold(q)
+    p = mirror @ q
     return p.reshape(n, n), it, _residual(t, b, p)
 
 
-def _direct(
-    params: ModelParams, n: int, closure_up: np.ndarray, closure_right: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Sparse LU of the (folded) system; returns the field and max |T p - b|
+def _direct(params: ModelParams, n: int, edge: np.ndarray) -> tuple[np.ndarray, float]:
+    """Sparse LU of the folded system; returns the field and max |T p - b|
     on the full system."""
-    t, b, a, c, unfold = _folded_system(params, n, closure_up, closure_right)
+    t, b, a, c, mirror = _folded_system(params, n, edge)
     lu = scipy.sparse.linalg.splu(
         a.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1
     )
-    p = unfold(lu.solve(c))
+    p = mirror @ lu.solve(c)
     return p.reshape(n, n), _residual(t, b, p)
 
 
@@ -369,30 +314,27 @@ def solve_grid(
 ) -> GridSolution:
     """Solve the closed box system and return the probability field.
 
-    ``closure`` is a named policy (a key of :data:`CLOSURES`) or an
-    explicit pair of edge arrays.  Without an explicit ``options.method``
-    the box size picks the solver (see the module docstring);
-    ``GridSolution.method`` reports the choice.
+    ``closure`` is a named policy (a key of :data:`CLOSURES`) or one
+    explicit edge array p~_{k,N+1} = p~_{N+1,k}, k = 1..N.  Without an
+    explicit ``options.method`` the box size picks the solver (see the
+    module docstring); ``GridSolution.method`` reports the choice.
     """
     options = options or SolveOptions()
     method = options.method
     if method is None:
         method = Method.DIRECT if n <= _DIRECT_MAX_N else Method.VALUE_ITERATION
-    closure_up, closure_right, desc = closure_arrays(params, n, closure)
+    edge, _, desc = closure_arrays(params, n, closure)
     if method is Method.DIRECT:
-        values, residual = _direct(params, n, closure_up, closure_right)
+        values, residual = _direct(params, n, edge)
         iterations = 1
     else:
-        values, iterations, residual = _iterate(
-            params, n, closure_up, closure_right, options
-        )
+        values, iterations, residual = _iterate(params, n, edge, options)
     return GridSolution(
         params=params,
         n=n,
         values=values,
         closure=desc,
-        closure_up=closure_up,
-        closure_right=closure_right,
+        closure_edge=edge,
         residual=residual,
         iterations=iterations,
         method=method,

@@ -238,24 +238,24 @@ _FIELD_TYPES = get_type_hints(ExperimentSpec)
 
 
 def _coerce(name: str, raw: str):
-    """A config value read as its field's type; the solver name stays text,
-    which the spec reads as a Method."""
+    """A config value read as its field's type (int, float, bool or Method)."""
     kind = _FIELD_TYPES[name]
-    if kind is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"cannot read {raw!r} as a boolean for {name}")
-    return kind(raw) if kind in (int, float) else raw
+    if kind is not bool:
+        return kind(raw)
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"cannot read {raw!r} as a boolean")
 
 
 def load_spec(path: Path, **overrides) -> ExperimentSpec:
     """Read a flat ``key = value`` config file; later overrides win.
 
-    Recognised keys are exactly the ExperimentSpec fields; ``solver`` takes
-    the method names direct or vi.  Lines starting with ``#`` and
-    blank lines are ignored.
+    Recognised keys are exactly the ExperimentSpec fields, each given at
+    most once; ``solver`` takes the method names direct or vi.  A value its
+    field's type cannot read fails with its ``path:line``.  Lines starting
+    with ``#`` and blank lines are ignored.
     """
     values: dict = {}
     for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -268,7 +268,12 @@ def load_spec(path: Path, **overrides) -> ExperimentSpec:
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-        values[key] = _coerce(key, raw.strip())
+        if key in values:
+            raise ValueError(f"{path}:{line_no}: key {key!r} given twice")
+        try:
+            values[key] = _coerce(key, raw.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
     values.update(overrides)
     return ExperimentSpec(**values)
 

@@ -38,8 +38,9 @@ bitwise, and shortening the horizon only truncates the stream.
 
 Workers: the groups of a large job run on forked worker processes, one per
 CPU this process may run on and at most one per group; each worker draws a
-block of uniforms and then steps through it, one group at a time, and the
-flags come back in group order.  Jobs below ``_POOL_MIN_PATHS`` paths, a
+block of uniforms and then steps through it, one group at a time, and each
+group sends back only its per-cell counts of absorbed, stopped and censored
+paths, in group order.  Jobs below ``_POOL_MIN_PATHS`` paths, a
 single group, a single CPU, a platform without ``fork`` or a daemonic caller
 (a ``multiprocessing.Pool`` worker, say) run in the calling process instead.  Workers are forked: a spawned or forkserver worker starts
 a fresh interpreter that imports NumPy, about half a second, which cancels
@@ -68,7 +69,6 @@ import functools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -144,40 +144,6 @@ class McEstimate:
     cells: list[tuple[int, int]] = field(repr=False)
 
 
-class PathResult(NamedTuple):
-    absorbed: bool
-    steps: int | None
-
-
-def simulate_path(
-    params: ModelParams, initial: State, t_horizon: int, rng: np.random.Generator
-) -> PathResult:
-    """One path of the embedded chain, absorbed flag and absorption time.
-
-    Inverse-CDF sampling in the fixed order left, down, right, up; the
-    state-dependent part of the thresholds is only the left/down split.
-    """
-    if initial.absorbed:
-        raise ValueError(f"initial state ({initial.i}, {initial.j}) is absorbed")
-    loss = params.death_step
-    loss_or_right = loss + params.birth_step
-    i, j = initial.i, initial.j
-    for t in range(1, t_horizon + 1):
-        u = rng.random()
-        if u < loss:
-            if u < loss * i / (i + j):
-                i -= 1
-            else:
-                j -= 1
-        elif u < loss_or_right:
-            i += 1
-        else:
-            j += 1
-        if i == 0 or j == 0:
-            return PathResult(True, t)
-    return PathResult(False, None)
-
-
 def _workers() -> int:
     """Worker processes the Monte-Carlo may use: one per CPU this process may
     run on, or one where processes cannot be forked or this process, being
@@ -200,9 +166,10 @@ def _run_cells(
     m: int,
     t_horizon: int,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Absorbed and censored flags, each of shape (len(cells), m), one
-    Philox stream per cell; a path that is neither was stopped at the exit set.
+) -> np.ndarray:
+    """Per-cell counts of the paths absorbed, stopped at the exit set and
+    censored at the horizon, shape (len(cells), 3), one Philox stream per
+    cell; each row sums to ``m``.
 
     Cells run in groups of at most ``_PATH_BUDGET // (workers * m)`` cells
     (one at least), or of ``len(cells) / workers`` cells, rounded up, when
@@ -220,8 +187,7 @@ def _run_cells(
     depth = max(1, min(_CHUNK, 128 * _PATH_BUDGET // (workers * group * m)))
     run = functools.partial(_group_task, params, m, t_horizon, seed, level, depth)
     chunks = (cells[start : start + group] for start in starts)
-    absorbed = np.empty((len(cells), m), dtype=bool)
-    censored = np.empty((len(cells), m), dtype=bool)
+    counts = np.empty((len(cells), 3), dtype=np.int64)
     pool = None
     try:
         if workers > 1:
@@ -230,13 +196,12 @@ def _run_cells(
 
             pool = process.ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
         results = pool.map(run, chunks) if pool else map(run, chunks)
-        for start, (a, c) in zip(starts, results):
-            absorbed[start : start + group] = a
-            censored[start : start + group] = c
+        for start, group_counts in zip(starts, results):
+            counts[start : start + group] = group_counts
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return absorbed, censored
+    return counts
 
 
 def _group_task(
@@ -247,8 +212,8 @@ def _group_task(
     level: int,
     depth: int,
     cells: list[tuple[int, int]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The flags of one group, run on a bank of ``depth`` steps allocated
+) -> np.ndarray:
+    """The counts of one group, run on a bank of ``depth`` steps allocated
     here, in whichever process runs the group."""
     bank = np.empty((len(cells), depth, m))
     return _run_group(params, cells, m, t_horizon, seed, level, bank)
@@ -262,9 +227,9 @@ def _run_group(
     seed: int,
     level: int,
     bank: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Absorbed and censored flags of one group of cells, each of shape
-    (len(cells), m).
+) -> np.ndarray:
+    """Counts of the paths absorbed, stopped and censored in each cell of one
+    group, shape (len(cells), 3).
 
     A path runs until it is absorbed, enters the exit set min(i, j) >=
     ``level``, or reaches the horizon.  All M uniforms of a step are drawn
@@ -287,7 +252,7 @@ def _run_group(
         np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, i0, j0])))
         for (i0, j0) in cells
     ]
-    absorbed = np.zeros(n_cells * m, dtype=bool)
+    counts = np.zeros((n_cells, 3), dtype=np.int64)
     loss = params.death_step
     loss_or_right = loss + params.birth_step
     t = 0
@@ -310,7 +275,7 @@ def _run_group(
             dead = low == 0
             done = dead | (low >= level)
             if done.any():
-                absorbed[alive[dead]] = True
+                counts[:, 0] += np.bincount(alive[dead] // m, minlength=n_cells)
                 keep = ~done
                 alive = alive[keep]
                 ai = ai[keep]
@@ -319,17 +284,9 @@ def _run_group(
                 if not alive.size:
                     break
         t += steps
-    censored = np.zeros(n_cells * m, dtype=bool)
-    censored[alive] = True
-    return absorbed.reshape(n_cells, m), censored.reshape(n_cells, m)
-
-
-def _fractions(
-    absorbed: np.ndarray, censored: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-cell fractions of paths absorbed, stopped and censored."""
-    stopped = ~(absorbed | censored)
-    return absorbed.mean(axis=-1), stopped.mean(axis=-1), censored.mean(axis=-1)
+    counts[:, 2] = np.bincount(alive // m, minlength=n_cells)
+    counts[:, 1] = m - counts[:, 0] - counts[:, 2]
+    return counts
 
 
 def estimate_cells(
@@ -351,7 +308,7 @@ def estimate_cells(
         raise ValueError("need at least one initial cell")
     for i0, j0 in cells:
         McConfig(m=m, t_horizon=t_horizon, seed=seed, initial=State(i0, j0))
-    p_hat, *rest = _fractions(*_run_cells(params, cells, m, t_horizon, seed))
+    p_hat, *rest = (_run_cells(params, cells, m, t_horizon, seed) / m).T
     if ends is not None:
         ends[:] = rest
     return p_hat

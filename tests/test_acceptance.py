@@ -20,10 +20,11 @@ from distyle.characteristics import (
     transport_velocity,
 )
 from distyle.genfunc import eval_by_quadrature, eval_from_grid, query_from_grid
-from distyle.grid import Method, SolveOptions, apply_kernel, padded_field, solve_grid
+from distyle.grid import Method, SolveOptions, solve_grid
 from distyle.harness import compare, convergence_series, fit_log_slope
 from distyle.model import ModelParams, extinction_bounds
 from distyle.montecarlo import estimate_cells, estimate_lattice
+from test_grid import apply_kernel, padded_field
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:

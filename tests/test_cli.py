@@ -47,6 +47,13 @@ class TestGridCommand:
         assert run(["grid", "--r", 2, "--d", 3, "--n", 4]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["direct", "vi"])
+    def test_rejects_nan_tolerance(self, capsys, method):
+        assert run(["grid", "--r", 3, "--d", 2, "--n", 10, "--method", method, "--tol", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert "tol must be positive" in captured.err
+        assert captured.out == ""
+
 
 class TestMcCommand:
     def test_point_mode(self, tmp_path):
@@ -216,6 +223,16 @@ class TestCompareCommand:
         assert run(["compare", "--field-a", bad, "--field-b", good]) == 2
         assert message in capsys.readouterr().err
         assert run(["compare", "--field-a", good, "--field-b", good]) == 0
+
+    @pytest.mark.parametrize("sub", [0, -1])
+    def test_rejects_sub_below_one(self, tmp_path, capsys, sub):
+        field = tmp_path / "field.csv"
+        field.write_text("i,j,p\n1,1,0.5\n1,2,0.25\n")
+        assert run(["compare", "--field-a", field, "--field-b", field, "--sub", sub]) == 2
+        captured = capsys.readouterr()
+        assert f"--sub must be >= 1, got {sub}" in captured.err
+        assert captured.out == ""
+        assert run(["compare", "--field-a", field, "--field-b", field, "--sub", 1]) == 0
 
     def test_missing_file(self, tmp_path, capsys):
         code = run(

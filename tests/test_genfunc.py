@@ -25,6 +25,8 @@ class TestQuery:
             GenFuncQuery(x0=0.5, y0=0.5, row1=(0.7,), n_terms=2)
         with pytest.raises(ValueError):
             GenFuncQuery(x0=0.5, y0=0.5, row1=(0.7,), n_terms=1, tol=0.0)
+        with pytest.raises(ValueError):
+            GenFuncQuery(x0=0.5, y0=0.5, row1=(0.7,), n_terms=1, tol=float("nan"))
 
     def test_default_n_terms(self):
         # max(x0,y0)^(n+1) < tol at the returned n

@@ -12,14 +12,52 @@ from distyle.grid import (
     ConvergenceError,
     Method,
     SolveOptions,
-    apply_kernel,
     assemble_system,
     closure_arrays,
-    padded_field,
     solve_grid,
 )
 from distyle.harness import write_grid_csv
 from distyle.model import ModelParams, extinction_bounds
+
+
+def padded_field(
+    n: int,
+    closure_up: np.ndarray,
+    closure_right: np.ndarray,
+    interior: float | np.ndarray = 0.0,
+) -> np.ndarray:
+    """(N+2)x(N+2) array: row/col 0 hold the boundary 1, row/col N+1 the closure.
+
+    The four corners are never read by the kernel and are set to NaN so that
+    any accidental use surfaces immediately.
+    """
+    f = np.empty((n + 2, n + 2))
+    f[1 : n + 1, 1 : n + 1] = interior
+    f[0, :] = 1.0
+    f[:, 0] = 1.0
+    f[1 : n + 1, n + 1] = closure_up
+    f[n + 1, 1 : n + 1] = closure_right
+    f[0, 0] = f[0, n + 1] = f[n + 1, 0] = f[n + 1, n + 1] = np.nan
+    return f
+
+
+def apply_kernel(params: ModelParams, field_arr: np.ndarray, i: int, j: int) -> float:
+    """One application of the recurrence right-hand side at interior cell (i, j),
+    written cell by cell as an oracle for the assembled system.
+
+    ``field_arr`` uses the :func:`padded_field` layout; a fixed point of this
+    map on every interior cell solves the closed system.
+    """
+    n = field_arr.shape[0] - 2
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise IndexError(f"({i}, {j}) is not an interior cell of the {n}x{n} box")
+    r, d = params.r, params.d
+    loss = d / ((r + d) * (i + j))
+    return float(
+        loss * i * field_arr[i - 1, j]
+        + loss * j * field_arr[i, j - 1]
+        + params.birth_step * (field_arr[i, j + 1] + field_arr[i + 1, j])
+    )
 
 
 class TestKernel:
@@ -61,7 +99,7 @@ class TestAssembly:
 
     def test_single_cell_solve_is_kernel_fixed_point(self, params3):
         sol = solve_grid(params3, 1)
-        field = padded_field(1, sol.closure_up, sol.closure_right)
+        field = padded_field(1, sol.closure_edge, sol.closure_edge)
         field[1, 1] = sol.p(1, 1)
         assert apply_kernel(params3, field, 1, 1) == pytest.approx(sol.p(1, 1), abs=1e-14)
 
@@ -95,10 +133,13 @@ class TestSolvers:
         assert np.min(high.values - mid.values) > -1e-12
 
     def test_explicit_closure_arrays(self, params3):
-        up, right, _ = closure_arrays(params3, 10, "asymptotic")
-        sol = solve_grid(params3, 10, closure=(up, right))
+        edge, _, _ = closure_arrays(params3, 10, "asymptotic")
+        sol = solve_grid(params3, 10, closure=edge)
         ref = solve_grid(params3, 10)
         assert np.array_equal(sol.values, ref.values)
+        # one edge closes both sides; a pair of edges is not a closure
+        with pytest.raises(ValueError):
+            solve_grid(params3, 10, closure=(edge, edge))
 
     def test_unknown_closure_rejected(self, params3):
         with pytest.raises(ValueError):
@@ -142,14 +183,13 @@ class TestSolvers:
         # T = K - I with K substochastic, so -T^-1 >= 0 and the solution
         # rises with the closure; a symmetric closure gives a symmetric field
         params = ModelParams(r=2.0 / ratio, d=2.0)
-        edge = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(np.array)
-        up, right, lift_up, lift_right = (data.draw(edge) for _ in range(4))
+        edges = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(np.array)
+        edge, lift = data.draw(edges), data.draw(edges)
         opts = SolveOptions(method=Method.DIRECT)
-        base = solve_grid(params, n, opts, closure=(up, right))
-        raised = solve_grid(params, n, opts, closure=(up + lift_up, right + lift_right))
+        base = solve_grid(params, n, opts, closure=edge)
+        raised = solve_grid(params, n, opts, closure=edge + lift)
         assert np.min(raised.values - base.values) > -1e-12
-        sym = solve_grid(params, n, opts, closure=(up, up))
-        assert np.max(np.abs(sym.values - sym.values.T)) < 1e-12
+        assert np.max(np.abs(base.values - base.values.T)) < 1e-12
 
     def test_default_method_follows_box_size(self, params3):
         assert solve_grid(params3, 150).method is Method.DIRECT
@@ -171,7 +211,7 @@ class TestSolvers:
     def test_value_iteration_residual_is_system_residual(self, params3):
         n = 20
         sol = solve_grid(params3, n, SolveOptions(method=Method.VALUE_ITERATION))
-        mat, rhs = assemble_system(params3, n, sol.closure_up, sol.closure_right)
+        mat, rhs = assemble_system(params3, n, sol.closure_edge, sol.closure_edge)
         full = float(np.max(np.abs(mat @ sol.values.reshape(-1) - rhs)))
         assert sol.residual > 0.0
         assert abs(sol.residual - full) < 1e-15
@@ -194,20 +234,6 @@ class TestSolvers:
         assert np.array_equal(sol.values, sol.values.T)
         assert sol.residual < 1e-12
 
-    def test_unfolded_value_iteration_matches_direct(self, params3):
-        # unequal edges cannot fold; the field is then not symmetric
-        n = 30
-        up, right, _ = closure_arrays(params3, n, "bounds-upper")
-        right = 0.5 * right
-        vi = SolveOptions(method=Method.VALUE_ITERATION)
-        sol = solve_grid(params3, n, vi, closure=(up, right))
-        ref = solve_grid(params3, n, SolveOptions(method=Method.DIRECT), closure=(up, right))
-        assert np.max(np.abs(sol.values - ref.values)) < 10 * vi.tol
-        assert np.max(np.abs(sol.values - sol.values.T)) > 1e-6
-        mat, rhs = assemble_system(params3, n, up, right)
-        full = float(np.max(np.abs(mat @ sol.values.reshape(-1) - rhs)))
-        assert sol.residual == full
-
     @settings(max_examples=30, deadline=None)
     @given(
         st.floats(min_value=0.05, max_value=0.999),
@@ -218,11 +244,11 @@ class TestSolvers:
         # every iterate rises with the closure; the two stopping points may
         # differ by what the tolerance allows, as in acceptance 03
         params = ModelParams(r=2.0 / ratio, d=2.0)
-        edge = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(np.array)
-        up, right, lift_up, lift_right = (data.draw(edge) for _ in range(4))
+        edges = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(np.array)
+        edge, lift = data.draw(edges), data.draw(edges)
         opts = SolveOptions(method=Method.VALUE_ITERATION)
-        base = solve_grid(params, n, opts, closure=(up, right))
-        raised = solve_grid(params, n, opts, closure=(up + lift_up, right + lift_right))
+        base = solve_grid(params, n, opts, closure=edge)
+        raised = solve_grid(params, n, opts, closure=edge + lift)
         assert np.min(raised.values - base.values) > -10 * opts.tol
 
     def test_iteration_cap_raises(self, params3):
@@ -245,6 +271,8 @@ class TestSolvers:
     def test_options_validated(self):
         with pytest.raises(ValueError):
             SolveOptions(tol=0.0)
+        with pytest.raises(ValueError):
+            SolveOptions(tol=float("nan"))
         with pytest.raises(ValueError):
             SolveOptions(max_iter=0)
 

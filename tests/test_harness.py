@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -129,8 +130,27 @@ class TestSpec:
         assert load_spec(cfg).solver is Method.VALUE_ITERATION
         assert load_spec(cfg, solver="direct").solver is Method.DIRECT
         cfg.write_text("r = 3\nd = 2\nsolver = lu\n")
-        with pytest.raises(ValueError, match="'lu' is not a valid Method"):
+        with pytest.raises(ValueError, match="exp.cfg:3: bad value for solver: 'lu' is not a valid"):
             load_spec(cfg)
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("grid_n = x", "bad value for grid_n: invalid literal for int()"),
+            ("tol = small", "bad value for tol: could not convert"),
+            ("run_mc = maybe", "bad value for run_mc: cannot read 'maybe' as a boolean"),
+            ("solver = lu", "bad value for solver: 'lu' is not a valid Method"),
+            ("r = 4", "key 'r' given twice"),
+        ],
+        ids=["int", "float", "bool", "method", "twice"],
+    )
+    def test_load_spec_locates_bad_line(self, tmp_path, line, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"r = 3\nd = 2\n{line}\nseed = 1\n")
+        with pytest.raises(ValueError) as info:
+            load_spec(cfg)
+        assert str(info.value).startswith(f"{cfg}:3: ")
+        assert message in str(info.value)
 
     @pytest.mark.parametrize(
         "fields,message",
@@ -152,6 +172,7 @@ class TestSpec:
             (dict(run_genfunc=True, genfunc_min=0.6), "genfunc_min <= genfunc_max"),
             (dict(run_genfunc=True, genfunc_max=1.0), "genfunc_max < 1"),
             (dict(run_genfunc=True, genfunc_count=0), "genfunc_count >= 1"),
+            (dict(tol=math.nan), "tol must be positive"),
         ],
     )
     def test_bad_spec_rejected(self, fields, message):
@@ -220,6 +241,16 @@ class TestRunExperiment:
     def test_reruns_are_byte_identical(self, tmp_path):
         first = run_experiment(tiny_spec(), tmp_path / "a")
         second = run_experiment(tiny_spec(), tmp_path / "b")
+        assert set(first) == set(second)
+        for name in first:
+            assert first[name].read_bytes() == second[name].read_bytes(), name
+
+    def test_manifest_reads_back_as_its_spec(self, tmp_path):
+        spec = tiny_spec()
+        first = run_experiment(spec, tmp_path / "a")
+        again = load_spec(first["manifest"])
+        assert again == spec
+        second = run_experiment(again, tmp_path / "b")
         assert set(first) == set(second)
         for name in first:
             assert first[name].read_bytes() == second[name].read_bytes(), name

@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 import types
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from distyle.montecarlo import (
     estimate,
     estimate_cells,
     estimate_lattice,
-    simulate_path,
     stop_level,
 )
 
@@ -39,6 +39,41 @@ PER_CELL = (
 
 def make_rng(seed, i, j):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, i, j])))
+
+
+class PathResult(NamedTuple):
+    absorbed: bool
+    steps: int | None
+
+
+def simulate_path(
+    params: ModelParams, initial: State, t_horizon: int, rng: np.random.Generator
+) -> PathResult:
+    """One path of the embedded chain, absorbed flag and absorption time: the
+    scalar oracle of the vectorised kernel.
+
+    Inverse-CDF sampling in the fixed order left, down, right, up; the
+    state-dependent part of the thresholds is only the left/down split.
+    """
+    if initial.absorbed:
+        raise ValueError(f"initial state ({initial.i}, {initial.j}) is absorbed")
+    loss = params.death_step
+    loss_or_right = loss + params.birth_step
+    i, j = initial.i, initial.j
+    for t in range(1, t_horizon + 1):
+        u = rng.random()
+        if u < loss:
+            if u < loss * i / (i + j):
+                i -= 1
+            else:
+                j -= 1
+        elif u < loss_or_right:
+            i += 1
+        else:
+            j += 1
+        if i == 0 or j == 0:
+            return PathResult(True, t)
+    return PathResult(False, None)
 
 
 class TestConfig:
@@ -228,7 +263,7 @@ class TestRefill:
         run_group = montecarlo._run_group
 
         def spy(*args):
-            # the group's bank and the flag arrays exist before it runs
+            # the group's bank and the count array exist before it runs
             held.append(tracemalloc.get_traced_memory()[0])
             return run_group(*args)
 
@@ -239,7 +274,7 @@ class TestRefill:
             estimate_cells(params3, cells, m=m, t_horizon=100, seed=3)
         finally:
             tracemalloc.stop()
-        bank = max(held) - before - 2 * n_cells * m  # less the bool flag arrays
+        bank = max(held) - before - 3 * 8 * n_cells  # less the int64 count array
         cap = 8 * max(128 * budget, m)
         assert 8 * m <= bank <= cap + 4096  # a few small objects besides
 
