@@ -160,11 +160,14 @@ def eval_by_quadrature(params: ModelParams, query: GenFuncQuery) -> float:
 
     Raises :class:`QuadratureError` when the panels miss the budget (or the
     integrand is NaN, as on points within about 5e-17 of an axis, where a
-    trajectory denominator cancels to zero in rounding), or when
-    ``n_terms`` is too short for the folded tail, max(x0, y0)^(n_terms+1),
-    to fall below it.
+    trajectory denominator cancels to zero in rounding), when the arrival
+    time s0 is subnormal (a point within about 1e-308 of an axis), where
+    the panel nodes round past s0, or when ``n_terms`` is too short for the
+    folded tail, max(x0, y0)^(n_terms+1), to fall below it.
     """
     path = characteristics.make_path(params, query.x0, query.y0)
+    if path.s0 < np.finfo(float).tiny:
+        raise QuadratureError(f"arrival time s0 = {path.s0:.1e} is subnormal", math.nan, math.nan)
     f = _integrand(params, path, query)
     budget = [0]
     value, err = _adaptive(f, 0.0, path.s0, query.tol, 0, _panel(f, 0.0, path.s0), budget)

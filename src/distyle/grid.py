@@ -249,13 +249,9 @@ def _folded_system(
     return t, b, t[half] @ mirror, b[half], mirror
 
 
-def _residual(t: scipy.sparse.csr_matrix, b: np.ndarray, p: np.ndarray) -> float:
-    return float(np.max(np.abs(t @ p - b)))
-
-
 def _iterate(
-    params: ModelParams, n: int, edge: np.ndarray, options: SolveOptions
-) -> tuple[np.ndarray, int, float]:
+    a: scipy.sparse.csr_matrix, c: np.ndarray, options: SolveOptions
+) -> tuple[np.ndarray, int | None]:
     """Value iteration q <- K q - c from zero, with K = A + I of the
     folded system A q = c: one sparse mat-vec per Jacobi step.
 
@@ -263,10 +259,9 @@ def _iterate(
     iterates rise monotonically.
     Convergence is geometric; the largest of the last three update ratios
     feeds the tail bound used for stopping, and only those three are kept,
-    so memory does not grow with the step count.  The residual is
-    max |T p - b| on the full system.
+    so memory does not grow with the step count.  Returns the iterate and
+    its step count, ``None`` when ``max_iter`` ran out.
     """
-    t, b, a, c, mirror = _folded_system(params, n, edge)
     k = a + scipy.sparse.identity(a.shape[0], format="csr")
     source = -c
     q = np.zeros_like(source)
@@ -278,32 +273,15 @@ def _iterate(
         delta = float(np.max(np.abs(image - q)))
         q = image
         if delta == 0.0:
-            break
+            return q, it
         if prev_delta is not None and prev_delta > 0.0:
             ratios.append(delta / prev_delta)
         prev_delta = delta
         if len(ratios) >= 3:
             rate = min(max(ratios), 1.0 - 1e-9)
             if delta * rate / (1.0 - rate) <= 0.5 * options.tol:
-                break
-    else:
-        raise ConvergenceError(
-            f"no convergence within {options.max_iter} iterations",
-            _residual(t, b, mirror @ q),
-        )
-    p = mirror @ q
-    return p.reshape(n, n), it, _residual(t, b, p)
-
-
-def _direct(params: ModelParams, n: int, edge: np.ndarray) -> tuple[np.ndarray, float]:
-    """Sparse LU of the folded system; returns the field and max |T p - b|
-    on the full system."""
-    t, b, a, c, mirror = _folded_system(params, n, edge)
-    lu = scipy.sparse.linalg.splu(
-        a.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1
-    )
-    p = mirror @ lu.solve(c)
-    return p.reshape(n, n), _residual(t, b, p)
+                return q, it
+    return q, None
 
 
 def solve_grid(
@@ -317,22 +295,31 @@ def solve_grid(
     ``closure`` is a named policy (a key of :data:`CLOSURES`) or one
     explicit edge array p~_{k,N+1} = p~_{N+1,k}, k = 1..N.  Without an
     explicit ``options.method`` the box size picks the solver (see the
-    module docstring); ``GridSolution.method`` reports the choice.
+    module docstring); ``GridSolution.method`` reports the choice.  The
+    residual max |T p - b| is taken on the full system, also for a
+    :class:`ConvergenceError`.
     """
     options = options or SolveOptions()
     method = options.method
     if method is None:
         method = Method.DIRECT if n <= _DIRECT_MAX_N else Method.VALUE_ITERATION
     edge, _, desc = closure_arrays(params, n, closure)
+    t, b, a, c, mirror = _folded_system(params, n, edge)
     if method is Method.DIRECT:
-        values, residual = _direct(params, n, edge)
-        iterations = 1
+        lu = scipy.sparse.linalg.splu(
+            a.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1
+        )
+        q, iterations = lu.solve(c), 1
     else:
-        values, iterations, residual = _iterate(params, n, edge, options)
+        q, iterations = _iterate(a, c, options)
+    p = mirror @ q
+    residual = float(np.max(np.abs(t @ p - b)))
+    if iterations is None:
+        raise ConvergenceError(f"no convergence within {options.max_iter} iterations", residual)
     return GridSolution(
         params=params,
         n=n,
-        values=values,
+        values=p.reshape(n, n),
         closure=desc,
         closure_edge=edge,
         residual=residual,

@@ -342,50 +342,43 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
     Always writes the solved grid and a manifest of the resolved spec; the
     Monte-Carlo table, comparison summaries, truncation-convergence series
     with its fitted decay slope, and the generating-function cross-check are
-    optional stages.  Output is a name -> path map.
+    optional stages.  Every stage runs before ``out_dir`` is created, so a
+    stage that raises leaves no partial run behind.  Output is a
+    name -> path map.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = []
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        text = _fmt(value)
+        if isinstance(value, float) and float(text) != value:
+            text = repr(value)  # 12 digits would read back as another spec
+        manifest.append(f"{f.name} = {text}\n")
+
     params = ModelParams(spec.r, spec.d)
-    written: dict[str, Path] = {}
-
-    def output(name: str, filename: str):
-        written[name] = out_dir / filename
-        return open(written[name], "w", newline="")
-
-    with output("manifest", "manifest.txt") as fp:
-        for f in dataclasses.fields(spec):
-            fp.write(f"{f.name} = {_fmt(getattr(spec, f.name))}\n")
-
     options = SolveOptions(method=spec.solver, tol=spec.tol)
     solution = solve_grid(params, spec.grid_n, options)
-    with output("grid", "grid_p.csv") as fp:
-        write_grid_csv(solution, fp)
+    tables: dict[str, tuple] = {}  # name -> (filename, header, rows)
 
+    mc = None
     if spec.run_mc:
         mc = estimate_lattice(
             params, spec.grid_n, spec.grid_n, spec.mc_m, spec.mc_t, spec.seed
         )
-        with output("mc", "mc_p.csv") as fp:
-            write_mc_csv(mc, fp)
-
         full = compare(mc.p_hat, solution.values)
         sub = compare(mc.p_hat, solution.values, sub=(spec.sublattice, spec.sublattice))
-        with output("comparison_stats", "comparison_stats.csv") as fp:
-            write_csv(fp, *stats_table(full))
-        with output("comparison_summary", "comparison_summary.csv") as fp:
-            write_csv(
-                fp,
-                ["name", "value"],
-                [
-                    ("cells_excluded", full.cells_excluded),
-                    ("rqe_sublattice_by_mc", sub.rqe_by_a),
-                    ("rqe_sublattice_by_grid", sub.rqe_by_b),
-                    ("grid_residual", solution.residual),
-                    ("grid_iterations", solution.iterations),
-                    ("mc_stop_bound", mc.stop_bound),
-                ],
-            )
+        tables["comparison_stats"] = ("comparison_stats.csv", *stats_table(full))
+        tables["comparison_summary"] = (
+            "comparison_summary.csv",
+            ["name", "value"],
+            [
+                ("cells_excluded", full.cells_excluded),
+                ("rqe_sublattice_by_mc", sub.rqe_by_a),
+                ("rqe_sublattice_by_grid", sub.rqe_by_b),
+                ("grid_residual", solution.residual),
+                ("grid_iterations", solution.iterations),
+                ("mc_stop_bound", mc.stop_bound),
+            ],
+        )
 
     if spec.run_convergence:
         reference = (
@@ -400,21 +393,38 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
             sublattice=spec.sublattice,
             options=options,
         )
-        with output("nconv", "nconv.csv") as fp:
-            write_csv(fp, ["n", "rqe_vs_reference"], series)
+        tables["nconv"] = ("nconv.csv", ["n", "rqe_vs_reference"], series)
 
         ns, errors = np.array(series, dtype=float).T
         not_self = ns != spec.conv_reference
         fit = fit_log_slope(ns[not_self], errors[not_self])
-        with output("nconv_fit", "nconv_fit.csv") as fp:
-            write_csv(
-                fp, ["target", "slope", "intercept", "r_squared", "n_used"], [("reference", *fit)]
-            )
+        tables["nconv_fit"] = (
+            "nconv_fit.csv",
+            ["target", "slope", "intercept", "r_squared", "n_used"],
+            [("reference", *fit)],
+        )
 
     if spec.run_genfunc:
         points = np.linspace(spec.genfunc_min, spec.genfunc_max, spec.genfunc_count)
         table = genfunc_table(solution, points, points, spec.quad_tol)
-        with output("genfunc", "genfunc.csv") as fp:
-            write_csv(fp, *table)
+        tables["genfunc"] = ("genfunc.csv", *table)
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written: dict[str, Path] = {}
+
+    def output(name: str, filename: str):
+        written[name] = out_dir / filename
+        return open(written[name], "w", newline="")
+
+    with output("manifest", "manifest.txt") as fp:
+        fp.writelines(manifest)
+    with output("grid", "grid_p.csv") as fp:
+        write_grid_csv(solution, fp)
+    if mc is not None:
+        with output("mc", "mc_p.csv") as fp:
+            write_mc_csv(mc, fp)
+    for name, (filename, header, rows) in tables.items():
+        with output(name, filename) as fp:
+            write_csv(fp, header, rows)
     return written

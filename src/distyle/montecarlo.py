@@ -51,8 +51,8 @@ a BLAS thread pool, forks.
 Memory: cells are simulated in groups of at most ``_PATH_BUDGET`` // (W M)
 cells, one at least, W being the number of workers.  Each group's bank holds
 at most ``_CHUNK`` steps of its uniforms, laid out (cell, step, path), and
-the banks of all W workers together stay within 128 x ``_PATH_BUDGET``
-doubles (32 MiB), or within one row of M per worker when one row alone
+the banks of all W workers together stay within ``_CHUNK`` x ``_PATH_BUDGET``
+doubles (8 MiB), or within one row of M per worker when one row alone
 exceeds a worker's share.  A single cell with more paths than the budget
 thus refills fewer steps at a time, down to one; split draws read the same
 stream, so the grouping stays invisible.
@@ -175,7 +175,7 @@ def _run_cells(
     (one at least), or of ``len(cells) / workers`` cells, rounded up, when
     that is fewer, so that every worker gets a group.
     Each group refills at most ``_CHUNK`` steps at a time into a bank of its
-    own, and the banks of all workers hold at most ``128 * _PATH_BUDGET``
+    own, and the banks of all workers hold at most ``_CHUNK * _PATH_BUDGET``
     doubles together, or one step per worker when a single cell has more
     paths than a worker's share of that.
     """
@@ -184,7 +184,7 @@ def _run_cells(
     group = max(1, min(_PATH_BUDGET // (workers * m), -(-len(cells) // workers)))
     starts = range(0, len(cells), group)
     workers = min(workers, len(starts))
-    depth = max(1, min(_CHUNK, 128 * _PATH_BUDGET // (workers * group * m)))
+    depth = max(1, min(_CHUNK, _CHUNK * _PATH_BUDGET // (workers * group * m)))
     run = functools.partial(_group_task, params, m, t_horizon, seed, level, depth)
     chunks = (cells[start : start + group] for start in starts)
     counts = np.empty((len(cells), 3), dtype=np.int64)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distyle.characteristics import (
+    _pieces,
     critical_times,
     eval_path,
     integrating_factor,
@@ -108,6 +109,34 @@ class TestTrajectory:
         path_hi = make_path(params3, 0.3, 0.6)
         s_plus, s_minus = critical_times(path_hi)
         assert path_hi.s0 < s_minus < s_plus
+
+    @settings(max_examples=50, deadline=None)
+    @given(params_strategy(), st.floats(0.01, 0.99), st.floats(0.01, 0.99))
+    def test_blow_up_times_are_denominator_roots(self, params, x0, y0):
+        # Dx and Dy are sums of terms of size e^{ds} (1 + |b|), so a root
+        # found to rounding leaves them within a few ulps of that
+        path = make_path(params, x0, y0)
+        s_plus, s_minus = critical_times(path)
+        for s, denom in ((s_plus, _pieces(path, s_plus)[1]), (s_minus, _pieces(path, s_minus)[2])):
+            scale = math.exp(params.d * s) * (1.0 + abs(path.b))
+            assert abs(denom) <= 8 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize(
+        "r, x0, y0, expected",
+        [
+            (3.0, 0.3, 0.6, (0.6468493580597311, 0.5549026095954662)),
+            (3.0, 0.5, 0.5, (math.log(2.0), math.log(2.0))),
+            (3.0, 0.9, 0.05, (0.1993908092511691, 0.5420178641899219)),
+            (2.002, 0.3, 0.6, (0.8803177936412065, 0.7736130012061152)),
+            (2.002, 0.5, 0.5, (0.9990013313364932, 0.9990013313364932)),
+            (2.002, 0.01, 0.2, (0.6380290110242147, 0.20141131109911495)),
+        ],
+    )
+    def test_blow_up_times_known_values(self, r, x0, y0, expected):
+        # values of the former bisection and Newton polish; on the diagonal
+        # at r=3 the root is s0 + log(r/d)/(r-d) = log 2
+        got = critical_times(make_path(ModelParams(r=r, d=2.0), x0, y0))
+        assert got == pytest.approx(expected, rel=1e-13)
 
     def test_velocity_fixed_points(self, params3):
         assert transport_velocity(params3, 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)

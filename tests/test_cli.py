@@ -1,8 +1,13 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import distyle
 from distyle import genfunc
 from distyle.cli import main
 from distyle.grid import solve_grid
@@ -368,6 +373,18 @@ def test_solver_failures_exit_cleanly(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "error: no convergence within 3 iterations" in err
     assert "error: quadrature did not meet its budget" in err
+
+
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize adds about 0.15 s to the import; critical_times loads
+    # brentq only when it runs
+    src = str(Path(distyle.__file__).resolve().parents[1])
+    code = "import sys, distyle.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
 
 
 def test_subcommand_required():

@@ -126,6 +126,9 @@ class TestQuadrature:
     # kappa rounded to 1 here and s0 came out four times too long: the
     # quadrature returned 8.5e-5 against a series value of 5.4e-17
     @example(0.6875, 4.358518910596399e-17)
+    # s0 = 1.5e-323 is subnormal: Gauss nodes rounded past it and
+    # weighted_coords raised ValueError
+    @example(0.390625, 1e-323)
     def test_raises_or_meets_series_tail(self, params3, grid100, x0, y0):
         q = query_from_grid(grid100, x0, y0, tol=1e-8)
         series = eval_from_grid(grid100, x0, y0)

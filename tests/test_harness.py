@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from distyle import harness
+from distyle import genfunc, harness
 from distyle.grid import Method, SolveOptions, solve_grid
 from distyle.harness import (
     ExperimentSpec,
@@ -246,14 +246,34 @@ class TestRunExperiment:
             assert first[name].read_bytes() == second[name].read_bytes(), name
 
     def test_manifest_reads_back_as_its_spec(self, tmp_path):
-        spec = tiny_spec()
-        first = run_experiment(spec, tmp_path / "a")
-        again = load_spec(first["manifest"])
-        assert again == spec
-        second = run_experiment(again, tmp_path / "b")
-        assert set(first) == set(second)
-        for name in first:
-            assert first[name].read_bytes() == second[name].read_bytes(), name
+        # 12 significant digits wrote r = 3 for the second spec
+        specs = [tiny_spec(), dataclasses.replace(tiny_spec(), r=3.0000000000001)]
+        for k, spec in enumerate(specs):
+            first = run_experiment(spec, tmp_path / f"a{k}")
+            again = load_spec(first["manifest"])
+            assert again == spec
+            second = run_experiment(again, tmp_path / f"b{k}")
+            assert set(first) == set(second)
+            for name in first:
+                assert first[name].read_bytes() == second[name].read_bytes(), name
+
+    def test_failed_stage_leaves_no_directory(self, tmp_path):
+        # the genfunc stage raises after the grid is solved; the manifest and
+        # grid_p.csv used to be written by then
+        spec = ExperimentSpec(
+            r=3.0,
+            d=2.0,
+            grid_n=20,
+            run_mc=False,
+            run_convergence=False,
+            run_genfunc=True,
+            genfunc_min=0.5,
+            genfunc_max=0.95,
+            genfunc_count=2,
+        )
+        with pytest.raises(genfunc.QuadratureError, match="folded tail above the budget"):
+            run_experiment(spec, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_convergence_solves_each_n_once(self, tmp_path, monkeypatch):
         calls = []
