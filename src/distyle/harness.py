@@ -254,10 +254,13 @@ def load_spec(path: Path, **overrides) -> ExperimentSpec:
 
     Recognised keys are exactly the ExperimentSpec fields, each given at
     most once; ``solver`` takes the method names direct or vi.  A value its
-    field's type cannot read fails with its ``path:line``.  Lines starting
-    with ``#`` and blank lines are ignored.
+    field's type cannot read fails with its ``path:line``, and so does a
+    value the spec rejects when the message names its key; any other
+    rejection of the spec carries the ``path``.  Lines starting with ``#``
+    and blank lines are ignored.
     """
     values: dict = {}
+    lines: dict[str, int] = {}
     for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -274,8 +277,14 @@ def load_spec(path: Path, **overrides) -> ExperimentSpec:
             values[key] = _coerce(key, raw.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
+        lines[key] = line_no
     values.update(overrides)
-    return ExperimentSpec(**values)
+    try:
+        return ExperimentSpec(**values)
+    except ValueError as exc:
+        key = str(exc).split(" ", 1)[0]
+        where = f"{path}:{lines[key]}" if key in lines and key not in overrides else path
+        raise ValueError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +317,13 @@ def write_grid_csv(solution: GridSolution, fp) -> None:
 
 
 def write_mc_csv(estimate: McEstimate, fp) -> None:
-    """Rows ``i,j,p_hat,ci_low,ci_high,M,T,seed``, one per estimated cell."""
-    m, t, seed = estimate.m, estimate.t_horizon, estimate.seed
-    columns = (np.ravel(f).tolist() for f in (estimate.p_hat, estimate.ci_low, estimate.ci_high))
-    rows = ((i, j, p, lo, hi, m, t, seed) for (i, j), p, lo, hi in zip(estimate.cells, *columns))
-    write_csv(fp, ["i", "j", "p_hat", "ci_low", "ci_high", "M", "T", "seed"], rows)
+    """Rows ``i,j,p_hat,ci_low,ci_high,stopped_frac,censored_frac,M,T,seed``,
+    one per estimated cell."""
+    names = ["p_hat", "ci_low", "ci_high", "stopped_frac", "censored_frac"]
+    tail = (estimate.m, estimate.t_horizon, estimate.seed)
+    columns = (np.ravel(getattr(estimate, name)).tolist() for name in names)
+    rows = ((*cell, *values, *tail) for cell, *values in zip(estimate.cells, *columns))
+    write_csv(fp, ["i", "j", *names, "M", "T", "seed"], rows)
 
 
 def stats_table(report: ComparisonReport) -> tuple[list[str], list[tuple]]:

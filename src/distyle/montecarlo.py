@@ -28,13 +28,15 @@ Every result reports, per cell, the fraction of paths stopped at the exit set
 (cells starting inside it count as stopped) and the fraction censored at T;
 with the absorbed fraction p_hat they account for every path.
 
-Reproducibility: every initial cell (i, j) owns a counter-based Philox
-stream keyed by ``SeedSequence([seed, i, j])``.  Step t of path l reads slot
-l of the t-th block of M uniforms from the cell's stream, so results do not
-depend on how cells are grouped, on how many worker processes run the
-groups, on lattice shape, on the refill size, or on which other cells are
-simulated; a lattice run and a single-cell run of the same cell agree
-bitwise, and shortening the horizon only truncates the stream.
+Reproducibility: every initial cell (i, j) owns a PCG64 stream keyed by
+``SeedSequence([seed, i, j])`` (:func:`_cell_stream`).  Step t of path l
+reads slot l of the t-th block of M uniforms from the cell's stream.  Every
+stream is read strictly in order, so no invariance below relies on a
+counter-based generator that can jump to a position.  Results do not depend
+on how cells are grouped, on how many worker processes run the groups, on
+lattice shape, on the refill size, or on which other cells are simulated; a
+lattice run and a single-cell run of the same cell agree bitwise, and
+shortening the horizon only truncates the stream.
 
 Workers: the groups of a large job run on forked worker processes, one per
 CPU this process may run on and at most one per group; each worker draws a
@@ -160,6 +162,11 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
+def _cell_stream(seed: int, i: int, j: int) -> np.random.Generator:
+    """The uniforms of cell (i, j): the one place the bit generator is named."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i, j])))
+
+
 def _run_cells(
     params: ModelParams,
     cells: list[tuple[int, int]],
@@ -168,8 +175,8 @@ def _run_cells(
     seed: int,
 ) -> np.ndarray:
     """Per-cell counts of the paths absorbed, stopped at the exit set and
-    censored at the horizon, shape (len(cells), 3), one Philox stream per
-    cell; each row sums to ``m``.
+    censored at the horizon, shape (len(cells), 3), one stream per cell
+    (:func:`_cell_stream`); each row sums to ``m``.
 
     Cells run in groups of at most ``_PATH_BUDGET // (workers * m)`` cells
     (one at least), or of ``len(cells) / workers`` cells, rounded up, when
@@ -248,10 +255,7 @@ def _run_group(
     ai = start[alive, 0]
     aj = start[alive, 1]
     base = alive // m * (depth * m) + alive % m
-    gens = [
-        np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, i0, j0])))
-        for (i0, j0) in cells
-    ]
+    gens = [_cell_stream(seed, i0, j0) for (i0, j0) in cells]
     counts = np.zeros((n_cells, 3), dtype=np.int64)
     loss = params.death_step
     loss_or_right = loss + params.birth_step

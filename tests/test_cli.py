@@ -68,10 +68,10 @@ class TestMcCommand:
         )
         assert code == 0
         lines = (tmp_path / "mc_p.csv").read_text().splitlines()
-        assert lines[0] == "i,j,p_hat,ci_low,ci_high,M,T,seed"
+        assert lines[0] == "i,j,p_hat,ci_low,ci_high,stopped_frac,censored_frac,M,T,seed"
         cells = lines[1].split(",")
         assert cells[:2] == ["1", "2"]
-        assert cells[5:] == ["40", "200", "9"]
+        assert cells[7:] == ["40", "200", "9"]
 
     def test_lattice_mode(self, tmp_path):
         code = run(

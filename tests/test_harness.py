@@ -153,6 +153,25 @@ class TestSpec:
         assert message in str(info.value)
 
     @pytest.mark.parametrize(
+        "lines,overrides,where,message",
+        [
+            # the message names the key on line 3
+            ("grid_n = 0\nseed = 1\n", {}, ":3", "grid_n must be >= 1, got 0"),
+            # the message names no key of its own
+            ("conv_min = 30\nconv_max = 20\n", {}, "", "need 1 <= conv_min <= conv_max"),
+            # the value that fails came from an override, not from the file
+            ("grid_n = 5\n", {"grid_n": 0}, "", "grid_n must be >= 1, got 0"),
+        ],
+        ids=["grid_n", "conv_range", "override"],
+    )
+    def test_load_spec_locates_range_error(self, tmp_path, lines, overrides, where, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"r = 3\nd = 2\n{lines}")
+        with pytest.raises(ValueError) as info:
+            load_spec(cfg, **overrides)
+        assert str(info.value).startswith(f"{cfg}{where}: {message}")
+
+    @pytest.mark.parametrize(
         "fields,message",
         [
             (dict(r=2.0), "supercritical regime"),
