@@ -53,7 +53,8 @@ def _cmd_grid(args) -> int:
         write_grid_csv(solution, fp)
     print(
         f"solved N={args.n} via {solution.method}: "
-        f"iterations={solution.iterations} residual={solution.residual:.3e} "
+        f"iterations={solution.iterations} rate={solution.rate:.9g} "
+        f"residual={solution.residual:.3e} "
         f"closure: {solution.closure}",
         file=sys.stderr,
     )

@@ -37,15 +37,21 @@ solution rather than the trivial one.  Its stopping rule extrapolates the
 geometric tail of the update sequence: iteration halts only once the
 projected remaining change, update * rate / (1 - rate), drops under tol/2,
 so the returned field is within tol of the exact solution of the closed
-system, not merely quasi-stationary.
+system, not merely quasi-stationary.  The rule is tested once per block of
+``_CHECK_EVERY`` (32) steps, on the updates of the block's last four steps;
+the other steps are bare mat-vecs, about half the cost of a measured one.
+The rate is the larger of the largest one-step update ratio and the
+per-step ratio of the update across the whole block.  At the rounding
+level the one-step ratios are noise, but the block ratio is about 1, so
+noise cannot stop the iteration early.  ``GridSolution.rate`` reports the
+last estimate, the one the stop used unless it met an exact fixed point.
 
 Near criticality value iteration needs about 17-19 N^2 steps: at r=2.002
-it takes 69,044 at N=60, 336,185 at N=142 and 377,058 at N=150.  There
-the stopping threshold lies at the rounding level of the field, so the
-count is erratic.  Boxes up to N=150 factor by default, but from N=151 the
-default is value iteration, and such near-critical boxes mostly exhaust
-the default ``max_iter`` and raise ``ConvergenceError`` (N=151 does, N=154
-stops after 389,733 steps); solve them with ``Method.DIRECT``.
+it takes 69,053 at N=60 and 396,029 at N=142, where it lands 5.9e-13 from
+the direct solve.  Boxes up to N=150 factor by default, but from N=151 the
+default is value iteration, and such near-critical boxes exhaust the
+default ``max_iter`` and raise ``ConvergenceError`` (N=150 does too, with
+``Method.VALUE_ITERATION``); solve them with ``Method.DIRECT``.
 
 The module only computes; :func:`distyle.harness.write_grid_csv` writes a
 solved field as CSV.
@@ -53,7 +59,6 @@ solved field as CSV.
 
 from __future__ import annotations
 
-import collections
 import enum
 from dataclasses import dataclass, field
 
@@ -76,6 +81,11 @@ class Method(enum.Enum):
 # Largest box the default method factors; above it value iteration keeps
 # the memory bounded.
 _DIRECT_MAX_N = 150
+
+# Value iteration runs in blocks of this many Jacobi steps and measures the
+# update only in the last _CHECKED of them.
+_CHECK_EVERY = 32
+_CHECKED = 4
 
 
 @dataclass(frozen=True)
@@ -114,6 +124,7 @@ class GridSolution:
     residual: float = float("nan")
     iterations: int = 0
     method: Method = Method.VALUE_ITERATION
+    rate: float = float("nan")  # value iteration's last contraction estimate
 
     def p(self, i: int, j: int) -> float:
         """Value at (i, j) including the absorbing boundary, which is 1."""
@@ -251,37 +262,58 @@ def _folded_system(
 
 def _iterate(
     a: scipy.sparse.csr_matrix, c: np.ndarray, options: SolveOptions
-) -> tuple[np.ndarray, int | None]:
+) -> tuple[np.ndarray, int | None, float]:
     """Value iteration q <- K q - c from zero, with K = A + I of the
     folded system A q = c: one sparse mat-vec per Jacobi step.
 
     K is nonnegative, and so is -c for nonnegative closures, so the
-    iterates rise monotonically.
-    Convergence is geometric; the largest of the last three update ratios
-    feeds the tail bound used for stopping, and only those three are kept,
-    so memory does not grow with the step count.  Returns the iterate and
-    its step count, ``None`` when ``max_iter`` ran out.
+    iterates rise monotonically.  The steps run in blocks of
+    ``_CHECK_EVERY``, clipped at ``max_iter``.  Only the last
+    ``_CHECKED`` steps of a block measure their update max|K q - c - q|;
+    the others are bare, and a block shorter than ``_CHECKED`` tests
+    nothing.  At a block's last step the geometric tail of the updates
+    is extrapolated: the rate is the largest of the three one-step update
+    ratios and, from the second block on, of the per-step ratio of the
+    update to the one at the previous check, capped at 1 - 1e-9.  The
+    block ratio is about 1 once the updates reach the rounding level, so
+    noise in the one-step ratios cannot fake convergence.  Iteration stops
+    when update * rate / (1 - rate) <= tol/2, or at an update of exactly 0.
+
+    Returns the iterate, its step count (``None`` when ``max_iter`` ran
+    out) and the last rate estimate (NaN before the first check).
     """
     k = a + scipy.sparse.identity(a.shape[0], format="csr")
     source = -c
     q = np.zeros_like(source)
-    ratios = collections.deque(maxlen=3)
-    prev_delta = None
-    for it in range(1, options.max_iter + 1):
-        image = k @ q
-        image += source
-        delta = float(np.max(np.abs(image - q)))
-        q = image
-        if delta == 0.0:
-            return q, it
-        if prev_delta is not None and prev_delta > 0.0:
-            ratios.append(delta / prev_delta)
-        prev_delta = delta
-        if len(ratios) >= 3:
-            rate = min(max(ratios), 1.0 - 1e-9)
-            if delta * rate / (1.0 - rate) <= 0.5 * options.tol:
-                return q, it
-    return q, None
+    done = 0
+    rate = float("nan")
+    check_delta, check_step = 0.0, 0  # update at the previous block's check
+    while done < options.max_iter:
+        size = min(_CHECK_EVERY, options.max_iter - done)
+        checked = _CHECKED if size >= _CHECKED else 0
+        for _ in range(size - checked):
+            q = k @ q
+            q += source
+        done += size - checked
+        deltas = []
+        for _ in range(checked):
+            image = k @ q
+            image += source
+            deltas.append(float(np.max(np.abs(image - q))))
+            q = image
+            done += 1
+            if deltas[-1] == 0.0:
+                return q, done, rate
+        if not checked:
+            continue
+        rate = max(now / before for before, now in zip(deltas, deltas[1:]))
+        if check_delta > 0.0:
+            rate = max(rate, (deltas[-1] / check_delta) ** (1.0 / (done - check_step)))
+        rate = min(rate, 1.0 - 1e-9)
+        if deltas[-1] * rate / (1.0 - rate) <= 0.5 * options.tol:
+            return q, done, rate
+        check_delta, check_step = deltas[-1], done
+    return q, None, rate
 
 
 def solve_grid(
@@ -309,13 +341,17 @@ def solve_grid(
         lu = scipy.sparse.linalg.splu(
             a.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1
         )
-        q, iterations = lu.solve(c), 1
+        q, iterations, rate = lu.solve(c), 1, float("nan")
     else:
-        q, iterations = _iterate(a, c, options)
+        q, iterations, rate = _iterate(a, c, options)
     p = mirror @ q
     residual = float(np.max(np.abs(t @ p - b)))
     if iterations is None:
-        raise ConvergenceError(f"no convergence within {options.max_iter} iterations", residual)
+        raise ConvergenceError(
+            f"no convergence within {options.max_iter} iterations, "
+            f"last rate estimate {rate:.9g}",
+            residual,
+        )
     return GridSolution(
         params=params,
         n=n,
@@ -325,4 +361,5 @@ def solve_grid(
         residual=residual,
         iterations=iterations,
         method=method,
+        rate=rate,
     )

@@ -25,7 +25,7 @@ class TestGridCommand:
         code = run(["grid", "--r", 3, "--d", 2, "--n", 6, "--out", tmp_path])
         assert code == 0
         err = capsys.readouterr().err
-        assert "solved N=6" in err
+        assert "solved N=6 via direct: iterations=1 rate=nan residual=" in err
         lines = (tmp_path / "grid_p.csv").read_text().splitlines()
         assert lines[0] == "i,j,p"
         assert len(lines) == 37

@@ -1,4 +1,6 @@
+import collections
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +14,7 @@ from distyle.grid import (
     ConvergenceError,
     Method,
     SolveOptions,
+    _folded_system,
     assemble_system,
     closure_arrays,
     solve_grid,
@@ -58,6 +61,44 @@ def apply_kernel(params: ModelParams, field_arr: np.ndarray, i: int, j: int) -> 
         + loss * j * field_arr[i, j - 1]
         + params.birth_step * (field_arr[i, j + 1] + field_arr[i + 1, j])
     )
+
+
+def one_step_iterate(
+    a: scipy.sparse.csr_matrix, c: np.ndarray, tol: float, steps: int
+) -> tuple[np.ndarray, int | None]:
+    """Value iteration that measures every step's update and tests the
+    geometric-tail rule at each step, an oracle for the solver's block loop.
+
+    Runs exactly ``steps`` Jacobi steps q <- (A + I) q - c from zero and
+    returns the last iterate and the first step at which the rule (rate =
+    the largest of the last three update ratios, capped at 1 - 1e-9;
+    update * rate / (1 - rate) <= tol/2, or an update of 0) held, ``None``
+    if it held at none.
+    """
+    k = a + scipy.sparse.identity(a.shape[0], format="csr")
+    source = -c
+    q = np.zeros_like(source)
+    ratios = collections.deque(maxlen=3)
+    prev_delta = None
+    stop = None
+    for it in range(1, steps + 1):
+        image = k @ q
+        image += source
+        delta = float(np.max(np.abs(image - q)))
+        q = image
+        if stop is not None:
+            continue
+        if delta == 0.0:
+            stop = it
+            continue
+        if prev_delta is not None and prev_delta > 0.0:
+            ratios.append(delta / prev_delta)
+        prev_delta = delta
+        if len(ratios) >= 3:
+            rate = min(max(ratios), 1.0 - 1e-9)
+            if delta * rate / (1.0 - rate) <= 0.5 * tol:
+                stop = it
+    return q, stop
 
 
 class TestKernel:
@@ -255,6 +296,41 @@ class TestSolvers:
         with pytest.raises(ConvergenceError) as info:
             solve_grid(params3, 20, SolveOptions(method=Method.VALUE_ITERATION, max_iter=3))
         assert info.value.residual > 0.0
+
+    @pytest.mark.parametrize("closure", list(CLOSURES))
+    @pytest.mark.parametrize("n", [1, 7, 20, 40])
+    @pytest.mark.parametrize("rate", ["r3", "rc"])
+    def test_block_iterates_are_one_step_iterates(self, params3, paramsc, rate, n, closure):
+        # the block loop skips measuring updates, never a step, and stops
+        # only where the one-step rule also holds, so never earlier
+        params = params3 if rate == "r3" else paramsc
+        vi = SolveOptions(method=Method.VALUE_ITERATION)
+        sol = solve_grid(params, n, vi, closure=closure)
+        _, _, a, c, mirror = _folded_system(params, n, sol.closure_edge)
+        q, stop = one_step_iterate(a, c, vi.tol, sol.iterations)
+        assert np.array_equal(sol.values, (mirror @ q).reshape(n, n))
+        assert stop is not None and sol.iterations >= stop
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 5, 31, 32, 33, 35])
+    def test_iteration_cap_reports_the_capped_iterate(self, params3, max_iter):
+        # blocks are clipped at max_iter; one shorter than four steps
+        # measures no update, so before the first check there is no rate
+        n = 20
+        opts = SolveOptions(method=Method.VALUE_ITERATION, max_iter=max_iter)
+        with pytest.raises(ConvergenceError) as info:
+            solve_grid(params3, n, opts)
+        t, b, a, c, mirror = _folded_system(params3, n, closure_arrays(params3, n)[0])
+        q, stop = one_step_iterate(a, c, opts.tol, max_iter)
+        assert stop is None
+        assert info.value.residual == float(np.max(np.abs(t @ (mirror @ q) - b)))
+        assert f"no convergence within {max_iter} iterations" in str(info.value)
+        assert ("last rate estimate nan" in str(info.value)) == (max_iter < 4)
+
+    def test_rate_is_reported(self, params3):
+        for closure in CLOSURES:
+            vi = solve_grid(params3, 20, SolveOptions(method=Method.VALUE_ITERATION), closure)
+            assert 0.0 < vi.rate < 1.0
+        assert math.isnan(solve_grid(params3, 20, SolveOptions(method=Method.DIRECT)).rate)
 
     def test_value_iteration_memory_stays_flat(self, paramsc):
         # about 29,500 steps; keeping every update ratio would add about
