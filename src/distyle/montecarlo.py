@@ -29,18 +29,25 @@ Every result reports, per cell, the fraction of paths stopped at the exit set
 with the absorbed fraction p_hat they account for every path.
 
 Reproducibility: every initial cell (i, j) owns a PCG64 stream keyed by
-``SeedSequence([seed, i, j])`` (:func:`_cell_stream`).  Step t of path l
-reads slot l of the t-th block of M uniforms from the cell's stream.  Every
-stream is read strictly in order, so no invariance below relies on a
-counter-based generator that can jump to a position.  Results do not depend
-on how cells are grouped, on how many worker processes run the groups, on
-lattice shape, on the refill size, or on which other cells are simulated; a
+``SeedSequence([seed, i, j])`` (:func:`_cell_stream`), read in blocks of
+``_BLOCK`` = 32 steps.  At the start of a block the cell ranks its L paths
+still running in path order, and the block reads the stream step-major, L
+uniforms a step, slot r going to the path of rank r.  A path that ends
+inside a block keeps its slots until the block ends, so uniforms are drawn
+only for paths that run at the start of a block: each path wastes at most
+the 31 slots left in the block it ends in.  With M = 1, step t reads the
+t-th uniform.  Every stream is read strictly in order, so no invariance
+below relies on a counter-based generator that can jump to a position.
+Results do not depend on how cells are grouped, on how many worker processes
+run the groups, on lattice shape, on the refill size (a refill reads the
+next rows of the current block), or on which other cells are simulated; a
 lattice run and a single-cell run of the same cell agree bitwise, and
-shortening the horizon only truncates the stream.
+shortening the horizon only truncates the stream, the last block being cut
+at T.
 
 Workers: the groups of a large job run on forked worker processes, one per
 CPU this process may run on and at most one per group; each worker draws a
-block of uniforms and then steps through it, one group at a time, and each
+refill of uniforms and then steps through it, one group at a time, and each
 group sends back only its per-cell counts of absorbed, stopped and censored
 paths, in group order.  Jobs below ``_POOL_MIN_PATHS`` paths, a
 single group, a single CPU, a platform without ``fork`` or a daemonic caller
@@ -52,12 +59,14 @@ a BLAS thread pool, forks.
 
 Memory: cells are simulated in groups of at most ``_PATH_BUDGET`` // (W M)
 cells, one at least, W being the number of workers.  Each group's bank holds
-at most ``_CHUNK`` steps of its uniforms, laid out (cell, step, path), and
-the banks of all W workers together stay within ``_CHUNK`` x ``_PATH_BUDGET``
-doubles (8 MiB), or within one row of M per worker when one row alone
-exceeds a worker's share.  A single cell with more paths than the budget
-thus refills fewer steps at a time, down to one; split draws read the same
-stream, so the grouping stays invisible.
+at most ``_CHUNK`` steps of a block, laid out (step, path) over the paths
+that run at the start of the block, and the banks of all W workers together
+stay within ``_CHUNK`` x ``_PATH_BUDGET`` doubles (8 MiB), or within one row
+of M per worker when one row alone exceeds a worker's share.  A cell's rows
+pass through a staging buffer of at most ``_CHUNK`` x M doubles on their way
+into the bank.  A single cell with more paths than the budget thus refills
+fewer steps at a time, down to one; split draws read the same stream, so the
+grouping stays invisible.
 
 One result type serves a single cell and a lattice alike: an
 :class:`McEstimate` whose per-cell fields are numpy scalars or arrays.  The
@@ -76,7 +85,9 @@ import numpy as np
 
 from .model import ModelParams, State
 
-_CHUNK = 32  # most steps drawn per stream refill
+_BLOCK = 32  # steps between re-rankings of a cell's running paths; fixes the streams
+_CHUNK = 32  # most steps drawn per stream refill: a bound on memory only
+_PARKED = 2**20  # state of a path that ended earlier in the current block
 _PATH_BUDGET = 32_768  # most paths simulated side by side, over all workers
 # fewest paths for which the groups go to worker processes: starting a forked
 # pool takes about 13 ms, more than a smaller job gains from a second core
@@ -181,17 +192,17 @@ def _run_cells(
     Cells run in groups of at most ``_PATH_BUDGET // (workers * m)`` cells
     (one at least), or of ``len(cells) / workers`` cells, rounded up, when
     that is fewer, so that every worker gets a group.
-    Each group refills at most ``_CHUNK`` steps at a time into a bank of its
-    own, and the banks of all workers hold at most ``_CHUNK * _PATH_BUDGET``
-    doubles together, or one step per worker when a single cell has more
-    paths than a worker's share of that.
+    Each group refills at most ``_CHUNK`` steps of a ``_BLOCK``-step block
+    at a time into a bank of its own, and the banks of all workers hold at
+    most ``_CHUNK * _PATH_BUDGET`` doubles together, or one step per worker
+    when a single cell has more paths than a worker's share of that.
     """
     level = stop_level(params)
     workers = _workers() if len(cells) * m >= _POOL_MIN_PATHS else 1
     group = max(1, min(_PATH_BUDGET // (workers * m), -(-len(cells) // workers)))
     starts = range(0, len(cells), group)
     workers = min(workers, len(starts))
-    depth = max(1, min(_CHUNK, _CHUNK * _PATH_BUDGET // (workers * group * m)))
+    depth = max(1, min(_CHUNK, _BLOCK, _CHUNK * _PATH_BUDGET // (workers * group * m)))
     run = functools.partial(_group_task, params, m, t_horizon, seed, level, depth)
     chunks = (cells[start : start + group] for start in starts)
     counts = np.empty((len(cells), 3), dtype=np.int64)
@@ -222,7 +233,7 @@ def _group_task(
 ) -> np.ndarray:
     """The counts of one group, run on a bank of ``depth`` steps allocated
     here, in whichever process runs the group."""
-    bank = np.empty((len(cells), depth, m))
+    bank = np.empty((depth, len(cells) * m))
     return _run_group(params, cells, m, t_horizon, seed, level, bank)
 
 
@@ -239,56 +250,88 @@ def _run_group(
     group, shape (len(cells), 3).
 
     A path runs until it is absorbed, enters the exit set min(i, j) >=
-    ``level``, or reaches the horizon.  All M uniforms of a step are drawn
-    while any path of the cell still runs, preserving the (t, path) ->
-    uniform correspondence; a cell's stream stops being consumed once all its
-    paths are done, which cannot change any outcome.  ``bank`` has shape
-    (len(cells), depth, M) and receives one block of up to depth steps at a
-    time; path l of cell c reads step k of the block at ``base + k * M`` of
-    the flattened bank, base = c * depth * M + l.
+    ``level``, or reaches the horizon.  Time runs in blocks of ``_BLOCK``
+    steps.  At the start of a block the paths still running become lanes,
+    cell by cell and in path order within a cell, and a cell with L lanes
+    reads its stream step-major, L uniforms a step, slot r going to its
+    lane r, for every step of the block.  ``bank`` has shape (depth,
+    len(cells) * M) and receives up to depth steps of the block at a time:
+    each cell's rows are drawn into a staging buffer and copied into the
+    cell's columns, so step k of the refill is row k, one uniform per lane.
+    A path that ends inside a block is counted at once and then parked: its
+    state is set to ``_PARKED``, from where it can reach neither an axis nor
+    a zero sum in the rest of the block, and ``fin`` flags it so that it is
+    not counted twice.  Its lane keeps its slot until the block ends, when
+    the parked lanes are dropped.
     """
     n_cells = len(cells)
-    depth = bank.shape[1]
-    flat = bank.reshape(-1)
-    start = np.repeat(np.array(cells, dtype=np.int32).reshape(n_cells, 2), m, axis=0)
-    alive = np.flatnonzero(start.min(axis=1) < level)
-    ai = start[alive, 0]
-    aj = start[alive, 1]
-    base = alive // m * (depth * m) + alive % m
+    depth = bank.shape[0]
+    stage = np.empty(depth * m)
+    start = np.array(cells, dtype=np.int32).reshape(n_cells, 2)
+    owner = np.repeat(np.flatnonzero(start.min(axis=1) < level), m)  # each lane's cell
+    ai = start[owner, 0]
+    aj = start[owner, 1]
     gens = [_cell_stream(seed, i0, j0) for (i0, j0) in cells]
     counts = np.zeros((n_cells, 3), dtype=np.int64)
     loss = params.death_step
     loss_or_right = loss + params.birth_step
     t = 0
-    while t < t_horizon and alive.size:
-        steps = min(depth, t_horizon - t)
-        for c in np.flatnonzero(np.bincount(alive // m, minlength=n_cells)):
-            gens[c].random(out=bank[c, :steps])
-        for k in range(steps):
-            u = flat[k * m :][base]
-            # went_left implies in_loss implies below_up (the left threshold
-            # lies below loss), so each xor is a set difference
-            went_left = u < loss * ai / (ai + aj)
-            in_loss = u < loss
-            below_up = u < loss_or_right
-            ai += below_up ^ in_loss
-            ai -= went_left
-            aj += ~below_up
-            aj -= in_loss ^ went_left
-            low = np.minimum(ai, aj)
-            dead = low == 0
-            done = dead | (low >= level)
-            if done.any():
-                counts[:, 0] += np.bincount(alive[dead] // m, minlength=n_cells)
-                keep = ~done
-                alive = alive[keep]
-                ai = ai[keep]
-                aj = aj[keep]
-                base = base[keep]
-                if not alive.size:
-                    break
-        t += steps
-    counts[:, 2] = np.bincount(alive // m, minlength=n_cells)
+    while t < t_horizon and owner.size:
+        n = owner.size
+        bounds = [0, *np.cumsum(np.bincount(owner, minlength=n_cells)).tolist()]
+        spans = [(gen, lo, hi) for gen, lo, hi in zip(gens, bounds, bounds[1:]) if hi > lo]
+        fin = np.zeros(n, dtype=bool)
+        went_left, in_loss, below_up = masks = np.empty((3, n), dtype=bool)
+        left8, loss8, below8 = masks.view(np.int8)
+        done = np.empty(n, dtype=bool)
+        di, dj = np.empty((2, n), dtype=np.int8)
+        size = np.empty(n, dtype=np.int32)
+        low = np.empty(n, dtype=np.int32)
+        thr = np.empty(n)
+        block = min(_BLOCK, t_horizon - t)
+        for first in range(0, block, depth):
+            steps = min(depth, block - first)
+            rows = bank.reshape(-1)[: steps * n].reshape(steps, n)
+            for gen, lo, hi in spans:
+                cell_rows = stage[: steps * (hi - lo)].reshape(steps, hi - lo)
+                gen.random(out=cell_rows)
+                rows[:, lo:hi] = cell_rows
+            for u in rows:
+                np.add(ai, aj, out=size)
+                np.multiply(ai, loss, out=thr)
+                np.divide(thr, size, out=thr)
+                np.less(u, thr, out=went_left)
+                np.less(u, loss, out=in_loss)
+                np.less(u, loss_or_right, out=below_up)
+                # went_left implies in_loss implies below_up (the left
+                # threshold lies below loss), so each move is a sum of masks:
+                # i gains 1 going right and loses 1 going left, j gains 1
+                # going up and loses 1 going down
+                np.subtract(below8, loss8, out=di)
+                di -= left8
+                ai += di
+                np.subtract(left8, below8, out=dj)
+                dj -= loss8
+                dj += 1
+                aj += dj
+                # min(i, j) - 1 wraps round as unsigned when the path is
+                # absorbed, so one compare finds both ends
+                np.minimum(ai, aj, out=low)
+                low -= 1
+                np.greater_equal(low.view(np.uint32), level - 1, out=done)
+                # done and not fin: the paths that end at this step
+                new = np.flatnonzero(np.greater(done, fin, out=done))
+                if new.size:
+                    counts[:, 0] += np.bincount(owner[new[low[new] < 0]], minlength=n_cells)
+                    fin[new] = True
+                    ai[new] = _PARKED
+                    aj[new] = _PARKED
+        t += block
+        keep = ~fin
+        owner = owner[keep]
+        ai = ai[keep]
+        aj = aj[keep]
+    counts[:, 2] = np.bincount(owner, minlength=n_cells)
     counts[:, 1] = m - counts[:, 0] - counts[:, 2]
     return counts
 

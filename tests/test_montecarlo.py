@@ -46,34 +46,80 @@ class PathResult(NamedTuple):
     steps: int | None
 
 
-def simulate_path(
-    params: ModelParams, initial: State, t_horizon: int, rng: np.random.Generator
-) -> PathResult:
-    """One path of the embedded chain, absorbed flag and absorption time: the
-    scalar oracle of the vectorised kernel.
+def step(params: ModelParams, i: int, j: int, u: float) -> tuple[int, int]:
+    """The state after one move of the embedded chain from (i, j).
 
     Inverse-CDF sampling in the fixed order left, down, right, up; the
     state-dependent part of the thresholds is only the left/down split.
     """
+    loss = params.death_step
+    if u < loss:
+        if u < loss * i / (i + j):
+            return i - 1, j
+        return i, j - 1
+    if u < loss + params.birth_step:
+        return i + 1, j
+    return i, j + 1
+
+
+def simulate_path(
+    params: ModelParams, initial: State, t_horizon: int, rng: np.random.Generator
+) -> PathResult:
+    """One path of the embedded chain, absorbed flag and absorption time: the
+    scalar oracle of the vectorised kernel at M = 1, where step t reads the
+    t-th uniform of the stream."""
     if initial.absorbed:
         raise ValueError(f"initial state ({initial.i}, {initial.j}) is absorbed")
-    loss = params.death_step
-    loss_or_right = loss + params.birth_step
     i, j = initial.i, initial.j
     for t in range(1, t_horizon + 1):
-        u = rng.random()
-        if u < loss:
-            if u < loss * i / (i + j):
-                i -= 1
-            else:
-                j -= 1
-        elif u < loss_or_right:
-            i += 1
-        else:
-            j += 1
+        i, j = step(params, i, j, rng.random())
         if i == 0 or j == 0:
             return PathResult(True, t)
     return PathResult(False, None)
+
+
+class CellResult(NamedTuple):
+    counts: tuple[int, int, int]  # paths absorbed, stopped at the exit set, censored at T
+    path_steps: int  # steps the paths took, the step that ended each one included
+
+
+def simulate_cell(
+    params: ModelParams, initial: State, m: int, t_horizon: int, rng: np.random.Generator
+) -> CellResult:
+    """M paths from one cell, read from its stream in the kernel's live-lane
+    layout: the scalar oracle of the vectorised kernel for any M.
+
+    Time runs in blocks of ``_BLOCK`` steps.  At the start of a block the
+    paths still running are ranked in path order, and each step of the block
+    reads one uniform per ranked path, rank by rank, whether or not the path
+    ended earlier in the block.
+    """
+    level = stop_level(params)
+    if min(initial.i, initial.j) >= level:
+        return CellResult((0, m, 0), 0)
+    running = {path: (initial.i, initial.j) for path in range(m)}  # in path order
+    absorbed = path_steps = 0
+    t = 0
+    while t < t_horizon and running:
+        ranked = list(running)
+        block = min(montecarlo._BLOCK, t_horizon - t)
+        for _ in range(block):
+            for path in ranked:
+                u = rng.random()
+                if path not in running:
+                    continue
+                i, j = step(params, *running[path], u)
+                path_steps += 1
+                if i == 0 or j == 0:
+                    absorbed += 1
+                    del running[path]
+                elif min(i, j) >= level:
+                    del running[path]
+                else:
+                    running[path] = (i, j)
+        t += block
+    censored = len(running)
+    return CellResult((absorbed, m - absorbed - censored, censored), path_steps)
 
 
 class TestConfig:
@@ -188,16 +234,17 @@ class TestLattice:
 
     def test_stream_is_pinned(self, params3):
         # Absorbed, stopped and censored counts per cell, row-major, from the
-        # PCG64 streams of _cell_stream.  Every invariance test above passes
-        # under any in-order bit generator, so only this literal notices a
-        # change of stream; a deliberate change updates it and says so in
-        # CHANGES.md, since it changes every Monte-Carlo output.
+        # PCG64 streams of _cell_stream read in the live-lane layout of
+        # _run_group.  Every invariance test above passes under any in-order
+        # bit generator and layout, so only this literal notices a change of
+        # stream; a deliberate change updates it and says so in CHANGES.md,
+        # since it changes every Monte-Carlo output.
         golden = np.array(
             [
-                [39, 11, 0], [31, 16, 3], [29, 20, 1], [22, 24, 4],
-                [39, 10, 1], [21, 28, 1], [13, 35, 2], [10, 37, 3],
-                [24, 25, 1], [13, 34, 3], [9, 36, 5], [9, 36, 5],
-                [25, 23, 2], [17, 30, 3], [12, 36, 2], [8, 42, 0],
+                [40, 9, 1], [30, 19, 1], [28, 21, 1], [24, 23, 3],
+                [38, 10, 2], [19, 29, 2], [15, 33, 2], [9, 39, 2],
+                [23, 23, 4], [15, 33, 2], [9, 40, 1], [8, 37, 5],
+                [24, 24, 2], [16, 33, 1], [10, 35, 5], [7, 41, 2],
             ]
         )
         lat = estimate_lattice(params3, 4, 4, 50, 500, 20260816)
@@ -337,6 +384,49 @@ class TestRefill:
             os._exit(0 if np.array_equal(a, b) else 1)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+class TestLiveLanes:
+    @pytest.mark.parametrize("r", [3.0, 2.002, 1000.0])  # stop levels 36, 14516 and 3
+    @pytest.mark.parametrize("t_horizon", [50, 77, 500])  # 77 ends inside a block
+    def test_kernel_matches_cell_oracle(self, monkeypatch, r, t_horizon):
+        params = ModelParams(r=r, d=2.0)
+        cells = [(1, 1), (2, 3), (4, 1), (3, 5)]
+        m, seed = 20, 5
+        expected = [
+            list(simulate_cell(params, State(i, j), m, t_horizon, make_rng(seed, i, j)).counts)
+            for i, j in cells
+        ]
+        for chunk in (1, 3, 32, 128):
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+            counts = montecarlo._run_cells(params, cells, m, t_horizon, seed)
+            assert counts.tolist() == expected, chunk
+
+    def test_draws_only_for_running_paths(self, params3, monkeypatch):
+        # A path draws for every step of each block it starts running, so it
+        # wastes at most the slots left in the block it ends in.  Drawing for
+        # every path of a cell while any of them runs breaks this bound.
+        cells = [(i, j) for i in range(1, 5) for j in range(1, 5)]
+        m, t_horizon, seed = 50, 500, 20260816
+        path_steps = sum(
+            simulate_cell(params3, State(i, j), m, t_horizon, make_rng(seed, i, j)).path_steps
+            for i, j in cells
+        )
+        drawn = []
+        cell_stream = montecarlo._cell_stream
+
+        class Counted:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def random(self, out):
+                drawn.append(out.size)
+                return self.gen.random(out=out)
+
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 1)  # the count stays here
+        monkeypatch.setattr(montecarlo, "_cell_stream", lambda *key: Counted(cell_stream(*key)))
+        estimate_lattice(params3, 4, 4, m, t_horizon, seed)
+        assert 0 <= sum(drawn) - path_steps <= (montecarlo._BLOCK - 1) * m * len(cells)
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
