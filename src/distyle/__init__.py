@@ -2,26 +2,26 @@
 
 A nearest-neighbour random walk on the positive quadrant models the counts
 of the two floral morphs; hitting an axis means the mating system dies out.
-The package computes the extinction probabilities p_{i,j} three independent
-ways and cross-checks them:
+The package computes the extinction probabilities p_{i,j} three ways and
+cross-checks them:
 
 * :mod:`distyle.montecarlo`      path simulation with confidence intervals,
 * :mod:`distyle.grid`            truncated recurrence with asymptotic closure,
 * :mod:`distyle.genfunc`         characteristic-curve quadrature for the
-                                 generating function,
+                                 generating function; it takes the grid's
+                                 first column p_{i,1} as input, so it checks
+                                 the rest of the grid against that column,
 
 with :mod:`distyle.harness` tying them into reproducible experiments.
 """
 
-from .asymptotics import ExpansionOrder, asymptotic_p1j, asymptotic_pij, closure_value
+from .asymptotics import asymptotic_p1j, asymptotic_pij, closure_value
 from .characteristics import (
     CharacteristicPath,
     critical_times,
     eval_path,
     integrating_factor,
     make_path,
-    reaction_coeff,
-    transport_velocity,
 )
 from .genfunc import GenFuncQuery, eval_by_quadrature, eval_from_grid, query_from_grid
 from .grid import (
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CharacteristicPath",
-    "ExpansionOrder",
     "ExperimentSpec",
     "GenFuncQuery",
     "GridSolution",
@@ -65,8 +64,6 @@ __all__ = [
     "integrating_factor",
     "make_path",
     "query_from_grid",
-    "reaction_coeff",
     "run_experiment",
     "solve_grid",
-    "transport_velocity",
 ]

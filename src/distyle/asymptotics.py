@@ -17,16 +17,9 @@ can never push the closure outside what is provably possible.
 
 from __future__ import annotations
 
-import enum
 import math
 
 from .model import ModelParams, extinction_bounds
-
-
-class ExpansionOrder(enum.Enum):
-    LEADING = 1
-    TWO_TERM = 2
-    THREE_TERM = 3
 
 
 def row1_coefficients(params: ModelParams) -> tuple[float, float, float]:
@@ -43,22 +36,15 @@ def row1_coefficients(params: ModelParams) -> tuple[float, float, float]:
     return c1, c2, c3
 
 
-def asymptotic_p1j(
-    params: ModelParams, j: int, order: ExpansionOrder = ExpansionOrder.TWO_TERM
-) -> float:
-    """Expansion of p_{1,j} truncated at ``order``, clamped to [0, 1].
+def asymptotic_p1j(params: ModelParams, j: int) -> float:
+    """Two-term expansion c1/j + c2/j^2 of p_{1,j}, clamped to [0, 1].
 
     The boundary value p_{1,0} = 1 is not asymptotic; j must be >= 1.
     """
     if j < 1:
         raise ValueError(f"expansion needs j >= 1, got j={j}")
-    c1, c2, c3 = row1_coefficients(params)
-    value = c1 / j
-    if order in (ExpansionOrder.TWO_TERM, ExpansionOrder.THREE_TERM):
-        value += c2 / (j * j)
-    if order is ExpansionOrder.THREE_TERM:
-        value += c3 / (j * j * j)
-    return min(1.0, max(0.0, value))
+    c1, c2, _ = row1_coefficients(params)
+    return min(1.0, max(0.0, c1 / j + c2 / (j * j)))
 
 
 def asymptotic_pij(params: ModelParams, i: int, j: int) -> float:
@@ -84,7 +70,7 @@ def closure_value(params: ModelParams, i: int, j: int) -> float:
     for a cell below the diagonal pass the small index as ``i``.
     """
     if i == 1:
-        value = asymptotic_p1j(params, j, ExpansionOrder.TWO_TERM)
+        value = asymptotic_p1j(params, j)
         lower, upper = extinction_bounds(params, i, j)
         return min(upper, max(lower, value))
     return asymptotic_pij(params, i, j)

@@ -51,22 +51,6 @@ import numpy as np
 from .model import ModelParams
 
 
-def transport_velocity(params: ModelParams, x, y):
-    """Q(x, y), the x-component of the characteristic velocity field.
-
-    The y-component is Q(y, x).  Vanishes at the stationary points (1, 1)
-    and (r/d, r/d).
-    """
-    r, d = params.r, params.d
-    return (r + d) * x - r / 2.0 - (r / 2.0) * (x / y) - d * x * x
-
-
-def reaction_coeff(params: ModelParams, x, y):
-    """R(x, y), the zeroth-order coefficient; equals d log IF / du on a curve."""
-    r, d = params.r, params.d
-    return r / (2.0 * x) + r / (2.0 * y) - d * (x + y)
-
-
 @dataclass(frozen=True)
 class CharacteristicPath:
     """Closed-form characteristic through (x0, y0); see the module docstring."""
@@ -96,16 +80,36 @@ def make_path(params: ModelParams, x0: float, y0: float) -> CharacteristicPath:
 def _pieces(path: CharacteristicPath, s):
     """nu, Dx, Dy at time s (scalar or array), in an expm1-stable form.
 
-    1 - kappa e^{(r-d)s} = -expm1((r-d)(s-s0)) and
-    1 - rho kappa e^{(r-d)s} = -expm1((r-d)(s-s0) + log rho) avoid
-    cancellation both near s0 and in the near-critical regime rho -> 1.
+    1 - kappa e^{(r-d)s} = -expm1((r-d)(s-s0)) avoids cancellation near s0
+    and in the near-critical regime rho -> 1.  On [0, s0], where nu >= 0,
+    with L = 2 (1 - rho) / (x0 + y0 - 2 rho x0 y0),
+
+        Dx = L y0 (1 - rho x0) + (1 - rho) expm1(d s) + rho nu
+
+    (Dy likewise, x0 and y0 swapped) adds nonnegative terms, so it keeps its
+    relative precision near an axis, where Dx(0) = L y0 is tiny.  Past s0,
+    Dx, Dy = e^{d s} (1 - rho kappa e^{(r-d)s}) +/- b, whose roots
+    :func:`critical_times` solves for, with the bracket written as
+    -expm1((r-d)(s-s0) + log rho).
     """
     r, d = path.params.r, path.params.d
+    rho = path.params.ratio
+    x0, y0 = path.x0, path.y0
     z = (r - d) * (s - path.s0)
-    growth = np.exp(d * s)
+    ds = d * s
+    growth = np.exp(ds)
     nu = -growth * np.expm1(z)
-    base = -growth * np.expm1(z + math.log(path.params.ratio))
-    return nu, base + path.b, base - path.b
+    xy = x0 * y0  # formed first, so that swapping x0 and y0 swaps Dx and Dy bitwise
+    big_l = 2.0 * (1.0 - rho) / (x0 + y0 - 2.0 * rho * xy)
+    shared = (1.0 - rho) * np.expm1(ds) + rho * nu
+    dx = big_l * y0 * (1.0 - rho * x0) + shared
+    dy = big_l * x0 * (1.0 - rho * y0) + shared
+    past = np.greater(s, path.s0)
+    if past.any():
+        base = -growth * np.expm1(z + math.log(rho))
+        dx = np.where(past, base + path.b, dx)[()]
+        dy = np.where(past, base - path.b, dy)[()]
+    return nu, dx, dy
 
 
 def eval_path(path: CharacteristicPath, s):
@@ -184,6 +188,6 @@ def weighted_coords(path: CharacteristicPath, u):
     r, d = path.params.r, path.params.d
     nu0, dx0, dy0 = _pieces(path, 0.0)
     nu, dx, dy = _pieces(path, u)
-    c = nu0 * dx0 * dy0
+    c = nu0 * (dx0 * dy0)
     scale = c * np.exp((r + d) * u_arr) / (dx * dy)
     return nu / dx, nu / dy, scale / dx, scale / dy

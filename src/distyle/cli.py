@@ -20,7 +20,7 @@ import numpy as np
 
 from . import genfunc, harness
 from .characteristics import critical_times, eval_path, integrating_factor, make_path
-from .grid import CLOSURES, ConvergenceError, Method, SolveOptions, solve_grid
+from .grid import _DIRECT_MAX_N, CLOSURES, ConvergenceError, Method, SolveOptions, solve_grid
 from .harness import write_csv, write_grid_csv, write_mc_csv
 from .model import ModelParams
 from .montecarlo import McConfig, State, estimate, estimate_lattice
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=[m.value for m in Method],
         default=None,
-        help="default: direct up to N=150, vi above",
+        help=f"default: {Method.DIRECT} up to N={_DIRECT_MAX_N}, {Method.VALUE_ITERATION} above",
     )
     p.add_argument("--tol", type=float, default=defaults.tol)
     p.add_argument("--max-iter", type=int, default=defaults.max_iter)

@@ -20,9 +20,10 @@ All integrands are evaluated through the cancellation-free weighted
 coordinates, which are analytic on the closed interval [0, s0], so plain
 adaptive Gauss-Legendre panels converge fast with no endpoint special-casing.
 
-The independent check is the truncated power series itself: a solved grid
-provides p_{i,j} up to N, and the rigorous envelope bounds the discarded
-tail of the series.
+The check is the truncated power series of a solved grid, whose rigorous
+envelope bounds the discarded tail.  The quadrature takes its first column
+from that grid (:func:`query_from_grid`), so the check is not independent of
+the grid: it tests the rest of the grid against that column.
 """
 
 from __future__ import annotations
@@ -52,35 +53,37 @@ class QuadratureError(RuntimeError):
 class GenFuncQuery:
     """Evaluation request for the quadrature route.
 
-    ``row1[k]`` holds p_{k+1,1}; ``n_terms`` monomial integrals are kept
-    before the folded tail takes over, so ``row1`` must have at least
-    ``n_terms`` entries.  ``tol`` is the absolute quadrature budget.
+    ``row1[k]`` holds p_{k+1,1}; one monomial integral is kept for each
+    entry (``n_terms`` of them) before the folded tail takes over.  ``tol``
+    is the absolute quadrature budget.
     """
 
     x0: float
     y0: float
     row1: tuple[float, ...]
-    n_terms: int
     tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if not (0.0 < self.x0 < 1.0 and 0.0 < self.y0 < 1.0):
             raise ValueError(f"evaluation point must lie in (0,1)^2, got ({self.x0}, {self.y0})")
-        if self.n_terms < 1 or len(self.row1) < self.n_terms:
-            raise ValueError(
-                f"need at least n_terms={self.n_terms} first-column values, got {len(self.row1)}"
-            )
+        if not self.row1:
+            raise ValueError("need at least one first-column value")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
+    @property
+    def n_terms(self) -> int:
+        """Monomial integrals kept before the folded tail: one per ``row1`` entry."""
+        return len(self.row1)
 
-def default_n_terms(x0: float, y0: float, tol: float, cap: int = 200) -> int:
+
+def default_n_terms(x0: float, y0: float, tol: float) -> int:
     """Smallest I0 with max(x0, y0)^(I0+1) < tol; the folded tail then sits
-    below the quadrature budget.  Capped at ``cap`` to keep the monomial sum
+    below the quadrature budget.  Capped at 200 to keep the monomial sum
     short; :func:`eval_by_quadrature` rejects a query the cap leaves short."""
     base = max(x0, y0)
     n = 1
-    while base ** (n + 1) >= tol and n < cap:
+    while base ** (n + 1) >= tol and n < 200:
         n += 1
     return n
 
@@ -98,7 +101,7 @@ def query_from_grid(
     row1 = [solution.values[i - 1, 0] for i in range(1, min(n_terms, solution.n) + 1)]
     for i in range(solution.n + 1, n_terms + 1):
         row1.append(_first_row(solution.params, i))
-    return GenFuncQuery(x0=x0, y0=y0, row1=tuple(row1), n_terms=n_terms, tol=tol)
+    return GenFuncQuery(x0=x0, y0=y0, row1=tuple(row1), tol=tol)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -110,7 +113,7 @@ def _first_row(params: ModelParams, i: int) -> float:
 
 def _integrand(params: ModelParams, path, query: GenFuncQuery):
     r, d = params.r, params.d
-    coeffs = np.arange(1, query.n_terms + 1) * np.asarray(query.row1[: query.n_terms])
+    coeffs = np.arange(1, query.n_terms + 1) * np.asarray(query.row1)
 
     def f(u: np.ndarray) -> np.ndarray:
         x, y, wx, wy = characteristics.weighted_coords(path, u)
@@ -159,11 +162,10 @@ def eval_by_quadrature(params: ModelParams, query: GenFuncQuery) -> float:
     """P(x0, y0) by adaptive 15-point Gauss-Legendre along the characteristic.
 
     Raises :class:`QuadratureError` when the panels miss the budget (or the
-    integrand is NaN, as on points within about 5e-17 of an axis, where a
-    trajectory denominator cancels to zero in rounding), when the arrival
-    time s0 is subnormal (a point within about 1e-308 of an axis), where
-    the panel nodes round past s0, or when ``n_terms`` is too short for the
-    folded tail, max(x0, y0)^(n_terms+1), to fall below it.
+    integrand is NaN), when the arrival time s0 is subnormal (a point within
+    about 1e-308 of an axis), where the panel nodes round past s0, or when
+    ``n_terms`` is too short for the folded tail, max(x0, y0)^(n_terms+1),
+    to fall below it.
     """
     path = characteristics.make_path(params, query.x0, query.y0)
     if path.s0 < np.finfo(float).tiny:

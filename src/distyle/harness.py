@@ -118,14 +118,12 @@ class FitResult(NamedTuple):
     n_used: int
 
 
-def fit_log_slope(
-    n_values: np.ndarray, errors: np.ndarray, floor: float = 1e-12
-) -> FitResult:
+def fit_log_slope(n_values: np.ndarray, errors: np.ndarray) -> FitResult:
     """Least-squares slope of log(error) against N, skipping values at or
-    below ``floor`` (solver precision, not truncation, dominates there)."""
+    below 1e-12 (solver precision, not truncation, dominates there)."""
     n_values = np.asarray(n_values, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    keep = errors > floor
+    keep = errors > 1e-12
     if keep.sum() < 3:
         raise ValueError("need at least three points above the floor to fit")
     x, y = n_values[keep], np.log(errors[keep])

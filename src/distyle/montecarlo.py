@@ -59,14 +59,18 @@ a BLAS thread pool, forks.
 
 Memory: cells are simulated in groups of at most ``_PATH_BUDGET`` // (W M)
 cells, one at least, W being the number of workers.  Each group's bank holds
-at most ``_CHUNK`` steps of a block, laid out (step, path) over the paths
-that run at the start of the block, and the banks of all W workers together
-stay within ``_CHUNK`` x ``_PATH_BUDGET`` doubles (8 MiB), or within one row
-of M per worker when one row alone exceeds a worker's share.  A cell's rows
-pass through a staging buffer of at most ``_CHUNK`` x M doubles on their way
-into the bank.  A single cell with more paths than the budget thus refills
-fewer steps at a time, down to one; split draws read the same stream, so the
-grouping stays invisible.
+at most one block of steps, laid out (step, path) over the paths that run at
+the start of the block, and the banks of all W workers together stay within
+``_BLOCK`` x ``_PATH_BUDGET`` doubles (8 MiB), or within one row of M per
+worker when one row alone exceeds a worker's share.  A cell's rows pass
+through a staging buffer of at most ``_BLOCK`` x M doubles on their way into
+the bank.  A group also holds 44-55 bytes of work arrays per path and
+about 1.1 KiB of generator state per cell.  A single cell with more paths than
+the budget thus refills fewer steps at a time, down to one; split draws read
+the same stream, so the grouping stays invisible.  Memory is bounded
+whatever the lattice size and the CPU count, but not whatever M: past
+``_BLOCK`` x ``_PATH_BUDGET`` / W paths a cell refills one step at a time
+and costs about 66 bytes a path (bank, staging buffer and work arrays).
 
 One result type serves a single cell and a lattice alike: an
 :class:`McEstimate` whose per-cell fields are numpy scalars or arrays.  The
@@ -86,7 +90,6 @@ import numpy as np
 from .model import ModelParams, State
 
 _BLOCK = 32  # steps between re-rankings of a cell's running paths; fixes the streams
-_CHUNK = 32  # most steps drawn per stream refill: a bound on memory only
 _PARKED = 2**20  # state of a path that ended earlier in the current block
 _PATH_BUDGET = 32_768  # most paths simulated side by side, over all workers
 # fewest paths for which the groups go to worker processes: starting a forked
@@ -192,17 +195,17 @@ def _run_cells(
     Cells run in groups of at most ``_PATH_BUDGET // (workers * m)`` cells
     (one at least), or of ``len(cells) / workers`` cells, rounded up, when
     that is fewer, so that every worker gets a group.
-    Each group refills at most ``_CHUNK`` steps of a ``_BLOCK``-step block
-    at a time into a bank of its own, and the banks of all workers hold at
-    most ``_CHUNK * _PATH_BUDGET`` doubles together, or one step per worker
-    when a single cell has more paths than a worker's share of that.
+    Each group refills at most one ``_BLOCK``-step block at a time into a
+    bank of its own, and the banks of all workers hold at most
+    ``_BLOCK * _PATH_BUDGET`` doubles together, or one step per worker when
+    a single cell has more paths than a worker's share of that.
     """
     level = stop_level(params)
     workers = _workers() if len(cells) * m >= _POOL_MIN_PATHS else 1
     group = max(1, min(_PATH_BUDGET // (workers * m), -(-len(cells) // workers)))
     starts = range(0, len(cells), group)
     workers = min(workers, len(starts))
-    depth = max(1, min(_CHUNK, _BLOCK, _CHUNK * _PATH_BUDGET // (workers * group * m)))
+    depth = max(1, min(_BLOCK, _BLOCK * _PATH_BUDGET // (workers * group * m)))
     run = functools.partial(_group_task, params, m, t_horizon, seed, level, depth)
     chunks = (cells[start : start + group] for start in starts)
     counts = np.empty((len(cells), 3), dtype=np.int64)

@@ -11,19 +11,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from distyle.asymptotics import ExpansionOrder, asymptotic_p1j, row1_coefficients
-from distyle.characteristics import (
-    eval_path,
-    integrating_factor,
-    make_path,
-    reaction_coeff,
-    transport_velocity,
-)
+from distyle.asymptotics import asymptotic_p1j, row1_coefficients
+from distyle.characteristics import eval_path, integrating_factor, make_path
 from distyle.genfunc import eval_by_quadrature, eval_from_grid, query_from_grid
 from distyle.grid import Method, SolveOptions, solve_grid
 from distyle.harness import compare, convergence_series, fit_log_slope
 from distyle.model import ModelParams, extinction_bounds
 from distyle.montecarlo import estimate_cells, estimate_lattice
+from test_characteristics import reaction_coeff, transport_velocity
 from test_grid import apply_kernel, padded_field
 
 
@@ -125,7 +120,7 @@ def test_05_first_row_asymptotics(params3, grid50):
     )
     p_tail = grid50.p(1, 50)
     leading_gap = abs(50 * p_tail - 4.0 / 3.0)
-    two_term_gap = abs(asymptotic_p1j(params3, 50, ExpansionOrder.TWO_TERM) - p_tail)
+    two_term_gap = abs(asymptotic_p1j(params3, 50) - p_tail)
     ok = oracle_ok and leading_gap <= 0.15 and two_term_gap <= 5e-3
     _verdict(
         5,

@@ -1,7 +1,6 @@
 import pytest
 
 from distyle.asymptotics import (
-    ExpansionOrder,
     asymptotic_p1j,
     asymptotic_pij,
     closure_value,
@@ -26,23 +25,23 @@ class TestRow1Coefficients:
 
 class TestRow1Expansion:
     def test_two_term_value(self, params3):
-        got = asymptotic_p1j(params3, 50, ExpansionOrder.TWO_TERM)
+        got = asymptotic_p1j(params3, 50)
         assert got == pytest.approx(0.025848888888888887, rel=1e-14)
 
     def test_leading_value(self, params3):
-        assert asymptotic_p1j(params3, 50, ExpansionOrder.LEADING) == pytest.approx(
-            4.0 / 3.0 / 50.0, rel=1e-15
-        )
+        c1, _, _ = row1_coefficients(params3)
+        assert c1 / 50 == pytest.approx(4.0 / 3.0 / 50.0, rel=1e-15)
 
     def test_three_term_tightens(self, params3):
-        two = asymptotic_p1j(params3, 50, ExpansionOrder.TWO_TERM)
-        three = asymptotic_p1j(params3, 50, ExpansionOrder.THREE_TERM)
+        c1, c2, c3 = row1_coefficients(params3)
+        two = asymptotic_p1j(params3, 50)
+        three = c1 / 50 + c2 / 50**2 + c3 / 50**3
         assert three != two
         assert abs(three - two) < 1e-5
 
     def test_clamped_at_small_j(self, params3):
         # raw two-term value at j=1 is negative (expansion breaks down)
-        assert asymptotic_p1j(params3, 1, ExpansionOrder.TWO_TERM) == 0.0
+        assert asymptotic_p1j(params3, 1) == 0.0
 
     def test_rejects_bad_j(self, params3):
         with pytest.raises(ValueError):
@@ -55,9 +54,8 @@ class TestGeneralRow:
         assert asymptotic_pij(params3, 2, 3) == pytest.approx(32.0 / 81.0, rel=1e-13)
 
     def test_row_one_consistency(self, params3):
-        assert asymptotic_pij(params3, 1, 40) == pytest.approx(
-            asymptotic_p1j(params3, 40, ExpansionOrder.LEADING), rel=1e-12
-        )
+        c1, _, _ = row1_coefficients(params3)
+        assert asymptotic_pij(params3, 1, 40) == pytest.approx(c1 / 40, rel=1e-12)
 
     def test_large_index_stays_finite(self, params3):
         # log-space evaluation; naive factorial would overflow
@@ -73,7 +71,7 @@ class TestGeneralRow:
 class TestClosureValue:
     def test_row_one_uses_two_term(self, params3):
         assert closure_value(params3, 1, 50) == pytest.approx(
-            asymptotic_p1j(params3, 50, ExpansionOrder.TWO_TERM), rel=1e-14
+            asymptotic_p1j(params3, 50), rel=1e-14
         )
 
     def test_deep_rows_use_general_form(self, params3):

@@ -11,11 +11,25 @@ from distyle.characteristics import (
     eval_path,
     integrating_factor,
     make_path,
-    reaction_coeff,
-    transport_velocity,
     weighted_coords,
 )
 from distyle.model import ModelParams
+
+
+def transport_velocity(params: ModelParams, x, y):
+    """Q(x, y), the x-component of the characteristic velocity field.
+
+    The y-component is Q(y, x).  Vanishes at the stationary points (1, 1)
+    and (r/d, r/d).
+    """
+    r, d = params.r, params.d
+    return (r + d) * x - r / 2.0 - (r / 2.0) * (x / y) - d * x * x
+
+
+def reaction_coeff(params: ModelParams, x, y):
+    """R(x, y), the zeroth-order coefficient; equals d log IF / du on a curve."""
+    r, d = params.r, params.d
+    return r / (2.0 * x) + r / (2.0 * y) - d * (x + y)
 
 
 def params_strategy():

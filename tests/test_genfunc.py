@@ -18,21 +18,22 @@ from distyle.grid import solve_grid
 class TestQuery:
     def test_validation(self):
         with pytest.raises(ValueError):
-            GenFuncQuery(x0=0.0, y0=0.5, row1=(0.7,), n_terms=1)
+            GenFuncQuery(x0=0.0, y0=0.5, row1=(0.7,))
         with pytest.raises(ValueError):
-            GenFuncQuery(x0=0.5, y0=1.0, row1=(0.7,), n_terms=1)
+            GenFuncQuery(x0=0.5, y0=1.0, row1=(0.7,))
         with pytest.raises(ValueError):
-            GenFuncQuery(x0=0.5, y0=0.5, row1=(0.7,), n_terms=2)
+            GenFuncQuery(x0=0.5, y0=0.5, row1=())
         with pytest.raises(ValueError):
-            GenFuncQuery(x0=0.5, y0=0.5, row1=(0.7,), n_terms=1, tol=0.0)
+            GenFuncQuery(x0=0.5, y0=0.5, row1=(0.7,), tol=0.0)
         with pytest.raises(ValueError):
-            GenFuncQuery(x0=0.5, y0=0.5, row1=(0.7,), n_terms=1, tol=float("nan"))
+            GenFuncQuery(x0=0.5, y0=0.5, row1=(0.7,), tol=float("nan"))
+        assert GenFuncQuery(x0=0.5, y0=0.5, row1=(0.7, 0.4)).n_terms == 2
 
     def test_default_n_terms(self):
         # max(x0,y0)^(n+1) < tol at the returned n
         n = default_n_terms(0.5, 0.3, 1e-8)
         assert 0.5 ** (n + 1) < 1e-8 <= 0.5**n
-        assert default_n_terms(0.99, 0.99, 1e-12, cap=150) == 150
+        assert default_n_terms(0.99, 0.99, 1e-12) == 200
 
     def test_query_from_grid_pulls_first_column(self, grid50, params3):
         q = query_from_grid(grid50, 0.4, 0.2, tol=1e-8)
@@ -115,11 +116,12 @@ class TestQuadrature:
         with pytest.raises(QuadratureError, match="folded tail above the budget"):
             eval_by_quadrature(params3, q)
 
-    def test_nan_near_an_axis_raises(self, params3, grid100):
-        # the trajectory denominator cancels to 0 and the integrand is 0/0;
-        # NaN used to come back
-        with pytest.raises(QuadratureError, match="did not meet its budget"):
-            eval_by_quadrature(params3, query_from_grid(grid100, 0.5, 1e-30))
+    def test_near_an_axis_matches_series(self, params3, grid100):
+        # Dx(0) = L y0 used to come from two terms of order one that cancel
+        # to 0 here: the integrand was 0/0 and the quadrature raised
+        series = eval_from_grid(grid100, 0.5, 1e-30)
+        quad = eval_by_quadrature(params3, query_from_grid(grid100, 0.5, 1e-30))
+        assert quad == pytest.approx(series.value, rel=1e-9)
 
     @settings(max_examples=200, deadline=None)
     @given(inside, inside)

@@ -286,6 +286,20 @@ class TestOutcomes:
         assert est.stopped_frac == 1.0 and est.censored_frac == 0.0
 
 
+def record_depths(monkeypatch) -> list[int]:
+    """Patch ``_group_task`` to log the refill depth of each group run in
+    this process; returns the log."""
+    depths = []
+    group_task = montecarlo._group_task
+
+    def spy(params, m, t_horizon, seed, level, depth, cells):
+        depths.append(depth)
+        return group_task(params, m, t_horizon, seed, level, depth, cells)
+
+    monkeypatch.setattr(montecarlo, "_group_task", spy)
+    return depths
+
+
 class TestRefill:
     @pytest.mark.parametrize(
         "r, cells",
@@ -296,18 +310,23 @@ class TestRefill:
         ],
     )
     def test_refill_size_invisible(self, monkeypatch, r, cells):
-        # T = 500 is not a multiple of any refill size below
+        # T = 500 is not a multiple of any refill size below.  A budget below
+        # 120 paths puts one cell of 60 paths in each group, which then
+        # refills _BLOCK * budget // 60 steps at a time.
         params = ModelParams(r=r, d=2.0)
         ends = np.empty((2, len(cells)))
         a = estimate_cells(params, cells, m=60, t_horizon=500, seed=9, ends=ends)
         if r == 1000.0:
             first = np.empty_like(ends)
-            estimate_cells(params, cells, m=60, t_horizon=montecarlo._CHUNK, seed=9, ends=first)
-            assert np.all(first[1] == 0.0)  # nothing left running after one refill
-        for chunk in (1, 3, 128, montecarlo._CHUNK):
-            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+            estimate_cells(params, cells, m=60, t_horizon=montecarlo._BLOCK, seed=9, ends=first)
+            assert np.all(first[1] == 0.0)  # nothing left running after one block
+        depths = record_depths(monkeypatch)
+        for budget, depth in ((2, 1), (6, 3), (60, 32)):
+            monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
+            depths.clear()
             ends_b = np.empty_like(ends)
             b = estimate_cells(params, cells, m=60, t_horizon=500, seed=9, ends=ends_b)
+            assert set(depths) == {depth}
             assert np.array_equal(a, b)
             assert np.array_equal(ends, ends_b)
 
@@ -324,31 +343,40 @@ class TestRefill:
         monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
         monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
         cells = [(1 + k % 20, 1 + k // 20) for k in range(n_cells)]
-        held = []
-        run_group = montecarlo._run_group
+        groups = []
+        group_task = montecarlo._group_task
 
-        def spy(*args):
-            # the group's bank and the count array exist before it runs
-            held.append(tracemalloc.get_traced_memory()[0])
-            return run_group(*args)
+        def spy(params, m, t_horizon, seed, level, depth, group):
+            # the peak over the whole group: its bank, staging buffer, work
+            # arrays and streams
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            counts = group_task(params, m, t_horizon, seed, level, depth, group)
+            groups.append((depth, len(group), tracemalloc.get_traced_memory()[1] - before))
+            return counts
 
-        monkeypatch.setattr(montecarlo, "_run_group", spy)
+        monkeypatch.setattr(montecarlo, "_group_task", spy)
         tracemalloc.start()
         try:
-            before = tracemalloc.get_traced_memory()[0]
             estimate_cells(params3, cells, m=m, t_horizon=100, seed=3)
         finally:
             tracemalloc.stop()
-        bank = max(held) - before - 3 * 8 * n_cells  # less the int64 count array
-        cap = 8 * max(montecarlo._CHUNK * budget, m)
-        # besides the bank: interpreter frames, the previous group's counts and
-        # numpy's cache of small freed buffers, about 8 KiB at 64 cells a group
-        assert 8 * m <= bank <= cap + 16384
+        cap = 8 * max(montecarlo._BLOCK * budget, m)
+        for depth, n, peak in groups:
+            # the bank holds at least one row of M
+            assert 8 * m <= 8 * depth * n * m <= cap
+            # beyond the bank and the staging buffer of depth rows of M: work
+            # arrays (measured 44-55 B a path), generator state (about 1.1 KiB
+            # a cell), and interpreter frames and numpy's cache of small freed
+            # buffers in the slack
+            staging = 8 * depth * m
+            assert 8 * m <= peak <= cap + staging + 64 * n * m + 1536 * n + 16384
 
     def test_concurrent_callers_agree(self, params3, monkeypatch):
         # four callers run at once; state shared between calls would change
-        # the estimates
-        monkeypatch.setattr(montecarlo, "_CHUNK", 3)
+        # the estimates; a budget of 4 paths runs groups of one cell that
+        # refill 3 steps at a time
+        monkeypatch.setattr(montecarlo, "_PATH_BUDGET", 4)
         cells = [(i, j) for i in range(1, 7) for j in range(1, 7)]
         expected = estimate_cells(params3, cells, m=40, t_horizon=400, seed=2)
         results = [None] * 4
@@ -397,10 +425,16 @@ class TestLiveLanes:
             list(simulate_cell(params, State(i, j), m, t_horizon, make_rng(seed, i, j)).counts)
             for i, j in cells
         ]
-        for chunk in (1, 3, 32, 128):
-            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        # one cell of 20 paths a group below a budget of 40 paths, refilling
+        # _BLOCK * budget // 20 steps at a time; the default budget runs the
+        # four cells as one group
+        depths = record_depths(monkeypatch)
+        for budget, depth in ((1, 1), (2, 3), (20, 32), (montecarlo._PATH_BUDGET, 32)):
+            monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
+            depths.clear()
             counts = montecarlo._run_cells(params, cells, m, t_horizon, seed)
-            assert counts.tolist() == expected, chunk
+            assert set(depths) == {depth}
+            assert counts.tolist() == expected, budget
 
     def test_draws_only_for_running_paths(self, params3, monkeypatch):
         # A path draws for every step of each block it starts running, so it
