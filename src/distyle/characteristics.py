@@ -61,6 +61,7 @@ class CharacteristicPath:
     kappa: float
     s0: float
     b: float
+    denom: float  # x0 + y0 - 2 rho x0 y0
 
 
 def make_path(params: ModelParams, x0: float, y0: float) -> CharacteristicPath:
@@ -69,47 +70,37 @@ def make_path(params: ModelParams, x0: float, y0: float) -> CharacteristicPath:
         raise ValueError(f"start point must lie in the open unit square, got ({x0}, {y0})")
     r, d = params.r, params.d
     rho = params.ratio
-    denom = x0 + y0 - 2.0 * rho * x0 * y0
-    kappa_m1 = -2.0 * (1.0 - rho) * x0 * y0 / denom
+    xy = x0 * y0  # formed first, so that swapping x0 and y0 changes neither s0 nor |b|
+    denom = x0 + y0 - 2.0 * rho * xy
+    kappa_m1 = -2.0 * (1.0 - rho) * xy / denom
     kappa = 1.0 + kappa_m1
     s0 = math.log1p(kappa_m1) / (d - r)
     b = (1.0 - rho) * (y0 - x0) / denom
-    return CharacteristicPath(params, x0, y0, kappa, s0, b)
+    return CharacteristicPath(params, x0, y0, kappa, s0, b, denom)
 
 
 def _pieces(path: CharacteristicPath, s):
     """nu, Dx, Dy at time s (scalar or array), in an expm1-stable form.
 
     1 - kappa e^{(r-d)s} = -expm1((r-d)(s-s0)) avoids cancellation near s0
-    and in the near-critical regime rho -> 1.  On [0, s0], where nu >= 0,
-    with L = 2 (1 - rho) / (x0 + y0 - 2 rho x0 y0),
+    and in the near-critical regime rho -> 1.  With
+    L = 2 (1 - rho) / (x0 + y0 - 2 rho x0 y0),
 
         Dx = L y0 (1 - rho x0) + (1 - rho) expm1(d s) + rho nu
 
-    (Dy likewise, x0 and y0 swapped) adds nonnegative terms, so it keeps its
-    relative precision near an axis, where Dx(0) = L y0 is tiny.  Past s0,
-    Dx, Dy = e^{d s} (1 - rho kappa e^{(r-d)s}) +/- b, whose roots
-    :func:`critical_times` solves for, with the bracket written as
-    -expm1((r-d)(s-s0) + log rho).
+    (Dy likewise, x0 and y0 swapped) equals e^{d s} (1 - rho kappa
+    e^{(r-d)s}) + b for every s.  On [0, s0], where nu >= 0, it adds
+    nonnegative terms, so it keeps its relative precision near an axis, where
+    Dx(0) = L y0 is tiny.
     """
     r, d = path.params.r, path.params.d
     rho = path.params.ratio
     x0, y0 = path.x0, path.y0
-    z = (r - d) * (s - path.s0)
     ds = d * s
-    growth = np.exp(ds)
-    nu = -growth * np.expm1(z)
-    xy = x0 * y0  # formed first, so that swapping x0 and y0 swaps Dx and Dy bitwise
-    big_l = 2.0 * (1.0 - rho) / (x0 + y0 - 2.0 * rho * xy)
+    nu = -np.exp(ds) * np.expm1((r - d) * (s - path.s0))
+    big_l = 2.0 * (1.0 - rho) / path.denom
     shared = (1.0 - rho) * np.expm1(ds) + rho * nu
-    dx = big_l * y0 * (1.0 - rho * x0) + shared
-    dy = big_l * x0 * (1.0 - rho * y0) + shared
-    past = np.greater(s, path.s0)
-    if past.any():
-        base = -growth * np.expm1(z + math.log(rho))
-        dx = np.where(past, base + path.b, dx)[()]
-        dy = np.where(past, base - path.b, dy)[()]
-    return nu, dx, dy
+    return nu, big_l * y0 * (1.0 - rho * x0) + shared, big_l * x0 * (1.0 - rho * y0) + shared
 
 
 def eval_path(path: CharacteristicPath, s):

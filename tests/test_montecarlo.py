@@ -344,7 +344,9 @@ class TestRefill:
         monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
         cells = [(1 + k % 20, 1 + k // 20) for k in range(n_cells)]
         groups = []
+        held = []
         group_task = montecarlo._group_task
+        run_group = montecarlo._run_group
 
         def spy(params, m, t_horizon, seed, level, depth, group):
             # the peak over the whole group: its bank, staging buffer, work
@@ -352,23 +354,30 @@ class TestRefill:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             counts = group_task(params, m, t_horizon, seed, level, depth, group)
-            groups.append((depth, len(group), tracemalloc.get_traced_memory()[1] - before))
+            bank = held.pop() - before
+            groups.append((depth, len(group), bank, tracemalloc.get_traced_memory()[1] - before))
             return counts
 
+        def run_group_spy(*args):
+            # the group's bank exists before it runs
+            held.append(tracemalloc.get_traced_memory()[0])
+            return run_group(*args)
+
         monkeypatch.setattr(montecarlo, "_group_task", spy)
+        monkeypatch.setattr(montecarlo, "_run_group", run_group_spy)
         tracemalloc.start()
         try:
             estimate_cells(params3, cells, m=m, t_horizon=100, seed=3)
         finally:
             tracemalloc.stop()
         cap = 8 * max(montecarlo._BLOCK * budget, m)
-        for depth, n, peak in groups:
-            # the bank holds at least one row of M
-            assert 8 * m <= 8 * depth * n * m <= cap
+        for depth, n, bank, peak in groups:
+            # the bank holds at least one row of M; besides it: interpreter
+            # frames and numpy's cache of small freed buffers
+            assert 8 * m <= 8 * depth * n * m <= bank <= cap + 16384
             # beyond the bank and the staging buffer of depth rows of M: work
             # arrays (measured 44-55 B a path), generator state (about 1.1 KiB
-            # a cell), and interpreter frames and numpy's cache of small freed
-            # buffers in the slack
+            # a cell), and the same slack
             staging = 8 * depth * m
             assert 8 * m <= peak <= cap + staging + 64 * n * m + 1536 * n + 16384
 
