@@ -32,8 +32,8 @@ from .grid import (
     solve_grid,
 )
 from .harness import ExperimentSpec, compare, fit_log_slope, run_experiment
-from .model import ModelParams, State, extinction_bounds
-from .montecarlo import McConfig, estimate, estimate_cells, estimate_lattice
+from .model import ModelParams, extinction_bounds
+from .montecarlo import estimate, estimate_cells, estimate_lattice
 
 __version__ = "0.1.0"
 
@@ -42,11 +42,9 @@ __all__ = [
     "ExperimentSpec",
     "GenFuncQuery",
     "GridSolution",
-    "McConfig",
     "Method",
     "ModelParams",
     "SolveOptions",
-    "State",
     "assemble_system",
     "asymptotic_p1j",
     "asymptotic_pij",

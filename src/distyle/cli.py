@@ -23,7 +23,7 @@ from .characteristics import critical_times, eval_path, integrating_factor, make
 from .grid import _DIRECT_MAX_N, CLOSURES, ConvergenceError, Method, SolveOptions, solve_grid
 from .harness import write_csv, write_grid_csv, write_mc_csv
 from .model import ModelParams
-from .montecarlo import McConfig, State, estimate, estimate_lattice
+from .montecarlo import estimate, estimate_lattice
 
 
 def _add_rates(parser: argparse.ArgumentParser) -> None:
@@ -35,6 +35,14 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--out", type=Path, default=None, help="output directory (default: stdout)"
     )
+
+
+def _check_counts(args, *names: str) -> None:
+    """Reject a count flag below 1, naming the flag; an unset flag passes."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise ValueError(f"--{name} must be >= 1, got {value}")
 
 
 def _output(args, filename: str):
@@ -72,14 +80,14 @@ def _cmd_mc(args) -> int:
     elif args.i is None or args.j is None:
         raise ValueError("point mode needs --i and --j (or --imax/--jmax for a lattice)")
     else:
-        config = McConfig(m=args.m, t_horizon=args.t, seed=args.seed, initial=State(args.i, args.j))
-        result = estimate(params, config)
+        result = estimate(params, args.i, args.j, args.m, args.t, args.seed)
     with _output(args, "mc_p.csv") as fp:
         write_mc_csv(result, fp)
     return 0
 
 
 def _cmd_greens(args) -> int:
+    _check_counts(args, "nx", "ny")
     params = ModelParams(args.r, args.d)
     solution = solve_grid(params, args.n)
     xs = np.linspace(args.xmin, args.xmax, args.nx)
@@ -91,6 +99,7 @@ def _cmd_greens(args) -> int:
 
 
 def _cmd_characteristics(args) -> int:
+    _check_counts(args, "samples")
     params = ModelParams(args.r, args.d)
     path = make_path(params, args.x0, args.y0)
     s_plus, s_minus = critical_times(path)
@@ -145,8 +154,7 @@ def _read_field(path: Path) -> np.ndarray:
 def _cmd_compare(args) -> int:
     a = _read_field(args.field_a)
     b = _read_field(args.field_b)
-    if args.sub is not None and args.sub < 1:
-        raise ValueError(f"--sub must be >= 1, got {args.sub}")
+    _check_counts(args, "sub")
     sub = None if args.sub is None else (args.sub, args.sub)
     report = harness.compare(a, b, sub=sub)
     with _output(args, "comparison_stats.csv") as fp:
@@ -257,25 +265,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="named parameter set (ignored with --config)",
     )
     p.add_argument("--config", type=Path, default=None, help="key = value spec file")
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--d", type=float, default=None)
-    p.add_argument("--grid-n", type=int, default=None)
+    for name in ("r", "d", "grid_n", "tol", "mc_m", "mc_t", "seed", "sublattice",
+                 "conv_min", "conv_max", "conv_reference", "quad_tol"):
+        p.add_argument("--" + name.replace("_", "-"), type=harness._FIELD_TYPES[name], default=None)
     p.add_argument("--solver", choices=[m.value for m in Method], default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--mc-m", type=int, default=None)
-    p.add_argument("--mc-t", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--sublattice", type=int, default=None)
-    p.add_argument("--conv-min", type=int, default=None)
-    p.add_argument("--conv-max", type=int, default=None)
-    p.add_argument("--conv-reference", type=int, default=None)
     p.add_argument("--no-mc", dest="run_mc", action="store_false", default=None)
     p.add_argument("--no-convergence", dest="run_convergence", action="store_false", default=None)
     p.add_argument(
         "--genfunc", dest="run_genfunc", action="store_true", default=None,
         help="add the quadrature cross-check",
     )
-    p.add_argument("--quad-tol", type=float, default=None)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=_cmd_experiment)
     return parser

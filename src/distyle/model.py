@@ -60,22 +60,6 @@ class ModelParams:
         return self.d / (self.r + self.d)
 
 
-@dataclass(frozen=True)
-class State:
-    """A population composition (i pins, j thrums), both counts >= 0."""
-
-    i: int
-    j: int
-
-    def __post_init__(self) -> None:
-        if self.i < 0 or self.j < 0:
-            raise ValueError(f"counts must be non-negative, got ({self.i}, {self.j})")
-
-    @property
-    def absorbed(self) -> bool:
-        return self.i == 0 or self.j == 0
-
-
 def extinction_bounds(params: ModelParams, i: int, j: int) -> tuple[float, float]:
     """Rigorous envelope ``(d/r)^(i+j) <= p_{i,j} <= (d/r)^i + (d/r)^j - (d/r)^(i+j)``.
 

@@ -72,9 +72,12 @@ whatever the lattice size and the CPU count, but not whatever M: past
 ``_BLOCK`` x ``_PATH_BUDGET`` / W paths a cell refills one step at a time
 and costs about 66 bytes a path (bank, staging buffer and work arrays).
 
-One result type serves a single cell and a lattice alike: an
-:class:`McEstimate` whose per-cell fields are numpy scalars or arrays.  The
-module only computes; :func:`distyle.harness.write_mc_csv` writes an
+Entry points: ``estimate(params, i, j, m, t_horizon, seed)`` for one cell,
+``estimate_lattice(params, i_max, j_max, m, t_horizon, seed)`` for a box of
+cells, both returning an :class:`McEstimate` whose per-cell fields are numpy
+scalars or arrays, and ``estimate_cells(params, cells, m, t_horizon, seed)``
+for the bare frequencies of any list of cells, which the other two call.
+The module only computes; :func:`distyle.harness.write_mc_csv` writes an
 estimate as CSV, one row per cell.
 """
 
@@ -87,7 +90,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, State
+from .model import ModelParams
 
 _BLOCK = 32  # steps between re-rankings of a cell's running paths; fixes the streams
 _PARKED = 2**20  # state of a path that ended earlier in the current block
@@ -115,24 +118,6 @@ def stop_level(params: ModelParams) -> int:
     while 2.0 * rho**k > _STOP_BOUND:
         k += 1
     return k
-
-
-@dataclass(frozen=True)
-class McConfig:
-    m: int
-    t_horizon: int
-    seed: int
-    initial: State
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"need at least one path, got m={self.m}")
-        if self.t_horizon < 1:
-            raise ValueError(f"need a positive horizon, got {self.t_horizon}")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.initial.absorbed:
-            raise ValueError(f"initial state ({self.initial.i}, {self.initial.j}) is absorbed")
 
 
 @dataclass(frozen=True)
@@ -352,12 +337,21 @@ def estimate_cells(
     aligned with ``cells``.
 
     ``ends``, if given, of shape (2, len(cells)), receives the fractions of
-    paths stopped at the exit set and censored at the horizon.
+    paths stopped at the exit set and censored at the horizon.  Every entry
+    point checks its request here: at least one cell, each with i, j >= 1,
+    ``m`` and ``t_horizon`` at least 1 and ``seed`` in [0, 2^64).
     """
     if not cells:
         raise ValueError("need at least one initial cell")
+    if m < 1:
+        raise ValueError(f"need at least one path, got m={m}")
+    if t_horizon < 1:
+        raise ValueError(f"need a positive horizon, got {t_horizon}")
+    if not (0 <= seed < 2**64):
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
     for i0, j0 in cells:
-        McConfig(m=m, t_horizon=t_horizon, seed=seed, initial=State(i0, j0))
+        if i0 < 1 or j0 < 1:
+            raise ValueError(f"initial cells need i, j >= 1, got ({i0}, {j0})")
     p_hat, *rest = (_run_cells(params, cells, m, t_horizon, seed) / m).T
     if ends is not None:
         ends[:] = rest
@@ -393,10 +387,11 @@ def _summarise(
     )
 
 
-def estimate(params: ModelParams, config: McConfig) -> McEstimate:
-    """Absorption frequency from ``config.initial`` with its Wald interval."""
-    cell = (config.initial.i, config.initial.j)
-    return _summarise(params, [cell], (), config.m, config.t_horizon, config.seed)
+def estimate(
+    params: ModelParams, i: int, j: int, m: int, t_horizon: int, seed: int
+) -> McEstimate:
+    """Absorption frequency from the cell (i, j) with its Wald interval."""
+    return _summarise(params, [(i, j)], (), m, t_horizon, seed)
 
 
 def estimate_lattice(

@@ -27,11 +27,6 @@ def grid50(params3):
 
 
 @pytest.fixture(scope="session")
-def grid50_direct(params3):
-    return solve_grid(params3, 50, SolveOptions(method=Method.DIRECT))
-
-
-@pytest.fixture(scope="session")
 def grid100c(paramsc):
     return solve_grid(paramsc, 100, SolveOptions(method=Method.DIRECT))
 

@@ -246,10 +246,10 @@ def test_10_paper_scale_error_bands(grid50, grid100c, mc50_lattice, mc_subsample
     )
 
 
-def test_11_exponential_truncation_convergence(params3, paramsc, grid50_direct):
+def test_11_exponential_truncation_convergence(params3, paramsc, grid50):
     start = time.perf_counter()
     ns = list(range(10, 50))
-    series1 = convergence_series(params3, ns, grid50_direct.values)
+    series1 = convergence_series(params3, ns, grid50.values)
     fit1 = fit_log_slope(
         np.array([n for n, _ in series1]), np.array([e for _, e in series1])
     )

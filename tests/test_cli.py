@@ -111,6 +111,11 @@ class TestMcCommand:
         assert err.err.count("error:") == 4
         assert err.out == ""
 
+    def test_axis_cell_rejected(self, tmp_path, capsys):
+        assert run(["mc", "--r", 3, "--d", 2, "--i", 0, "--j", 2, "--out", tmp_path]) == 2
+        assert "error: initial cells need i, j >= 1, got (0, 2)" in capsys.readouterr().err
+        assert not (tmp_path / "mc_p.csv").exists()
+
 
 class TestGreensCommand:
     def test_small_sweep(self, tmp_path):
@@ -359,6 +364,25 @@ class TestExperimentCommand:
     def test_out_required(self):
         with pytest.raises(SystemExit):
             run(["experiment", "--preset", "supercritical"])
+
+
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        (["greens", "--n", 12], "--nx"),
+        (["greens", "--n", 12], "--ny"),
+        (["characteristics", "--x0", 0.3, "--y0", 0.6], "--samples"),
+    ],
+    ids=["greens-nx", "greens-ny", "characteristics-samples"],
+)
+def test_count_below_one_exits_2(tmp_path, capsys, command, flag, count):
+    # a count of 0 used to write a header-only CSV and exit 0
+    assert run([*command, "--r", 3, "--d", 2, flag, count, "--out", tmp_path]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} must be >= 1, got {count}" in captured.err
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
 
 
 def test_solver_failures_exit_cleanly(capsys, monkeypatch):

@@ -1,10 +1,22 @@
 import math
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distyle.model import ModelParams, State, extinction_bounds
+from distyle.model import ModelParams, extinction_bounds
+
+
+class State(NamedTuple):
+    """A population composition (i pins, j thrums)."""
+
+    i: int
+    j: int
+
+    @property
+    def absorbed(self) -> bool:
+        return self.i == 0 or self.j == 0
 
 
 def step_distribution(params, state):

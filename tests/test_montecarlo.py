@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 
 from distyle import montecarlo
 from distyle.harness import write_mc_csv
-from distyle.model import ModelParams, State, extinction_bounds
+from distyle.model import ModelParams, extinction_bounds
 from distyle.montecarlo import (
-    McConfig,
     estimate,
     estimate_cells,
     estimate_lattice,
@@ -63,14 +62,14 @@ def step(params: ModelParams, i: int, j: int, u: float) -> tuple[int, int]:
 
 
 def simulate_path(
-    params: ModelParams, initial: State, t_horizon: int, rng: np.random.Generator
+    params: ModelParams, initial: tuple[int, int], t_horizon: int, rng: np.random.Generator
 ) -> PathResult:
-    """One path of the embedded chain, absorbed flag and absorption time: the
-    scalar oracle of the vectorised kernel at M = 1, where step t reads the
-    t-th uniform of the stream."""
-    if initial.absorbed:
-        raise ValueError(f"initial state ({initial.i}, {initial.j}) is absorbed")
-    i, j = initial.i, initial.j
+    """One path of the embedded chain from the cell ``initial``, absorbed
+    flag and absorption time: the scalar oracle of the vectorised kernel at
+    M = 1, where step t reads the t-th uniform of the stream."""
+    i, j = initial
+    if i == 0 or j == 0:
+        raise ValueError(f"initial state ({i}, {j}) is absorbed")
     for t in range(1, t_horizon + 1):
         i, j = step(params, i, j, rng.random())
         if i == 0 or j == 0:
@@ -84,7 +83,11 @@ class CellResult(NamedTuple):
 
 
 def simulate_cell(
-    params: ModelParams, initial: State, m: int, t_horizon: int, rng: np.random.Generator
+    params: ModelParams,
+    initial: tuple[int, int],
+    m: int,
+    t_horizon: int,
+    rng: np.random.Generator,
 ) -> CellResult:
     """M paths from one cell, read from its stream in the kernel's live-lane
     layout: the scalar oracle of the vectorised kernel for any M.
@@ -95,9 +98,9 @@ def simulate_cell(
     ended earlier in the block.
     """
     level = stop_level(params)
-    if min(initial.i, initial.j) >= level:
+    if min(initial) >= level:
         return CellResult((0, m, 0), 0)
-    running = {path: (initial.i, initial.j) for path in range(m)}  # in path order
+    running = {path: initial for path in range(m)}  # in path order
     absorbed = path_steps = 0
     t = 0
     while t < t_horizon and running:
@@ -123,29 +126,31 @@ def simulate_cell(
 
 
 class TestConfig:
-    def test_validation(self):
-        good = dict(m=10, t_horizon=100, seed=0, initial=State(1, 1))
-        McConfig(**good)
-        with pytest.raises(ValueError):
-            McConfig(**{**good, "m": 0})
-        with pytest.raises(ValueError):
-            McConfig(**{**good, "t_horizon": 0})
-        with pytest.raises(ValueError):
-            McConfig(**{**good, "seed": -1})
-        with pytest.raises(ValueError):
-            McConfig(**{**good, "seed": 2**64})
-        with pytest.raises(ValueError):
-            McConfig(**{**good, "initial": State(0, 3)})
+    def test_validation(self, params3):
+        good = dict(cells=[(1, 1)], m=10, t_horizon=100, seed=0)
+        estimate_cells(params3, **good)
+        for bad, message in [
+            (dict(m=0), "need at least one path, got m=0"),
+            (dict(t_horizon=0), "need a positive horizon, got 0"),
+            (dict(seed=-1), "seed must fit in an unsigned 64-bit integer"),
+            (dict(seed=2**64), "seed must fit in an unsigned 64-bit integer"),
+            (dict(cells=[(2, 2), (0, 3)]), "initial cells need i, j >= 1, got (0, 3)"),
+            (dict(cells=[(2, -1), (0, 3)]), "initial cells need i, j >= 1, got (2, -1)"),
+            (dict(cells=[]), "need at least one initial cell"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                estimate_cells(params3, **{**good, **bad})
+            assert str(info.value) == message
 
 
 class TestSinglePath:
     def test_deterministic_given_stream(self, params3):
-        a = simulate_path(params3, State(2, 2), 500, make_rng(7, 2, 2))
-        b = simulate_path(params3, State(2, 2), 500, make_rng(7, 2, 2))
+        a = simulate_path(params3, (2, 2), 500, make_rng(7, 2, 2))
+        b = simulate_path(params3, (2, 2), 500, make_rng(7, 2, 2))
         assert a == b
 
     def test_absorption_reports_time(self, params3):
-        res = simulate_path(params3, State(1, 1), 5000, make_rng(0, 1, 1))
+        res = simulate_path(params3, (1, 1), 5000, make_rng(0, 1, 1))
         if res.absorbed:
             assert res.steps >= 1
         else:
@@ -153,12 +158,12 @@ class TestSinglePath:
 
     def test_absorbed_start_rejected(self, params3):
         with pytest.raises(ValueError):
-            simulate_path(params3, State(3, 0), 10, make_rng(0, 3, 0))
+            simulate_path(params3, (3, 0), 10, make_rng(0, 3, 0))
 
 
 class TestEstimate:
     def test_confidence_interval_shape(self, params3):
-        est = estimate(params3, McConfig(m=200, t_horizon=2000, seed=11, initial=State(1, 1)))
+        est = estimate(params3, 1, 1, m=200, t_horizon=2000, seed=11)
         width = 1.96 * math.sqrt(est.p_hat * (1 - est.p_hat) / 200)
         assert est.half_width == pytest.approx(width, rel=1e-12)
         assert est.ci_low == pytest.approx(max(0.0, est.p_hat - width), rel=1e-12)
@@ -170,22 +175,20 @@ class TestEstimate:
         assert 1.96 * math.sqrt(0.25 / 200) == pytest.approx(0.06929646455628166, rel=1e-15)
 
     def test_degenerate_flag(self, params3):
-        est = estimate(params3, McConfig(m=3, t_horizon=1, seed=5, initial=State(40, 40)))
+        est = estimate(params3, 40, 40, m=3, t_horizon=1, seed=5)
         assert est.p_hat == 0.0
         assert est.degenerate
         assert est.ci_low == est.ci_high == 0.0
 
     def test_horizon_monotone(self, params3):
         # longer horizons extend the same paths, so absorption flags only gain
-        base = dict(m=300, seed=97, initial=State(2, 3))
-        p_short = estimate(params3, McConfig(t_horizon=50, **base)).p_hat
-        p_long = estimate(params3, McConfig(t_horizon=2000, **base)).p_hat
+        base = dict(i=2, j=3, m=300, seed=97)
+        p_short = estimate(params3, t_horizon=50, **base).p_hat
+        p_long = estimate(params3, t_horizon=2000, **base).p_hat
         assert p_short <= p_long
 
     def test_matches_law_of_large_numbers(self, params3, grid50):
-        est = estimate(
-            params3, McConfig(m=100_000, t_horizon=5000, seed=314, initial=State(1, 1))
-        )
+        est = estimate(params3, 1, 1, m=100_000, t_horizon=5000, seed=314)
         sigma = math.sqrt(est.p_hat * (1 - est.p_hat) / est.m)
         assert abs(est.p_hat - grid50.p(1, 1)) < 4 * sigma
 
@@ -193,7 +196,7 @@ class TestEstimate:
 class TestLattice:
     def test_matches_single_cell_bitwise(self, params3):
         lat = estimate_lattice(params3, 3, 2, m=150, t_horizon=800, seed=42)
-        solo = estimate(params3, McConfig(m=150, t_horizon=800, seed=42, initial=State(3, 2)))
+        solo = estimate(params3, 3, 2, m=150, t_horizon=800, seed=42)
         for name in PER_CELL:
             assert getattr(lat, name)[2, 1] == getattr(solo, name), name
             assert np.ndim(getattr(solo, name)) == 0, name
@@ -215,9 +218,7 @@ class TestLattice:
         cells = [(1, 1), (5, 2), (2, 5)]
         p = estimate_cells(params3, cells, m=80, t_horizon=600, seed=13)
         for k, (i, j) in enumerate(cells):
-            solo = estimate(
-                params3, McConfig(m=80, t_horizon=600, seed=13, initial=State(i, j))
-            )
+            solo = estimate(params3, i, j, m=80, t_horizon=600, seed=13)
             assert p[k] == solo.p_hat
 
     def test_single_path_matches_scalar_reference(self, params3):
@@ -226,10 +227,8 @@ class TestLattice:
         # stop level 36, so the flags must agree
         for seed in range(40):
             for i, j in [(1, 1), (3, 2), (6, 9)]:
-                est = estimate(
-                    params3, McConfig(m=1, t_horizon=50, seed=seed, initial=State(i, j))
-                )
-                ref = simulate_path(params3, State(i, j), 50, make_rng(seed, i, j))
+                est = estimate(params3, i, j, m=1, t_horizon=50, seed=seed)
+                ref = simulate_path(params3, (i, j), 50, make_rng(seed, i, j))
                 assert est.p_hat == float(ref.absorbed)
 
     def test_stream_is_pinned(self, params3):
@@ -263,7 +262,7 @@ class TestLattice:
 class TestOutcomes:
     def test_short_horizon_near_critical_is_censored(self, paramsc):
         m = 200
-        est = estimate(paramsc, McConfig(m=m, t_horizon=100, seed=5, initial=State(10, 10)))
+        est = estimate(paramsc, 10, 10, m=m, t_horizon=100, seed=5)
         assert est.censored_frac > 0.0
         assert est.stopped_frac == 0.0  # the stop level 14516 is out of reach
         fractions = np.array([est.p_hat, est.stopped_frac, est.censored_frac])
@@ -277,12 +276,12 @@ class TestOutcomes:
         assert np.all(total == m)
         assert np.all(lat.stopped_frac > 0.0)
         assert np.all(lat.censored_frac == 0.0)  # every path stops or dies by T
-        solo = estimate(params3, McConfig(m=m, t_horizon=2000, seed=3, initial=State(2, 3)))
+        solo = estimate(params3, 2, 3, m=m, t_horizon=2000, seed=3)
         assert lat.stopped_frac[1, 2] == solo.stopped_frac
         assert lat.censored_frac[1, 2] == solo.censored_frac
 
     def test_start_in_exit_set_counts_as_stopped(self, params3):
-        est = estimate(params3, McConfig(m=20, t_horizon=100, seed=1, initial=State(36, 40)))
+        est = estimate(params3, 36, 40, m=20, t_horizon=100, seed=1)
         assert est.stopped_frac == 1.0 and est.censored_frac == 0.0
 
 
@@ -431,7 +430,7 @@ class TestLiveLanes:
         cells = [(1, 1), (2, 3), (4, 1), (3, 5)]
         m, seed = 20, 5
         expected = [
-            list(simulate_cell(params, State(i, j), m, t_horizon, make_rng(seed, i, j)).counts)
+            list(simulate_cell(params, (i, j), m, t_horizon, make_rng(seed, i, j)).counts)
             for i, j in cells
         ]
         # one cell of 20 paths a group below a budget of 40 paths, refilling
@@ -452,7 +451,7 @@ class TestLiveLanes:
         cells = [(i, j) for i in range(1, 5) for j in range(1, 5)]
         m, t_horizon, seed = 50, 500, 20260816
         path_steps = sum(
-            simulate_cell(params3, State(i, j), m, t_horizon, make_rng(seed, i, j)).path_steps
+            simulate_cell(params3, (i, j), m, t_horizon, make_rng(seed, i, j)).path_steps
             for i, j in cells
         )
         drawn = []
@@ -605,21 +604,19 @@ class TestStopRule:
         params = ModelParams(r=1e300, d=1e-300)
         assert params.ratio == 0.0
         assert stop_level(params) == 1
-        est = estimate(params, McConfig(m=10, t_horizon=100, seed=0, initial=State(1, 1)))
+        est = estimate(params, 1, 1, m=10, t_horizon=100, seed=0)
         assert est.p_hat == 0.0 and est.stop_bound == 0.0
 
     def test_start_in_exit_set_draws_nothing(self, params3):
         # a horizon this long would take minutes if the paths ran
         k = stop_level(params3)
         for i, j in [(k, k), (k, 5 * k)]:
-            est = estimate(
-                params3, McConfig(m=500, t_horizon=10**9, seed=4, initial=State(i, j))
-            )
+            est = estimate(params3, i, j, m=500, t_horizon=10**9, seed=4)
             assert est.p_hat == 0.0 and est.degenerate
 
     def test_stop_bound_reported(self, params3):
         expected = 2.0 * (2.0 / 3.0) ** 36
-        est = estimate(params3, McConfig(m=20, t_horizon=100, seed=1, initial=State(2, 2)))
+        est = estimate(params3, 2, 2, m=20, t_horizon=100, seed=1)
         lat = estimate_lattice(params3, 2, 2, m=20, t_horizon=100, seed=1)
         assert est.stop_bound == lat.stop_bound == pytest.approx(expected, rel=1e-12)
         assert est.stop_bound <= 1e-6
