@@ -30,15 +30,16 @@ computed as log1p(kappa - 1) / (d - r) from the exact difference
 which keeps its full relative precision however close to an axis the start
 point lies.
 
-Both denominators increase up to s0 and decrease afterwards, each crossing
-zero exactly once past s0 (the blow-up times s_plus and s_minus).  The
-integrating factor exp(int_0^u R) along the curve has the closed form
+Both denominators stay positive up to s0, and each crosses zero exactly once
+past s0 (the blow-up times s_plus and s_minus).  The integrating factor
+exp(int_0^u R) along the curve has the closed form
 
     IF(u) = [Dx(0) / Dx(u)] [Dy(0) / Dy(u)] [nu(0) / nu(u)] e^{(r+d) u},
 
-which is 1 at u = 0 by construction and has a simple pole at s0 coming from
-the nu factor alone.  Products x^i y^j IF with i + j >= 1 stay finite at s0,
-and ``weighted_coords`` evaluates them in a cancellation-free form.
+1 at u = 0, with a simple pole at s0 from the nu factor alone.  The code
+reads nu, Dx and Dy only as e^{-ds} (nu, Dx, Dy) from ``_pieces``, which
+cannot overflow and turns e^{(r+d) u} into e^{(r-2d) u}.  Products x^i y^j IF
+with i + j >= 1 stay finite at s0; ``weighted_coords`` evaluates them.
 """
 
 from __future__ import annotations
@@ -80,36 +81,35 @@ def make_path(params: ModelParams, x0: float, y0: float) -> CharacteristicPath:
 
 
 def _pieces(path: CharacteristicPath, s):
-    """nu, Dx, Dy at time s (scalar or array), in an expm1-stable form.
+    """e^{-ds} (nu, Dx, Dy) at time s (scalar or array), cancellation-free.
 
-    1 - kappa e^{(r-d)s} = -expm1((r-d)(s-s0)) avoids cancellation near s0
-    and in the near-critical regime rho -> 1.  With
-    L = 2 (1 - rho) / (x0 + y0 - 2 rho x0 y0),
+    With L = 2 (1 - rho) / (x0 + y0 - 2 rho x0 y0), nu~ = -expm1((r-d)(s-s0))
+    and
 
-        Dx = L y0 (1 - rho x0) + (1 - rho) expm1(d s) + rho nu
+        Dx~ = e^{-ds} L y0 (1 - rho x0) - (1 - rho) expm1(-d s) + rho nu~
 
-    (Dy likewise, x0 and y0 swapped) equals e^{d s} (1 - rho kappa
-    e^{(r-d)s}) + b for every s.  On [0, s0], where nu >= 0, it adds
-    nonnegative terms, so it keeps its relative precision near an axis, where
-    Dx(0) = L y0 is tiny.
+    (Dy~ likewise, x0 and y0 swapped) equals 1 - rho kappa e^{(r-d)s}
+    + b e^{-ds} for every s.  On [0, s0] it adds nonnegative terms, none
+    above 1 + |b|, so it cannot overflow and keeps its relative precision
+    near an axis, where Dx~(0) = L y0 (1 - rho x0) is tiny.
     """
     r, d = path.params.r, path.params.d
     rho = path.params.ratio
     x0, y0 = path.x0, path.y0
-    ds = d * s
-    nu = -np.exp(ds) * np.expm1((r - d) * (s - path.s0))
-    big_l = 2.0 * (1.0 - rho) / path.denom
-    shared = (1.0 - rho) * np.expm1(ds) + rho * nu
-    return nu, big_l * y0 * (1.0 - rho * x0) + shared, big_l * x0 * (1.0 - rho * y0) + shared
+    nu = -np.expm1((r - d) * (s - path.s0))
+    start = np.exp(-d * s) * (2.0 * (1.0 - rho) / path.denom)
+    shared = -(1.0 - rho) * np.expm1(-d * s) + rho * nu
+    return nu, start * y0 * (1.0 - rho * x0) + shared, start * x0 * (1.0 - rho * y0) + shared
 
 
 def eval_path(path: CharacteristicPath, s):
     """Trajectory point (x(s), y(s)); s may be a scalar or an array.
 
-    Regular on [0, s0]; outside, evaluation close to a blow-up time raises.
+    Regular on [0, s0]; past s0, evaluation close to a blow-up time raises.
     """
     nu, dx, dy = _pieces(path, s)
-    if np.any(np.abs(dx) < 1e-14) or np.any(np.abs(dy) < 1e-14):
+    near_root = (np.abs(dx) < 1e-14) | (np.abs(dy) < 1e-14)
+    if np.any(near_root & (np.asarray(s) > path.s0)):
         raise ZeroDivisionError(
             "trajectory denominator vanishes: s is at or near a blow-up "
             "time (s_plus for x, s_minus for y)"
@@ -120,21 +120,23 @@ def eval_path(path: CharacteristicPath, s):
 def critical_times(path: CharacteristicPath) -> tuple[float, float]:
     """Blow-up times (s_plus, s_minus) of x and y, both strictly past s0.
 
-    Bracketed on the overflow-safe rescaled denominators e^{-ds} Dx,y, then
-    solved to rounding by Brent's method.  s_plus < s_minus iff y0 < x0; the
-    two coincide on the diagonal.
+    Bracketed on the rescaled denominators of ``_pieces``, then solved to
+    rounding by Brent's method.  s_plus < s_minus iff y0 < x0; the two
+    coincide on the diagonal.  Near an axis the first-order terms of the
+    denominator cancel at s = 0, so a root s carries a relative error of
+    about eps / ((1 - rho) r (s - s0)); where four times that exceeds 1e-6,
+    or Brent's method does not converge, this raises ArithmeticError.
     """
     # imported here: scipy.optimize adds about 0.15 s to ``import distyle``
     from scipy.optimize import brentq
 
     r, d = path.params.r, path.params.d
-    log_rho = math.log(path.params.ratio)
+    eps = np.finfo(float).eps
     results = []
-    for sign in (+1.0, -1.0):  # +b: Dx root (s_plus); -b: Dy root (s_minus)
+    for k in (1, 2):  # Dx root (s_plus), then Dy root (s_minus)
 
         def g(s):
-            z = (r - d) * (s - path.s0)
-            return -math.expm1(z + log_rho) + sign * path.b * math.exp(-d * s)
+            return float(_pieces(path, s)[k])
 
         lo = path.s0
         if g(lo) <= 0.0:
@@ -146,7 +148,15 @@ def critical_times(path: CharacteristicPath) -> tuple[float, float]:
             hi = lo + step
             if step > cap:
                 raise ArithmeticError("no denominator sign change within the search cap")
-        results.append(brentq(g, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps))
+        root, info = brentq(g, lo, hi, xtol=1e-300, rtol=4 * eps, full_output=True, disp=False)
+        if not info.converged:
+            raise ArithmeticError(f"blow-up time not found: Brent's method {info.flag}")
+        if 4.0 * eps > 1e-6 * (1.0 - path.params.ratio) * r * (root - path.s0):
+            raise ArithmeticError(
+                f"blow-up time {root:.3g} lies too close to s0 = {path.s0:.3g} to "
+                "resolve to 1e-6: the start point is too near an axis"
+            )
+        results.append(root)
     return results[0], results[1]
 
 
@@ -162,14 +172,14 @@ def integrating_factor(path: CharacteristicPath, u):
     r, d = path.params.r, path.params.d
     nu0, dx0, dy0 = _pieces(path, 0.0)
     nu, dx, dy = _pieces(path, u)
-    return (dx0 / dx) * (dy0 / dy) * (nu0 / nu) * np.exp((r + d) * u)
+    return (dx0 / dx) * (dy0 / dy) * (nu0 / nu) * np.exp((r - 2.0 * d) * u)
 
 
 def weighted_coords(path: CharacteristicPath, u):
     """(x, y, x*IF, y*IF) at time(s) u in [0, s0], cancellation-free.
 
-    The products absorb the pole of IF:
-        x IF = C e^{(r+d)u} / (Dx^2 Dy),   y IF = C e^{(r+d)u} / (Dx Dy^2),
+    The products absorb the pole of IF.  In the rescaled triple of ``_pieces``,
+        x IF = C e^{(r-2d)u} / (Dx^2 Dy),   y IF = C e^{(r-2d)u} / (Dx Dy^2),
     with C = nu(0) Dx(0) Dy(0), so monomial weights x^i y^j IF with
     i + j >= 1 extend continuously to the arrival time s0.
     """
@@ -180,5 +190,5 @@ def weighted_coords(path: CharacteristicPath, u):
     nu0, dx0, dy0 = _pieces(path, 0.0)
     nu, dx, dy = _pieces(path, u)
     c = nu0 * (dx0 * dy0)
-    scale = c * np.exp((r + d) * u_arr) / (dx * dy)
+    scale = c * np.exp((r - 2.0 * d) * u_arr) / (dx * dy)
     return nu / dx, nu / dy, scale / dx, scale / dy

@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, ConvergenceError, genfunc.QuadratureError) as exc:
+    except (ValueError, OSError, ArithmeticError, ConvergenceError, genfunc.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -121,10 +121,10 @@ class GridSolution:
     values: np.ndarray
     closure: str
     closure_edge: np.ndarray = field(repr=False)  # p~_{k,N+1} = p~_{N+1,k}, k = 1..N
-    residual: float = float("nan")
-    iterations: int = 0
-    method: Method = Method.VALUE_ITERATION
-    rate: float = float("nan")  # value iteration's last contraction estimate
+    residual: float
+    iterations: int
+    method: Method
+    rate: float  # value iteration's last contraction estimate; NaN when direct
 
     def p(self, i: int, j: int) -> float:
         """Value at (i, j) including the absorbing boundary, which is 1."""

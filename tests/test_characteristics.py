@@ -125,15 +125,49 @@ class TestTrajectory:
         assert path_hi.s0 < s_minus < s_plus
 
     @settings(max_examples=50, deadline=None)
-    @given(params_strategy(), st.floats(0.01, 0.99), st.floats(0.01, 0.99))
+    @given(
+        params_strategy(),
+        st.floats(0.01, 0.99),
+        st.floats(-30.0, math.log10(0.99)).map(lambda e: 10.0**e),
+    )
     def test_blow_up_times_are_denominator_roots(self, params, x0, y0):
-        # Dx and Dy are sums of terms of size e^{ds} (1 + |b|), so a root
-        # found to rounding leaves them within a few ulps of that
+        # the rescaled Dx and Dy are sums of terms of size 1 + |b|, so a root
+        # found to rounding leaves them within a few ulps of that; next to an
+        # axis critical_times may refuse instead, but never return a non-root
         path = make_path(params, x0, y0)
-        s_plus, s_minus = critical_times(path)
+        try:
+            s_plus, s_minus = critical_times(path)
+        except ArithmeticError:
+            return
         for s, denom in ((s_plus, _pieces(path, s_plus)[1]), (s_minus, _pieces(path, s_minus)[2])):
-            scale = math.exp(params.d * s) * (1.0 + abs(path.b))
-            assert abs(denom) <= 8 * np.finfo(float).eps * scale
+            assert path.s0 < s
+            assert abs(denom) <= 8 * np.finfo(float).eps * (1.0 + abs(path.b))
+
+    def test_blow_up_times_next_to_an_axis(self):
+        # 80-digit mpmath roots of e^{-ds} Dx and e^{-ds} Dy
+        cases = [
+            (3.0, 0.3, 1e-15, (4.7140450893918011e-8, 0.51739442118139004)),
+            (3.0, 0.9, 1e-15, (2.7216552746973597e-8, None)),
+            (3.0, 0.3, 1e-12, (1.4907107998154678e-6, None)),
+            (2.002, 0.3, 1e-12, (1.8248284493942571e-6, 0.63891286075716277)),
+        ]
+        for r, x0, y0, expected in cases:
+            got = critical_times(make_path(ModelParams(r=r, d=2.0), x0, y0))
+            for value, want in zip(got, expected):
+                if want is not None:
+                    assert value == pytest.approx(want, rel=1e-7)
+        for r, x0, y0 in ((2.002, 0.3, 1e-15), (3.0, 0.3, 1e-30), (3.0, 0.9, 1e-30)):
+            with pytest.raises(ArithmeticError):
+                critical_times(make_path(ModelParams(r=r, d=2.0), x0, y0))
+
+    def test_blow_up_is_only_past_s0(self, params3):
+        # next to an axis Dx(0) is far below 1e-14 and still not a root
+        path = make_path(params3, 0.3, 1e-15)
+        x, y = eval_path(path, np.array([0.0, path.s0]))
+        assert x[0] == pytest.approx(0.3, rel=1e-12) and y[0] == pytest.approx(1e-15, rel=1e-12)
+        s_plus, _ = critical_times(make_path(params3, 0.6, 0.3))
+        with pytest.raises(ZeroDivisionError):
+            eval_path(make_path(params3, 0.6, 0.3), s_plus)
 
     @pytest.mark.parametrize(
         "r, x0, y0, expected",

@@ -169,6 +169,25 @@ class TestCharacteristicsCommand:
         first = [float(v) for v in lines[1].split(",")]
         assert first == pytest.approx([0.0, 0.3, 0.6, 1.0])
 
+    def test_start_next_to_an_axis(self, capsys):
+        # Dx(0) is about 2.2e-15 here, which used to pass for a blow-up
+        assert run(["characteristics", "--r", 3, "--d", 2, "--x0", 0.3, "--y0", 1e-15]) == 0
+        assert "s_plus=4.71404509" in capsys.readouterr().err
+
+    def test_near_critical_corner_is_finite(self, tmp_path):
+        # d s0 is about 2,400 here: e^(ds) used to overflow into NaN rows
+        argv = ["characteristics", "--r", 2.002, "--d", 2, "--x0", 0.9999, "--y0", 0.9999]
+        assert run([*argv, "--out", tmp_path]) == 0
+        table = np.loadtxt(tmp_path / "characteristic.csv", delimiter=",", skiprows=1)
+        assert np.isfinite(table).all()
+
+    def test_unresolvable_blow_up_time_exits_2(self, tmp_path, capsys):
+        code = run(["characteristics", "--r", 3, "--d", 2, "--x0", 0.3, "--y0", 1e-30,
+                    "--out", tmp_path])
+        assert code == 2
+        assert "error: blow-up time" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestCompareCommand:
     def test_two_grids(self, tmp_path, capsys):
@@ -383,6 +402,30 @@ def test_count_below_one_exits_2(tmp_path, capsys, command, flag, count):
     assert f"error: {flag} must be >= 1, got {count}" in captured.err
     assert captured.out == ""
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["grid", "--r", 3, "--d", 2, "--n", 5, "--out", "{file}"],
+        ["mc", "--r", 3, "--d", 2, "--i", 1, "--j", 1, "--m", 5, "--t", 10, "--out", "{file}/x"],
+        ["compare", "--field-a", "{dir}", "--field-b", "{file}"],
+        ["experiment", "--preset", "supercritical", "--no-mc", "--no-convergence",
+         "--grid-n", 6, "--out", "{file}"],
+    ],
+    ids=["grid-out-is-a-file", "mc-out-below-a-file", "compare-field-is-a-dir",
+         "experiment-out-is-a-file"],
+)
+def test_unusable_path_exits_2(tmp_path, capsys, command):
+    # each OSError other than FileNotFoundError used to end in a traceback
+    file = tmp_path / "taken"
+    file.write_text("i,j,p\n1,1,0.5\n")
+    argv = [str(a).format(file=file, dir=tmp_path) for a in command]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert file.read_text() == "i,j,p\n1,1,0.5\n"
 
 
 def test_solver_failures_exit_cleanly(capsys, monkeypatch):
