@@ -19,6 +19,7 @@ tables through the same functions.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -30,7 +31,8 @@ import numpy as np
 from . import genfunc
 from .grid import GridSolution, Method, SolveOptions, solve_grid
 from .model import ModelParams
-from .montecarlo import McEstimate, estimate_lattice
+# estimate_lattice stays a name of this module: perfbench/tracing.py wraps it
+from .montecarlo import McEstimate, estimate_lattice, start_lattice  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -351,8 +353,13 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
     Always writes the solved grid and a manifest of the resolved spec; the
     Monte-Carlo table, comparison summaries, truncation-convergence series
     with its fitted decay slope, and the generating-function cross-check are
-    optional stages.  Every stage runs before ``out_dir`` is created, so a
-    stage that raises leaves no partial run behind.  Output is a
+    optional stages.  They run in this order: the Monte-Carlo workers are
+    forked first and draw while this process solves the grid, runs the
+    convergence series (each box solved once: the rows of the main grid and
+    of the reference reuse their solves) and the quadrature; then the
+    Monte-Carlo counts are collected and compared with the grid.  Every
+    stage runs before ``out_dir`` is created, so a stage that raises leaves
+    no partial run behind, and no worker process either.  Output is a
     name -> path map.
     """
     manifest = []
@@ -365,14 +372,53 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
 
     params = ModelParams(spec.r, spec.d)
     options = SolveOptions(method=spec.solver, tol=spec.tol)
-    solution = solve_grid(params, spec.grid_n, options)
     tables: dict[str, tuple] = {}  # name -> (filename, header, rows)
+    drawing = (
+        start_lattice(params, spec.grid_n, spec.grid_n, spec.mc_m, spec.mc_t, spec.seed)
+        if spec.run_mc
+        else contextlib.nullcontext()
+    )
+    with drawing as finish_mc:
+        solution = solve_grid(params, spec.grid_n, options)
 
-    mc = None
-    if spec.run_mc:
-        mc = estimate_lattice(
-            params, spec.grid_n, spec.grid_n, spec.mc_m, spec.mc_t, spec.seed
-        )
+        if spec.run_convergence:
+            solved = {spec.grid_n: solution}
+            if spec.conv_reference not in solved:
+                solved[spec.conv_reference] = solve_grid(params, spec.conv_reference, options)
+            reference = solved[spec.conv_reference].values
+            boxes = range(spec.conv_min, spec.conv_max + 1)
+            series = convergence_series(
+                params,
+                [n for n in boxes if n not in solved],
+                reference,
+                sublattice=spec.sublattice,
+                options=options,
+            )
+            series += [
+                (n, compare(box.values, reference, sub=(spec.sublattice,) * 2).rqe_by_b)
+                for n, box in solved.items()
+                if n in boxes
+            ]
+            series.sort()
+            tables["nconv"] = ("nconv.csv", ["n", "rqe_vs_reference"], series)
+
+            ns, errors = np.array(series, dtype=float).T
+            not_self = ns != spec.conv_reference
+            fit = fit_log_slope(ns[not_self], errors[not_self])
+            tables["nconv_fit"] = (
+                "nconv_fit.csv",
+                ["target", "slope", "intercept", "r_squared", "n_used"],
+                [("reference", *fit)],
+            )
+
+        if spec.run_genfunc:
+            points = np.linspace(spec.genfunc_min, spec.genfunc_max, spec.genfunc_count)
+            table = genfunc_table(solution, points, points, spec.quad_tol)
+            tables["genfunc"] = ("genfunc.csv", *table)
+
+        mc = finish_mc() if spec.run_mc else None
+
+    if mc is not None:
         full = compare(mc.p_hat, solution.values)
         sub = compare(mc.p_hat, solution.values, sub=(spec.sublattice, spec.sublattice))
         tables["comparison_stats"] = ("comparison_stats.csv", *stats_table(full))
@@ -388,35 +434,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
                 ("mc_stop_bound", mc.stop_bound),
             ],
         )
-
-    if spec.run_convergence:
-        reference = (
-            solution
-            if spec.conv_reference == spec.grid_n
-            else solve_grid(params, spec.conv_reference, options)
-        )
-        series = convergence_series(
-            params,
-            list(range(spec.conv_min, spec.conv_max + 1)),
-            reference.values,
-            sublattice=spec.sublattice,
-            options=options,
-        )
-        tables["nconv"] = ("nconv.csv", ["n", "rqe_vs_reference"], series)
-
-        ns, errors = np.array(series, dtype=float).T
-        not_self = ns != spec.conv_reference
-        fit = fit_log_slope(ns[not_self], errors[not_self])
-        tables["nconv_fit"] = (
-            "nconv_fit.csv",
-            ["target", "slope", "intercept", "r_squared", "n_used"],
-            [("reference", *fit)],
-        )
-
-    if spec.run_genfunc:
-        points = np.linspace(spec.genfunc_min, spec.genfunc_max, spec.genfunc_count)
-        table = genfunc_table(solution, points, points, spec.quad_tol)
-        tables["genfunc"] = ("genfunc.csv", *table)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

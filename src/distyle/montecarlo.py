@@ -38,54 +38,72 @@ only for paths that run at the start of a block: each path wastes at most
 the 31 slots left in the block it ends in.  With M = 1, step t reads the
 t-th uniform.  Every stream is read strictly in order, so no invariance
 below relies on a counter-based generator that can jump to a position.
-Results do not depend on how cells are grouped, on how many worker processes
-run the groups, on lattice shape, on the refill size (a refill reads the
-next rows of the current block), or on which other cells are simulated; a
-lattice run and a single-cell run of the same cell agree bitwise, and
-shortening the horizon only truncates the stream, the last block being cut
-at T.
+Results do not depend on how cells share a window, on how many worker
+processes run the shares, on lattice shape, on the refill size (a refill
+reads the next rows of the current block), or on which other cells are
+simulated; a lattice run and a single-cell run of the same cell agree
+bitwise, and shortening the horizon only truncates the stream, the last
+block being cut at T.
 
-Workers: the groups of a large job run on forked worker processes, one per
-CPU this process may run on and at most one per group; each worker draws a
-refill of uniforms and then steps through it, one group at a time, and each
-group sends back only its per-cell counts of absorbed, stopped and censored
-paths, in group order.  Jobs below ``_POOL_MIN_PATHS`` paths, a
-single group, a single CPU, a platform without ``fork`` or a daemonic caller
-(a ``multiprocessing.Pool`` worker, say) run in the calling process instead.  Workers are forked: a spawned or forkserver worker starts
-a fresh interpreter that imports NumPy, about half a second, which cancels
-most of what a second core saves on a lattice that runs for a few seconds.
-Python 3.12 and later warn when a process that already runs threads, such as
-a BLAS thread pool, forks.
+Workers: a large job runs on forked worker processes, one per CPU this
+process may run on and at most one per cell.  With W workers, worker w takes
+the share ``cells[w::W]`` and streams it through one window of lanes: at the
+start of every block the window admits the next cells of the share while
+all M paths of each fit beside the paths still running, so cells join a
+window whose older cells are part-way through their horizons.  Every cell
+keeps its own clock: a cell admitted at block g0 is at its time 32 (g - g0)
+in block g and reads min(32, T - t) rows of its stream, and its paths still
+running when its horizon ends are counted as censored there.  Each worker
+sends back only the per-cell counts of absorbed, stopped and censored
+paths.  The workers are forked when the job starts and draw while the caller
+goes on (:func:`start_lattice`); the finish collects their counts, and
+leaving the job, also by an exception, stops and reaps them.  Jobs below
+``_POOL_MIN_PATHS`` paths, a single cell, a single CPU, a platform without
+``fork`` or a daemonic caller (a ``multiprocessing.Pool`` worker, say) run
+in the calling process instead, when the job finishes.  Workers are forked:
+a spawned or forkserver worker starts a fresh interpreter that imports
+NumPy, about half a second, which cancels most of what a second core saves
+on a lattice that runs for a few seconds.  Python 3.12 and later warn when a
+process that already runs threads, such as a BLAS thread pool, forks.
 
-Memory: cells are simulated in groups of at most ``_PATH_BUDGET`` // (W M)
-cells, one at least, W being the number of workers.  Each group's bank holds
-at most one block of steps, laid out (step, path) over the paths that run at
-the start of the block, and the banks of all W workers together stay within
-``_BLOCK`` x ``_PATH_BUDGET`` doubles (8 MiB), or within one row of M per
-worker when one row alone exceeds a worker's share.  A cell's rows pass
-through a staging buffer of at most ``_BLOCK`` x M doubles on their way into
-the bank.  A group also holds 44-55 bytes of work arrays per path and
-about 1.1 KiB of generator state per cell.  A single cell with more paths than
+Memory: each worker's window holds at most ``_PATH_BUDGET`` // W lanes, W
+being the number of workers, or one cell's M when that is more.  Its bank
+holds at most one block of steps, laid out (step, lane) over the paths that
+run at the start of the block, and has room for min(window, paths in the
+share) lanes, so the banks of all W workers together stay within ``_BLOCK``
+x ``_PATH_BUDGET`` doubles (8 MiB), or within one row of M per worker when
+one row alone exceeds a worker's share.  A cell's rows pass through a
+staging buffer of at most ``_BLOCK`` x M doubles on their way into the
+bank.  A window also holds about 50 bytes of work arrays per lane and about
+1.1 KiB of generator state per cell in it, and a share about 40 bytes per
+cell for its start states and counts.  A single cell with more paths than
 the budget thus refills fewer steps at a time, down to one; split draws read
-the same stream, so the grouping stays invisible.  Memory is bounded
-whatever the lattice size and the CPU count, but not whatever M: past
-``_BLOCK`` x ``_PATH_BUDGET`` / W paths a cell refills one step at a time
-and costs about 66 bytes a path (bank, staging buffer and work arrays).
+the same stream, so the refill size stays invisible.  Memory is bounded
+whatever the CPU count, and whatever the lattice size beyond the per-cell
+counts, but not whatever M: past ``_BLOCK`` x ``_PATH_BUDGET`` / W paths a
+cell refills one step at a time and costs about 66 bytes a path (bank,
+staging buffer and work arrays).
 
 Entry points: ``estimate(params, i, j, m, t_horizon, seed)`` for one cell,
 ``estimate_lattice(params, i_max, j_max, m, t_horizon, seed)`` for a box of
 cells, both returning an :class:`McEstimate` whose per-cell fields are numpy
 scalars or arrays, and ``estimate_cells(params, cells, m, t_horizon, seed)``
-for the bare frequencies of any list of cells, which the other two call.
+for the bare frequencies of any list of cells.  Each starts its job and
+finishes it at once; ``start_lattice`` takes the arguments of
+``estimate_lattice`` and yields the finish instead, so that the caller can
+work while the workers draw.
 The module only computes; :func:`distyle.harness.write_mc_csv` writes an
 estimate as CSV, one row per cell.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import math
 import os
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,8 +113,8 @@ from .model import ModelParams
 _BLOCK = 32  # steps between re-rankings of a cell's running paths; fixes the streams
 _PARKED = 2**20  # state of a path that ended earlier in the current block
 _PATH_BUDGET = 32_768  # most paths simulated side by side, over all workers
-# fewest paths for which the groups go to worker processes: starting a forked
-# pool takes about 13 ms, more than a smaller job gains from a second core
+# fewest paths for which the shares go to worker processes: forking them costs
+# more than a smaller job gains from a second core
 _POOL_MIN_PATHS = 8192
 _STOP_BOUND = 1e-6  # bias allowed to the exit-set stop, see stop_level
 _Z95 = 1.96
@@ -166,109 +184,193 @@ def _cell_stream(seed: int, i: int, j: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i, j])))
 
 
-def _run_cells(
+@contextlib.contextmanager
+def _counting(
     params: ModelParams,
     cells: list[tuple[int, int]],
     m: int,
     t_horizon: int,
     seed: int,
-) -> np.ndarray:
-    """Per-cell counts of the paths absorbed, stopped at the exit set and
-    censored at the horizon, shape (len(cells), 3), one stream per cell
-    (:func:`_cell_stream`); each row sums to ``m``.
+) -> Iterator[Callable[[], np.ndarray]]:
+    """Start counting the paths absorbed, stopped at the exit set and
+    censored at the horizon from each of ``cells``; yields the finish, which
+    waits for the counts, shape (len(cells), 3), each row summing to ``m``.
 
-    Cells run in groups of at most ``_PATH_BUDGET // (workers * m)`` cells
-    (one at least), or of ``len(cells) / workers`` cells, rounded up, when
-    that is fewer, so that every worker gets a group.
-    Each group refills at most one ``_BLOCK``-step block at a time into a
-    bank of its own, and the banks of all workers hold at most
-    ``_BLOCK * _PATH_BUDGET`` doubles together, or one step per worker when
-    a single cell has more paths than a worker's share of that.
+    Every entry point checks its request here: at least one cell, each with
+    i, j >= 1, ``m`` and ``t_horizon`` at least 1 and ``seed`` in [0, 2^64).
+    With W workers, worker w counts the share ``cells[w::W]`` in a window of
+    ``max(m, _PATH_BUDGET // W)`` lanes, refilling ``_BLOCK`` steps at a
+    time, or fewer when one cell has more paths than ``_PATH_BUDGET // W``.
+    The workers are forked on entry and draw while the ``with`` block runs;
+    leaving it, also by an exception, stops and reaps them.  A single worker
+    is this process, and the finish counts the share.
     """
+    if not cells:
+        raise ValueError("need at least one initial cell")
+    if m < 1:
+        raise ValueError(f"need at least one path, got m={m}")
+    if t_horizon < 1:
+        raise ValueError(f"need a positive horizon, got {t_horizon}")
+    if not (0 <= seed < 2**64):
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    for i0, j0 in cells:
+        if i0 < 1 or j0 < 1:
+            raise ValueError(f"initial cells need i, j >= 1, got ({i0}, {j0})")
     level = stop_level(params)
     workers = _workers() if len(cells) * m >= _POOL_MIN_PATHS else 1
-    group = max(1, min(_PATH_BUDGET // (workers * m), -(-len(cells) // workers)))
-    starts = range(0, len(cells), group)
-    workers = min(workers, len(starts))
-    depth = max(1, min(_BLOCK, _BLOCK * _PATH_BUDGET // (workers * group * m)))
-    run = functools.partial(_group_task, params, m, t_horizon, seed, level, depth)
-    chunks = (cells[start : start + group] for start in starts)
-    counts = np.empty((len(cells), 3), dtype=np.int64)
-    pool = None
+    workers = min(workers, len(cells))
+    lanes = _PATH_BUDGET // workers
+    depth = max(1, min(_BLOCK, _BLOCK * lanes // m))
+    run = functools.partial(_share_task, params, m, t_horizon, seed, level, max(m, lanes), depth)
+    if workers == 1:
+        yield lambda: run(cells)
+        return
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    procs, pipes = [], []
     try:
-        if workers > 1:
-            import multiprocessing
-            from concurrent.futures import process
+        for w in range(workers):
+            receive, send = context.Pipe(duplex=False)
+            pipes.append(receive)
+            share = cells[w::workers]
+            procs.append(context.Process(target=_worker, args=(send, run, share), daemon=True))
+            procs[-1].start()
+            send.close()
 
-            pool = process.ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
-        results = pool.map(run, chunks) if pool else map(run, chunks)
-        for start, group_counts in zip(starts, results):
-            counts[start : start + group] = group_counts
+        def finish() -> np.ndarray:
+            counts = np.empty((len(cells), 3), dtype=np.int64)
+            for w, receive in enumerate(pipes):
+                try:
+                    share = receive.recv()
+                except EOFError:
+                    procs[w].join()
+                    raise RuntimeError(
+                        f"Monte-Carlo worker exited with code {procs[w].exitcode}"
+                    ) from None
+                if isinstance(share, BaseException):
+                    raise share
+                counts[w::workers] = share
+            return counts
+
+        yield finish
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-    return counts
+        for proc in procs:
+            proc.terminate()  # a worker that has sent its counts is exiting anyway
+        for proc in procs:
+            proc.join()
+        for receive in pipes:
+            receive.close()
 
 
-def _group_task(
+def _worker(send, run: Callable, share: list[tuple[int, int]]) -> None:
+    """Body of a forked worker: send the counts of ``share``, or the error
+    that stopped them, and exit.  An interrupt ends the worker without a
+    word, and the finish reports its exit code."""
+    try:
+        result = run(share)
+    except Exception as exc:
+        result = exc
+    send.send(result)
+
+
+def _share_task(
     params: ModelParams,
     m: int,
     t_horizon: int,
     seed: int,
     level: int,
+    window: int,
     depth: int,
     cells: list[tuple[int, int]],
 ) -> np.ndarray:
-    """The counts of one group, run on a bank of ``depth`` steps allocated
-    here, in whichever process runs the group."""
-    bank = np.empty((depth, len(cells) * m))
-    return _run_group(params, cells, m, t_horizon, seed, level, bank)
+    """The counts of one share, run on a bank of ``depth`` steps of at most
+    ``window`` lanes, allocated here, in whichever process runs the share."""
+    bank = np.zeros((depth, min(window, len(cells) * m)))
+    return _run_share(params, cells, m, t_horizon, seed, level, window, bank)
 
 
-def _run_group(
+def _run_share(
     params: ModelParams,
     cells: list[tuple[int, int]],
     m: int,
     t_horizon: int,
     seed: int,
     level: int,
+    window: int,
     bank: np.ndarray,
 ) -> np.ndarray:
     """Counts of the paths absorbed, stopped and censored in each cell of one
-    group, shape (len(cells), 3).
+    share, shape (len(cells), 3).
 
     A path runs until it is absorbed, enters the exit set min(i, j) >=
-    ``level``, or reaches the horizon.  Time runs in blocks of ``_BLOCK``
-    steps.  At the start of a block the paths still running become lanes,
-    cell by cell and in path order within a cell, and a cell with L lanes
-    reads its stream step-major, L uniforms a step, slot r going to its
-    lane r, for every step of the block.  ``bank`` has shape (depth,
-    len(cells) * M) and receives up to depth steps of the block at a time:
-    each cell's rows are drawn into a staging buffer and copied into the
-    cell's columns, so step k of the refill is row k, one uniform per lane.
-    A path that ends inside a block is counted at once and then parked: its
-    state is set to ``_PARKED``, from where it can reach neither an axis nor
-    a zero sum in the rest of the block, and ``fin`` flags it so that it is
-    not counted twice.  Its lane keeps its slot until the block ends, when
-    the parked lanes are dropped.
+    ``level``, or reaches the horizon.  The cells stream through a window of
+    ``window`` lanes, in share order: at the start of every ``_BLOCK``-step
+    block the window admits the next cells while all M paths of each fit
+    beside the paths still running, and a cell admitted at block g0 is at
+    its own time ``_BLOCK * (g - g0)`` in block g.  Every cell therefore
+    ends in a block at the same step, ``tail``: the global block is cut
+    there when every cell in the window ends in it, and otherwise the
+    ending cells' paths still running are counted as censored and parked
+    at that step.  At the start of a block the paths still running become
+    lanes, cell by cell in admission order and in path order within a cell,
+    and a cell with L lanes reads its stream step-major, L uniforms a step,
+    slot r going to its lane r, for every step of the block up to its
+    horizon.  ``bank`` has shape (depth, lanes) and receives up to depth
+    steps of the block at a time: each cell's rows are drawn into a staging
+    buffer and copied into the cell's columns, so step k of the refill is
+    row k, one uniform per lane.  A path that ends inside a block is flagged
+    at once, in ``hit`` if it is absorbed, and then parked: its state is set
+    to ``_PARKED``, from where it can reach neither an axis nor a zero sum in
+    the rest of the block, and ``fin`` flags it so that it ends only once.
+    Its lane keeps its slot until the block ends, when the absorbed paths
+    are counted and the parked lanes are dropped.
     """
     n_cells = len(cells)
     depth = bank.shape[0]
     stage = np.empty(depth * m)
     start = np.array(cells, dtype=np.int32).reshape(n_cells, 2)
-    owner = np.repeat(np.flatnonzero(start.min(axis=1) < level), m)  # each lane's cell
-    ai = start[owner, 0]
-    aj = start[owner, 1]
-    gens = [_cell_stream(seed, i0, j0) for (i0, j0) in cells]
+    runs = (start.min(axis=1) < level).tolist()  # cells outside the exit set
     counts = np.zeros((n_cells, 3), dtype=np.int64)
+    last = (t_horizon - 1) // _BLOCK  # a cell's blocks, less one
+    tail = t_horizon - _BLOCK * last  # the steps of a cell's last block
+    owner = np.empty(0, dtype=np.intp)  # each lane's cell, nondecreasing
+    ai = aj = np.empty(0, dtype=np.int32)
+    streams: dict[int, tuple[np.random.Generator, int]] = {}  # cell -> stream, last block
     loss = params.death_step
     loss_or_right = loss + params.birth_step
-    t = 0
-    while t < t_horizon and owner.size:
+    admitted = 0
+    for g in itertools.count():
+        bounds = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()  # each cell's first lane
+        active = owner[bounds].tolist()  # the cells holding lanes, in lane order
+        streams = {k: streams[k] for k in active}
+        held = owner.size
+        while admitted < n_cells and held + m <= window:
+            if runs[admitted]:
+                active.append(admitted)
+                streams[admitted] = (_cell_stream(seed, *cells[admitted]), g + last)
+                held += m
+            admitted += 1
+        joined = active[len(bounds) :]
+        if joined:
+            bounds += range(owner.size, owner.size + m * len(joined), m)
+            owner = np.concatenate([owner, np.repeat(joined, m)])
+            ai = np.concatenate([ai, np.repeat(start[joined, 0], m)])
+            aj = np.concatenate([aj, np.repeat(start[joined, 1], m)])
         n = owner.size
-        bounds = [0, *np.cumsum(np.bincount(owner, minlength=n_cells)).tolist()]
-        spans = [(gen, lo, hi) for gen, lo, hi in zip(gens, bounds, bounds[1:]) if hi > lo]
+        if not n:  # every cell admitted, and none left running
+            break
+        bounds.append(n)
+        ending = 0  # the oldest cells reach their horizon in this block
+        while ending < len(active) and streams[active[ending]][1] == g:
+            ending += 1
+        block = tail if ending == len(active) else _BLOCK
+        spans = [
+            (streams[k][0], lo, hi, tail if e < ending else block)
+            for e, (k, lo, hi) in enumerate(zip(active, bounds, bounds[1:]))
+        ]
         fin = np.zeros(n, dtype=bool)
+        hit = np.zeros(n, dtype=bool)
         went_left, in_loss, below_up = masks = np.empty((3, n), dtype=bool)
         left8, loss8, below8 = masks.view(np.int8)
         done = np.empty(n, dtype=bool)
@@ -276,14 +378,18 @@ def _run_group(
         size = np.empty(n, dtype=np.int32)
         low = np.empty(n, dtype=np.int32)
         thr = np.empty(n)
-        block = min(_BLOCK, t_horizon - t)
-        for first in range(0, block, depth):
-            steps = min(depth, block - first)
-            rows = bank.reshape(-1)[: steps * n].reshape(steps, n)
-            for gen, lo, hi in spans:
-                cell_rows = stage[: steps * (hi - lo)].reshape(steps, hi - lo)
-                gen.random(out=cell_rows)
-                rows[:, lo:hi] = cell_rows
+        stops = {*range(depth, block, depth), block}
+        if ending:
+            stops.add(tail)  # the refill splits where the ending cells stop
+        first = 0
+        for stop in sorted(stops):
+            rows = bank.reshape(-1)[: (stop - first) * n].reshape(stop - first, n)
+            for gen, lo, hi, reads in spans:
+                steps = min(stop, reads) - first
+                if steps > 0:
+                    cell_rows = stage[: steps * (hi - lo)].reshape(steps, hi - lo)
+                    gen.random(out=cell_rows)
+                    rows[:steps, lo:hi] = cell_rows
             for u in rows:
                 np.add(ai, aj, out=size)
                 np.multiply(ai, loss, out=thr)
@@ -310,16 +416,25 @@ def _run_group(
                 # done and not fin: the paths that end at this step
                 new = np.flatnonzero(np.greater(done, fin, out=done))
                 if new.size:
-                    counts[:, 0] += np.bincount(owner[new[low[new] < 0]], minlength=n_cells)
+                    hit[new[low[new] < 0]] = True
                     fin[new] = True
                     ai[new] = _PARKED
                     aj[new] = _PARKED
-        t += block
+            if stop == tail and ending:
+                cut = bounds[ending]
+                censored = np.bincount(owner[:cut][~fin[:cut]])
+                counts[: censored.size, 2] += censored
+                fin[:cut] = True
+                ai[:cut] = _PARKED
+                aj[:cut] = _PARKED
+            first = stop
+        del spans  # and with it the streams of the cells that ended
+        absorbed = np.bincount(owner[hit])
+        counts[: absorbed.size, 0] += absorbed
         keep = ~fin
         owner = owner[keep]
         ai = ai[keep]
         aj = aj[keep]
-    counts[:, 2] = np.bincount(owner, minlength=n_cells)
     counts[:, 1] = m - counts[:, 0] - counts[:, 2]
     return counts
 
@@ -337,22 +452,10 @@ def estimate_cells(
     aligned with ``cells``.
 
     ``ends``, if given, of shape (2, len(cells)), receives the fractions of
-    paths stopped at the exit set and censored at the horizon.  Every entry
-    point checks its request here: at least one cell, each with i, j >= 1,
-    ``m`` and ``t_horizon`` at least 1 and ``seed`` in [0, 2^64).
+    paths stopped at the exit set and censored at the horizon.
     """
-    if not cells:
-        raise ValueError("need at least one initial cell")
-    if m < 1:
-        raise ValueError(f"need at least one path, got m={m}")
-    if t_horizon < 1:
-        raise ValueError(f"need a positive horizon, got {t_horizon}")
-    if not (0 <= seed < 2**64):
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    for i0, j0 in cells:
-        if i0 < 1 or j0 < 1:
-            raise ValueError(f"initial cells need i, j >= 1, got ({i0}, {j0})")
-    p_hat, *rest = (_run_cells(params, cells, m, t_horizon, seed) / m).T
+    with _counting(params, cells, m, t_horizon, seed) as finish:
+        p_hat, *rest = (finish() / m).T
     if ends is not None:
         ends[:] = rest
     return p_hat
@@ -365,11 +468,11 @@ def _summarise(
     m: int,
     t_horizon: int,
     seed: int,
+    counts: np.ndarray,
 ) -> McEstimate:
-    """Estimate ``cells`` and summarise them with every per-cell field
-    reshaped to ``shape``; the empty shape ``()`` gives numpy scalars."""
-    ends = np.empty((2, len(cells)))
-    p_hat = estimate_cells(params, cells, m, t_horizon, seed, ends=ends).reshape(shape)
+    """The estimate of ``cells`` from their ``counts``, with every per-cell
+    field reshaped to ``shape``; the empty shape ``()`` gives numpy scalars."""
+    p_hat, stopped, censored = (counts / m).T.reshape(3, *shape)
     half = _Z95 * np.sqrt(p_hat * (1.0 - p_hat) / m)
     return McEstimate(
         p_hat=p_hat[()],
@@ -381,8 +484,8 @@ def _summarise(
         t_horizon=t_horizon,
         seed=seed,
         stop_bound=2.0 * params.ratio ** stop_level(params),
-        stopped_frac=ends[0].reshape(shape)[()],
-        censored_frac=ends[1].reshape(shape)[()],
+        stopped_frac=stopped[()],
+        censored_frac=censored[()],
         cells=cells,
     )
 
@@ -391,7 +494,31 @@ def estimate(
     params: ModelParams, i: int, j: int, m: int, t_horizon: int, seed: int
 ) -> McEstimate:
     """Absorption frequency from the cell (i, j) with its Wald interval."""
-    return _summarise(params, [(i, j)], (), m, t_horizon, seed)
+    with _counting(params, [(i, j)], m, t_horizon, seed) as finish:
+        return _summarise(params, [(i, j)], (), m, t_horizon, seed, finish())
+
+
+@contextlib.contextmanager
+def start_lattice(
+    params: ModelParams,
+    i_max: int,
+    j_max: int,
+    m: int,
+    t_horizon: int,
+    seed: int,
+) -> Iterator[Callable[[], McEstimate]]:
+    """Start estimating every cell of the box 1 <= i <= i_max,
+    1 <= j <= j_max; yields the finish, which waits for the estimate.
+
+    Worker processes draw while the ``with`` block runs; leaving it stops
+    and reaps them, so a caller can do other work between the start and the
+    finish and still leaves no process behind when that work raises.
+    """
+    if i_max < 1 or j_max < 1:
+        raise ValueError(f"lattice extents must be >= 1, got ({i_max}, {j_max})")
+    cells = [(i, j) for i in range(1, i_max + 1) for j in range(1, j_max + 1)]
+    with _counting(params, cells, m, t_horizon, seed) as finish:
+        yield lambda: _summarise(params, cells, (i_max, j_max), m, t_horizon, seed, finish())
 
 
 def estimate_lattice(
@@ -403,7 +530,5 @@ def estimate_lattice(
     seed: int,
 ) -> McEstimate:
     """Estimate every cell of the box 1 <= i <= i_max, 1 <= j <= j_max."""
-    if i_max < 1 or j_max < 1:
-        raise ValueError(f"lattice extents must be >= 1, got ({i_max}, {j_max})")
-    cells = [(i, j) for i in range(1, i_max + 1) for j in range(1, j_max + 1)]
-    return _summarise(params, cells, (i_max, j_max), m, t_horizon, seed)
+    with start_lattice(params, i_max, j_max, m, t_horizon, seed) as finish:
+        return finish()

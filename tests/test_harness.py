@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
-from distyle import genfunc, harness
+from distyle import genfunc, harness, montecarlo
 from distyle.grid import Method, SolveOptions, solve_grid
 from distyle.harness import (
     ExperimentSpec,
@@ -294,6 +295,28 @@ class TestRunExperiment:
             run_experiment(spec, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_stage_error_stops_the_workers(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(montecarlo, "_POOL_MIN_PATHS", 0)
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+        running = []
+
+        def broken(*args, **kwargs):
+            running.append(len(multiprocessing.active_children()))
+            raise RuntimeError("broken grid stage")
+
+        monkeypatch.setattr(harness, "solve_grid", broken)
+        # near criticality no path stops early, and a horizon this long keeps
+        # the workers drawing for minutes unless they are stopped
+        spec = dataclasses.replace(tiny_spec(), r=2.002, mc_t=10**9)
+        with pytest.raises(RuntimeError, match="broken grid stage"):
+            run_experiment(spec, tmp_path / "out")
+        assert running == [2]
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out").exists()
+
     def test_convergence_solves_each_n_once(self, tmp_path, monkeypatch):
         calls = []
         solve = harness.solve_grid
@@ -304,9 +327,11 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "solve_grid", counting)
         spec = tiny_spec()
-        run_experiment(spec, tmp_path / "out")
-        # the main grid, which is also the reference, then one solve per N
-        assert calls == [spec.grid_n, *range(spec.conv_min, spec.conv_max + 1)]
+        written = run_experiment(spec, tmp_path / "out")
+        # the main grid, which is also the reference, then one solve per
+        # other N; the reference's own row compares it with itself
+        assert calls == [spec.grid_n, *range(spec.conv_min, spec.conv_max)]
+        assert written["nconv"].read_text().splitlines()[-1] == f"{spec.grid_n},0"
 
     def test_every_solve_uses_the_spec_options(self, tmp_path, monkeypatch):
         options = []
@@ -321,8 +346,9 @@ class TestRunExperiment:
             tiny_spec(), solver=Method.VALUE_ITERATION, tol=1e-10, conv_reference=9
         )
         run_experiment(spec, tmp_path / "out")
-        # the main grid, the reference and one solve per N
-        assert len(options) == 2 + spec.conv_max - spec.conv_min + 1
+        # the main grid, the reference and one solve per N other than the
+        # main grid's
+        assert len(options) == 2 + spec.conv_max - spec.conv_min
         assert set(options) == {SolveOptions(method=Method.VALUE_ITERATION, tol=1e-10)}
 
     def test_stages_can_be_disabled(self, tmp_path):

@@ -208,7 +208,8 @@ class TestLattice:
 
     def test_grouping_invisible(self, params3, monkeypatch):
         a = estimate_lattice(params3, 4, 4, m=60, t_horizon=500, seed=9)
-        # 180 paths run three cells per group; 25 < M also splits every refill
+        # a window of 180 lanes holds three cells at once; 25 < M also splits
+        # every refill
         for budget in (180, 25):
             monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
             b = estimate_lattice(params3, 4, 4, m=60, t_horizon=500, seed=9)
@@ -234,7 +235,7 @@ class TestLattice:
     def test_stream_is_pinned(self, params3):
         # Absorbed, stopped and censored counts per cell, row-major, from the
         # PCG64 streams of _cell_stream read in the live-lane layout of
-        # _run_group.  Every invariance test above passes under any in-order
+        # _run_share.  Every invariance test above passes under any in-order
         # bit generator and layout, so only this literal notices a change of
         # stream; a deliberate change updates it and says so in CHANGES.md,
         # since it changes every Monte-Carlo output.
@@ -286,16 +287,16 @@ class TestOutcomes:
 
 
 def record_depths(monkeypatch) -> list[int]:
-    """Patch ``_group_task`` to log the refill depth of each group run in
+    """Patch ``_share_task`` to log the refill depth of each share run in
     this process; returns the log."""
     depths = []
-    group_task = montecarlo._group_task
+    share_task = montecarlo._share_task
 
-    def spy(params, m, t_horizon, seed, level, depth, cells):
+    def spy(params, m, t_horizon, seed, level, window, depth, cells):
         depths.append(depth)
-        return group_task(params, m, t_horizon, seed, level, depth, cells)
+        return share_task(params, m, t_horizon, seed, level, window, depth, cells)
 
-    monkeypatch.setattr(montecarlo, "_group_task", spy)
+    monkeypatch.setattr(montecarlo, "_share_task", spy)
     return depths
 
 
@@ -310,8 +311,8 @@ class TestRefill:
     )
     def test_refill_size_invisible(self, monkeypatch, r, cells):
         # T = 500 is not a multiple of any refill size below.  A budget below
-        # 120 paths puts one cell of 60 paths in each group, which then
-        # refills _BLOCK * budget // 60 steps at a time.
+        # 120 paths holds one cell of 60 paths at a time in the window, which
+        # then refills _BLOCK * budget // 60 steps at a time.
         params = ModelParams(r=r, d=2.0)
         ends = np.empty((2, len(cells)))
         a = estimate_cells(params, cells, m=60, t_horizon=500, seed=9, ends=ends)
@@ -332,57 +333,60 @@ class TestRefill:
     @pytest.mark.parametrize(
         "budget, m, n_cells",
         [
-            (1024, 16, 300),  # 64 cells a group, five groups
+            (1024, 16, 300),  # 64 cells in the window at a time
             (256, 1000, 1),  # M above the budget: fewer steps per bank
             (64, 10_000, 1),  # one row above the cap: one step per bank
         ],
     )
     def test_banks_stay_within_cap(self, params3, monkeypatch, budget, m, n_cells):
-        # tracemalloc sees only this process, so the groups run in it
+        # tracemalloc sees only this process, so the share runs in it
         monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
         monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
         cells = [(1 + k % 20, 1 + k // 20) for k in range(n_cells)]
-        groups = []
+        shares = []
         held = []
-        group_task = montecarlo._group_task
-        run_group = montecarlo._run_group
+        share_task = montecarlo._share_task
+        run_share = montecarlo._run_share
 
-        def spy(params, m, t_horizon, seed, level, depth, group):
-            # the peak over the whole group: its bank, staging buffer, work
-            # arrays and streams
+        def spy(*args):
+            # the peak over the whole share: its bank, staging buffer, work
+            # arrays, streams and counts
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            counts = group_task(params, m, t_horizon, seed, level, depth, group)
-            bank = held.pop() - before
-            groups.append((depth, len(group), bank, tracemalloc.get_traced_memory()[1] - before))
+            counts = share_task(*args)
+            depth, lanes, after = held.pop()
+            peak = tracemalloc.get_traced_memory()[1] - before
+            shares.append((depth, lanes, after - before, peak))
             return counts
 
-        def run_group_spy(*args):
-            # the group's bank exists before it runs
-            held.append(tracemalloc.get_traced_memory()[0])
-            return run_group(*args)
+        def run_share_spy(*args):
+            # the share's bank exists before it runs
+            held.append((*args[-1].shape, tracemalloc.get_traced_memory()[0]))
+            return run_share(*args)
 
-        monkeypatch.setattr(montecarlo, "_group_task", spy)
-        monkeypatch.setattr(montecarlo, "_run_group", run_group_spy)
+        monkeypatch.setattr(montecarlo, "_share_task", spy)
+        monkeypatch.setattr(montecarlo, "_run_share", run_share_spy)
         tracemalloc.start()
         try:
             estimate_cells(params3, cells, m=m, t_horizon=100, seed=3)
         finally:
             tracemalloc.stop()
         cap = 8 * max(montecarlo._BLOCK * budget, m)
-        for depth, n, bank, peak in groups:
-            # the bank holds at least one row of M; besides it: interpreter
-            # frames and numpy's cache of small freed buffers
-            assert 8 * m <= 8 * depth * n * m <= bank <= cap + 16384
-            # beyond the bank and the staging buffer of depth rows of M: work
-            # arrays (measured 44-55 B a path), generator state (about 1.1 KiB
-            # a cell), and the same slack
-            staging = 8 * depth * m
-            assert 8 * m <= peak <= cap + staging + 64 * n * m + 1536 * n + 16384
+        ((depth, lanes, bank, peak),) = shares
+        # the bank holds at least one row of M; besides it: interpreter
+        # frames and numpy's cache of small freed buffers
+        assert m <= lanes <= max(budget, m)
+        assert 8 * m <= 8 * depth * lanes <= bank <= cap + 16384
+        # beyond the bank and the staging buffer of depth rows of M: work
+        # arrays (measured 44-55 B a path), generator state (about 1.1 KiB a
+        # cell), and the same slack, for the n cells the window holds
+        n = lanes // m
+        staging = 8 * depth * m
+        assert 8 * m <= peak <= cap + staging + 64 * n * m + 1536 * n + 16384
 
     def test_concurrent_callers_agree(self, params3, monkeypatch):
         # four callers run at once; state shared between calls would change
-        # the estimates; a budget of 4 paths runs groups of one cell that
+        # the estimates; a budget of 4 paths holds one cell at a time that
         # refill 3 steps at a time
         monkeypatch.setattr(montecarlo, "_PATH_BUDGET", 4)
         cells = [(i, j) for i in range(1, 7) for j in range(1, 7)]
@@ -433,14 +437,18 @@ class TestLiveLanes:
             list(simulate_cell(params, (i, j), m, t_horizon, make_rng(seed, i, j)).counts)
             for i, j in cells
         ]
-        # one cell of 20 paths a group below a budget of 40 paths, refilling
-        # _BLOCK * budget // 20 steps at a time; the default budget runs the
-        # four cells as one group
+        # a budget below 40 paths holds one cell of 20 paths at a time,
+        # refilling _BLOCK * budget // 20 steps at a time; a budget of 40 holds
+        # two, so the third and fourth cells join a window whose first cells
+        # are part-way through their horizon; the default budget runs the four
+        # cells side by side
         depths = record_depths(monkeypatch)
-        for budget, depth in ((1, 1), (2, 3), (20, 32), (montecarlo._PATH_BUDGET, 32)):
+        budgets = ((1, 1), (2, 3), (20, 32), (40, 32), (montecarlo._PATH_BUDGET, 32))
+        for budget, depth in budgets:
             monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
             depths.clear()
-            counts = montecarlo._run_cells(params, cells, m, t_horizon, seed)
+            with montecarlo._counting(params, cells, m, t_horizon, seed) as finish:
+                counts = finish()
             assert set(depths) == {depth}
             assert counts.tolist() == expected, budget
 
@@ -494,7 +502,7 @@ class TestWorkers:
         monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
         expected = self._run(params, cells, 100, t_horizon)
         monkeypatch.setattr(montecarlo, "_POOL_MIN_PATHS", 0)
-        for budget in (montecarlo._PATH_BUDGET, 1000):  # 1000: more groups than workers
+        for budget in (montecarlo._PATH_BUDGET, 1000):  # 1000: cells join running windows
             monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
             for workers in (1, 2, 3):
                 monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
@@ -504,54 +512,60 @@ class TestWorkers:
 
     @needs_fork
     @pytest.mark.parametrize("m", [60, 700])  # 700 paths exceed a worker's share
-    def test_groups_share_the_budget(self, params3, monkeypatch, tmp_path, m):
+    def test_windows_share_the_budget(self, params3, monkeypatch, tmp_path, m):
         budget, workers = 1000, 2
         monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
         monkeypatch.setattr(montecarlo, "_POOL_MIN_PATHS", 0)
         monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
-        log = tmp_path / "groups.txt"
-        run_group = montecarlo._run_group
+        run_share = montecarlo._run_share
 
-        def spy(params, cells, m, *args):
-            # runs in a worker process, so it reports through a file
-            with open(log, "a") as fp:
-                fp.write(f"{len(cells)} {len(cells) * m}\n")
-            return run_group(params, cells, m, *args)
+        def spy(params, cells, m, t_horizon, seed, level, window, bank):
+            # every refill views the bank as (steps, lanes in flight); the
+            # share runs in a worker process, so it reports through a file
+            lanes = []
 
-        monkeypatch.setattr(montecarlo, "_run_group", spy)
+            class Logged(np.ndarray):
+                def reshape(self, *shape):
+                    if len(shape) == 2:
+                        lanes.append(shape[1])
+                    return super().reshape(*shape)
+
+            counts = run_share(params, cells, m, t_horizon, seed, level, window, bank.view(Logged))
+            (tmp_path / f"{os.getpid()}.txt").write_text(f"{len(cells)} {max(lanes)}")
+            return counts
+
+        monkeypatch.setattr(montecarlo, "_run_share", spy)
         cells = [(i, j) for i in range(1, 7) for j in range(1, 7)]
         estimate_cells(params3, cells, m=m, t_horizon=200, seed=4)
-        groups = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-        assert sum(n for n, _ in groups) == len(cells)
-        assert len(groups) > workers
-        for n, paths in groups:
-            assert paths <= budget // workers or n == 1
+        shares = [tuple(map(int, log.read_text().split())) for log in tmp_path.glob("*.txt")]
+        assert sorted(n for n, _ in shares) == [len(cells) // workers] * workers
+        for _, most in shares:
+            assert m <= most <= max(budget // workers, m)
 
     @needs_fork
     def test_worker_error_reaches_caller(self, params3, monkeypatch):
         import multiprocessing
 
         def broken(*args):
-            raise RuntimeError("broken group")
+            raise RuntimeError("broken share")
 
-        monkeypatch.setattr(montecarlo, "_run_group", broken)
+        monkeypatch.setattr(montecarlo, "_run_share", broken)
         monkeypatch.setattr(montecarlo, "_POOL_MIN_PATHS", 0)
         monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
         cells = [(i, j) for i in range(1, 7) for j in range(1, 7)]
-        with pytest.raises(RuntimeError, match="broken group"):
+        with pytest.raises(RuntimeError, match="broken share"):
             estimate_cells(params3, cells, m=50, t_horizon=100, seed=0)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cause", ["no fork", "daemonic caller"])
     def test_fallback_runs_in_process(self, params3, monkeypatch, cause):
         import multiprocessing
-        from concurrent.futures import process
 
         cells = [(i, j) for i in range(1, 7) for j in range(1, 7)]
         expected = estimate_cells(params3, cells, m=50, t_horizon=300, seed=6)  # in process
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError(f"a worker pool started with {cause}")
+        def no_fork(*args, **kwargs):
+            raise AssertionError(f"a worker was forked with {cause}")
 
         if cause == "no fork":
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
@@ -559,7 +573,7 @@ class TestWorkers:
             monkeypatch.setattr(
                 multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=True)
             )
-        monkeypatch.setattr(process, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(montecarlo, "_POOL_MIN_PATHS", 0)
         assert montecarlo._workers() == 1
         assert np.array_equal(estimate_cells(params3, cells, m=50, t_horizon=300, seed=6), expected)
