@@ -55,7 +55,7 @@ def _output(args, filename: str):
 
 def _cmd_grid(args) -> int:
     params = ModelParams(args.r, args.d)
-    options = SolveOptions(method=args.method, tol=args.tol, max_iter=args.max_iter)
+    options = SolveOptions(method=args.method, tol=args.tol)
     solution = solve_grid(params, args.n, options, closure=args.closure)
     with _output(args, "grid_p.csv") as fp:
         write_grid_csv(solution, fp)
@@ -196,19 +196,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="extinction probabilities of a two-morph flower population",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # mc and greens default to the experiment's settings
+    spec = {f.name: f.default for f in dataclasses.fields(harness.ExperimentSpec)}
 
     p = sub.add_parser("grid", help="solve the truncated recurrence on an NxN box")
     _add_rates(p)
     p.add_argument("--n", type=int, required=True, help="box size N")
-    defaults = SolveOptions()
     p.add_argument(
         "--method",
         choices=[m.value for m in Method],
         default=None,
         help=f"default: {Method.DIRECT} up to N={_DIRECT_MAX_N}, {Method.VALUE_ITERATION} above",
     )
-    p.add_argument("--tol", type=float, default=defaults.tol)
-    p.add_argument("--max-iter", type=int, default=defaults.max_iter)
+    p.add_argument("--tol", type=float, default=SolveOptions().tol)
     p.add_argument(
         "--closure",
         choices=list(CLOSURES),
@@ -223,22 +223,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, default=None, help="initial thrums (point mode)")
     p.add_argument("--imax", type=int, default=None, help="lattice mode: sweep i = 1..imax")
     p.add_argument("--jmax", type=int, default=None, help="lattice mode: sweep j = 1..jmax")
-    p.add_argument("--m", type=int, default=200, help="paths per initial state")
-    p.add_argument("--t", type=int, default=5000, help="time horizon")
+    p.add_argument("--m", type=int, default=spec["mc_m"], help="paths per initial state")
+    p.add_argument("--t", type=int, default=spec["mc_t"], help="time horizon")
     p.add_argument("--seed", type=int, default=0, help="stream seed (u64)")
     _add_out(p)
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("greens", help="generating function: quadrature vs series")
     _add_rates(p)
-    p.add_argument("--xmin", type=float, default=0.1)
-    p.add_argument("--xmax", type=float, default=0.5)
-    p.add_argument("--nx", type=int, default=5)
-    p.add_argument("--ymin", type=float, default=0.1)
-    p.add_argument("--ymax", type=float, default=0.5)
-    p.add_argument("--ny", type=int, default=5)
-    p.add_argument("--n", type=int, default=50, help="grid size for the series reference")
-    p.add_argument("--quad-tol", type=float, default=1e-8, help="quadrature budget")
+    p.add_argument("--xmin", type=float, default=spec["genfunc_min"])
+    p.add_argument("--xmax", type=float, default=spec["genfunc_max"])
+    p.add_argument("--nx", type=int, default=spec["genfunc_count"])
+    p.add_argument("--ymin", type=float, default=spec["genfunc_min"])
+    p.add_argument("--ymax", type=float, default=spec["genfunc_max"])
+    p.add_argument("--ny", type=int, default=spec["genfunc_count"])
+    p.add_argument(
+        "--n", type=int, default=spec["grid_n"], help="grid size for the series reference"
+    )
+    p.add_argument("--quad-tol", type=float, default=spec["quad_tol"], help="quadrature budget")
     _add_out(p)
     p.set_defaults(func=_cmd_greens)
 

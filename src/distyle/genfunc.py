@@ -161,12 +161,18 @@ def _adaptive(
 def eval_by_quadrature(params: ModelParams, query: GenFuncQuery) -> float:
     """P(x0, y0) by adaptive 15-point Gauss-Legendre along the characteristic.
 
-    Raises :class:`QuadratureError` when the panels miss the budget (or the
-    integrand is NaN), when the arrival time s0 is subnormal (a point within
-    about 1e-308 of an axis), where the panel nodes round past s0, or when
-    ``n_terms`` is too short for the folded tail, max(x0, y0)^(n_terms+1),
-    to fall below it.
+    Raises :class:`QuadratureError` when ``n_terms`` is too short for the
+    folded tail, max(x0, y0)^(n_terms+1), to fall below the budget (before
+    any panel runs, so the estimate is NaN), when the arrival time s0 is
+    subnormal (a point within about 1e-308 of an axis), where the panel
+    nodes round past s0, or when the panels miss the budget (or the
+    integrand is NaN).
     """
+    tail = max(query.x0, query.y0) ** (query.n_terms + 1)
+    if tail >= query.tol:
+        raise QuadratureError(
+            f"{query.n_terms} terms leave a folded tail above the budget", math.nan, tail
+        )
     path = characteristics.make_path(params, query.x0, query.y0)
     if path.s0 < np.finfo(float).tiny:
         raise QuadratureError(f"arrival time s0 = {path.s0:.1e} is subnormal", math.nan, math.nan)
@@ -175,11 +181,6 @@ def eval_by_quadrature(params: ModelParams, query: GenFuncQuery) -> float:
     value, err = _adaptive(f, 0.0, path.s0, query.tol, 0, _panel(f, 0.0, path.s0), budget)
     if not err <= query.tol:  # a NaN integrand fails here too
         raise QuadratureError("quadrature did not meet its budget", value, err)
-    tail = max(query.x0, query.y0) ** (query.n_terms + 1)
-    if tail >= query.tol:
-        raise QuadratureError(
-            f"{query.n_terms} terms leave a folded tail above the budget", value, tail
-        )
     return value
 
 

@@ -50,8 +50,9 @@ Near criticality value iteration needs about 17-19 N^2 steps: at r=2.002
 it takes 69,053 at N=60 and 396,029 at N=142, where it lands 5.9e-13 from
 the direct solve.  Boxes up to N=150 factor by default, but from N=151 the
 default is value iteration, and such near-critical boxes exhaust the
-default ``max_iter`` and raise ``ConvergenceError`` (N=150 does too, with
-``Method.VALUE_ITERATION``); solve them with ``Method.DIRECT``.
+iteration cap ``_MAX_ITER`` (400,000) and raise ``ConvergenceError``
+(N=150 does too, with ``Method.VALUE_ITERATION``); solve them with
+``Method.DIRECT``.
 
 The module only computes; :func:`distyle.harness.write_grid_csv` writes a
 solved field as CSV.
@@ -86,24 +87,24 @@ _DIRECT_MAX_N = 150
 # update only in the last _CHECKED of them.
 _CHECK_EVERY = 32
 _CHECKED = 4
+# Most Jacobi steps value iteration takes before it raises ConvergenceError.
+_MAX_ITER = 400_000
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     """``method`` is a :class:`Method` or its name ("direct", "vi");
-    ``None`` picks ``DIRECT`` for N <= 150, value iteration above."""
+    ``None`` picks ``DIRECT`` for N <= 150, value iteration above.  ``tol``
+    is value iteration's accuracy target; its step cap is ``_MAX_ITER``."""
 
     method: Method | None = None
     tol: float = 1e-12
-    max_iter: int = 400_000
 
     def __post_init__(self) -> None:
         if self.method is not None:
             object.__setattr__(self, "method", Method(self.method))
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 class ConvergenceError(RuntimeError):
@@ -155,7 +156,6 @@ CLOSURES = {
         "rigorous upper bound (d/r)^i + (d/r)^j - (d/r)^(i+j)",
         lambda params, k, m: extinction_bounds(params, k, m)[1],
     ),
-    "ones": ("constant 1", lambda params, k, m: 1.0),
 }
 
 
@@ -261,14 +261,14 @@ def _folded_system(
 
 
 def _iterate(
-    a: scipy.sparse.csr_matrix, c: np.ndarray, options: SolveOptions
+    a: scipy.sparse.csr_matrix, c: np.ndarray, tol: float
 ) -> tuple[np.ndarray, int | None, float]:
     """Value iteration q <- K q - c from zero, with K = A + I of the
     folded system A q = c: one sparse mat-vec per Jacobi step.
 
     K is nonnegative, and so is -c for nonnegative closures, so the
     iterates rise monotonically.  The steps run in blocks of
-    ``_CHECK_EVERY``, clipped at ``max_iter``.  Only the last
+    ``_CHECK_EVERY``, clipped at ``_MAX_ITER``.  Only the last
     ``_CHECKED`` steps of a block measure their update max|K q - c - q|;
     the others are bare, and a block shorter than ``_CHECKED`` tests
     nothing.  At a block's last step the geometric tail of the updates
@@ -279,7 +279,7 @@ def _iterate(
     noise in the one-step ratios cannot fake convergence.  Iteration stops
     when update * rate / (1 - rate) <= tol/2, or at an update of exactly 0.
 
-    Returns the iterate, its step count (``None`` when ``max_iter`` ran
+    Returns the iterate, its step count (``None`` when ``_MAX_ITER`` ran
     out) and the last rate estimate (NaN before the first check).
     """
     k = a + scipy.sparse.identity(a.shape[0], format="csr")
@@ -288,8 +288,8 @@ def _iterate(
     done = 0
     rate = float("nan")
     check_delta, check_step = 0.0, 0  # update at the previous block's check
-    while done < options.max_iter:
-        size = min(_CHECK_EVERY, options.max_iter - done)
+    while done < _MAX_ITER:
+        size = min(_CHECK_EVERY, _MAX_ITER - done)
         checked = _CHECKED if size >= _CHECKED else 0
         for _ in range(size - checked):
             q = k @ q
@@ -310,7 +310,7 @@ def _iterate(
         if check_delta > 0.0:
             rate = max(rate, (deltas[-1] / check_delta) ** (1.0 / (done - check_step)))
         rate = min(rate, 1.0 - 1e-9)
-        if deltas[-1] * rate / (1.0 - rate) <= 0.5 * options.tol:
+        if deltas[-1] * rate / (1.0 - rate) <= 0.5 * tol:
             return q, done, rate
         check_delta, check_step = deltas[-1], done
     return q, None, rate
@@ -343,12 +343,12 @@ def solve_grid(
         )
         q, iterations, rate = lu.solve(c), 1, float("nan")
     else:
-        q, iterations, rate = _iterate(a, c, options)
+        q, iterations, rate = _iterate(a, c, options.tol)
     p = mirror @ q
     residual = float(np.max(np.abs(t @ p - b)))
     if iterations is None:
         raise ConvergenceError(
-            f"no convergence within {options.max_iter} iterations, "
+            f"no convergence within {_MAX_ITER} iterations, "
             f"last rate estimate {rate:.9g}",
             residual,
         )

@@ -141,8 +141,8 @@ def convergence_series(
     params: ModelParams,
     n_values: list[int],
     reference: np.ndarray,
-    sublattice: int = 10,
-    options: SolveOptions = SolveOptions(method=Method.DIRECT),
+    sublattice: int,
+    options: SolveOptions,
 ) -> list[tuple[int, float]]:
     """Rows (N, rqe of the N-grid against ``reference`` on the sub-lattice),
     each N-grid solved with ``options``."""
@@ -347,6 +347,19 @@ def genfunc_table(
     return ["x", "y", "P_quadrature", "P_series", "abs_diff"], rows
 
 
+# Every file a run may write, under the name run_experiment returns it by.
+_OUTPUTS = {
+    "manifest": "manifest.txt",
+    "grid": "grid_p.csv",
+    "mc": "mc_p.csv",
+    "nconv": "nconv.csv",
+    "nconv_fit": "nconv_fit.csv",
+    "genfunc": "genfunc.csv",
+    "comparison_stats": "comparison_stats.csv",
+    "comparison_summary": "comparison_summary.csv",
+}
+
+
 def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
     """Execute the requested pipeline and write its tables under ``out_dir``.
 
@@ -359,8 +372,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
     of the reference reuse their solves) and the quadrature; then the
     Monte-Carlo counts are collected and compared with the grid.  Every
     stage runs before ``out_dir`` is created, so a stage that raises leaves
-    no partial run behind, and no worker process either.  Output is a
-    name -> path map.
+    no partial run behind, and no worker process either.  Once every stage
+    has succeeded, the files of :data:`_OUTPUTS` that this run does not
+    write are deleted from ``out_dir``, so a reused directory holds one run
+    only; no other file there is touched.  Output is a name -> path map.
     """
     manifest = []
     for f in dataclasses.fields(spec):
@@ -372,7 +387,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
 
     params = ModelParams(spec.r, spec.d)
     options = SolveOptions(method=spec.solver, tol=spec.tol)
-    tables: dict[str, tuple] = {}  # name -> (filename, header, rows)
+    tables: dict[str, tuple] = {}  # name -> (header, rows)
     drawing = (
         start_lattice(params, spec.grid_n, spec.grid_n, spec.mc_m, spec.mc_t, spec.seed)
         if spec.run_mc
@@ -388,11 +403,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
             reference = solved[spec.conv_reference].values
             boxes = range(spec.conv_min, spec.conv_max + 1)
             series = convergence_series(
-                params,
-                [n for n in boxes if n not in solved],
-                reference,
-                sublattice=spec.sublattice,
-                options=options,
+                params, [n for n in boxes if n not in solved], reference, spec.sublattice, options
             )
             series += [
                 (n, compare(box.values, reference, sub=(spec.sublattice,) * 2).rqe_by_b)
@@ -400,30 +411,27 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
                 if n in boxes
             ]
             series.sort()
-            tables["nconv"] = ("nconv.csv", ["n", "rqe_vs_reference"], series)
+            tables["nconv"] = (["n", "rqe_vs_reference"], series)
 
             ns, errors = np.array(series, dtype=float).T
             not_self = ns != spec.conv_reference
             fit = fit_log_slope(ns[not_self], errors[not_self])
             tables["nconv_fit"] = (
-                "nconv_fit.csv",
                 ["target", "slope", "intercept", "r_squared", "n_used"],
                 [("reference", *fit)],
             )
 
         if spec.run_genfunc:
             points = np.linspace(spec.genfunc_min, spec.genfunc_max, spec.genfunc_count)
-            table = genfunc_table(solution, points, points, spec.quad_tol)
-            tables["genfunc"] = ("genfunc.csv", *table)
+            tables["genfunc"] = genfunc_table(solution, points, points, spec.quad_tol)
 
         mc = finish_mc() if spec.run_mc else None
 
     if mc is not None:
         full = compare(mc.p_hat, solution.values)
         sub = compare(mc.p_hat, solution.values, sub=(spec.sublattice, spec.sublattice))
-        tables["comparison_stats"] = ("comparison_stats.csv", *stats_table(full))
+        tables["comparison_stats"] = stats_table(full)
         tables["comparison_summary"] = (
-            "comparison_summary.csv",
             ["name", "value"],
             [
                 ("cells_excluded", full.cells_excluded),
@@ -437,20 +445,18 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
-
-    def output(name: str, filename: str):
-        written[name] = out_dir / filename
-        return open(written[name], "w", newline="")
-
-    with output("manifest", "manifest.txt") as fp:
+    names = ["manifest", "grid", *(["mc"] if mc is not None else []), *tables]
+    written = {name: out_dir / _OUTPUTS[name] for name in names}
+    for name in _OUTPUTS.keys() - written.keys():
+        (out_dir / _OUTPUTS[name]).unlink(missing_ok=True)  # left by an earlier run
+    with open(written["manifest"], "w", newline="") as fp:
         fp.writelines(manifest)
-    with output("grid", "grid_p.csv") as fp:
+    with open(written["grid"], "w", newline="") as fp:
         write_grid_csv(solution, fp)
     if mc is not None:
-        with output("mc", "mc_p.csv") as fp:
+        with open(written["mc"], "w", newline="") as fp:
             write_mc_csv(mc, fp)
-    for name, (filename, header, rows) in tables.items():
-        with output(name, filename) as fp:
+    for name, (header, rows) in tables.items():
+        with open(written[name], "w", newline="") as fp:
             write_csv(fp, header, rows)
     return written

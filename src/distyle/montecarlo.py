@@ -88,7 +88,8 @@ Entry points: ``estimate(params, i, j, m, t_horizon, seed)`` for one cell,
 ``estimate_lattice(params, i_max, j_max, m, t_horizon, seed)`` for a box of
 cells, both returning an :class:`McEstimate` whose per-cell fields are numpy
 scalars or arrays, and ``estimate_cells(params, cells, m, t_horizon, seed)``
-for the bare frequencies of any list of cells.  Each starts its job and
+for the bare absorption frequencies of any list of cells, without the
+stopped and censored fractions.  Each starts its job and
 finishes it at once; ``start_lattice`` takes the arguments of
 ``estimate_lattice`` and yields the finish instead, so that the caller can
 work while the workers draw.
@@ -445,20 +446,11 @@ def estimate_cells(
     m: int,
     t_horizon: int,
     seed: int,
-    *,
-    ends: np.ndarray | None = None,
 ) -> np.ndarray:
     """Absorption frequencies for an arbitrary list of initial cells,
-    aligned with ``cells``.
-
-    ``ends``, if given, of shape (2, len(cells)), receives the fractions of
-    paths stopped at the exit set and censored at the horizon.
-    """
+    aligned with ``cells``."""
     with _counting(params, cells, m, t_horizon, seed) as finish:
-        p_hat, *rest = (finish() / m).T
-    if ends is not None:
-        ends[:] = rest
-    return p_hat
+        return finish()[:, 0] / m
 
 
 def _summarise(

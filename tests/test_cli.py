@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import distyle
-from distyle import genfunc
+from distyle import genfunc, grid
 from distyle.cli import main
 from distyle.grid import solve_grid
 from distyle.harness import ExperimentSpec, run_experiment, write_grid_csv, write_mc_csv
@@ -353,7 +353,7 @@ class TestExperimentCommand:
              "(choose from 'direct', 'vi')"),
             (["grid", "--r", 3, "--d", 2, "--n", 4, "--closure", "x"],
              "distyle grid: error: argument --closure: invalid choice: 'x' "
-             "(choose from 'asymptotic', 'bounds-lower', 'bounds-upper', 'ones')"),
+             "(choose from 'asymptotic', 'bounds-lower', 'bounds-upper')"),
         ]:
             with pytest.raises(SystemExit) as info:
                 run(argv)
@@ -430,7 +430,8 @@ def test_unusable_path_exits_2(tmp_path, capsys, command):
 
 def test_solver_failures_exit_cleanly(capsys, monkeypatch):
     # both errors are RuntimeErrors and used to end in a traceback
-    assert run(["grid", "--r", 3, "--d", 2, "--n", 20, "--method", "vi", "--max-iter", 3]) == 2
+    monkeypatch.setattr(grid, "_MAX_ITER", 3)
+    assert run(["grid", "--r", 3, "--d", 2, "--n", 20, "--method", "vi"]) == 2
     monkeypatch.setattr(genfunc, "_MAX_PANELS", 2)
     code = run(
         ["greens", "--r", 3, "--d", 2, "--n", 12, "--quad-tol", 1e-18,

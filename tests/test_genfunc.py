@@ -108,13 +108,17 @@ class TestQuadrature:
         series = eval_from_grid(grid50, 0.9, 0.9)
         assert abs(quad - series.value) <= series.tail_bound + q.tol
 
-    def test_term_cap_raises(self, params3, grid100):
+    def test_term_cap_raises(self, params3, grid100, monkeypatch):
         # 200 terms leave a folded tail of 0.95^201 = 3.3e-5, far above tol;
-        # the value used to come back as if it were within tol
+        # the value used to come back as if it were within tol, and later
+        # the panels ran before the check raised with a meaningless estimate
         q = query_from_grid(grid100, 0.95, 0.5, tol=1e-8)
         assert q.n_terms == 200
-        with pytest.raises(QuadratureError, match="folded tail above the budget"):
+        monkeypatch.setattr(genfunc, "_panel", lambda *args: pytest.fail("a panel ran"))
+        with pytest.raises(QuadratureError, match="folded tail above the budget") as info:
             eval_by_quadrature(params3, q)
+        assert np.isnan(info.value.estimate)
+        assert info.value.error_bound == 0.95**201
 
     def test_near_an_axis_matches_series(self, params3, grid100):
         # Dx(0) = L y0 used to come from two terms of order one that cancel

@@ -9,6 +9,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distyle import grid
 from distyle.grid import (
     CLOSURES,
     ConvergenceError,
@@ -156,7 +157,7 @@ class TestSolvers:
         assert np.max(np.abs(sol.values - sol.values.T)) < 1e-12
 
     def test_unit_closure_gives_constant_solution(self, params3):
-        sol = solve_grid(params3, 12, SolveOptions(method=Method.DIRECT), closure="ones")
+        sol = solve_grid(params3, 12, SolveOptions(method=Method.DIRECT), closure=np.ones(12))
         assert np.max(np.abs(sol.values - 1.0)) < 1e-12
 
     def test_closure_ordering_is_monotone(self, params3):
@@ -187,11 +188,11 @@ class TestSolvers:
             solve_grid(params3, 5, closure="midpoint")
 
     def test_named_closures(self, params3):
-        assert list(CLOSURES) == ["asymptotic", "bounds-lower", "bounds-upper", "ones"]
+        assert list(CLOSURES) == ["asymptotic", "bounds-lower", "bounds-upper"]
         lower, upper = np.array([extinction_bounds(params3, k, 7) for k in range(1, 7)]).T
-        for name, want in [("bounds-lower", lower), ("bounds-upper", upper), ("ones", 1.0)]:
+        for name, want in [("bounds-lower", lower), ("bounds-upper", upper)]:
             up, right, _ = closure_arrays(params3, 6, name)
-            assert np.array_equal(up, np.broadcast_to(want, (6,)))
+            assert np.array_equal(up, want)
             assert np.array_equal(right, up)
 
     def test_method_by_name(self):
@@ -203,7 +204,7 @@ class TestSolvers:
             SolveOptions(method="lu")
 
     def test_direct_solves_large_near_critical_grid(self, paramsc):
-        # beyond the reach of value iteration's default max_iter
+        # beyond the reach of value iteration's iteration cap
         n = 150
         sol = solve_grid(paramsc, n, SolveOptions(method=Method.DIRECT))
         powers = paramsc.ratio ** np.arange(1, n + 1)
@@ -292,9 +293,10 @@ class TestSolvers:
         raised = solve_grid(params, n, opts, closure=edge + lift)
         assert np.min(raised.values - base.values) > -10 * opts.tol
 
-    def test_iteration_cap_raises(self, params3):
+    def test_iteration_cap_raises(self, params3, monkeypatch):
+        monkeypatch.setattr(grid, "_MAX_ITER", 3)
         with pytest.raises(ConvergenceError) as info:
-            solve_grid(params3, 20, SolveOptions(method=Method.VALUE_ITERATION, max_iter=3))
+            solve_grid(params3, 20, SolveOptions(method=Method.VALUE_ITERATION))
         assert info.value.residual > 0.0
 
     @pytest.mark.parametrize("closure", list(CLOSURES))
@@ -312,11 +314,12 @@ class TestSolvers:
         assert stop is not None and sol.iterations >= stop
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 5, 31, 32, 33, 35])
-    def test_iteration_cap_reports_the_capped_iterate(self, params3, max_iter):
-        # blocks are clipped at max_iter; one shorter than four steps
+    def test_iteration_cap_reports_the_capped_iterate(self, params3, monkeypatch, max_iter):
+        # blocks are clipped at the cap; one shorter than four steps
         # measures no update, so before the first check there is no rate
         n = 20
-        opts = SolveOptions(method=Method.VALUE_ITERATION, max_iter=max_iter)
+        monkeypatch.setattr(grid, "_MAX_ITER", max_iter)
+        opts = SolveOptions(method=Method.VALUE_ITERATION)
         with pytest.raises(ConvergenceError) as info:
             solve_grid(params3, n, opts)
         t, b, a, c, mirror = _folded_system(params3, n, closure_arrays(params3, n)[0])
@@ -349,8 +352,6 @@ class TestSolvers:
             SolveOptions(tol=0.0)
         with pytest.raises(ValueError):
             SolveOptions(tol=float("nan"))
-        with pytest.raises(ValueError):
-            SolveOptions(max_iter=0)
 
     def test_residual_reported_small(self, grid50):
         assert grid50.residual < 1e-11

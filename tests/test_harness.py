@@ -80,10 +80,9 @@ class TestFit:
 
 class TestConvergenceSeries:
     def test_errors_shrink_toward_reference(self, params3):
-        reference = solve_grid(params3, 16, SolveOptions(method=Method.DIRECT))
-        series = convergence_series(
-            params3, [6, 9, 12], reference.values, sublattice=5
-        )
+        direct = SolveOptions(method=Method.DIRECT)
+        reference = solve_grid(params3, 16, direct)
+        series = convergence_series(params3, [6, 9, 12], reference.values, 5, direct)
         ns = [n for n, _ in series]
         errs = [e for _, e in series]
         assert ns == [6, 9, 12]
@@ -294,6 +293,30 @@ class TestRunExperiment:
         with pytest.raises(genfunc.QuadratureError, match="folded tail above the budget"):
             run_experiment(spec, tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    def test_reused_directory_holds_one_run(self, tmp_path):
+        # a run without the optional stages used to leave the earlier run's
+        # mc_p.csv, comparison and nconv tables beside its own manifest
+        out = tmp_path / "out"
+        run_experiment(tiny_spec(), out)
+        (out / "notes.txt").write_text("kept\n")
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        failing = dataclasses.replace(tiny_spec(), run_mc=False, genfunc_max=0.95)
+        with pytest.raises(genfunc.QuadratureError):
+            run_experiment(failing, out)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        bare = dataclasses.replace(
+            tiny_spec(), run_mc=False, run_convergence=False, run_genfunc=False
+        )
+        written = run_experiment(bare, out)
+        assert set(written) == {"manifest", "grid"}
+        assert sorted(path.name for path in out.iterdir()) == [
+            "grid_p.csv",
+            "manifest.txt",
+            "notes.txt",
+        ]
+        assert (out / "notes.txt").read_text() == "kept\n"
+        assert written["grid"].read_bytes() == before["grid_p.csv"]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_stage_error_stops_the_workers(self, tmp_path, monkeypatch):

@@ -40,6 +40,12 @@ def make_rng(seed, i, j):
     return montecarlo._cell_stream(seed, i, j)
 
 
+def path_counts(params, cells, m, t_horizon, seed):
+    """The (absorbed, stopped, censored) path counts of each cell."""
+    with montecarlo._counting(params, cells, m, t_horizon, seed) as finish:
+        return finish()
+
+
 class PathResult(NamedTuple):
     absorbed: bool
     steps: int | None
@@ -314,21 +320,17 @@ class TestRefill:
         # 120 paths holds one cell of 60 paths at a time in the window, which
         # then refills _BLOCK * budget // 60 steps at a time.
         params = ModelParams(r=r, d=2.0)
-        ends = np.empty((2, len(cells)))
-        a = estimate_cells(params, cells, m=60, t_horizon=500, seed=9, ends=ends)
+        a = path_counts(params, cells, m=60, t_horizon=500, seed=9)
         if r == 1000.0:
-            first = np.empty_like(ends)
-            estimate_cells(params, cells, m=60, t_horizon=montecarlo._BLOCK, seed=9, ends=first)
-            assert np.all(first[1] == 0.0)  # nothing left running after one block
+            first = path_counts(params, cells, m=60, t_horizon=montecarlo._BLOCK, seed=9)
+            assert np.all(first[:, 2] == 0)  # nothing left running after one block
         depths = record_depths(monkeypatch)
         for budget, depth in ((2, 1), (6, 3), (60, 32)):
             monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
             depths.clear()
-            ends_b = np.empty_like(ends)
-            b = estimate_cells(params, cells, m=60, t_horizon=500, seed=9, ends=ends_b)
+            b = path_counts(params, cells, m=60, t_horizon=500, seed=9)
             assert set(depths) == {depth}
             assert np.array_equal(a, b)
-            assert np.array_equal(ends, ends_b)
 
     @pytest.mark.parametrize(
         "budget, m, n_cells",
@@ -447,8 +449,7 @@ class TestLiveLanes:
         for budget, depth in budgets:
             monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
             depths.clear()
-            with montecarlo._counting(params, cells, m, t_horizon, seed) as finish:
-                counts = finish()
+            counts = path_counts(params, cells, m, t_horizon, seed)
             assert set(depths) == {depth}
             assert counts.tolist() == expected, budget
 
@@ -483,11 +484,6 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
 class TestWorkers:
-    def _run(self, params, cells, m, t_horizon):
-        ends = np.empty((2, len(cells)))
-        p_hat = estimate_cells(params, cells, m=m, t_horizon=t_horizon, seed=11, ends=ends)
-        return p_hat, ends
-
     @needs_fork
     @pytest.mark.parametrize(
         "r, cells, t_horizon",
@@ -500,15 +496,14 @@ class TestWorkers:
     def test_results_independent_of_worker_count(self, monkeypatch, r, cells, t_horizon):
         params = ModelParams(r=r, d=2.0)
         monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
-        expected = self._run(params, cells, 100, t_horizon)
+        expected = path_counts(params, cells, 100, t_horizon, seed=11)
         monkeypatch.setattr(montecarlo, "_POOL_MIN_PATHS", 0)
         for budget in (montecarlo._PATH_BUDGET, 1000):  # 1000: cells join running windows
             monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
             for workers in (1, 2, 3):
                 monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
-                p_hat, ends = self._run(params, cells, 100, t_horizon)
-                assert np.array_equal(p_hat, expected[0])
-                assert np.array_equal(ends, expected[1])
+                counts = path_counts(params, cells, 100, t_horizon, seed=11)
+                assert np.array_equal(counts, expected)
 
     @needs_fork
     @pytest.mark.parametrize("m", [60, 700])  # 700 paths exceed a worker's share
