@@ -20,7 +20,15 @@ import numpy as np
 
 from . import genfunc, harness
 from .characteristics import critical_times, eval_path, integrating_factor, make_path
-from .grid import _DIRECT_MAX_N, CLOSURES, ConvergenceError, Method, SolveOptions, solve_grid
+from .grid import (
+    _DIRECT_MAX_N,
+    CLOSURES,
+    DEFAULT_CLOSURE,
+    ConvergenceError,
+    Method,
+    SolveOptions,
+    solve_grid,
+)
 from .harness import write_csv, write_grid_csv, write_mc_csv
 from .model import ModelParams
 from .montecarlo import estimate, estimate_lattice
@@ -212,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--closure",
         choices=list(CLOSURES),
-        default="asymptotic",
+        default=DEFAULT_CLOSURE,
     )
     _add_out(p)
     p.set_defaults(func=_cmd_grid)

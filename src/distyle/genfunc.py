@@ -40,6 +40,7 @@ from .grid import GridSolution
 from .model import ModelParams
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+QUAD_TOL = 1e-8  # the absolute quadrature budget wherever the caller names none
 
 
 class QuadratureError(RuntimeError):
@@ -61,7 +62,7 @@ class GenFuncQuery:
     x0: float
     y0: float
     row1: tuple[float, ...]
-    tol: float = 1e-8
+    tol: float
 
     def __post_init__(self) -> None:
         if not (0.0 < self.x0 < 1.0 and 0.0 < self.y0 < 1.0):
@@ -89,7 +90,7 @@ def default_n_terms(x0: float, y0: float, tol: float) -> int:
 
 
 def query_from_grid(
-    solution: GridSolution, x0: float, y0: float, tol: float = 1e-8
+    solution: GridSolution, x0: float, y0: float, tol: float = QUAD_TOL
 ) -> GenFuncQuery:
     """Build a query whose first-column data comes from a solved grid.
 

@@ -159,8 +159,11 @@ CLOSURES = {
 }
 
 
+DEFAULT_CLOSURE = "asymptotic"  # the policy wherever the caller names none
+
+
 def closure_arrays(
-    params: ModelParams, n: int, closure="asymptotic"
+    params: ModelParams, n: int, closure=DEFAULT_CLOSURE
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """Resolve a closure policy to the edge arrays (p~_{i,N+1}, p~_{N+1,j}).
 
@@ -320,7 +323,7 @@ def solve_grid(
     params: ModelParams,
     n: int,
     options: SolveOptions | None = None,
-    closure="asymptotic",
+    closure=DEFAULT_CLOSURE,
 ) -> GridSolution:
     """Solve the closed box system and return the probability field.
 

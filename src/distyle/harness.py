@@ -177,7 +177,7 @@ class ExperimentSpec:
     genfunc_min: float = 0.1
     genfunc_max: float = 0.5
     genfunc_count: int = 5
-    quad_tol: float = 1e-8
+    quad_tol: float = genfunc.QUAD_TOL
 
     def __post_init__(self) -> None:
         """Reject a spec the run would fail on, before it writes any file.

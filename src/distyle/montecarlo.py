@@ -28,43 +28,58 @@ Every result reports, per cell, the fraction of paths stopped at the exit set
 (cells starting inside it count as stopped) and the fraction censored at T;
 with the absorbed fraction p_hat they account for every path.
 
-Reproducibility: every initial cell (i, j) owns a PCG64 stream keyed by
-``SeedSequence([seed, i, j])`` (:func:`_cell_stream`), read in blocks of
-``_BLOCK`` = 32 steps.  At the start of a block the cell ranks its L paths
-still running in path order, and the block reads the stream step-major, L
-uniforms a step, slot r going to the path of rank r.  A path that ends
-inside a block keeps its slots until the block ends, so uniforms are drawn
-only for paths that run at the start of a block: each path wastes at most
-the 31 slots left in the block it ends in.  With M = 1, step t reads the
-t-th uniform.  Every stream is read strictly in order, so no invariance
+Mirror cells: the walk treats the two morphs alike, so the path from (j, i)
+has the law of the mirrored path from (i, j), absorption on either axis
+counts, and p(i, j) = p(j, i).  Every requested cell is therefore simulated
+as its canonical cell (min(i, j), max(i, j)), from that start state and on
+that cell's stream, and each canonical cell is simulated once per request: a
+lattice of n x n cells runs n (n + 1) / 2 of them, and the mirror cells
+receive copies of the counts.  A cell and its mirror are thus one estimate,
+not two independent ones.  Each cell's interval stays valid, and statistics
+over a lattice (means, relative errors, interval coverage) keep their
+expectation, but their spread grows, since about half of the cells repeat
+the other half.
+
+Reproducibility: every canonical cell (i, j), i <= j, owns a PCG64 stream
+keyed by ``SeedSequence([seed, i, j])`` (:func:`_cell_stream`), read in
+blocks of ``_BLOCK`` = 32 steps.  At the start of a block the cell ranks its
+L paths still running in path order, and the block reads the stream
+step-major, L uniforms a step, slot r going to the path of rank r.  A path
+that ends inside a block keeps its slots until the block ends, so uniforms
+are drawn only for paths that run at the start of a block: each path wastes
+at most the 31 slots left in the block it ends in.  With M = 1, step t reads
+the t-th uniform.  Every stream is read strictly in order, so no invariance
 below relies on a counter-based generator that can jump to a position.
 Results do not depend on how cells share a window, on how many worker
 processes run the shares, on lattice shape, on the refill size (a refill
 reads the next rows of the current block), or on which other cells are
 simulated; a lattice run and a single-cell run of the same cell agree
-bitwise, and shortening the horizon only truncates the stream, the last
-block being cut at T.
+bitwise, the single cell (3, 2) reading the stream of (2, 3) as the lattice
+does, and shortening the horizon only truncates the stream, the last block
+being cut at T.
 
 Workers: a large job runs on forked worker processes, one per CPU this
-process may run on and at most one per cell.  With W workers, worker w takes
-the share ``cells[w::W]`` and streams it through one window of lanes: at the
-start of every block the window admits the next cells of the share while
-all M paths of each fit beside the paths still running, so cells join a
-window whose older cells are part-way through their horizons.  Every cell
-keeps its own clock: a cell admitted at block g0 is at its time 32 (g - g0)
-in block g and reads min(32, T - t) rows of its stream, and its paths still
-running when its horizon ends are counted as censored there.  Each worker
-sends back only the per-cell counts of absorbed, stopped and censored
-paths.  The workers are forked when the job starts and draw while the caller
-goes on (:func:`start_lattice`); the finish collects their counts, and
-leaving the job, also by an exception, stops and reaps them.  Jobs below
-``_POOL_MIN_PATHS`` paths, a single cell, a single CPU, a platform without
-``fork`` or a daemonic caller (a ``multiprocessing.Pool`` worker, say) run
-in the calling process instead, when the job finishes.  Workers are forked:
-a spawned or forkserver worker starts a fresh interpreter that imports
-NumPy, about half a second, which cancels most of what a second core saves
-on a lattice that runs for a few seconds.  Python 3.12 and later warn when a
-process that already runs threads, such as a BLAS thread pool, forks.
+process may run on and at most one per distinct canonical cell.  With W
+workers, worker w takes the share ``distinct[w::W]`` of the distinct
+canonical cells, in the order the request first names them, and streams it
+through one window of lanes: at the start of every block the window admits
+the next cells of the share while all M paths of each fit beside the paths
+still running, so cells join a window whose older cells are part-way through
+their horizons.  Every cell keeps its own clock: a cell admitted at block g0
+is at its time 32 (g - g0) in block g and reads min(32, T - t) rows of its
+stream, and its paths still running when its horizon ends are counted as
+censored there.  Each worker sends back only the per-cell counts of
+absorbed, stopped and censored paths.  The workers are forked when the job
+starts and draw while the caller goes on (:func:`start_lattice`); the finish
+collects their counts, and leaving the job, also by an exception, stops and
+reaps them.  Jobs below ``_POOL_MIN_PATHS`` paths over their distinct cells,
+a single distinct cell, a single CPU, a platform without ``fork`` or a
+daemonic caller (a ``multiprocessing.Pool`` worker, say) run in the calling
+process instead, when the job finishes.  Workers are forked: a spawned or
+forkserver worker starts a fresh interpreter that imports NumPy, about half
+a second, which cancels most of what a second core saves on a lattice that
+runs for a few seconds.  Python 3.12 and later warn when a process that
+already runs threads, such as a BLAS thread pool, forks.
 
 Memory: each worker's window holds at most ``_PATH_BUDGET`` // W lanes, W
 being the number of workers, or one cell's M when that is more.  Its bank
@@ -78,11 +93,13 @@ bank.  A window also holds about 50 bytes of work arrays per lane and about
 1.1 KiB of generator state per cell in it, and a share about 40 bytes per
 cell for its start states and counts.  A single cell with more paths than
 the budget thus refills fewer steps at a time, down to one; split draws read
-the same stream, so the refill size stays invisible.  Memory is bounded
-whatever the CPU count, and whatever the lattice size beyond the per-cell
-counts, but not whatever M: past ``_BLOCK`` x ``_PATH_BUDGET`` / W paths a
-cell refills one step at a time and costs about 66 bytes a path (bank,
-staging buffer and work arrays).
+the same stream, so the refill size stays invisible.  The caller's map from
+the requested cells to their canonical cells, and the counts copied back,
+take about 100 bytes a requested cell.  Memory is bounded whatever the CPU
+count, and whatever the lattice size beyond the per-cell counts, but not
+whatever M: past ``_BLOCK`` x ``_PATH_BUDGET`` / W paths a cell refills one
+step at a time and costs about 66 bytes a path (bank, staging buffer and
+work arrays).
 
 Entry points: ``estimate(params, i, j, m, t_horizon, seed)`` for one cell,
 ``estimate_lattice(params, i_max, j_max, m, t_horizon, seed)`` for a box of
@@ -199,7 +216,11 @@ def _counting(
 
     Every entry point checks its request here: at least one cell, each with
     i, j >= 1, ``m`` and ``t_horizon`` at least 1 and ``seed`` in [0, 2^64).
-    With W workers, worker w counts the share ``cells[w::W]`` in a window of
+    Only the distinct canonical cells (min(i, j), max(i, j)) are counted, in
+    the order ``cells`` first names them, and the finish copies each one's
+    counts to every cell of ``cells`` it stands for; ``_POOL_MIN_PATHS`` and
+    the one worker per cell count distinct cells.  With W workers, worker w
+    counts the share ``distinct[w::W]`` in a window of
     ``max(m, _PATH_BUDGET // W)`` lanes, refilling ``_BLOCK`` steps at a
     time, or fewer when one cell has more paths than ``_PATH_BUDGET // W``.
     The workers are forked on entry and draw while the ``with`` block runs;
@@ -217,14 +238,17 @@ def _counting(
     for i0, j0 in cells:
         if i0 < 1 or j0 < 1:
             raise ValueError(f"initial cells need i, j >= 1, got ({i0}, {j0})")
+    keys: dict[tuple[int, int], int] = {}  # canonical cell -> its row in the counts
+    where = [keys.setdefault((min(i, j), max(i, j)), len(keys)) for i, j in cells]
+    distinct = list(keys)
     level = stop_level(params)
-    workers = _workers() if len(cells) * m >= _POOL_MIN_PATHS else 1
-    workers = min(workers, len(cells))
+    workers = _workers() if len(distinct) * m >= _POOL_MIN_PATHS else 1
+    workers = min(workers, len(distinct))
     lanes = _PATH_BUDGET // workers
     depth = max(1, min(_BLOCK, _BLOCK * lanes // m))
     run = functools.partial(_share_task, params, m, t_horizon, seed, level, max(m, lanes), depth)
     if workers == 1:
-        yield lambda: run(cells)
+        yield lambda: run(distinct)[where]
         return
     import multiprocessing
 
@@ -234,13 +258,13 @@ def _counting(
         for w in range(workers):
             receive, send = context.Pipe(duplex=False)
             pipes.append(receive)
-            share = cells[w::workers]
+            share = distinct[w::workers]
             procs.append(context.Process(target=_worker, args=(send, run, share), daemon=True))
             procs[-1].start()
             send.close()
 
         def finish() -> np.ndarray:
-            counts = np.empty((len(cells), 3), dtype=np.int64)
+            counts = np.empty((len(distinct), 3), dtype=np.int64)
             for w, receive in enumerate(pipes):
                 try:
                     share = receive.recv()
@@ -252,7 +276,7 @@ def _counting(
                 if isinstance(share, BaseException):
                     raise share
                 counts[w::workers] = share
-            return counts
+            return counts[where]
 
         yield finish
     finally:

@@ -18,16 +18,16 @@ from distyle.grid import solve_grid
 class TestQuery:
     def test_validation(self):
         with pytest.raises(ValueError):
-            GenFuncQuery(x0=0.0, y0=0.5, row1=(0.7,))
+            GenFuncQuery(x0=0.0, y0=0.5, row1=(0.7,), tol=1e-8)
         with pytest.raises(ValueError):
-            GenFuncQuery(x0=0.5, y0=1.0, row1=(0.7,))
+            GenFuncQuery(x0=0.5, y0=1.0, row1=(0.7,), tol=1e-8)
         with pytest.raises(ValueError):
-            GenFuncQuery(x0=0.5, y0=0.5, row1=())
+            GenFuncQuery(x0=0.5, y0=0.5, row1=(), tol=1e-8)
         with pytest.raises(ValueError):
             GenFuncQuery(x0=0.5, y0=0.5, row1=(0.7,), tol=0.0)
         with pytest.raises(ValueError):
             GenFuncQuery(x0=0.5, y0=0.5, row1=(0.7,), tol=float("nan"))
-        assert GenFuncQuery(x0=0.5, y0=0.5, row1=(0.7, 0.4)).n_terms == 2
+        assert GenFuncQuery(x0=0.5, y0=0.5, row1=(0.7, 0.4), tol=1e-8).n_terms == 2
 
     def test_default_n_terms(self):
         # max(x0,y0)^(n+1) < tol at the returned n

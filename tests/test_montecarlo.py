@@ -40,6 +40,11 @@ def make_rng(seed, i, j):
     return montecarlo._cell_stream(seed, i, j)
 
 
+def canonical(i, j):
+    """The cell whose start state and stream the cell (i, j) reads."""
+    return min(i, j), max(i, j)
+
+
 def path_counts(params, cells, m, t_horizon, seed):
     """The (absorbed, stopped, censored) path counts of each cell."""
     with montecarlo._counting(params, cells, m, t_horizon, seed) as finish:
@@ -235,7 +240,8 @@ class TestLattice:
         for seed in range(40):
             for i, j in [(1, 1), (3, 2), (6, 9)]:
                 est = estimate(params3, i, j, m=1, t_horizon=50, seed=seed)
-                ref = simulate_path(params3, (i, j), 50, make_rng(seed, i, j))
+                key = canonical(i, j)
+                ref = simulate_path(params3, key, 50, make_rng(seed, *key))
                 assert est.p_hat == float(ref.absorbed)
 
     def test_stream_is_pinned(self, params3):
@@ -244,13 +250,14 @@ class TestLattice:
         # _run_share.  Every invariance test above passes under any in-order
         # bit generator and layout, so only this literal notices a change of
         # stream; a deliberate change updates it and says so in CHANGES.md,
-        # since it changes every Monte-Carlo output.
+        # since it changes every Monte-Carlo output.  The rows with i > j
+        # repeat their mirror rows, whose streams they read.
         golden = np.array(
             [
                 [40, 9, 1], [30, 19, 1], [28, 21, 1], [24, 23, 3],
-                [38, 10, 2], [19, 29, 2], [15, 33, 2], [9, 39, 2],
-                [23, 23, 4], [15, 33, 2], [9, 40, 1], [8, 37, 5],
-                [24, 24, 2], [16, 33, 1], [10, 35, 5], [7, 41, 2],
+                [30, 19, 1], [19, 29, 2], [15, 33, 2], [9, 39, 2],
+                [28, 21, 1], [15, 33, 2], [9, 40, 1], [8, 37, 5],
+                [24, 23, 3], [9, 39, 2], [8, 37, 5], [7, 41, 2],
             ]
         )
         lat = estimate_lattice(params3, 4, 4, 50, 500, 20260816)
@@ -264,6 +271,46 @@ class TestLattice:
     def test_empty_cell_list_rejected(self, params3):
         with pytest.raises(ValueError):
             estimate_cells(params3, [], m=10, t_horizon=10, seed=0)
+
+
+class TestMirror:
+    # the walk treats the morphs alike, so p(i, j) = p(j, i), and each cell
+    # reads the start state and stream of its canonical cell (min, max)
+    def test_lattice_is_symmetric(self, params3):
+        cells = [(i, j) for i in range(1, 6) for j in range(1, 6)]
+        counts = path_counts(params3, cells, 40, 600, 3).reshape(5, 5, 3)
+        assert np.array_equal(counts, counts.transpose(1, 0, 2))
+
+    def test_point_runs_read_the_mirror(self, params3):
+        a = estimate(params3, 3, 2, m=80, t_horizon=600, seed=21)
+        b = estimate(params3, 2, 3, m=80, t_horizon=600, seed=21)
+        lat = estimate_lattice(params3, 3, 3, m=80, t_horizon=600, seed=21)
+        for name in PER_CELL:
+            assert getattr(a, name) == getattr(b, name) == getattr(lat, name)[2, 1], name
+        assert a.cells == [(3, 2)]
+
+    def test_both_orders_in_one_list(self, params3):
+        cells = [(5, 2), (1, 1), (2, 5), (4, 3), (3, 4), (5, 2)]
+        counts = path_counts(params3, cells, 60, 500, 8)
+        assert np.array_equal(counts[0], counts[2])
+        assert np.array_equal(counts[3], counts[4])
+        assert np.array_equal(counts[0], counts[5])
+        assert np.all(counts.sum(axis=1) == 60)
+
+    def test_lattice_opens_one_stream_per_unordered_cell(self, params3, monkeypatch):
+        keys = []
+        cell_stream = montecarlo._cell_stream
+
+        def spy(seed, i, j):
+            keys.append((i, j))
+            return cell_stream(seed, i, j)
+
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 1)  # the log stays here
+        monkeypatch.setattr(montecarlo, "_cell_stream", spy)
+        n = 6
+        estimate_lattice(params3, n, n, m=20, t_horizon=100, seed=5)
+        assert len(keys) == len(set(keys)) == n * (n + 1) // 2
+        assert all(i <= j for i, j in keys)
 
 
 class TestOutcomes:
@@ -436,8 +483,8 @@ class TestLiveLanes:
         cells = [(1, 1), (2, 3), (4, 1), (3, 5)]
         m, seed = 20, 5
         expected = [
-            list(simulate_cell(params, (i, j), m, t_horizon, make_rng(seed, i, j)).counts)
-            for i, j in cells
+            list(simulate_cell(params, key, m, t_horizon, make_rng(seed, *key)).counts)
+            for key in (canonical(i, j) for i, j in cells)
         ]
         # a budget below 40 paths holds one cell of 20 paths at a time,
         # refilling _BLOCK * budget // 20 steps at a time; a budget of 40 holds
@@ -457,7 +504,8 @@ class TestLiveLanes:
         # A path draws for every step of each block it starts running, so it
         # wastes at most the slots left in the block it ends in.  Drawing for
         # every path of a cell while any of them runs breaks this bound.
-        cells = [(i, j) for i in range(1, 5) for j in range(1, 5)]
+        # Only the 10 cells with i <= j of the 4 x 4 lattice draw.
+        cells = [(i, j) for i in range(1, 5) for j in range(i, 5)]
         m, t_horizon, seed = 50, 500, 20260816
         path_steps = sum(
             simulate_cell(params3, (i, j), m, t_horizon, make_rng(seed, i, j)).path_steps
@@ -533,7 +581,8 @@ class TestWorkers:
         cells = [(i, j) for i in range(1, 7) for j in range(1, 7)]
         estimate_cells(params3, cells, m=m, t_horizon=200, seed=4)
         shares = [tuple(map(int, log.read_text().split())) for log in tmp_path.glob("*.txt")]
-        assert sorted(n for n, _ in shares) == [len(cells) // workers] * workers
+        # the 21 cells with i <= j are simulated, dealt out in turn
+        assert sorted(n for n, _ in shares) == [10, 11]
         for _, most in shares:
             assert m <= most <= max(budget // workers, m)
 
