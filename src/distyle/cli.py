@@ -163,8 +163,7 @@ def _cmd_compare(args) -> int:
     a = _read_field(args.field_a)
     b = _read_field(args.field_b)
     _check_counts(args, "sub")
-    sub = None if args.sub is None else (args.sub, args.sub)
-    report = harness.compare(a, b, sub=sub)
+    report = harness.compare(a, b, sub=args.sub)
     with _output(args, "comparison_stats.csv") as fp:
         write_csv(fp, *harness.stats_table(report))
     print(

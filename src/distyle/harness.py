@@ -57,30 +57,27 @@ class SummaryStats:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    square: np.ndarray
-    absolute: np.ndarray
-    relative: np.ndarray  # NaN at excluded cells
-    included: np.ndarray
     cells_excluded: int
     stats: dict[str, SummaryStats]
     rqe_by_a: float
     rqe_by_b: float
 
 
-def compare(a: np.ndarray, b: np.ndarray, sub: tuple[int, int] | None = None) -> ComparisonReport:
+def compare(a: np.ndarray, b: np.ndarray, sub: int | None = None) -> ComparisonReport:
     """Cellwise comparison of two fields sharing the origin cell (1, 1).
 
     Fields of different extent are compared on their overlap, further cropped
-    to ``sub`` when given.  Relative differences use ``b`` as the reference
-    and skip cells where either field vanishes (Monte-Carlo zeros would
-    otherwise produce infinities); the skipped count is reported.
+    to the square sub-lattice 1 <= i, j <= ``sub`` when given.  Relative
+    differences use ``b`` as the reference and skip cells where either field
+    vanishes (Monte-Carlo zeros would otherwise produce infinities); the
+    skipped count is reported.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     rows = min(a.shape[0], b.shape[0])
     cols = min(a.shape[1], b.shape[1])
     if sub is not None:
-        rows, cols = min(rows, sub[0]), min(cols, sub[1])
+        rows, cols = min(rows, sub), min(cols, sub)
     if rows < 1 or cols < 1:
         raise ValueError("comparison region is empty")
     a = a[:rows, :cols]
@@ -90,23 +87,18 @@ def compare(a: np.ndarray, b: np.ndarray, sub: tuple[int, int] | None = None) ->
     square = diff * diff
     absolute = np.abs(diff)
     included = (a != 0.0) & (b != 0.0)
-    relative = np.full_like(absolute, np.nan)
-    relative[included] = absolute[included] / np.abs(b[included])
+    relative = absolute[included] / np.abs(b[included])
 
     def rqe(reference: np.ndarray) -> float:
         denom = float((reference * reference).sum())
         return math.sqrt(float(square.sum()) / denom) if denom > 0.0 else float("nan")
 
     return ComparisonReport(
-        square=square,
-        absolute=absolute,
-        relative=relative,
-        included=included,
         cells_excluded=int(included.size - included.sum()),
         stats={
             "square_error": SummaryStats.of(square.ravel()),
             "absolute_error": SummaryStats.of(absolute.ravel()),
-            "relative_error": SummaryStats.of(relative[included].ravel()),
+            "relative_error": SummaryStats.of(relative),
         },
         rqe_by_a=rqe(a),
         rqe_by_b=rqe(b),
@@ -143,14 +135,16 @@ def convergence_series(
     reference: np.ndarray,
     sublattice: int,
     options: SolveOptions,
+    solved: dict[int, GridSolution],
 ) -> list[tuple[int, float]]:
     """Rows (N, rqe of the N-grid against ``reference`` on the sub-lattice),
-    each N-grid solved with ``options``."""
-    sub = (sublattice, sublattice)
-    return [
-        (n, compare(solve_grid(params, n, options).values, reference, sub=sub).rqe_by_b)
-        for n in n_values
-    ]
+    one for every N of ``n_values``, in that order.  An N-grid in ``solved``
+    (keyed by N) is taken as it is; any other is solved with ``options``."""
+    rows = []
+    for n in n_values:
+        box = solved[n] if n in solved else solve_grid(params, n, options)
+        rows.append((n, compare(box.values, reference, sub=sublattice).rqe_by_b))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +362,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
     with its fitted decay slope, and the generating-function cross-check are
     optional stages.  They run in this order: the Monte-Carlo workers are
     forked first and draw while this process solves the grid, runs the
-    convergence series (each box solved once: the rows of the main grid and
-    of the reference reuse their solves) and the quadrature; then the
+    convergence series (each box solved once: the series is handed the main
+    grid and the reference as already solved) and the quadrature; then the
     Monte-Carlo counts are collected and compared with the grid.  Every
     stage runs before ``out_dir`` is created, so a stage that raises leaves
     no partial run behind, and no worker process either.  Once every stage
@@ -400,17 +394,14 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
             solved = {spec.grid_n: solution}
             if spec.conv_reference not in solved:
                 solved[spec.conv_reference] = solve_grid(params, spec.conv_reference, options)
-            reference = solved[spec.conv_reference].values
-            boxes = range(spec.conv_min, spec.conv_max + 1)
             series = convergence_series(
-                params, [n for n in boxes if n not in solved], reference, spec.sublattice, options
+                params,
+                list(range(spec.conv_min, spec.conv_max + 1)),
+                solved[spec.conv_reference].values,
+                spec.sublattice,
+                options,
+                solved,
             )
-            series += [
-                (n, compare(box.values, reference, sub=(spec.sublattice,) * 2).rqe_by_b)
-                for n, box in solved.items()
-                if n in boxes
-            ]
-            series.sort()
             tables["nconv"] = (["n", "rqe_vs_reference"], series)
 
             ns, errors = np.array(series, dtype=float).T
@@ -429,7 +420,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
 
     if mc is not None:
         full = compare(mc.p_hat, solution.values)
-        sub = compare(mc.p_hat, solution.values, sub=(spec.sublattice, spec.sublattice))
+        sub = compare(mc.p_hat, solution.values, sub=spec.sublattice)
         tables["comparison_stats"] = stats_table(full)
         tables["comparison_summary"] = (
             ["name", "value"],

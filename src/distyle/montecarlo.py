@@ -5,7 +5,7 @@ frequency of absorption is reported with a Wald confidence interval
 
     p_hat +/- 1.96 sqrt(p_hat (1 - p_hat) / M),
 
-clamped to [0, 1] and flagged as degenerate when p_hat is exactly 0 or 1.
+clamped to [0, 1].
 
 Early stopping: a path is retired as soon as it enters the exit set
 min(i, j) >= k, where k = :func:`stop_level` is the smallest integer with
@@ -170,8 +170,6 @@ class McEstimate:
     p_hat: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
-    half_width: np.ndarray
-    degenerate: np.ndarray
     m: int
     t_horizon: int
     seed: int
@@ -241,7 +239,9 @@ def _counting(
     keys: dict[tuple[int, int], int] = {}  # canonical cell -> its row in the counts
     where = [keys.setdefault((min(i, j), max(i, j)), len(keys)) for i, j in cells]
     distinct = list(keys)
-    level = stop_level(params)
+    # the kernel reads an absorbed path's min(i, j) - 1 as 2^32 - 1, which must
+    # reach level - 1; no int32 state reaches 2^31, so the cap stops no path
+    level = min(stop_level(params), 2**31)
     workers = _workers() if len(distinct) * m >= _POOL_MIN_PATHS else 1
     workers = min(workers, len(distinct))
     lanes = _PATH_BUDGET // workers
@@ -494,8 +494,6 @@ def _summarise(
         p_hat=p_hat[()],
         ci_low=np.maximum(0.0, p_hat - half)[()],
         ci_high=np.minimum(1.0, p_hat + half)[()],
-        half_width=half[()],
-        degenerate=((p_hat == 0.0) | (p_hat == 1.0))[()],
         m=m,
         t_horizon=t_horizon,
         seed=seed,

@@ -23,32 +23,38 @@ class TestCompare:
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([[1.0, 1.0], [3.0, 5.0]])
         rep = compare(a, b)
-        assert np.array_equal(rep.square, [[0.0, 1.0], [0.0, 1.0]])
-        assert np.array_equal(rep.absolute, [[0.0, 1.0], [0.0, 1.0]])
-        assert rep.relative[0, 1] == pytest.approx(1.0)
-        assert rep.relative[1, 1] == pytest.approx(0.2)
+        # cellwise: squared and absolute differences 0, 1, 0, 1; relative
+        # differences 0, 1, 0, 0.2
+        for name in ("square_error", "absolute_error"):
+            stats = rep.stats[name]
+            assert (stats.mean, stats.min, stats.max) == (0.5, 0.0, 1.0), name
+        relative = rep.stats["relative_error"]
+        assert relative.mean == pytest.approx(0.3, rel=1e-12)
+        assert (relative.min, relative.max) == (0.0, 1.0)
         assert rep.cells_excluded == 0
         assert rep.rqe_by_b == pytest.approx(np.sqrt(2.0 / 36.0), rel=1e-12)
         assert rep.rqe_by_a == pytest.approx(np.sqrt(2.0 / 30.0), rel=1e-12)
-        assert rep.stats["absolute_error"].mean == pytest.approx(0.5)
 
     def test_zero_cells_skipped_in_relative(self):
         a = np.array([[0.0, 1.0]])
         b = np.array([[1.0, 1.0]])
         rep = compare(a, b)
         assert rep.cells_excluded == 1
-        assert np.isnan(rep.relative[0, 0])
-        assert rep.stats["relative_error"].max == 0.0
+        # the skipped cell's relative difference would be 1
+        relative = rep.stats["relative_error"]
+        assert (relative.mean, relative.min, relative.max) == (0.0, 0.0, 0.0)
         # absolute stats still see every cell
         assert rep.stats["absolute_error"].max == 1.0
 
     def test_overlap_crop(self):
-        a = np.ones((3, 4))
-        b = np.ones((2, 6))
-        rep = compare(a, b)
-        assert rep.square.shape == (2, 4)
-        rep_sub = compare(a, b, sub=(1, 2))
-        assert rep_sub.square.shape == (1, 2)
+        # every cell of b differs from a by its own value, and no two alike
+        a = np.zeros((3, 4))
+        b = np.arange(1.0, 13.0).reshape(2, 6)
+        for sub, cells in [(None, [1, 2, 3, 4, 7, 8, 9, 10]), (2, [1, 2, 7, 8]), (1, [1])]:
+            rep = compare(a, b, sub=sub)
+            stats = rep.stats["absolute_error"]
+            assert (stats.mean, stats.min, stats.max) == (np.mean(cells), 1.0, max(cells)), sub
+            assert rep.cells_excluded == len(cells), sub
 
     def test_empty_region_rejected(self):
         with pytest.raises(ValueError):
@@ -82,11 +88,13 @@ class TestConvergenceSeries:
     def test_errors_shrink_toward_reference(self, params3):
         direct = SolveOptions(method=Method.DIRECT)
         reference = solve_grid(params3, 16, direct)
-        series = convergence_series(params3, [6, 9, 12], reference.values, 5, direct)
+        series = convergence_series(params3, [6, 9, 12], reference.values, 5, direct, {})
         ns = [n for n, _ in series]
         errs = [e for _, e in series]
         assert ns == [6, 9, 12]
         assert errs[0] > errs[1] > errs[2] > 0.0
+        solved = {16: reference}
+        assert convergence_series(params3, [16], reference.values, 5, direct, solved) == [(16, 0.0)]
 
 
 class TestSpec:

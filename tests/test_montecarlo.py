@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 import types
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -29,8 +30,6 @@ PER_CELL = (
     "p_hat",
     "ci_low",
     "ci_high",
-    "half_width",
-    "degenerate",
     "stopped_frac",
     "censored_frac",
 )
@@ -176,7 +175,6 @@ class TestEstimate:
     def test_confidence_interval_shape(self, params3):
         est = estimate(params3, 1, 1, m=200, t_horizon=2000, seed=11)
         width = 1.96 * math.sqrt(est.p_hat * (1 - est.p_hat) / 200)
-        assert est.half_width == pytest.approx(width, rel=1e-12)
         assert est.ci_low == pytest.approx(max(0.0, est.p_hat - width), rel=1e-12)
         assert est.ci_high == pytest.approx(min(1.0, est.p_hat + width), rel=1e-12)
         assert 0.0 <= est.ci_low <= est.p_hat <= est.ci_high <= 1.0
@@ -186,9 +184,9 @@ class TestEstimate:
         assert 1.96 * math.sqrt(0.25 / 200) == pytest.approx(0.06929646455628166, rel=1e-15)
 
     def test_degenerate_flag(self, params3):
+        # no path absorbed: the Wald interval collapses to [0, 0]
         est = estimate(params3, 40, 40, m=3, t_horizon=1, seed=5)
         assert est.p_hat == 0.0
-        assert est.degenerate
         assert est.ci_low == est.ci_high == 0.0
 
     def test_horizon_monotone(self, params3):
@@ -670,7 +668,18 @@ class TestStopRule:
         k = stop_level(params3)
         for i, j in [(k, k), (k, 5 * k)]:
             est = estimate(params3, i, j, m=500, t_horizon=10**9, seed=4)
-            assert est.p_hat == 0.0 and est.degenerate
+            assert est.p_hat == 0.0 and est.ci_low == est.ci_high == 0.0
+
+    def test_level_past_two_to_the_32_still_ends_absorbed_paths(self):
+        # r/d - 1 = 3e-9 puts the level above 2^32; an absorbed path must
+        # still end on the axis instead of walking on from it
+        params = ModelParams(2.000000006, 2.0)
+        assert stop_level(params) > 2**32
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = estimate(params, 1, 1, m=2000, t_horizon=200, seed=1)
+        assert est.p_hat >= 0.9
+        assert est.censored_frac <= 0.1
 
     def test_stop_bound_reported(self, params3):
         expected = 2.0 * (2.0 / 3.0) ** 36
