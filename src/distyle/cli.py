@@ -63,8 +63,7 @@ def _output(args, filename: str):
 
 def _cmd_grid(args) -> int:
     params = ModelParams(args.r, args.d)
-    options = SolveOptions(method=args.method, tol=args.tol)
-    solution = solve_grid(params, args.n, options, closure=args.closure)
+    solution = solve_grid(params, args.n, SolveOptions(method=args.method), closure=args.closure)
     with _output(args, "grid_p.csv") as fp:
         write_grid_csv(solution, fp)
     print(
@@ -100,7 +99,7 @@ def _cmd_greens(args) -> int:
     solution = solve_grid(params, args.n)
     xs = np.linspace(args.xmin, args.xmax, args.nx)
     ys = np.linspace(args.ymin, args.ymax, args.ny)
-    table = harness.genfunc_table(solution, xs, ys, args.quad_tol)
+    table = harness.genfunc_table(solution, xs, ys)
     with _output(args, "genfunc.csv") as fp:
         write_csv(fp, *table)
     return 0
@@ -215,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"default: {Method.DIRECT} up to N={_DIRECT_MAX_N}, {Method.VALUE_ITERATION} above",
     )
-    p.add_argument("--tol", type=float, default=SolveOptions().tol)
     p.add_argument(
         "--closure",
         choices=list(CLOSURES),
@@ -247,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--n", type=int, default=spec["grid_n"], help="grid size for the series reference"
     )
-    p.add_argument("--quad-tol", type=float, default=spec["quad_tol"], help="quadrature budget")
     _add_out(p)
     p.set_defaults(func=_cmd_greens)
 
@@ -271,13 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset",
         choices=[*harness.PRESETS, "both"],
         default="both",
-        help="named parameter set (ignored with --config)",
+        help="named parameter set (ignored with --config); the default, both, also runs "
+        "the near-critical Monte-Carlo, extrapolated to take tens of minutes",
     )
     p.add_argument("--config", type=Path, default=None, help="key = value spec file")
-    for name in ("r", "d", "grid_n", "tol", "mc_m", "mc_t", "seed", "sublattice",
-                 "conv_min", "conv_max", "conv_reference", "quad_tol"):
+    for name in ("r", "d", "grid_n", "mc_m", "mc_t", "seed", "sublattice",
+                 "conv_min", "conv_max", "conv_reference"):
         p.add_argument("--" + name.replace("_", "-"), type=harness._FIELD_TYPES[name], default=None)
-    p.add_argument("--solver", choices=[m.value for m in Method], default=None)
     p.add_argument("--no-mc", dest="run_mc", action="store_false", default=None)
     p.add_argument("--no-convergence", dest="run_convergence", action="store_false", default=None)
     p.add_argument(

@@ -40,7 +40,9 @@ from .grid import GridSolution
 from .model import ModelParams
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-QUAD_TOL = 1e-8  # the absolute quadrature budget wherever the caller names none
+# The absolute quadrature budget: both the folded tail and the panel error
+# stay below it.  Read at call time.
+QUAD_TOL = 1e-8
 
 
 class QuadratureError(RuntimeError):
@@ -55,22 +57,19 @@ class GenFuncQuery:
     """Evaluation request for the quadrature route.
 
     ``row1[k]`` holds p_{k+1,1}; one monomial integral is kept for each
-    entry (``n_terms`` of them) before the folded tail takes over.  ``tol``
-    is the absolute quadrature budget.
+    entry (``n_terms`` of them) before the folded tail takes over.  The
+    budget is :data:`QUAD_TOL`.
     """
 
     x0: float
     y0: float
     row1: tuple[float, ...]
-    tol: float
 
     def __post_init__(self) -> None:
         if not (0.0 < self.x0 < 1.0 and 0.0 < self.y0 < 1.0):
             raise ValueError(f"evaluation point must lie in (0,1)^2, got ({self.x0}, {self.y0})")
         if not self.row1:
             raise ValueError("need at least one first-column value")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
 
     @property
     def n_terms(self) -> int:
@@ -78,31 +77,31 @@ class GenFuncQuery:
         return len(self.row1)
 
 
-def default_n_terms(x0: float, y0: float, tol: float) -> int:
-    """Smallest I0 with max(x0, y0)^(I0+1) < tol; the folded tail then sits
-    below the quadrature budget.  Capped at 200 to keep the monomial sum
-    short; :func:`eval_by_quadrature` rejects a query the cap leaves short."""
+def default_n_terms(x0: float, y0: float) -> int:
+    """Smallest I0 with max(x0, y0)^(I0+1) < :data:`QUAD_TOL`; the folded
+    tail then sits below the quadrature budget.  Capped at 200 to keep the
+    monomial sum short; :func:`eval_by_quadrature` rejects a query the cap
+    leaves short."""
     base = max(x0, y0)
     n = 1
-    while base ** (n + 1) >= tol and n < 200:
+    while base ** (n + 1) >= QUAD_TOL and n < 200:
         n += 1
     return n
 
 
-def query_from_grid(
-    solution: GridSolution, x0: float, y0: float, tol: float = QUAD_TOL
-) -> GenFuncQuery:
-    """Build a query whose first-column data comes from a solved grid.
+def query_from_grid(solution: GridSolution, x0: float, y0: float) -> GenFuncQuery:
+    """Build a query whose first-column data comes from a solved grid, with
+    ``default_n_terms`` entries.
 
     Entries beyond the grid (evaluation points near 1, where ``n_terms``
     exceeds N) fall back to the asymptotic first-row estimates, by symmetry
     p_{i,1} = p_{1,i}.
     """
-    n_terms = default_n_terms(x0, y0, tol)
+    n_terms = default_n_terms(x0, y0)
     row1 = [solution.values[i - 1, 0] for i in range(1, min(n_terms, solution.n) + 1)]
     for i in range(solution.n + 1, n_terms + 1):
         row1.append(_first_row(solution.params, i))
-    return GenFuncQuery(x0=x0, y0=y0, row1=tuple(row1), tol=tol)
+    return GenFuncQuery(x0=x0, y0=y0, row1=tuple(row1))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -163,14 +162,14 @@ def eval_by_quadrature(params: ModelParams, query: GenFuncQuery) -> float:
     """P(x0, y0) by adaptive 15-point Gauss-Legendre along the characteristic.
 
     Raises :class:`QuadratureError` when ``n_terms`` is too short for the
-    folded tail, max(x0, y0)^(n_terms+1), to fall below the budget (before
-    any panel runs, so the estimate is NaN), when the arrival time s0 is
-    subnormal (a point within about 1e-308 of an axis), where the panel
-    nodes round past s0, or when the panels miss the budget (or the
-    integrand is NaN).
+    folded tail, max(x0, y0)^(n_terms+1), to fall below the budget
+    :data:`QUAD_TOL` (before any panel runs, so the estimate is NaN), when
+    the arrival time s0 is subnormal (a point within about 1e-308 of an
+    axis), where the panel nodes round past s0, or when the panels miss the
+    budget (or the integrand is NaN).
     """
     tail = max(query.x0, query.y0) ** (query.n_terms + 1)
-    if tail >= query.tol:
+    if tail >= QUAD_TOL:
         raise QuadratureError(
             f"{query.n_terms} terms leave a folded tail above the budget", math.nan, tail
         )
@@ -179,8 +178,8 @@ def eval_by_quadrature(params: ModelParams, query: GenFuncQuery) -> float:
         raise QuadratureError(f"arrival time s0 = {path.s0:.1e} is subnormal", math.nan, math.nan)
     f = _integrand(params, path, query)
     budget = [0]
-    value, err = _adaptive(f, 0.0, path.s0, query.tol, 0, _panel(f, 0.0, path.s0), budget)
-    if not err <= query.tol:  # a NaN integrand fails here too
+    value, err = _adaptive(f, 0.0, path.s0, QUAD_TOL, 0, _panel(f, 0.0, path.s0), budget)
+    if not err <= QUAD_TOL:  # a NaN integrand fails here too
         raise QuadratureError("quadrature did not meet its budget", value, err)
     return value
 

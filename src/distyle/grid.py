@@ -35,11 +35,12 @@ The constant field 1 satisfies the interior recurrence, so value iteration
 must start below the solution (from zero) to select the probabilistic
 solution rather than the trivial one.  Its stopping rule extrapolates the
 geometric tail of the update sequence: iteration halts only once the
-projected remaining change, update * rate / (1 - rate), drops under tol/2,
-so the returned field is within tol of the exact solution of the closed
-system, not merely quasi-stationary.  The rule is tested once per block of
-``_CHECK_EVERY`` (32) steps, on the updates of the block's last four steps;
-the other steps are bare mat-vecs, about half the cost of a measured one.
+projected remaining change, update * rate / (1 - rate), drops under
+``_TOL``/2, so the returned field is within ``_TOL`` of the exact solution
+of the closed system, not merely quasi-stationary.  The rule is tested
+once per block of ``_CHECK_EVERY`` (32) steps, on the updates of the
+block's last four steps; the other steps are bare mat-vecs, about half the
+cost of a measured one.
 The rate is the larger of the largest one-step update ratio and the
 per-step ratio of the update across the whole block.  At the rounding
 level the one-step ratios are noise, but the block ratio is about 1, so
@@ -89,22 +90,23 @@ _CHECK_EVERY = 32
 _CHECKED = 4
 # Most Jacobi steps value iteration takes before it raises ConvergenceError.
 _MAX_ITER = 400_000
+# Value iteration's accuracy target: the distance its stop allows between
+# the returned field and the solution of the closed system.
+_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     """``method`` is a :class:`Method` or its name ("direct", "vi");
-    ``None`` picks ``DIRECT`` for N <= 150, value iteration above.  ``tol``
-    is value iteration's accuracy target; its step cap is ``_MAX_ITER``."""
+    ``None`` picks ``DIRECT`` for N <= 150, value iteration above.  Value
+    iteration stops within ``_TOL`` of the solution, or raises after
+    ``_MAX_ITER`` steps."""
 
     method: Method | None = None
-    tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.method is not None:
             object.__setattr__(self, "method", Method(self.method))
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
 class ConvergenceError(RuntimeError):
@@ -264,7 +266,7 @@ def _folded_system(
 
 
 def _iterate(
-    a: scipy.sparse.csr_matrix, c: np.ndarray, tol: float
+    a: scipy.sparse.csr_matrix, c: np.ndarray
 ) -> tuple[np.ndarray, int | None, float]:
     """Value iteration q <- K q - c from zero, with K = A + I of the
     folded system A q = c: one sparse mat-vec per Jacobi step.
@@ -280,7 +282,8 @@ def _iterate(
     update to the one at the previous check, capped at 1 - 1e-9.  The
     block ratio is about 1 once the updates reach the rounding level, so
     noise in the one-step ratios cannot fake convergence.  Iteration stops
-    when update * rate / (1 - rate) <= tol/2, or at an update of exactly 0.
+    when update * rate / (1 - rate) <= ``_TOL``/2, or at an update of
+    exactly 0.
 
     Returns the iterate, its step count (``None`` when ``_MAX_ITER`` ran
     out) and the last rate estimate (NaN before the first check).
@@ -313,7 +316,7 @@ def _iterate(
         if check_delta > 0.0:
             rate = max(rate, (deltas[-1] / check_delta) ** (1.0 / (done - check_step)))
         rate = min(rate, 1.0 - 1e-9)
-        if deltas[-1] * rate / (1.0 - rate) <= 0.5 * tol:
+        if deltas[-1] * rate / (1.0 - rate) <= 0.5 * _TOL:
             return q, done, rate
         check_delta, check_step = deltas[-1], done
     return q, None, rate
@@ -346,7 +349,7 @@ def solve_grid(
         )
         q, iterations, rate = lu.solve(c), 1, float("nan")
     else:
-        q, iterations, rate = _iterate(a, c, options.tol)
+        q, iterations, rate = _iterate(a, c)
     p = mirror @ q
     residual = float(np.max(np.abs(t @ p - b)))
     if iterations is None:

@@ -34,6 +34,11 @@ from .model import ModelParams
 # estimate_lattice stays a name of this module: perfbench/tracing.py wraps it
 from .montecarlo import McEstimate, estimate_lattice, start_lattice  # noqa: F401
 
+# Every grid of an experiment is factored.  Above N=150 the size rule of
+# solve_grid picks value iteration, which exhausts its step cap near
+# criticality (see the grid module).
+_OPTIONS = SolveOptions(method=Method.DIRECT)
+
 
 @dataclass(frozen=True)
 class SummaryStats:
@@ -153,11 +158,13 @@ def convergence_series(
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """The settings of one run, as ``manifest.txt`` and a config file list
+    them.  No solver or tolerance is among them: every grid is factored
+    (``_OPTIONS``), and the quadrature keeps :data:`genfunc.QUAD_TOL`."""
+
     r: float
     d: float
     grid_n: int = 50
-    solver: Method = Method.DIRECT
-    tol: float = 1e-12
     mc_m: int = 200
     mc_t: int = 5000
     seed: int = 20260816
@@ -171,24 +178,18 @@ class ExperimentSpec:
     genfunc_min: float = 0.1
     genfunc_max: float = 0.5
     genfunc_count: int = 5
-    quad_tol: float = genfunc.QUAD_TOL
 
     def __post_init__(self) -> None:
         """Reject a spec the run would fail on, before it writes any file.
 
-        The rates and ``tol`` are checked by building ModelParams and
-        SolveOptions, which also reads a solver name as a Method.
+        The rates are checked by building ModelParams.
         """
         ModelParams(self.r, self.d)
-        options = SolveOptions(method=self.solver, tol=self.tol)
-        object.__setattr__(self, "solver", options.method)
         for name in ("grid_n", "mc_m", "mc_t", "sublattice"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
-        if not self.quad_tol > 0.0:
-            raise ValueError(f"quad_tol must be positive, got {self.quad_tol}")
         if self.run_convergence:
             if not (1 <= self.conv_min <= self.conv_max and self.conv_reference >= 1):
                 raise ValueError(
@@ -232,7 +233,7 @@ _FIELD_TYPES = get_type_hints(ExperimentSpec)
 
 
 def _coerce(name: str, raw: str):
-    """A config value read as its field's type (int, float, bool or Method)."""
+    """A config value read as its field's type (int, float or bool)."""
     kind = _FIELD_TYPES[name]
     if kind is not bool:
         return kind(raw)
@@ -247,11 +248,11 @@ def load_spec(path: Path, **overrides) -> ExperimentSpec:
     """Read a flat ``key = value`` config file; later overrides win.
 
     Recognised keys are exactly the ExperimentSpec fields, each given at
-    most once; ``solver`` takes the method names direct or vi.  A value its
-    field's type cannot read fails with its ``path:line``, and so does a
-    value the spec rejects when the message names its key; any other
-    rejection of the spec carries the ``path``.  Lines starting with ``#``
-    and blank lines are ignored.
+    most once; ``r`` and ``d`` are required unless an override gives them.
+    A value its field's type cannot read fails with its ``path:line``, and
+    so does a value the spec rejects when the message names its key; a
+    missing key and any other rejection of the spec carry the ``path``.
+    Lines starting with ``#`` and blank lines are ignored.
     """
     values: dict = {}
     lines: dict[str, int] = {}
@@ -273,6 +274,9 @@ def load_spec(path: Path, **overrides) -> ExperimentSpec:
             raise ValueError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
         lines[key] = line_no
     values.update(overrides)
+    for f in dataclasses.fields(ExperimentSpec):
+        if f.default is dataclasses.MISSING and f.name not in values:
+            raise ValueError(f"{path}: missing key {f.name!r}")
     try:
         return ExperimentSpec(**values)
     except ValueError as exc:
@@ -326,15 +330,13 @@ def stats_table(report: ComparisonReport) -> tuple[list[str], list[tuple]]:
     return ["metric", "mean", "st_dev", "min", "max"], rows
 
 
-def genfunc_table(
-    solution: GridSolution, xs, ys, tol: float
-) -> tuple[list[str], list[tuple]]:
+def genfunc_table(solution: GridSolution, xs, ys) -> tuple[list[str], list[tuple]]:
     """Header and rows of the quadrature-vs-series check of the generating
-    function at every point of ``xs`` x ``ys``; quadrature budget ``tol``."""
+    function at every point of ``xs`` x ``ys``."""
     rows = []
     for x0 in xs:
         for y0 in ys:
-            query = genfunc.query_from_grid(solution, float(x0), float(y0), tol)
+            query = genfunc.query_from_grid(solution, float(x0), float(y0))
             quad = genfunc.eval_by_quadrature(solution.params, query)
             series = genfunc.eval_from_grid(solution, float(x0), float(y0))
             rows.append((x0, y0, quad, series.value, abs(quad - series.value)))
@@ -380,7 +382,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
         manifest.append(f"{f.name} = {text}\n")
 
     params = ModelParams(spec.r, spec.d)
-    options = SolveOptions(method=spec.solver, tol=spec.tol)
     tables: dict[str, tuple] = {}  # name -> (header, rows)
     drawing = (
         start_lattice(params, spec.grid_n, spec.grid_n, spec.mc_m, spec.mc_t, spec.seed)
@@ -388,18 +389,18 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
         else contextlib.nullcontext()
     )
     with drawing as finish_mc:
-        solution = solve_grid(params, spec.grid_n, options)
+        solution = solve_grid(params, spec.grid_n, _OPTIONS)
 
         if spec.run_convergence:
             solved = {spec.grid_n: solution}
             if spec.conv_reference not in solved:
-                solved[spec.conv_reference] = solve_grid(params, spec.conv_reference, options)
+                solved[spec.conv_reference] = solve_grid(params, spec.conv_reference, _OPTIONS)
             series = convergence_series(
                 params,
                 list(range(spec.conv_min, spec.conv_max + 1)),
                 solved[spec.conv_reference].values,
                 spec.sublattice,
-                options,
+                _OPTIONS,
                 solved,
             )
             tables["nconv"] = (["n", "rqe_vs_reference"], series)
@@ -414,7 +415,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
 
         if spec.run_genfunc:
             points = np.linspace(spec.genfunc_min, spec.genfunc_max, spec.genfunc_count)
-            tables["genfunc"] = genfunc_table(solution, points, points, spec.quad_tol)
+            tables["genfunc"] = genfunc_table(solution, points, points)
 
         mc = finish_mc() if spec.run_mc else None
 

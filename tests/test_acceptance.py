@@ -82,14 +82,13 @@ def test_02_solution_inside_rigorous_envelope(params3, grid50):
 
 def test_03_value_iteration_brackets_default(params3, paramsc):
     start = time.perf_counter()
-    tol = 1e-12
-    slack = 10 * tol
+    slack = 1e-11  # 10 times value iteration's tolerance, grid._TOL
     worst = np.inf
     for params in (params3, paramsc):
-        vi = SolveOptions(method=Method.VALUE_ITERATION, tol=tol)
+        vi = SolveOptions(method=Method.VALUE_ITERATION)
         low = solve_grid(params, 20, vi, closure="bounds-lower")
         high = solve_grid(params, 20, vi, closure="bounds-upper")
-        default = solve_grid(params, 20, SolveOptions(tol=tol))
+        default = solve_grid(params, 20)
         worst = min(
             worst,
             float(np.min(default.values - low.values)) + slack,
@@ -196,7 +195,7 @@ def test_08_quadrature_crosses_series(params3, grid50):
     worst = 0.0
     for x0 in (0.1, 0.2, 0.3, 0.4, 0.5):
         for y0 in (0.1, 0.2, 0.3, 0.4, 0.5):
-            query = query_from_grid(grid50, x0, y0, tol=1e-8)
+            query = query_from_grid(grid50, x0, y0)
             quad = eval_by_quadrature(params3, query)
             series = eval_from_grid(grid50, x0, y0)
             worst = max(worst, abs(quad - series.value))
@@ -285,7 +284,7 @@ def test_12_hand_solved_two_by_two(params3):
     }
     worst = 0.0
     for method in Method:
-        sol = solve_grid(params3, 2, SolveOptions(method=method, tol=1e-13))
+        sol = solve_grid(params3, 2, SolveOptions(method=method))
         for (i, j), frac in exact.items():
             worst = max(worst, abs(sol.p(i, j) - float(frac)))
     ok = worst <= 1e-12

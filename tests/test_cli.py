@@ -52,11 +52,10 @@ class TestGridCommand:
         assert run(["grid", "--r", 2, "--d", 3, "--n", 4]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method", ["direct", "vi"])
-    def test_rejects_nan_tolerance(self, capsys, method):
-        assert run(["grid", "--r", 3, "--d", 2, "--n", 10, "--method", method, "--tol", "nan"]) == 2
+    def test_rejects_empty_box(self, capsys):
+        assert run(["grid", "--r", 3, "--d", 2, "--n", 0]) == 2
         captured = capsys.readouterr()
-        assert "tol must be positive" in captured.err
+        assert "error: grid size must be >= 1, got 0" in captured.err
         assert captured.out == ""
 
 
@@ -147,11 +146,24 @@ class TestGreensCommand:
         assert code == 0
         assert (tmp_path / "cli" / "genfunc.csv").read_bytes() == written["genfunc"].read_bytes()
 
-    def test_tol_option_is_gone(self):
-        # the grid behind the series is solved with the default options
-        with pytest.raises(SystemExit) as info:
-            run(["greens", "--r", 3, "--d", 2, "--n", 12, "--tol", 1e-3])
-        assert info.value.code == 2
+    def test_tol_option_is_gone(self, capsys):
+        # the grid behind the series is solved with the default options; the
+        # value-iteration tolerance, the quadrature budget and the experiment
+        # solver are constants
+        greens = ["greens", "--r", 3, "--d", 2, "--n", 12]
+        experiment = ["experiment", "--preset", "supercritical", "--out", "x"]
+        for command, flag in [
+            (greens, "--tol"),
+            (greens, "--quad-tol"),
+            (["grid", "--r", 3, "--d", 2, "--n", 12], "--tol"),
+            (experiment, "--tol"),
+            (experiment, "--quad-tol"),
+            (experiment, "--solver"),
+        ]:
+            with pytest.raises(SystemExit) as info:
+                run([*command, flag, "1"])
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 class TestCharacteristicsCommand:
@@ -300,9 +312,9 @@ class TestExperimentCommand:
     def test_every_flag_reaches_the_manifest(self, tmp_path):
         code = run(
             ["experiment", "--preset", "supercritical", "--r", 2.5, "--d", 1.5,
-             "--grid-n", 7, "--solver", "vi", "--tol", 1e-10, "--mc-m", 11,
+             "--grid-n", 7, "--mc-m", 11,
              "--mc-t", 333, "--seed", 42, "--sublattice", 3, "--conv-min", 3,
-             "--conv-max", 9, "--conv-reference", 8, "--quad-tol", 1e-7,
+             "--conv-max", 9, "--conv-reference", 8,
              "--no-mc", "--no-convergence", "--genfunc", "--out", tmp_path]
         )
         assert code == 0
@@ -310,8 +322,6 @@ class TestExperimentCommand:
             "r = 2.5",
             "d = 1.5",
             "grid_n = 7",
-            "solver = vi",
-            "tol = 1e-10",
             "mc_m = 11",
             "mc_t = 333",
             "seed = 42",
@@ -325,7 +335,6 @@ class TestExperimentCommand:
             "genfunc_min = 0.1",
             "genfunc_max = 0.5",
             "genfunc_count = 5",
-            "quad_tol = 1e-07",
         ]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "genfunc.csv", "grid_p.csv", "manifest.txt"
@@ -333,21 +342,38 @@ class TestExperimentCommand:
 
     def test_flags_beat_the_config_file(self, tmp_path):
         cfg = tmp_path / "spec.cfg"
-        cfg.write_text("r = 3\nd = 2\ngrid_n = 5\nsolver = vi\nrun_mc = true\n"
-                       "run_convergence = false\n")
-        code = run(["experiment", "--config", cfg, "--solver", "direct", "--no-mc",
+        cfg.write_text("r = 3\nd = 2\ngrid_n = 5\nrun_mc = true\nrun_convergence = false\n")
+        code = run(["experiment", "--config", cfg, "--grid-n", 6, "--no-mc",
                     "--out", tmp_path / "run"])
         assert code == 0
         manifest = (tmp_path / "run" / "manifest.txt").read_text().splitlines()
-        assert "solver = direct" in manifest
+        assert "grid_n = 6" in manifest
         assert "run_mc = false" in manifest
-        assert "grid_n = 5" in manifest
+        assert "r = 3" in manifest
+        assert "run_convergence = false" in manifest
+
+    @pytest.mark.parametrize("missing", ["r", "d"])
+    def test_config_without_a_rate_exits_2(self, tmp_path, capsys, missing):
+        # a config without r or d used to end in a TypeError traceback
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in
+                               [("r", 3), ("d", 2), ("grid_n", 10)] if key != missing))
+        out = tmp_path / "run"
+        assert run(["experiment", "--config", cfg, "--out", out]) == 2
+        assert f"error: {cfg}: missing key '{missing}'" in capsys.readouterr().err
+        assert not out.exists()
+        # a flag can give the rate the file leaves out
+        flags = ["--no-mc", "--no-convergence", "--" + missing, {"r": 3, "d": 2}[missing]]
+        assert run(["experiment", "--config", cfg, *flags, "--out", out]) == 0
 
     def test_unknown_choice_errors(self, capsys):
         for argv, message in [
-            (["experiment", "--solver", "x", "--out", "x"],
-             "distyle experiment: error: argument --solver: invalid choice: 'x' "
-             "(choose from 'direct', 'vi')"),
+            (["experiment", "--solver", "direct", "--out", "x"],
+             "distyle: error: unrecognized arguments: --solver direct"),
+            (["grid", "--r", 3, "--d", 2, "--n", 4, "--tol", 1e-12],
+             "distyle: error: unrecognized arguments: --tol 1e-12"),
+            (["greens", "--r", 3, "--d", 2, "--quad-tol", 1e-8],
+             "distyle: error: unrecognized arguments: --quad-tol 1e-08"),
             (["grid", "--r", 3, "--d", 2, "--n", 4, "--method", "x"],
              "distyle grid: error: argument --method: invalid choice: 'x' "
              "(choose from 'direct', 'vi')"),
@@ -433,8 +459,9 @@ def test_solver_failures_exit_cleanly(capsys, monkeypatch):
     monkeypatch.setattr(grid, "_MAX_ITER", 3)
     assert run(["grid", "--r", 3, "--d", 2, "--n", 20, "--method", "vi"]) == 2
     monkeypatch.setattr(genfunc, "_MAX_PANELS", 2)
+    monkeypatch.setattr(genfunc, "QUAD_TOL", 1e-18)
     code = run(
-        ["greens", "--r", 3, "--d", 2, "--n", 12, "--quad-tol", 1e-18,
+        ["greens", "--r", 3, "--d", 2, "--n", 12,
          "--xmin", 0.6, "--xmax", 0.6, "--nx", 1, "--ymin", 0.6, "--ymax", 0.6, "--ny", 1]
     )
     assert code == 2

@@ -18,28 +18,24 @@ from distyle.grid import solve_grid
 class TestQuery:
     def test_validation(self):
         with pytest.raises(ValueError):
-            GenFuncQuery(x0=0.0, y0=0.5, row1=(0.7,), tol=1e-8)
+            GenFuncQuery(x0=0.0, y0=0.5, row1=(0.7,))
         with pytest.raises(ValueError):
-            GenFuncQuery(x0=0.5, y0=1.0, row1=(0.7,), tol=1e-8)
+            GenFuncQuery(x0=0.5, y0=1.0, row1=(0.7,))
         with pytest.raises(ValueError):
-            GenFuncQuery(x0=0.5, y0=0.5, row1=(), tol=1e-8)
-        with pytest.raises(ValueError):
-            GenFuncQuery(x0=0.5, y0=0.5, row1=(0.7,), tol=0.0)
-        with pytest.raises(ValueError):
-            GenFuncQuery(x0=0.5, y0=0.5, row1=(0.7,), tol=float("nan"))
-        assert GenFuncQuery(x0=0.5, y0=0.5, row1=(0.7, 0.4), tol=1e-8).n_terms == 2
+            GenFuncQuery(x0=0.5, y0=0.5, row1=())
+        assert GenFuncQuery(x0=0.5, y0=0.5, row1=(0.7, 0.4)).n_terms == 2
 
     def test_default_n_terms(self):
-        # max(x0,y0)^(n+1) < tol at the returned n
-        n = default_n_terms(0.5, 0.3, 1e-8)
+        # max(x0,y0)^(n+1) < QUAD_TOL = 1e-8 at the returned n
+        n = default_n_terms(0.5, 0.3)
         assert 0.5 ** (n + 1) < 1e-8 <= 0.5**n
-        assert default_n_terms(0.99, 0.99, 1e-12) == 200
+        assert default_n_terms(0.99, 0.99) == 200
 
     def test_query_from_grid_pulls_first_column(self, grid50, params3):
-        q = query_from_grid(grid50, 0.4, 0.2, tol=1e-8)
+        q = query_from_grid(grid50, 0.4, 0.2)
         assert q.row1[0] == grid50.values[0, 0]
         assert q.row1[2] == grid50.values[2, 0]
-        assert q.n_terms == default_n_terms(0.4, 0.2, 1e-8)
+        assert q.n_terms == default_n_terms(0.4, 0.2)
 
     def test_first_row_past_the_grid_computed_once(self, grid50, params3, monkeypatch):
         # every point near the corner reaches past N=50 to the 200-term cap;
@@ -54,7 +50,7 @@ class TestQuery:
 
         monkeypatch.setattr(asymptotics, "closure_value", counted)
         points = [(0.95, 0.95), (0.97, 0.5), (0.9, 0.96), (0.99, 0.99)]
-        queries = [query_from_grid(grid50, x0, y0, tol=1e-8) for x0, y0 in points]
+        queries = [query_from_grid(grid50, x0, y0) for x0, y0 in points]
         assert all(q.n_terms == 200 for q in queries)
         assert sorted(calls) == [(params3, 1, i) for i in range(51, 201)]
         for q in queries:
@@ -94,7 +90,7 @@ inside = st.floats(min_value=0.0, max_value=0.97, exclude_min=True)
 class TestQuadrature:
     def test_matches_series(self, params3, grid50):
         for x0, y0 in [(0.3, 0.3), (0.1, 0.5), (0.45, 0.2)]:
-            q = query_from_grid(grid50, x0, y0, tol=1e-8)
+            q = query_from_grid(grid50, x0, y0)
             quad = eval_by_quadrature(params3, q)
             series = eval_from_grid(grid50, x0, y0)
             assert quad == pytest.approx(series.value, abs=1e-6 + series.tail_bound)
@@ -102,17 +98,17 @@ class TestQuadrature:
     def test_first_column_past_the_grid(self, params3, grid50):
         # at (0.9, 0.9) the sum keeps 174 terms, 124 of them past N=50; with
         # the envelope clamp (about d/r) in place of p_{i,1} the gap was 0.56
-        q = query_from_grid(grid50, 0.9, 0.9, tol=1e-8)
+        q = query_from_grid(grid50, 0.9, 0.9)
         assert q.n_terms > grid50.n
         quad = eval_by_quadrature(params3, q)
         series = eval_from_grid(grid50, 0.9, 0.9)
-        assert abs(quad - series.value) <= series.tail_bound + q.tol
+        assert abs(quad - series.value) <= series.tail_bound + genfunc.QUAD_TOL
 
     def test_term_cap_raises(self, params3, grid100, monkeypatch):
-        # 200 terms leave a folded tail of 0.95^201 = 3.3e-5, far above tol;
-        # the value used to come back as if it were within tol, and later
+        # 200 terms leave a folded tail of 0.95^201 = 3.3e-5, far above the
+        # budget; the value used to come back as if it were within it, and later
         # the panels ran before the check raised with a meaningless estimate
-        q = query_from_grid(grid100, 0.95, 0.5, tol=1e-8)
+        q = query_from_grid(grid100, 0.95, 0.5)
         assert q.n_terms == 200
         monkeypatch.setattr(genfunc, "_panel", lambda *args: pytest.fail("a panel ran"))
         with pytest.raises(QuadratureError, match="folded tail above the budget") as info:
@@ -136,13 +132,13 @@ class TestQuadrature:
     # weighted_coords raised ValueError
     @example(0.390625, 1e-323)
     def test_raises_or_meets_series_tail(self, params3, grid100, x0, y0):
-        q = query_from_grid(grid100, x0, y0, tol=1e-8)
+        q = query_from_grid(grid100, x0, y0)
         series = eval_from_grid(grid100, x0, y0)
         try:
             quad = eval_by_quadrature(params3, q)
         except QuadratureError:
             return
-        assert abs(quad - series.value) <= series.tail_bound + q.tol
+        assert abs(quad - series.value) <= series.tail_bound + genfunc.QUAD_TOL
 
     @pytest.mark.parametrize("x0", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("y0", [0.1, 0.5, 0.9])
@@ -161,7 +157,7 @@ class TestQuadrature:
 
     def test_other_rates(self, paramsc, grid100c):
         # near-critical rates stress the expm1 forms in the path evaluation
-        q = query_from_grid(grid100c, 0.3, 0.4, tol=1e-8)
+        q = query_from_grid(grid100c, 0.3, 0.4)
         quad = eval_by_quadrature(paramsc, q)
         series = eval_from_grid(grid100c, 0.3, 0.4)
         assert quad == pytest.approx(series.value, abs=2e-3 + series.tail_bound)
@@ -178,8 +174,9 @@ class TestQuadrature:
             return panel(*args)
 
         monkeypatch.setattr(genfunc, "_panel", counting)
+        monkeypatch.setattr(genfunc, "QUAD_TOL", 1e-18)
         with pytest.raises(QuadratureError):
-            eval_by_quadrature(params3, query_from_grid(sol, 0.6, 0.6, tol=1e-18))
+            eval_by_quadrature(params3, query_from_grid(sol, 0.6, 0.6))
         assert calls[0] < 2000
 
 

@@ -119,38 +119,29 @@ class TestSpec:
             "r = 3.0\n"
             "d = 2.0\n"
             "grid_n = 9\n"
-            "solver = direct\n"
             "run_mc = false\n"
             "seed = 77\n"
         )
         spec = load_spec(cfg)
         assert spec.grid_n == 9
-        assert spec.solver is Method.DIRECT
         assert spec.run_mc is False
         assert spec.seed == 77
         spec2 = load_spec(cfg, grid_n=11)
         assert spec2.grid_n == 11
 
-    def test_solver_name_read_as_method(self, tmp_path):
-        assert ExperimentSpec(r=3.0, d=2.0, solver="vi").solver is Method.VALUE_ITERATION
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("r = 3\nd = 2\nsolver = vi\n")
-        assert load_spec(cfg).solver is Method.VALUE_ITERATION
-        assert load_spec(cfg, solver="direct").solver is Method.DIRECT
-        cfg.write_text("r = 3\nd = 2\nsolver = lu\n")
-        with pytest.raises(ValueError, match="exp.cfg:3: bad value for solver: 'lu' is not a valid"):
-            load_spec(cfg)
-
     @pytest.mark.parametrize(
         "line,message",
         [
             ("grid_n = x", "bad value for grid_n: invalid literal for int()"),
-            ("tol = small", "bad value for tol: could not convert"),
+            ("genfunc_min = small", "bad value for genfunc_min: could not convert"),
             ("run_mc = maybe", "bad value for run_mc: cannot read 'maybe' as a boolean"),
-            ("solver = lu", "bad value for solver: 'lu' is not a valid Method"),
             ("r = 4", "key 'r' given twice"),
+            # the tolerances and the experiment solver are constants
+            ("tol = 1e-12", "unknown key 'tol'"),
+            ("quad_tol = 1e-08", "unknown key 'quad_tol'"),
+            ("solver = direct", "unknown key 'solver'"),
         ],
-        ids=["int", "float", "bool", "method", "twice"],
+        ids=["int", "float", "bool", "twice", "tol", "quad_tol", "solver"],
     )
     def test_load_spec_locates_bad_line(self, tmp_path, line, message):
         cfg = tmp_path / "exp.cfg"
@@ -183,14 +174,14 @@ class TestSpec:
         "fields,message",
         [
             (dict(r=2.0), "supercritical regime"),
-            (dict(tol=0.0), "tol must be positive"),
+            (dict(d=0.0), "rates must be positive"),
             (dict(grid_n=0), "grid_n must be >= 1"),
             (dict(mc_m=0), "mc_m must be >= 1"),
             (dict(mc_t=0), "mc_t must be >= 1"),
             (dict(sublattice=0), "sublattice must be >= 1"),
             (dict(seed=-1), "seed must lie in"),
             (dict(seed=2**64), "seed must lie in"),
-            (dict(quad_tol=0.0), "quad_tol must be positive"),
+            (dict(r=math.inf), "rates must be finite"),
             (dict(conv_min=0), "conv_min <= conv_max"),
             (dict(conv_min=30, conv_max=20), "conv_min <= conv_max"),
             (dict(conv_reference=0), "conv_reference >= 1"),
@@ -199,7 +190,6 @@ class TestSpec:
             (dict(run_genfunc=True, genfunc_min=0.6), "genfunc_min <= genfunc_max"),
             (dict(run_genfunc=True, genfunc_max=1.0), "genfunc_max < 1"),
             (dict(run_genfunc=True, genfunc_count=0), "genfunc_count >= 1"),
-            (dict(tol=math.nan), "tol must be positive"),
         ],
     )
     def test_bad_spec_rejected(self, fields, message):
@@ -230,7 +220,6 @@ def tiny_spec():
         r=3.0,
         d=2.0,
         grid_n=8,
-        solver=Method.DIRECT,
         mc_m=10,
         mc_t=300,
         seed=5,
@@ -263,7 +252,6 @@ class TestRunExperiment:
             assert path.exists() and path.stat().st_size > 0
         manifest = written["manifest"].read_text()
         assert "grid_n = 8" in manifest
-        assert "solver = direct" in manifest
 
     def test_reruns_are_byte_identical(self, tmp_path):
         first = run_experiment(tiny_spec(), tmp_path / "a")
@@ -373,14 +361,12 @@ class TestRunExperiment:
             return solve(params, n, opts, *args, **kwargs)
 
         monkeypatch.setattr(harness, "solve_grid", recording)
-        spec = dataclasses.replace(
-            tiny_spec(), solver=Method.VALUE_ITERATION, tol=1e-10, conv_reference=9
-        )
+        spec = dataclasses.replace(tiny_spec(), conv_reference=9)
         run_experiment(spec, tmp_path / "out")
         # the main grid, the reference and one solve per N other than the
-        # main grid's
+        # main grid's, each factored whatever its size
         assert len(options) == 2 + spec.conv_max - spec.conv_min
-        assert set(options) == {SolveOptions(method=Method.VALUE_ITERATION, tol=1e-10)}
+        assert set(options) == {SolveOptions(method=Method.DIRECT)}
 
     def test_stages_can_be_disabled(self, tmp_path):
         spec = ExperimentSpec(
