@@ -21,7 +21,7 @@ import numpy as np
 from . import genfunc, harness
 from .characteristics import critical_times, eval_path, integrating_factor, make_path
 from .grid import (
-    _DIRECT_MAX_N,
+    _LU_BUDGET,
     CLOSURES,
     DEFAULT_CLOSURE,
     ConvergenceError,
@@ -212,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=[m.value for m in Method],
         default=None,
-        help=f"default: {Method.DIRECT} up to N={_DIRECT_MAX_N}, {Method.VALUE_ITERATION} above",
+        help=f"default: {Method.DIRECT} where the LU predicted for the box fits "
+        f"{_LU_BUDGET // 2**20} MiB, {Method.VALUE_ITERATION} above",
     )
     p.add_argument(
         "--closure",

@@ -15,7 +15,10 @@ The walk treats the two morphs alike, so one edge array closes both sides,
 p~_{k,N+1} = p~_{N+1,k}.  The solution is then transpose-symmetric,
 p_{i,j} = p_{j,i}, and the system is folded onto the N(N+1)/2 unknowns with
 i <= j: A q = c keeps those rows of T and merges each column into its
-mirror.  Both solvers work on A q = c:
+mirror.  A and c are built straight from the stencil; T itself
+(:func:`assemble_system`) is never formed by the solvers, and the residual
+max |T p - b| is taken with the stencil on the padded field.  Both solvers
+work on A q = c:
 
 * ``DIRECT``           sparse LU of A (SuperLU, minimum-degree ordering on
                        A + A^T), with no size cap,
@@ -23,13 +26,15 @@ mirror.  Both solvers work on A q = c:
                        sparse mat-vec per step, which increases
                        monotonically toward the minimal solution.
 
-When the caller names no method, the box size picks it: ``DIRECT`` for
-N <= ``_DIRECT_MAX_N`` (150), ``VALUE_ITERATION`` above.  The folded LU
-has 2.6-2.8 times less fill than the full one (141k against 371k nonzeros
-at N=100).  The cap exists for memory: at r=3, N=200 even the folded LU
-holds 700k nonzeros, and a fresh interpreter peaks at 79 MiB for it
-against 71 MiB for value iteration, whose peak comes from assembling and
-folding T (71 MiB for the folded LU at N=150).
+When the caller names no method, memory picks it: ``DIRECT`` when the LU
+predicted for the box fits ``_LU_BUDGET`` (128 MiB), ``VALUE_ITERATION``
+above.  The prediction is ``_FILL`` N^2 ln N nonzeros of L + U at
+``_BYTES_PER_NONZERO`` each, an upper bound on the measured fill, so the
+default factors every box up to N=574.  The folded LU has 2.6-2.8 times
+less fill than the full one (141k against 371k nonzeros at N=100).  At
+r=3, N=200 a fresh interpreter peaks at 73 MiB for it, 62 MiB of which is
+the import, and factors in about 0.06 s where value iteration takes 1,120
+steps.
 
 The constant field 1 satisfies the interior recurrence, so value iteration
 must start below the solution (from zero) to select the probabilistic
@@ -49,11 +54,8 @@ last estimate, the one the stop used unless it met an exact fixed point.
 
 Near criticality value iteration needs about 17-19 N^2 steps: at r=2.002
 it takes 69,053 at N=60 and 396,029 at N=142, where it lands 5.9e-13 from
-the direct solve.  Boxes up to N=150 factor by default, but from N=151 the
-default is value iteration, and such near-critical boxes exhaust the
-iteration cap ``_MAX_ITER`` (400,000) and raise ``ConvergenceError``
-(N=150 does too, with ``Method.VALUE_ITERATION``); solve them with
-``Method.DIRECT``.
+the direct solve.  From N=150 it exhausts the iteration cap ``_MAX_ITER``
+(400,000) and raises ``ConvergenceError``; the default factors such boxes.
 
 The module only computes; :func:`distyle.harness.write_grid_csv` writes a
 solved field as CSV.
@@ -62,6 +64,7 @@ solved field as CSV.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,9 +83,24 @@ class Method(enum.Enum):
         return self.value
 
 
-# Largest box the default method factors; above it value iteration keeps
-# the memory bounded.
-_DIRECT_MAX_N = 150
+# Bytes the default method lets the LU factors take; it iterates instead on
+# a box whose predicted factors would not fit.  A fresh interpreter peaks
+# about 15 bytes above its import per nonzero of L + U (r=3: N=400 at 111
+# MiB, N=600 at 178 MiB, after 62 MiB for the import).
+_LU_BUDGET = 128 * 2**20
+_BYTES_PER_NONZERO = 16
+# Nonzeros of L + U per N^2 max(ln N, 1).  The measured ratio is 2.0-2.6
+# up to N=10 and then rises slowly: 2.73 at N=50, 3.30 at N=200, 3.64 at
+# N=600 for r = 3, 5, 20 and 1000, and a little more near criticality
+# (r=2.002: 3.33 at N=200, 3.70 at N=600, 3.74 at N=660), so it bounds the
+# fill beyond the largest box the budget admits, N=574.
+_FILL = 4.0
+
+
+def _lu_nonzeros(n: int) -> int:
+    """Upper bound on the nonzeros of L + U of the folded N-box system."""
+    return math.ceil(_FILL * n * n * max(math.log(n), 1.0))
+
 
 # Value iteration runs in blocks of this many Jacobi steps and measures the
 # update only in the last _CHECKED of them.
@@ -98,9 +116,9 @@ _TOL = 1e-12
 @dataclass(frozen=True)
 class SolveOptions:
     """``method`` is a :class:`Method` or its name ("direct", "vi");
-    ``None`` picks ``DIRECT`` for N <= 150, value iteration above.  Value
-    iteration stops within ``_TOL`` of the solution, or raises after
-    ``_MAX_ITER`` steps."""
+    ``None`` picks ``DIRECT`` where the LU predicted for the box fits
+    ``_LU_BUDGET``, value iteration above.  Value iteration stops within
+    ``_TOL`` of the solution, or raises after ``_MAX_ITER`` steps."""
 
     method: Method | None = None
 
@@ -189,6 +207,33 @@ def closure_arrays(
 # linear system
 
 
+def _stencil(params: ModelParams, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The recurrence's coefficients at every cell of the box: the (N, N)
+    arrays of d i / ((r+d)(i+j)) towards (i-1, j) and d j / ((r+d)(i+j))
+    towards (i, j-1), and the birth step r / (2(r+d)) towards (i, j+1) and
+    (i+1, j), indexed [i-1, j-1].  The one statement of the stencil."""
+    i = np.arange(1, n + 1)[:, None]
+    j = np.arange(1, n + 1)[None, :]
+    scale = params.d / ((params.r + params.d) * (i + j))
+    return scale * i, scale * j, params.birth_step
+
+
+def _rhs(
+    params: ModelParams, n: int, closure_up: np.ndarray, closure_right: np.ndarray
+) -> np.ndarray:
+    """b of T p = b as an (N, N) array: minus the boundary terms, those of
+    the axes (value 1) first, then those of the closure."""
+    left, down, a = _stencil(params, n)
+    if n == 1:
+        return np.array([[-(left[0, 0] + down[0, 0]) - a * (closure_up[0] + closure_right[0])]])
+    b = np.zeros((n, n))
+    b[0, :] -= left[0, :]  # p_{0,j} = 1
+    b[:, 0] -= down[:, 0]  # p_{i,0} = 1
+    b[:, -1] -= a * closure_up
+    b[-1, :] -= a * closure_right
+    return b
+
+
 def assemble_system(
     params: ModelParams, n: int, closure_up: np.ndarray, closure_right: np.ndarray
 ) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
@@ -197,37 +242,29 @@ def assemble_system(
     Row k = (i-1) N + (j-1) states the recurrence at (i, j) as
     (K p)_k - p_k = -b_k contributions, i.e. T has -1 on the diagonal, the
     in-box kernel couplings off it, and b collects boundary and closure terms
-    with a minus sign.
+    with a minus sign.  The solvers do not build T; it states the system
+    they solve.
     """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
-    size = n * n
-    ivec = np.repeat(np.arange(1, n + 1), n)
-    jvec = np.tile(np.arange(1, n + 1), n)
-    scale = params.d / ((params.r + params.d) * (ivec + jvec))
-    left = scale * ivec
-    down = scale * jvec
-    a = params.birth_step
-
+    b = _rhs(params, n, closure_up, closure_right).reshape(-1)
     if n == 1:  # single unknown; the diagonal offsets below would collide
-        b = np.array([-(left[0] + down[0]) - a * (closure_up[0] + closure_right[0])])
         return scipy.sparse.csr_matrix(np.array([[-1.0]])), b
-
-    up_diag = np.where(jvec[:-1] < n, a, 0.0)  # (i,j) -> (i,j+1), kills block seams
-    down_diag = np.where(jvec[1:] > 1, down[1:], 0.0)
-    right_diag = np.full(size - n, a)  # (i,j) -> (i+1,j)
-    left_diag = left[n:]
+    left, down, a = _stencil(params, n)
+    left, down = left.reshape(-1), down.reshape(-1)
+    size = n * n
+    seam = np.arange(1, size) % n == 0  # (i,N) -> (i+1,1) is no neighbour
     t = scipy.sparse.diags(
-        [np.full(size, -1.0), up_diag, down_diag, right_diag, left_diag],
+        [
+            np.full(size, -1.0),
+            np.where(seam, 0.0, a),  # (i,j) -> (i,j+1)
+            np.where(seam, 0.0, down[1:]),  # (i,j) -> (i,j-1)
+            np.full(size - n, a),  # (i,j) -> (i+1,j)
+            left[n:],  # (i,j) -> (i-1,j)
+        ],
         [0, 1, -1, n, -n],
         format="csr",
     )
-
-    b = np.zeros(size)
-    b[ivec == 1] -= left[ivec == 1]  # p_{0,j} = 1
-    b[jvec == 1] -= down[jvec == 1]  # p_{i,0} = 1
-    b[jvec == n] -= a * closure_up[ivec[jvec == n] - 1]
-    b[ivec == n] -= a * closure_right[jvec[ivec == n] - 1]
     return t, b
 
 
@@ -237,32 +274,55 @@ def assemble_system(
 
 def _folded_system(
     params: ModelParams, n: int, edge: np.ndarray
-) -> tuple[
-    scipy.sparse.csr_matrix,
-    np.ndarray,
-    scipy.sparse.csr_matrix,
-    np.ndarray,
-    scipy.sparse.csr_matrix,
-]:
-    """The full system T p = b and the folded system A q = c the solvers
-    work on, for the closure ``edge`` on both sides of the box.
+) -> tuple[scipy.sparse.csr_matrix, np.ndarray, np.ndarray]:
+    """The folded system A q = c the solvers work on, for the closure
+    ``edge`` on both sides of the box, built from the stencil.
 
-    The fold keeps the rows i <= j of T and adds each column (i, j) with
-    i > j into its mirror (j, i): A = T[half] M and c = b[half], with the
-    0/1 mirror matrix M that copies q to both (i, j) and (j, i), so that
-    p = M q.  No cell neighbours its own mirror, so A keeps the diagonal -1.
-    Returns (T, b, A, c, M).
+    q holds the N(N+1)/2 cells i <= j, row by row.  Row (i, j) of A is the
+    recurrence at (i, j) with each neighbour outside the half replaced by
+    its mirror: at a diagonal cell (i, i) the neighbours (i-1, i) and
+    (i, i-1) meet in one column, and so do (i, i+1) and (i+1, i).  No cell
+    neighbours its own mirror, so A keeps the diagonal -1.  A is CSR with
+    int32 indices, each row's columns in ascending order, and equals T's
+    rows i <= j with every column i > j added into its mirror.  Returns
+    (A, c, pos), where ``pos[i-1, j-1]`` is the index in q of p_{i,j} and
+    of p_{j,i}.
     """
-    t, b = assemble_system(params, n, edge, edge)
+    left, down, birth = _stencil(params, n)
     rows, cols = np.triu_indices(n)
-    half = rows * n + cols
-    pos = np.empty((n, n), dtype=np.int64)
-    pos[rows, cols] = pos[cols, rows] = np.arange(half.size)
-    mirror = scipy.sparse.csr_matrix(
-        (np.ones(n * n), (np.arange(n * n), pos.reshape(-1))),
-        shape=(n * n, half.size),
+    start = (rows * (2 * n + 1 - rows)) // 2 - rows  # q index of (i, j) is start + j
+    index = start + cols
+    diagonal = rows == cols
+    inner = ~diagonal
+    # neighbours in ascending column order: (i-1, j), (i, j-1), (i, j),
+    # (i, j+1), (i+1, j); on the diagonal the second and fifth are merged
+    # into the first and fourth
+    left_half, down_half = left[rows, cols], down[rows, cols]
+    present = np.stack(
+        [rows > 0, inner, np.ones_like(inner), cols < n - 1, inner], axis=1
     )
-    return t, b, t[half] @ mirror, b[half], mirror
+    columns = np.stack(
+        [index - (n - rows), index - 1, index, index + 1, index + (n - rows - 1)], axis=1
+    )
+    values = np.stack(
+        [
+            np.where(diagonal, left_half + down_half, left_half),
+            down_half,
+            np.full(index.size, -1.0),
+            np.where(diagonal, birth + birth, birth),
+            np.full(index.size, birth),
+        ],
+        axis=1,
+    )
+    indptr = np.zeros(index.size + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    a = scipy.sparse.csr_matrix(
+        (values[present], columns[present], indptr), shape=(index.size, index.size)
+    )
+    pos = np.empty((n, n), dtype=np.int32)
+    pos[rows, cols] = pos[cols, rows] = index
+    c = _rhs(params, n, edge, edge)[rows, cols]
+    return a, c, pos
 
 
 def _iterate(
@@ -322,6 +382,25 @@ def _iterate(
     return q, None, rate
 
 
+def _residual(params: ModelParams, values: np.ndarray, edge: np.ndarray) -> float:
+    """max |T p - b| for the field ``values`` and the closure ``edge``,
+    from the stencil on the field padded with zeros, each row summed in
+    T's column order ((i-1, j), (i, j-1), (i, j), (i, j+1), (i+1, j)) so
+    that it equals the residual through :func:`assemble_system` bit for
+    bit."""
+    n = values.shape[0]
+    left, down, a = _stencil(params, n)
+    padded = np.zeros((n + 2, n + 2))
+    padded[1:-1, 1:-1] = values
+    tp = left * padded[:-2, 1:-1]
+    tp += down * padded[1:-1, :-2]
+    tp -= values
+    tp += a * padded[1:-1, 2:]
+    tp += a * padded[2:, 1:-1]
+    tp -= _rhs(params, n, edge, edge)
+    return float(np.max(np.abs(tp)))
+
+
 def solve_grid(
     params: ModelParams,
     n: int,
@@ -332,26 +411,29 @@ def solve_grid(
 
     ``closure`` is a named policy (a key of :data:`CLOSURES`) or one
     explicit edge array p~_{k,N+1} = p~_{N+1,k}, k = 1..N.  Without an
-    explicit ``options.method`` the box size picks the solver (see the
-    module docstring); ``GridSolution.method`` reports the choice.  The
-    residual max |T p - b| is taken on the full system, also for a
-    :class:`ConvergenceError`.
+    explicit ``options.method`` the predicted size of the LU picks the
+    solver (see the module docstring); ``GridSolution.method`` reports the
+    choice.  The residual max |T p - b| is taken on the full system, also
+    for a :class:`ConvergenceError`.
     """
+    if n < 1:
+        raise ValueError(f"grid size must be >= 1, got {n}")
     options = options or SolveOptions()
     method = options.method
     if method is None:
-        method = Method.DIRECT if n <= _DIRECT_MAX_N else Method.VALUE_ITERATION
+        fits = _BYTES_PER_NONZERO * _lu_nonzeros(n) <= _LU_BUDGET
+        method = Method.DIRECT if fits else Method.VALUE_ITERATION
     edge, _, desc = closure_arrays(params, n, closure)
-    t, b, a, c, mirror = _folded_system(params, n, edge)
+    a, c, pos = _folded_system(params, n, edge)
     if method is Method.DIRECT:
-        lu = scipy.sparse.linalg.splu(
-            a.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1
-        )
+        a = a.tocsc()  # the CSR copy goes before the factors are made,
+        lu = scipy.sparse.linalg.splu(a, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
         q, iterations, rate = lu.solve(c), 1, float("nan")
+        del lu  # and the factors before the residual's arrays
     else:
         q, iterations, rate = _iterate(a, c)
-    p = mirror @ q
-    residual = float(np.max(np.abs(t @ p - b)))
+    values = q[pos]
+    residual = _residual(params, values, edge)
     if iterations is None:
         raise ConvergenceError(
             f"no convergence within {_MAX_ITER} iterations, "
@@ -361,7 +443,7 @@ def solve_grid(
     return GridSolution(
         params=params,
         n=n,
-        values=p.reshape(n, n),
+        values=values,
         closure=desc,
         closure_edge=edge,
         residual=residual,

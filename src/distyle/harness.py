@@ -29,16 +29,10 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from . import genfunc
-from .grid import GridSolution, Method, SolveOptions, solve_grid
+from .grid import GridSolution, solve_grid
 from .model import ModelParams
 # estimate_lattice stays a name of this module: perfbench/tracing.py wraps it
 from .montecarlo import McEstimate, estimate_lattice, start_lattice  # noqa: F401
-
-# Every grid of an experiment is factored.  Above N=150 the size rule of
-# solve_grid picks value iteration, which exhausts its step cap near
-# criticality (see the grid module).
-_OPTIONS = SolveOptions(method=Method.DIRECT)
-
 
 @dataclass(frozen=True)
 class SummaryStats:
@@ -139,15 +133,15 @@ def convergence_series(
     n_values: list[int],
     reference: np.ndarray,
     sublattice: int,
-    options: SolveOptions,
     solved: dict[int, GridSolution],
 ) -> list[tuple[int, float]]:
     """Rows (N, rqe of the N-grid against ``reference`` on the sub-lattice),
     one for every N of ``n_values``, in that order.  An N-grid in ``solved``
-    (keyed by N) is taken as it is; any other is solved with ``options``."""
+    (keyed by N) is taken as it is; any other is solved by
+    :func:`solve_grid`'s default."""
     rows = []
     for n in n_values:
-        box = solved[n] if n in solved else solve_grid(params, n, options)
+        box = solved[n] if n in solved else solve_grid(params, n)
         rows.append((n, compare(box.values, reference, sub=sublattice).rqe_by_b))
     return rows
 
@@ -159,8 +153,9 @@ def convergence_series(
 @dataclass(frozen=True)
 class ExperimentSpec:
     """The settings of one run, as ``manifest.txt`` and a config file list
-    them.  No solver or tolerance is among them: every grid is factored
-    (``_OPTIONS``), and the quadrature keeps :data:`genfunc.QUAD_TOL`."""
+    them.  No solver or tolerance is among them: every grid is solved by
+    the default of :func:`solve_grid`, as ``distyle grid`` and ``distyle
+    greens`` solve it, and the quadrature keeps :data:`genfunc.QUAD_TOL`."""
 
     r: float
     d: float
@@ -389,18 +384,17 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
         else contextlib.nullcontext()
     )
     with drawing as finish_mc:
-        solution = solve_grid(params, spec.grid_n, _OPTIONS)
+        solution = solve_grid(params, spec.grid_n)
 
         if spec.run_convergence:
             solved = {spec.grid_n: solution}
             if spec.conv_reference not in solved:
-                solved[spec.conv_reference] = solve_grid(params, spec.conv_reference, _OPTIONS)
+                solved[spec.conv_reference] = solve_grid(params, spec.conv_reference)
             series = convergence_series(
                 params,
                 list(range(spec.conv_min, spec.conv_max + 1)),
                 solved[spec.conv_reference].values,
                 spec.sublattice,
-                _OPTIONS,
                 solved,
             )
             tables["nconv"] = (["n", "rqe_vs_reference"], series)

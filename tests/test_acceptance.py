@@ -249,13 +249,13 @@ def test_11_exponential_truncation_convergence(params3, paramsc, grid50):
     start = time.perf_counter()
     ns = list(range(10, 50))
     direct = SolveOptions(method=Method.DIRECT)
-    series1 = convergence_series(params3, ns, grid50.values, 10, direct, {})
+    series1 = convergence_series(params3, ns, grid50.values, 10, {})
     fit1 = fit_log_slope(
         np.array([n for n, _ in series1]), np.array([e for _, e in series1])
     )
 
     ref_c = solve_grid(paramsc, 50, direct)
-    series2 = convergence_series(paramsc, ns, ref_c.values, 10, direct, {})
+    series2 = convergence_series(paramsc, ns, ref_c.values, 10, {})
     fit2 = fit_log_slope(
         np.array([n for n, _ in series2]), np.array([e for _, e in series2])
     )

@@ -146,6 +146,14 @@ class TestGreensCommand:
         assert code == 0
         assert (tmp_path / "cli" / "genfunc.csv").read_bytes() == written["genfunc"].read_bytes()
 
+    def test_same_bytes_as_experiment_beyond_150(self, tmp_path):
+        # both solve the series grid with the default, which factors N=160
+        assert run(["experiment", "--preset", "supercritical", "--grid-n", 160, "--no-mc",
+                    "--no-convergence", "--genfunc", "--out", tmp_path / "run"]) == 0
+        assert run(["greens", "--r", 3, "--d", 2, "--n", 160, "--out", tmp_path / "cli"]) == 0
+        want = (tmp_path / "run" / "genfunc.csv").read_bytes()
+        assert (tmp_path / "cli" / "genfunc.csv").read_bytes() == want
+
     def test_tol_option_is_gone(self, capsys):
         # the grid behind the series is solved with the default options; the
         # value-iteration tolerance, the quadrature budget and the experiment

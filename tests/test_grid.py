@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,6 @@ from distyle.grid import (
     ConvergenceError,
     Method,
     SolveOptions,
-    _folded_system,
     assemble_system,
     closure_arrays,
     solve_grid,
@@ -100,6 +100,24 @@ def one_step_iterate(
             if delta * rate / (1.0 - rate) <= 0.5 * tol:
                 stop = it
     return q, stop
+
+
+def folded_oracle(params: ModelParams, n: int, edge: np.ndarray):
+    """The folded system through the full one, an oracle for the solver's
+    build from the stencil: A = T[half] M and c = b[half], with the 0/1
+    mirror matrix M that copies q to both (i, j) and (j, i), so that
+    p = M q.  Returns (T, b, A, c, M); A's column indices are unsorted.
+    """
+    t, b = assemble_system(params, n, edge, edge)
+    rows, cols = np.triu_indices(n)
+    half = rows * n + cols
+    pos = np.empty((n, n), dtype=np.int64)
+    pos[rows, cols] = pos[cols, rows] = np.arange(half.size)
+    mirror = scipy.sparse.csr_matrix(
+        (np.ones(n * n), (np.arange(n * n), pos.reshape(-1))),
+        shape=(n * n, half.size),
+    )
+    return t, b, t[half] @ mirror, b[half], mirror
 
 
 class TestKernel:
@@ -233,13 +251,80 @@ class TestSolvers:
         assert np.min(raised.values - base.values) > -1e-12
         assert np.max(np.abs(base.values - base.values.T)) < 1e-12
 
-    def test_default_method_follows_box_size(self, params3):
-        assert solve_grid(params3, 150).method is Method.DIRECT
-        assert solve_grid(params3, 151).method is Method.VALUE_ITERATION
+    def test_default_method_follows_box_size(self, params3, monkeypatch):
+        # the default factors where the predicted LU fits the budget, also
+        # above N=150, where value iteration fails near criticality
+        assert solve_grid(params3, 151).method is Method.DIRECT
+        assert solve_grid(params3, 200).method is Method.DIRECT
+        monkeypatch.setattr(grid, "_LU_BUDGET", grid._BYTES_PER_NONZERO * grid._lu_nonzeros(20))
+        assert solve_grid(params3, 20).method is Method.DIRECT
+        assert solve_grid(params3, 21).method is Method.VALUE_ITERATION
         vi = SolveOptions(method=Method.VALUE_ITERATION)
         assert solve_grid(params3, 20, vi).method is Method.VALUE_ITERATION
         direct = SolveOptions(method=Method.DIRECT)
         assert solve_grid(params3, 151, direct).method is Method.DIRECT
+
+    def test_budget_admits_boxes_up_to_574(self):
+        def fits(n):
+            return grid._BYTES_PER_NONZERO * grid._lu_nonzeros(n) <= grid._LU_BUDGET
+
+        assert fits(574) and not fits(575)
+
+    @pytest.mark.parametrize("r", [3.0, 2.002])
+    def test_predicted_fill_bounds_the_lu(self, r):
+        # factored as solve_grid factors; the measured ratio to N^2 ln N
+        # rises with N, so the bound must hold at the large boxes too
+        params = ModelParams(r, 2.0)
+        for n in [10, 50, 100, 200, 300]:
+            a, _, _ = grid._folded_system(params, n, closure_arrays(params, n)[0])
+            lu = scipy.sparse.linalg.splu(
+                a.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1
+            )
+            assert grid._lu_nonzeros(n) >= lu.nnz, n
+
+    def test_near_critical_default_factors_beyond_150(self, paramsc):
+        n = 160
+        sol = solve_grid(paramsc, n)
+        powers = paramsc.ratio ** np.arange(1, n + 1)
+        lo = np.outer(powers, powers)
+        hi = np.add.outer(powers, powers) - lo
+        assert sol.method is Method.DIRECT
+        assert sol.residual < 1e-12
+        assert np.min(sol.values - lo) > -1e-12
+        assert np.min(hi - sol.values) > -1e-12
+        assert np.max(np.abs(sol.values - sol.values.T)) < 1e-12
+
+    @pytest.mark.parametrize("closure", list(CLOSURES))
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    @pytest.mark.parametrize("rate", ["r3", "rc"])
+    def test_folded_system_is_the_fold_of_the_full_one(self, params3, paramsc, rate, n, closure):
+        params = params3 if rate == "r3" else paramsc
+        edge = closure_arrays(params, n, closure)[0]
+        _, _, want, want_c, _ = folded_oracle(params, n, edge)
+        a, c, pos = grid._folded_system(params, n, edge)
+        want.sort_indices()
+        a.sort_indices()
+        assert np.array_equal(a.indptr, want.indptr)
+        assert np.array_equal(a.indices, want.indices)
+        assert np.array_equal(a.data, want.data)
+        assert np.array_equal(c, want_c)
+        assert a.indices.dtype == np.int32
+        assert np.array_equal(pos, pos.T)
+        assert np.array_equal(np.sort(pos[np.triu_indices(n)]), np.arange(c.size))
+
+    @pytest.mark.parametrize("closure", list(CLOSURES))
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    @pytest.mark.parametrize("rate", ["r3", "rc"])
+    def test_stencil_residual_is_system_residual(self, params3, paramsc, rate, n, closure):
+        # bit for bit, for the solved field and for a field with no symmetry
+        params = params3 if rate == "r3" else paramsc
+        sol = solve_grid(params, n, closure=closure)
+        t, b = assemble_system(params, n, sol.closure_edge, sol.closure_edge)
+        rough = np.random.default_rng(n).random((n, n))
+        for values in (sol.values, rough):
+            full = float(np.max(np.abs(t @ values.reshape(-1) - b)))
+            assert grid._residual(params, values, sol.closure_edge) == full
+        assert sol.residual == float(np.max(np.abs(t @ sol.values.reshape(-1) - b)))
 
     def test_folded_direct_matches_unfolded_solve(self, paramsc):
         n = 60
@@ -308,7 +393,7 @@ class TestSolvers:
         params = params3 if rate == "r3" else paramsc
         vi = SolveOptions(method=Method.VALUE_ITERATION)
         sol = solve_grid(params, n, vi, closure=closure)
-        _, _, a, c, mirror = _folded_system(params, n, sol.closure_edge)
+        _, _, a, c, mirror = folded_oracle(params, n, sol.closure_edge)
         q, stop = one_step_iterate(a, c, grid._TOL, sol.iterations)
         assert np.array_equal(sol.values, (mirror @ q).reshape(n, n))
         assert stop is not None and sol.iterations >= stop
@@ -322,7 +407,7 @@ class TestSolvers:
         opts = SolveOptions(method=Method.VALUE_ITERATION)
         with pytest.raises(ConvergenceError) as info:
             solve_grid(params3, n, opts)
-        t, b, a, c, mirror = _folded_system(params3, n, closure_arrays(params3, n)[0])
+        t, b, a, c, mirror = folded_oracle(params3, n, closure_arrays(params3, n)[0])
         q, stop = one_step_iterate(a, c, grid._TOL, max_iter)
         assert stop is None
         assert info.value.residual == float(np.max(np.abs(t @ (mirror @ q) - b)))

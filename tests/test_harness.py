@@ -88,13 +88,13 @@ class TestConvergenceSeries:
     def test_errors_shrink_toward_reference(self, params3):
         direct = SolveOptions(method=Method.DIRECT)
         reference = solve_grid(params3, 16, direct)
-        series = convergence_series(params3, [6, 9, 12], reference.values, 5, direct, {})
+        series = convergence_series(params3, [6, 9, 12], reference.values, 5, {})
         ns = [n for n, _ in series]
         errs = [e for _, e in series]
         assert ns == [6, 9, 12]
         assert errs[0] > errs[1] > errs[2] > 0.0
         solved = {16: reference}
-        assert convergence_series(params3, [16], reference.values, 5, direct, solved) == [(16, 0.0)]
+        assert convergence_series(params3, [16], reference.values, 5, solved) == [(16, 0.0)]
 
 
 class TestSpec:
@@ -353,20 +353,21 @@ class TestRunExperiment:
         assert written["nconv"].read_text().splitlines()[-1] == f"{spec.grid_n},0"
 
     def test_every_solve_uses_the_spec_options(self, tmp_path, monkeypatch):
-        options = []
+        methods = []
         solve = harness.solve_grid
 
-        def recording(params, n, opts, *args, **kwargs):
-            options.append(opts)
-            return solve(params, n, opts, *args, **kwargs)
+        def recording(*args, **kwargs):
+            solution = solve(*args, **kwargs)
+            methods.append(solution.method)
+            return solution
 
         monkeypatch.setattr(harness, "solve_grid", recording)
         spec = dataclasses.replace(tiny_spec(), conv_reference=9)
         run_experiment(spec, tmp_path / "out")
         # the main grid, the reference and one solve per N other than the
-        # main grid's, each factored whatever its size
-        assert len(options) == 2 + spec.conv_max - spec.conv_min
-        assert set(options) == {SolveOptions(method=Method.DIRECT)}
+        # main grid's, each factored by the default
+        assert len(methods) == 2 + spec.conv_max - spec.conv_min
+        assert set(methods) == {Method.DIRECT}
 
     def test_stages_can_be_disabled(self, tmp_path):
         spec = ExperimentSpec(
