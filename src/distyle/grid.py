@@ -15,10 +15,16 @@ The walk treats the two morphs alike, so one edge array closes both sides,
 p~_{k,N+1} = p~_{N+1,k}.  The solution is then transpose-symmetric,
 p_{i,j} = p_{j,i}, and the system is folded onto the N(N+1)/2 unknowns with
 i <= j: A q = c keeps those rows of T and merges each column into its
-mirror.  A and c are built straight from the stencil; T itself
-(:func:`assemble_system`) is never formed by the solvers, and the residual
-max |T p - b| is taken with the stencil on the padded field.  Both solvers
-work on A q = c:
+mirror.
+
+The recurrence is written down once, as a coupling table: for each of the
+five neighbours, in T's column order, its offset in the field padded by
+one cell and its coefficient at every cell.  The rest reads that table.
+T (:func:`assemble_system`) and A are its rows as sparse matrices, A with
+the columns taken through the mirror index, and b is minus the table
+applied to the boundary values.  The residual max |T p - b| is the table
+applied to the padded field, minus b, so the solvers never form T.  Both
+solvers work on A q = c:
 
 * ``DIRECT``           sparse LU of A (SuperLU, minimum-degree ordering on
                        A + A^T), with no size cap,
@@ -207,31 +213,74 @@ def closure_arrays(
 # linear system
 
 
-def _stencil(params: ModelParams, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """The recurrence's coefficients at every cell of the box: the (N, N)
-    arrays of d i / ((r+d)(i+j)) towards (i-1, j) and d j / ((r+d)(i+j))
-    towards (i, j-1), and the birth step r / (2(r+d)) towards (i, j+1) and
-    (i+1, j), indexed [i-1, j-1].  The one statement of the stencil."""
+def _stencil(params: ModelParams, n: int) -> tuple:
+    """The coupling table, the one statement of the recurrence: row (i, j)
+    of T as one ((di, dj), coefficient) pair per neighbour, in T's column
+    order (i-1, j), (i, j-1), (i, j), (i, j+1), (i+1, j).  The neighbour
+    sits at [i + di, j + dj] of the field padded by one cell, whose rows
+    and columns 0 and N+1 hold the axes and the closure.  The coefficients
+    are d i / ((r+d)(i+j)) and d j / ((r+d)(i+j)) as (N, N) arrays indexed
+    [i-1, j-1], then -1 and the birth step r / (2(r+d)) twice, the same at
+    every cell."""
     i = np.arange(1, n + 1)[:, None]
     j = np.arange(1, n + 1)[None, :]
     scale = params.d / ((params.r + params.d) * (i + j))
-    return scale * i, scale * j, params.birth_step
+    birth = params.birth_step
+    return (
+        ((-1, 0), scale * i),
+        ((0, -1), scale * j),
+        ((0, 0), -1.0),
+        ((0, 1), birth),
+        ((1, 0), birth),
+    )
 
 
-def _rhs(
-    params: ModelParams, n: int, closure_up: np.ndarray, closure_right: np.ndarray
-) -> np.ndarray:
-    """b of T p = b as an (N, N) array: minus the boundary terms, those of
-    the axes (value 1) first, then those of the closure."""
-    left, down, a = _stencil(params, n)
-    if n == 1:
-        return np.array([[-(left[0, 0] + down[0, 0]) - a * (closure_up[0] + closure_right[0])]])
-    b = np.zeros((n, n))
-    b[0, :] -= left[0, :]  # p_{0,j} = 1
-    b[:, 0] -= down[:, 0]  # p_{i,0} = 1
-    b[:, -1] -= a * closure_up
-    b[-1, :] -= a * closure_right
-    return b
+def _apply(table: tuple, padded: np.ndarray) -> np.ndarray:
+    """The table applied to an (N+2, N+2) padded field, as an (N, N)
+    array: each cell's five terms summed in T's column order."""
+    n = padded.shape[0] - 2
+    total = np.zeros((n, n))
+    for (di, dj), coef in table:
+        total += coef * padded[1 + di : n + 1 + di, 1 + dj : n + 1 + dj]
+    return total
+
+
+def _rhs(table: tuple, closure_up: np.ndarray, closure_right: np.ndarray) -> np.ndarray:
+    """b of T p = b as an (N, N) array: the table applied to minus the
+    boundary values, 1 on the axes and the closure beyond column and row
+    N, with the box itself 0."""
+    n = closure_up.size
+    boundary = np.zeros((n + 2, n + 2))
+    boundary[0, :] = boundary[:, 0] = -1.0
+    boundary[1:-1, -1] = -closure_up
+    boundary[-1, 1:-1] = -closure_right
+    return _apply(table, boundary)
+
+
+def _matrix(
+    table: tuple, index: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> scipy.sparse.csr_matrix:
+    """The table's rows at the cells (rows, cols), zero-based, as a square
+    CSR matrix with int32 indices and ascending columns.  The neighbour at
+    cell (i', j') of the box takes the column ``index[i'-1, j'-1]``, one
+    outside the box is dropped, and neighbours that share a column are
+    summed."""
+    n = index.shape[0]
+    columns = np.full((n + 2, n + 2), -1, dtype=np.int32)
+    columns[1:-1, 1:-1] = index
+    at = (rows + 1) * (n + 2) + cols + 1  # the cells in the padded field
+    neighbour = np.stack(
+        [columns.reshape(-1)[at + di * (n + 2) + dj] for (di, dj), _ in table], axis=1
+    )
+    value = np.stack([np.broadcast_to(coef, (n, n))[rows, cols] for _, coef in table], axis=1)
+    present = neighbour >= 0
+    indptr = np.zeros(rows.size + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    matrix = scipy.sparse.csr_matrix(
+        (value[present], neighbour[present], indptr), shape=(rows.size, rows.size)
+    )
+    matrix.sum_duplicates()
+    return matrix
 
 
 def assemble_system(
@@ -239,33 +288,17 @@ def assemble_system(
 ) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
     """Banded system T p = b for the stacked interior unknowns.
 
-    Row k = (i-1) N + (j-1) states the recurrence at (i, j) as
-    (K p)_k - p_k = -b_k contributions, i.e. T has -1 on the diagonal, the
-    in-box kernel couplings off it, and b collects boundary and closure terms
-    with a minus sign.  The solvers do not build T; it states the system
-    they solve.
+    Row k = (i-1) N + (j-1) is the coupling table at (i, j): -1 on the
+    diagonal and the in-box couplings off it, with b collecting the
+    boundary and closure terms with a minus sign.  The solvers do not
+    build T; it states the system they solve.
     """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
-    b = _rhs(params, n, closure_up, closure_right).reshape(-1)
-    if n == 1:  # single unknown; the diagonal offsets below would collide
-        return scipy.sparse.csr_matrix(np.array([[-1.0]])), b
-    left, down, a = _stencil(params, n)
-    left, down = left.reshape(-1), down.reshape(-1)
-    size = n * n
-    seam = np.arange(1, size) % n == 0  # (i,N) -> (i+1,1) is no neighbour
-    t = scipy.sparse.diags(
-        [
-            np.full(size, -1.0),
-            np.where(seam, 0.0, a),  # (i,j) -> (i,j+1)
-            np.where(seam, 0.0, down[1:]),  # (i,j) -> (i,j-1)
-            np.full(size - n, a),  # (i,j) -> (i+1,j)
-            left[n:],  # (i,j) -> (i-1,j)
-        ],
-        [0, 1, -1, n, -n],
-        format="csr",
-    )
-    return t, b
+    table = _stencil(params, n)
+    rows, cols = np.indices((n, n)).reshape(2, -1)
+    t = _matrix(table, np.arange(n * n).reshape(n, n), rows, cols)
+    return t, _rhs(table, closure_up, closure_right).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -276,53 +309,21 @@ def _folded_system(
     params: ModelParams, n: int, edge: np.ndarray
 ) -> tuple[scipy.sparse.csr_matrix, np.ndarray, np.ndarray]:
     """The folded system A q = c the solvers work on, for the closure
-    ``edge`` on both sides of the box, built from the stencil.
+    ``edge`` on both sides of the box, read from the coupling table.
 
-    q holds the N(N+1)/2 cells i <= j, row by row.  Row (i, j) of A is the
-    recurrence at (i, j) with each neighbour outside the half replaced by
-    its mirror: at a diagonal cell (i, i) the neighbours (i-1, i) and
-    (i, i-1) meet in one column, and so do (i, i+1) and (i+1, i).  No cell
-    neighbours its own mirror, so A keeps the diagonal -1.  A is CSR with
-    int32 indices, each row's columns in ascending order, and equals T's
-    rows i <= j with every column i > j added into its mirror.  Returns
-    (A, c, pos), where ``pos[i-1, j-1]`` is the index in q of p_{i,j} and
-    of p_{j,i}.
+    q holds the N(N+1)/2 cells i <= j, row by row, and ``pos[i-1, j-1]``
+    is the index in q of p_{i,j} and of p_{j,i}.  A is the table's rows
+    i <= j with each neighbour's column taken through ``pos``, so that the
+    two neighbours of a diagonal cell (i, i) that mirror each other are
+    summed into one column; no cell neighbours its own mirror, so A keeps
+    the diagonal -1.  c is b at those rows.  Returns (A, c, pos).
     """
-    left, down, birth = _stencil(params, n)
+    table = _stencil(params, n)
     rows, cols = np.triu_indices(n)
-    start = (rows * (2 * n + 1 - rows)) // 2 - rows  # q index of (i, j) is start + j
-    index = start + cols
-    diagonal = rows == cols
-    inner = ~diagonal
-    # neighbours in ascending column order: (i-1, j), (i, j-1), (i, j),
-    # (i, j+1), (i+1, j); on the diagonal the second and fifth are merged
-    # into the first and fourth
-    left_half, down_half = left[rows, cols], down[rows, cols]
-    present = np.stack(
-        [rows > 0, inner, np.ones_like(inner), cols < n - 1, inner], axis=1
-    )
-    columns = np.stack(
-        [index - (n - rows), index - 1, index, index + 1, index + (n - rows - 1)], axis=1
-    )
-    values = np.stack(
-        [
-            np.where(diagonal, left_half + down_half, left_half),
-            down_half,
-            np.full(index.size, -1.0),
-            np.where(diagonal, birth + birth, birth),
-            np.full(index.size, birth),
-        ],
-        axis=1,
-    )
-    indptr = np.zeros(index.size + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=1), out=indptr[1:])
-    a = scipy.sparse.csr_matrix(
-        (values[present], columns[present], indptr), shape=(index.size, index.size)
-    )
     pos = np.empty((n, n), dtype=np.int32)
-    pos[rows, cols] = pos[cols, rows] = index
-    c = _rhs(params, n, edge, edge)[rows, cols]
-    return a, c, pos
+    pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
+    c = _rhs(table, edge, edge)[rows, cols]
+    return _matrix(table, pos, rows, cols), c, pos
 
 
 def _iterate(
@@ -383,21 +384,15 @@ def _iterate(
 
 
 def _residual(params: ModelParams, values: np.ndarray, edge: np.ndarray) -> float:
-    """max |T p - b| for the field ``values`` and the closure ``edge``,
-    from the stencil on the field padded with zeros, each row summed in
-    T's column order ((i-1, j), (i, j-1), (i, j), (i, j+1), (i+1, j)) so
-    that it equals the residual through :func:`assemble_system` bit for
-    bit."""
+    """max |T p - b| for the field ``values`` and the closure ``edge``:
+    the coupling table applied to the field padded with zeros, minus b,
+    equal bit for bit to the residual through :func:`assemble_system`."""
     n = values.shape[0]
-    left, down, a = _stencil(params, n)
+    table = _stencil(params, n)
     padded = np.zeros((n + 2, n + 2))
     padded[1:-1, 1:-1] = values
-    tp = left * padded[:-2, 1:-1]
-    tp += down * padded[1:-1, :-2]
-    tp -= values
-    tp += a * padded[1:-1, 2:]
-    tp += a * padded[2:, 1:-1]
-    tp -= _rhs(params, n, edge, edge)
+    tp = _apply(table, padded)
+    tp -= _rhs(table, edge, edge)
     return float(np.max(np.abs(tp)))
 
 

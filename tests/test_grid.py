@@ -2,6 +2,7 @@ import collections
 import io
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -102,11 +103,34 @@ def one_step_iterate(
     return q, stop
 
 
+def kernel_defect(params: ModelParams, edge: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """T p - b of the field ``values`` cell by cell: :func:`apply_kernel` on
+    the field padded with the axes and the closure ``edge``, minus p."""
+    n = values.shape[0]
+    field = padded_field(n, edge, edge, values)
+    cells = range(1, n + 1)
+    return np.array([[apply_kernel(params, field, i, j) for j in cells] for i in cells]) - values
+
+
+def oracle_gap(params: ModelParams, n: int, closure: str) -> float:
+    """Largest distance, for a random field, between :func:`kernel_defect`
+    and both T p - b through :func:`assemble_system` and the residual."""
+    edge = closure_arrays(params, n, closure)[0]
+    values = np.random.default_rng(n).random((n, n))
+    want = kernel_defect(params, edge, values)
+    t, b = assemble_system(params, n, edge, edge)
+    entries = np.max(np.abs((t @ values.reshape(-1) - b).reshape(n, n) - want))
+    residual = abs(grid._residual(params, values, edge) - np.max(np.abs(want)))
+    return float(max(entries, residual))
+
+
 def folded_oracle(params: ModelParams, n: int, edge: np.ndarray):
-    """The folded system through the full one, an oracle for the solver's
-    build from the stencil: A = T[half] M and c = b[half], with the 0/1
-    mirror matrix M that copies q to both (i, j) and (j, i), so that
-    p = M q.  Returns (T, b, A, c, M); A's column indices are unsorted.
+    """The folded system through the full one, an oracle for the fold in
+    the solver: A = T[half] M and c = b[half], with the 0/1 mirror matrix
+    M that copies q to both (i, j) and (j, i), so that p = M q.  T and
+    the solver's A read one coupling table; :func:`kernel_defect` checks
+    its coefficients.  Returns (T, b, A, c, M); A's column indices are
+    unsorted.
     """
     t, b = assemble_system(params, n, edge, edge)
     rows, cols = np.triu_indices(n)
@@ -162,6 +186,37 @@ class TestAssembly:
         field = padded_field(1, sol.closure_edge, sol.closure_edge)
         field[1, 1] = sol.p(1, 1)
         assert apply_kernel(params3, field, 1, 1) == pytest.approx(sol.p(1, 1), abs=1e-14)
+
+    @pytest.mark.parametrize("closure", list(CLOSURES))
+    @pytest.mark.parametrize("r", [3.0, 2.002, 5.0])
+    def test_single_cell_value(self, r, closure):
+        # p(1, 1) = d/(r+d) + 2 a p~ with no in-box neighbour, within the
+        # ulp by which the order of the sum may move it
+        params = ModelParams(r, 2.0)
+        sol = solve_grid(params, 1, closure=closure)
+        want = params.d / (params.r + params.d) + 2 * params.birth_step * sol.closure_edge[0]
+        assert abs(sol.p(1, 1) - want) <= np.spacing(want)
+
+    @pytest.mark.parametrize("closure", list(CLOSURES))
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("rate", ["r3", "rc"])
+    def test_system_is_the_cell_by_cell_recurrence(self, params3, paramsc, rate, n, closure):
+        # independent of the coupling table that T, A and the residual share
+        params = params3 if rate == "r3" else paramsc
+        assert oracle_gap(params, n, closure) <= 1e-15
+
+    def test_cell_by_cell_oracle_catches_a_mutated_coefficient(self, params3, paramsc, monkeypatch):
+        stencil = grid._stencil
+
+        def mutated(params, n):
+            birth = 1.001 * params.birth_step
+            return stencil(types.SimpleNamespace(r=params.r, d=params.d, birth_step=birth), n)
+
+        monkeypatch.setattr(grid, "_stencil", mutated)
+        for params in (params3, paramsc):
+            for n in (1, 2, 7):
+                for closure in CLOSURES:
+                    assert oracle_gap(params, n, closure) > 1e-15, (params, n, closure)
 
 
 class TestSolvers:
