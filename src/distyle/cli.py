@@ -20,15 +20,7 @@ import numpy as np
 
 from . import genfunc, harness
 from .characteristics import critical_times, eval_path, integrating_factor, make_path
-from .grid import (
-    _LU_BUDGET,
-    CLOSURES,
-    DEFAULT_CLOSURE,
-    ConvergenceError,
-    Method,
-    SolveOptions,
-    solve_grid,
-)
+from .grid import CLOSURES, DEFAULT_CLOSURE, solve_grid
 from .harness import write_csv, write_grid_csv, write_mc_csv
 from .model import ModelParams
 from .montecarlo import estimate, estimate_lattice
@@ -63,14 +55,11 @@ def _output(args, filename: str):
 
 def _cmd_grid(args) -> int:
     params = ModelParams(args.r, args.d)
-    solution = solve_grid(params, args.n, SolveOptions(method=args.method), closure=args.closure)
+    solution = solve_grid(params, args.n, closure=args.closure)
     with _output(args, "grid_p.csv") as fp:
         write_grid_csv(solution, fp)
     print(
-        f"solved N={args.n} via {solution.method}: "
-        f"iterations={solution.iterations} rate={solution.rate:.9g} "
-        f"residual={solution.residual:.3e} "
-        f"closure: {solution.closure}",
+        f"solved N={args.n} residual={solution.residual:.3e} closure: {solution.closure}",
         file=sys.stderr,
     )
     return 0
@@ -209,13 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rates(p)
     p.add_argument("--n", type=int, required=True, help="box size N")
     p.add_argument(
-        "--method",
-        choices=[m.value for m in Method],
-        default=None,
-        help=f"default: {Method.DIRECT} where the LU predicted for the box fits "
-        f"{_LU_BUDGET // 2**20} MiB, {Method.VALUE_ITERATION} above",
-    )
-    p.add_argument(
         "--closure",
         choices=list(CLOSURES),
         default=DEFAULT_CLOSURE,
@@ -292,7 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, ArithmeticError, ConvergenceError, genfunc.QuadratureError) as exc:
+    except (ValueError, OSError, ArithmeticError, genfunc.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,41 +27,28 @@ applied to the padded field, minus b, so the solvers never form T.  Both
 solvers work on A q = c:
 
 * ``DIRECT``           sparse LU of A (SuperLU, minimum-degree ordering on
-                       A + A^T), with no size cap,
-* ``VALUE_ITERATION``  Jacobi iteration q <- (A + I) q - c from zero, one
-                       sparse mat-vec per step, which increases
-                       monotonically toward the minimal solution.
+                       A + A^T), the solver of every default solve,
+* ``VALUE_ITERATION``  on request only: Jacobi iteration q <- (A + I) q - c
+                       from zero, one sparse mat-vec per step, which
+                       increases monotonically toward the minimal solution.
+                       The tests use it as the reference for the LU.
 
-When the caller names no method, memory picks it: ``DIRECT`` when the LU
-predicted for the box fits ``_LU_BUDGET`` (128 MiB), ``VALUE_ITERATION``
-above.  The prediction is ``_FILL`` N^2 ln N nonzeros of L + U at
-``_BYTES_PER_NONZERO`` each, an upper bound on the measured fill, so the
-default factors every box up to N=574.  The folded LU has 2.6-2.8 times
-less fill than the full one (141k against 371k nonzeros at N=100).  At
-r=3, N=200 a fresh interpreter peaks at 73 MiB for it, 62 MiB of which is
-the import, and factors in about 0.06 s where value iteration takes 1,120
+The LU is made only where the factors predicted for the box fit
+``_LU_BUDGET`` (128 MiB); a larger box is refused with a ValueError before
+any work is done.  The prediction is ``_FILL`` N^2 ln N nonzeros of L + U
+at ``_BYTES_PER_NONZERO`` each, an upper bound on the measured fill, so
+every box up to N=574 is factored.  The folded LU has 2.6-2.8 times less
+fill than the full one (141k against 371k nonzeros at N=100).  At r=3,
+N=200 a fresh interpreter peaks at 73 MiB for it, 62 MiB of which is the
+import, and factors in about 0.06 s where value iteration takes 1,120
 steps.
 
 The constant field 1 satisfies the interior recurrence, so value iteration
 must start below the solution (from zero) to select the probabilistic
-solution rather than the trivial one.  Its stopping rule extrapolates the
-geometric tail of the update sequence: iteration halts only once the
-projected remaining change, update * rate / (1 - rate), drops under
-``_TOL``/2, so the returned field is within ``_TOL`` of the exact solution
-of the closed system, not merely quasi-stationary.  The rule is tested
-once per block of ``_CHECK_EVERY`` (32) steps, on the updates of the
-block's last four steps; the other steps are bare mat-vecs, about half the
-cost of a measured one.
-The rate is the larger of the largest one-step update ratio and the
-per-step ratio of the update across the whole block.  At the rounding
-level the one-step ratios are noise, but the block ratio is about 1, so
-noise cannot stop the iteration early.  ``GridSolution.rate`` reports the
-last estimate, the one the stop used unless it met an exact fixed point.
-
-Near criticality value iteration needs about 17-19 N^2 steps: at r=2.002
-it takes 69,053 at N=60 and 396,029 at N=142, where it lands 5.9e-13 from
-the direct solve.  From N=150 it exhausts the iteration cap ``_MAX_ITER``
-(400,000) and raises ``ConvergenceError``; the default factors such boxes.
+solution rather than the trivial one.  Its stopping rule is described at
+:func:`_iterate`.  Near criticality it needs about 17-19 N^2 steps, so from
+N=150 at r=2.002 it exhausts the iteration cap ``_MAX_ITER`` (400,000) and
+raises ``ConvergenceError``.
 
 The module only computes; :func:`distyle.harness.write_grid_csv` writes a
 solved field as CSV.
@@ -89,10 +76,10 @@ class Method(enum.Enum):
         return self.value
 
 
-# Bytes the default method lets the LU factors take; it iterates instead on
-# a box whose predicted factors would not fit.  A fresh interpreter peaks
-# about 15 bytes above its import per nonzero of L + U (r=3: N=400 at 111
-# MiB, N=600 at 178 MiB, after 62 MiB for the import).
+# Bytes the LU factors may take; a box whose predicted factors would not
+# fit is refused.  A fresh interpreter peaks about 15 bytes above its
+# import per nonzero of L + U (r=3: N=400 at 111 MiB, N=600 at 178 MiB,
+# after 62 MiB for the import).
 _LU_BUDGET = 128 * 2**20
 _BYTES_PER_NONZERO = 16
 # Nonzeros of L + U per N^2 max(ln N, 1).  The measured ratio is 2.0-2.6
@@ -106,6 +93,23 @@ _FILL = 4.0
 def _lu_nonzeros(n: int) -> int:
     """Upper bound on the nonzeros of L + U of the folded N-box system."""
     return math.ceil(_FILL * n * n * max(math.log(n), 1.0))
+
+
+def _check_size(name: str, n: int) -> None:
+    """Reject an N-box whose predicted LU would not fit ``_LU_BUDGET``,
+    naming ``name`` and the largest N the budget admits (574)."""
+
+    def fits(m: int) -> bool:
+        return _BYTES_PER_NONZERO * _lu_nonzeros(m) <= _LU_BUDGET
+
+    if not fits(n):
+        largest = 1
+        while fits(largest + 1):
+            largest += 1
+        raise ValueError(
+            f"{name} must be <= {largest}, got {n} (the largest box whose LU "
+            f"fits the {_LU_BUDGET // 2**20} MiB budget)"
+        )
 
 
 # Value iteration runs in blocks of this many Jacobi steps and measures the
@@ -122,9 +126,8 @@ _TOL = 1e-12
 @dataclass(frozen=True)
 class SolveOptions:
     """``method`` is a :class:`Method` or its name ("direct", "vi");
-    ``None`` picks ``DIRECT`` where the LU predicted for the box fits
-    ``_LU_BUDGET``, value iteration above.  Value iteration stops within
-    ``_TOL`` of the solution, or raises after ``_MAX_ITER`` steps."""
+    ``None`` is ``DIRECT``.  Value iteration runs on request only; it stops
+    within ``_TOL`` of the solution, or raises after ``_MAX_ITER`` steps."""
 
     method: Method | None = None
 
@@ -405,19 +408,18 @@ def solve_grid(
     """Solve the closed box system and return the probability field.
 
     ``closure`` is a named policy (a key of :data:`CLOSURES`) or one
-    explicit edge array p~_{k,N+1} = p~_{N+1,k}, k = 1..N.  Without an
-    explicit ``options.method`` the predicted size of the LU picks the
-    solver (see the module docstring); ``GridSolution.method`` reports the
-    choice.  The residual max |T p - b| is taken on the full system, also
-    for a :class:`ConvergenceError`.
+    explicit edge array p~_{k,N+1} = p~_{N+1,k}, k = 1..N.  The box is
+    factored; one whose predicted LU would not fit the 128 MiB budget
+    (N > 574) is refused with a ValueError before any work is done.  Value
+    iteration runs on request only, through ``options.method``.  The
+    residual max |T p - b| is taken on the full system, also for a
+    :class:`ConvergenceError`.
     """
+    method = (options or SolveOptions()).method or Method.DIRECT
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
-    options = options or SolveOptions()
-    method = options.method
-    if method is None:
-        fits = _BYTES_PER_NONZERO * _lu_nonzeros(n) <= _LU_BUDGET
-        method = Method.DIRECT if fits else Method.VALUE_ITERATION
+    if method is Method.DIRECT:
+        _check_size("grid size", n)
     edge, _, desc = closure_arrays(params, n, closure)
     a, c, pos = _folded_system(params, n, edge)
     if method is Method.DIRECT:

@@ -29,7 +29,7 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from . import genfunc
-from .grid import GridSolution, solve_grid
+from .grid import GridSolution, _check_size, solve_grid
 from .model import ModelParams
 # estimate_lattice stays a name of this module: perfbench/tracing.py wraps it
 from .montecarlo import McEstimate, estimate_lattice, start_lattice  # noqa: F401
@@ -198,6 +198,9 @@ class ExperimentSpec:
                     f"the convergence fit needs three N in {self.conv_min}..{self.conv_max} "
                     f"other than conv_reference={self.conv_reference}, got {fitted}"
                 )
+        sizes = ("grid_n", "conv_reference", "conv_max") if self.run_convergence else ("grid_n",)
+        for name in sizes:
+            _check_size(name, getattr(self, name))
         if self.run_genfunc:
             if not (0.0 < self.genfunc_min <= self.genfunc_max < 1.0 and self.genfunc_count >= 1):
                 raise ValueError(
@@ -424,7 +427,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
                 ("rqe_sublattice_by_mc", sub.rqe_by_a),
                 ("rqe_sublattice_by_grid", sub.rqe_by_b),
                 ("grid_residual", solution.residual),
-                ("grid_iterations", solution.iterations),
                 ("mc_stop_bound", mc.stop_bound),
             ],
         )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import distyle
-from distyle import genfunc, grid
+from distyle import genfunc, grid, harness
 from distyle.cli import main
 from distyle.grid import solve_grid
 from distyle.harness import ExperimentSpec, run_experiment, write_grid_csv, write_mc_csv
@@ -25,7 +25,8 @@ class TestGridCommand:
         code = run(["grid", "--r", 3, "--d", 2, "--n", 6, "--out", tmp_path])
         assert code == 0
         err = capsys.readouterr().err
-        assert "solved N=6 via direct: iterations=1 rate=nan residual=" in err
+        assert "solved N=6 residual=" in err
+        assert "closure: asymptotic" in err
         lines = (tmp_path / "grid_p.csv").read_text().splitlines()
         assert lines[0] == "i,j,p"
         assert len(lines) == 37
@@ -212,8 +213,7 @@ class TestCharacteristicsCommand:
 class TestCompareCommand:
     def test_two_grids(self, tmp_path, capsys):
         run(["grid", "--r", 3, "--d", 2, "--n", 8, "--out", tmp_path / "a"])
-        run(["grid", "--r", 3, "--d", 2, "--n", 8, "--method", "direct",
-             "--out", tmp_path / "b"])
+        run(["grid", "--r", 3, "--d", 2, "--n", 8, "--out", tmp_path / "b"])
         capsys.readouterr()
         code = run(
             ["compare", "--field-a", tmp_path / "a" / "grid_p.csv",
@@ -382,9 +382,8 @@ class TestExperimentCommand:
              "distyle: error: unrecognized arguments: --tol 1e-12"),
             (["greens", "--r", 3, "--d", 2, "--quad-tol", 1e-8],
              "distyle: error: unrecognized arguments: --quad-tol 1e-08"),
-            (["grid", "--r", 3, "--d", 2, "--n", 4, "--method", "x"],
-             "distyle grid: error: argument --method: invalid choice: 'x' "
-             "(choose from 'direct', 'vi')"),
+            (["grid", "--r", 3, "--d", 2, "--n", 4, "--method", "vi"],
+             "distyle: error: unrecognized arguments: --method vi"),
             (["grid", "--r", 3, "--d", 2, "--n", 4, "--closure", "x"],
              "distyle grid: error: argument --closure: invalid choice: 'x' "
              "(choose from 'asymptotic', 'bounds-lower', 'bounds-upper')"),
@@ -408,6 +407,27 @@ class TestExperimentCommand:
         out = tmp_path / "run"
         assert run(["experiment", "--preset", "supercritical", *flags, "--out", out]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_box_above_the_budget_exits_2(self, tmp_path, capsys, monkeypatch, source):
+        def fail(*args):
+            raise AssertionError("a Monte-Carlo worker was started")
+
+        monkeypatch.setattr(harness, "start_lattice", fail)
+        out = tmp_path / "run-big"
+        if source == "flag":
+            argv = ["--preset", "supercritical", "--grid-n", 575]
+            where = ""
+        else:
+            cfg = tmp_path / "big.cfg"
+            cfg.write_text("r = 3\nd = 2\ngrid_n = 575\n")
+            argv = ["--config", cfg]
+            where = f"{cfg}:3: "
+        assert run(["experiment", *argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}grid_n must be <= 574, got 575 (")
+        assert "128 MiB" in err
         assert not out.exists()
 
     def test_unknown_preset_rejected(self):
@@ -462,10 +482,27 @@ def test_unusable_path_exits_2(tmp_path, capsys, command):
     assert file.read_text() == "i,j,p\n1,1,0.5\n"
 
 
+@pytest.mark.parametrize("command", ["grid", "greens"])
+def test_solve_above_the_budget_exits_2(tmp_path, capsys, monkeypatch, command):
+    # refused before any work: no Jacobi step, no system, no file
+    def fail(*args):
+        raise AssertionError("the box was solved")
+
+    monkeypatch.setattr(grid, "_iterate", fail)
+    monkeypatch.setattr(grid, "_folded_system", fail)
+    out = tmp_path / "out"
+    assert run([command, "--r", 3, "--d", 2, "--n", 575, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: grid size must be <= 574, got 575 "
+        "(the largest box whose LU fits the 128 MiB budget)\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_solver_failures_exit_cleanly(capsys, monkeypatch):
-    # both errors are RuntimeErrors and used to end in a traceback
-    monkeypatch.setattr(grid, "_MAX_ITER", 3)
-    assert run(["grid", "--r", 3, "--d", 2, "--n", 20, "--method", "vi"]) == 2
+    # a QuadratureError is a RuntimeError and used to end in a traceback
     monkeypatch.setattr(genfunc, "_MAX_PANELS", 2)
     monkeypatch.setattr(genfunc, "QUAD_TOL", 1e-18)
     code = run(
@@ -473,9 +510,7 @@ def test_solver_failures_exit_cleanly(capsys, monkeypatch):
          "--xmin", 0.6, "--xmax", 0.6, "--nx", 1, "--ymin", 0.6, "--ymax", 0.6, "--ny", 1]
     )
     assert code == 2
-    err = capsys.readouterr().err
-    assert "error: no convergence within 3 iterations" in err
-    assert "error: quadrature did not meet its budget" in err
+    assert "error: quadrature did not meet its budget" in capsys.readouterr().err
 
 
 def test_import_leaves_scipy_optimize_out():

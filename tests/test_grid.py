@@ -308,16 +308,18 @@ class TestSolvers:
 
     def test_default_method_follows_box_size(self, params3, monkeypatch):
         # the default factors where the predicted LU fits the budget, also
-        # above N=150, where value iteration fails near criticality
+        # above N=150, where value iteration fails near criticality, and
+        # refuses a larger box; value iteration runs on request only
         assert solve_grid(params3, 151).method is Method.DIRECT
         assert solve_grid(params3, 200).method is Method.DIRECT
         monkeypatch.setattr(grid, "_LU_BUDGET", grid._BYTES_PER_NONZERO * grid._lu_nonzeros(20))
         assert solve_grid(params3, 20).method is Method.DIRECT
-        assert solve_grid(params3, 21).method is Method.VALUE_ITERATION
-        vi = SolveOptions(method=Method.VALUE_ITERATION)
-        assert solve_grid(params3, 20, vi).method is Method.VALUE_ITERATION
-        direct = SolveOptions(method=Method.DIRECT)
-        assert solve_grid(params3, 151, direct).method is Method.DIRECT
+        for options in [None, SolveOptions(method=Method.DIRECT)]:
+            with pytest.raises(ValueError, match=r"grid size must be <= 20, got 21"):
+                solve_grid(params3, 21, options)
+        vi = solve_grid(params3, 21, SolveOptions(method=Method.VALUE_ITERATION))
+        assert vi.method is Method.VALUE_ITERATION
+        assert vi.iterations > 1
 
     def test_budget_admits_boxes_up_to_574(self):
         def fits(n):

@@ -190,6 +190,9 @@ class TestSpec:
             (dict(run_genfunc=True, genfunc_min=0.6), "genfunc_min <= genfunc_max"),
             (dict(run_genfunc=True, genfunc_max=1.0), "genfunc_max < 1"),
             (dict(run_genfunc=True, genfunc_count=0), "genfunc_count >= 1"),
+            (dict(grid_n=575), "grid_n must be <= 574, got 575"),
+            (dict(conv_reference=575), "conv_reference must be <= 574, got 575"),
+            (dict(conv_max=575), "conv_max must be <= 574, got 575"),
         ],
     )
     def test_bad_spec_rejected(self, fields, message):
@@ -198,6 +201,7 @@ class TestSpec:
 
     def test_disabled_stage_skips_its_checks(self):
         ExperimentSpec(r=3.0, d=2.0, run_convergence=False, conv_min=30, conv_max=20)
+        ExperimentSpec(r=3.0, d=2.0, run_convergence=False, conv_max=600, conv_reference=600)
         ExperimentSpec(r=3.0, d=2.0, genfunc_min=0.0, genfunc_count=0)
         # three fitted N besides the reference, which may lie outside the range
         ExperimentSpec(r=3.0, d=2.0, conv_min=20, conv_max=22, conv_reference=50)
