@@ -1,24 +1,28 @@
 """Monte-Carlo estimation of extinction probabilities.
 
 Paths of the embedded chain are simulated up to a horizon T and the
-frequency of absorption is reported with a Wald confidence interval
+frequency of absorption p_hat is reported with the interval
 
-    p_hat +/- 1.96 sqrt(p_hat (1 - p_hat) / M),
+    [p_hat - h, p_hat + h + stop_bound],  h = 1.96 sqrt(p_hat (1 - p_hat) / M),
 
-clamped to [0, 1].
+clamped to [0, 1]: the Wald interval of the stopped frequency, widened on
+the upper side by the bias of the early stop.
 
 Early stopping: a path is retired as soon as it enters the exit set
 min(i, j) >= k, where k = :func:`stop_level` is the smallest integer with
-2 (d/r)^k <= ``_STOP_BOUND`` = 1e-6.  By the strong Markov property a path
-retired at X is absorbed later with probability p(X), which the rigorous
-envelope of :func:`~distyle.model.extinction_bounds` caps at
-(d/r)^i + (d/r)^j <= 2 (d/r)^k.  A cell that starts inside the exit set draws
-nothing and reports 0.  The estimand is therefore P[tau_0 <= min(T, tau_stop)],
-which lies below P[tau_0 <= T] by at most 2 (d/r)^k; every result reports
-that bound as ``stop_bound``.  At d/r = 2/3 the level is k = 36, and the paths
-of the supercritical lattice stop within a few hundred steps.  Near
-criticality the level is out of reach (r = 2.002, d = 2 gives k = 14516), so
-no path stops early and the run costs as much as without the rule.
+2 (d/r)^k <= 1/(10 M), a tenth of the weight of one path.  By the strong
+Markov property a path retired at X is absorbed later with probability p(X),
+which the rigorous envelope of :func:`~distyle.model.extinction_bounds` caps
+at (d/r)^i + (d/r)^j <= 2 (d/r)^k.  A cell that starts inside the exit set
+draws nothing and reports 0.  The stopped frequency p_hat therefore
+estimates P[tau_0 <= min(T, tau_stop)], which lies below P[tau_0 <= T] by at
+most ``stop_bound`` = 2 (d/r)^k; every result reports that bound, and adding
+it to ``ci_high`` makes the interval cover P[tau_0 <= T].  At d/r = 2/3 and
+M = 200 the level is k = 21 (k = 25 at M = 1000, k = 36 at M = 100,000), and
+the paths of the supercritical lattice stop within a few hundred steps.  Near
+criticality the level is out of reach (r = 2.002, d = 2, M = 200 gives
+k = 8299), so no path stops early and the run costs as much as without the
+rule.
 
 Censoring at T remains: P[tau_0 <= T] is below the true extinction
 probability, the bias is one-sided and shrinks as T grows, but it is
@@ -90,10 +94,13 @@ x ``_PATH_BUDGET`` doubles (8 MiB), or within one row of M per worker when
 one row alone exceeds a worker's share.  A cell's rows pass through a
 staging buffer of at most ``_BLOCK`` x M doubles on their way into the
 bank.  A window also holds about 50 bytes of work arrays per lane and about
-1.1 KiB of generator state per cell in it, and a share about 40 bytes per
-cell for its start states and counts.  A single cell with more paths than
-the budget thus refills fewer steps at a time, down to one; split draws read
-the same stream, so the refill size stays invisible.  The caller's map from
+1.1 KiB of generator state per cell in it.  It admits a cell whenever M
+lanes are free, so it may hold more than lanes // M cells, but every cell
+in it holds at least one running path: a window holds at most one cell per
+lane.  A share holds about 40 bytes per cell for its start states and
+counts.  A single cell with more paths than the budget thus refills fewer
+steps at a time, down to one; split draws read the same stream, so the
+refill size stays invisible.  The caller's map from
 the requested cells to their canonical cells, and the counts copied back,
 take about 100 bytes a requested cell.  Memory is bounded whatever the CPU
 count, and whatever the lattice size beyond the per-cell counts, but not
@@ -134,24 +141,25 @@ _PATH_BUDGET = 32_768  # most paths simulated side by side, over all workers
 # fewest paths for which the shares go to worker processes: forking them costs
 # more than a smaller job gains from a second core
 _POOL_MIN_PATHS = 8192
-_STOP_BOUND = 1e-6  # bias allowed to the exit-set stop, see stop_level
 _Z95 = 1.96
 
 
-def stop_level(params: ModelParams) -> int:
-    """Smallest k >= 1 with 2 (d/r)^k <= ``_STOP_BOUND``.
+def stop_level(params: ModelParams, m: int) -> int:
+    """Smallest k >= 1 with 2 (d/r)^k <= 1/(10 m).
 
     Every state with min(i, j) >= k has extinction probability at most
-    2 (d/r)^k, so a path reaching such a state can be retired.
+    2 (d/r)^k, so a path reaching such a state can be retired at a bias of
+    at most a tenth of the weight 1/m of one path of the sample.
     """
     rho = params.ratio
     if rho == 0.0:
         return 1
-    k = max(1, math.ceil(math.log(_STOP_BOUND / 2.0) / math.log(rho)))
+    bound = 1.0 / (10 * m)
+    k = max(1, math.ceil(math.log(bound / 2.0) / math.log(rho)))
     # the logarithms may round either way; settle k on the defining test
-    while k > 1 and 2.0 * rho ** (k - 1) <= _STOP_BOUND:
+    while k > 1 and 2.0 * rho ** (k - 1) <= bound:
         k -= 1
-    while 2.0 * rho**k > _STOP_BOUND:
+    while 2.0 * rho**k > bound:
         k += 1
     return k
 
@@ -173,7 +181,7 @@ class McEstimate:
     m: int
     t_horizon: int
     seed: int
-    stop_bound: float  # p_hat may fall below P[tau_0 <= T] by at most this
+    stop_bound: float  # p_hat may be below P[tau_0 <= T] by at most this; ci_high adds it
     stopped_frac: np.ndarray  # fraction of paths stopped at the exit set
     censored_frac: np.ndarray  # fraction of paths still running at T
     cells: list[tuple[int, int]] = field(repr=False)
@@ -241,7 +249,7 @@ def _counting(
     distinct = list(keys)
     # the kernel reads an absorbed path's min(i, j) - 1 as 2^32 - 1, which must
     # reach level - 1; no int32 state reaches 2^31, so the cap stops no path
-    level = min(stop_level(params), 2**31)
+    level = min(stop_level(params, m), 2**31)
     workers = _workers() if len(distinct) * m >= _POOL_MIN_PATHS else 1
     workers = min(workers, len(distinct))
     lanes = _PATH_BUDGET // workers
@@ -490,14 +498,15 @@ def _summarise(
     field reshaped to ``shape``; the empty shape ``()`` gives numpy scalars."""
     p_hat, stopped, censored = (counts / m).T.reshape(3, *shape)
     half = _Z95 * np.sqrt(p_hat * (1.0 - p_hat) / m)
+    stop_bound = 2.0 * params.ratio ** stop_level(params, m)
     return McEstimate(
         p_hat=p_hat[()],
         ci_low=np.maximum(0.0, p_hat - half)[()],
-        ci_high=np.minimum(1.0, p_hat + half)[()],
+        ci_high=np.minimum(1.0, p_hat + half + stop_bound)[()],
         m=m,
         t_horizon=t_horizon,
         seed=seed,
-        stop_bound=2.0 * params.ratio ** stop_level(params),
+        stop_bound=stop_bound,
         stopped_frac=stopped[()],
         censored_frac=censored[()],
         cells=cells,
@@ -507,7 +516,8 @@ def _summarise(
 def estimate(
     params: ModelParams, i: int, j: int, m: int, t_horizon: int, seed: int
 ) -> McEstimate:
-    """Absorption frequency from the cell (i, j) with its Wald interval."""
+    """Absorption frequency from the cell (i, j) with its Wald interval,
+    widened on the upper side by ``stop_bound``."""
     with _counting(params, [(i, j)], m, t_horizon, seed) as finish:
         return _summarise(params, [(i, j)], (), m, t_horizon, seed, finish())
 

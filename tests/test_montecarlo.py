@@ -72,15 +72,22 @@ def step(params: ModelParams, i: int, j: int, u: float) -> tuple[int, int]:
 
 
 def simulate_path(
-    params: ModelParams, initial: tuple[int, int], t_horizon: int, rng: np.random.Generator
+    params: ModelParams,
+    initial: tuple[int, int],
+    t_horizon: int,
+    rng: np.random.Generator,
+    level: float = math.inf,
 ) -> PathResult:
     """One path of the embedded chain from the cell ``initial``, absorbed
     flag and absorption time: the scalar oracle of the vectorised kernel at
-    M = 1, where step t reads the t-th uniform of the stream."""
+    M = 1, where step t reads the t-th uniform of the stream.  The path also
+    ends, unabsorbed, once min(i, j) >= ``level``."""
     i, j = initial
     if i == 0 or j == 0:
         raise ValueError(f"initial state ({i}, {j}) is absorbed")
     for t in range(1, t_horizon + 1):
+        if min(i, j) >= level:
+            break
         i, j = step(params, i, j, rng.random())
         if i == 0 or j == 0:
             return PathResult(True, t)
@@ -107,7 +114,7 @@ def simulate_cell(
     reads one uniform per ranked path, rank by rank, whether or not the path
     ended earlier in the block.
     """
-    level = stop_level(params)
+    level = stop_level(params, m)
     if min(initial) >= level:
         return CellResult((0, m, 0), 0)
     running = {path: initial for path in range(m)}  # in path order
@@ -174,9 +181,12 @@ class TestSinglePath:
 class TestEstimate:
     def test_confidence_interval_shape(self, params3):
         est = estimate(params3, 1, 1, m=200, t_horizon=2000, seed=11)
+        # Wald around p_hat, and the stop's bias on the upper side
         width = 1.96 * math.sqrt(est.p_hat * (1 - est.p_hat) / 200)
+        assert est.stop_bound > 0.0
         assert est.ci_low == pytest.approx(max(0.0, est.p_hat - width), rel=1e-12)
-        assert est.ci_high == pytest.approx(min(1.0, est.p_hat + width), rel=1e-12)
+        upper = min(1.0, est.p_hat + width + est.stop_bound)
+        assert est.ci_high == pytest.approx(upper, rel=1e-12)
         assert 0.0 <= est.ci_low <= est.p_hat <= est.ci_high <= 1.0
 
     def test_reference_half_width(self):
@@ -184,10 +194,12 @@ class TestEstimate:
         assert 1.96 * math.sqrt(0.25 / 200) == pytest.approx(0.06929646455628166, rel=1e-15)
 
     def test_degenerate_flag(self, params3):
-        # no path absorbed: the Wald interval collapses to [0, 0]
+        # no path absorbed: the Wald interval collapses to [0, 0], and only
+        # the stop's bias keeps the upper end above 0
         est = estimate(params3, 40, 40, m=3, t_horizon=1, seed=5)
         assert est.p_hat == 0.0
-        assert est.ci_low == est.ci_high == 0.0
+        assert est.ci_low == 0.0
+        assert est.ci_high == est.stop_bound > 0.0
 
     def test_horizon_monotone(self, params3):
         # longer horizons extend the same paths, so absorption flags only gain
@@ -233,29 +245,31 @@ class TestLattice:
 
     def test_single_path_matches_scalar_reference(self, params3):
         # with M=1 step t reads the t-th uniform of the cell's stream, as the
-        # scalar simulator does; within 50 steps min(i, j) cannot reach the
-        # stop level 36, so the flags must agree
+        # scalar simulator does, and both stop the path at the level of M=1
+        level = stop_level(params3, 1)
         for seed in range(40):
             for i, j in [(1, 1), (3, 2), (6, 9)]:
                 est = estimate(params3, i, j, m=1, t_horizon=50, seed=seed)
                 key = canonical(i, j)
-                ref = simulate_path(params3, key, 50, make_rng(seed, *key))
+                ref = simulate_path(params3, key, 50, make_rng(seed, *key), level)
                 assert est.p_hat == float(ref.absorbed)
 
     def test_stream_is_pinned(self, params3):
         # Absorbed, stopped and censored counts per cell, row-major, from the
         # PCG64 streams of _cell_stream read in the live-lane layout of
-        # _run_share.  Every invariance test above passes under any in-order
-        # bit generator and layout, so only this literal notices a change of
-        # stream; a deliberate change updates it and says so in CHANGES.md,
-        # since it changes every Monte-Carlo output.  The rows with i > j
-        # repeat their mirror rows, whose streams they read.
+        # _run_share, at the stop level 18 of M=50; the literal was computed
+        # by the scalar oracle simulate_cell, not by the kernel.  Every
+        # invariance test above passes under any in-order bit generator and
+        # layout, so only this literal notices a change of stream; a
+        # deliberate change updates it and says so in CHANGES.md, since it
+        # changes every Monte-Carlo output.  The rows with i > j repeat their
+        # mirror rows, whose streams they read.
         golden = np.array(
             [
-                [40, 9, 1], [30, 19, 1], [28, 21, 1], [24, 23, 3],
-                [30, 19, 1], [19, 29, 2], [15, 33, 2], [9, 39, 2],
-                [28, 21, 1], [15, 33, 2], [9, 40, 1], [8, 37, 5],
-                [24, 23, 3], [9, 39, 2], [8, 37, 5], [7, 41, 2],
+                [40, 10, 0], [30, 20, 0], [28, 22, 0], [27, 23, 0],
+                [30, 20, 0], [19, 31, 0], [15, 35, 0], [9, 41, 0],
+                [28, 22, 0], [15, 35, 0], [9, 41, 0], [8, 42, 0],
+                [27, 23, 0], [9, 41, 0], [8, 42, 0], [8, 42, 0],
             ]
         )
         lat = estimate_lattice(params3, 4, 4, 50, 500, 20260816)
@@ -316,7 +330,7 @@ class TestOutcomes:
         m = 200
         est = estimate(paramsc, 10, 10, m=m, t_horizon=100, seed=5)
         assert est.censored_frac > 0.0
-        assert est.stopped_frac == 0.0  # the stop level 14516 is out of reach
+        assert est.stopped_frac == 0.0  # the stop level 8299 is out of reach
         fractions = np.array([est.p_hat, est.stopped_frac, est.censored_frac])
         assert fractions.sum() <= 1.0 + 1e-12
         assert np.round(fractions * m).sum() == m
@@ -356,7 +370,8 @@ class TestRefill:
         "r, cells",
         [
             (3.0, [(i, j) for i in range(1, 5) for j in range(1, 5)]),
-            # stop level 3: every path ends within the first default refill
+            # stop level 2 at M=60: (2, 2) draws nothing, and every path of
+            # (1, 4) ends within the first default refill
             (1000.0, [(2, 2), (1, 4)]),
         ],
     )
@@ -380,7 +395,7 @@ class TestRefill:
     @pytest.mark.parametrize(
         "budget, m, n_cells",
         [
-            (1024, 16, 300),  # 64 cells in the window at a time
+            (1024, 16, 300),  # over 64 cells in the window at a time
             (256, 1000, 1),  # M above the budget: fewer steps per bank
             (64, 10_000, 1),  # one row above the cap: one step per bank
         ],
@@ -390,6 +405,27 @@ class TestRefill:
         monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
         monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
         cells = [(1 + k % 20, 1 + k // 20) for k in range(n_cells)]
+        # the most cells the window holds at once: a cell's stream lives from
+        # its admission until the block after its last path ended
+        held_cells = {"now": 0, "most": 0}
+        cell_stream = montecarlo._cell_stream
+
+        class Held:
+            def __init__(self, gen):
+                self.gen = gen
+                held_cells["now"] += 1
+                held_cells["most"] = max(held_cells["most"], held_cells["now"])
+
+            def __del__(self):
+                held_cells["now"] -= 1
+
+            def random(self, out):
+                return self.gen.random(out=out)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_cell_stream", lambda *key: Held(cell_stream(*key)))
+            expected = estimate_cells(params3, cells, m=m, t_horizon=100, seed=3)
+        n = held_cells["most"]
         shares = []
         held = []
         share_task = montecarlo._share_task
@@ -415,21 +451,23 @@ class TestRefill:
         monkeypatch.setattr(montecarlo, "_run_share", run_share_spy)
         tracemalloc.start()
         try:
-            estimate_cells(params3, cells, m=m, t_horizon=100, seed=3)
+            p_hat = estimate_cells(params3, cells, m=m, t_horizon=100, seed=3)
         finally:
             tracemalloc.stop()
+        assert np.array_equal(p_hat, expected)
         cap = 8 * max(montecarlo._BLOCK * budget, m)
         ((depth, lanes, bank, peak),) = shares
         # the bank holds at least one row of M; besides it: interpreter
         # frames and numpy's cache of small freed buffers
         assert m <= lanes <= max(budget, m)
         assert 8 * m <= 8 * depth * lanes <= bank <= cap + 16384
+        # every cell in the window holds at least one running path
+        assert 1 <= n <= lanes
         # beyond the bank and the staging buffer of depth rows of M: work
-        # arrays (measured 44-55 B a path), generator state (about 1.1 KiB a
-        # cell), and the same slack, for the n cells the window holds
-        n = lanes // m
+        # arrays (measured 44-55 B a lane), generator state (about 1.1 KiB
+        # for each of the n cells the window held), and the same slack
         staging = 8 * depth * m
-        assert 8 * m <= peak <= cap + staging + 64 * n * m + 1536 * n + 16384
+        assert 8 * m <= peak <= cap + staging + 64 * lanes + 1126 * n + 16384
 
     def test_concurrent_callers_agree(self, params3, monkeypatch):
         # four callers run at once; state shared between calls would change
@@ -474,7 +512,7 @@ class TestRefill:
 
 
 class TestLiveLanes:
-    @pytest.mark.parametrize("r", [3.0, 2.002, 1000.0])  # stop levels 36, 14516 and 3
+    @pytest.mark.parametrize("r", [3.0, 2.002, 20.0])  # stop levels 15, 5995 and 3 at M=20
     @pytest.mark.parametrize("t_horizon", [50, 77, 500])  # 77 ends inside a block
     def test_kernel_matches_cell_oracle(self, monkeypatch, r, t_horizon):
         params = ModelParams(r=r, d=2.0)
@@ -642,39 +680,46 @@ class TestStopRule:
     @given(
         st.floats(min_value=0.1, max_value=10.0),
         st.floats(min_value=1.0001, max_value=5.0),
+        st.integers(1, 10**6),
         st.integers(0, 50),
         st.integers(0, 5000),
     )
-    def test_level_is_smallest_settled_one(self, d, factor, extra_i, extra_j):
+    def test_level_is_smallest_settled_one(self, d, factor, m, extra_i, extra_j):
         params = ModelParams(r=d * factor, d=d)
-        k = stop_level(params)
-        assert extinction_bounds(params, k + extra_i, k + extra_j)[1] <= 1e-6
-        assert extinction_bounds(params, k + extra_j, k + extra_i)[1] <= 1e-6
-        assert k == 1 or 2.0 * params.ratio ** (k - 1) > 1e-6
+        k = stop_level(params, m)
+        bound = 1.0 / (10 * m)
+        assert 2.0 * params.ratio**k <= bound
+        assert k == 1 or 2.0 * params.ratio ** (k - 1) > bound
+        assert extinction_bounds(params, k + extra_i, k + extra_j)[1] <= bound
+        assert extinction_bounds(params, k + extra_j, k + extra_i)[1] <= bound
 
     def test_reference_levels(self, params3, paramsc):
-        assert stop_level(params3) == 36
-        assert stop_level(paramsc) == 14516
+        assert stop_level(params3, 200) == 21
+        assert stop_level(params3, 1000) == 25
+        assert stop_level(params3, 100_000) == 36
+        assert stop_level(paramsc, 200) == 8299
 
     def test_underflowing_ratio_keeps_a_finite_level(self):
         params = ModelParams(r=1e300, d=1e-300)
         assert params.ratio == 0.0
-        assert stop_level(params) == 1
+        assert stop_level(params, 10) == 1
         est = estimate(params, 1, 1, m=10, t_horizon=100, seed=0)
         assert est.p_hat == 0.0 and est.stop_bound == 0.0
 
     def test_start_in_exit_set_draws_nothing(self, params3):
-        # a horizon this long would take minutes if the paths ran
-        k = stop_level(params3)
+        # a horizon this long would take minutes if the paths ran; the
+        # interval keeps only the stop's bias
+        k = stop_level(params3, 500)
         for i, j in [(k, k), (k, 5 * k)]:
             est = estimate(params3, i, j, m=500, t_horizon=10**9, seed=4)
-            assert est.p_hat == 0.0 and est.ci_low == est.ci_high == 0.0
+            assert est.p_hat == 0.0 and est.stopped_frac == 1.0
+            assert est.ci_low == 0.0 and est.ci_high == est.stop_bound
 
     def test_level_past_two_to_the_32_still_ends_absorbed_paths(self):
-        # r/d - 1 = 3e-9 puts the level above 2^32; an absorbed path must
+        # r/d - 1 = 1.5e-9 puts the level above 2^32; an absorbed path must
         # still end on the axis instead of walking on from it
-        params = ModelParams(2.000000006, 2.0)
-        assert stop_level(params) > 2**32
+        params = ModelParams(2.000000003, 2.0)
+        assert stop_level(params, 2000) > 2**32
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             est = estimate(params, 1, 1, m=2000, t_horizon=200, seed=1)
@@ -682,8 +727,8 @@ class TestStopRule:
         assert est.censored_frac <= 0.1
 
     def test_stop_bound_reported(self, params3):
-        expected = 2.0 * (2.0 / 3.0) ** 36
+        expected = 2.0 * (2.0 / 3.0) ** 15  # the level at M=20
         est = estimate(params3, 2, 2, m=20, t_horizon=100, seed=1)
         lat = estimate_lattice(params3, 2, 2, m=20, t_horizon=100, seed=1)
         assert est.stop_bound == lat.stop_bound == pytest.approx(expected, rel=1e-12)
-        assert est.stop_bound <= 1e-6
+        assert est.stop_bound <= 1.0 / (10 * 20)
