@@ -21,7 +21,7 @@ import numpy as np
 from . import genfunc, harness
 from .characteristics import critical_times, eval_path, integrating_factor, make_path
 from .grid import CLOSURES, DEFAULT_CLOSURE, solve_grid
-from .harness import write_csv, write_grid_csv, write_mc_csv
+from .harness import OUTPUTS, write_csv, write_grid_csv, write_mc_csv
 from .model import ModelParams
 from .montecarlo import estimate, estimate_lattice
 
@@ -56,7 +56,7 @@ def _output(args, filename: str):
 def _cmd_grid(args) -> int:
     params = ModelParams(args.r, args.d)
     solution = solve_grid(params, args.n, closure=args.closure)
-    with _output(args, "grid_p.csv") as fp:
+    with _output(args, OUTPUTS["grid"]) as fp:
         write_grid_csv(solution, fp)
     print(
         f"solved N={args.n} residual={solution.residual:.3e} closure: {solution.closure}",
@@ -77,19 +77,22 @@ def _cmd_mc(args) -> int:
         raise ValueError("point mode needs --i and --j (or --imax/--jmax for a lattice)")
     else:
         result = estimate(params, args.i, args.j, args.m, args.t, args.seed)
-    with _output(args, "mc_p.csv") as fp:
+    with _output(args, OUTPUTS["mc"]) as fp:
         write_mc_csv(result, fp)
+    print(f"M={result.m} stop_bound={result.stop_bound:.12g}", file=sys.stderr)
     return 0
 
 
 def _cmd_greens(args) -> int:
-    _check_counts(args, "nx", "ny")
-    params = ModelParams(args.r, args.d)
-    solution = solve_grid(params, args.n)
-    xs = np.linspace(args.xmin, args.xmax, args.nx)
-    ys = np.linspace(args.ymin, args.ymax, args.ny)
-    table = harness.genfunc_table(solution, xs, ys)
-    with _output(args, "genfunc.csv") as fp:
+    _check_counts(args, "count")
+    # a run's check of the range, 0 < min <= max < 1
+    harness.ExperimentSpec(
+        args.r, args.d, run_mc=False, run_convergence=False, run_genfunc=True,
+        genfunc_min=args.min, genfunc_max=args.max, genfunc_count=args.count,
+    )
+    solution = solve_grid(ModelParams(args.r, args.d), args.n)
+    table = harness.genfunc_table(solution, args.min, args.max, args.count)
+    with _output(args, OUTPUTS["genfunc"]) as fp:
         write_csv(fp, *table)
     return 0
 
@@ -152,7 +155,7 @@ def _cmd_compare(args) -> int:
     b = _read_field(args.field_b)
     _check_counts(args, "sub")
     report = harness.compare(a, b, sub=args.sub)
-    with _output(args, "comparison_stats.csv") as fp:
+    with _output(args, OUTPUTS["comparison_stats"]) as fp:
         write_csv(fp, *harness.stats_table(report))
     print(
         f"cells_excluded={report.cells_excluded} "
@@ -169,19 +172,13 @@ def _cmd_experiment(args) -> int:
         for f in dataclasses.fields(harness.ExperimentSpec)
         if getattr(args, f.name, None) is not None
     }
-    runs: list[tuple[str, harness.ExperimentSpec]] = []
     if args.config is not None:
-        runs.append(("config", harness.load_spec(args.config, **overrides)))
+        spec = harness.load_spec(args.config, **overrides)
     else:
-        names = list(harness.PRESETS) if args.preset == "both" else [args.preset]
-        for name in names:
-            runs.append((name, harness.spec_from_preset(name, **overrides)))
-
-    for name, spec in runs:
-        target = args.out if len(runs) == 1 else args.out / name
-        written = harness.run_experiment(spec, target)
-        for key, path in sorted(written.items()):
-            print(f"{name}: {key} -> {path}", file=sys.stderr)
+        spec = harness.spec_from_preset(args.preset or "supercritical", **overrides)
+    written = harness.run_experiment(spec, args.out)
+    for key, path in sorted(written.items()):
+        print(f"{key} -> {path}", file=sys.stderr)
     return 0
 
 
@@ -191,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="extinction probabilities of a two-morph flower population",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # mc and greens default to the experiment's settings
+    # mc's --m, --t and --seed and greens' --min, --max, --count and --n
+    # default to the experiment's settings
     spec = {f.name: f.default for f in dataclasses.fields(harness.ExperimentSpec)}
 
     p = sub.add_parser("grid", help="solve the truncated recurrence on an NxN box")
@@ -213,18 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jmax", type=int, default=None, help="lattice mode: sweep j = 1..jmax")
     p.add_argument("--m", type=int, default=spec["mc_m"], help="paths per initial state")
     p.add_argument("--t", type=int, default=spec["mc_t"], help="time horizon")
-    p.add_argument("--seed", type=int, default=0, help="stream seed (u64)")
+    p.add_argument("--seed", type=int, default=spec["seed"], help="stream seed (u64)")
     _add_out(p)
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("greens", help="generating function: quadrature vs series")
     _add_rates(p)
-    p.add_argument("--xmin", type=float, default=spec["genfunc_min"])
-    p.add_argument("--xmax", type=float, default=spec["genfunc_max"])
-    p.add_argument("--nx", type=int, default=spec["genfunc_count"])
-    p.add_argument("--ymin", type=float, default=spec["genfunc_min"])
-    p.add_argument("--ymax", type=float, default=spec["genfunc_max"])
-    p.add_argument("--ny", type=int, default=spec["genfunc_count"])
+    p.add_argument("--min", type=float, default=spec["genfunc_min"], help="lowest x and y")
+    p.add_argument("--max", type=float, default=spec["genfunc_max"], help="highest x and y")
+    p.add_argument("--count", type=int, default=spec["genfunc_count"], help="points per axis")
     p.add_argument(
         "--n", type=int, default=spec["grid_n"], help="grid size for the series reference"
     )
@@ -247,14 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("experiment", help="run a full reproducible pipeline")
-    p.add_argument(
-        "--preset",
-        choices=[*harness.PRESETS, "both"],
-        default="both",
-        help="named parameter set (ignored with --config); the default, both, also runs "
-        "the near-critical Monte-Carlo, extrapolated to take tens of minutes",
+    source = p.add_mutually_exclusive_group()
+    # None, not the name, is the default: argparse tells a given value from the
+    # default by identity, and would miss --preset supercritical next to --config
+    source.add_argument(
+        "--preset", choices=list(harness.PRESETS), default=None,
+        help="named parameter set (default: supercritical)",
     )
-    p.add_argument("--config", type=Path, default=None, help="key = value spec file")
+    source.add_argument("--config", type=Path, default=None, help="key = value spec file")
     for name in ("r", "d", "grid_n", "mc_m", "mc_t", "seed", "sublattice",
                  "conv_min", "conv_max", "conv_reference"):
         p.add_argument("--" + name.replace("_", "-"), type=harness._FIELD_TYPES[name], default=None)

@@ -328,12 +328,16 @@ def stats_table(report: ComparisonReport) -> tuple[list[str], list[tuple]]:
     return ["metric", "mean", "st_dev", "min", "max"], rows
 
 
-def genfunc_table(solution: GridSolution, xs, ys) -> tuple[list[str], list[tuple]]:
+def genfunc_table(
+    solution: GridSolution, lo: float, hi: float, count: int
+) -> tuple[list[str], list[tuple]]:
     """Header and rows of the quadrature-vs-series check of the generating
-    function at every point of ``xs`` x ``ys``."""
+    function at every point (x, y) with both coordinates from
+    ``linspace(lo, hi, count)``."""
+    points = np.linspace(lo, hi, count)
     rows = []
-    for x0 in xs:
-        for y0 in ys:
+    for x0 in points:
+        for y0 in points:
             query = genfunc.query_from_grid(solution, float(x0), float(y0))
             quad = genfunc.eval_by_quadrature(solution.params, query)
             series = genfunc.eval_from_grid(solution, float(x0), float(y0))
@@ -341,8 +345,9 @@ def genfunc_table(solution: GridSolution, xs, ys) -> tuple[list[str], list[tuple
     return ["x", "y", "P_quadrature", "P_series", "abs_diff"], rows
 
 
-# Every file a run may write, under the name run_experiment returns it by.
-_OUTPUTS = {
+# Every file a run may write, under the name run_experiment returns it by;
+# the command line writes its tables under the same file names.
+OUTPUTS = {
     "manifest": "manifest.txt",
     "grid": "grid_p.csv",
     "mc": "mc_p.csv",
@@ -367,7 +372,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
     Monte-Carlo counts are collected and compared with the grid.  Every
     stage runs before ``out_dir`` is created, so a stage that raises leaves
     no partial run behind, and no worker process either.  Once every stage
-    has succeeded, the files of :data:`_OUTPUTS` that this run does not
+    has succeeded, the files of :data:`OUTPUTS` that this run does not
     write are deleted from ``out_dir``, so a reused directory holds one run
     only; no other file there is touched.  Output is a name -> path map.
     """
@@ -411,8 +416,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
             )
 
         if spec.run_genfunc:
-            points = np.linspace(spec.genfunc_min, spec.genfunc_max, spec.genfunc_count)
-            tables["genfunc"] = genfunc_table(solution, points, points)
+            tables["genfunc"] = genfunc_table(
+                solution, spec.genfunc_min, spec.genfunc_max, spec.genfunc_count
+            )
 
         mc = finish_mc() if spec.run_mc else None
 
@@ -434,9 +440,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = ["manifest", "grid", *(["mc"] if mc is not None else []), *tables]
-    written = {name: out_dir / _OUTPUTS[name] for name in names}
-    for name in _OUTPUTS.keys() - written.keys():
-        (out_dir / _OUTPUTS[name]).unlink(missing_ok=True)  # left by an earlier run
+    written = {name: out_dir / OUTPUTS[name] for name in names}
+    for name in OUTPUTS.keys() - written.keys():
+        (out_dir / OUTPUTS[name]).unlink(missing_ok=True)  # left by an earlier run
     with open(written["manifest"], "w", newline="") as fp:
         fp.writelines(manifest)
     with open(written["grid"], "w", newline="") as fp:

@@ -101,6 +101,22 @@ class TestMcCommand:
         assert point[0] == box[0]
         assert [row for row in box if row.startswith(b"3,2,")] == [point[1]]
 
+    def test_seed_defaults_to_the_run_seed(self, tmp_path):
+        common = ["mc", "--r", 3, "--d", 2, "--imax", 3, "--jmax", 2, "--m", 20, "--t", 100]
+        assert run([*common, "--out", tmp_path / "default"]) == 0
+        assert run([*common, "--seed", 20260816, "--out", tmp_path / "seeded"]) == 0
+        default = (tmp_path / "default" / "mc_p.csv").read_bytes()
+        assert default == (tmp_path / "seeded" / "mc_p.csv").read_bytes()
+
+    def test_reports_the_stop_bound_of_a_run(self, tmp_path, capsys):
+        spec = ExperimentSpec(r=3.0, d=2.0, grid_n=4, mc_m=30, mc_t=100, run_convergence=False)
+        written = run_experiment(spec, tmp_path / "run")
+        summary = dict(line.split(",") for line in
+                       written["comparison_summary"].read_text().splitlines()[1:])
+        assert run(["mc", "--r", 3, "--d", 2, "--i", 2, "--j", 1, "--m", 30, "--t", 100]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"M=30 stop_bound={summary['mc_stop_bound']}"]
+
     def test_incomplete_modes_rejected(self, capsys):
         assert run(["mc", "--r", 3, "--d", 2, "--imax", 3]) == 2
         assert run(["mc", "--r", 3, "--d", 2]) == 2
@@ -121,8 +137,7 @@ class TestGreensCommand:
     def test_small_sweep(self, tmp_path):
         code = run(
             ["greens", "--r", 3, "--d", 2, "--n", 12,
-             "--xmin", 0.2, "--xmax", 0.3, "--nx", 2,
-             "--ymin", 0.2, "--ymax", 0.3, "--ny", 2, "--out", tmp_path]
+             "--min", 0.2, "--max", 0.3, "--count", 2, "--out", tmp_path]
         )
         assert code == 0
         lines = (tmp_path / "genfunc.csv").read_text().splitlines()
@@ -141,8 +156,7 @@ class TestGreensCommand:
         written = run_experiment(spec, tmp_path / "run")
         code = run(
             ["greens", "--r", 3, "--d", 2, "--n", 12,
-             "--xmin", 0.2, "--xmax", 0.4, "--nx", 3,
-             "--ymin", 0.2, "--ymax", 0.4, "--ny", 3, "--out", tmp_path / "cli"]
+             "--min", 0.2, "--max", 0.4, "--count", 3, "--out", tmp_path / "cli"]
         )
         assert code == 0
         assert (tmp_path / "cli" / "genfunc.csv").read_bytes() == written["genfunc"].read_bytes()
@@ -303,19 +317,17 @@ class TestExperimentCommand:
         assert code == 0
         for name in ("manifest.txt", "grid_p.csv", "mc_p.csv", "nconv.csv"):
             assert (tmp_path / "run" / name).exists()
-        assert "config: grid ->" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert f"grid -> {tmp_path / 'run' / 'grid_p.csv'}" in err
 
-    def test_both_presets_make_subdirs(self, tmp_path):
-        code = run(
-            ["experiment", "--preset", "both", "--grid-n", 5,
-             "--no-mc", "--no-convergence", "--out", tmp_path / "runs"]
-        )
+    def test_default_preset_is_supercritical(self, tmp_path):
+        # without --preset the one supercritical run goes straight into --out
+        code = run(["experiment", "--grid-n", 5, "--no-mc", "--no-convergence",
+                    "--out", tmp_path])
         assert code == 0
-        sup = (tmp_path / "runs" / "supercritical" / "manifest.txt").read_text()
-        near = (tmp_path / "runs" / "near-critical" / "manifest.txt").read_text()
-        assert "r = 3" in sup
-        assert "r = 2.002" in near
-        assert "grid_n = 5" in sup and "grid_n = 5" in near
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert "r = 3" in manifest and "grid_n = 5" in manifest
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grid_p.csv", "manifest.txt"]
 
     def test_every_flag_reaches_the_manifest(self, tmp_path):
         code = run(
@@ -387,6 +399,14 @@ class TestExperimentCommand:
             (["grid", "--r", 3, "--d", 2, "--n", 4, "--closure", "x"],
              "distyle grid: error: argument --closure: invalid choice: 'x' "
              "(choose from 'asymptotic', 'bounds-lower', 'bounds-upper')"),
+            (["experiment", "--preset", "both", "--out", "x"],
+             "distyle experiment: error: argument --preset: invalid choice: 'both' "
+             "(choose from 'supercritical', 'near-critical')"),
+            # the preset used to be dropped without a word
+            (["experiment", "--preset", "near-critical", "--config", "F", "--out", "x"],
+             "distyle experiment: error: argument --config: not allowed with argument --preset"),
+            (["experiment", "--preset", "supercritical", "--config", "F", "--out", "x"],
+             "distyle experiment: error: argument --config: not allowed with argument --preset"),
         ]:
             with pytest.raises(SystemExit) as info:
                 run(argv)
@@ -394,18 +414,28 @@ class TestExperimentCommand:
             assert capsys.readouterr().err.splitlines()[-1] == message
 
     @pytest.mark.parametrize(
-        "flags,message",
+        "argv,message",
         [
-            (["--no-mc", "--conv-min", 30, "--conv-max", 20], "need 1 <= conv_min <= conv_max"),
-            (["--sublattice", 0], "sublattice must be >= 1"),
-            (["--no-mc", "--conv-min", 20, "--conv-max", 21, "--conv-reference", 50],
+            (["experiment", "--preset", "supercritical", "--no-mc",
+              "--conv-min", 30, "--conv-max", 20],
+             "need 1 <= conv_min <= conv_max"),
+            (["experiment", "--preset", "supercritical", "--sublattice", 0],
+             "sublattice must be >= 1"),
+            (["experiment", "--preset", "supercritical", "--no-mc",
+              "--conv-min", 20, "--conv-max", 21, "--conv-reference", 50],
              "the convergence fit needs three N"),
+            # greens used to accept a range that a run rejects
+            (["greens", "--r", 3, "--d", 2, "--min", 0.5, "--max", 0.2],
+             "need 0 < genfunc_min <= genfunc_max < 1"),
+            (["greens", "--r", 3, "--d", 2, "--min", 0.5, "--max", 1.0],
+             "need 0 < genfunc_min <= genfunc_max < 1"),
         ],
-        ids=["empty-convergence-range", "empty-sublattice", "two-fit-points"],
+        ids=["empty-convergence-range", "empty-sublattice", "two-fit-points",
+             "greens-descending-range", "greens-range-reaches-1"],
     )
-    def test_bad_spec_writes_nothing(self, tmp_path, capsys, flags, message):
+    def test_bad_spec_writes_nothing(self, tmp_path, capsys, argv, message):
         out = tmp_path / "run"
-        assert run(["experiment", "--preset", "supercritical", *flags, "--out", out]) == 2
+        assert run([*argv, "--out", out]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
@@ -443,11 +473,10 @@ class TestExperimentCommand:
 @pytest.mark.parametrize(
     "command,flag",
     [
-        (["greens", "--n", 12], "--nx"),
-        (["greens", "--n", 12], "--ny"),
+        (["greens", "--n", 12], "--count"),
         (["characteristics", "--x0", 0.3, "--y0", 0.6], "--samples"),
     ],
-    ids=["greens-nx", "greens-ny", "characteristics-samples"],
+    ids=["greens-count", "characteristics-samples"],
 )
 def test_count_below_one_exits_2(tmp_path, capsys, command, flag, count):
     # a count of 0 used to write a header-only CSV and exit 0
@@ -506,8 +535,7 @@ def test_solver_failures_exit_cleanly(capsys, monkeypatch):
     monkeypatch.setattr(genfunc, "_MAX_PANELS", 2)
     monkeypatch.setattr(genfunc, "QUAD_TOL", 1e-18)
     code = run(
-        ["greens", "--r", 3, "--d", 2, "--n", 12,
-         "--xmin", 0.6, "--xmax", 0.6, "--nx", 1, "--ymin", 0.6, "--ymax", 0.6, "--ny", 1]
+        ["greens", "--r", 3, "--d", 2, "--n", 12, "--min", 0.6, "--max", 0.6, "--count", 1]
     )
     assert code == 2
     assert "error: quadrature did not meet its budget" in capsys.readouterr().err
