@@ -471,18 +471,28 @@ class TestExperimentCommand:
 
 @pytest.mark.parametrize("count", [0, -1])
 @pytest.mark.parametrize(
-    "command,flag",
+    "command,flag,error",
     [
-        (["greens", "--n", 12], "--count"),
-        (["characteristics", "--x0", 0.3, "--y0", 0.6], "--samples"),
+        (["greens", "--n", 12], "--count", "error: --count must be >= 1, got {count}"),
+        # the per-axis counts are gone, --count sets both axes: the old
+        # spellings are refused rather than left to fall back on the default
+        (["greens", "--n", 12], "--nx", "error: unrecognized arguments: --nx {count}"),
+        (["greens", "--n", 12], "--ny", "error: unrecognized arguments: --ny {count}"),
+        (["characteristics", "--x0", 0.3, "--y0", 0.6], "--samples",
+         "error: --samples must be >= 1, got {count}"),
     ],
-    ids=["greens-count", "characteristics-samples"],
+    ids=["greens-count", "greens-nx", "greens-ny", "characteristics-samples"],
 )
-def test_count_below_one_exits_2(tmp_path, capsys, command, flag, count):
+def test_count_below_one_exits_2(tmp_path, capsys, command, flag, error, count):
     # a count of 0 used to write a header-only CSV and exit 0
-    assert run([*command, "--r", 3, "--d", 2, flag, count, "--out", tmp_path]) == 2
+    argv = [*command, "--r", 3, "--d", 2, flag, count, "--out", tmp_path]
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     captured = capsys.readouterr()
-    assert f"error: {flag} must be >= 1, got {count}" in captured.err
+    assert error.format(count=count) in captured.err
     assert captured.out == ""
     assert not any(tmp_path.iterdir())
 
