@@ -98,7 +98,7 @@ def query_from_grid(solution: GridSolution, x0: float, y0: float) -> GenFuncQuer
     p_{i,1} = p_{1,i}.
     """
     n_terms = default_n_terms(x0, y0)
-    row1 = [solution.values[i - 1, 0] for i in range(1, min(n_terms, solution.n) + 1)]
+    row1 = solution.values[: min(n_terms, solution.n), 0].tolist()
     for i in range(solution.n + 1, n_terms + 1):
         row1.append(_first_row(solution.params, i))
     return GenFuncQuery(x0=x0, y0=y0, row1=tuple(row1))
@@ -129,32 +129,42 @@ def _integrand(params: ModelParams, path, query: GenFuncQuery):
     return f
 
 
-def _panel(f, a: float, b: float) -> float:
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
+def _panels(f, lo, hi) -> list[float]:
+    """The 15-point Gauss-Legendre sums of the panels [lo[k], hi[k]], from
+    one call of the integrand ``f`` on the nodes of them all."""
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    values = f((mid[:, None] + half[:, None] * _GL_NODES).ravel()).reshape(lo.size, -1)
+    return [h * float(np.dot(_GL_WEIGHTS, v)) for h, v in zip(half.tolist(), values)]
 
 
 _MAX_PANELS = 20_000
 
 
 def _adaptive(
-    f, a: float, b: float, tol: float, depth: int, whole: float, budget: list[int]
+    f, a: float, b: float, tol: float, depth: int, sums, budget: list[int]
 ) -> tuple[float, float]:
-    """Recursive bisection; accepts a panel when halving moves it by less
-    than its share of the budget, or by no more than rounding (a few ulps
-    of the panel), which further halving cannot reduce.  An accepted panel
-    reports at least that floor as its error, so a budget below rounding, or
-    a NaN integrand, fails the caller's check at once instead of bisecting to
-    the panel cap.  Returns (integral, error bound)."""
+    """Recursive bisection of the panel [a, b]; ``sums`` holds the sums of
+    the panel and of its left and right halves, which the caller evaluated.
+    Accepts the panel when halving moves it by less than its share of the
+    budget, or by no more than rounding (a few ulps of the panel), which
+    further halving cannot reduce.  An accepted panel reports at least that
+    floor as its error, so a budget below rounding, or a NaN integrand,
+    fails the caller's check at once instead of bisecting to the panel cap.
+    Otherwise the four quarter panels are evaluated in one integrand call
+    and each half recurses with its two quarters.  ``budget`` counts the
+    halves examined.  Returns (integral, error bound)."""
+    whole, left, right = sums
     mid = 0.5 * (a + b)
-    left, right = _panel(f, a, mid), _panel(f, mid, b)
     err = abs(left + right - whole)
     floor = 4 * math.ulp(left + right)
     budget[0] += 2
     if err <= max(tol, floor) or math.isnan(err) or depth >= 48 or budget[0] >= _MAX_PANELS:
         return left + right, max(err, floor)
-    le, lerr = _adaptive(f, a, mid, 0.5 * tol, depth + 1, left, budget)
-    re, rerr = _adaptive(f, mid, b, 0.5 * tol, depth + 1, right, budget)
+    q1, q3 = 0.5 * (a + mid), 0.5 * (mid + b)
+    quarters = _panels(f, (a, q1, mid, q3), (q1, mid, q3, b))
+    le, lerr = _adaptive(f, a, mid, 0.5 * tol, depth + 1, (left, *quarters[:2]), budget)
+    re, rerr = _adaptive(f, mid, b, 0.5 * tol, depth + 1, (right, *quarters[2:]), budget)
     return le + re, lerr + rerr
 
 
@@ -177,8 +187,9 @@ def eval_by_quadrature(params: ModelParams, query: GenFuncQuery) -> float:
     if path.s0 < np.finfo(float).tiny:
         raise QuadratureError(f"arrival time s0 = {path.s0:.1e} is subnormal", math.nan, math.nan)
     f = _integrand(params, path, query)
-    budget = [0]
-    value, err = _adaptive(f, 0.0, path.s0, QUAD_TOL, 0, _panel(f, 0.0, path.s0), budget)
+    mid = 0.5 * path.s0
+    sums = _panels(f, (0.0, 0.0, mid), (path.s0, mid, path.s0))
+    value, err = _adaptive(f, 0.0, path.s0, QUAD_TOL, 0, sums, [0])
     if not err <= QUAD_TOL:  # a NaN integrand fails here too
         raise QuadratureError("quadrature did not meet its budget", value, err)
     return value

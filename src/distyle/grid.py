@@ -31,7 +31,10 @@ solvers work on A q = c:
 * ``VALUE_ITERATION``  on request only: Jacobi iteration q <- (A + I) q - c
                        from zero, one sparse mat-vec per step, which
                        increases monotonically toward the minimal solution.
-                       The tests use it as the reference for the LU.
+                       The tests use it as the reference for the LU.  Each
+                       step calls scipy's CSR kernel ``csr_matvec`` itself,
+                       the kernel ``(A + I) @ q`` ends in, so the iterates
+                       are those of ``@`` bit for bit without its dispatch.
 
 The LU is made only where the factors predicted for the box fit
 ``_LU_BUDGET`` (128 MiB); a larger box is refused with a ValueError before
@@ -335,6 +338,11 @@ def _iterate(
     """Value iteration q <- K q - c from zero, with K = A + I of the
     folded system A q = c: one sparse mat-vec per Jacobi step.
 
+    Each step zeroes a buffer, accumulates K q into it with scipy's
+    ``csr_matvec`` and adds -c.  ``K @ q`` runs the same kernel into a fresh
+    zeroed array after its dispatch checks, so every iterate equals
+    ``(K @ q) - c`` bit for bit; two buffers take turns as q and its image.
+
     K is nonnegative, and so is -c for nonnegative closures, so the
     iterates rise monotonically.  The steps run in blocks of
     ``_CHECK_EVERY``, clipped at ``_MAX_ITER``.  Only the last
@@ -352,28 +360,31 @@ def _iterate(
     Returns the iterate, its step count (``None`` when ``_MAX_ITER`` ran
     out) and the last rate estimate (NaN before the first check).
     """
+    # scipy's private kernel behind ``k @ q``; imported here, so that a
+    # rename in scipy breaks value iteration only, and not ``import distyle``
+    from scipy.sparse._sparsetools import csr_matvec
+
     k = a + scipy.sparse.identity(a.shape[0], format="csr")
+    n, indptr, indices, data = k.shape[0], k.indptr, k.indices, k.data
     source = -c
-    q = np.zeros_like(source)
+    q, image = np.zeros_like(source), np.empty_like(source)
     done = 0
     rate = float("nan")
     check_delta, check_step = 0.0, 0  # update at the previous block's check
     while done < _MAX_ITER:
         size = min(_CHECK_EVERY, _MAX_ITER - done)
         checked = _CHECKED if size >= _CHECKED else 0
-        for _ in range(size - checked):
-            q = k @ q
-            q += source
-        done += size - checked
         deltas = []
-        for _ in range(checked):
-            image = k @ q
+        for step in range(size):
+            image.fill(0.0)
+            csr_matvec(n, n, indptr, indices, data, q, image)
             image += source
-            deltas.append(float(np.max(np.abs(image - q))))
-            q = image
-            done += 1
-            if deltas[-1] == 0.0:
-                return q, done, rate
+            if step >= size - checked:
+                deltas.append(float(np.max(np.abs(image - q))))
+                if deltas[-1] == 0.0:
+                    return image, done + step + 1, rate
+            q, image = image, q
+        done += size
         if not checked:
             continue
         rate = max(now / before for before, now in zip(deltas, deltas[1:]))

@@ -287,19 +287,33 @@ def load_spec(path: Path, **overrides) -> ExperimentSpec:
 # tables
 
 
+def _spec(kind: type) -> str:
+    """The %-format of a table cell of type ``kind``: floats to 12
+    significant digits, anything else by ``str``.  A bool has none."""
+    if issubclass(kind, (bool, np.bool_)):
+        raise TypeError("a bool is written as true/false, which no %-format gives")
+    return "%.12g" if issubclass(kind, (float, np.floating)) else "%s"
+
+
 def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{value:.12g}"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    return str(value)
+    return _spec(type(value)) % (value,)
 
 
 def write_csv(fp, header: list[str], rows) -> None:
-    """The header row, then one line per row with every cell through ``_fmt``."""
+    """The header row, then one line per row with every cell as ``_fmt``
+    writes it, through one %-template per tuple of cell types.  Tables hold
+    numbers and strings; a bool cell raises TypeError."""
     fp.write(",".join(header) + "\n")
+    templates: dict[tuple, str] = {}
     for row in rows:
-        fp.write(",".join(map(_fmt, row)) + "\n")
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(map(_spec, kinds)) + "\n"
+        fp.write(template % row)
 
 
 def write_grid_csv(solution: GridSolution, fp) -> None:

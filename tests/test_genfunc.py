@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -110,7 +112,7 @@ class TestQuadrature:
         # the panels ran before the check raised with a meaningless estimate
         q = query_from_grid(grid100, 0.95, 0.5)
         assert q.n_terms == 200
-        monkeypatch.setattr(genfunc, "_panel", lambda *args: pytest.fail("a panel ran"))
+        monkeypatch.setattr(genfunc, "_panels", lambda *args: pytest.fail("a panel ran"))
         with pytest.raises(QuadratureError, match="folded tail above the budget") as info:
             eval_by_quadrature(params3, q)
         assert np.isnan(info.value.estimate)
@@ -162,22 +164,64 @@ class TestQuadrature:
         series = eval_from_grid(grid100c, 0.3, 0.4)
         assert quad == pytest.approx(series.value, abs=2e-3 + series.tail_bound)
 
+    def test_deep_bisection_matches_one_panel_per_call_oracle(self):
+        # the cusps at 0.3 and 0.7 draw the bisection many levels deep on
+        # both sides of each; f works node by node, so batching the panels
+        # moves no bit
+        def f(u):
+            return np.sqrt(np.abs(u - 0.3)) + np.sqrt(np.abs(u - 0.7))
+
+        budget = [0]
+        panels = genfunc._panels(f, (0.0, 0.0, 0.5), (1.0, 0.5, 1.0))
+        got = genfunc._adaptive(f, 0.0, 1.0, 1e-10, 0, panels, budget)
+        assert budget[0] > 100
+        assert (*got, budget[0]) == one_panel_adaptive(f, 0.0, 1.0, 1e-10)
+
     def test_budget_below_rounding_floor_fails_fast(self, params3, monkeypatch):
         # no bisection can meet 1e-18 on values near 1; the search used to
         # run to the 20,000-panel cap (20,063 panels) before raising
         sol = solve_grid(params3, 12)
-        calls = [0]
-        panel = genfunc._panel
+        panels = [0]
+        evaluate = genfunc._panels
 
-        def counting(*args):
-            calls[0] += 1
-            return panel(*args)
+        def counting(f, lo, hi):
+            panels[0] += len(lo)
+            return evaluate(f, lo, hi)
 
-        monkeypatch.setattr(genfunc, "_panel", counting)
+        monkeypatch.setattr(genfunc, "_panels", counting)
         monkeypatch.setattr(genfunc, "QUAD_TOL", 1e-18)
         with pytest.raises(QuadratureError):
             eval_by_quadrature(params3, query_from_grid(sol, 0.6, 0.6))
-        assert calls[0] < 2000
+        assert panels[0] < 2000
+
+    def test_one_integrand_call_when_the_first_bisection_is_accepted(
+        self, params3, grid100, monkeypatch
+    ):
+        # the whole panel and both halves are evaluated in one call
+        weighted_coords = characteristics.weighted_coords
+        calls = []
+
+        def counted(path, u):
+            calls.append(u.size)
+            return weighted_coords(path, u)
+
+        monkeypatch.setattr(characteristics, "weighted_coords", counted)
+        eval_by_quadrature(params3, query_from_grid(grid100, 0.5, 0.5))
+        assert calls == [3 * genfunc._GL_NODES.size]
+
+    @pytest.mark.parametrize(
+        "rate, x0, y0",
+        [("r3", x0, y0) for x0 in (0.05, 0.3, 0.6, 0.85) for y0 in (0.05, 0.3, 0.6, 0.85)]
+        + [("r3", 0.9, 0.9), ("r3", 0.5, 1e-30), ("rc", 0.9, 0.5), ("rc", 0.9, 0.9)],
+    )
+    def test_matches_one_panel_per_call_oracle(self, grid100, grid100c, rate, x0, y0):
+        # at r=2.002, (0.9, 0.5) and (0.9, 0.9) refuse the first bisection and
+        # evaluate their quarter panels
+        solution = grid100 if rate == "r3" else grid100c
+        query = query_from_grid(solution, x0, y0)
+        want = one_panel_quadrature(solution.params, query)
+        got = eval_by_quadrature(solution.params, query)
+        assert abs(got - want) <= 4 * math.ulp(want)
 
 
 def horner_integrand(params, path, query, u):
@@ -189,3 +233,35 @@ def horner_integrand(params, path, query, u):
     monomials = 0.5 * r * (wx * polyval(x, coeffs) + wy * polyval(y, coeffs))
     tail = d * (wx * (x**m - y) / (1.0 - x) + wy * (y**m - x) / (1.0 - y))
     return monomials + tail
+
+
+def one_panel_adaptive(f, a, b, tol):
+    """The quadrature's adaptive Gauss-Legendre rule with one call of ``f``
+    per panel: its acceptance rule, ulp floor, depth limit and panel cap.
+    Returns (integral, error bound, panels examined)."""
+
+    def panel(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return half * float(np.dot(genfunc._GL_WEIGHTS, f(mid + half * genfunc._GL_NODES)))
+
+    def adaptive(a, b, tol, depth, whole):
+        mid = 0.5 * (a + b)
+        left, right = panel(a, mid), panel(mid, b)
+        err = abs(left + right - whole)
+        floor = 4 * math.ulp(left + right)
+        budget[0] += 2
+        if err <= max(tol, floor) or depth >= 48 or budget[0] >= genfunc._MAX_PANELS:
+            return left + right, max(err, floor)
+        le, lerr = adaptive(a, mid, 0.5 * tol, depth + 1, left)
+        re, rerr = adaptive(mid, b, 0.5 * tol, depth + 1, right)
+        return le + re, lerr + rerr
+
+    budget = [0]
+    return (*adaptive(a, b, tol, 0, panel(a, b)), budget[0])
+
+
+def one_panel_quadrature(params, query):
+    """The quadrature of ``query`` by :func:`one_panel_adaptive`."""
+    path = characteristics.make_path(params, query.x0, query.y0)
+    f = genfunc._integrand(params, path, query)
+    return one_panel_adaptive(f, 0.0, path.s0, genfunc.QUAD_TOL)[0]

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 import os
 
@@ -217,6 +218,32 @@ class TestSpec:
         cfg.write_text("r = 3\nd = 2\njust words\n")
         with pytest.raises(ValueError):
             load_spec(cfg)
+
+
+class TestWriteCsv:
+    def test_rows_match_fmt_of_each_cell(self):
+        # one %-template per tuple of cell types writes what _fmt writes
+        rows = [
+            (1, 2, 0.5),
+            (np.int64(3), np.float64(1 / 3), "name"),
+            (float("nan"), float("inf"), -float("inf")),
+            (-0.0, 1e16, 1e-5),
+            (0.1 + 0.2, np.float64(-0.0), np.int64(-7)),
+            (1, 2, 0.5),
+            ["list", 4, np.float64(2.5e-300)],
+        ]
+        fp = io.StringIO()
+        harness.write_csv(fp, ["a", "b", "c"], rows)
+        want = "a,b,c\n" + "".join(",".join(map(harness._fmt, row)) + "\n" for row in rows)
+        assert fp.getvalue() == want
+        # and _fmt's rule itself: 12 significant digits for floats, str otherwise
+        for cell in (cell for row in rows for cell in row):
+            floating = isinstance(cell, (float, np.floating))
+            assert harness._fmt(cell) == (f"{cell:.12g}" if floating else str(cell))
+
+    def test_bool_cell_is_refused(self):
+        with pytest.raises(TypeError):
+            harness.write_csv(io.StringIO(), ["flag"], [(True,)])
 
 
 def tiny_spec():
