@@ -20,10 +20,15 @@ import numpy as np
 
 from . import genfunc, harness
 from .characteristics import critical_times, eval_path, integrating_factor, make_path
-from .grid import CLOSURES, DEFAULT_CLOSURE, solve_grid
+from .grid import CLOSURES, DEFAULT_CLOSURE, _check_budget, _check_size, solve_grid
 from .harness import OUTPUTS, write_csv, write_grid_csv, write_mc_csv
 from .model import ModelParams
 from .montecarlo import estimate, estimate_lattice
+
+# Bytes a sample of ``characteristics`` takes at its peak, for its four
+# arrays and their temporaries: 72 measured (peak RSS, 1e6 to 4e6 samples),
+# so at most 1,677,721 samples fit grid._BUDGET.
+_BYTES_PER_SAMPLE = 80
 
 
 def _add_rates(parser: argparse.ArgumentParser) -> None:
@@ -72,6 +77,9 @@ def _cmd_mc(args) -> int:
             raise ValueError("give either --i/--j (point mode) or --imax/--jmax (lattice mode)")
         if args.imax is None or args.jmax is None:
             raise ValueError("lattice mode needs both --imax and --jmax")
+        _check_counts(args, "imax", "jmax")
+        for name in ("imax", "jmax"):
+            _check_size(f"--{name}", getattr(args, name))
         result = estimate_lattice(params, args.imax, args.jmax, args.m, args.t, args.seed)
     elif args.i is None or args.j is None:
         raise ValueError("point mode needs --i and --j (or --imax/--jmax for a lattice)")
@@ -99,6 +107,10 @@ def _cmd_greens(args) -> int:
 
 def _cmd_characteristics(args) -> int:
     _check_counts(args, "samples")
+    _check_budget(
+        "--samples", args.samples, lambda k: _BYTES_PER_SAMPLE * k,
+        f"at {_BYTES_PER_SAMPLE} bytes a sample, the most that fit",
+    )
     params = ModelParams(args.r, args.d)
     path = make_path(params, args.x0, args.y0)
     s_plus, s_minus = critical_times(path)

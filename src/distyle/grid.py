@@ -37,7 +37,7 @@ solvers work on A q = c:
                        are those of ``@`` bit for bit without its dispatch.
 
 The LU is made only where the factors predicted for the box fit
-``_LU_BUDGET`` (128 MiB); a larger box is refused with a ValueError before
+``_BUDGET`` (128 MiB); a larger box is refused with a ValueError before
 any work is done.  The prediction is ``_FILL`` N^2 ln N nonzeros of L + U
 at ``_BYTES_PER_NONZERO`` each, an upper bound on the measured fill, so
 every box up to N=574 is factored.  The folded LU has 2.6-2.8 times less
@@ -75,15 +75,15 @@ class Method(enum.Enum):
     DIRECT = "direct"
     VALUE_ITERATION = "vi"
 
-    def __str__(self) -> str:
-        return self.value
 
-
-# Bytes the LU factors may take; a box whose predicted factors would not
-# fit is refused.  A fresh interpreter peaks about 15 bytes above its
-# import per nonzero of L + U (r=3: N=400 at 111 MiB, N=600 at 178 MiB,
-# after 62 MiB for the import).
-_LU_BUDGET = 128 * 2**20
+# Bytes one request may hold in any one of its sizes: the LU factors of a
+# box here, and in the other modules the Monte-Carlo paths of a cell, the
+# cells of a lattice and the rows of a table.  A request predicted to need
+# more is refused by _check_budget before any work is done.
+_BUDGET = 128 * 2**20
+# A fresh interpreter peaks about 15 bytes above its import per nonzero of
+# L + U (r=3: N=400 at 111 MiB, N=600 at 178 MiB, after 62 MiB for the
+# import).
 _BYTES_PER_NONZERO = 16
 # Nonzeros of L + U per N^2 max(ln N, 1).  The measured ratio is 2.0-2.6
 # up to N=10 and then rises slowly: 2.73 at N=50, 3.30 at N=200, 3.64 at
@@ -98,21 +98,30 @@ def _lu_nonzeros(n: int) -> int:
     return math.ceil(_FILL * n * n * max(math.log(n), 1.0))
 
 
+def _check_budget(name: str, value: int, bytes_of, what: str) -> None:
+    """Reject a size ``value`` >= 1 whose predicted ``bytes_of(value)``, a
+    nondecreasing function, exceeds ``_BUDGET``, with a ValueError that
+    names ``name`` and the largest value that fits; ``what`` ends it."""
+    if bytes_of(value) <= _BUDGET:
+        return
+    fits, over = 0, value
+    while over - fits > 1:
+        mid = (fits + over) // 2
+        if bytes_of(mid) <= _BUDGET:
+            fits = mid
+        else:
+            over = mid
+    raise ValueError(
+        f"{name} must be <= {fits}, got {value} ({what} the {_BUDGET // 2**20} MiB budget)"
+    )
+
+
 def _check_size(name: str, n: int) -> None:
-    """Reject an N-box whose predicted LU would not fit ``_LU_BUDGET``,
+    """Reject an N-box whose predicted LU would not fit ``_BUDGET``,
     naming ``name`` and the largest N the budget admits (574)."""
-
-    def fits(m: int) -> bool:
-        return _BYTES_PER_NONZERO * _lu_nonzeros(m) <= _LU_BUDGET
-
-    if not fits(n):
-        largest = 1
-        while fits(largest + 1):
-            largest += 1
-        raise ValueError(
-            f"{name} must be <= {largest}, got {n} (the largest box whose LU "
-            f"fits the {_LU_BUDGET // 2**20} MiB budget)"
-        )
+    _check_budget(
+        name, n, lambda m: _BYTES_PER_NONZERO * _lu_nonzeros(m), "the largest box whose LU fits"
+    )
 
 
 # Value iteration runs in blocks of this many Jacobi steps and measures the
@@ -128,15 +137,15 @@ _TOL = 1e-12
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """``method`` is a :class:`Method` or its name ("direct", "vi");
-    ``None`` is ``DIRECT``.  Value iteration runs on request only; it stops
-    within ``_TOL`` of the solution, or raises after ``_MAX_ITER`` steps."""
+    """``method`` is a :class:`Method`.  Value iteration runs on request
+    only; it stops within ``_TOL`` of the solution, or raises after
+    ``_MAX_ITER`` steps."""
 
-    method: Method | None = None
+    method: Method = Method.DIRECT
 
     def __post_init__(self) -> None:
-        if self.method is not None:
-            object.__setattr__(self, "method", Method(self.method))
+        if not isinstance(self.method, Method):
+            raise TypeError(f"method must be a Method, got {self.method!r}")
 
 
 class ConvergenceError(RuntimeError):
@@ -158,14 +167,6 @@ class GridSolution:
     iterations: int
     method: Method
     rate: float  # value iteration's last contraction estimate; NaN when direct
-
-    def p(self, i: int, j: int) -> float:
-        """Value at (i, j) including the absorbing boundary, which is 1."""
-        if i < 0 or j < 0 or i > self.n or j > self.n:
-            raise IndexError(f"({i}, {j}) outside the solved box 0..{self.n}")
-        if i == 0 or j == 0:
-            return 1.0
-        return float(self.values[i - 1, j - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +427,7 @@ def solve_grid(
     residual max |T p - b| is taken on the full system, also for a
     :class:`ConvergenceError`.
     """
-    method = (options or SolveOptions()).method or Method.DIRECT
+    method = (options or SolveOptions()).method
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
     if method is Method.DIRECT:

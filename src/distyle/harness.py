@@ -29,10 +29,15 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from . import genfunc
-from .grid import GridSolution, _check_size, solve_grid
+from .grid import GridSolution, _check_budget, _check_size, solve_grid
 from .model import ModelParams
 # estimate_lattice stays a name of this module: perfbench/tracing.py wraps it
-from .montecarlo import McEstimate, estimate_lattice, start_lattice  # noqa: F401
+from .montecarlo import McEstimate, _check_paths, estimate_lattice, start_lattice  # noqa: F401
+
+# Bytes a row of genfunc_table holds until the table is written, about 200
+# measured (tracemalloc, 6,400 rows); genfunc_count^2 rows must fit
+# grid._BUDGET, so at most 724 points a side.
+_BYTES_PER_ROW = 256
 
 @dataclass(frozen=True)
 class SummaryStats:
@@ -201,12 +206,18 @@ class ExperimentSpec:
         sizes = ("grid_n", "conv_reference", "conv_max") if self.run_convergence else ("grid_n",)
         for name in sizes:
             _check_size(name, getattr(self, name))
+        if self.run_mc:
+            _check_paths("mc_m", self.mc_m)
         if self.run_genfunc:
             if not (0.0 < self.genfunc_min <= self.genfunc_max < 1.0 and self.genfunc_count >= 1):
                 raise ValueError(
                     "need 0 < genfunc_min <= genfunc_max < 1 and genfunc_count >= 1, got "
                     f"{self.genfunc_min}, {self.genfunc_max} and {self.genfunc_count}"
                 )
+            _check_budget(
+                "genfunc_count", self.genfunc_count, lambda k: _BYTES_PER_ROW * k * k,
+                f"at {_BYTES_PER_ROW} bytes a row of genfunc_count^2, the most that fit",
+            )
 
 
 PRESETS: dict[str, dict] = {

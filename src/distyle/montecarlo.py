@@ -98,15 +98,19 @@ bank.  A window also holds about 50 bytes of work arrays per lane and about
 lanes are free, so it may hold more than lanes // M cells, but every cell
 in it holds at least one running path: a window holds at most one cell per
 lane.  A share holds about 40 bytes per cell for its start states and
-counts.  A single cell with more paths than the budget thus refills fewer
-steps at a time, down to one; split draws read the same stream, so the
-refill size stays invisible.  The caller's map from
-the requested cells to their canonical cells, and the counts copied back,
-take about 100 bytes a requested cell.  Memory is bounded whatever the CPU
-count, and whatever the lattice size beyond the per-cell counts, but not
-whatever M: past ``_BLOCK`` x ``_PATH_BUDGET`` / W paths a cell refills one
-step at a time and costs about 66 bytes a path (bank, staging buffer and
-work arrays).
+counts.  A single cell with more paths than a window's lanes thus refills
+fewer steps at a time, down to one; split draws read the same stream, so
+the refill size stays invisible.  Past ``_BLOCK`` x ``_PATH_BUDGET`` / W
+paths a cell refills one step at a time and costs about
+``_BYTES_PER_PATH`` = 64 bytes a path (bank, staging buffer and work
+arrays).  The caller holds about ``_BYTES_PER_CELL`` = 240 bytes a
+requested cell: the cells, their map to the canonical cells and the counts
+copied back.  Every entry point refuses an M or a number of requested cells
+whose bytes at these rates exceed the 128 MiB of ``grid._BUDGET``, that is
+more than 2,097,152 paths a cell or 559,240 cells, and a lattice extent
+above 574, the largest box the grid solves.  A window holds at least M
+lanes, so no more workers are forked than hold M paths each within the
+budget.  Memory is thus bounded whatever the flags and the CPU count.
 
 Entry points: ``estimate(params, i, j, m, t_horizon, seed)`` for one cell,
 ``estimate_lattice(params, i_max, j_max, m, t_horizon, seed)`` for a box of
@@ -133,6 +137,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import grid
 from .model import ModelParams
 
 _BLOCK = 32  # steps between re-rankings of a cell's running paths; fixes the streams
@@ -142,6 +147,12 @@ _PATH_BUDGET = 32_768  # most paths simulated side by side, over all workers
 # more than a smaller job gains from a second core
 _POOL_MIN_PATHS = 8192
 _Z95 = 1.96
+# Bytes a request holds per path and per requested cell, each size held to
+# grid._BUDGET; peaks above the 61 MiB of the import.  One cell at M = 4e6
+# peaks at 304 MiB in one process (bank, staging buffer and work arrays), and
+# a 574 x 574 lattice at M = 1 holds 140 MiB in the caller.
+_BYTES_PER_PATH = 64
+_BYTES_PER_CELL = 240
 
 
 def stop_level(params: ModelParams, m: int) -> int:
@@ -203,6 +214,14 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
+def _check_paths(name: str, m: int) -> None:
+    """Reject a path count ``m`` whose paths would not fit the budget."""
+    grid._check_budget(
+        name, m, lambda k: _BYTES_PER_PATH * k,
+        f"at {_BYTES_PER_PATH} bytes a path, the most paths that fit",
+    )
+
+
 def _cell_stream(seed: int, i: int, j: int) -> np.random.Generator:
     """The uniforms of cell (i, j): the one place the bit generator is named."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i, j])))
@@ -221,12 +240,15 @@ def _counting(
     waits for the counts, shape (len(cells), 3), each row summing to ``m``.
 
     Every entry point checks its request here: at least one cell, each with
-    i, j >= 1, ``m`` and ``t_horizon`` at least 1 and ``seed`` in [0, 2^64).
+    i, j >= 1, ``m`` and ``t_horizon`` at least 1 and ``seed`` in [0, 2^64),
+    and no more paths a cell or cells than fit the budget at
+    ``_BYTES_PER_PATH`` and ``_BYTES_PER_CELL`` bytes each.
     Only the distinct canonical cells (min(i, j), max(i, j)) are counted, in
     the order ``cells`` first names them, and the finish copies each one's
     counts to every cell of ``cells`` it stands for; ``_POOL_MIN_PATHS`` and
-    the one worker per cell count distinct cells.  With W workers, worker w
-    counts the share ``distinct[w::W]`` in a window of
+    the one worker per cell count distinct cells.  No more workers are
+    forked than hold ``m`` paths each within the budget.  With W workers,
+    worker w counts the share ``distinct[w::W]`` in a window of
     ``max(m, _PATH_BUDGET // W)`` lanes, refilling ``_BLOCK`` steps at a
     time, or fewer when one cell has more paths than ``_PATH_BUDGET // W``.
     The workers are forked on entry and draw while the ``with`` block runs;
@@ -241,6 +263,11 @@ def _counting(
         raise ValueError(f"need a positive horizon, got {t_horizon}")
     if not (0 <= seed < 2**64):
         raise ValueError("seed must fit in an unsigned 64-bit integer")
+    _check_paths("m", m)
+    grid._check_budget(
+        "len(cells)", len(cells), lambda k: _BYTES_PER_CELL * k,
+        f"at {_BYTES_PER_CELL} bytes a requested cell, the most cells that fit",
+    )
     for i0, j0 in cells:
         if i0 < 1 or j0 < 1:
             raise ValueError(f"initial cells need i, j >= 1, got ({i0}, {j0})")
@@ -251,7 +278,8 @@ def _counting(
     # reach level - 1; no int32 state reaches 2^31, so the cap stops no path
     level = min(stop_level(params, m), 2**31)
     workers = _workers() if len(distinct) * m >= _POOL_MIN_PATHS else 1
-    workers = min(workers, len(distinct))
+    # a worker's window holds at least m lanes
+    workers = min(workers, len(distinct), grid._BUDGET // (_BYTES_PER_PATH * m))
     lanes = _PATH_BUDGET // workers
     depth = max(1, min(_BLOCK, _BLOCK * lanes // m))
     run = functools.partial(_share_task, params, m, t_horizon, seed, level, max(m, lanes), depth)
@@ -536,10 +564,13 @@ def start_lattice(
 
     Worker processes draw while the ``with`` block runs; leaving it stops
     and reaps them, so a caller can do other work between the start and the
-    finish and still leaves no process behind when that work raises.
+    finish and still leaves no process behind when that work raises.  An
+    extent above 574, the largest box the grid solves, is refused.
     """
     if i_max < 1 or j_max < 1:
         raise ValueError(f"lattice extents must be >= 1, got ({i_max}, {j_max})")
+    grid._check_size("i_max", i_max)
+    grid._check_size("j_max", j_max)
     cells = [(i, j) for i in range(1, i_max + 1) for j in range(1, j_max + 1)]
     with _counting(params, cells, m, t_horizon, seed) as finish:
         yield lambda: _summarise(params, cells, (i_max, j_max), m, t_horizon, seed, finish())

@@ -117,7 +117,7 @@ def test_05_first_row_asymptotics(params3, grid50):
         and abs(c2 - float(Fraction(-92, 45))) < 1e-14
         and abs(row1_coefficients(params3)[2] - float(Fraction(-1828, 46305))) < 1e-14
     )
-    p_tail = grid50.p(1, 50)
+    p_tail = grid50.values[0, 49]
     leading_gap = abs(50 * p_tail - 4.0 / 3.0)
     two_term_gap = abs(asymptotic_p1j(params3, 50) - p_tail)
     ok = oracle_ok and leading_gap <= 0.15 and two_term_gap <= 5e-3
@@ -215,7 +215,7 @@ def test_09_confidence_interval_coverage(params3, grid50):
     inside = 0
     for i in range(1, 11):
         for j in range(1, 11):
-            p = grid50.p(i, j)
+            p = grid50.values[i - 1, j - 1]
             if lat.ci_low[i - 1, j - 1] <= p <= lat.ci_high[i - 1, j - 1]:
                 inside += 1
     elapsed = time.perf_counter() - start
@@ -286,7 +286,7 @@ def test_12_hand_solved_two_by_two(params3):
     for method in Method:
         sol = solve_grid(params3, 2, SolveOptions(method=method))
         for (i, j), frac in exact.items():
-            worst = max(worst, abs(sol.p(i, j) - float(frac)))
+            worst = max(worst, abs(sol.values[i - 1, j - 1] - float(frac)))
     ok = worst <= 1e-12
     _verdict(
         12,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import distyle
-from distyle import genfunc, grid, harness
+from distyle import cli, genfunc, grid, harness, montecarlo
 from distyle.cli import main
 from distyle.grid import solve_grid
 from distyle.harness import ExperimentSpec, run_experiment, write_grid_csv, write_mc_csv
@@ -33,7 +33,7 @@ class TestGridCommand:
         sol = solve_grid(ModelParams(3.0, 2.0), 6)
         i, j, p = lines[1].split(",")
         assert (i, j) == ("1", "1")
-        assert float(p) == pytest.approx(sol.p(1, 1), rel=1e-11)
+        assert float(p) == pytest.approx(sol.values[0, 0], rel=1e-11)
 
     def test_stdout_by_default(self, capsys):
         assert run(["grid", "--r", 3, "--d", 2, "--n", 3]) == 0
@@ -538,6 +538,96 @@ def test_solve_above_the_budget_exits_2(tmp_path, capsys, monkeypatch, command):
     )
     assert captured.out == ""
     assert not out.exists()
+
+
+def _refuse_work(monkeypatch):
+    """Make every kind of work the commands start fail the test."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, name in [
+        (montecarlo, "_workers"),
+        (montecarlo, "_share_task"),
+        (grid, "_folded_system"),
+        (genfunc, "eval_by_quadrature"),
+        (cli, "make_path"),
+    ]:
+        monkeypatch.setattr(module, name, fail)
+
+
+RATES = "--r 3 --d 2".split()
+MC_POINT = ["mc", *RATES, "--i", 1, "--j", 1, "--t", 1, "--m"]
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        ([*MC_POINT, 2_097_153], "m must be <= 2097152, got 2097153 (at 64 bytes a path"),
+        (["experiment", "--preset", "supercritical", "--mc-m", 2_097_153],
+         "mc_m must be <= 2097152, got 2097153 (at 64 bytes a path"),
+        (["mc", *RATES, "--imax", 575, "--jmax", 2, "--m", 1, "--t", 1],
+         "--imax must be <= 574, got 575 (the largest box"),
+        (["mc", *RATES, "--imax", 2, "--jmax", 30_000, "--m", 1, "--t", 1],
+         "--jmax must be <= 574, got 30000 (the largest box"),
+        (["greens", *RATES, "--count", 725],
+         "genfunc_count must be <= 724, got 725 (at 256 bytes a row"),
+        (["characteristics", *RATES, "--x0", 0.3, "--y0", 0.6, "--samples", 1_677_722],
+         "--samples must be <= 1677721, got 1677722 (at 80 bytes a sample"),
+    ],
+    ids=["mc-m", "experiment-mc-m", "mc-imax", "mc-jmax", "greens-count",
+         "characteristics-samples"],
+)
+def test_request_above_the_budget_exits_2(tmp_path, capsys, monkeypatch, command, message):
+    # refused before any work: no worker forked, no path drawn, no box
+    # solved, no quadrature, no curve, no file
+    _refuse_work(monkeypatch)
+    out = tmp_path / "out"
+    assert run([*command, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.endswith(" the 128 MiB budget)\n")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "module,rate,command,largest",
+    [
+        (montecarlo, "_BYTES_PER_PATH", MC_POINT, 1000),
+        (montecarlo, "_BYTES_PER_PATH",
+         ["experiment", "--preset", "supercritical", "--grid-n", 4, "--no-convergence",
+          "--mc-t", 1, "--mc-m"], 1000),
+        (harness, "_BYTES_PER_ROW", ["greens", *RATES, "--n", 10, "--count"], 3),
+        (cli, "_BYTES_PER_SAMPLE",
+         ["characteristics", *RATES, "--x0", 0.3, "--y0", 0.6, "--samples"], 50),
+    ],
+    ids=["mc-m", "experiment-mc-m", "greens-count", "characteristics-samples"],
+)
+def test_largest_admitted_request_runs(tmp_path, capsys, monkeypatch, module, rate, command,
+                                       largest):
+    # the rate raised so that the budget admits a small request, and no more;
+    # greens holds count^2 rows
+    units = largest**2 if module is harness else largest
+    monkeypatch.setattr(module, rate, grid._BUDGET // units)
+    out = tmp_path / "out"
+    assert run([*command, largest, "--out", out]) == 0
+    assert any(out.iterdir())
+    capsys.readouterr()
+    assert run([*command, largest + 1, "--out", tmp_path / "over"]) == 2
+    assert f"must be <= {largest}, got {largest + 1} (" in capsys.readouterr().err
+    assert not (tmp_path / "over").exists()
+
+
+@pytest.mark.parametrize("extents", [(574, 1), (1, 574)])
+def test_largest_admitted_lattice_runs(tmp_path, extents):
+    # the largest box the grid solves, one step a path
+    imax, jmax = extents
+    out = tmp_path / "out"
+    assert run(["mc", *RATES, "--imax", imax, "--jmax", jmax, "--m", 1, "--t", 1,
+                "--out", out]) == 0
+    assert len((out / "mc_p.csv").read_text().splitlines()) == 575
 
 
 def test_solver_failures_exit_cleanly(capsys, monkeypatch):

@@ -184,8 +184,8 @@ class TestAssembly:
     def test_single_cell_solve_is_kernel_fixed_point(self, params3):
         sol = solve_grid(params3, 1)
         field = padded_field(1, sol.closure_edge, sol.closure_edge)
-        field[1, 1] = sol.p(1, 1)
-        assert apply_kernel(params3, field, 1, 1) == pytest.approx(sol.p(1, 1), abs=1e-14)
+        field[1, 1] = sol.values[0, 0]
+        assert apply_kernel(params3, field, 1, 1) == pytest.approx(sol.values[0, 0], abs=1e-14)
 
     @pytest.mark.parametrize("closure", list(CLOSURES))
     @pytest.mark.parametrize("r", [3.0, 2.002, 5.0])
@@ -195,7 +195,7 @@ class TestAssembly:
         params = ModelParams(r, 2.0)
         sol = solve_grid(params, 1, closure=closure)
         want = params.d / (params.r + params.d) + 2 * params.birth_step * sol.closure_edge[0]
-        assert abs(sol.p(1, 1) - want) <= np.spacing(want)
+        assert abs(sol.values[0, 0] - want) <= np.spacing(want)
 
     @pytest.mark.parametrize("closure", list(CLOSURES))
     @pytest.mark.parametrize("n", [1, 2, 7])
@@ -269,12 +269,12 @@ class TestSolvers:
             assert np.array_equal(right, up)
 
     def test_method_by_name(self):
-        assert SolveOptions(method="vi").method is Method.VALUE_ITERATION
-        assert SolveOptions(method=Method.DIRECT).method is Method.DIRECT
-        assert SolveOptions().method is None
-        assert [str(m) for m in Method] == ["direct", "vi"]
-        with pytest.raises(ValueError):
-            SolveOptions(method="lu")
+        # a name picks no solver: the method is a Method, DIRECT by default
+        assert SolveOptions().method is Method.DIRECT
+        assert SolveOptions(method=Method.VALUE_ITERATION).method is Method.VALUE_ITERATION
+        for name in ["vi", "direct"]:
+            with pytest.raises(TypeError, match="method must be a Method"):
+                SolveOptions(method=name)
 
     def test_direct_solves_large_near_critical_grid(self, paramsc):
         # beyond the reach of value iteration's iteration cap
@@ -312,7 +312,7 @@ class TestSolvers:
         # refuses a larger box; value iteration runs on request only
         assert solve_grid(params3, 151).method is Method.DIRECT
         assert solve_grid(params3, 200).method is Method.DIRECT
-        monkeypatch.setattr(grid, "_LU_BUDGET", grid._BYTES_PER_NONZERO * grid._lu_nonzeros(20))
+        monkeypatch.setattr(grid, "_BUDGET", grid._BYTES_PER_NONZERO * grid._lu_nonzeros(20))
         assert solve_grid(params3, 20).method is Method.DIRECT
         for options in [None, SolveOptions(method=Method.DIRECT)]:
             with pytest.raises(ValueError, match=r"grid size must be <= 20, got 21"):
@@ -323,7 +323,7 @@ class TestSolvers:
 
     def test_budget_admits_boxes_up_to_574(self):
         def fits(n):
-            return grid._BYTES_PER_NONZERO * grid._lu_nonzeros(n) <= grid._LU_BUDGET
+            return grid._BYTES_PER_NONZERO * grid._lu_nonzeros(n) <= grid._BUDGET
 
         assert fits(574) and not fits(575)
 
@@ -490,9 +490,9 @@ class TestSolvers:
         assert peak < 0.6 * 2**20
 
     def test_options_validated(self):
-        assert SolveOptions(method="vi").method is Method.VALUE_ITERATION
-        with pytest.raises(ValueError):
-            SolveOptions(method="lu")
+        for method in ["lu", None, 1]:
+            with pytest.raises(TypeError):
+                SolveOptions(method=method)
 
     def test_residual_reported_small(self, grid50):
         assert grid50.residual < 1e-11
@@ -500,19 +500,6 @@ class TestSolvers:
 
 
 class TestSolutionAccess:
-    def test_boundary_and_interior(self, grid50, params3):
-        assert grid50.p(0, 17) == 1.0
-        assert grid50.p(17, 0) == 1.0
-        assert grid50.p(3, 4) == grid50.values[2, 3]
-        lo, hi = extinction_bounds(params3, 3, 4)
-        assert lo <= grid50.p(3, 4) <= hi
-
-    def test_outside_box_rejected(self, grid50):
-        with pytest.raises(IndexError):
-            grid50.p(51, 1)
-        with pytest.raises(IndexError):
-            grid50.p(1, -2)
-
     def test_column_recursion_defect(self, params3):
         sol = solve_grid(params3, 10, SolveOptions(method=Method.DIRECT))
         assert column_recursion_defect(sol) < 1e-12

@@ -194,6 +194,8 @@ class TestSpec:
             (dict(grid_n=575), "grid_n must be <= 574, got 575"),
             (dict(conv_reference=575), "conv_reference must be <= 574, got 575"),
             (dict(conv_max=575), "conv_max must be <= 574, got 575"),
+            (dict(mc_m=2_097_153), "mc_m must be <= 2097152, got 2097153"),
+            (dict(run_genfunc=True, genfunc_count=725), "genfunc_count must be <= 724, got 725"),
         ],
     )
     def test_bad_spec_rejected(self, fields, message):
@@ -204,6 +206,7 @@ class TestSpec:
         ExperimentSpec(r=3.0, d=2.0, run_convergence=False, conv_min=30, conv_max=20)
         ExperimentSpec(r=3.0, d=2.0, run_convergence=False, conv_max=600, conv_reference=600)
         ExperimentSpec(r=3.0, d=2.0, genfunc_min=0.0, genfunc_count=0)
+        ExperimentSpec(r=3.0, d=2.0, run_mc=False, mc_m=10**9, genfunc_count=10**6)
         # three fitted N besides the reference, which may lie outside the range
         ExperimentSpec(r=3.0, d=2.0, conv_min=20, conv_max=22, conv_reference=50)
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distyle import montecarlo
+from distyle import grid, montecarlo
 from distyle.harness import write_mc_csv
 from distyle.model import ModelParams, extinction_bounds
 from distyle.montecarlo import (
@@ -159,6 +159,34 @@ class TestConfig:
                 estimate_cells(params3, **{**good, **bad})
             assert str(info.value) == message
 
+    def test_sizes_above_the_budget_rejected(self, params3, monkeypatch):
+        # refused before a worker is forked or a path drawn, naming the
+        # largest size admitted
+        def fail(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(montecarlo, "_workers", fail)
+        monkeypatch.setattr(montecarlo, "_share_task", fail)
+        for call, message in [
+            (lambda: estimate_cells(params3, [(1, 1)] * 559_241, m=1, t_horizon=1, seed=0),
+             "len(cells) must be <= 559240, got 559241 (at 240 bytes a requested cell"),
+            (lambda: estimate_lattice(params3, 575, 1, m=1, t_horizon=1, seed=0),
+             "i_max must be <= 574, got 575 (the largest box"),
+            (lambda: estimate_lattice(params3, 1, 10**9, m=1, t_horizon=1, seed=0),
+             "j_max must be <= 574, got 1000000000 (the largest box"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value).startswith(message)
+            assert str(info.value).endswith(" the 128 MiB budget)")
+
+    def test_largest_admitted_cell_list_runs(self, params3, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BYTES_PER_CELL", grid._BUDGET // 5)
+        cells = [(1, 1), (2, 1), (1, 2), (3, 3), (1, 4)]
+        assert estimate_cells(params3, cells, m=10, t_horizon=5, seed=0).shape == (5,)
+        with pytest.raises(ValueError, match=r"len\(cells\) must be <= 5, got 6 \("):
+            estimate_cells(params3, [*cells, (2, 2)], m=10, t_horizon=5, seed=0)
+
 
 class TestSinglePath:
     def test_deterministic_given_stream(self, params3):
@@ -211,7 +239,7 @@ class TestEstimate:
     def test_matches_law_of_large_numbers(self, params3, grid50):
         est = estimate(params3, 1, 1, m=100_000, t_horizon=5000, seed=314)
         sigma = math.sqrt(est.p_hat * (1 - est.p_hat) / est.m)
-        assert abs(est.p_hat - grid50.p(1, 1)) < 4 * sigma
+        assert abs(est.p_hat - grid50.values[0, 0]) < 4 * sigma
 
 
 class TestLattice:
@@ -636,6 +664,21 @@ class TestWorkers:
         with pytest.raises(RuntimeError, match="broken share"):
             estimate_cells(params3, cells, m=50, t_horizon=100, seed=0)
         assert multiprocessing.active_children() == []
+
+    def test_workers_hold_the_paths_within_the_budget(self, params3, monkeypatch):
+        # a window holds at least M lanes, so an M that fills the budget runs
+        # on one process however many CPUs there are
+        cells = [(1, 1), (1, 2), (2, 2)]
+        expected = estimate_cells(params3, cells, m=100, t_horizon=50, seed=8)
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a worker was forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(montecarlo, "_POOL_MIN_PATHS", 0)
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
+        monkeypatch.setattr(montecarlo, "_BYTES_PER_PATH", grid._BUDGET // 100)
+        assert np.array_equal(estimate_cells(params3, cells, m=100, t_horizon=50, seed=8), expected)
 
     @pytest.mark.parametrize("cause", ["no fork", "daemonic caller"])
     def test_fallback_runs_in_process(self, params3, monkeypatch, cause):
