@@ -33,7 +33,7 @@ from .grid import (
 )
 from .harness import ExperimentSpec, compare, fit_log_slope, run_experiment
 from .model import ModelParams, extinction_bounds
-from .montecarlo import estimate, estimate_cells, estimate_lattice
+from .montecarlo import box_cells, estimate_cells, estimate_lattice, start_cells
 
 __version__ = "0.1.0"
 
@@ -48,10 +48,10 @@ __all__ = [
     "assemble_system",
     "asymptotic_p1j",
     "asymptotic_pij",
+    "box_cells",
     "closure_value",
     "compare",
     "critical_times",
-    "estimate",
     "estimate_cells",
     "estimate_lattice",
     "eval_by_quadrature",
@@ -64,4 +64,5 @@ __all__ = [
     "query_from_grid",
     "run_experiment",
     "solve_grid",
+    "start_cells",
 ]

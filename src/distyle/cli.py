@@ -23,7 +23,7 @@ from .characteristics import critical_times, eval_path, integrating_factor, make
 from .grid import CLOSURES, DEFAULT_CLOSURE, _check_budget, _check_size, solve_grid
 from .harness import OUTPUTS, write_csv, write_grid_csv, write_mc_csv
 from .model import ModelParams
-from .montecarlo import estimate, estimate_lattice
+from .montecarlo import _check_paths, box_cells, start_cells
 
 # Bytes a sample of ``characteristics`` takes at its peak, for its four
 # arrays and their temporaries: 72 measured (peak RSS, 1e6 to 4e6 samples),
@@ -72,19 +72,23 @@ def _cmd_grid(args) -> int:
 
 def _cmd_mc(args) -> int:
     params = ModelParams(args.r, args.d)
+    # every size is refused by its flag before the cells are listed
+    _check_counts(args, "m", "t", "imax", "jmax")
+    _check_paths("--m", args.m)
     if args.imax is not None or args.jmax is not None:
         if args.i is not None or args.j is not None:
             raise ValueError("give either --i/--j (point mode) or --imax/--jmax (lattice mode)")
         if args.imax is None or args.jmax is None:
             raise ValueError("lattice mode needs both --imax and --jmax")
-        _check_counts(args, "imax", "jmax")
         for name in ("imax", "jmax"):
             _check_size(f"--{name}", getattr(args, name))
-        result = estimate_lattice(params, args.imax, args.jmax, args.m, args.t, args.seed)
+        cells = box_cells(args.imax, args.jmax)
     elif args.i is None or args.j is None:
         raise ValueError("point mode needs --i and --j (or --imax/--jmax for a lattice)")
     else:
-        result = estimate(params, args.i, args.j, args.m, args.t, args.seed)
+        cells = [(args.i, args.j)]
+    with start_cells(params, cells, args.m, args.t, args.seed) as finish:
+        result = finish()
     with _output(args, OUTPUTS["mc"]) as fp:
         write_mc_csv(result, fp)
     print(f"M={result.m} stop_bound={result.stop_bound:.12g}", file=sys.stderr)

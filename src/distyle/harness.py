@@ -32,7 +32,7 @@ from . import genfunc
 from .grid import GridSolution, _check_budget, _check_size, solve_grid
 from .model import ModelParams
 # estimate_lattice stays a name of this module: perfbench/tracing.py wraps it
-from .montecarlo import McEstimate, _check_paths, estimate_lattice, start_lattice  # noqa: F401
+from .montecarlo import McEstimate, _check_paths, box_cells, estimate_lattice, start_cells  # noqa: F401
 
 # Bytes a row of genfunc_table holds until the table is written, about 200
 # measured (tracemalloc, 6,400 rows); genfunc_count^2 rows must fit
@@ -342,7 +342,7 @@ def write_mc_csv(estimate: McEstimate, fp) -> None:
     one per estimated cell."""
     names = ["p_hat", "ci_low", "ci_high", "stopped_frac", "censored_frac"]
     tail = (estimate.m, estimate.t_horizon, estimate.seed)
-    columns = (np.ravel(getattr(estimate, name)).tolist() for name in names)
+    columns = (getattr(estimate, name).tolist() for name in names)
     rows = ((*cell, *values, *tail) for cell, *values in zip(estimate.cells, *columns))
     write_csv(fp, ["i", "j", *names, "M", "T", "seed"], rows)
 
@@ -412,7 +412,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
     params = ModelParams(spec.r, spec.d)
     tables: dict[str, tuple] = {}  # name -> (header, rows)
     drawing = (
-        start_lattice(params, spec.grid_n, spec.grid_n, spec.mc_m, spec.mc_t, spec.seed)
+        start_cells(params, box_cells(spec.grid_n, spec.grid_n), spec.mc_m, spec.mc_t, spec.seed)
         if spec.run_mc
         else contextlib.nullcontext()
     )
@@ -448,8 +448,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
         mc = finish_mc() if spec.run_mc else None
 
     if mc is not None:
-        full = compare(mc.p_hat, solution.values)
-        sub = compare(mc.p_hat, solution.values, sub=spec.sublattice)
+        p_mc = mc.p_hat.reshape(spec.grid_n, spec.grid_n)
+        full = compare(p_mc, solution.values)
+        sub = compare(p_mc, solution.values, sub=spec.sublattice)
         tables["comparison_stats"] = stats_table(full)
         tables["comparison_summary"] = (
             ["name", "value"],

@@ -74,7 +74,7 @@ is at its time 32 (g - g0) in block g and reads min(32, T - t) rows of its
 stream, and its paths still running when its horizon ends are counted as
 censored there.  Each worker sends back only the per-cell counts of
 absorbed, stopped and censored paths.  The workers are forked when the job
-starts and draw while the caller goes on (:func:`start_lattice`); the finish
+starts and draw while the caller goes on (:func:`start_cells`); the finish
 collects their counts, and leaving the job, also by an exception, stops and
 reaps them.  Jobs below ``_POOL_MIN_PATHS`` paths over their distinct cells,
 a single distinct cell, a single CPU, a platform without ``fork`` or a
@@ -112,15 +112,15 @@ above 574, the largest box the grid solves.  A window holds at least M
 lanes, so no more workers are forked than hold M paths each within the
 budget.  Memory is thus bounded whatever the flags and the CPU count.
 
-Entry points: ``estimate(params, i, j, m, t_horizon, seed)`` for one cell,
-``estimate_lattice(params, i_max, j_max, m, t_horizon, seed)`` for a box of
-cells, both returning an :class:`McEstimate` whose per-cell fields are numpy
-scalars or arrays, and ``estimate_cells(params, cells, m, t_horizon, seed)``
-for the bare absorption frequencies of any list of cells, without the
-stopped and censored fractions.  Each starts its job and
-finishes it at once; ``start_lattice`` takes the arguments of
-``estimate_lattice`` and yields the finish instead, so that the caller can
-work while the workers draw.
+Entry points: ``start_cells(params, cells, m, t_horizon, seed)`` starts
+estimating any list of cells and yields the finish, which returns an
+:class:`McEstimate` whose per-cell fields are 1-D arrays aligned with
+``cells``, so that the caller can work while the workers draw.
+``box_cells(i_max, j_max)`` lists the box 1 <= i <= i_max, 1 <= j <= j_max
+row-major, and ``estimate_lattice(params, i_max, j_max, m, t_horizon, seed)``
+starts and finishes that box at once.  ``estimate_cells(params, cells, m,
+t_horizon, seed)`` starts and finishes a list at once and returns the bare
+absorption frequencies, the ``p_hat`` of the same request.
 The module only computes; :func:`distyle.harness.write_mc_csv` writes an
 estimate as CSV, one row per cell.
 """
@@ -177,13 +177,13 @@ def stop_level(params: ModelParams, m: int) -> int:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte-Carlo estimate of one cell or of a box of cells.
+    """Monte-Carlo estimate of a list of cells.
 
-    Every per-cell field is shaped like the request: a numpy scalar from
-    :func:`estimate`, an array indexed [i-1, j-1] from
-    :func:`estimate_lattice`.  ``cells`` lists the estimated cells in
-    row-major order.  Each cell equals the single-cell estimate run with the
-    same seed, bit for bit.
+    Every per-cell field is a 1-D array aligned with ``cells``: entry k
+    belongs to ``cells[k]``.  A box from :func:`box_cells` lists its cells
+    row-major, so ``p_hat.reshape(i_max, j_max)`` is indexed [i-1, j-1].
+    Each cell equals the estimate of that cell alone run with the same
+    seed, bit for bit.
     """
 
     p_hat: np.ndarray
@@ -516,64 +516,59 @@ def estimate_cells(
 def _summarise(
     params: ModelParams,
     cells: list[tuple[int, int]],
-    shape: tuple[int, ...],
     m: int,
     t_horizon: int,
     seed: int,
     counts: np.ndarray,
 ) -> McEstimate:
-    """The estimate of ``cells`` from their ``counts``, with every per-cell
-    field reshaped to ``shape``; the empty shape ``()`` gives numpy scalars."""
-    p_hat, stopped, censored = (counts / m).T.reshape(3, *shape)
+    """The estimate of ``cells`` from their ``counts``."""
+    p_hat, stopped, censored = (counts / m).T
     half = _Z95 * np.sqrt(p_hat * (1.0 - p_hat) / m)
     stop_bound = 2.0 * params.ratio ** stop_level(params, m)
     return McEstimate(
-        p_hat=p_hat[()],
-        ci_low=np.maximum(0.0, p_hat - half)[()],
-        ci_high=np.minimum(1.0, p_hat + half + stop_bound)[()],
+        p_hat=p_hat,
+        ci_low=np.maximum(0.0, p_hat - half),
+        ci_high=np.minimum(1.0, p_hat + half + stop_bound),
         m=m,
         t_horizon=t_horizon,
         seed=seed,
         stop_bound=stop_bound,
-        stopped_frac=stopped[()],
-        censored_frac=censored[()],
+        stopped_frac=stopped,
+        censored_frac=censored,
         cells=cells,
     )
 
 
-def estimate(
-    params: ModelParams, i: int, j: int, m: int, t_horizon: int, seed: int
-) -> McEstimate:
-    """Absorption frequency from the cell (i, j) with its Wald interval,
-    widened on the upper side by ``stop_bound``."""
-    with _counting(params, [(i, j)], m, t_horizon, seed) as finish:
-        return _summarise(params, [(i, j)], (), m, t_horizon, seed, finish())
-
-
 @contextlib.contextmanager
-def start_lattice(
+def start_cells(
     params: ModelParams,
-    i_max: int,
-    j_max: int,
+    cells: list[tuple[int, int]],
     m: int,
     t_horizon: int,
     seed: int,
 ) -> Iterator[Callable[[], McEstimate]]:
-    """Start estimating every cell of the box 1 <= i <= i_max,
-    1 <= j <= j_max; yields the finish, which waits for the estimate.
+    """Start estimating each of ``cells``; yields the finish, which waits
+    for the estimate.
 
     Worker processes draw while the ``with`` block runs; leaving it stops
     and reaps them, so a caller can do other work between the start and the
-    finish and still leaves no process behind when that work raises.  An
-    extent above 574, the largest box the grid solves, is refused.
+    finish and still leaves no process behind when that work raises.
+    """
+    with _counting(params, cells, m, t_horizon, seed) as finish:
+        yield lambda: _summarise(params, cells, m, t_horizon, seed, finish())
+
+
+def box_cells(i_max: int, j_max: int) -> list[tuple[int, int]]:
+    """The cells of the box 1 <= i <= i_max, 1 <= j <= j_max, row-major.
+
+    An extent below 1 is refused, and so is one above 574, the largest box
+    the grid solves.
     """
     if i_max < 1 or j_max < 1:
         raise ValueError(f"lattice extents must be >= 1, got ({i_max}, {j_max})")
     grid._check_size("i_max", i_max)
     grid._check_size("j_max", j_max)
-    cells = [(i, j) for i in range(1, i_max + 1) for j in range(1, j_max + 1)]
-    with _counting(params, cells, m, t_horizon, seed) as finish:
-        yield lambda: _summarise(params, cells, (i_max, j_max), m, t_horizon, seed, finish())
+    return [(i, j) for i in range(1, i_max + 1) for j in range(1, j_max + 1)]
 
 
 def estimate_lattice(
@@ -584,6 +579,8 @@ def estimate_lattice(
     t_horizon: int,
     seed: int,
 ) -> McEstimate:
-    """Estimate every cell of the box 1 <= i <= i_max, 1 <= j <= j_max."""
-    with start_lattice(params, i_max, j_max, m, t_horizon, seed) as finish:
+    """Estimate every cell of ``box_cells(i_max, j_max)``; an ``m`` above
+    the budget is refused before the cells are listed."""
+    _check_paths("m", m)
+    with start_cells(params, box_cells(i_max, j_max), m, t_horizon, seed) as finish:
         return finish()

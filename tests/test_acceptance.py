@@ -212,11 +212,13 @@ def test_08_quadrature_crosses_series(params3, grid50):
 def test_09_confidence_interval_coverage(params3, grid50):
     start = time.perf_counter()
     lat = estimate_lattice(params3, 10, 10, m=1000, t_horizon=5000, seed=2)
+    ci_low = lat.ci_low.reshape(10, 10)
+    ci_high = lat.ci_high.reshape(10, 10)
     inside = 0
     for i in range(1, 11):
         for j in range(1, 11):
             p = grid50.values[i - 1, j - 1]
-            if lat.ci_low[i - 1, j - 1] <= p <= lat.ci_high[i - 1, j - 1]:
+            if ci_low[i - 1, j - 1] <= p <= ci_high[i - 1, j - 1]:
                 inside += 1
     elapsed = time.perf_counter() - start
     ok = inside >= 90 and elapsed < 120.0
@@ -229,7 +231,7 @@ def test_09_confidence_interval_coverage(params3, grid50):
 
 
 def test_10_paper_scale_error_bands(grid50, grid100c, mc50_lattice, mc_subsample_c):
-    rep1 = compare(mc50_lattice.p_hat, grid50.values)
+    rep1 = compare(mc50_lattice.p_hat.reshape(50, 50), grid50.values)
     mean1 = rep1.stats["absolute_error"].mean
 
     cells, p_hat = mc_subsample_c

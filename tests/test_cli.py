@@ -444,7 +444,7 @@ class TestExperimentCommand:
         def fail(*args):
             raise AssertionError("a Monte-Carlo worker was started")
 
-        monkeypatch.setattr(harness, "start_lattice", fail)
+        monkeypatch.setattr(harness, "start_cells", fail)
         out = tmp_path / "run-big"
         if source == "flag":
             argv = ["--preset", "supercritical", "--grid-n", 575]
@@ -480,8 +480,10 @@ class TestExperimentCommand:
         (["greens", "--n", 12], "--ny", "error: unrecognized arguments: --ny {count}"),
         (["characteristics", "--x0", 0.3, "--y0", 0.6], "--samples",
          "error: --samples must be >= 1, got {count}"),
+        (["mc", "--i", 1, "--j", 1], "--m", "error: --m must be >= 1, got {count}"),
+        (["mc", "--imax", 2, "--jmax", 2], "--t", "error: --t must be >= 1, got {count}"),
     ],
-    ids=["greens-count", "greens-nx", "greens-ny", "characteristics-samples"],
+    ids=["greens-count", "greens-nx", "greens-ny", "characteristics-samples", "mc-m", "mc-t"],
 )
 def test_count_below_one_exits_2(tmp_path, capsys, command, flag, error, count):
     # a count of 0 used to write a header-only CSV and exit 0
@@ -563,7 +565,7 @@ MC_POINT = ["mc", *RATES, "--i", 1, "--j", 1, "--t", 1, "--m"]
 @pytest.mark.parametrize(
     "command,message",
     [
-        ([*MC_POINT, 2_097_153], "m must be <= 2097152, got 2097153 (at 64 bytes a path"),
+        ([*MC_POINT, 2_097_153], "--m must be <= 2097152, got 2097153 (at 64 bytes a path"),
         (["experiment", "--preset", "supercritical", "--mc-m", 2_097_153],
          "mc_m must be <= 2097152, got 2097153 (at 64 bytes a path"),
         (["mc", *RATES, "--imax", 575, "--jmax", 2, "--m", 1, "--t", 1],
@@ -588,6 +590,22 @@ def test_request_above_the_budget_exits_2(tmp_path, capsys, monkeypatch, command
     assert captured.err.startswith(f"error: {message}")
     assert captured.err.endswith(" the 128 MiB budget)\n")
     assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_mc_m_above_the_budget_is_refused_before_the_cells(tmp_path, capsys, monkeypatch):
+    # the largest box lists 329,476 cells; the M is refused by its flag first
+    def fail(*args):
+        raise AssertionError("the cells were listed")
+
+    _refuse_work(monkeypatch)
+    monkeypatch.setattr(cli, "box_cells", fail)
+    out = tmp_path / "out"
+    argv = ["mc", *RATES, "--imax", 574, "--jmax", 574, "--m", 400_000_000, "--t", 1]
+    assert run([*argv, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --m must be <= 2097152, got 400000000 (")
     assert captured.out == ""
     assert not out.exists()
 

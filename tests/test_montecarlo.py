@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import os
@@ -18,9 +19,10 @@ from distyle import grid, montecarlo
 from distyle.harness import write_mc_csv
 from distyle.model import ModelParams, extinction_bounds
 from distyle.montecarlo import (
-    estimate,
+    box_cells,
     estimate_cells,
     estimate_lattice,
+    start_cells,
     stop_level,
 )
 
@@ -42,6 +44,15 @@ def make_rng(seed, i, j):
 def canonical(i, j):
     """The cell whose start state and stream the cell (i, j) reads."""
     return min(i, j), max(i, j)
+
+
+def one_cell(params, i, j, m, t_horizon, seed):
+    """The estimate of the cell (i, j) alone, through ``start_cells``, with
+    each per-cell field reduced to its one element."""
+    with start_cells(params, [(i, j)], m, t_horizon, seed) as finish:
+        est = finish()
+    assert est.cells == [(i, j)]
+    return dataclasses.replace(est, **{name: getattr(est, name)[0] for name in PER_CELL})
 
 
 def path_counts(params, cells, m, t_horizon, seed):
@@ -180,6 +191,20 @@ class TestConfig:
             assert str(info.value).startswith(message)
             assert str(info.value).endswith(" the 128 MiB budget)")
 
+    def test_lattice_refuses_m_before_listing_its_cells(self, params3, monkeypatch):
+        # a 574 x 574 box lists 329,476 cells; an M above the budget is
+        # refused before a single one is listed
+        def fail(*args):
+            raise AssertionError("the cells were listed")
+
+        monkeypatch.setattr(montecarlo, "box_cells", fail)
+        with pytest.raises(ValueError, match=r"^m must be <= 2097152, got 400000000 \("):
+            estimate_lattice(params3, 574, 574, m=400_000_000, t_horizon=1, seed=0)
+
+    def test_box_cells_are_row_major(self):
+        assert box_cells(2, 3) == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+        assert box_cells(1, 1) == [(1, 1)]
+
     def test_largest_admitted_cell_list_runs(self, params3, monkeypatch):
         monkeypatch.setattr(montecarlo, "_BYTES_PER_CELL", grid._BUDGET // 5)
         cells = [(1, 1), (2, 1), (1, 2), (3, 3), (1, 4)]
@@ -208,7 +233,7 @@ class TestSinglePath:
 
 class TestEstimate:
     def test_confidence_interval_shape(self, params3):
-        est = estimate(params3, 1, 1, m=200, t_horizon=2000, seed=11)
+        est = one_cell(params3, 1, 1, m=200, t_horizon=2000, seed=11)
         # Wald around p_hat, and the stop's bias on the upper side
         width = 1.96 * math.sqrt(est.p_hat * (1 - est.p_hat) / 200)
         assert est.stop_bound > 0.0
@@ -224,7 +249,7 @@ class TestEstimate:
     def test_degenerate_flag(self, params3):
         # no path absorbed: the Wald interval collapses to [0, 0], and only
         # the stop's bias keeps the upper end above 0
-        est = estimate(params3, 40, 40, m=3, t_horizon=1, seed=5)
+        est = one_cell(params3, 40, 40, m=3, t_horizon=1, seed=5)
         assert est.p_hat == 0.0
         assert est.ci_low == 0.0
         assert est.ci_high == est.stop_bound > 0.0
@@ -232,12 +257,12 @@ class TestEstimate:
     def test_horizon_monotone(self, params3):
         # longer horizons extend the same paths, so absorption flags only gain
         base = dict(i=2, j=3, m=300, seed=97)
-        p_short = estimate(params3, t_horizon=50, **base).p_hat
-        p_long = estimate(params3, t_horizon=2000, **base).p_hat
+        p_short = one_cell(params3, t_horizon=50, **base).p_hat
+        p_long = one_cell(params3, t_horizon=2000, **base).p_hat
         assert p_short <= p_long
 
     def test_matches_law_of_large_numbers(self, params3, grid50):
-        est = estimate(params3, 1, 1, m=100_000, t_horizon=5000, seed=314)
+        est = one_cell(params3, 1, 1, m=100_000, t_horizon=5000, seed=314)
         sigma = math.sqrt(est.p_hat * (1 - est.p_hat) / est.m)
         assert abs(est.p_hat - grid50.values[0, 0]) < 4 * sigma
 
@@ -245,15 +270,35 @@ class TestEstimate:
 class TestLattice:
     def test_matches_single_cell_bitwise(self, params3):
         lat = estimate_lattice(params3, 3, 2, m=150, t_horizon=800, seed=42)
-        solo = estimate(params3, 3, 2, m=150, t_horizon=800, seed=42)
-        for name in PER_CELL:
-            assert getattr(lat, name)[2, 1] == getattr(solo, name), name
-            assert np.ndim(getattr(solo, name)) == 0, name
-            assert getattr(lat, name).shape == (3, 2), name
-        assert lat.stop_bound == solo.stop_bound
-        assert solo.cells == [(3, 2)]
+        with start_cells(params3, [(3, 2)], m=150, t_horizon=800, seed=42) as finish:
+            solo = finish()
+        # every per-cell field is 1-D and aligned with cells, row-major for a box
         assert lat.cells == [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
+        assert solo.cells == [(3, 2)]
+        for name in PER_CELL:
+            assert getattr(lat, name).shape == (len(lat.cells),), name
+            assert getattr(solo, name).shape == (len(solo.cells),), name
+            assert getattr(lat, name)[5] == getattr(solo, name)[0], name
+        assert lat.stop_bound == solo.stop_bound
         assert "cells" not in repr(solo)
+
+    def test_any_list_matches_the_covering_box(self, params3):
+        # duplicates, mirror pairs and cells out of order: every entry holds
+        # the bits of its cell in the box, and estimate_cells, which returns
+        # the bare array, is the p_hat of the same request
+        cells = [(4, 1), (2, 3), (1, 1), (3, 2), (2, 3), (1, 4), (4, 1), (3, 3), (2, 1)]
+        request = dict(m=70, t_horizon=400, seed=17)
+        with start_cells(params3, cells, **request) as finish:
+            est = finish()
+        box = estimate_lattice(params3, 4, 4, **request)
+        rows = [box.cells.index(cell) for cell in cells]
+        assert est.cells == cells
+        for name in PER_CELL:
+            assert getattr(est, name).shape == (len(cells),), name
+            assert getattr(est, name).tobytes() == getattr(box, name)[rows].tobytes(), name
+        assert est.stop_bound == box.stop_bound
+        p_hat = estimate_cells(params3, cells, **request)
+        assert p_hat.tobytes() == est.p_hat.tobytes()
 
     def test_grouping_invisible(self, params3, monkeypatch):
         a = estimate_lattice(params3, 4, 4, m=60, t_horizon=500, seed=9)
@@ -268,7 +313,7 @@ class TestLattice:
         cells = [(1, 1), (5, 2), (2, 5)]
         p = estimate_cells(params3, cells, m=80, t_horizon=600, seed=13)
         for k, (i, j) in enumerate(cells):
-            solo = estimate(params3, i, j, m=80, t_horizon=600, seed=13)
+            solo = one_cell(params3, i, j, m=80, t_horizon=600, seed=13)
             assert p[k] == solo.p_hat
 
     def test_single_path_matches_scalar_reference(self, params3):
@@ -277,7 +322,7 @@ class TestLattice:
         level = stop_level(params3, 1)
         for seed in range(40):
             for i, j in [(1, 1), (3, 2), (6, 9)]:
-                est = estimate(params3, i, j, m=1, t_horizon=50, seed=seed)
+                est = one_cell(params3, i, j, m=1, t_horizon=50, seed=seed)
                 key = canonical(i, j)
                 ref = simulate_path(params3, key, 50, make_rng(seed, *key), level)
                 assert est.p_hat == float(ref.absorbed)
@@ -307,6 +352,9 @@ class TestLattice:
     def test_extent_validation(self, params3):
         with pytest.raises(ValueError):
             estimate_lattice(params3, 0, 3, m=10, t_horizon=10, seed=0)
+        for extents in [(0, 3), (3, 0), (-1, 2)]:
+            with pytest.raises(ValueError, match=r"^lattice extents must be >= 1, got \("):
+                box_cells(*extents)
 
     def test_empty_cell_list_rejected(self, params3):
         with pytest.raises(ValueError):
@@ -322,11 +370,12 @@ class TestMirror:
         assert np.array_equal(counts, counts.transpose(1, 0, 2))
 
     def test_point_runs_read_the_mirror(self, params3):
-        a = estimate(params3, 3, 2, m=80, t_horizon=600, seed=21)
-        b = estimate(params3, 2, 3, m=80, t_horizon=600, seed=21)
+        a = one_cell(params3, 3, 2, m=80, t_horizon=600, seed=21)
+        b = one_cell(params3, 2, 3, m=80, t_horizon=600, seed=21)
         lat = estimate_lattice(params3, 3, 3, m=80, t_horizon=600, seed=21)
+        row = lat.cells.index((3, 2))
         for name in PER_CELL:
-            assert getattr(a, name) == getattr(b, name) == getattr(lat, name)[2, 1], name
+            assert getattr(a, name) == getattr(b, name) == getattr(lat, name)[row], name
         assert a.cells == [(3, 2)]
 
     def test_both_orders_in_one_list(self, params3):
@@ -356,7 +405,7 @@ class TestMirror:
 class TestOutcomes:
     def test_short_horizon_near_critical_is_censored(self, paramsc):
         m = 200
-        est = estimate(paramsc, 10, 10, m=m, t_horizon=100, seed=5)
+        est = one_cell(paramsc, 10, 10, m=m, t_horizon=100, seed=5)
         assert est.censored_frac > 0.0
         assert est.stopped_frac == 0.0  # the stop level 8299 is out of reach
         fractions = np.array([est.p_hat, est.stopped_frac, est.censored_frac])
@@ -370,12 +419,13 @@ class TestOutcomes:
         assert np.all(total == m)
         assert np.all(lat.stopped_frac > 0.0)
         assert np.all(lat.censored_frac == 0.0)  # every path stops or dies by T
-        solo = estimate(params3, 2, 3, m=m, t_horizon=2000, seed=3)
-        assert lat.stopped_frac[1, 2] == solo.stopped_frac
-        assert lat.censored_frac[1, 2] == solo.censored_frac
+        solo = one_cell(params3, 2, 3, m=m, t_horizon=2000, seed=3)
+        row = lat.cells.index((2, 3))
+        assert lat.stopped_frac[row] == solo.stopped_frac
+        assert lat.censored_frac[row] == solo.censored_frac
 
     def test_start_in_exit_set_counts_as_stopped(self, params3):
-        est = estimate(params3, 36, 40, m=20, t_horizon=100, seed=1)
+        est = one_cell(params3, 36, 40, m=20, t_horizon=100, seed=1)
         assert est.stopped_frac == 1.0 and est.censored_frac == 0.0
 
 
@@ -712,8 +762,8 @@ class TestCsv:
         assert len(lines) == 6 and lines[5] == ""
         first = lines[1].split(",")
         assert first[0] == "1" and first[1] == "1"
-        assert first[5] == f"{lat.stopped_frac[0, 0]:.12g}"
-        assert first[6] == f"{lat.censored_frac[0, 0]:.12g}"
+        assert first[5] == f"{lat.stopped_frac[0]:.12g}"
+        assert first[6] == f"{lat.censored_frac[0]:.12g}"
         assert first[7] == "50" and first[8] == "400" and first[9] == "8"
         assert "\r" not in buf.getvalue()
 
@@ -746,7 +796,7 @@ class TestStopRule:
         params = ModelParams(r=1e300, d=1e-300)
         assert params.ratio == 0.0
         assert stop_level(params, 10) == 1
-        est = estimate(params, 1, 1, m=10, t_horizon=100, seed=0)
+        est = one_cell(params, 1, 1, m=10, t_horizon=100, seed=0)
         assert est.p_hat == 0.0 and est.stop_bound == 0.0
 
     def test_start_in_exit_set_draws_nothing(self, params3):
@@ -754,7 +804,7 @@ class TestStopRule:
         # interval keeps only the stop's bias
         k = stop_level(params3, 500)
         for i, j in [(k, k), (k, 5 * k)]:
-            est = estimate(params3, i, j, m=500, t_horizon=10**9, seed=4)
+            est = one_cell(params3, i, j, m=500, t_horizon=10**9, seed=4)
             assert est.p_hat == 0.0 and est.stopped_frac == 1.0
             assert est.ci_low == 0.0 and est.ci_high == est.stop_bound
 
@@ -765,13 +815,13 @@ class TestStopRule:
         assert stop_level(params, 2000) > 2**32
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            est = estimate(params, 1, 1, m=2000, t_horizon=200, seed=1)
+            est = one_cell(params, 1, 1, m=2000, t_horizon=200, seed=1)
         assert est.p_hat >= 0.9
         assert est.censored_frac <= 0.1
 
     def test_stop_bound_reported(self, params3):
         expected = 2.0 * (2.0 / 3.0) ** 15  # the level at M=20
-        est = estimate(params3, 2, 2, m=20, t_horizon=100, seed=1)
+        est = one_cell(params3, 2, 2, m=20, t_horizon=100, seed=1)
         lat = estimate_lattice(params3, 2, 2, m=20, t_horizon=100, seed=1)
         assert est.stop_bound == lat.stop_bound == pytest.approx(expected, rel=1e-12)
         assert est.stop_bound <= 1.0 / (10 * 20)
