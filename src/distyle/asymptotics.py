@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .model import ModelParams, extinction_bounds
+from .model import ModelParams, _check_count, extinction_bounds
 
 
 def row1_coefficients(params: ModelParams) -> tuple[float, float, float]:
@@ -41,8 +41,7 @@ def asymptotic_p1j(params: ModelParams, j: int) -> float:
 
     The boundary value p_{1,0} = 1 is not asymptotic; j must be >= 1.
     """
-    if j < 1:
-        raise ValueError(f"expansion needs j >= 1, got j={j}")
+    _check_count("j", j)
     c1, c2, _ = row1_coefficients(params)
     return min(1.0, max(0.0, c1 / j + c2 / (j * j)))
 
@@ -52,8 +51,8 @@ def asymptotic_pij(params: ModelParams, i: int, j: int) -> float:
 
     Evaluated in log space so large i or j cannot overflow; never NaN.
     """
-    if i < 1 or j < 1:
-        raise ValueError(f"expansion needs i, j >= 1, got ({i}, {j})")
+    _check_count("i", i)
+    _check_count("j", j)
     log_value = i * (math.log(2.0 * params.d / params.r) - math.log(j)) + math.lgamma(
         i + 1
     )

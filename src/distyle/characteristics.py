@@ -65,10 +65,17 @@ class CharacteristicPath:
     denom: float  # x0 + y0 - 2 rho x0 y0
 
 
+def _check_point(x0: float, y0: float) -> None:
+    """Reject a point (x0, y0) outside the open unit square, where the
+    characteristics start and the generating function converges: the one
+    statement of the rule."""
+    if not (0.0 < x0 < 1.0 and 0.0 < y0 < 1.0):
+        raise ValueError(f"(x0, y0) must lie in the open unit square, got ({x0}, {y0})")
+
+
 def make_path(params: ModelParams, x0: float, y0: float) -> CharacteristicPath:
     """Build the characteristic through (x0, y0), 0 < x0, y0 < 1."""
-    if not (0.0 < x0 < 1.0 and 0.0 < y0 < 1.0):
-        raise ValueError(f"start point must lie in the open unit square, got ({x0}, {y0})")
+    _check_point(x0, y0)
     r, d = params.r, params.d
     rho = params.ratio
     xy = x0 * y0  # formed first, so that swapping x0 and y0 changes neither s0 nor |b|

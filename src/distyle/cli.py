@@ -22,7 +22,7 @@ from . import genfunc, harness
 from .characteristics import critical_times, eval_path, integrating_factor, make_path
 from .grid import CLOSURES, DEFAULT_CLOSURE, _check_budget, _check_size, solve_grid
 from .harness import OUTPUTS, write_csv, write_grid_csv, write_mc_csv
-from .model import ModelParams
+from .model import ModelParams, _check_count, _check_seed
 from .montecarlo import _check_paths, box_cells, start_cells
 
 # Bytes a sample of ``characteristics`` takes at its peak, for its four
@@ -45,9 +45,8 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
 def _check_counts(args, *names: str) -> None:
     """Reject a count flag below 1, naming the flag; an unset flag passes."""
     for name in names:
-        value = getattr(args, name)
-        if value is not None and value < 1:
-            raise ValueError(f"--{name} must be >= 1, got {value}")
+        if getattr(args, name) is not None:
+            _check_count(f"--{name}", getattr(args, name))
 
 
 def _output(args, filename: str):
@@ -60,6 +59,7 @@ def _output(args, filename: str):
 
 def _cmd_grid(args) -> int:
     params = ModelParams(args.r, args.d)
+    _check_size("--n", args.n)
     solution = solve_grid(params, args.n, closure=args.closure)
     with _output(args, OUTPUTS["grid"]) as fp:
         write_grid_csv(solution, fp)
@@ -72,8 +72,10 @@ def _cmd_grid(args) -> int:
 
 def _cmd_mc(args) -> int:
     params = ModelParams(args.r, args.d)
-    # every size is refused by its flag before the cells are listed
-    _check_counts(args, "m", "t", "imax", "jmax")
+    # each count, size and the seed is refused by its flag before the cells
+    # are listed; the budget check refuses an --m below 1 too
+    _check_counts(args, "t", "i", "j", "imax", "jmax")
+    _check_seed("--seed", args.seed)
     _check_paths("--m", args.m)
     if args.imax is not None or args.jmax is not None:
         if args.i is not None or args.j is not None:
@@ -97,6 +99,7 @@ def _cmd_mc(args) -> int:
 
 def _cmd_greens(args) -> int:
     _check_counts(args, "count")
+    _check_size("--n", args.n)
     # a run's check of the range, 0 < min <= max < 1
     harness.ExperimentSpec(
         args.r, args.d, run_mc=False, run_convergence=False, run_genfunc=True,
@@ -110,7 +113,6 @@ def _cmd_greens(args) -> int:
 
 
 def _cmd_characteristics(args) -> int:
-    _check_counts(args, "samples")
     _check_budget(
         "--samples", args.samples, lambda k: _BYTES_PER_SAMPLE * k,
         f"at {_BYTES_PER_SAMPLE} bytes a sample, the most that fit",

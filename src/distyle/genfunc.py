@@ -37,7 +37,7 @@ import numpy as np
 
 from . import asymptotics, characteristics
 from .grid import GridSolution
-from .model import ModelParams
+from .model import ModelParams, _check_count
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 # The absolute quadrature budget: both the folded tail and the panel error
@@ -66,10 +66,8 @@ class GenFuncQuery:
     row1: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.x0 < 1.0 and 0.0 < self.y0 < 1.0):
-            raise ValueError(f"evaluation point must lie in (0,1)^2, got ({self.x0}, {self.y0})")
-        if not self.row1:
-            raise ValueError("need at least one first-column value")
+        characteristics._check_point(self.x0, self.y0)
+        _check_count("len(row1)", len(self.row1))
 
     @property
     def n_terms(self) -> int:
@@ -207,8 +205,7 @@ def eval_from_grid(solution: GridSolution, x0: float, y0: float) -> SeriesValue:
     p_{i,j} <= (d/r)^i + (d/r)^j, summed in closed form over the L-shaped
     region outside the box.
     """
-    if not (0.0 < x0 < 1.0 and 0.0 < y0 < 1.0):
-        raise ValueError(f"evaluation point must lie in (0,1)^2, got ({x0}, {y0})")
+    characteristics._check_point(x0, y0)
     n = solution.n
     px = x0 ** np.arange(1, n + 1)
     py = y0 ** np.arange(1, n + 1)

@@ -68,7 +68,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import asymptotics
-from .model import ModelParams, extinction_bounds
+from .model import ModelParams, _check_count, extinction_bounds
 
 
 class Method(enum.Enum):
@@ -82,8 +82,9 @@ class Method(enum.Enum):
 # more is refused by _check_budget before any work is done.
 _BUDGET = 128 * 2**20
 # A fresh interpreter peaks about 15 bytes above its import per nonzero of
-# L + U (r=3: N=400 at 111 MiB, N=600 at 178 MiB, after 62 MiB for the
-# import).
+# L + U (r=3: N=400 at 113 MiB, N=600 at 183 MiB, after 60 MiB for the
+# import).  16 N^2 bytes of that peak are the death coefficients and b,
+# which a solve keeps through the LU for its residual.
 _BYTES_PER_NONZERO = 16
 # Nonzeros of L + U per N^2 max(ln N, 1).  The measured ratio is 2.0-2.6
 # up to N=10 and then rises slowly: 2.73 at N=50, 3.30 at N=200, 3.64 at
@@ -99,9 +100,11 @@ def _lu_nonzeros(n: int) -> int:
 
 
 def _check_budget(name: str, value: int, bytes_of, what: str) -> None:
-    """Reject a size ``value`` >= 1 whose predicted ``bytes_of(value)``, a
-    nondecreasing function, exceeds ``_BUDGET``, with a ValueError that
-    names ``name`` and the largest value that fits; ``what`` ends it."""
+    """Reject a size ``value``: one below 1, by :func:`_check_count`, or one
+    whose predicted ``bytes_of(value)``, a nondecreasing function, exceeds
+    ``_BUDGET``, with a ValueError that names ``name`` and the largest value
+    that fits; ``what`` ends it."""
+    _check_count(name, value)
     if bytes_of(value) <= _BUDGET:
         return
     fits, over = 0, value
@@ -117,8 +120,8 @@ def _check_budget(name: str, value: int, bytes_of, what: str) -> None:
 
 
 def _check_size(name: str, n: int) -> None:
-    """Reject an N-box whose predicted LU would not fit ``_BUDGET``,
-    naming ``name`` and the largest N the budget admits (574)."""
+    """Reject an N-box below 1 or one whose predicted LU would not fit
+    ``_BUDGET``, naming ``name`` and the largest N the budget admits (574)."""
     _check_budget(
         name, n, lambda m: _BYTES_PER_NONZERO * _lu_nonzeros(m), "the largest box whose LU fits"
     )
@@ -226,16 +229,16 @@ def _stencil(params: ModelParams, n: int) -> tuple:
     order (i-1, j), (i, j-1), (i, j), (i, j+1), (i+1, j).  The neighbour
     sits at [i + di, j + dj] of the field padded by one cell, whose rows
     and columns 0 and N+1 hold the axes and the closure.  The coefficients
-    are d i / ((r+d)(i+j)) and d j / ((r+d)(i+j)) as (N, N) arrays indexed
-    [i-1, j-1], then -1 and the birth step r / (2(r+d)) twice, the same at
-    every cell."""
+    are d i / ((r+d)(i+j)) as an (N, N) array indexed [i-1, j-1] and its
+    transpose, d j / ((r+d)(i+j)) bit for bit, then -1 and the birth step
+    r / (2(r+d)) twice, the same at every cell."""
     i = np.arange(1, n + 1)[:, None]
-    j = np.arange(1, n + 1)[None, :]
-    scale = params.d / ((params.r + params.d) * (i + j))
+    scale = params.d / ((params.r + params.d) * (i + i.T))
+    death = scale * i
     birth = params.birth_step
     return (
-        ((-1, 0), scale * i),
-        ((0, -1), scale * j),
+        ((-1, 0), death),
+        ((0, -1), death.T),  # one array for the two death terms
         ((0, 0), -1.0),
         ((0, 1), birth),
         ((1, 0), birth),
@@ -300,8 +303,7 @@ def assemble_system(
     boundary and closure terms with a minus sign.  The solvers do not
     build T; it states the system they solve.
     """
-    if n < 1:
-        raise ValueError(f"grid size must be >= 1, got {n}")
+    _check_count("n", n)
     table = _stencil(params, n)
     rows, cols = np.indices((n, n)).reshape(2, -1)
     t = _matrix(table, np.arange(n * n).reshape(n, n), rows, cols)
@@ -313,10 +315,10 @@ def assemble_system(
 
 
 def _folded_system(
-    params: ModelParams, n: int, edge: np.ndarray
+    table: tuple, b: np.ndarray
 ) -> tuple[scipy.sparse.csr_matrix, np.ndarray, np.ndarray]:
-    """The folded system A q = c the solvers work on, for the closure
-    ``edge`` on both sides of the box, read from the coupling table.
+    """The folded system A q = c the solvers work on, read from the
+    coupling table ``table`` and b of T p = b as an (N, N) array.
 
     q holds the N(N+1)/2 cells i <= j, row by row, and ``pos[i-1, j-1]``
     is the index in q of p_{i,j} and of p_{j,i}.  A is the table's rows
@@ -325,12 +327,11 @@ def _folded_system(
     summed into one column; no cell neighbours its own mirror, so A keeps
     the diagonal -1.  c is b at those rows.  Returns (A, c, pos).
     """
-    table = _stencil(params, n)
+    n = b.shape[0]
     rows, cols = np.triu_indices(n)
     pos = np.empty((n, n), dtype=np.int32)
     pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
-    c = _rhs(table, edge, edge)[rows, cols]
-    return _matrix(table, pos, rows, cols), c, pos
+    return _matrix(table, pos, rows, cols), b[rows, cols], pos
 
 
 def _iterate(
@@ -398,16 +399,16 @@ def _iterate(
     return q, None, rate
 
 
-def _residual(params: ModelParams, values: np.ndarray, edge: np.ndarray) -> float:
-    """max |T p - b| for the field ``values`` and the closure ``edge``:
-    the coupling table applied to the field padded with zeros, minus b,
-    equal bit for bit to the residual through :func:`assemble_system`."""
+def _residual(table: tuple, b: np.ndarray, values: np.ndarray) -> float:
+    """max |T p - b| for the field ``values``, the coupling table ``table``
+    and b as an (N, N) array: the table applied to the field padded with
+    zeros, minus b, equal bit for bit to the residual through
+    :func:`assemble_system`."""
     n = values.shape[0]
-    table = _stencil(params, n)
     padded = np.zeros((n + 2, n + 2))
     padded[1:-1, 1:-1] = values
     tp = _apply(table, padded)
-    tp -= _rhs(table, edge, edge)
+    tp -= b
     return float(np.max(np.abs(tp)))
 
 
@@ -428,12 +429,15 @@ def solve_grid(
     :class:`ConvergenceError`.
     """
     method = (options or SolveOptions()).method
-    if n < 1:
-        raise ValueError(f"grid size must be >= 1, got {n}")
     if method is Method.DIRECT:
-        _check_size("grid size", n)
+        _check_size("n", n)
+    else:
+        _check_count("n", n)
     edge, _, desc = closure_arrays(params, n, closure)
-    a, c, pos = _folded_system(params, n, edge)
+    # the table and b of one solve, shared by its system and its residual
+    table = _stencil(params, n)
+    b = _rhs(table, edge, edge)
+    a, c, pos = _folded_system(table, b)
     if method is Method.DIRECT:
         a = a.tocsc()  # the CSR copy goes before the factors are made,
         lu = scipy.sparse.linalg.splu(a, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
@@ -442,7 +446,7 @@ def solve_grid(
     else:
         q, iterations, rate = _iterate(a, c)
     values = q[pos]
-    residual = _residual(params, values, edge)
+    residual = _residual(table, b, values)
     if iterations is None:
         raise ConvergenceError(
             f"no convergence within {_MAX_ITER} iterations, "

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import genfunc
 from .grid import GridSolution, _check_budget, _check_size, solve_grid
-from .model import ModelParams
+from .model import ModelParams, _check_count, _check_seed
 # estimate_lattice stays a name of this module: perfbench/tracing.py wraps it
 from .montecarlo import McEstimate, _check_paths, box_cells, estimate_lattice, start_cells  # noqa: F401
 
@@ -186,15 +186,14 @@ class ExperimentSpec:
         """
         ModelParams(self.r, self.d)
         for name in ("grid_n", "mc_m", "mc_t", "sublattice"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
+            _check_count(name, getattr(self, name))
+        _check_seed("seed", self.seed)
         if self.run_convergence:
-            if not (1 <= self.conv_min <= self.conv_max and self.conv_reference >= 1):
+            for name in ("conv_min", "conv_reference"):
+                _check_count(name, getattr(self, name))
+            if self.conv_min > self.conv_max:
                 raise ValueError(
-                    "need 1 <= conv_min <= conv_max and conv_reference >= 1, got "
-                    f"{self.conv_min}, {self.conv_max} and {self.conv_reference}"
+                    f"need conv_min <= conv_max, got {self.conv_min} and {self.conv_max}"
                 )
             ns = range(self.conv_min, self.conv_max + 1)
             fitted = len(ns) - (self.conv_reference in ns)
@@ -209,12 +208,12 @@ class ExperimentSpec:
         if self.run_mc:
             _check_paths("mc_m", self.mc_m)
         if self.run_genfunc:
-            if not (0.0 < self.genfunc_min <= self.genfunc_max < 1.0 and self.genfunc_count >= 1):
+            if not 0.0 < self.genfunc_min <= self.genfunc_max < 1.0:
                 raise ValueError(
-                    "need 0 < genfunc_min <= genfunc_max < 1 and genfunc_count >= 1, got "
-                    f"{self.genfunc_min}, {self.genfunc_max} and {self.genfunc_count}"
+                    "need 0 < genfunc_min <= genfunc_max < 1, got "
+                    f"{self.genfunc_min} and {self.genfunc_max}"
                 )
-            _check_budget(
+            _check_budget(  # refuses a count below 1 too
                 "genfunc_count", self.genfunc_count, lambda k: _BYTES_PER_ROW * k * k,
                 f"at {_BYTES_PER_ROW} bytes a row of genfunc_count^2, the most that fit",
             )
@@ -259,8 +258,9 @@ def load_spec(path: Path, **overrides) -> ExperimentSpec:
     Recognised keys are exactly the ExperimentSpec fields, each given at
     most once; ``r`` and ``d`` are required unless an override gives them.
     A value its field's type cannot read fails with its ``path:line``, and
-    so does a value the spec rejects when the message names its key; a
-    missing key and any other rejection of the spec carry the ``path``.
+    so does a value the spec rejects when the message starts with its key,
+    as every refusal of a count, a seed or a size does; a missing key and
+    any other rejection of the spec carry the ``path``.
     Lines starting with ``#`` and blank lines are ignored.
     """
     values: dict = {}

@@ -21,6 +21,25 @@ import math
 from dataclasses import dataclass
 
 
+def _check_count(name: str, value: int) -> None:
+    """Reject a count ``value`` below 1: the one statement of the rule that
+    every count of a request (cells, paths, steps, box sizes, points) is at
+    least 1.  The ValueError starts with ``name``, the flag, config key or
+    parameter the caller set, and a space: :func:`~distyle.harness.load_spec`
+    reads the key there to point at its config line."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _check_seed(name: str, seed: int) -> None:
+    """Reject a ``seed`` outside [0, 2^64), the seeds a stream takes: the
+    one statement of the rule.  The ValueError starts with ``name``, the
+    flag, config key or parameter the caller set, and a space, for
+    :func:`~distyle.harness.load_spec` as :func:`_check_count`'s does."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2^64), got {seed}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Finite birth rate ``r`` and death rate ``d``, restricted to ``r > d > 0``."""

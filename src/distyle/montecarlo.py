@@ -138,7 +138,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid
-from .model import ModelParams
+from .model import ModelParams, _check_count, _check_seed
 
 _BLOCK = 32  # steps between re-rankings of a cell's running paths; fixes the streams
 _PARKED = 2**20  # state of a path that ended earlier in the current block
@@ -215,7 +215,8 @@ def _workers() -> int:
 
 
 def _check_paths(name: str, m: int) -> None:
-    """Reject a path count ``m`` whose paths would not fit the budget."""
+    """Reject a path count ``m`` below 1 or one whose paths would not fit
+    the budget."""
     grid._check_budget(
         name, m, lambda k: _BYTES_PER_PATH * k,
         f"at {_BYTES_PER_PATH} bytes a path, the most paths that fit",
@@ -255,25 +256,20 @@ def _counting(
     leaving it, also by an exception, stops and reaps them.  A single worker
     is this process, and the finish counts the share.
     """
-    if not cells:
-        raise ValueError("need at least one initial cell")
-    if m < 1:
-        raise ValueError(f"need at least one path, got m={m}")
-    if t_horizon < 1:
-        raise ValueError(f"need a positive horizon, got {t_horizon}")
-    if not (0 <= seed < 2**64):
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    _check_count("t_horizon", t_horizon)
+    _check_seed("seed", seed)
     _check_paths("m", m)
     grid._check_budget(
         "len(cells)", len(cells), lambda k: _BYTES_PER_CELL * k,
         f"at {_BYTES_PER_CELL} bytes a requested cell, the most cells that fit",
     )
-    for i0, j0 in cells:
-        if i0 < 1 or j0 < 1:
-            raise ValueError(f"initial cells need i, j >= 1, got ({i0}, {j0})")
     keys: dict[tuple[int, int], int] = {}  # canonical cell -> its row in the counts
     where = [keys.setdefault((min(i, j), max(i, j)), len(keys)) for i, j in cells]
     distinct = list(keys)
+    # the least canonical cell holds the least index of all; the message
+    # names a cell that maps to it, as the caller wrote it
+    lowest = min(distinct)
+    _check_count(f"min(i, j) of cell {cells[where.index(keys[lowest])]}", lowest[0])
     # the kernel reads an absorbed path's min(i, j) - 1 as 2^32 - 1, which must
     # reach level - 1; no int32 state reaches 2^31, so the cap stops no path
     level = min(stop_level(params, m), 2**31)
@@ -564,8 +560,6 @@ def box_cells(i_max: int, j_max: int) -> list[tuple[int, int]]:
     An extent below 1 is refused, and so is one above 574, the largest box
     the grid solves.
     """
-    if i_max < 1 or j_max < 1:
-        raise ValueError(f"lattice extents must be >= 1, got ({i_max}, {j_max})")
     grid._check_size("i_max", i_max)
     grid._check_size("j_max", j_max)
     return [(i, j) for i in range(1, i_max + 1) for j in range(1, j_max + 1)]

@@ -56,7 +56,7 @@ class TestGridCommand:
     def test_rejects_empty_box(self, capsys):
         assert run(["grid", "--r", 3, "--d", 2, "--n", 0]) == 2
         captured = capsys.readouterr()
-        assert "error: grid size must be >= 1, got 0" in captured.err
+        assert "error: --n must be >= 1, got 0" in captured.err
         assert captured.out == ""
 
 
@@ -129,7 +129,7 @@ class TestMcCommand:
 
     def test_axis_cell_rejected(self, tmp_path, capsys):
         assert run(["mc", "--r", 3, "--d", 2, "--i", 0, "--j", 2, "--out", tmp_path]) == 2
-        assert "error: initial cells need i, j >= 1, got (0, 2)" in capsys.readouterr().err
+        assert "error: --i must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "mc_p.csv").exists()
 
 
@@ -418,7 +418,7 @@ class TestExperimentCommand:
         [
             (["experiment", "--preset", "supercritical", "--no-mc",
               "--conv-min", 30, "--conv-max", 20],
-             "need 1 <= conv_min <= conv_max"),
+             "need conv_min <= conv_max"),
             (["experiment", "--preset", "supercritical", "--sublattice", 0],
              "sublattice must be >= 1"),
             (["experiment", "--preset", "supercritical", "--no-mc",
@@ -482,8 +482,14 @@ class TestExperimentCommand:
          "error: --samples must be >= 1, got {count}"),
         (["mc", "--i", 1, "--j", 1], "--m", "error: --m must be >= 1, got {count}"),
         (["mc", "--imax", 2, "--jmax", 2], "--t", "error: --t must be >= 1, got {count}"),
+        (["mc", "--j", 2], "--i", "error: --i must be >= 1, got {count}"),
+        (["mc", "--i", 2], "--j", "error: --j must be >= 1, got {count}"),
+        (["mc", "--jmax", 2], "--imax", "error: --imax must be >= 1, got {count}"),
+        (["grid"], "--n", "error: --n must be >= 1, got {count}"),
+        (["greens"], "--n", "error: --n must be >= 1, got {count}"),
     ],
-    ids=["greens-count", "greens-nx", "greens-ny", "characteristics-samples", "mc-m", "mc-t"],
+    ids=["greens-count", "greens-nx", "greens-ny", "characteristics-samples", "mc-m", "mc-t",
+         "mc-i", "mc-j", "mc-imax", "grid-n", "greens-n"],
 )
 def test_count_below_one_exits_2(tmp_path, capsys, command, flag, error, count):
     # a count of 0 used to write a header-only CSV and exit 0
@@ -495,6 +501,18 @@ def test_count_below_one_exits_2(tmp_path, capsys, command, flag, error, count):
     assert code == 2
     captured = capsys.readouterr()
     assert error.format(count=count) in captured.err
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_u64_exits_2(tmp_path, capsys, monkeypatch, seed):
+    # refused by its flag before a worker is forked or a path drawn
+    _refuse_work(monkeypatch)
+    argv = ["mc", "--r", 3, "--d", 2, "--i", 1, "--j", 1, "--seed", seed, "--out", tmp_path]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --seed must lie in [0, 2^64), got {seed}\n"
     assert captured.out == ""
     assert not any(tmp_path.iterdir())
 
@@ -535,7 +553,7 @@ def test_solve_above_the_budget_exits_2(tmp_path, capsys, monkeypatch, command):
     assert run([command, "--r", 3, "--d", 2, "--n", 575, "--out", out]) == 2
     captured = capsys.readouterr()
     assert captured.err == (
-        "error: grid size must be <= 574, got 575 "
+        "error: --n must be <= 574, got 575 "
         "(the largest box whose LU fits the 128 MiB budget)\n"
     )
     assert captured.out == ""

@@ -112,6 +112,13 @@ def kernel_defect(params: ModelParams, edge: np.ndarray, values: np.ndarray) -> 
     return np.array([[apply_kernel(params, field, i, j) for j in cells] for i in cells]) - values
 
 
+def solve_system(params: ModelParams, n: int, edge: np.ndarray) -> tuple:
+    """The coupling table and b, as an (N, N) array, that a solve builds
+    once for its folded system and its residual."""
+    table = grid._stencil(params, n)
+    return table, grid._rhs(table, edge, edge)
+
+
 def oracle_gap(params: ModelParams, n: int, closure: str) -> float:
     """Largest distance, for a random field, between :func:`kernel_defect`
     and both T p - b through :func:`assemble_system` and the residual."""
@@ -120,7 +127,7 @@ def oracle_gap(params: ModelParams, n: int, closure: str) -> float:
     want = kernel_defect(params, edge, values)
     t, b = assemble_system(params, n, edge, edge)
     entries = np.max(np.abs((t @ values.reshape(-1) - b).reshape(n, n) - want))
-    residual = abs(grid._residual(params, values, edge) - np.max(np.abs(want)))
+    residual = abs(grid._residual(*solve_system(params, n, edge), values) - np.max(np.abs(want)))
     return float(max(entries, residual))
 
 
@@ -315,7 +322,7 @@ class TestSolvers:
         monkeypatch.setattr(grid, "_BUDGET", grid._BYTES_PER_NONZERO * grid._lu_nonzeros(20))
         assert solve_grid(params3, 20).method is Method.DIRECT
         for options in [None, SolveOptions(method=Method.DIRECT)]:
-            with pytest.raises(ValueError, match=r"grid size must be <= 20, got 21"):
+            with pytest.raises(ValueError, match=r"^n must be <= 20, got 21"):
                 solve_grid(params3, 21, options)
         vi = solve_grid(params3, 21, SolveOptions(method=Method.VALUE_ITERATION))
         assert vi.method is Method.VALUE_ITERATION
@@ -333,7 +340,7 @@ class TestSolvers:
         # rises with N, so the bound must hold at the large boxes too
         params = ModelParams(r, 2.0)
         for n in [10, 50, 100, 200, 300]:
-            a, _, _ = grid._folded_system(params, n, closure_arrays(params, n)[0])
+            a, _, _ = grid._folded_system(*solve_system(params, n, closure_arrays(params, n)[0]))
             lu = scipy.sparse.linalg.splu(
                 a.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1
             )
@@ -358,7 +365,7 @@ class TestSolvers:
         params = params3 if rate == "r3" else paramsc
         edge = closure_arrays(params, n, closure)[0]
         _, _, want, want_c, _ = folded_oracle(params, n, edge)
-        a, c, pos = grid._folded_system(params, n, edge)
+        a, c, pos = grid._folded_system(*solve_system(params, n, edge))
         want.sort_indices()
         a.sort_indices()
         assert np.array_equal(a.indptr, want.indptr)
@@ -380,7 +387,7 @@ class TestSolvers:
         rough = np.random.default_rng(n).random((n, n))
         for values in (sol.values, rough):
             full = float(np.max(np.abs(t @ values.reshape(-1) - b)))
-            assert grid._residual(params, values, sol.closure_edge) == full
+            assert grid._residual(*solve_system(params, n, sol.closure_edge), values) == full
         assert sol.residual == float(np.max(np.abs(t @ sol.values.reshape(-1) - b)))
 
     def test_folded_direct_matches_unfolded_solve(self, paramsc):

@@ -158,11 +158,14 @@ class TestSpec:
             # the message names the key on line 3
             ("grid_n = 0\nseed = 1\n", {}, ":3", "grid_n must be >= 1, got 0"),
             # the message names no key of its own
-            ("conv_min = 30\nconv_max = 20\n", {}, "", "need 1 <= conv_min <= conv_max"),
+            ("conv_min = 30\nconv_max = 20\n", {}, "", "need conv_min <= conv_max"),
             # the value that fails came from an override, not from the file
             ("grid_n = 5\n", {"grid_n": 0}, "", "grid_n must be >= 1, got 0"),
+            # every count and seed refusal starts with its key
+            ("seed = -1\n", {}, ":3", "seed must lie in [0, 2^64), got -1"),
+            ("mc_m = 0\n", {}, ":3", "mc_m must be >= 1, got 0"),
         ],
-        ids=["grid_n", "conv_range", "override"],
+        ids=["grid_n", "conv_range", "override", "seed", "mc_m"],
     )
     def test_load_spec_locates_range_error(self, tmp_path, lines, overrides, where, message):
         cfg = tmp_path / "exp.cfg"
@@ -183,14 +186,14 @@ class TestSpec:
             (dict(seed=-1), "seed must lie in"),
             (dict(seed=2**64), "seed must lie in"),
             (dict(r=math.inf), "rates must be finite"),
-            (dict(conv_min=0), "conv_min <= conv_max"),
+            (dict(conv_min=0), "conv_min must be >= 1, got 0"),
             (dict(conv_min=30, conv_max=20), "conv_min <= conv_max"),
-            (dict(conv_reference=0), "conv_reference >= 1"),
+            (dict(conv_reference=0), "conv_reference must be >= 1, got 0"),
             (dict(conv_min=20, conv_max=22, conv_reference=21), "three N in 20..22"),
             (dict(run_genfunc=True, genfunc_min=0.0), "0 < genfunc_min"),
             (dict(run_genfunc=True, genfunc_min=0.6), "genfunc_min <= genfunc_max"),
             (dict(run_genfunc=True, genfunc_max=1.0), "genfunc_max < 1"),
-            (dict(run_genfunc=True, genfunc_count=0), "genfunc_count >= 1"),
+            (dict(run_genfunc=True, genfunc_count=0), "genfunc_count must be >= 1, got 0"),
             (dict(grid_n=575), "grid_n must be <= 574, got 575"),
             (dict(conv_reference=575), "conv_reference must be <= 574, got 575"),
             (dict(conv_max=575), "conv_max must be <= 574, got 575"),

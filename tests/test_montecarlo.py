@@ -158,13 +158,13 @@ class TestConfig:
         good = dict(cells=[(1, 1)], m=10, t_horizon=100, seed=0)
         estimate_cells(params3, **good)
         for bad, message in [
-            (dict(m=0), "need at least one path, got m=0"),
-            (dict(t_horizon=0), "need a positive horizon, got 0"),
-            (dict(seed=-1), "seed must fit in an unsigned 64-bit integer"),
-            (dict(seed=2**64), "seed must fit in an unsigned 64-bit integer"),
-            (dict(cells=[(2, 2), (0, 3)]), "initial cells need i, j >= 1, got (0, 3)"),
-            (dict(cells=[(2, -1), (0, 3)]), "initial cells need i, j >= 1, got (2, -1)"),
-            (dict(cells=[]), "need at least one initial cell"),
+            (dict(m=0), "m must be >= 1, got 0"),
+            (dict(t_horizon=0), "t_horizon must be >= 1, got 0"),
+            (dict(seed=-1), "seed must lie in [0, 2^64), got -1"),
+            (dict(seed=2**64), "seed must lie in [0, 2^64), got 18446744073709551616"),
+            (dict(cells=[(2, 2), (0, 3)]), "min(i, j) of cell (0, 3) must be >= 1, got 0"),
+            (dict(cells=[(2, -1), (0, 3)]), "min(i, j) of cell (2, -1) must be >= 1, got -1"),
+            (dict(cells=[]), "len(cells) must be >= 1, got 0"),
         ]:
             with pytest.raises(ValueError) as info:
                 estimate_cells(params3, **{**good, **bad})
@@ -352,9 +352,14 @@ class TestLattice:
     def test_extent_validation(self, params3):
         with pytest.raises(ValueError):
             estimate_lattice(params3, 0, 3, m=10, t_horizon=10, seed=0)
-        for extents in [(0, 3), (3, 0), (-1, 2)]:
-            with pytest.raises(ValueError, match=r"^lattice extents must be >= 1, got \("):
+        for extents, message in [
+            ((0, 3), "i_max must be >= 1, got 0"),
+            ((3, 0), "j_max must be >= 1, got 0"),
+            ((-1, 2), "i_max must be >= 1, got -1"),
+        ]:
+            with pytest.raises(ValueError) as info:
                 box_cells(*extents)
+            assert str(info.value) == message
 
     def test_empty_cell_list_rejected(self, params3):
         with pytest.raises(ValueError):
