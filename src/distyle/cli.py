@@ -20,14 +20,14 @@ import numpy as np
 
 from . import genfunc, harness
 from .characteristics import critical_times, eval_path, integrating_factor, make_path
-from .grid import CLOSURES, DEFAULT_CLOSURE, _check_budget, _check_size, solve_grid
+from .grid import CLOSURES, DEFAULT_CLOSURE, _check_size, solve_grid
 from .harness import OUTPUTS, write_csv, write_grid_csv, write_mc_csv
-from .model import ModelParams, _check_count, _check_seed
+from .model import ModelParams, _check_budget, _check_count, _check_seed
 from .montecarlo import _check_paths, box_cells, start_cells
 
 # Bytes a sample of ``characteristics`` takes at its peak, for its four
 # arrays and their temporaries: 72 measured (peak RSS, 1e6 to 4e6 samples),
-# so at most 1,677,721 samples fit grid._BUDGET.
+# so at most 1,677,721 samples fit model._BUDGET.
 _BYTES_PER_SAMPLE = 80
 
 
@@ -82,6 +82,8 @@ def _cmd_mc(args) -> int:
             raise ValueError("give either --i/--j (point mode) or --imax/--jmax (lattice mode)")
         if args.imax is None or args.jmax is None:
             raise ValueError("lattice mode needs both --imax and --jmax")
+        # a lattice is at most the largest box `distyle grid` solves, so that
+        # the two stay comparable
         for name in ("imax", "jmax"):
             _check_size(f"--{name}", getattr(args, name))
         cells = box_cells(args.imax, args.jmax)

@@ -36,8 +36,8 @@ solvers work on A q = c:
                        the kernel ``(A + I) @ q`` ends in, so the iterates
                        are those of ``@`` bit for bit without its dispatch.
 
-The LU is made only where the factors predicted for the box fit
-``_BUDGET`` (128 MiB); a larger box is refused with a ValueError before
+The LU is made only where the factors predicted for the box fit the
+request budget ``model._BUDGET`` (128 MiB); a larger box is refused with a ValueError before
 any work is done.  The prediction is ``_FILL`` N^2 ln N nonzeros of L + U
 at ``_BYTES_PER_NONZERO`` each, an upper bound on the measured fill, so
 every box up to N=574 is factored.  The folded LU has 2.6-2.8 times less
@@ -68,7 +68,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import asymptotics
-from .model import ModelParams, _check_count, extinction_bounds
+from .model import ModelParams, _check_budget, _check_count, extinction_bounds
 
 
 class Method(enum.Enum):
@@ -76,11 +76,6 @@ class Method(enum.Enum):
     VALUE_ITERATION = "vi"
 
 
-# Bytes one request may hold in any one of its sizes: the LU factors of a
-# box here, and in the other modules the Monte-Carlo paths of a cell, the
-# cells of a lattice and the rows of a table.  A request predicted to need
-# more is refused by _check_budget before any work is done.
-_BUDGET = 128 * 2**20
 # A fresh interpreter peaks about 15 bytes above its import per nonzero of
 # L + U (r=3: N=400 at 113 MiB, N=600 at 183 MiB, after 60 MiB for the
 # import).  16 N^2 bytes of that peak are the death coefficients and b,
@@ -99,29 +94,10 @@ def _lu_nonzeros(n: int) -> int:
     return math.ceil(_FILL * n * n * max(math.log(n), 1.0))
 
 
-def _check_budget(name: str, value: int, bytes_of, what: str) -> None:
-    """Reject a size ``value``: one below 1, by :func:`_check_count`, or one
-    whose predicted ``bytes_of(value)``, a nondecreasing function, exceeds
-    ``_BUDGET``, with a ValueError that names ``name`` and the largest value
-    that fits; ``what`` ends it."""
-    _check_count(name, value)
-    if bytes_of(value) <= _BUDGET:
-        return
-    fits, over = 0, value
-    while over - fits > 1:
-        mid = (fits + over) // 2
-        if bytes_of(mid) <= _BUDGET:
-            fits = mid
-        else:
-            over = mid
-    raise ValueError(
-        f"{name} must be <= {fits}, got {value} ({what} the {_BUDGET // 2**20} MiB budget)"
-    )
-
-
 def _check_size(name: str, n: int) -> None:
     """Reject an N-box below 1 or one whose predicted LU would not fit
-    ``_BUDGET``, naming ``name`` and the largest N the budget admits (574)."""
+    ``model._BUDGET``, naming ``name`` and the largest N the budget admits
+    (574)."""
     _check_budget(
         name, n, lambda m: _BYTES_PER_NONZERO * _lu_nonzeros(m), "the largest box whose LU fits"
     )

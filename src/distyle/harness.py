@@ -29,14 +29,14 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from . import genfunc
-from .grid import GridSolution, _check_budget, _check_size, solve_grid
-from .model import ModelParams, _check_count, _check_seed
+from .grid import GridSolution, _check_size, solve_grid
+from .model import ModelParams, _check_budget, _check_count, _check_seed
 # estimate_lattice stays a name of this module: perfbench/tracing.py wraps it
 from .montecarlo import McEstimate, _check_paths, box_cells, estimate_lattice, start_cells  # noqa: F401
 
 # Bytes a row of genfunc_table holds until the table is written, about 200
 # measured (tracemalloc, 6,400 rows); genfunc_count^2 rows must fit
-# grid._BUDGET, so at most 724 points a side.
+# model._BUDGET, so at most 724 points a side.
 _BYTES_PER_ROW = 256
 
 @dataclass(frozen=True)

@@ -21,6 +21,13 @@ import math
 from dataclasses import dataclass
 
 
+# Bytes one request may hold in any one of its sizes: the LU factors of a
+# box, the Monte-Carlo paths of a cell, the cells of a lattice and the rows
+# of a table.  A request predicted to need more is refused by _check_budget
+# before any work is done.
+_BUDGET = 128 * 2**20
+
+
 def _check_count(name: str, value: int) -> None:
     """Reject a count ``value`` below 1: the one statement of the rule that
     every count of a request (cells, paths, steps, box sizes, points) is at
@@ -38,6 +45,26 @@ def _check_seed(name: str, seed: int) -> None:
     :func:`~distyle.harness.load_spec` as :func:`_check_count`'s does."""
     if not 0 <= seed < 2**64:
         raise ValueError(f"{name} must lie in [0, 2^64), got {seed}")
+
+
+def _check_budget(name: str, value: int, bytes_of, what: str) -> None:
+    """Reject a size ``value``: one below 1, by :func:`_check_count`, or one
+    whose predicted ``bytes_of(value)``, a nondecreasing function, exceeds
+    ``_BUDGET``, with a ValueError that names ``name`` and the largest value
+    that fits; ``what`` ends it."""
+    _check_count(name, value)
+    if bytes_of(value) <= _BUDGET:
+        return
+    fits, over = 0, value
+    while over - fits > 1:
+        mid = (fits + over) // 2
+        if bytes_of(mid) <= _BUDGET:
+            fits = mid
+        else:
+            over = mid
+    raise ValueError(
+        f"{name} must be <= {fits}, got {value} ({what} the {_BUDGET // 2**20} MiB budget)"
+    )
 
 
 @dataclass(frozen=True)

@@ -106,21 +106,23 @@ paths a cell refills one step at a time and costs about
 arrays).  The caller holds about ``_BYTES_PER_CELL`` = 240 bytes a
 requested cell: the cells, their map to the canonical cells and the counts
 copied back.  Every entry point refuses an M or a number of requested cells
-whose bytes at these rates exceed the 128 MiB of ``grid._BUDGET``, that is
-more than 2,097,152 paths a cell or 559,240 cells, and a lattice extent
-above 574, the largest box the grid solves.  A window holds at least M
-lanes, so no more workers are forked than hold M paths each within the
-budget.  Memory is thus bounded whatever the flags and the CPU count.
+whose bytes at these rates exceed the 128 MiB request budget of
+``model._BUDGET``, that is more than 2,097,152 paths a cell or 559,240
+cells; :func:`box_cells` refuses a box of more cells before it lists one.
+A window holds at least M lanes, so no more workers are forked than hold M
+paths each within the budget.  Memory is thus bounded whatever the flags
+and the CPU count.
 
-Entry points: ``start_cells(params, cells, m, t_horizon, seed)`` starts
-estimating any list of cells and yields the finish, which returns an
-:class:`McEstimate` whose per-cell fields are 1-D arrays aligned with
-``cells``, so that the caller can work while the workers draw.
-``box_cells(i_max, j_max)`` lists the box 1 <= i <= i_max, 1 <= j <= j_max
-row-major, and ``estimate_lattice(params, i_max, j_max, m, t_horizon, seed)``
-starts and finishes that box at once.  ``estimate_cells(params, cells, m,
-t_horizon, seed)`` starts and finishes a list at once and returns the bare
-absorption frequencies, the ``p_hat`` of the same request.
+Entry points: ``start_cells(params, cells, m, t_horizon, seed)`` checks the
+request, starts estimating any list of cells and yields the finish, which
+returns an :class:`McEstimate` whose per-cell fields are 1-D arrays aligned
+with ``cells``, so that the caller can work while the workers draw.  It is
+the one way to the kernel: ``box_cells(i_max, j_max)`` lists the box
+1 <= i <= i_max, 1 <= j <= j_max row-major, ``estimate_lattice(params,
+i_max, j_max, m, t_horizon, seed)`` starts and finishes that box at once,
+and ``estimate_cells(params, cells, m, t_horizon, seed)`` starts and
+finishes a list at once and returns the ``p_hat`` of its estimate, the bare
+absorption frequencies.
 The module only computes; :func:`distyle.harness.write_mc_csv` writes an
 estimate as CSV, one row per cell.
 """
@@ -137,8 +139,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import grid
-from .model import ModelParams, _check_count, _check_seed
+from .model import _BUDGET, ModelParams, _check_budget, _check_count, _check_seed
 
 _BLOCK = 32  # steps between re-rankings of a cell's running paths; fixes the streams
 _PARKED = 2**20  # state of a path that ended earlier in the current block
@@ -148,7 +149,7 @@ _PATH_BUDGET = 32_768  # most paths simulated side by side, over all workers
 _POOL_MIN_PATHS = 8192
 _Z95 = 1.96
 # Bytes a request holds per path and per requested cell, each size held to
-# grid._BUDGET; peaks above the 61 MiB of the import.  One cell at M = 4e6
+# model._BUDGET; peaks above the 61 MiB of the import.  One cell at M = 4e6
 # peaks at 304 MiB in one process (bank, staging buffer and work arrays), and
 # a 574 x 574 lattice at M = 1 holds 140 MiB in the caller.
 _BYTES_PER_PATH = 64
@@ -217,9 +218,18 @@ def _workers() -> int:
 def _check_paths(name: str, m: int) -> None:
     """Reject a path count ``m`` below 1 or one whose paths would not fit
     the budget."""
-    grid._check_budget(
+    _check_budget(
         name, m, lambda k: _BYTES_PER_PATH * k,
         f"at {_BYTES_PER_PATH} bytes a path, the most paths that fit",
+    )
+
+
+def _check_cells(name: str, count: int) -> None:
+    """Reject a cell count below 1 or one whose cells would not fit the
+    budget in the caller."""
+    _check_budget(
+        name, count, lambda k: _BYTES_PER_CELL * k,
+        f"at {_BYTES_PER_CELL} bytes a requested cell, the most cells that fit",
     )
 
 
@@ -229,16 +239,16 @@ def _cell_stream(seed: int, i: int, j: int) -> np.random.Generator:
 
 
 @contextlib.contextmanager
-def _counting(
+def start_cells(
     params: ModelParams,
     cells: list[tuple[int, int]],
     m: int,
     t_horizon: int,
     seed: int,
-) -> Iterator[Callable[[], np.ndarray]]:
-    """Start counting the paths absorbed, stopped at the exit set and
-    censored at the horizon from each of ``cells``; yields the finish, which
-    waits for the counts, shape (len(cells), 3), each row summing to ``m``.
+) -> Iterator[Callable[[], McEstimate]]:
+    """Start estimating each of ``cells``; yields the finish, which waits
+    for the counts of absorbed, stopped and censored paths and returns the
+    estimate.
 
     Every entry point checks its request here: at least one cell, each with
     i, j >= 1, ``m`` and ``t_horizon`` at least 1 and ``seed`` in [0, 2^64),
@@ -252,17 +262,15 @@ def _counting(
     worker w counts the share ``distinct[w::W]`` in a window of
     ``max(m, _PATH_BUDGET // W)`` lanes, refilling ``_BLOCK`` steps at a
     time, or fewer when one cell has more paths than ``_PATH_BUDGET // W``.
-    The workers are forked on entry and draw while the ``with`` block runs;
-    leaving it, also by an exception, stops and reaps them.  A single worker
+    The workers are forked on entry and draw while the ``with`` block runs,
+    so a caller can do other work between the start and the finish; leaving
+    the block, also by an exception, stops and reaps them.  A single worker
     is this process, and the finish counts the share.
     """
     _check_count("t_horizon", t_horizon)
     _check_seed("seed", seed)
     _check_paths("m", m)
-    grid._check_budget(
-        "len(cells)", len(cells), lambda k: _BYTES_PER_CELL * k,
-        f"at {_BYTES_PER_CELL} bytes a requested cell, the most cells that fit",
-    )
+    _check_cells("len(cells)", len(cells))
     keys: dict[tuple[int, int], int] = {}  # canonical cell -> its row in the counts
     where = [keys.setdefault((min(i, j), max(i, j)), len(keys)) for i, j in cells]
     distinct = list(keys)
@@ -270,17 +278,20 @@ def _counting(
     # names a cell that maps to it, as the caller wrote it
     lowest = min(distinct)
     _check_count(f"min(i, j) of cell {cells[where.index(keys[lowest])]}", lowest[0])
-    # the kernel reads an absorbed path's min(i, j) - 1 as 2^32 - 1, which must
-    # reach level - 1; no int32 state reaches 2^31, so the cap stops no path
-    level = min(stop_level(params, m), 2**31)
+    level = stop_level(params, m)
     workers = _workers() if len(distinct) * m >= _POOL_MIN_PATHS else 1
     # a worker's window holds at least m lanes
-    workers = min(workers, len(distinct), grid._BUDGET // (_BYTES_PER_PATH * m))
+    workers = min(workers, len(distinct), _BUDGET // (_BYTES_PER_PATH * m))
     lanes = _PATH_BUDGET // workers
     depth = max(1, min(_BLOCK, _BLOCK * lanes // m))
-    run = functools.partial(_share_task, params, m, t_horizon, seed, level, max(m, lanes), depth)
+    # the kernel reads an absorbed path's min(i, j) - 1 as 2^32 - 1, which must
+    # reach level - 1; no int32 state reaches 2^31, so the cap stops no path
+    run = functools.partial(
+        _share_task, params, m, t_horizon, seed, min(level, 2**31), max(m, lanes), depth
+    )
+    summarise = functools.partial(_summarise, params, cells, m, t_horizon, seed, level)
     if workers == 1:
-        yield lambda: run(distinct)[where]
+        yield lambda: summarise(run(distinct)[where])
         return
     import multiprocessing
 
@@ -295,7 +306,7 @@ def _counting(
             procs[-1].start()
             send.close()
 
-        def finish() -> np.ndarray:
+        def finish() -> McEstimate:
             counts = np.empty((len(distinct), 3), dtype=np.int64)
             for w, receive in enumerate(pipes):
                 try:
@@ -308,7 +319,7 @@ def _counting(
                 if isinstance(share, BaseException):
                     raise share
                 counts[w::workers] = share
-            return counts[where]
+            return summarise(counts[where])
 
         yield finish
     finally:
@@ -496,31 +507,20 @@ def _run_share(
     return counts
 
 
-def estimate_cells(
-    params: ModelParams,
-    cells: list[tuple[int, int]],
-    m: int,
-    t_horizon: int,
-    seed: int,
-) -> np.ndarray:
-    """Absorption frequencies for an arbitrary list of initial cells,
-    aligned with ``cells``."""
-    with _counting(params, cells, m, t_horizon, seed) as finish:
-        return finish()[:, 0] / m
-
-
 def _summarise(
     params: ModelParams,
     cells: list[tuple[int, int]],
     m: int,
     t_horizon: int,
     seed: int,
+    level: int,
     counts: np.ndarray,
 ) -> McEstimate:
-    """The estimate of ``cells`` from their ``counts``."""
+    """The estimate of ``cells`` from their ``counts``, shape (len(cells), 3),
+    of paths stopped at the exit set min(i, j) >= ``level``."""
     p_hat, stopped, censored = (counts / m).T
     half = _Z95 * np.sqrt(p_hat * (1.0 - p_hat) / m)
-    stop_bound = 2.0 * params.ratio ** stop_level(params, m)
+    stop_bound = 2.0 * params.ratio**level
     return McEstimate(
         p_hat=p_hat,
         ci_low=np.maximum(0.0, p_hat - half),
@@ -535,33 +535,28 @@ def _summarise(
     )
 
 
-@contextlib.contextmanager
-def start_cells(
+def estimate_cells(
     params: ModelParams,
     cells: list[tuple[int, int]],
     m: int,
     t_horizon: int,
     seed: int,
-) -> Iterator[Callable[[], McEstimate]]:
-    """Start estimating each of ``cells``; yields the finish, which waits
-    for the estimate.
-
-    Worker processes draw while the ``with`` block runs; leaving it stops
-    and reaps them, so a caller can do other work between the start and the
-    finish and still leaves no process behind when that work raises.
-    """
-    with _counting(params, cells, m, t_horizon, seed) as finish:
-        yield lambda: _summarise(params, cells, m, t_horizon, seed, finish())
+) -> np.ndarray:
+    """Absorption frequencies for an arbitrary list of initial cells,
+    aligned with ``cells``: the ``p_hat`` of :func:`start_cells`."""
+    with start_cells(params, cells, m, t_horizon, seed) as finish:
+        return finish().p_hat
 
 
 def box_cells(i_max: int, j_max: int) -> list[tuple[int, int]]:
     """The cells of the box 1 <= i <= i_max, 1 <= j <= j_max, row-major.
 
-    An extent below 1 is refused, and so is one above 574, the largest box
-    the grid solves.
+    An extent below 1 is refused, and so is a box of more cells than fit
+    the budget of :func:`start_cells`, before any cell is listed.
     """
-    grid._check_size("i_max", i_max)
-    grid._check_size("j_max", j_max)
+    _check_count("i_max", i_max)
+    _check_count("j_max", j_max)
+    _check_cells("i_max * j_max", i_max * j_max)
     return [(i, j) for i in range(1, i_max + 1) for j in range(1, j_max + 1)]
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import distyle
-from distyle import cli, genfunc, grid, harness, montecarlo
+from distyle import cli, genfunc, grid, harness, model, montecarlo
 from distyle.cli import main
 from distyle.grid import solve_grid
 from distyle.harness import ExperimentSpec, run_experiment, write_grid_csv, write_mc_csv
@@ -646,7 +646,7 @@ def test_largest_admitted_request_runs(tmp_path, capsys, monkeypatch, module, ra
     # the rate raised so that the budget admits a small request, and no more;
     # greens holds count^2 rows
     units = largest**2 if module is harness else largest
-    monkeypatch.setattr(module, rate, grid._BUDGET // units)
+    monkeypatch.setattr(module, rate, model._BUDGET // units)
     out = tmp_path / "out"
     assert run([*command, largest, "--out", out]) == 0
     assert any(out.iterdir())

@@ -11,7 +11,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distyle import grid
+from distyle import grid, model
 from distyle.grid import (
     CLOSURES,
     ConvergenceError,
@@ -319,7 +319,7 @@ class TestSolvers:
         # refuses a larger box; value iteration runs on request only
         assert solve_grid(params3, 151).method is Method.DIRECT
         assert solve_grid(params3, 200).method is Method.DIRECT
-        monkeypatch.setattr(grid, "_BUDGET", grid._BYTES_PER_NONZERO * grid._lu_nonzeros(20))
+        monkeypatch.setattr(model, "_BUDGET", grid._BYTES_PER_NONZERO * grid._lu_nonzeros(20))
         assert solve_grid(params3, 20).method is Method.DIRECT
         for options in [None, SolveOptions(method=Method.DIRECT)]:
             with pytest.raises(ValueError, match=r"^n must be <= 20, got 21"):
@@ -330,7 +330,7 @@ class TestSolvers:
 
     def test_budget_admits_boxes_up_to_574(self):
         def fits(n):
-            return grid._BYTES_PER_NONZERO * grid._lu_nonzeros(n) <= grid._BUDGET
+            return grid._BYTES_PER_NONZERO * grid._lu_nonzeros(n) <= model._BUDGET
 
         assert fits(574) and not fits(575)
 

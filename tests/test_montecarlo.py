@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distyle import grid, montecarlo
+from distyle import model, montecarlo
 from distyle.harness import write_mc_csv
 from distyle.model import ModelParams, extinction_bounds
 from distyle.montecarlo import (
@@ -56,9 +57,14 @@ def one_cell(params, i, j, m, t_horizon, seed):
 
 
 def path_counts(params, cells, m, t_horizon, seed):
-    """The (absorbed, stopped, censored) path counts of each cell."""
-    with montecarlo._counting(params, cells, m, t_horizon, seed) as finish:
-        return finish()
+    """The (absorbed, stopped, censored) path counts of each cell, read back
+    from the fractions of the estimate, each a count over m."""
+    with start_cells(params, cells, m, t_horizon, seed) as finish:
+        est = finish()
+    fractions = np.column_stack([est.p_hat, est.stopped_frac, est.censored_frac])
+    counts = np.rint(fractions * m).astype(np.int64)
+    assert np.array_equal(counts / m, fractions)
+    return counts
 
 
 class PathResult(NamedTuple):
@@ -178,18 +184,36 @@ class TestConfig:
 
         monkeypatch.setattr(montecarlo, "_workers", fail)
         monkeypatch.setattr(montecarlo, "_share_task", fail)
-        for call, message in [
+        too_many = "must be <= 559240, got {} (at 240 bytes a requested cell"
+        calls = [
             (lambda: estimate_cells(params3, [(1, 1)] * 559_241, m=1, t_horizon=1, seed=0),
-             "len(cells) must be <= 559240, got 559241 (at 240 bytes a requested cell"),
-            (lambda: estimate_lattice(params3, 575, 1, m=1, t_horizon=1, seed=0),
-             "i_max must be <= 574, got 575 (the largest box"),
-            (lambda: estimate_lattice(params3, 1, 10**9, m=1, t_horizon=1, seed=0),
-             "j_max must be <= 574, got 1000000000 (the largest box"),
-        ]:
+             "len(cells) " + too_many.format(559_241)),
+        ]
+        for extents in [(1000, 1000), (1, 10**9)]:
+            message = "i_max * j_max " + too_many.format(extents[0] * extents[1])
+            calls += [
+                (functools.partial(box_cells, *extents), message),
+                (functools.partial(estimate_lattice, params3, *extents, 1, 1, 0), message),
+            ]
+        # a box is refused before its first cell is listed
+        monkeypatch.setattr(montecarlo, "range", fail, raising=False)
+        for call, message in calls:
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value).startswith(message)
             assert str(info.value).endswith(" the 128 MiB budget)")
+
+    def test_box_is_held_to_its_cells_not_its_extents(self, params3):
+        # an extent above 574, the largest box the grid solves, is no limit
+        # of the Monte-Carlo's
+        assert box_cells(575, 1) == [(i, 1) for i in range(1, 576)]
+        lat = estimate_lattice(params3, 575, 1, m=1, t_horizon=1, seed=0)
+        assert lat.cells == box_cells(575, 1)
+        assert lat.p_hat.shape == (575,)
+
+    def test_holds_no_grid(self):
+        # the Monte-Carlo is one of three independent methods
+        assert not hasattr(montecarlo, "grid")
 
     def test_lattice_refuses_m_before_listing_its_cells(self, params3, monkeypatch):
         # a 574 x 574 box lists 329,476 cells; an M above the budget is
@@ -206,7 +230,7 @@ class TestConfig:
         assert box_cells(1, 1) == [(1, 1)]
 
     def test_largest_admitted_cell_list_runs(self, params3, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_BYTES_PER_CELL", grid._BUDGET // 5)
+        monkeypatch.setattr(montecarlo, "_BYTES_PER_CELL", model._BUDGET // 5)
         cells = [(1, 1), (2, 1), (1, 2), (3, 3), (1, 4)]
         assert estimate_cells(params3, cells, m=10, t_horizon=5, seed=0).shape == (5,)
         with pytest.raises(ValueError, match=r"len\(cells\) must be <= 5, got 6 \("):
@@ -360,6 +384,25 @@ class TestLattice:
             with pytest.raises(ValueError) as info:
                 box_cells(*extents)
             assert str(info.value) == message
+
+    @pytest.mark.parametrize("forked", [False, True])
+    def test_every_entry_point_is_the_starter(self, params3, monkeypatch, forked):
+        if forked:
+            if not hasattr(os, "fork"):
+                pytest.skip("needs os.fork")
+            monkeypatch.setattr(montecarlo, "_POOL_MIN_PATHS", 0)
+            monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+        cells = [(2, 1), (1, 1), (3, 2), (1, 2), (2, 2)]
+        args = (60, 300, 7)
+        with start_cells(params3, cells, *args) as finish:
+            listed = finish()
+        with start_cells(params3, box_cells(3, 2), *args) as finish:
+            boxed = finish()
+        assert estimate_cells(params3, cells, *args).tobytes() == listed.p_hat.tobytes()
+        lat = estimate_lattice(params3, 3, 2, *args)
+        for name in PER_CELL:
+            assert getattr(lat, name).tobytes() == getattr(boxed, name).tobytes()
+        assert (lat.stop_bound, lat.cells) == (boxed.stop_bound, boxed.cells)
 
     def test_empty_cell_list_rejected(self, params3):
         with pytest.raises(ValueError):
@@ -732,7 +775,7 @@ class TestWorkers:
         monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(montecarlo, "_POOL_MIN_PATHS", 0)
         monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
-        monkeypatch.setattr(montecarlo, "_BYTES_PER_PATH", grid._BUDGET // 100)
+        monkeypatch.setattr(montecarlo, "_BYTES_PER_PATH", model._BUDGET // 100)
         assert np.array_equal(estimate_cells(params3, cells, m=100, t_horizon=50, seed=8), expected)
 
     @pytest.mark.parametrize("cause", ["no fork", "daemonic caller"])
