@@ -100,14 +100,11 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_greens(args) -> int:
-    _check_counts(args, "count")
+    params = ModelParams(args.r, args.d)
     _check_size("--n", args.n)
-    # a run's check of the range, 0 < min <= max < 1
-    harness.ExperimentSpec(
-        args.r, args.d, run_mc=False, run_convergence=False, run_genfunc=True,
-        genfunc_min=args.min, genfunc_max=args.max, genfunc_count=args.count,
-    )
-    solution = solve_grid(ModelParams(args.r, args.d), args.n)
+    harness._check_range("--min", args.min, "--max", args.max)
+    harness._check_rows("--count", args.count)
+    solution = solve_grid(params, args.n)
     table = harness.genfunc_table(solution, args.min, args.max, args.count)
     with _output(args, OUTPUTS["genfunc"]) as fp:
         write_csv(fp, *table)
@@ -192,10 +189,17 @@ def _cmd_experiment(args) -> int:
         for f in dataclasses.fields(harness.ExperimentSpec)
         if getattr(args, f.name, None) is not None
     }
-    if args.config is not None:
-        spec = harness.load_spec(args.config, **overrides)
-    else:
-        spec = harness.spec_from_preset(args.preset or "supercritical", **overrides)
+    try:
+        if args.config is not None:
+            spec = harness.load_spec(args.config, **overrides)
+        else:
+            spec = harness.spec_from_preset(args.preset or "supercritical", **overrides)
+    except ValueError as exc:
+        # a refusal that starts with a field a flag set names that flag
+        key, _, rest = str(exc).partition(" ")
+        if key not in overrides:
+            raise
+        raise ValueError(f"--{key.replace('_', '-')} {rest}") from None
     written = harness.run_experiment(spec, args.out)
     for key, path in sorted(written.items()):
         print(f"{key} -> {path}", file=sys.stderr)

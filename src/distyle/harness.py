@@ -39,6 +39,22 @@ from .montecarlo import McEstimate, _check_paths, box_cells, estimate_lattice, s
 # model._BUDGET, so at most 724 points a side.
 _BYTES_PER_ROW = 256
 
+
+def _check_range(low_name: str, low: float, high_name: str, high: float) -> None:
+    """Reject a range of generating-function coordinates outside
+    0 < low <= high < 1, naming both ends as the caller set them."""
+    if not 0.0 < low <= high < 1.0:
+        raise ValueError(f"need 0 < {low_name} <= {high_name} < 1, got {low} and {high}")
+
+
+def _check_rows(name: str, count: int) -> None:
+    """Reject a point count below 1 or one whose count^2 rows of
+    :func:`genfunc_table` would not fit the budget."""
+    _check_budget(
+        name, count, lambda k: _BYTES_PER_ROW * k * k,
+        f"at {_BYTES_PER_ROW} bytes a row of {name}^2, the most that fit",
+    )
+
 @dataclass(frozen=True)
 class SummaryStats:
     mean: float
@@ -208,15 +224,8 @@ class ExperimentSpec:
         if self.run_mc:
             _check_paths("mc_m", self.mc_m)
         if self.run_genfunc:
-            if not 0.0 < self.genfunc_min <= self.genfunc_max < 1.0:
-                raise ValueError(
-                    "need 0 < genfunc_min <= genfunc_max < 1, got "
-                    f"{self.genfunc_min} and {self.genfunc_max}"
-                )
-            _check_budget(  # refuses a count below 1 too
-                "genfunc_count", self.genfunc_count, lambda k: _BYTES_PER_ROW * k * k,
-                f"at {_BYTES_PER_ROW} bytes a row of genfunc_count^2, the most that fit",
-            )
+            _check_range("genfunc_min", self.genfunc_min, "genfunc_max", self.genfunc_max)
+            _check_rows("genfunc_count", self.genfunc_count)
 
 
 PRESETS: dict[str, dict] = {
@@ -260,7 +269,9 @@ def load_spec(path: Path, **overrides) -> ExperimentSpec:
     A value its field's type cannot read fails with its ``path:line``, and
     so does a value the spec rejects when the message starts with its key,
     as every refusal of a count, a seed or a size does; a missing key and
-    any other rejection of the spec carry the ``path``.
+    any other rejection of the spec carry the ``path``.  A refusal that
+    starts with the key of an override is raised as the spec raised it:
+    the caller set that value, not the file.
     Lines starting with ``#`` and blank lines are ignored.
     """
     values: dict = {}
@@ -290,7 +301,9 @@ def load_spec(path: Path, **overrides) -> ExperimentSpec:
         return ExperimentSpec(**values)
     except ValueError as exc:
         key = str(exc).split(" ", 1)[0]
-        where = f"{path}:{lines[key]}" if key in lines and key not in overrides else path
+        if key in overrides:
+            raise
+        where = f"{path}:{lines[key]}" if key in lines else path
         raise ValueError(f"{where}: {exc}") from None
 
 

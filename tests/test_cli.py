@@ -420,15 +420,15 @@ class TestExperimentCommand:
               "--conv-min", 30, "--conv-max", 20],
              "need conv_min <= conv_max"),
             (["experiment", "--preset", "supercritical", "--sublattice", 0],
-             "sublattice must be >= 1"),
+             "--sublattice must be >= 1, got 0"),
             (["experiment", "--preset", "supercritical", "--no-mc",
               "--conv-min", 20, "--conv-max", 21, "--conv-reference", 50],
              "the convergence fit needs three N"),
             # greens used to accept a range that a run rejects
             (["greens", "--r", 3, "--d", 2, "--min", 0.5, "--max", 0.2],
-             "need 0 < genfunc_min <= genfunc_max < 1"),
+             "need 0 < --min <= --max < 1, got 0.5 and 0.2"),
             (["greens", "--r", 3, "--d", 2, "--min", 0.5, "--max", 1.0],
-             "need 0 < genfunc_min <= genfunc_max < 1"),
+             "need 0 < --min <= --max < 1, got 0.5 and 1.0"),
         ],
         ids=["empty-convergence-range", "empty-sublattice", "two-fit-points",
              "greens-descending-range", "greens-range-reaches-1"],
@@ -448,15 +448,15 @@ class TestExperimentCommand:
         out = tmp_path / "run-big"
         if source == "flag":
             argv = ["--preset", "supercritical", "--grid-n", 575]
-            where = ""
+            where = "--grid-n"
         else:
             cfg = tmp_path / "big.cfg"
             cfg.write_text("r = 3\nd = 2\ngrid_n = 575\n")
             argv = ["--config", cfg]
-            where = f"{cfg}:3: "
+            where = f"{cfg}:3: grid_n"
         assert run(["experiment", *argv, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {where}grid_n must be <= 574, got 575 (")
+        assert err.startswith(f"error: {where} must be <= 574, got 575 (")
         assert "128 MiB" in err
         assert not out.exists()
 
@@ -515,6 +515,57 @@ def test_seed_outside_u64_exits_2(tmp_path, capsys, monkeypatch, seed):
     assert captured.err == f"error: --seed must lie in [0, 2^64), got {seed}\n"
     assert captured.out == ""
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("config", [False, True])
+@pytest.mark.parametrize(
+    "flags,error",
+    [
+        (["--seed", -1], "--seed must lie in [0, 2^64), got -1"),
+        (["--seed", 2**64], "--seed must lie in [0, 2^64), got 18446744073709551616"),
+        (["--grid-n", 0], "--grid-n must be >= 1, got 0"),
+        (["--grid-n", 575],
+         "--grid-n must be <= 574, got 575 (the largest box whose LU fits the 128 MiB budget)"),
+    ],
+    ids=["seed-negative", "seed-2-64", "grid-n-0", "grid-n-575"],
+)
+def test_experiment_refusal_names_the_flag(tmp_path, capsys, monkeypatch, flags, error, config):
+    # refused before any work and any file, by the flag, also when a config
+    # file gives the other settings
+    _refuse_work(monkeypatch)
+    if config:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("r = 3\nd = 2\nseed = 4\ngrid_n = 6\n")
+        source = ["--config", cfg]
+    else:
+        source = ["--preset", "supercritical"]
+    out = tmp_path / "run"
+    assert run(["experiment", *source, *flags, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,error",
+    [
+        (["--count", 725], "--count must be <= 724, got 725 (at 256 bytes a row of --count^2, "
+                           "the most that fit the 128 MiB budget)"),
+        (["--count", 0], "--count must be >= 1, got 0"),
+        (["--min", 0.5, "--max", 0.2], "need 0 < --min <= --max < 1, got 0.5 and 0.2"),
+        (["--min", 0.0], "need 0 < --min <= --max < 1, got 0.0 and 0.5"),
+    ],
+    ids=["count-725", "count-0", "descending-range", "range-from-0"],
+)
+def test_greens_refusal_names_the_flag(tmp_path, capsys, monkeypatch, flags, error):
+    _refuse_work(monkeypatch)
+    out = tmp_path / "out"
+    assert run(["greens", *RATES, *flags, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -585,13 +636,13 @@ MC_POINT = ["mc", *RATES, "--i", 1, "--j", 1, "--t", 1, "--m"]
     [
         ([*MC_POINT, 2_097_153], "--m must be <= 2097152, got 2097153 (at 64 bytes a path"),
         (["experiment", "--preset", "supercritical", "--mc-m", 2_097_153],
-         "mc_m must be <= 2097152, got 2097153 (at 64 bytes a path"),
+         "--mc-m must be <= 2097152, got 2097153 (at 64 bytes a path"),
         (["mc", *RATES, "--imax", 575, "--jmax", 2, "--m", 1, "--t", 1],
          "--imax must be <= 574, got 575 (the largest box"),
         (["mc", *RATES, "--imax", 2, "--jmax", 30_000, "--m", 1, "--t", 1],
          "--jmax must be <= 574, got 30000 (the largest box"),
         (["greens", *RATES, "--count", 725],
-         "genfunc_count must be <= 724, got 725 (at 256 bytes a row"),
+         "--count must be <= 724, got 725 (at 256 bytes a row"),
         (["characteristics", *RATES, "--x0", 0.3, "--y0", 0.6, "--samples", 1_677_722],
          "--samples must be <= 1677721, got 1677722 (at 80 bytes a sample"),
     ],

@@ -159,8 +159,9 @@ class TestSpec:
             ("grid_n = 0\nseed = 1\n", {}, ":3", "grid_n must be >= 1, got 0"),
             # the message names no key of its own
             ("conv_min = 30\nconv_max = 20\n", {}, "", "need conv_min <= conv_max"),
-            # the value that fails came from an override, not from the file
-            ("grid_n = 5\n", {"grid_n": 0}, "", "grid_n must be >= 1, got 0"),
+            # the value that fails came from an override, not from the file,
+            # and is refused by its own name alone
+            ("grid_n = 5\n", {"grid_n": 0}, None, "grid_n must be >= 1, got 0"),
             # every count and seed refusal starts with its key
             ("seed = -1\n", {}, ":3", "seed must lie in [0, 2^64), got -1"),
             ("mc_m = 0\n", {}, ":3", "mc_m must be >= 1, got 0"),
@@ -172,7 +173,8 @@ class TestSpec:
         cfg.write_text(f"r = 3\nd = 2\n{lines}")
         with pytest.raises(ValueError) as info:
             load_spec(cfg, **overrides)
-        assert str(info.value).startswith(f"{cfg}{where}: {message}")
+        prefix = "" if where is None else f"{cfg}{where}: "
+        assert str(info.value).startswith(f"{prefix}{message}")
 
     @pytest.mark.parametrize(
         "fields,message",
