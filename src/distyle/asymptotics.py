@@ -3,11 +3,15 @@
 Starting from one pin and j thrums, extinction becomes unlikely as j grows
 and the probability behaves like an inverse power series in j:
 
-    p_{1,j} = (2d/r) / j - 2d (r^2 + d r + 2 d^2) / (r^2 (r + d)) / j^2 + ...
+    p_{1,j} = (2d/r) / j + 4d (2d - r) / r^2 / j^2 + ...
 
 More generally, for a fixed number i of pins,
 
     p_{i,j} ~ (2d/r)^i * i! / j^i.
+
+Both row-1 coefficients come from the recurrence the grid solves: balanced
+at row 1 it reads c1 = 2d/r at order 1 and c2 = e2 - 2 c1 at order 1/j,
+where e2 = 2 c1^2 is the leading coefficient of row 2, so c2 = 2 c1 (c1 - 1).
 
 These expansions close the finite solver grid: the unknown values just
 outside the grid are replaced by their asymptotic estimates, clamped into
@@ -22,18 +26,11 @@ import math
 from .model import ModelParams, _check_count, extinction_bounds
 
 
-def row1_coefficients(params: ModelParams) -> tuple[float, float, float]:
-    """Coefficients (c1, c2, c3) of p_{1,j} ~ c1/j + c2/j^2 + c3/j^3."""
+def row1_coefficients(params: ModelParams) -> tuple[float, float]:
+    """Coefficients (c1, c2) of p_{1,j} ~ c1/j + c2/j^2: c1 = 2d/r and
+    c2 = 4d (2d - r) / r^2."""
     r, d = params.r, params.d
-    c1 = 2.0 * d / r
-    c2 = -2.0 * d * (r * r + d * r + 2.0 * d * d) / (r * r * (r + d))
-    half = r / 2.0 + d
-    c3 = d * (
-        (2.0 / r) * (1.0 + 2.0 * d / r) ** 2
-        - 24.0 * d * half / (r * r * (r + d))
-        + 5.0 * r * r * d * d / (2.0 * (r + d) ** 2 * half**3)
-    )
-    return c1, c2, c3
+    return 2.0 * d / r, 4.0 * d * (2.0 * d - r) / (r * r)
 
 
 def asymptotic_p1j(params: ModelParams, j: int) -> float:
@@ -42,7 +39,7 @@ def asymptotic_p1j(params: ModelParams, j: int) -> float:
     The boundary value p_{1,0} = 1 is not asymptotic; j must be >= 1.
     """
     _check_count("j", j)
-    c1, c2, _ = row1_coefficients(params)
+    c1, c2 = row1_coefficients(params)
     return min(1.0, max(0.0, c1 / j + c2 / (j * j)))
 
 

@@ -11,10 +11,11 @@ from distyle.model import ModelParams, extinction_bounds
 
 class TestRow1Coefficients:
     def test_reference_rates(self, params3):
-        c1, c2, c3 = row1_coefficients(params3)
+        # c2 = 4d (2d - r) / r^2 = 2 c1 (c1 - 1), the recurrence balanced at
+        # row 1 to order 1/j
+        c1, c2 = row1_coefficients(params3)
         assert c1 == pytest.approx(4.0 / 3.0, rel=1e-15)
-        assert c2 == pytest.approx(-92.0 / 45.0, rel=1e-15)
-        assert c3 == pytest.approx(-1828.0 / 46305.0, rel=1e-12)
+        assert c2 == pytest.approx(8.0 / 9.0, rel=1e-15)
 
     def test_leading_term_scale_free(self):
         # c1 = 2d/r depends only on the rate ratio
@@ -26,22 +27,15 @@ class TestRow1Coefficients:
 class TestRow1Expansion:
     def test_two_term_value(self, params3):
         got = asymptotic_p1j(params3, 50)
-        assert got == pytest.approx(0.025848888888888887, rel=1e-14)
+        assert got == pytest.approx(4.0 / 150.0 + 8.0 / 22500.0, rel=1e-14)
 
     def test_leading_value(self, params3):
-        c1, _, _ = row1_coefficients(params3)
+        c1, _ = row1_coefficients(params3)
         assert c1 / 50 == pytest.approx(4.0 / 3.0 / 50.0, rel=1e-15)
 
-    def test_three_term_tightens(self, params3):
-        c1, c2, c3 = row1_coefficients(params3)
-        two = asymptotic_p1j(params3, 50)
-        three = c1 / 50 + c2 / 50**2 + c3 / 50**3
-        assert three != two
-        assert abs(three - two) < 1e-5
-
     def test_clamped_at_small_j(self, params3):
-        # raw two-term value at j=1 is negative (expansion breaks down)
-        assert asymptotic_p1j(params3, 1) == 0.0
+        # raw two-term value at j=1 is 20/9 > 1 (expansion breaks down)
+        assert asymptotic_p1j(params3, 1) == 1.0
 
     def test_rejects_bad_j(self, params3):
         with pytest.raises(ValueError):
@@ -54,7 +48,7 @@ class TestGeneralRow:
         assert asymptotic_pij(params3, 2, 3) == pytest.approx(32.0 / 81.0, rel=1e-13)
 
     def test_row_one_consistency(self, params3):
-        c1, _, _ = row1_coefficients(params3)
+        c1, _ = row1_coefficients(params3)
         assert asymptotic_pij(params3, 1, 40) == pytest.approx(c1 / 40, rel=1e-12)
 
     def test_large_index_stays_finite(self, params3):

@@ -543,6 +543,6 @@ class TestCsv:
         write_grid_csv(sol, buf)
         lines = buf.getvalue().split("\n")
         assert lines[0] == "i,j,p"
-        assert lines[1].startswith("1,1,0.7135802469")
+        assert lines[1] == "1,1,0.795061728395"  # 322/405
         assert len(lines) == 6 and lines[5] == ""
         assert "\r" not in buf.getvalue()
