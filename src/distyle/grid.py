@@ -37,8 +37,8 @@ solvers work on A q = c:
                        are those of ``@`` bit for bit without its dispatch.
 
 The LU is made only where the factors predicted for the box fit the
-request budget ``model._BUDGET`` (128 MiB); a larger box is refused with a ValueError before
-any work is done.  The prediction is ``_FILL`` N^2 ln N nonzeros of L + U
+request budget ``model._BUDGET`` (128 MiB); a larger box is refused with a
+ValueError before any work is done.  The prediction is ``_FILL`` N^2 ln N nonzeros of L + U
 at ``_BYTES_PER_NONZERO`` each, an upper bound on the measured fill, so
 every box up to N=574 is factored.  The folded LU has 2.6-2.8 times less
 fill than the full one (141k against 371k nonzeros at N=100).  At r=3,

@@ -55,6 +55,7 @@ def _check_rows(name: str, count: int) -> None:
         f"at {_BYTES_PER_ROW} bytes a row of {name}^2, the most that fit",
     )
 
+
 @dataclass(frozen=True)
 class SummaryStats:
     mean: float

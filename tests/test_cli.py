@@ -439,7 +439,7 @@ class TestExperimentCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("source", ["flag", "config", "flag-next-to-config"])
     def test_box_above_the_budget_exits_2(self, tmp_path, capsys, monkeypatch, source):
         def fail(*args):
             raise AssertionError("a Monte-Carlo worker was started")
@@ -448,6 +448,11 @@ class TestExperimentCommand:
         out = tmp_path / "run-big"
         if source == "flag":
             argv = ["--preset", "supercritical", "--grid-n", 575]
+            where = "--grid-n"
+        elif source == "flag-next-to-config":
+            cfg = tmp_path / "small.cfg"
+            cfg.write_text("r = 3\nd = 2\ngrid_n = 6\n")
+            argv = ["--config", cfg, "--grid-n", 575]
             where = "--grid-n"
         else:
             cfg = tmp_path / "big.cfg"
@@ -524,10 +529,8 @@ def test_seed_outside_u64_exits_2(tmp_path, capsys, monkeypatch, seed):
         (["--seed", -1], "--seed must lie in [0, 2^64), got -1"),
         (["--seed", 2**64], "--seed must lie in [0, 2^64), got 18446744073709551616"),
         (["--grid-n", 0], "--grid-n must be >= 1, got 0"),
-        (["--grid-n", 575],
-         "--grid-n must be <= 574, got 575 (the largest box whose LU fits the 128 MiB budget)"),
     ],
-    ids=["seed-negative", "seed-2-64", "grid-n-0", "grid-n-575"],
+    ids=["seed-negative", "seed-2-64", "grid-n-0"],
 )
 def test_experiment_refusal_names_the_flag(tmp_path, capsys, monkeypatch, flags, error, config):
     # refused before any work and any file, by the flag, also when a config
@@ -541,27 +544,6 @@ def test_experiment_refusal_names_the_flag(tmp_path, capsys, monkeypatch, flags,
         source = ["--preset", "supercritical"]
     out = tmp_path / "run"
     assert run(["experiment", *source, *flags, "--out", out]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {error}\n"
-    assert captured.out == ""
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "flags,error",
-    [
-        (["--count", 725], "--count must be <= 724, got 725 (at 256 bytes a row of --count^2, "
-                           "the most that fit the 128 MiB budget)"),
-        (["--count", 0], "--count must be >= 1, got 0"),
-        (["--min", 0.5, "--max", 0.2], "need 0 < --min <= --max < 1, got 0.5 and 0.2"),
-        (["--min", 0.0], "need 0 < --min <= --max < 1, got 0.0 and 0.5"),
-    ],
-    ids=["count-725", "count-0", "descending-range", "range-from-0"],
-)
-def test_greens_refusal_names_the_flag(tmp_path, capsys, monkeypatch, flags, error):
-    _refuse_work(monkeypatch)
-    out = tmp_path / "out"
-    assert run(["greens", *RATES, *flags, "--out", out]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {error}\n"
     assert captured.out == ""
