@@ -168,9 +168,9 @@ def _read_field(path: Path) -> np.ndarray:
 
 
 def _cmd_compare(args) -> int:
+    _check_counts(args, "sub")
     a = _read_field(args.field_a)
     b = _read_field(args.field_b)
-    _check_counts(args, "sub")
     report = harness.compare(a, b, sub=args.sub)
     with _output(args, OUTPUTS["comparison_stats"]) as fp:
         write_csv(fp, *harness.stats_table(report))
@@ -195,11 +195,13 @@ def _cmd_experiment(args) -> int:
         else:
             spec = harness.spec_from_preset(args.preset or "supercritical", **overrides)
     except ValueError as exc:
-        # a refusal that starts with a field a flag set names that flag
-        key, _, rest = str(exc).partition(" ")
-        if key not in overrides:
-            raise
-        raise ValueError(f"--{key.replace('_', '-')} {rest}") from None
+        # a refusal names each field a flag set by that flag; a word is a
+        # field name, perhaps followed by a comma
+        words = str(exc).split(" ")
+        for k, word in enumerate(words):
+            if word.rstrip(",") in overrides:
+                words[k] = "--" + word.replace("_", "-")
+        raise ValueError(" ".join(words)) from None
     written = harness.run_experiment(spec, args.out)
     for key, path in sorted(written.items()):
         print(f"{key} -> {path}", file=sys.stderr)

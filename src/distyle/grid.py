@@ -30,7 +30,8 @@ solvers work on A q = c:
                        A + A^T), the solver of every default solve,
 * ``VALUE_ITERATION``  on request only: Jacobi iteration q <- (A + I) q - c
                        from zero, one sparse mat-vec per step, which
-                       increases monotonically toward the minimal solution.
+                       increases monotonically toward the minimal solution
+                       and stops at its floating-point fixed point.
                        The tests use it as the reference for the LU.  Each
                        step calls scipy's CSR kernel ``csr_matvec`` itself,
                        the kernel ``(A + I) @ q`` ends in, so the iterates
@@ -43,15 +44,16 @@ at ``_BYTES_PER_NONZERO`` each, an upper bound on the measured fill, so
 every box up to N=574 is factored.  The folded LU has 2.6-2.8 times less
 fill than the full one (141k against 371k nonzeros at N=100).  At r=3,
 N=200 a fresh interpreter peaks at 73 MiB for it, 62 MiB of which is the
-import, and factors in about 0.06 s where value iteration takes 1,120
-steps.
+import, and factors in about 0.06 s where value iteration takes 4,224
+steps to its fixed point.
 
 The constant field 1 satisfies the interior recurrence, so value iteration
 must start below the solution (from zero) to select the probabilistic
-solution rather than the trivial one.  Its stopping rule is described at
-:func:`_iterate`.  Near criticality it needs about 17-19 N^2 steps, so from
-N=150 at r=2.002 it exhausts the iteration cap ``_MAX_ITER`` (400,000) and
-raises ``ConvergenceError``.
+solution rather than the trivial one.  It stops at the first checked
+step that leaves the iterate unchanged (:func:`_iterate`).  Near
+criticality it needs about 17-20 N^2 steps (19.6 N^2 at N=100 and N=142),
+so from N=143 at r=2.002 it exhausts the iteration cap ``_MAX_ITER``
+(400,000) and raises ``ConvergenceError``.
 
 The module only computes; :func:`distyle.harness.write_grid_csv` writes a
 solved field as CSV.
@@ -103,21 +105,17 @@ def _check_size(name: str, n: int) -> None:
     )
 
 
-# Value iteration runs in blocks of this many Jacobi steps and measures the
-# update only in the last _CHECKED of them.
+# Value iteration compares an iterate with the one before it at every
+# _CHECK_EVERY-th Jacobi step only.
 _CHECK_EVERY = 32
-_CHECKED = 4
 # Most Jacobi steps value iteration takes before it raises ConvergenceError.
 _MAX_ITER = 400_000
-# Value iteration's accuracy target: the distance its stop allows between
-# the returned field and the solution of the closed system.
-_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     """``method`` is a :class:`Method`.  Value iteration runs on request
-    only; it stops within ``_TOL`` of the solution, or raises after
+    only; it stops at its floating-point fixed point, or raises after
     ``_MAX_ITER`` steps."""
 
     method: Method = Method.DIRECT
@@ -145,7 +143,6 @@ class GridSolution:
     residual: float
     iterations: int
     method: Method
-    rate: float  # value iteration's last contraction estimate; NaN when direct
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +307,7 @@ def _folded_system(
     return _matrix(table, pos, rows, cols), b[rows, cols], pos
 
 
-def _iterate(
-    a: scipy.sparse.csr_matrix, c: np.ndarray
-) -> tuple[np.ndarray, int | None, float]:
+def _iterate(a: scipy.sparse.csr_matrix, c: np.ndarray) -> tuple[np.ndarray, int | None]:
     """Value iteration q <- K q - c from zero, with K = A + I of the
     folded system A q = c: one sparse mat-vec per Jacobi step.
 
@@ -322,21 +317,13 @@ def _iterate(
     ``(K @ q) - c`` bit for bit; two buffers take turns as q and its image.
 
     K is nonnegative, and so is -c for nonnegative closures, so the
-    iterates rise monotonically.  The steps run in blocks of
-    ``_CHECK_EVERY``, clipped at ``_MAX_ITER``.  Only the last
-    ``_CHECKED`` steps of a block measure their update max|K q - c - q|;
-    the others are bare, and a block shorter than ``_CHECKED`` tests
-    nothing.  At a block's last step the geometric tail of the updates
-    is extrapolated: the rate is the largest of the three one-step update
-    ratios and, from the second block on, of the per-step ratio of the
-    update to the one at the previous check, capped at 1 - 1e-9.  The
-    block ratio is about 1 once the updates reach the rounding level, so
-    noise in the one-step ratios cannot fake convergence.  Iteration stops
-    when update * rate / (1 - rate) <= ``_TOL``/2, or at an update of
-    exactly 0.
+    iterates rise monotonically toward the minimal solution.  Every
+    ``_CHECK_EVERY``-th step compares its image with q, and iteration
+    stops at the first such step that leaves q unchanged: a floating-point
+    fixed point, which every later step keeps.
 
-    Returns the iterate, its step count (``None`` when ``_MAX_ITER`` ran
-    out) and the last rate estimate (NaN before the first check).
+    Returns the iterate and its step count, ``None`` when ``_MAX_ITER``
+    steps ran out.
     """
     # scipy's private kernel behind ``k @ q``; imported here, so that a
     # rename in scipy breaks value iteration only, and not ``import distyle``
@@ -346,33 +333,14 @@ def _iterate(
     n, indptr, indices, data = k.shape[0], k.indptr, k.indices, k.data
     source = -c
     q, image = np.zeros_like(source), np.empty_like(source)
-    done = 0
-    rate = float("nan")
-    check_delta, check_step = 0.0, 0  # update at the previous block's check
-    while done < _MAX_ITER:
-        size = min(_CHECK_EVERY, _MAX_ITER - done)
-        checked = _CHECKED if size >= _CHECKED else 0
-        deltas = []
-        for step in range(size):
-            image.fill(0.0)
-            csr_matvec(n, n, indptr, indices, data, q, image)
-            image += source
-            if step >= size - checked:
-                deltas.append(float(np.max(np.abs(image - q))))
-                if deltas[-1] == 0.0:
-                    return image, done + step + 1, rate
-            q, image = image, q
-        done += size
-        if not checked:
-            continue
-        rate = max(now / before for before, now in zip(deltas, deltas[1:]))
-        if check_delta > 0.0:
-            rate = max(rate, (deltas[-1] / check_delta) ** (1.0 / (done - check_step)))
-        rate = min(rate, 1.0 - 1e-9)
-        if deltas[-1] * rate / (1.0 - rate) <= 0.5 * _TOL:
-            return q, done, rate
-        check_delta, check_step = deltas[-1], done
-    return q, None, rate
+    for step in range(1, _MAX_ITER + 1):
+        image.fill(0.0)
+        csr_matvec(n, n, indptr, indices, data, q, image)
+        image += source
+        if step % _CHECK_EVERY == 0 and np.array_equal(image, q):
+            return image, step
+        q, image = image, q
+    return q, None
 
 
 def _residual(table: tuple, b: np.ndarray, values: np.ndarray) -> float:
@@ -417,18 +385,14 @@ def solve_grid(
     if method is Method.DIRECT:
         a = a.tocsc()  # the CSR copy goes before the factors are made,
         lu = scipy.sparse.linalg.splu(a, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
-        q, iterations, rate = lu.solve(c), 1, float("nan")
+        q, iterations = lu.solve(c), 1
         del lu  # and the factors before the residual's arrays
     else:
-        q, iterations, rate = _iterate(a, c)
+        q, iterations = _iterate(a, c)
     values = q[pos]
     residual = _residual(table, b, values)
     if iterations is None:
-        raise ConvergenceError(
-            f"no convergence within {_MAX_ITER} iterations, "
-            f"last rate estimate {rate:.9g}",
-            residual,
-        )
+        raise ConvergenceError(f"no convergence within {_MAX_ITER} iterations", residual)
     return GridSolution(
         params=params,
         n=n,
@@ -438,5 +402,4 @@ def solve_grid(
         residual=residual,
         iterations=iterations,
         method=method,
-        rate=rate,
     )

@@ -268,11 +268,12 @@ def load_spec(path: Path, **overrides) -> ExperimentSpec:
     Recognised keys are exactly the ExperimentSpec fields, each given at
     most once; ``r`` and ``d`` are required unless an override gives them.
     A value its field's type cannot read fails with its ``path:line``, and
-    so does a value the spec rejects when the message starts with its key,
+    so does a value the spec rejects when the message names its key alone,
     as every refusal of a count, a seed or a size does; a missing key and
-    any other rejection of the spec carry the ``path``.  A refusal that
-    starts with the key of an override is raised as the spec raised it:
-    the caller set that value, not the file.
+    any other rejection of the spec carry the ``path``.  A refusal whose
+    named keys all come from overrides is raised as the spec raised it:
+    the caller set those values, not the file.  The keys a refusal names
+    are its words, less a trailing comma, that are fields.
     Lines starting with ``#`` and blank lines are ignored.
     """
     values: dict = {}
@@ -301,9 +302,10 @@ def load_spec(path: Path, **overrides) -> ExperimentSpec:
     try:
         return ExperimentSpec(**values)
     except ValueError as exc:
-        key = str(exc).split(" ", 1)[0]
-        if key in overrides:
+        named = {word.rstrip(",") for word in str(exc).split(" ")} & _FIELD_TYPES.keys()
+        if named and named <= overrides.keys():
             raise
+        key = named.pop() if len(named) == 1 else None
         where = f"{path}:{lines[key]}" if key in lines else path
         raise ValueError(f"{where}: {exc}") from None
 

@@ -295,6 +295,10 @@ class TestCompareCommand:
         captured = capsys.readouterr()
         assert f"--sub must be >= 1, got {sub}" in captured.err
         assert captured.out == ""
+        # refused before either file is opened
+        missing = tmp_path / "nope.csv"
+        assert run(["compare", "--field-a", missing, "--field-b", missing, "--sub", sub]) == 2
+        assert capsys.readouterr().err == f"error: --sub must be >= 1, got {sub}\n"
         assert run(["compare", "--field-a", field, "--field-b", field, "--sub", 1]) == 0
 
     def test_missing_file(self, tmp_path, capsys):
@@ -418,7 +422,7 @@ class TestExperimentCommand:
         [
             (["experiment", "--preset", "supercritical", "--no-mc",
               "--conv-min", 30, "--conv-max", 20],
-             "need conv_min <= conv_max"),
+             "need --conv-min <= --conv-max, got 30 and 20"),
             (["experiment", "--preset", "supercritical", "--sublattice", 0],
              "--sublattice must be >= 1, got 0"),
             (["experiment", "--preset", "supercritical", "--no-mc",
@@ -529,8 +533,11 @@ def test_seed_outside_u64_exits_2(tmp_path, capsys, monkeypatch, seed):
         (["--seed", -1], "--seed must lie in [0, 2^64), got -1"),
         (["--seed", 2**64], "--seed must lie in [0, 2^64), got 18446744073709551616"),
         (["--grid-n", 0], "--grid-n must be >= 1, got 0"),
+        # a refusal that names two fields names each by its flag
+        (["--no-mc", "--conv-min", 30, "--conv-max", 20],
+         "need --conv-min <= --conv-max, got 30 and 20"),
     ],
-    ids=["seed-negative", "seed-2-64", "grid-n-0"],
+    ids=["seed-negative", "seed-2-64", "grid-n-0", "conv-range"],
 )
 def test_experiment_refusal_names_the_flag(tmp_path, capsys, monkeypatch, flags, error, config):
     # refused before any work and any file, by the flag, also when a config

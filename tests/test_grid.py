@@ -1,6 +1,4 @@
-import collections
 import io
-import math
 import tracemalloc
 import types
 
@@ -65,41 +63,28 @@ def apply_kernel(params: ModelParams, field_arr: np.ndarray, i: int, j: int) -> 
     )
 
 
-def one_step_iterate(
-    a: scipy.sparse.csr_matrix, c: np.ndarray, tol: float, steps: int
-) -> tuple[np.ndarray, int | None]:
-    """Value iteration that measures every step's update and tests the
-    geometric-tail rule at each step, an oracle for the solver's block loop.
+# How far a value-iteration field may lie from the LU's solution of the
+# same box; the measured gap is below 1e-13.
+VI_SLACK = 1e-11
 
-    Runs exactly ``steps`` Jacobi steps q <- (A + I) q - c from zero and
-    returns the last iterate and the first step at which the rule (rate =
-    the largest of the last three update ratios, capped at 1 - 1e-9;
-    update * rate / (1 - rate) <= tol/2, or an update of 0) held, ``None``
-    if it held at none.
+
+def one_step_iterate(
+    a: scipy.sparse.csr_matrix, c: np.ndarray, steps: int
+) -> tuple[np.ndarray, int | None]:
+    """Plain value iteration, an oracle for the solver's block loop: runs
+    exactly ``steps`` Jacobi steps q <- (A + I) q - c from zero and returns
+    the last iterate and the first step whose update was exactly 0,
+    ``None`` if none was.
     """
     k = a + scipy.sparse.identity(a.shape[0], format="csr")
-    source = -c
-    q = np.zeros_like(source)
-    ratios = collections.deque(maxlen=3)
-    prev_delta = None
+    q = np.zeros_like(c)
     stop = None
     for it in range(1, steps + 1):
         image = k @ q
-        image += source
-        delta = float(np.max(np.abs(image - q)))
-        q = image
-        if stop is not None:
-            continue
-        if delta == 0.0:
+        image -= c
+        if stop is None and np.array_equal(image, q):
             stop = it
-            continue
-        if prev_delta is not None and prev_delta > 0.0:
-            ratios.append(delta / prev_delta)
-        prev_delta = delta
-        if len(ratios) >= 3:
-            rate = min(max(ratios), 1.0 - 1e-9)
-            if delta * rate / (1.0 - rate) <= 0.5 * tol:
-                stop = it
+        q = image
     return q, stop
 
 
@@ -421,7 +406,7 @@ class TestSolvers:
         vi = SolveOptions(method=Method.VALUE_ITERATION)
         sol = solve_grid(params, n, vi, closure=closure)
         ref = solve_grid(params, n, SolveOptions(method=Method.DIRECT), closure=closure)
-        assert np.max(np.abs(sol.values - ref.values)) < 10 * grid._TOL
+        assert np.max(np.abs(sol.values - ref.values)) < VI_SLACK
         assert np.array_equal(sol.values, sol.values.T)
         assert sol.residual < 1e-12
 
@@ -432,15 +417,16 @@ class TestSolvers:
         st.data(),
     )
     def test_value_iteration_monotone_in_closure(self, ratio, n, data):
-        # every iterate rises with the closure; the two stopping points may
-        # differ by what the tolerance allows, as in acceptance 03
+        # every iterate rises with the closure, rounding included, and each
+        # fixed point is kept by every later step, so the two fields are
+        # ordered exactly whichever stops first
         params = ModelParams(r=2.0 / ratio, d=2.0)
         edges = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(np.array)
         edge, lift = data.draw(edges), data.draw(edges)
         opts = SolveOptions(method=Method.VALUE_ITERATION)
         base = solve_grid(params, n, opts, closure=edge)
         raised = solve_grid(params, n, opts, closure=edge + lift)
-        assert np.min(raised.values - base.values) > -10 * grid._TOL
+        assert np.all(raised.values >= base.values)
 
     def test_iteration_cap_raises(self, params3, monkeypatch):
         monkeypatch.setattr(grid, "_MAX_ITER", 3)
@@ -452,40 +438,36 @@ class TestSolvers:
     @pytest.mark.parametrize("n", [1, 7, 20, 40])
     @pytest.mark.parametrize("rate", ["r3", "rc"])
     def test_block_iterates_are_one_step_iterates(self, params3, paramsc, rate, n, closure):
-        # the block loop skips measuring updates, never a step, and stops
-        # only where the one-step rule also holds, so never earlier
+        # the block loop compares iterates at block ends only, never skips a
+        # step, and stops at the end of the block that reaches the fixed point
         params = params3 if rate == "r3" else paramsc
         vi = SolveOptions(method=Method.VALUE_ITERATION)
         sol = solve_grid(params, n, vi, closure=closure)
         _, _, a, c, mirror = folded_oracle(params, n, sol.closure_edge)
-        q, stop = one_step_iterate(a, c, grid._TOL, sol.iterations)
+        q, stop = one_step_iterate(a, c, sol.iterations)
         assert np.array_equal(sol.values, (mirror @ q).reshape(n, n))
-        assert stop is not None and sol.iterations >= stop
+        again = (a + scipy.sparse.identity(a.shape[0], format="csr")) @ q
+        again -= c
+        assert np.array_equal(again, q)
+        assert stop is not None and stop <= sol.iterations <= stop + grid._CHECK_EVERY - 1
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 5, 31, 32, 33, 35])
     def test_iteration_cap_reports_the_capped_iterate(self, params3, monkeypatch, max_iter):
-        # blocks are clipped at the cap; one shorter than four steps
-        # measures no update, so before the first check there is no rate
+        # the cap ends the loop between block ends too, and the error carries
+        # the residual of the last iterate
         n = 20
         monkeypatch.setattr(grid, "_MAX_ITER", max_iter)
         opts = SolveOptions(method=Method.VALUE_ITERATION)
         with pytest.raises(ConvergenceError) as info:
             solve_grid(params3, n, opts)
         t, b, a, c, mirror = folded_oracle(params3, n, closure_arrays(params3, n)[0])
-        q, stop = one_step_iterate(a, c, grid._TOL, max_iter)
+        q, stop = one_step_iterate(a, c, max_iter)
         assert stop is None
         assert info.value.residual == float(np.max(np.abs(t @ (mirror @ q) - b)))
         assert f"no convergence within {max_iter} iterations" in str(info.value)
-        assert ("last rate estimate nan" in str(info.value)) == (max_iter < 4)
-
-    def test_rate_is_reported(self, params3):
-        for closure in CLOSURES:
-            vi = solve_grid(params3, 20, SolveOptions(method=Method.VALUE_ITERATION), closure)
-            assert 0.0 < vi.rate < 1.0
-        assert math.isnan(solve_grid(params3, 20, SolveOptions(method=Method.DIRECT)).rate)
 
     def test_value_iteration_memory_stays_flat(self, paramsc):
-        # about 29,500 steps; keeping every update ratio would add about
+        # about 29,500 steps; keeping one float a step would add about
         # 0.9 MiB to a peak that otherwise stays near 0.3 MiB
         tracemalloc.start()
         try:

@@ -165,8 +165,13 @@ class TestSpec:
             # every count and seed refusal starts with its key
             ("seed = -1\n", {}, ":3", "seed must lie in [0, 2^64), got -1"),
             ("mc_m = 0\n", {}, ":3", "mc_m must be >= 1, got 0"),
+            # a refusal that names two keys is the caller's only when the
+            # overrides gave both
+            ("conv_min = 30\n", {"conv_max": 20}, "", "need conv_min <= conv_max"),
+            ("", {"conv_min": 30, "conv_max": 20}, None, "need conv_min <= conv_max"),
         ],
-        ids=["grid_n", "conv_range", "override", "seed", "mc_m"],
+        ids=["grid_n", "conv_range", "override", "seed", "mc_m", "conv_range_mixed",
+             "conv_range_override"],
     )
     def test_load_spec_locates_range_error(self, tmp_path, lines, overrides, where, message):
         cfg = tmp_path / "exp.cfg"
