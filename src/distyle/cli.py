@@ -197,10 +197,10 @@ def _cmd_experiment(args) -> int:
     except ValueError as exc:
         # a refusal names each field a flag set by that flag; a word is a
         # field name, perhaps followed by a comma
-        words = str(exc).split(" ")
-        for k, word in enumerate(words):
-            if word.rstrip(",") in overrides:
-                words[k] = "--" + word.replace("_", "-")
+        words = [
+            "--" + word.replace("_", "-") if word.rstrip(",") in overrides else word
+            for word in str(exc).split(" ")
+        ]
         raise ValueError(" ".join(words)) from None
     written = harness.run_experiment(spec, args.out)
     for key, path in sorted(written.items()):
