@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import genfunc, harness
-from .characteristics import critical_times, eval_path, integrating_factor, make_path
+from .characteristics import _check_point, critical_times, eval_path, integrating_factor, make_path
 from .grid import CLOSURES, DEFAULT_CLOSURE, _check_size, solve_grid
 from .harness import OUTPUTS, write_csv, write_grid_csv, write_mc_csv
-from .model import ModelParams, _check_budget, _check_count, _check_seed
+from .model import ModelParams, _check_budget, _check_count, _check_rates, _check_seed
 from .montecarlo import _check_paths, box_cells, start_cells
 
 # Bytes a sample of ``characteristics`` takes at its peak, for its four
@@ -42,6 +42,12 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _params(args) -> ModelParams:
+    """The rates of ``--r`` and ``--d``, refused by their flags."""
+    _check_rates("--r", args.r, "--d", args.d)
+    return ModelParams(args.r, args.d)
+
+
 def _check_counts(args, *names: str) -> None:
     """Reject a count flag below 1, naming the flag; an unset flag passes."""
     for name in names:
@@ -58,7 +64,7 @@ def _output(args, filename: str):
 
 
 def _cmd_grid(args) -> int:
-    params = ModelParams(args.r, args.d)
+    params = _params(args)
     _check_size("--n", args.n)
     solution = solve_grid(params, args.n, closure=args.closure)
     with _output(args, OUTPUTS["grid"]) as fp:
@@ -71,7 +77,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    params = ModelParams(args.r, args.d)
+    params = _params(args)
     # each count, size and the seed is refused by its flag before the cells
     # are listed; the budget check refuses an --m below 1 too
     _check_counts(args, "t", "i", "j", "imax", "jmax")
@@ -100,7 +106,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_greens(args) -> int:
-    params = ModelParams(args.r, args.d)
+    params = _params(args)
     _check_size("--n", args.n)
     harness._check_range("--min", args.min, "--max", args.max)
     harness._check_rows("--count", args.count)
@@ -116,7 +122,8 @@ def _cmd_characteristics(args) -> int:
         "--samples", args.samples, lambda k: _BYTES_PER_SAMPLE * k,
         f"at {_BYTES_PER_SAMPLE} bytes a sample, the most that fit",
     )
-    params = ModelParams(args.r, args.d)
+    params = _params(args)
+    _check_point("--x0", args.x0, "--y0", args.y0)
     path = make_path(params, args.x0, args.y0)
     s_plus, s_minus = critical_times(path)
     times = np.linspace(0.0, path.s0 * (1.0 - 1e-9), args.samples)
@@ -195,13 +202,9 @@ def _cmd_experiment(args) -> int:
         else:
             spec = harness.spec_from_preset(args.preset or "supercritical", **overrides)
     except ValueError as exc:
-        # a refusal names each field a flag set by that flag; a word is a
-        # field name, perhaps followed by a comma
-        words = [
-            "--" + word.replace("_", "-") if word.rstrip(",") in overrides else word
-            for word in str(exc).split(" ")
-        ]
-        raise ValueError(" ".join(words)) from None
+        # a refusal names each field a flag set by that flag
+        flags = {name: "--" + name.replace("_", "-") for name in overrides}
+        raise ValueError(harness._field_words(str(exc), flags)[1]) from None
     written = harness.run_experiment(spec, args.out)
     for key, path in sorted(written.items()):
         print(f"{key} -> {path}", file=sys.stderr)

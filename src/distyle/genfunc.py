@@ -66,7 +66,7 @@ class GenFuncQuery:
     row1: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        characteristics._check_point(self.x0, self.y0)
+        characteristics._check_point("x0", self.x0, "y0", self.y0)
         _check_count("len(row1)", len(self.row1))
 
     @property
@@ -205,7 +205,7 @@ def eval_from_grid(solution: GridSolution, x0: float, y0: float) -> SeriesValue:
     p_{i,j} <= (d/r)^i + (d/r)^j, summed in closed form over the L-shaped
     region outside the box.
     """
-    characteristics._check_point(x0, y0)
+    characteristics._check_point("x0", x0, "y0", y0)
     n = solution.n
     px = x0 ** np.arange(1, n + 1)
     py = y0 ** np.arange(1, n + 1)

@@ -141,8 +141,7 @@ class GridSolution:
     closure: str
     closure_edge: np.ndarray = field(repr=False)  # p~_{k,N+1} = p~_{N+1,k}, k = 1..N
     residual: float
-    iterations: int
-    method: Method
+    iterations: int  # 1 for the LU; value iteration's Jacobi steps otherwise
 
 
 # ---------------------------------------------------------------------------
@@ -401,5 +400,4 @@ def solve_grid(
         closure_edge=edge,
         residual=residual,
         iterations=iterations,
-        method=method,
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
@@ -216,8 +217,9 @@ class ExperimentSpec:
             fitted = len(ns) - (self.conv_reference in ns)
             if fitted < 3:
                 raise ValueError(
-                    f"the convergence fit needs three N in {self.conv_min}..{self.conv_max} "
-                    f"other than conv_reference={self.conv_reference}, got {fitted}"
+                    "the convergence fit needs three N from conv_min to conv_max other than "
+                    f"conv_reference, got {fitted} from {self.conv_min} to {self.conv_max} "
+                    f"other than {self.conv_reference}"
                 )
         sizes = ("grid_n", "conv_reference", "conv_max") if self.run_convergence else ("grid_n",)
         for name in sizes:
@@ -250,6 +252,21 @@ def spec_from_preset(name: str, **overrides) -> ExperimentSpec:
 _FIELD_TYPES = get_type_hints(ExperimentSpec)
 
 
+def _field_words(refusal: str, names: dict[str, str]) -> tuple[set[str], str]:
+    """The fields a spec refusal names, and the refusal with each word that
+    names a field renamed by ``names``, a map of fields to new names: the
+    one statement of which words name fields.  Such a word is a field's
+    name, alone or followed by a comma or by ``=value``.  Only the text
+    after the last ``": "`` is read, and no spec refusal holds one, so the
+    ``path:`` or ``path:line:`` that :func:`load_spec` puts in front is
+    neither read nor renamed."""
+    head, sep, tail = refusal.rpartition(": ")
+    parts = re.split(r"(?<!\S)(\w+)(?=[=,\s]|$)", tail)  # the words at the odd places
+    named = set(parts[1::2]) & _FIELD_TYPES.keys()
+    parts[1::2] = [names.get(word, word) for word in parts[1::2]]
+    return named, head + sep + "".join(parts)
+
+
 def _coerce(name: str, raw: str):
     """A config value read as its field's type (int, float or bool)."""
     kind = _FIELD_TYPES[name]
@@ -273,7 +290,7 @@ def load_spec(path: Path, **overrides) -> ExperimentSpec:
     any other rejection of the spec carry the ``path``.  A refusal whose
     named keys all come from overrides is raised as the spec raised it:
     the caller set those values, not the file.  The keys a refusal names
-    are its words, less a trailing comma, that are fields.
+    are those :func:`_field_words` reads in it.
     Lines starting with ``#`` and blank lines are ignored.
     """
     values: dict = {}
@@ -302,7 +319,7 @@ def load_spec(path: Path, **overrides) -> ExperimentSpec:
     try:
         return ExperimentSpec(**values)
     except ValueError as exc:
-        named = {word.rstrip(",") for word in str(exc).split(" ")} & _FIELD_TYPES.keys()
+        named, _ = _field_words(str(exc), {})
         if named and named <= overrides.keys():
             raise
         key = named.pop() if len(named) == 1 else None

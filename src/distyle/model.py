@@ -31,20 +31,35 @@ _BUDGET = 128 * 2**20
 def _check_count(name: str, value: int) -> None:
     """Reject a count ``value`` below 1: the one statement of the rule that
     every count of a request (cells, paths, steps, box sizes, points) is at
-    least 1.  The ValueError starts with ``name``, the flag, config key or
-    parameter the caller set, and a space: :func:`~distyle.harness.load_spec`
-    reads the key there to point at its config line."""
+    least 1.  The ValueError names ``name``, the flag, config key or
+    parameter the caller set, as a word of its own, where
+    :func:`~distyle.harness._field_words` finds a config key."""
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _check_seed(name: str, seed: int) -> None:
     """Reject a ``seed`` outside [0, 2^64), the seeds a stream takes: the
-    one statement of the rule.  The ValueError starts with ``name``, the
-    flag, config key or parameter the caller set, and a space, for
-    :func:`~distyle.harness.load_spec` as :func:`_check_count`'s does."""
+    one statement of the rule.  The ValueError names ``name``, the flag,
+    config key or parameter the caller set, as :func:`_check_count`'s does."""
     if not 0 <= seed < 2**64:
         raise ValueError(f"{name} must lie in [0, 2^64), got {seed}")
+
+
+def _check_rates(r_name: str, r: float, d_name: str, d: float) -> None:
+    """Reject rates outside the supercritical regime, finite ``r > d > 0``:
+    the one statement of the rule, naming each rate as ``r_name`` and
+    ``d_name``, the flags, config keys or parameters the caller set.  For
+    r <= d extinction is almost sure (every p equals 1) and the asymptotic
+    closures used by the solvers are meaningless."""
+    if not (math.isfinite(r) and math.isfinite(d)):
+        raise ValueError(f"rates must be finite, got {r_name}={r}, {d_name}={d}")
+    if not (d > 0.0 and r > 0.0):
+        raise ValueError(f"rates must be positive, got {r_name}={r}, {d_name}={d}")
+    if r <= d:
+        raise ValueError(
+            f"need the supercritical regime {r_name} > {d_name}, got {r_name}={r} <= {d_name}={d}"
+        )
 
 
 def _check_budget(name: str, value: int, bytes_of, what: str) -> None:
@@ -75,16 +90,7 @@ class ModelParams:
     d: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.r) and math.isfinite(self.d)):
-            raise ValueError(f"rates must be finite, got r={self.r}, d={self.d}")
-        if not (self.d > 0.0 and self.r > 0.0):
-            raise ValueError(f"rates must be positive, got r={self.r}, d={self.d}")
-        if self.r <= self.d:
-            # For r <= d extinction is almost sure (every p equals 1) and the
-            # asymptotic closures used by the solvers are meaningless.
-            raise ValueError(
-                f"need the supercritical regime r > d, got r={self.r} <= d={self.d}"
-            )
+        _check_rates("r", self.r, "d", self.d)
 
     @property
     def ratio(self) -> float:

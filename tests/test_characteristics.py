@@ -214,6 +214,11 @@ class TestIntegratingFactor:
             params3.r - 2 * params3.d, rel=1e-15
         )
 
+    def test_point_refusal_names_the_parameters(self, params3):
+        with pytest.raises(ValueError) as info:
+            make_path(params3, 1.5, 0.5)
+        assert str(info.value) == "(x0, y0) must lie in the open unit square, got (1.5, 0.5)"
+
     def test_domain_validation(self, params3):
         path = make_path(params3, 0.4, 0.7)
         with pytest.raises(ValueError):

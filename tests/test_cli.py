@@ -49,10 +49,6 @@ class TestGridCommand:
         assert run(["grid", "--r", 3, "--d", 2, "--n", 9]) == 0
         assert capsys.readouterr().out == expected.getvalue()
 
-    def test_rejects_bad_rates(self, capsys):
-        assert run(["grid", "--r", 2, "--d", 3, "--n", 4]) == 2
-        assert "error:" in capsys.readouterr().err
-
     def test_rejects_empty_box(self, capsys):
         assert run(["grid", "--r", 3, "--d", 2, "--n", 0]) == 2
         captured = capsys.readouterr()
@@ -526,6 +522,48 @@ def test_seed_outside_u64_exits_2(tmp_path, capsys, monkeypatch, seed):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "rates,error",
+    [
+        ([2, 2], "need the supercritical regime --r > --d, got --r=2.0 <= --d=2.0"),
+        ([2, 3], "need the supercritical regime --r > --d, got --r=2.0 <= --d=3.0"),
+        ([3, 0], "rates must be positive, got --r=3.0, --d=0.0"),
+        (["inf", 2], "rates must be finite, got --r=inf, --d=2.0"),
+    ],
+    ids=["r-equals-d", "r-below-d", "d-zero", "r-infinite"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["grid", "--n", 5],
+        ["mc", "--i", 1, "--j", 1],
+        ["greens"],
+        ["characteristics", "--x0", 0.3, "--y0", 0.6],
+    ],
+    ids=["grid", "mc", "greens", "characteristics"],
+)
+def test_rejects_bad_rates(tmp_path, capsys, monkeypatch, command, rates, error):
+    # refused by the flags before any work and any file
+    _refuse_work(monkeypatch)
+    out = tmp_path / "out"
+    assert run([*command, "--r", rates[0], "--d", rates[1], "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_characteristics_point_outside_the_square_exits_2(tmp_path, capsys, monkeypatch):
+    _refuse_work(monkeypatch)
+    out = tmp_path / "out"
+    argv = ["characteristics", "--r", 3, "--d", 2, "--x0", 1.5, "--y0", 0.5, "--out", out]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: (--x0, --y0) must lie in the open unit square, got (1.5, 0.5)\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", [False, True])
 @pytest.mark.parametrize(
     "flags,error",
@@ -536,8 +574,14 @@ def test_seed_outside_u64_exits_2(tmp_path, capsys, monkeypatch, seed):
         # a refusal that names two fields names each by its flag
         (["--no-mc", "--conv-min", 30, "--conv-max", 20],
          "need --conv-min <= --conv-max, got 30 and 20"),
+        (["--r", 2, "--d", 2],
+         "need the supercritical regime --r > --d, got --r=2.0 <= --d=2.0"),
+        # a field written as name=value is named by its flag too
+        (["--no-mc", "--conv-min", 20, "--conv-max", 21, "--conv-reference", 50],
+         "the convergence fit needs three N from --conv-min to --conv-max other than "
+         "--conv-reference, got 2 from 20 to 21 other than 50"),
     ],
-    ids=["seed-negative", "seed-2-64", "grid-n-0", "conv-range"],
+    ids=["seed-negative", "seed-2-64", "grid-n-0", "conv-range", "rates", "conv-fit"],
 )
 def test_experiment_refusal_names_the_flag(tmp_path, capsys, monkeypatch, flags, error, config):
     # refused before any work and any file, by the flag, also when a config
@@ -553,6 +597,35 @@ def test_experiment_refusal_names_the_flag(tmp_path, capsys, monkeypatch, flags,
     assert run(["experiment", *source, *flags, "--out", out]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {error}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("folder", ["d", "d=5, r"], ids=["d", "field-words"])
+@pytest.mark.parametrize(
+    "lines,flags,error",
+    [
+        ("", ["--d", 5], "need the supercritical regime r > --d, got r=3.0 <= --d=5.0"),
+        ("conv_min = 20\nconv_max = 21\n", ["--conv-reference", 50],
+         "the convergence fit needs three N from conv_min to conv_max other than "
+         "--conv-reference, got 2 from 20 to 21 other than 50"),
+    ],
+    ids=["rates", "conv-fit"],
+)
+def test_experiment_refusal_keeps_the_config_path(
+    tmp_path, capsys, monkeypatch, folder, lines, flags, error
+):
+    # a field the file set keeps its name, one a flag set is named by the
+    # flag, and the path in front is kept verbatim, however its folders are
+    # named
+    _refuse_work(monkeypatch)
+    cfg = tmp_path / folder / "exp.cfg"
+    cfg.parent.mkdir()
+    cfg.write_text(f"r = 3\nd = 2\n{lines}")
+    out = tmp_path / "run"
+    assert run(["experiment", "--config", cfg, *flags, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}: {error}\n"
     assert captured.out == ""
     assert not out.exists()
 

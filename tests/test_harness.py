@@ -169,9 +169,13 @@ class TestSpec:
             # overrides gave both
             ("conv_min = 30\n", {"conv_max": 20}, "", "need conv_min <= conv_max"),
             ("", {"conv_min": 30, "conv_max": 20}, None, "need conv_min <= conv_max"),
+            # the range is the file's, the reference an override: the path stays
+            ("conv_min = 20\nconv_max = 21\n", {"conv_reference": 50}, "",
+             "the convergence fit needs three N from conv_min to conv_max other than "
+             "conv_reference, got 2 from 20 to 21 other than 50"),
         ],
         ids=["grid_n", "conv_range", "override", "seed", "mc_m", "conv_range_mixed",
-             "conv_range_override"],
+             "conv_range_override", "conv_fit_mixed"],
     )
     def test_load_spec_locates_range_error(self, tmp_path, lines, overrides, where, message):
         cfg = tmp_path / "exp.cfg"
@@ -196,7 +200,9 @@ class TestSpec:
             (dict(conv_min=0), "conv_min must be >= 1, got 0"),
             (dict(conv_min=30, conv_max=20), "conv_min <= conv_max"),
             (dict(conv_reference=0), "conv_reference must be >= 1, got 0"),
-            (dict(conv_min=20, conv_max=22, conv_reference=21), "three N in 20..22"),
+            (dict(conv_min=20, conv_max=22, conv_reference=21),
+             "three N from conv_min to conv_max other than conv_reference, "
+             "got 2 from 20 to 22 other than 21"),
             (dict(run_genfunc=True, genfunc_min=0.0), "0 < genfunc_min"),
             (dict(run_genfunc=True, genfunc_min=0.6), "genfunc_min <= genfunc_max"),
             (dict(run_genfunc=True, genfunc_max=1.0), "genfunc_max < 1"),
@@ -211,6 +217,11 @@ class TestSpec:
     def test_bad_spec_rejected(self, fields, message):
         with pytest.raises(ValueError, match=message.replace("^", r"\^")):
             ExperimentSpec(**{"r": 3.0, "d": 2.0, **fields})
+
+    def test_rate_refusal_names_the_fields(self):
+        with pytest.raises(ValueError) as info:
+            ExperimentSpec(r=2.0, d=2.0)
+        assert str(info.value) == "need the supercritical regime r > d, got r=2.0 <= d=2.0"
 
     def test_disabled_stage_skips_its_checks(self):
         ExperimentSpec(r=3.0, d=2.0, run_convergence=False, conv_min=30, conv_max=20)
@@ -397,12 +408,12 @@ class TestRunExperiment:
         assert written["nconv"].read_text().splitlines()[-1] == f"{spec.grid_n},0"
 
     def test_every_solve_uses_the_spec_options(self, tmp_path, monkeypatch):
-        methods = []
+        iterations = []
         solve = harness.solve_grid
 
         def recording(*args, **kwargs):
             solution = solve(*args, **kwargs)
-            methods.append(solution.method)
+            iterations.append(solution.iterations)
             return solution
 
         monkeypatch.setattr(harness, "solve_grid", recording)
@@ -410,8 +421,8 @@ class TestRunExperiment:
         run_experiment(spec, tmp_path / "out")
         # the main grid, the reference and one solve per N other than the
         # main grid's, each factored by the default
-        assert len(methods) == 2 + spec.conv_max - spec.conv_min
-        assert set(methods) == {Method.DIRECT}
+        assert len(iterations) == 2 + spec.conv_max - spec.conv_min
+        assert set(iterations) == {1}
 
     def test_stages_can_be_disabled(self, tmp_path):
         spec = ExperimentSpec(

@@ -56,6 +56,20 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(r=r, d=d)
 
+    @pytest.mark.parametrize(
+        "r,d,message",
+        [
+            (2.0, 2.0, "need the supercritical regime r > d, got r=2.0 <= d=2.0"),
+            (3.0, 0.0, "rates must be positive, got r=3.0, d=0.0"),
+            (math.inf, 2.0, "rates must be finite, got r=inf, d=2.0"),
+        ],
+        ids=["supercritical", "positive", "finite"],
+    )
+    def test_refusal_names_the_parameters(self, r, d, message):
+        with pytest.raises(ValueError) as info:
+            ModelParams(r, d)
+        assert str(info.value) == message
+
     def test_derived_steps(self, params3):
         assert params3.ratio == pytest.approx(2.0 / 3.0, rel=1e-15)
         assert params3.birth_step == pytest.approx(0.3, rel=1e-15)
