@@ -15,7 +15,7 @@ cross-checks them:
 with :mod:`distyle.harness` tying them into reproducible experiments.
 """
 
-from .asymptotics import asymptotic_p1j, asymptotic_pij, closure_value
+from .asymptotics import closure_value
 from .characteristics import (
     CharacteristicPath,
     critical_times,
@@ -46,8 +46,6 @@ __all__ = [
     "ModelParams",
     "SolveOptions",
     "assemble_system",
-    "asymptotic_p1j",
-    "asymptotic_pij",
     "box_cells",
     "closure_value",
     "compare",

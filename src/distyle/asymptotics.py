@@ -17,13 +17,14 @@ These expansions close the finite solver grid: the unknown values just
 outside the grid are replaced by their asymptotic estimates, clamped into
 the rigorous envelope so that a poor expansion (near-critical r, small j)
 can never push the closure outside what is provably possible.
+:func:`closure_value` is the one statement of that closure rule.
 """
 
 from __future__ import annotations
 
 import math
 
-from .model import ModelParams, _check_count, extinction_bounds
+from .model import ModelParams, extinction_bounds
 
 
 def row1_coefficients(params: ModelParams) -> tuple[float, float]:
@@ -33,43 +34,24 @@ def row1_coefficients(params: ModelParams) -> tuple[float, float]:
     return 2.0 * d / r, 4.0 * d * (2.0 * d - r) / (r * r)
 
 
-def asymptotic_p1j(params: ModelParams, j: int) -> float:
-    """Two-term expansion c1/j + c2/j^2 of p_{1,j}, clamped to [0, 1].
-
-    The boundary value p_{1,0} = 1 is not asymptotic; j must be >= 1.
-    """
-    _check_count("j", j)
-    c1, c2 = row1_coefficients(params)
-    return min(1.0, max(0.0, c1 / j + c2 / (j * j)))
-
-
-def asymptotic_pij(params: ModelParams, i: int, j: int) -> float:
-    """Leading-order p_{i,j} ~ (2d/r)^i i! / j^i, clamped into the envelope.
-
-    Evaluated in log space so large i or j cannot overflow; never NaN.
-    """
-    _check_count("i", i)
-    _check_count("j", j)
-    log_value = i * (math.log(2.0 * params.d / params.r) - math.log(j)) + math.lgamma(
-        i + 1
-    )
-    value = 1.0 if log_value >= 0.0 else math.exp(log_value)
-    lower, upper = extinction_bounds(params, i, j)
-    return min(upper, max(lower, value))
-
-
 def closure_value(params: ModelParams, i: int, j: int) -> float:
-    """Boundary closure p~_{i,j} for grid cells just outside the solved box.
-
-    Two-term 1/j expansion for the first row, factorial leading term for
-    deeper rows, both clamped into the rigorous envelope.  Symmetric usage:
-    for a cell below the diagonal pass the small index as ``i``.
+    """Boundary closure p~_{i,j}, i, j >= 1, for grid cells just outside the
+    solved box: the two-term expansion c1/j + c2/j^2 on the first row, the
+    leading order (2d/r)^i i! / j^i for deeper rows (in log space, so large
+    i or j cannot overflow), either clamped into the rigorous envelope.
+    Symmetric usage: for a cell below the diagonal pass the small index as
+    ``i``.
     """
     if i == 1:
-        value = asymptotic_p1j(params, j)
-        lower, upper = extinction_bounds(params, i, j)
-        return min(upper, max(lower, value))
-    return asymptotic_pij(params, i, j)
+        c1, c2 = row1_coefficients(params)
+        value = c1 / j + c2 / (j * j)
+    else:
+        log_value = i * (math.log(2.0 * params.d / params.r) - math.log(j)) + math.lgamma(
+            i + 1
+        )
+        value = math.exp(min(log_value, 0.0))
+    lower, upper = extinction_bounds(params, i, j)
+    return min(upper, max(lower, value))
 
 
 CLOSURE_DESCRIPTION = (

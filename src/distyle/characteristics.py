@@ -129,8 +129,13 @@ def critical_times(path: CharacteristicPath) -> tuple[float, float]:
     """Blow-up times (s_plus, s_minus) of x and y, both strictly past s0.
 
     Bracketed on the rescaled denominators of ``_pieces``, then solved to
-    rounding by Brent's method.  s_plus < s_minus iff y0 < x0; the two
-    coincide on the diagonal.  Near an axis the first-order terms of the
+    rounding by Brent's method.  Past s0 a denominator reads
+    1 + b e^{-ds} - rho e^{(r-d)(s-s0)} with |b| <= 1 - rho, so it is at
+    most -2 from the offset s - s0 = log(4/rho) / (r - d) on: the bracket
+    doubles its first offset 0.5/d up to that cap, on the curve's own
+    scale, and e^{(r-d)(s-s0)} stays at most 4/rho, finite for every
+    admitted rate.  s_plus < s_minus iff y0 < x0; the two coincide on the
+    diagonal.  Near an axis the first-order terms of the
     denominator cancel at s = 0, so a root s carries a relative error of
     about eps / ((1 - rho) r (s - s0)); where four times that exceeds 1e-6,
     or Brent's method does not converge, this raises ArithmeticError.
@@ -140,23 +145,21 @@ def critical_times(path: CharacteristicPath) -> tuple[float, float]:
 
     r, d = path.params.r, path.params.d
     eps = np.finfo(float).eps
+    lo, cap = path.s0, math.log(4.0 / path.params.ratio) / (r - d)
     results = []
     for k in (1, 2):  # Dx root (s_plus), then Dy root (s_minus)
 
         def g(s):
             return float(_pieces(path, s)[k])
 
-        lo = path.s0
         if g(lo) <= 0.0:
             raise ArithmeticError("denominator not positive at s0; invalid path")
-        step, cap = 0.5 / d, 50.0 / (r - d)
-        hi = lo + step
-        while g(hi) > 0.0:
-            step *= 2.0
-            hi = lo + step
-            if step > cap:
-                raise ArithmeticError("no denominator sign change within the search cap")
-        root, info = brentq(g, lo, hi, xtol=1e-300, rtol=4 * eps, full_output=True, disp=False)
+        step = min(0.5 / d, cap)
+        while step < cap and g(lo + step) > 0.0:
+            step = min(2.0 * step, cap)
+        root, info = brentq(
+            g, lo, lo + step, xtol=1e-300, rtol=4 * eps, full_output=True, disp=False
+        )
         if not info.converged:
             raise ArithmeticError(f"blow-up time not found: Brent's method {info.flag}")
         if 4.0 * eps > 1e-6 * (1.0 - path.params.ratio) * r * (root - path.s0):

@@ -22,13 +22,12 @@ from . import genfunc, harness
 from .characteristics import _check_point, critical_times, eval_path, integrating_factor, make_path
 from .grid import CLOSURES, DEFAULT_CLOSURE, _check_size, solve_grid
 from .harness import OUTPUTS, write_csv, write_grid_csv, write_mc_csv
-from .model import ModelParams, _check_budget, _check_count, _check_rates, _check_seed
+from .model import ModelParams, _check_count, _check_rates, _check_seed
 from .montecarlo import _check_paths, box_cells, start_cells
 
-# Bytes a sample of ``characteristics`` takes at its peak, for its four
-# arrays and their temporaries: 72 measured (peak RSS, 1e6 to 4e6 samples),
-# so at most 1,677,721 samples fit model._BUDGET.
-_BYTES_PER_SAMPLE = 80
+# Points of the curve that ``characteristics`` writes, evenly spaced in
+# time from the start to just short of the arrival s0.
+_SAMPLES = 200
 
 
 def _add_rates(parser: argparse.ArgumentParser) -> None:
@@ -118,15 +117,11 @@ def _cmd_greens(args) -> int:
 
 
 def _cmd_characteristics(args) -> int:
-    _check_budget(
-        "--samples", args.samples, lambda k: _BYTES_PER_SAMPLE * k,
-        f"at {_BYTES_PER_SAMPLE} bytes a sample, the most that fit",
-    )
     params = _params(args)
     _check_point("--x0", args.x0, "--y0", args.y0)
     path = make_path(params, args.x0, args.y0)
     s_plus, s_minus = critical_times(path)
-    times = np.linspace(0.0, path.s0 * (1.0 - 1e-9), args.samples)
+    times = np.linspace(0.0, path.s0 * (1.0 - 1e-9), _SAMPLES)
     x, y = eval_path(path, times)
     factor = integrating_factor(path, times)
     with _output(args, "characteristic.csv") as fp:
@@ -259,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rates(p)
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--y0", type=float, required=True)
-    p.add_argument("--samples", type=int, default=200)
     _add_out(p)
     p.set_defaults(func=_cmd_characteristics)
 
@@ -279,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="named parameter set (default: supercritical)",
     )
     source.add_argument("--config", type=Path, default=None, help="key = value spec file")
-    for name in ("r", "d", "grid_n", "mc_m", "mc_t", "seed", "sublattice",
+    for name in ("r", "d", "grid_n", "mc_m", "mc_t", "seed",
                  "conv_min", "conv_max", "conv_reference"):
         p.add_argument("--" + name.replace("_", "-"), type=harness._FIELD_TYPES[name], default=None)
     p.add_argument("--no-mc", dest="run_mc", action="store_false", default=None)

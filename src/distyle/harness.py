@@ -6,7 +6,8 @@ differences, plus the relative quadratic error
 
     rqe = sqrt( sum (a - b)^2 / sum b^2 )
 
-over a chosen sub-lattice.  ``run_experiment`` wires the solvers together
+over a chosen sub-lattice; a run compares its fields on the 10x10 corner
+:data:`SUBLATTICE`.  ``run_experiment`` wires the solvers together
 for a parameter set, writes every table as CSV, and is deterministic: the
 same spec writes byte-identical files.
 
@@ -39,6 +40,11 @@ from .montecarlo import McEstimate, _check_paths, box_cells, estimate_lattice, s
 # measured (tracemalloc, 6,400 rows); genfunc_count^2 rows must fit
 # model._BUDGET, so at most 724 points a side.
 _BYTES_PER_ROW = 256
+
+# Side of the corner 1 <= i, j <= SUBLATTICE on which a run compares the
+# Monte-Carlo with the grid and each box of the convergence series with
+# the reference.
+SUBLATTICE = 10
 
 
 def _check_range(low_name: str, low: float, high_name: str, high: float) -> None:
@@ -155,17 +161,16 @@ def convergence_series(
     params: ModelParams,
     n_values: list[int],
     reference: np.ndarray,
-    sublattice: int,
     solved: dict[int, GridSolution],
 ) -> list[tuple[int, float]]:
-    """Rows (N, rqe of the N-grid against ``reference`` on the sub-lattice),
-    one for every N of ``n_values``, in that order.  An N-grid in ``solved``
-    (keyed by N) is taken as it is; any other is solved by
-    :func:`solve_grid`'s default."""
+    """Rows (N, rqe of the N-grid against ``reference`` on the corner
+    :data:`SUBLATTICE`), one for every N of ``n_values``, in that order.
+    An N-grid in ``solved`` (keyed by N) is taken as it is; any other is
+    solved by :func:`solve_grid`'s default."""
     rows = []
     for n in n_values:
         box = solved[n] if n in solved else solve_grid(params, n)
-        rows.append((n, compare(box.values, reference, sub=sublattice).rqe_by_b))
+        rows.append((n, compare(box.values, reference, sub=SUBLATTICE).rqe_by_b))
     return rows
 
 
@@ -176,9 +181,11 @@ def convergence_series(
 @dataclass(frozen=True)
 class ExperimentSpec:
     """The settings of one run, as ``manifest.txt`` and a config file list
-    them.  No solver or tolerance is among them: every grid is solved by
-    the default of :func:`solve_grid`, as ``distyle grid`` and ``distyle
-    greens`` solve it, and the quadrature keeps :data:`genfunc.QUAD_TOL`."""
+    them.  No solver, tolerance or comparison corner is among them: every
+    grid is solved by the default of :func:`solve_grid`, as ``distyle
+    grid`` and ``distyle greens`` solve it, the quadrature keeps
+    :data:`genfunc.QUAD_TOL`, and every comparison reads the 10x10 corner
+    :data:`SUBLATTICE`."""
 
     r: float
     d: float
@@ -186,7 +193,6 @@ class ExperimentSpec:
     mc_m: int = 200
     mc_t: int = 5000
     seed: int = 20260816
-    sublattice: int = 10
     run_mc: bool = True
     run_convergence: bool = True
     conv_min: int = 10
@@ -203,7 +209,7 @@ class ExperimentSpec:
         The rates are checked by building ModelParams.
         """
         ModelParams(self.r, self.d)
-        for name in ("grid_n", "mc_m", "mc_t", "sublattice"):
+        for name in ("grid_n", "mc_m", "mc_t"):
             _check_count(name, getattr(self, name))
         _check_seed("seed", self.seed)
         if self.run_convergence:
@@ -460,7 +466,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
                 params,
                 list(range(spec.conv_min, spec.conv_max + 1)),
                 solved[spec.conv_reference].values,
-                spec.sublattice,
                 solved,
             )
             tables["nconv"] = (["n", "rqe_vs_reference"], series)
@@ -483,7 +488,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
     if mc is not None:
         p_mc = mc.p_hat.reshape(spec.grid_n, spec.grid_n)
         full = compare(p_mc, solution.values)
-        sub = compare(p_mc, solution.values, sub=spec.sublattice)
+        sub = compare(p_mc, solution.values, sub=SUBLATTICE)
         tables["comparison_stats"] = stats_table(full)
         tables["comparison_summary"] = (
             ["name", "value"],

@@ -47,11 +47,14 @@ def _check_seed(name: str, seed: int) -> None:
 
 
 def _check_rates(r_name: str, r: float, d_name: str, d: float) -> None:
-    """Reject rates outside the supercritical regime, finite ``r > d > 0``:
-    the one statement of the rule, naming each rate as ``r_name`` and
-    ``d_name``, the flags, config keys or parameters the caller set.  For
-    r <= d extinction is almost sure (every p equals 1) and the asymptotic
-    closures used by the solvers are meaningless."""
+    """Reject rates outside the supercritical regime, finite ``r > d > 0``,
+    or outside the scale [2^-500, 2^500]: the one statement of the rule,
+    naming each rate as ``r_name`` and ``d_name``, the flags, config keys or
+    parameters the caller set.  For r <= d extinction is almost sure (every
+    p equals 1) and the asymptotic closures used by the solvers are
+    meaningless.  Within the scale every product and ratio of two rates
+    that the methods form (r r, (r + d) (i + j), d / r, ...) is a normal
+    double; p depends on d/r alone, so rates beyond it can be rescaled."""
     if not (math.isfinite(r) and math.isfinite(d)):
         raise ValueError(f"rates must be finite, got {r_name}={r}, {d_name}={d}")
     if not (d > 0.0 and r > 0.0):
@@ -59,6 +62,11 @@ def _check_rates(r_name: str, r: float, d_name: str, d: float) -> None:
     if r <= d:
         raise ValueError(
             f"need the supercritical regime {r_name} > {d_name}, got {r_name}={r} <= {d_name}={d}"
+        )
+    if not (2.0**-500 <= d and r <= 2.0**500):
+        raise ValueError(
+            f"rates must lie in [2^-500, 2^500], got {r_name}={r}, {d_name}={d}; "
+            "p depends on d/r alone, so scale both by one factor"
         )
 
 
@@ -84,7 +92,8 @@ def _check_budget(name: str, value: int, bytes_of, what: str) -> None:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Finite birth rate ``r`` and death rate ``d``, restricted to ``r > d > 0``."""
+    """Birth rate ``r`` and death rate ``d``, restricted to ``r > d > 0``
+    within [2^-500, 2^500] (see :func:`_check_rates`)."""
 
     r: float
     d: float

@@ -164,8 +164,6 @@ def stop_level(params: ModelParams, m: int) -> int:
     at most a tenth of the weight 1/m of one path of the sample.
     """
     rho = params.ratio
-    if rho == 0.0:
-        return 1
     bound = 1.0 / (10 * m)
     k = max(1, math.ceil(math.log(bound / 2.0) / math.log(rho)))
     # the logarithms may round either way; settle k on the defining test

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from distyle.asymptotics import asymptotic_p1j, row1_coefficients
+from distyle.asymptotics import closure_value, row1_coefficients
 from distyle.characteristics import eval_path, integrating_factor, make_path
 from distyle.genfunc import eval_by_quadrature, eval_from_grid, query_from_grid
 from distyle.grid import Method, SolveOptions, solve_grid
@@ -117,7 +117,7 @@ def test_05_first_row_asymptotics(params3, grid50):
     oracle_ok = abs(c1 - float(Fraction(4, 3))) < 1e-14 and abs(c2 - float(Fraction(8, 9))) < 1e-14
     p_tail = grid50.values[0, 49]
     leading_gap = abs(50 * p_tail - 4.0 / 3.0)
-    two_term_gap = abs(asymptotic_p1j(params3, 50) - p_tail)
+    two_term_gap = abs(closure_value(params3, 1, 50) - p_tail)
     ok = oracle_ok and leading_gap <= 0.15 and two_term_gap <= 5e-3
     _verdict(
         5,
@@ -249,13 +249,13 @@ def test_11_exponential_truncation_convergence(params3, paramsc, grid50):
     start = time.perf_counter()
     ns = list(range(10, 50))
     direct = SolveOptions(method=Method.DIRECT)
-    series1 = convergence_series(params3, ns, grid50.values, 10, {})
+    series1 = convergence_series(params3, ns, grid50.values, {})
     fit1 = fit_log_slope(
         np.array([n for n, _ in series1]), np.array([e for _, e in series1])
     )
 
     ref_c = solve_grid(paramsc, 50, direct)
-    series2 = convergence_series(paramsc, ns, ref_c.values, 10, {})
+    series2 = convergence_series(paramsc, ns, ref_c.values, {})
     fit2 = fit_log_slope(
         np.array([n for n, _ in series2]), np.array([e for _, e in series2])
     )

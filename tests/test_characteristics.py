@@ -160,6 +160,15 @@ class TestTrajectory:
             with pytest.raises(ArithmeticError):
                 critical_times(make_path(ModelParams(r=r, d=2.0), x0, y0))
 
+    @pytest.mark.parametrize("r, d", [(1500.0, 1.0), (3000.0, 1.0), (2.0**500, 2.0**-500)])
+    def test_blow_up_times_at_large_ratios(self, r, d):
+        # the first offset 0.5/d used to overflow expm1 from r/d of about
+        # 1,400 on; capped at log(4 r/d) / (r - d) the search stays finite
+        # over the whole admitted scale
+        path = make_path(ModelParams(r, d), 0.3, 0.6)
+        s_plus, s_minus = critical_times(path)
+        assert path.s0 < s_minus < s_plus <= path.s0 + math.log(4.0 * r / d) / (r - d)
+
     def test_blow_up_is_only_past_s0(self, params3):
         # next to an axis Dx(0) is far below 1e-14 and still not a root
         path = make_path(params3, 0.3, 1e-15)

@@ -167,8 +167,8 @@ class TestGreensCommand:
 
     def test_tol_option_is_gone(self, capsys):
         # the grid behind the series is solved with the default options; the
-        # value-iteration tolerance, the quadrature budget and the experiment
-        # solver are constants
+        # value-iteration tolerance, the quadrature budget, the experiment
+        # solver and its comparison corner are constants
         greens = ["greens", "--r", 3, "--d", 2, "--n", 12]
         experiment = ["experiment", "--preset", "supercritical", "--out", "x"]
         for command, flag in [
@@ -178,6 +178,7 @@ class TestGreensCommand:
             (experiment, "--tol"),
             (experiment, "--quad-tol"),
             (experiment, "--solver"),
+            (experiment, "--sublattice"),
         ]:
             with pytest.raises(SystemExit) as info:
                 run([*command, flag, "1"])
@@ -189,14 +190,14 @@ class TestCharacteristicsCommand:
     def test_curve_csv(self, tmp_path, capsys):
         code = run(
             ["characteristics", "--r", 3, "--d", 2,
-             "--x0", 0.3, "--y0", 0.6, "--samples", 50, "--out", tmp_path]
+             "--x0", 0.3, "--y0", 0.6, "--out", tmp_path]
         )
         assert code == 0
         err = capsys.readouterr().err
         assert "s0=" in err and "s_plus=" in err
         lines = (tmp_path / "characteristic.csv").read_text().splitlines()
         assert lines[0] == "s,x,y,integrating_factor"
-        assert len(lines) == 51
+        assert len(lines) == 201  # the header and 200 samples
         first = [float(v) for v in lines[1].split(",")]
         assert first == pytest.approx([0.0, 0.3, 0.6, 1.0])
 
@@ -211,6 +212,13 @@ class TestCharacteristicsCommand:
         assert run([*argv, "--out", tmp_path]) == 0
         table = np.loadtxt(tmp_path / "characteristic.csv", delimiter=",", skiprows=1)
         assert np.isfinite(table).all()
+
+    def test_large_ratio_curve(self, tmp_path, capsys):
+        # r/d = 3000: the blow-up search used to overflow expm1 from r/d of
+        # about 1,400 on; the suite turns that RuntimeWarning into an error
+        argv = ["characteristics", "--r", 3000, "--d", 1, "--x0", 0.3, "--y0", 0.6]
+        assert run([*argv, "--out", tmp_path]) == 0
+        assert "s_plus=0.00293563151831 s_minus=0.00270524982667" in capsys.readouterr().err
 
     def test_unresolvable_blow_up_time_exits_2(self, tmp_path, capsys):
         code = run(["characteristics", "--r", 3, "--d", 2, "--x0", 0.3, "--y0", 1e-30,
@@ -311,7 +319,7 @@ class TestExperimentCommand:
         cfg = tmp_path / "spec.cfg"
         cfg.write_text(
             "r = 3\nd = 2\ngrid_n = 6\nmc_m = 10\nmc_t = 100\n"
-            "conv_min = 4\nconv_max = 8\nconv_reference = 8\nseed = 3\nsublattice = 3\n"
+            "conv_min = 4\nconv_max = 8\nconv_reference = 8\nseed = 3\n"
         )
         code = run(["experiment", "--config", cfg, "--out", tmp_path / "run"])
         assert code == 0
@@ -333,7 +341,7 @@ class TestExperimentCommand:
         code = run(
             ["experiment", "--preset", "supercritical", "--r", 2.5, "--d", 1.5,
              "--grid-n", 7, "--mc-m", 11,
-             "--mc-t", 333, "--seed", 42, "--sublattice", 3, "--conv-min", 3,
+             "--mc-t", 333, "--seed", 42, "--conv-min", 3,
              "--conv-max", 9, "--conv-reference", 8,
              "--no-mc", "--no-convergence", "--genfunc", "--out", tmp_path]
         )
@@ -345,7 +353,6 @@ class TestExperimentCommand:
             "mc_m = 11",
             "mc_t = 333",
             "seed = 42",
-            "sublattice = 3",
             "run_mc = false",
             "run_convergence = false",
             "conv_min = 3",
@@ -419,8 +426,6 @@ class TestExperimentCommand:
             (["experiment", "--preset", "supercritical", "--no-mc",
               "--conv-min", 30, "--conv-max", 20],
              "need --conv-min <= --conv-max, got 30 and 20"),
-            (["experiment", "--preset", "supercritical", "--sublattice", 0],
-             "--sublattice must be >= 1, got 0"),
             (["experiment", "--preset", "supercritical", "--no-mc",
               "--conv-min", 20, "--conv-max", 21, "--conv-reference", 50],
              "the convergence fit needs three N"),
@@ -430,7 +435,7 @@ class TestExperimentCommand:
             (["greens", "--r", 3, "--d", 2, "--min", 0.5, "--max", 1.0],
              "need 0 < --min <= --max < 1, got 0.5 and 1.0"),
         ],
-        ids=["empty-convergence-range", "empty-sublattice", "two-fit-points",
+        ids=["empty-convergence-range", "two-fit-points",
              "greens-descending-range", "greens-range-reaches-1"],
     )
     def test_bad_spec_writes_nothing(self, tmp_path, capsys, argv, message):
@@ -483,8 +488,9 @@ class TestExperimentCommand:
         # spellings are refused rather than left to fall back on the default
         (["greens", "--n", 12], "--nx", "error: unrecognized arguments: --nx {count}"),
         (["greens", "--n", 12], "--ny", "error: unrecognized arguments: --ny {count}"),
+        # a curve has a fixed number of samples
         (["characteristics", "--x0", 0.3, "--y0", 0.6], "--samples",
-         "error: --samples must be >= 1, got {count}"),
+         "error: unrecognized arguments: --samples {count}"),
         (["mc", "--i", 1, "--j", 1], "--m", "error: --m must be >= 1, got {count}"),
         (["mc", "--imax", 2, "--jmax", 2], "--t", "error: --t must be >= 1, got {count}"),
         (["mc", "--j", 2], "--i", "error: --i must be >= 1, got {count}"),
@@ -551,6 +557,50 @@ def test_rejects_bad_rates(tmp_path, capsys, monkeypatch, command, rates, error)
     assert captured.err == f"error: {error}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+SCALE = "rates must lie in [2^-500, 2^500], got --r={}, --d={}; " \
+    "p depends on d/r alone, so scale both by one factor"
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [("3.2733906078961426e+150", "2.0"), ("3.0", "3.0549363634996043e-151")],
+    ids=["r-above-2-500", "d-below-2-minus-500"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["grid", "--n", 5],
+        ["mc", "--i", 1, "--j", 1],
+        ["greens"],
+        ["characteristics", "--x0", 0.3, "--y0", 0.6],
+        ["experiment", "--preset", "supercritical"],
+    ],
+    ids=["grid", "mc", "greens", "characteristics", "experiment"],
+)
+def test_rates_outside_the_scale_exit_2(tmp_path, capsys, monkeypatch, command, rates):
+    # one float past either edge is refused by the flags before any work;
+    # the edges themselves are admitted
+    _refuse_work(monkeypatch)
+    out = tmp_path / "out"
+    assert run([*command, "--r", rates[0], "--d", rates[1], "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {SCALE.format(*rates)}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_rates_at_the_scale_edges_run(tmp_path):
+    # d/r = 2^-1000: the first row is d/r times the one at d/r = 2^-400, where
+    # the terms in (d/r)^2 lie below rounding too; deeper cells, of order
+    # (d/r)^2, round to 0
+    assert run(["grid", "--r", 2.0**500, "--d", 2.0**-500, "--n", 3, "--out", tmp_path]) == 0
+    rows = (tmp_path / "grid_p.csv").read_text().splitlines()[1:]
+    p = np.array([float(row.split(",")[2]) for row in rows]).reshape(3, 3)
+    mild = solve_grid(ModelParams(2.0**200, 2.0**-200), 3).values
+    assert p[0] == pytest.approx(mild[0] * 2.0**-600, rel=1e-11)
+    assert np.all(p[1:, 1:] == 0.0)
 
 
 def test_characteristics_point_outside_the_square_exits_2(tmp_path, capsys, monkeypatch):
@@ -705,15 +755,12 @@ MC_POINT = ["mc", *RATES, "--i", 1, "--j", 1, "--t", 1, "--m"]
          "--jmax must be <= 574, got 30000 (the largest box"),
         (["greens", *RATES, "--count", 725],
          "--count must be <= 724, got 725 (at 256 bytes a row"),
-        (["characteristics", *RATES, "--x0", 0.3, "--y0", 0.6, "--samples", 1_677_722],
-         "--samples must be <= 1677721, got 1677722 (at 80 bytes a sample"),
     ],
-    ids=["mc-m", "experiment-mc-m", "mc-imax", "mc-jmax", "greens-count",
-         "characteristics-samples"],
+    ids=["mc-m", "experiment-mc-m", "mc-imax", "mc-jmax", "greens-count"],
 )
 def test_request_above_the_budget_exits_2(tmp_path, capsys, monkeypatch, command, message):
     # refused before any work: no worker forked, no path drawn, no box
-    # solved, no quadrature, no curve, no file
+    # solved, no quadrature, no file
     _refuse_work(monkeypatch)
     out = tmp_path / "out"
     assert run([*command, "--out", out]) == 2
@@ -749,10 +796,8 @@ def test_mc_m_above_the_budget_is_refused_before_the_cells(tmp_path, capsys, mon
          ["experiment", "--preset", "supercritical", "--grid-n", 4, "--no-convergence",
           "--mc-t", 1, "--mc-m"], 1000),
         (harness, "_BYTES_PER_ROW", ["greens", *RATES, "--n", 10, "--count"], 3),
-        (cli, "_BYTES_PER_SAMPLE",
-         ["characteristics", *RATES, "--x0", 0.3, "--y0", 0.6, "--samples"], 50),
     ],
-    ids=["mc-m", "experiment-mc-m", "greens-count", "characteristics-samples"],
+    ids=["mc-m", "experiment-mc-m", "greens-count"],
 )
 def test_largest_admitted_request_runs(tmp_path, capsys, monkeypatch, module, rate, command,
                                        largest):

@@ -89,13 +89,18 @@ class TestConvergenceSeries:
     def test_errors_shrink_toward_reference(self, params3):
         direct = SolveOptions(method=Method.DIRECT)
         reference = solve_grid(params3, 16, direct)
-        series = convergence_series(params3, [6, 9, 12], reference.values, 5, {})
+        series = convergence_series(params3, [6, 9, 12], reference.values, {})
         ns = [n for n, _ in series]
         errs = [e for _, e in series]
         assert ns == [6, 9, 12]
         assert errs[0] > errs[1] > errs[2] > 0.0
+        # every box is compared on the run's corner, which crops N=12
+        assert harness.SUBLATTICE == 10
+        box = solve_grid(params3, 12).values
+        assert errs[2] == compare(box, reference.values, sub=10).rqe_by_b
+        assert errs[2] != compare(box, reference.values).rqe_by_b
         solved = {16: reference}
-        assert convergence_series(params3, [16], reference.values, 5, solved) == [(16, 0.0)]
+        assert convergence_series(params3, [16], reference.values, solved) == [(16, 0.0)]
 
 
 class TestSpec:
@@ -141,8 +146,10 @@ class TestSpec:
             ("tol = 1e-12", "unknown key 'tol'"),
             ("quad_tol = 1e-08", "unknown key 'quad_tol'"),
             ("solver = direct", "unknown key 'solver'"),
+            # so is the corner a run compares on
+            ("sublattice = 10", "unknown key 'sublattice'"),
         ],
-        ids=["int", "float", "bool", "twice", "tol", "quad_tol", "solver"],
+        ids=["int", "float", "bool", "twice", "tol", "quad_tol", "solver", "sublattice"],
     )
     def test_load_spec_locates_bad_line(self, tmp_path, line, message):
         cfg = tmp_path / "exp.cfg"
@@ -193,7 +200,7 @@ class TestSpec:
             (dict(grid_n=0), "grid_n must be >= 1"),
             (dict(mc_m=0), "mc_m must be >= 1"),
             (dict(mc_t=0), "mc_t must be >= 1"),
-            (dict(sublattice=0), "sublattice must be >= 1"),
+            (dict(r=2.0**501), "rates must lie in"),
             (dict(seed=-1), "seed must lie in"),
             (dict(seed=2**64), "seed must lie in"),
             (dict(r=math.inf), "rates must be finite"),
@@ -278,7 +285,6 @@ def tiny_spec():
         mc_m=10,
         mc_t=300,
         seed=5,
-        sublattice=4,
         conv_min=4,
         conv_max=8,
         conv_reference=8,

@@ -1,10 +1,13 @@
 import math
 from typing import NamedTuple
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from distyle.asymptotics import row1_coefficients
+from distyle.grid import solve_grid
 from distyle.model import ModelParams, extinction_bounds
 
 
@@ -62,13 +65,42 @@ class TestModelParams:
             (2.0, 2.0, "need the supercritical regime r > d, got r=2.0 <= d=2.0"),
             (3.0, 0.0, "rates must be positive, got r=3.0, d=0.0"),
             (math.inf, 2.0, "rates must be finite, got r=inf, d=2.0"),
+            (2.0**501, 2.0, "rates must lie in [2^-500, 2^500], got r=6.546781215792284e+150, "
+             "d=2.0; p depends on d/r alone, so scale both by one factor"),
+            (3.0, 2.0**-501, "rates must lie in [2^-500, 2^500], got r=3.0, "
+             "d=1.5274681817498023e-151; p depends on d/r alone, so scale both by one factor"),
         ],
-        ids=["supercritical", "positive", "finite"],
+        ids=["supercritical", "positive", "finite", "scale-above", "scale-below"],
     )
     def test_refusal_names_the_parameters(self, r, d, message):
         with pytest.raises(ValueError) as info:
             ModelParams(r, d)
         assert str(info.value) == message
+
+    def test_scale_edges_are_admitted(self):
+        # the widest admitted pair: d/r = 2^-1000 is still a normal double
+        params = ModelParams(2.0**500, 2.0**-500)
+        assert params.ratio == 2.0**-1000
+        assert params.birth_step == 0.5 and params.death_step == 2.0**-1000
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.tuples(st.floats(-500.0, 500.0), st.floats(-20.0, 20.0))
+        .map(lambda t: (2.0 ** t[0] * (1.0 + 2.0 ** t[1]), 2.0 ** t[0]))
+        .filter(lambda rates: rates[0] <= 2.0**500)
+    )
+    @example((2.0**500, 2.0**500 / (1.0 + 2.0**-20)))
+    @example((2.0**-500 * (1.0 + 2.0**20), 2.0**-500))
+    def test_admitted_rates_keep_their_arithmetic(self, rates):
+        # log-uniform rates over the scale, r/d from 1 + 2^-20 to 1 + 2^20:
+        # p depends on d/r alone, and every step of a solve stays finite
+        r, d = rates
+        params = ModelParams(r, d)
+        assert math.isfinite(params.birth_step) and math.isfinite(params.death_step)
+        assert all(math.isfinite(c) for c in row1_coefficients(params))
+        field = solve_grid(params, 20).values
+        unit = solve_grid(ModelParams(r / d, 1.0), 20).values
+        assert float(np.max(np.abs(field - unit))) <= 1e-12
 
     def test_derived_steps(self, params3):
         assert params3.ratio == pytest.approx(2.0 / 3.0, rel=1e-15)

@@ -840,12 +840,15 @@ class TestStopRule:
         assert stop_level(params3, 100_000) == 36
         assert stop_level(paramsc, 200) == 8299
 
-    def test_underflowing_ratio_keeps_a_finite_level(self):
-        params = ModelParams(r=1e300, d=1e-300)
-        assert params.ratio == 0.0
+    def test_underflowing_ratio_is_refused(self):
+        # d/r = 1e-600 would round to 0; the rates are refused before any
+        # level is taken, so every admitted ratio is a normal double
+        with pytest.raises(ValueError, match=r"rates must lie in \[2\^-500, 2\^500\]"):
+            ModelParams(r=1e300, d=1e-300)
+        params = ModelParams(r=2.0**500, d=2.0**-500)
         assert stop_level(params, 10) == 1
         est = one_cell(params, 1, 1, m=10, t_horizon=100, seed=0)
-        assert est.p_hat == 0.0 and est.stop_bound == 0.0
+        assert est.p_hat == 0.0 and est.stop_bound == 2.0**-999
 
     def test_start_in_exit_set_draws_nothing(self, params3):
         # a horizon this long would take minutes if the paths ran; the
