@@ -108,6 +108,7 @@ def _cmd_greens(args) -> int:
     params = _params(args)
     _check_size("--n", args.n)
     harness._check_range("--min", args.min, "--max", args.max)
+    genfunc._check_served("--max", args.max)
     harness._check_rows("--count", args.count)
     solution = solve_grid(params, args.n)
     table = harness.genfunc_table(solution, args.min, args.max, args.count)

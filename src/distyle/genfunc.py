@@ -23,7 +23,15 @@ adaptive Gauss-Legendre panels converge fast with no endpoint special-casing.
 The check is the truncated power series of a solved grid, whose rigorous
 envelope bounds the discarded tail.  The quadrature takes its first column
 from that grid (:func:`query_from_grid`), so the check is not independent of
-the grid: it tests the rest of the grid against that column.
+the grid: it tests the recurrence inside the box, and the first column
+against the interior.  It cannot see the truncation error of the box, which
+both sides share: near criticality (r=2.002) the N=100 series lies 2.0e-5
+from the N=300 series, yet the quadrature matches the N=100 series to
+1.7e-14.
+
+A query keeps at most 200 first-column terms, so the largest coordinate
+served is QUAD_TOL^(1/201), about 0.9124; :func:`_check_served` refuses a
+range beyond it before any grid is solved.
 """
 
 from __future__ import annotations
@@ -75,16 +83,34 @@ class GenFuncQuery:
         return len(self.row1)
 
 
+# Most first-column terms a query keeps before the folded tail takes over.
+_MAX_TERMS = 200
+
+
 def default_n_terms(x0: float, y0: float) -> int:
     """Smallest I0 with max(x0, y0)^(I0+1) < :data:`QUAD_TOL`; the folded
     tail then sits below the quadrature budget.  Capped at 200 to keep the
-    monomial sum short; :func:`eval_by_quadrature` rejects a query the cap
-    leaves short."""
+    monomial sum short; :func:`_check_served` refuses a coordinate the cap
+    leaves short, and :func:`eval_by_quadrature` a query."""
     base = max(x0, y0)
     n = 1
-    while base ** (n + 1) >= QUAD_TOL and n < 200:
+    while base ** (n + 1) >= QUAD_TOL and n < _MAX_TERMS:
         n += 1
     return n
+
+
+def _check_served(name: str, coord: float) -> None:
+    """Reject a largest coordinate ``coord`` whose folded tail the capped
+    :func:`default_n_terms` leaves at or above :data:`QUAD_TOL` (from about
+    0.9124 at 1e-8), before any grid is solved.  The ValueError names
+    ``name``, the flag or config key the caller set, and no other field."""
+    if coord ** (default_n_terms(coord, coord) + 1) >= QUAD_TOL:
+        # rounded down, so that every refused coordinate lies above it
+        limit = math.floor(QUAD_TOL ** (1.0 / (_MAX_TERMS + 1)) * 1e4) / 1e4
+        raise ValueError(
+            f"{name} must be below {limit}, got {coord} (past it {_MAX_TERMS} terms leave "
+            f"the folded tail max(x, y)^{_MAX_TERMS + 1} above the {QUAD_TOL:g} quadrature budget)"
+        )
 
 
 def query_from_grid(solution: GridSolution, x0: float, y0: float) -> GenFuncQuery:
@@ -105,7 +131,7 @@ def query_from_grid(solution: GridSolution, x0: float, y0: float) -> GenFuncQuer
 @functools.lru_cache(maxsize=1024)
 def _first_row(params: ModelParams, i: int) -> float:
     """Asymptotic p_{1,i}, computed once for all the queries that reach past
-    the same grid edge; ``default_n_terms`` caps i at 200."""
+    the same grid edge; ``default_n_terms`` caps i at :data:`_MAX_TERMS`."""
     return asymptotics.closure_value(params, 1, i)
 
 

@@ -389,6 +389,7 @@ def solve_grid(
     else:
         q, iterations = _iterate(a, c)
     values = q[pos]
+    values += 0.0  # a p that underflows to -0 becomes +0; no other bit moves
     residual = _residual(table, b, values)
     if iterations is None:
         raise ConvergenceError(f"no convergence within {_MAX_ITER} iterations", residual)

@@ -234,6 +234,7 @@ class ExperimentSpec:
             _check_paths("mc_m", self.mc_m)
         if self.run_genfunc:
             _check_range("genfunc_min", self.genfunc_min, "genfunc_max", self.genfunc_max)
+            genfunc._check_served("genfunc_max", self.genfunc_max)
             _check_rows("genfunc_count", self.genfunc_count)
 
 

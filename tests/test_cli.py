@@ -92,10 +92,14 @@ class TestMcCommand:
         common = ["--r", 3, "--d", 2, "--m", 40, "--t", 300, "--seed", 5]
         assert run(["mc", "--i", 3, "--j", 2, *common, "--out", tmp_path / "point"]) == 0
         assert run(["mc", "--imax", 3, "--jmax", 2, *common, "--out", tmp_path / "box"]) == 0
+        assert run(["mc", "--i", 2, "--j", 3, *common, "--out", tmp_path / "mirror"]) == 0
         point = (tmp_path / "point" / "mc_p.csv").read_bytes().split(b"\n")
         box = (tmp_path / "box" / "mc_p.csv").read_bytes().split(b"\n")
+        mirror = (tmp_path / "mirror" / "mc_p.csv").read_bytes().split(b"\n")
         assert point[0] == box[0]
         assert [row for row in box if row.startswith(b"3,2,")] == [point[1]]
+        # the mirror cell reads the same paths
+        assert mirror[1].split(b",")[2:] == point[1].split(b",")[2:]
 
     def test_seed_defaults_to_the_run_seed(self, tmp_path):
         common = ["mc", "--r", 3, "--d", 2, "--imax", 3, "--jmax", 2, "--m", 20, "--t", 100]
@@ -209,6 +213,13 @@ class TestCharacteristicsCommand:
     def test_near_critical_corner_is_finite(self, tmp_path):
         # d s0 is about 2,400 here: e^(ds) used to overflow into NaN rows
         argv = ["characteristics", "--r", 2.002, "--d", 2, "--x0", 0.9999, "--y0", 0.9999]
+        assert run([*argv, "--out", tmp_path]) == 0
+        table = np.loadtxt(tmp_path / "characteristic.csv", delimiter=",", skiprows=1)
+        assert np.isfinite(table).all()
+
+    def test_large_ratio_curve_is_finite(self, tmp_path):
+        # r/d = 3000: the blow-up search used to overflow expm1
+        argv = ["characteristics", "--r", 3000, "--d", 1, "--x0", 0.3, "--y0", 0.6]
         assert run([*argv, "--out", tmp_path]) == 0
         table = np.loadtxt(tmp_path / "characteristic.csv", delimiter=",", skiprows=1)
         assert np.isfinite(table).all()
@@ -427,14 +438,21 @@ class TestExperimentCommand:
              "need 0 < --min <= --max < 1, got 0.5 and 0.2"),
             (["greens", "--r", 3, "--d", 2, "--min", 0.5, "--max", 1.0],
              "need 0 < --min <= --max < 1, got 0.5 and 1.0"),
+            # refused by its flag before the grid is solved
+            (["greens", "--r", 3, "--d", 2, "--max", 0.95],
+             "--max must be below 0.9124, got 0.95 (past it 200 terms leave the folded tail "
+             "max(x, y)^201 above the 1e-08 quadrature budget)"),
         ],
         ids=["empty-convergence-range", "two-fit-points",
-             "greens-descending-range", "greens-range-reaches-1"],
+             "greens-descending-range", "greens-range-reaches-1", "greens-range-past-the-terms"],
     )
-    def test_bad_spec_writes_nothing(self, tmp_path, capsys, argv, message):
+    def test_bad_spec_writes_nothing(self, tmp_path, capsys, monkeypatch, argv, message):
+        _refuse_work(monkeypatch)
         out = tmp_path / "run"
         assert run([*argv, "--out", out]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config", "flag-next-to-config"])
@@ -535,9 +553,12 @@ SCALE = "rates must lie in [2^-500, 2^500], got --r={}, --d={}; " \
         # one float past either edge of the scale
         (["3.2733906078961426e+150", 2], SCALE.format("3.2733906078961426e+150", "2.0")),
         ([3, "3.0549363634996043e-151"], SCALE.format("3.0", "3.0549363634996043e-151")),
+        # far past both edges, where the products overflow
+        (["1e200", "2e199"], SCALE.format("1e+200", "2e+199")),
+        (["1e308", "1e-308"], SCALE.format("1e+308", "1e-308")),
     ],
     ids=["r-equals-d", "r-below-d", "d-zero", "r-infinite", "r-above-2-500",
-         "d-below-2-minus-500"],
+         "d-below-2-minus-500", "both-above-2-500", "both-past-the-edges"],
 )
 @pytest.mark.parametrize(
     "command",
@@ -570,6 +591,9 @@ def test_rates_at_the_scale_edges_run(tmp_path):
     mild = solve_grid(ModelParams(2.0**200, 2.0**-200), 3).values
     assert p[0] == pytest.approx(mild[0] * 2.0**-600, rel=1e-11)
     assert np.all(p[1:, 1:] == 0.0)
+    # the cells that underflow used to be written as -0
+    assert not any(row.split(",")[2].startswith("-") for row in rows)
+    assert not np.signbit(p).any()
 
 
 def test_characteristics_point_outside_the_square_exits_2(tmp_path, capsys, monkeypatch):
@@ -627,17 +651,26 @@ def test_experiment_refusal_names_the_flag(tmp_path, capsys, monkeypatch, flags,
 
 @pytest.mark.parametrize("folder", ["d", "d=5, r"], ids=["d", "field-words"])
 @pytest.mark.parametrize(
-    "lines,flags,error",
+    "lines,flags,where,error",
     [
-        ("", ["--d", 5], "need the supercritical regime r > --d, got r=3.0 <= --d=5.0"),
-        ("conv_min = 20\nconv_max = 21\n", ["--conv-reference", 50],
+        ("", ["--d", 5], "", "need the supercritical regime r > --d, got r=3.0 <= --d=5.0"),
+        ("conv_min = 20\nconv_max = 21\n", ["--conv-reference", 50], "",
          "the convergence fit needs three N from conv_min to conv_max other than "
          "--conv-reference, got 2 from 20 to 21 other than 50"),
+        # a refusal of one key names its line
+        ("grid_n = 10\ngrid_n = 20\n", [], ":4", "key 'grid_n' given twice"),
+        ("grid_n = 0\n", [], ":3", "grid_n must be >= 1, got 0"),
+        ("tol = 1e-12\n", [], ":3", "unknown key 'tol'"),
+        # refused before any grid is solved
+        ("grid_n = 20\nrun_mc = false\nrun_convergence = false\nrun_genfunc = true\n"
+         "genfunc_min = 0.5\ngenfunc_max = 0.95\ngenfunc_count = 2\n", [], ":8",
+         "genfunc_max must be below 0.9124, got 0.95 (past it 200 terms leave the folded "
+         "tail max(x, y)^201 above the 1e-08 quadrature budget)"),
     ],
-    ids=["rates", "conv-fit"],
+    ids=["rates", "conv-fit", "twice", "grid-n-0", "unknown-key", "genfunc-max"],
 )
 def test_experiment_refusal_keeps_the_config_path(
-    tmp_path, capsys, monkeypatch, folder, lines, flags, error
+    tmp_path, capsys, monkeypatch, folder, lines, flags, where, error
 ):
     # a field the file set keeps its name, one a flag set is named by the
     # flag, and the path in front is kept verbatim, however its folders are
@@ -649,7 +682,7 @@ def test_experiment_refusal_keeps_the_config_path(
     out = tmp_path / "run"
     assert run(["experiment", "--config", cfg, *flags, "--out", out]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {cfg}: {error}\n"
+    assert captured.err == f"error: {cfg}{where}: {error}\n"
     assert captured.out == ""
     assert not out.exists()
 

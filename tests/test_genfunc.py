@@ -32,6 +32,11 @@ class TestQuery:
         n = default_n_terms(0.5, 0.3)
         assert 0.5 ** (n + 1) < 1e-8 <= 0.5**n
         assert default_n_terms(0.99, 0.99) == 200
+        # the cap serves coordinates up to 1e-8^(1/201) = 0.91243, and the
+        # refusal of one beyond names a bound below it
+        genfunc._check_served("x", 0.9124)
+        with pytest.raises(ValueError, match=r"^x must be below 0\.9124, got 0\.9125 \("):
+            genfunc._check_served("x", 0.9125)
 
     def test_query_from_grid_pulls_first_column(self, grid50, params3):
         q = query_from_grid(grid50, 0.4, 0.2)

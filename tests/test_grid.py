@@ -528,3 +528,11 @@ class TestCsv:
         assert lines[1] == "1,1,0.795061728395"  # 322/405
         assert len(lines) == 6 and lines[5] == ""
         assert "\r" not in buf.getvalue()
+        # p underflows to 0 in 3,668 cells here, 3,630 of which the LU used to
+        # leave as -0
+        sol = solve_grid(ModelParams(100.0, 1.0), 200)
+        assert np.count_nonzero(sol.values == 0.0) > 3000
+        assert not np.signbit(sol.values).any()
+        buf = io.StringIO()
+        write_grid_csv(sol, buf)
+        assert not any(line.split(",")[2].startswith("-") for line in buf.getvalue().split()[1:])

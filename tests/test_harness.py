@@ -19,6 +19,12 @@ from distyle.harness import (
 )
 
 
+GENFUNC_MAX = (
+    "genfunc_max must be below 0.9124, got 0.95 (past it 200 terms leave the folded tail "
+    "max(x, y)^201 above the 1e-08 quadrature budget)"
+)
+
+
 class TestCompare:
     def test_hand_example(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -117,6 +123,11 @@ class TestSpec:
     def test_preset_overrides(self):
         spec = spec_from_preset("supercritical", grid_n=12, run_mc=False)
         assert spec.grid_n == 12 and spec.run_mc is False
+        # a coordinate the quadrature cannot serve is refused by its name
+        # alone, before any grid is solved
+        with pytest.raises(ValueError) as info:
+            spec_from_preset("supercritical", run_genfunc=True, genfunc_max=0.95)
+        assert str(info.value) == GENFUNC_MAX
 
     def test_load_spec_roundtrip(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -171,6 +182,7 @@ class TestSpec:
             ("grid_n = 5\n", {"grid_n": 0}, None, "grid_n must be >= 1, got 0"),
             # every count and seed refusal starts with its key
             ("seed = -1\n", {}, ":3", "seed must lie in [0, 2^64), got -1"),
+            ("run_genfunc = true\ngenfunc_max = 0.95\n", {}, ":4", GENFUNC_MAX),
             ("mc_m = 0\n", {}, ":3", "mc_m must be >= 1, got 0"),
             # a refusal that names two keys is the caller's only when the
             # overrides gave both
@@ -181,8 +193,8 @@ class TestSpec:
              "the convergence fit needs three N from conv_min to conv_max other than "
              "conv_reference, got 2 from 20 to 21 other than 50"),
         ],
-        ids=["grid_n", "conv_range", "override", "seed", "mc_m", "conv_range_mixed",
-             "conv_range_override", "conv_fit_mixed"],
+        ids=["grid_n", "conv_range", "override", "seed", "genfunc_max", "mc_m",
+             "conv_range_mixed", "conv_range_override", "conv_fit_mixed"],
     )
     def test_load_spec_locates_range_error(self, tmp_path, lines, overrides, where, message):
         cfg = tmp_path / "exp.cfg"
@@ -219,6 +231,7 @@ class TestSpec:
             (dict(conv_max=575), "conv_max must be <= 574, got 575"),
             (dict(mc_m=2_097_153), "mc_m must be <= 2097152, got 2097153"),
             (dict(run_genfunc=True, genfunc_count=725), "genfunc_count must be <= 724, got 725"),
+            (dict(run_genfunc=True, genfunc_max=0.95), "genfunc_max must be below 0.9124, got 0.95"),
         ],
     )
     def test_bad_spec_rejected(self, fields, message):
@@ -234,6 +247,7 @@ class TestSpec:
         ExperimentSpec(r=3.0, d=2.0, run_convergence=False, conv_min=30, conv_max=20)
         ExperimentSpec(r=3.0, d=2.0, run_convergence=False, conv_max=600, conv_reference=600)
         ExperimentSpec(r=3.0, d=2.0, genfunc_min=0.0, genfunc_count=0)
+        ExperimentSpec(r=3.0, d=2.0, genfunc_max=0.95)
         ExperimentSpec(r=3.0, d=2.0, run_mc=False, mc_m=10**9, genfunc_count=10**6)
         # three fitted N besides the reference, which may lie outside the range
         ExperimentSpec(r=3.0, d=2.0, conv_min=20, conv_max=22, conv_reference=50)
@@ -295,6 +309,15 @@ def tiny_spec():
     )
 
 
+def _fail_quadrature(monkeypatch):
+    """Make the genfunc stage raise once the grid is solved."""
+
+    def fail(params, query):
+        raise genfunc.QuadratureError("broken quadrature", math.nan, math.nan)
+
+    monkeypatch.setattr(genfunc, "eval_by_quadrature", fail)
+
+
 class TestRunExperiment:
     def test_writes_full_file_set(self, tmp_path):
         written = run_experiment(tiny_spec(), tmp_path / "out")
@@ -313,6 +336,19 @@ class TestRunExperiment:
             assert path.exists() and path.stat().st_size > 0
         manifest = written["manifest"].read_text()
         assert "grid_n = 8" in manifest
+        # the Monte-Carlo table covers the box, mirror cells alike, and the
+        # stop's bias, below a tenth of a path, sits in every ci_high
+        header, *rows = (line.split(",") for line in written["mc"].read_text().splitlines())
+        assert header == "i,j,p_hat,ci_low,ci_high,stopped_frac,censored_frac,M,T,seed".split(",")
+        cells = {(i, j): rest for i, j, *rest in rows}
+        assert len(rows) == len(cells) == 8 * 8
+        assert all(cells[j, i] == rest for (i, j), rest in cells.items())
+        summary = dict(line.split(",") for line in
+                       written["comparison_summary"].read_text().splitlines()[1:])
+        bound = float(summary["mc_stop_bound"])
+        assert 0.0 < bound <= 1.0 / (10 * 10)
+        assert all(float(ci_high) >= min(1.0, float(p_hat) + bound)
+                   for _, _, p_hat, _, ci_high, *_ in rows)
 
     def test_reruns_are_byte_identical(self, tmp_path):
         first = run_experiment(tiny_spec(), tmp_path / "a")
@@ -333,9 +369,10 @@ class TestRunExperiment:
             for name in first:
                 assert first[name].read_bytes() == second[name].read_bytes(), name
 
-    def test_failed_stage_leaves_no_directory(self, tmp_path):
+    def test_failed_stage_leaves_no_directory(self, tmp_path, monkeypatch):
         # the genfunc stage raises after the grid is solved; the manifest and
         # grid_p.csv used to be written by then
+        _fail_quadrature(monkeypatch)
         spec = ExperimentSpec(
             r=3.0,
             d=2.0,
@@ -344,23 +381,23 @@ class TestRunExperiment:
             run_convergence=False,
             run_genfunc=True,
             genfunc_min=0.5,
-            genfunc_max=0.95,
+            genfunc_max=0.9,
             genfunc_count=2,
         )
-        with pytest.raises(genfunc.QuadratureError, match="folded tail above the budget"):
+        with pytest.raises(genfunc.QuadratureError, match="broken quadrature"):
             run_experiment(spec, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
-    def test_reused_directory_holds_one_run(self, tmp_path):
+    def test_reused_directory_holds_one_run(self, tmp_path, monkeypatch):
         # a run without the optional stages used to leave the earlier run's
         # mc_p.csv, comparison and nconv tables beside its own manifest
         out = tmp_path / "out"
         run_experiment(tiny_spec(), out)
         (out / "notes.txt").write_text("kept\n")
         before = {path.name: path.read_bytes() for path in out.iterdir()}
-        failing = dataclasses.replace(tiny_spec(), run_mc=False, genfunc_max=0.95)
+        _fail_quadrature(monkeypatch)
         with pytest.raises(genfunc.QuadratureError):
-            run_experiment(failing, out)
+            run_experiment(dataclasses.replace(tiny_spec(), run_mc=False), out)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
         bare = dataclasses.replace(
             tiny_spec(), run_mc=False, run_convergence=False, run_genfunc=False
