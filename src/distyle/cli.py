@@ -192,15 +192,12 @@ def _cmd_experiment(args) -> int:
         for f in dataclasses.fields(harness.ExperimentSpec)
         if getattr(args, f.name, None) is not None
     }
-    try:
-        if args.config is not None:
-            spec = harness.load_spec(args.config, **overrides)
-        else:
-            spec = harness.spec_from_preset(args.preset or "supercritical", **overrides)
-    except ValueError as exc:
-        # a refusal names each field a flag set by that flag
-        flags = {name: "--" + name.replace("_", "-") for name in overrides}
-        raise ValueError(harness._field_words(str(exc), flags)[1]) from None
+    # a refusal names each field a flag set by that flag
+    flags = {name: "--" + name.replace("_", "-") for name in overrides}
+    if args.config is not None:
+        spec = harness.load_spec(args.config, flags, **overrides)
+    else:
+        spec = harness.spec_from_preset(args.preset or "supercritical", flags, **overrides)
     written = harness.run_experiment(spec, args.out)
     for key, path in sorted(written.items()):
         print(f"{key} -> {path}", file=sys.stderr)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import genfunc
 from .grid import GridSolution, _check_size, solve_grid
-from .model import ModelParams, _check_budget, _check_count, _check_seed
+from .model import ModelParams, _check_budget, _check_count, _check_rates, _check_seed
 # estimate_lattice stays a name of this module: perfbench/tracing.py wraps it
 from .montecarlo import McEstimate, _check_paths, box_cells, estimate_lattice, start_cells  # noqa: F401
 
@@ -52,6 +51,24 @@ def _check_range(low_name: str, low: float, high_name: str, high: float) -> None
     0 < low <= high < 1, naming both ends as the caller set them."""
     if not 0.0 < low <= high < 1.0:
         raise ValueError(f"need 0 < {low_name} <= {high_name} < 1, got {low} and {high}")
+
+
+def _check_order(lo_name: str, lo: int, hi_name: str, hi: int) -> None:
+    """Reject a range of convergence boxes whose low end lies above its high
+    end, naming both ends as the caller set them."""
+    if lo > hi:
+        raise ValueError(f"need {lo_name} <= {hi_name}, got {lo} and {hi}")
+
+
+def _check_fit(lo_name: str, lo: int, hi_name: str, hi: int, ref_name: str, ref: int) -> None:
+    """Reject a range of convergence boxes that leaves the fit fewer than
+    three N besides the reference, naming all three as the caller set them."""
+    fitted = len(range(lo, hi + 1)) - (lo <= ref <= hi)
+    if fitted < 3:
+        raise ValueError(
+            f"the convergence fit needs three N from {lo_name} to {hi_name} other than "
+            f"{ref_name}, got {fitted} from {lo} to {hi} other than {ref}"
+        )
 
 
 def _check_rows(name: str, count: int) -> None:
@@ -178,6 +195,15 @@ def convergence_series(
 # experiment specification and runner
 
 
+class SpecError(ValueError):
+    """A refusal of an :class:`ExperimentSpec`; ``fields`` holds the fields
+    its text names, in the order it names them."""
+
+    def __init__(self, message: str, fields: tuple[str, ...]):
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """The settings of one run, as ``manifest.txt`` and a config file list
@@ -202,40 +228,42 @@ class ExperimentSpec:
     genfunc_min: float = 0.1
     genfunc_max: float = 0.5
     genfunc_count: int = 5
+    names: dataclasses.InitVar[dict[str, str] | None] = None
 
-    def __post_init__(self) -> None:
-        """Reject a spec the run would fail on, before it writes any file.
+    def __post_init__(self, names: dict[str, str] | None) -> None:
+        """Reject a spec the run would fail on, before it writes any file,
+        with a :class:`SpecError` that carries the fields its text names.
 
-        The rates are checked by building ModelParams.
+        ``names`` maps a field to the name its refusals show, such as the
+        flag that set it; any other field is shown by its own name.  It is
+        no setting: no field, manifest line or config key holds it.
         """
-        ModelParams(self.r, self.d)
-        for name in ("grid_n", "mc_m", "mc_t"):
-            _check_count(name, getattr(self, name))
-        _check_seed("seed", self.seed)
+
+        def check(rule, *fields: str) -> None:
+            """Call ``rule`` with each field's name and value in turn."""
+            try:
+                rule(*(x for f in fields for x in ((names or {}).get(f, f), getattr(self, f))))
+            except ValueError as exc:
+                raise SpecError(str(exc), fields) from None
+
+        check(_check_rates, "r", "d")
+        for field in ("grid_n", "mc_m", "mc_t"):
+            check(_check_count, field)
+        check(_check_seed, "seed")
         if self.run_convergence:
-            for name in ("conv_min", "conv_reference"):
-                _check_count(name, getattr(self, name))
-            if self.conv_min > self.conv_max:
-                raise ValueError(
-                    f"need conv_min <= conv_max, got {self.conv_min} and {self.conv_max}"
-                )
-            ns = range(self.conv_min, self.conv_max + 1)
-            fitted = len(ns) - (self.conv_reference in ns)
-            if fitted < 3:
-                raise ValueError(
-                    "the convergence fit needs three N from conv_min to conv_max other than "
-                    f"conv_reference, got {fitted} from {self.conv_min} to {self.conv_max} "
-                    f"other than {self.conv_reference}"
-                )
+            for field in ("conv_min", "conv_reference"):
+                check(_check_count, field)
+            check(_check_order, "conv_min", "conv_max")
+            check(_check_fit, "conv_min", "conv_max", "conv_reference")
         sizes = ("grid_n", "conv_reference", "conv_max") if self.run_convergence else ("grid_n",)
-        for name in sizes:
-            _check_size(name, getattr(self, name))
+        for field in sizes:
+            check(_check_size, field)
         if self.run_mc:
-            _check_paths("mc_m", self.mc_m)
+            check(_check_paths, "mc_m")
         if self.run_genfunc:
-            _check_range("genfunc_min", self.genfunc_min, "genfunc_max", self.genfunc_max)
-            genfunc._check_served("genfunc_max", self.genfunc_max)
-            _check_rows("genfunc_count", self.genfunc_count)
+            check(_check_range, "genfunc_min", "genfunc_max")
+            check(genfunc._check_served, "genfunc_max")
+            check(_check_rows, "genfunc_count")
 
 
 PRESETS: dict[str, dict] = {
@@ -248,30 +276,16 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def spec_from_preset(name: str, **overrides) -> ExperimentSpec:
+def spec_from_preset(name: str, names: dict | None = None, **overrides) -> ExperimentSpec:
+    """The preset ``name`` with ``overrides`` applied; a refusal shows each
+    field by its name in ``names``, as :class:`ExperimentSpec` does."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}, choose from {sorted(PRESETS)}")
-    merged = dict(PRESETS[name])
-    merged.update(overrides)
-    return ExperimentSpec(**merged)
+    return ExperimentSpec(**{**PRESETS[name], **overrides}, names=names)
 
 
 _FIELD_TYPES = get_type_hints(ExperimentSpec)
-
-
-def _field_words(refusal: str, names: dict[str, str]) -> tuple[set[str], str]:
-    """The fields a spec refusal names, and the refusal with each word that
-    names a field renamed by ``names``, a map of fields to new names: the
-    one statement of which words name fields.  Such a word is a field's
-    name, alone or followed by a comma or by ``=value``.  Only the text
-    after the last ``": "`` is read, and no spec refusal holds one, so the
-    ``path:`` or ``path:line:`` that :func:`load_spec` puts in front is
-    neither read nor renamed."""
-    head, sep, tail = refusal.rpartition(": ")
-    parts = re.split(r"(?<!\S)(\w+)(?=[=,\s]|$)", tail)  # the words at the odd places
-    named = set(parts[1::2]) & _FIELD_TYPES.keys()
-    parts[1::2] = [names.get(word, word) for word in parts[1::2]]
-    return named, head + sep + "".join(parts)
+del _FIELD_TYPES["names"]  # no field, so no config key
 
 
 def _coerce(name: str, raw: str):
@@ -286,18 +300,18 @@ def _coerce(name: str, raw: str):
     raise ValueError(f"cannot read {raw!r} as a boolean")
 
 
-def load_spec(path: Path, **overrides) -> ExperimentSpec:
+def load_spec(path: Path, names: dict | None = None, **overrides) -> ExperimentSpec:
     """Read a flat ``key = value`` config file; later overrides win.
 
     Recognised keys are exactly the ExperimentSpec fields, each given at
     most once; ``r`` and ``d`` are required unless an override gives them.
     A value its field's type cannot read fails with its ``path:line``, and
-    so does a value the spec rejects when the message names its key alone,
-    as every refusal of a count, a seed or a size does; a missing key and
-    any other rejection of the spec carry the ``path``.  A refusal whose
-    named keys all come from overrides is raised as the spec raised it:
-    the caller set those values, not the file.  The keys a refusal names
-    are those :func:`_field_words` reads in it.
+    so does a value the spec rejects when the :class:`SpecError` names its
+    key alone, as every refusal of a count, a seed or a size does; a
+    missing key and any other rejection of the spec carry the ``path``.  A
+    refusal whose fields all come from overrides is raised as the spec
+    raised it: the caller set those values, not the file.  ``names`` goes
+    to the spec, which shows each field by its name there.
     Lines starting with ``#`` and blank lines are ignored.
     """
     values: dict = {}
@@ -324,14 +338,13 @@ def load_spec(path: Path, **overrides) -> ExperimentSpec:
         if f.default is dataclasses.MISSING and f.name not in values:
             raise ValueError(f"{path}: missing key {f.name!r}")
     try:
-        return ExperimentSpec(**values)
-    except ValueError as exc:
-        named, _ = _field_words(str(exc), {})
-        if named and named <= overrides.keys():
+        return ExperimentSpec(**values, names=names)
+    except SpecError as exc:
+        if overrides.keys() >= set(exc.fields):
             raise
-        key = named.pop() if len(named) == 1 else None
+        key = exc.fields[0] if len(exc.fields) == 1 else None
         where = f"{path}:{lines[key]}" if key in lines else path
-        raise ValueError(f"{where}: {exc}") from None
+        raise SpecError(f"{where}: {exc}", exc.fields) from None
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ the mating system.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -28,20 +29,30 @@ from dataclasses import dataclass
 _BUDGET = 128 * 2**20
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a ``value`` that is not an integer; numpy integers pass.  The
+    ValueError names ``name``, the flag, config key or parameter the caller
+    set."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+
+
 def _check_count(name: str, value: int) -> None:
-    """Reject a count ``value`` below 1: the one statement of the rule that
-    every count of a request (cells, paths, steps, box sizes, points) is at
-    least 1.  The ValueError names ``name``, the flag, config key or
-    parameter the caller set, as a word of its own, where
-    :func:`~distyle.harness._field_words` finds a config key."""
+    """Reject a count ``value`` that is not an integer or lies below 1: the
+    one statement of the rule that every count of a request (cells, paths,
+    steps, box sizes, points) is an integer of at least 1.  The ValueError
+    names ``name``, the flag, config key or parameter the caller set."""
+    _check_integer(name, value)
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _check_seed(name: str, seed: int) -> None:
-    """Reject a ``seed`` outside [0, 2^64), the seeds a stream takes: the
-    one statement of the rule.  The ValueError names ``name``, the flag,
-    config key or parameter the caller set, as :func:`_check_count`'s does."""
+    """Reject a ``seed`` that is not an integer or lies outside [0, 2^64),
+    the seeds a stream takes: the one statement of the rule.  The
+    ValueError names ``name``, the flag, config key or parameter the caller
+    set."""
+    _check_integer(name, seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"{name} must lie in [0, 2^64), got {seed}")
 

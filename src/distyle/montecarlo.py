@@ -133,6 +133,7 @@ import contextlib
 import functools
 import itertools
 import math
+import numbers
 import os
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -249,8 +250,8 @@ def start_cells(
     estimate.
 
     Every entry point checks its request here: at least one cell, each with
-    i, j >= 1, ``m`` and ``t_horizon`` at least 1 and ``seed`` in [0, 2^64),
-    and no more paths a cell or cells than fit the budget at
+    integers i, j >= 1, ``m`` and ``t_horizon`` at least 1 and ``seed`` in
+    [0, 2^64), and no more paths a cell or cells than fit the budget at
     ``_BYTES_PER_PATH`` and ``_BYTES_PER_CELL`` bytes each.
     Only the distinct canonical cells (min(i, j), max(i, j)) are counted, in
     the order ``cells`` first names them, and the finish copies each one's
@@ -272,10 +273,18 @@ def start_cells(
     keys: dict[tuple[int, int], int] = {}  # canonical cell -> its row in the counts
     where = [keys.setdefault((min(i, j), max(i, j)), len(keys)) for i, j in cells]
     distinct = list(keys)
-    # the least canonical cell holds the least index of all; the message
-    # names a cell that maps to it, as the caller wrote it
+
+    def written(key: tuple) -> tuple:
+        """The first cell of ``cells`` that maps to the canonical ``key``."""
+        return cells[where.index(keys[key])]
+
+    # each refusal of a cell names one as the caller wrote it; the least
+    # canonical cell holds the least index of all
+    for key in distinct:
+        if not all(isinstance(k, numbers.Integral) for k in key):
+            raise ValueError(f"i and j of cell {written(key)} must be integers")
     lowest = min(distinct)
-    _check_count(f"min(i, j) of cell {cells[where.index(keys[lowest])]}", lowest[0])
+    _check_count(f"min(i, j) of cell {written(lowest)}", lowest[0])
     level = stop_level(params, m)
     workers = _workers() if len(distinct) * m >= _POOL_MIN_PATHS else 1
     # a worker's window holds at least m lanes

@@ -239,7 +239,7 @@ class TestSolvers:
         assert np.min(mid.values - low.values) > -1e-12
         assert np.min(high.values - mid.values) > -1e-12
 
-    def test_explicit_closure_arrays(self, params3):
+    def test_explicit_closure_arrays(self, params3, monkeypatch):
         edge, _, _ = closure_arrays(params3, 10, "asymptotic")
         sol = solve_grid(params3, 10, closure=edge)
         ref = solve_grid(params3, 10)
@@ -247,6 +247,21 @@ class TestSolvers:
         # one edge closes both sides; a pair of edges is not a closure
         with pytest.raises(ValueError):
             solve_grid(params3, 10, closure=(edge, edge))
+        # an edge that is not finite is refused before either method starts
+        def fail(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(grid, "_iterate", fail)
+        monkeypatch.setattr(grid.scipy.sparse.linalg, "splu", fail)
+        for value, text in [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")]:
+            broken = edge.copy()
+            broken[3] = value
+            for method in Method:
+                with pytest.raises(ValueError) as info:
+                    solve_grid(params3, 10, SolveOptions(method=method), closure=broken)
+                assert str(info.value) == f"an explicit closure must be finite, got {text} at k = 4"
+        # a finite edge above 1 is a closure still
+        assert np.array_equal(closure_arrays(params3, 10, edge + 1.0)[0], edge + 1.0)
 
     def test_unknown_closure_rejected(self, params3):
         with pytest.raises(ValueError):

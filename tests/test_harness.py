@@ -123,6 +123,14 @@ class TestSpec:
     def test_preset_overrides(self):
         spec = spec_from_preset("supercritical", grid_n=12, run_mc=False)
         assert spec.grid_n == 12 and spec.run_mc is False
+        # the names a refusal would show change no setting
+        assert spec_from_preset("supercritical", {"grid_n": "--grid-n"}, grid_n=12,
+                                run_mc=False) == spec
+        # a box size that is no integer is refused by its name, not by the
+        # solver once the run has started
+        with pytest.raises(ValueError) as info:
+            spec_from_preset("supercritical", grid_n=5.5)
+        assert str(info.value) == "grid_n must be an integer, got 5.5"
         # a coordinate the quadrature cannot serve is refused by its name
         # alone, before any grid is solved
         with pytest.raises(ValueError) as info:
@@ -159,8 +167,11 @@ class TestSpec:
             ("solver = direct", "unknown key 'solver'"),
             # so is the corner a run compares on
             ("sublattice = 10", "unknown key 'sublattice'"),
+            # the names a refusal shows are no setting
+            ("names = x", "unknown key 'names'"),
         ],
-        ids=["int", "float", "bool", "twice", "tol", "quad_tol", "solver", "sublattice"],
+        ids=["int", "float", "bool", "twice", "tol", "quad_tol", "solver", "sublattice",
+             "names"],
     )
     def test_load_spec_locates_bad_line(self, tmp_path, line, message):
         cfg = tmp_path / "exp.cfg"
@@ -232,11 +243,52 @@ class TestSpec:
             (dict(mc_m=2_097_153), "mc_m must be <= 2097152, got 2097153"),
             (dict(run_genfunc=True, genfunc_count=725), "genfunc_count must be <= 724, got 725"),
             (dict(run_genfunc=True, genfunc_max=0.95), "genfunc_max must be below 0.9124, got 0.95"),
+            # a count or seed that is no integer
+            (dict(grid_n=5.5), "grid_n must be an integer, got 5.5"),
+            (dict(mc_t=100.0), "mc_t must be an integer, got 100.0"),
+            (dict(seed=1.5), "seed must be an integer, got 1.5"),
         ],
     )
     def test_bad_spec_rejected(self, fields, message):
         with pytest.raises(ValueError, match=message.replace("^", r"\^")):
             ExperimentSpec(**{"r": 3.0, "d": 2.0, **fields})
+
+    @pytest.mark.parametrize(
+        "fields,named",
+        [
+            (dict(grid_n=0), ("grid_n",)),
+            (dict(seed=1.5), ("seed",)),
+            (dict(conv_max=575), ("conv_max",)),
+            (dict(mc_m=2_097_153), ("mc_m",)),
+            (dict(conv_min=30, conv_max=20), ("conv_min", "conv_max")),
+            (dict(conv_min=20, conv_max=22, conv_reference=21),
+             ("conv_min", "conv_max", "conv_reference")),
+            (dict(r=2.0), ("r", "d")),
+            (dict(d=math.inf), ("r", "d")),
+            (dict(r=2.0**501), ("r", "d")),
+            (dict(run_genfunc=True, genfunc_min=0.6), ("genfunc_min", "genfunc_max")),
+            (dict(run_genfunc=True, genfunc_max=0.95), ("genfunc_max",)),
+            (dict(run_genfunc=True, genfunc_count=725), ("genfunc_count",)),
+        ],
+        ids=["count", "seed", "size", "paths", "conv-order", "conv-fit", "rates",
+             "rates-finite", "rates-scale", "genfunc-range", "genfunc-max", "genfunc-rows"],
+    )
+    def test_refusal_carries_the_fields_it_names(self, fields, named):
+        spec = {"r": 3.0, "d": 2.0, **fields}
+        with pytest.raises(harness.SpecError) as info:
+            ExperimentSpec(**spec)
+        assert info.value.fields == named
+        text = str(info.value)
+        # a name in ``names`` stands in for its own field, and for nothing else
+        for field in named:
+            with pytest.raises(harness.SpecError) as renamed:
+                ExperimentSpec(**spec, names={field: "@"})
+            assert "@" in str(renamed.value)
+            assert str(renamed.value).replace("@", field) == text
+        others = {f.name: "@" for f in dataclasses.fields(ExperimentSpec) if f.name not in named}
+        with pytest.raises(harness.SpecError) as same:
+            ExperimentSpec(**spec, names=others)
+        assert str(same.value) == text
 
     def test_rate_refusal_names_the_fields(self):
         with pytest.raises(ValueError) as info:

@@ -171,10 +171,21 @@ class TestConfig:
             (dict(cells=[(2, 2), (0, 3)]), "min(i, j) of cell (0, 3) must be >= 1, got 0"),
             (dict(cells=[(2, -1), (0, 3)]), "min(i, j) of cell (2, -1) must be >= 1, got -1"),
             (dict(cells=[]), "len(cells) must be >= 1, got 0"),
+            # an index, count or seed that is no integer, named as set
+            (dict(cells=[(1.5, 2)]), "i and j of cell (1.5, 2) must be integers"),
+            (dict(cells=[(1, 1), (3, 2.0), (0, 3)]), "i and j of cell (3, 2.0) must be integers"),
+            (dict(m=10.0), "m must be an integer, got 10.0"),
+            (dict(t_horizon=1.5), "t_horizon must be an integer, got 1.5"),
+            (dict(seed=1.5), "seed must be an integer, got 1.5"),
         ]:
             with pytest.raises(ValueError) as info:
                 estimate_cells(params3, **{**good, **bad})
             assert str(info.value) == message
+        # numpy integers are integers
+        numpy_ints = dict(cells=[(np.int64(1), np.int32(1))], m=np.int64(10), seed=np.uint64(0))
+        assert np.array_equal(
+            estimate_cells(params3, **{**good, **numpy_ints}), estimate_cells(params3, **good)
+        )
 
     def test_sizes_above_the_budget_rejected(self, params3, monkeypatch):
         # refused before a worker is forked or a path drawn, naming the
