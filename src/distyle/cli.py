@@ -107,7 +107,7 @@ def _cmd_mc(args) -> int:
 def _cmd_greens(args) -> int:
     params = _params(args)
     _check_size("--n", args.n)
-    harness._check_range("--min", args.min, "--max", args.max)
+    genfunc._check_range("--min", args.min, "--max", args.max)
     genfunc._check_served("--max", args.max)
     harness._check_rows("--count", args.count)
     solution = solve_grid(params, args.n)

@@ -29,9 +29,14 @@ both sides share: near criticality (r=2.002) the N=100 series lies 2.0e-5
 from the N=300 series, yet the quadrature matches the N=100 series to
 1.7e-14.
 
-A query keeps at most 200 first-column terms, so the largest coordinate
-served is QUAD_TOL^(1/201), about 0.9124; :func:`_check_served` refuses a
-range beyond it before any grid is solved.
+The module states the coordinates it serves, [1.4917e-154, 0.9124), at
+both ends, and a caller refuses a range outside them before any grid is
+solved.  :func:`_check_range` states the lower end: the square root of the
+smallest normal double, so that the product x0 y0, which the path forms
+first, is a normal double (below about 1.5e-162 the arrival time s0 is
+exactly 0).  :func:`_check_served` states the upper end: a query keeps at
+most 200 first-column terms, so the largest coordinate served is
+QUAD_TOL^(1/201), about 0.9124.
 """
 
 from __future__ import annotations
@@ -93,10 +98,26 @@ def default_n_terms(x0: float, y0: float) -> int:
     monomial sum short; :func:`_check_served` refuses a coordinate the cap
     leaves short, and :func:`eval_by_quadrature` a query."""
     base = max(x0, y0)
-    n = 1
-    while base ** (n + 1) >= QUAD_TOL and n < _MAX_TERMS:
-        n += 1
-    return n
+    return next((n for n in range(1, _MAX_TERMS) if base ** (n + 1) < QUAD_TOL), _MAX_TERMS)
+
+
+# The smallest coordinate served, sqrt(2.2e-308) = 1.49167e-154: the
+# square of any coordinate from it up is a normal double.
+_LOWEST = math.sqrt(np.finfo(float).tiny)
+
+
+def _check_range(lo_name: str, lo: float, hi_name: str, hi: float) -> None:
+    """Reject a range of coordinates outside _LOWEST <= lo <= hi < 1,
+    naming both ends as the caller set them.  Below _LOWEST the product
+    x0 y0, which :func:`characteristics.make_path` forms first, is no
+    normal double, and below about 1.5e-162 the arrival time s0 is exactly
+    0.  :func:`_check_served` holds ``hi`` to the coordinates the term cap
+    serves."""
+    if not _LOWEST <= lo <= hi < 1.0:
+        # printed as 1.4917e-154, above _LOWEST, so every refused lo lies below it
+        raise ValueError(
+            f"need 0 < {lo_name} <= {hi_name} < 1 and {lo_name} >= {_LOWEST:.5g}, got {lo} and {hi}"
+        )
 
 
 def _check_served(name: str, coord: float) -> None:
@@ -198,9 +219,10 @@ def eval_by_quadrature(params: ModelParams, query: GenFuncQuery) -> float:
     Raises :class:`QuadratureError` when ``n_terms`` is too short for the
     folded tail, max(x0, y0)^(n_terms+1), to fall below the budget
     :data:`QUAD_TOL` (before any panel runs, so the estimate is NaN), when
-    the arrival time s0 is subnormal (a point within about 1e-308 of an
-    axis), where the panel nodes round past s0, or when the panels miss the
-    budget (or the integrand is NaN).
+    the arrival time s0 lies below the smallest normal double (a point
+    within about 1e-308 of an axis, which :func:`_check_range` refuses in a
+    range), where the panel nodes round past s0, or when the panels miss
+    the budget (or the integrand is NaN).
     """
     tail = max(query.x0, query.y0) ** (query.n_terms + 1)
     if tail >= QUAD_TOL:
@@ -209,7 +231,8 @@ def eval_by_quadrature(params: ModelParams, query: GenFuncQuery) -> float:
         )
     path = characteristics.make_path(params, query.x0, query.y0)
     if path.s0 < np.finfo(float).tiny:
-        raise QuadratureError(f"arrival time s0 = {path.s0:.1e} is subnormal", math.nan, math.nan)
+        below = f"arrival time s0 = {path.s0:.1e} is below the smallest normal double"
+        raise QuadratureError(below, math.nan, math.nan)
     f = _integrand(params, path, query)
     mid = 0.5 * path.s0
     sums = _panels(f, (0.0, 0.0, mid), (path.s0, mid, path.s0))

@@ -46,13 +46,6 @@ _BYTES_PER_ROW = 256
 SUBLATTICE = 10
 
 
-def _check_range(low_name: str, low: float, high_name: str, high: float) -> None:
-    """Reject a range of generating-function coordinates outside
-    0 < low <= high < 1, naming both ends as the caller set them."""
-    if not 0.0 < low <= high < 1.0:
-        raise ValueError(f"need 0 < {low_name} <= {high_name} < 1, got {low} and {high}")
-
-
 def _check_order(lo_name: str, lo: int, hi_name: str, hi: int) -> None:
     """Reject a range of convergence boxes whose low end lies above its high
     end, naming both ends as the caller set them."""
@@ -261,7 +254,7 @@ class ExperimentSpec:
         if self.run_mc:
             check(_check_paths, "mc_m")
         if self.run_genfunc:
-            check(_check_range, "genfunc_min", "genfunc_max")
+            check(genfunc._check_range, "genfunc_min", "genfunc_max")
             check(genfunc._check_served, "genfunc_max")
             check(_check_rows, "genfunc_count")
 

@@ -202,8 +202,9 @@ def test_08_quadrature_crosses_series(params3, grid50):
     _verdict(
         8,
         ok,
-        f"generating function by quadrature vs series on 25 points: "
-        f"max gap {worst:.2e} (limit 1e-3), {elapsed:.2f}s",
+        f"generating function by quadrature vs the series of the same N=50 grid on 25 "
+        f"points, which sees the recurrence inside the box and the first column against "
+        f"the interior, not truncation error: max gap {worst:.2e} (limit 1e-3), {elapsed:.2f}s",
     )
 
 

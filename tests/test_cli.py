@@ -435,16 +435,20 @@ class TestExperimentCommand:
              "the convergence fit needs three N"),
             # greens used to accept a range that a run rejects
             (["greens", "--r", 3, "--d", 2, "--min", 0.5, "--max", 0.2],
-             "need 0 < --min <= --max < 1, got 0.5 and 0.2"),
+             "need 0 < --min <= --max < 1 and --min >= 1.4917e-154, got 0.5 and 0.2"),
             (["greens", "--r", 3, "--d", 2, "--min", 0.5, "--max", 1.0],
-             "need 0 < --min <= --max < 1, got 0.5 and 1.0"),
+             "need 0 < --min <= --max < 1 and --min >= 1.4917e-154, got 0.5 and 1.0"),
+            # x*y would not be a normal double: s0 came out 0 after the solve
+            (["greens", "--r", 3, "--d", 2, "--min", 1e-200],
+             "need 0 < --min <= --max < 1 and --min >= 1.4917e-154, got 1e-200 and 0.5"),
             # refused by its flag before the grid is solved
             (["greens", "--r", 3, "--d", 2, "--max", 0.95],
              "--max must be below 0.9124, got 0.95 (past it 200 terms leave the folded tail "
              "max(x, y)^201 above the 1e-08 quadrature budget)"),
         ],
         ids=["empty-convergence-range", "two-fit-points",
-             "greens-descending-range", "greens-range-reaches-1", "greens-range-past-the-terms"],
+             "greens-descending-range", "greens-range-reaches-1", "greens-range-below-normal",
+             "greens-range-past-the-terms"],
     )
     def test_bad_spec_writes_nothing(self, tmp_path, capsys, monkeypatch, argv, message):
         _refuse_work(monkeypatch)
@@ -666,8 +670,12 @@ def test_experiment_refusal_names_the_flag(tmp_path, capsys, monkeypatch, flags,
          "genfunc_min = 0.5\ngenfunc_max = 0.95\ngenfunc_count = 2\n", [], ":8",
          "genfunc_max must be below 0.9124, got 0.95 (past it 200 terms leave the folded "
          "tail max(x, y)^201 above the 1e-08 quadrature budget)"),
+        # used to solve the grid and start the Monte-Carlo, then stop on s0 = 0
+        ("grid_n = 10\nrun_genfunc = true\ngenfunc_min = 1e-300\n", [], "",
+         "need 0 < genfunc_min <= genfunc_max < 1 and genfunc_min >= 1.4917e-154, "
+         "got 1e-300 and 0.5"),
     ],
-    ids=["rates", "conv-fit", "twice", "grid-n-0", "unknown-key", "genfunc-max"],
+    ids=["rates", "conv-fit", "twice", "grid-n-0", "unknown-key", "genfunc-max", "genfunc-min"],
 )
 def test_experiment_refusal_keeps_the_config_path(
     tmp_path, capsys, monkeypatch, folder, lines, flags, where, error

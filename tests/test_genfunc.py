@@ -27,7 +27,7 @@ class TestQuery:
             GenFuncQuery(x0=0.5, y0=0.5, row1=())
         assert GenFuncQuery(x0=0.5, y0=0.5, row1=(0.7, 0.4)).n_terms == 2
 
-    def test_default_n_terms(self):
+    def test_default_n_terms(self, params3, grid50):
         # max(x0,y0)^(n+1) < QUAD_TOL = 1e-8 at the returned n
         n = default_n_terms(0.5, 0.3)
         assert 0.5 ** (n + 1) < 1e-8 <= 0.5**n
@@ -37,6 +37,16 @@ class TestQuery:
         genfunc._check_served("x", 0.9124)
         with pytest.raises(ValueError, match=r"^x must be below 0\.9124, got 0\.9125 \("):
             genfunc._check_served("x", 0.9125)
+        # the lowest coordinate served is sqrt(float min) = 1.49167e-154, whose
+        # square is a normal double; the refusal of one below names a bound above it
+        lowest = math.sqrt(np.finfo(float).tiny)
+        genfunc._check_range("x", lowest, "y", 0.5)
+        below = math.nextafter(lowest, 0.0)
+        with pytest.raises(ValueError, match=r"^need 0 < x <= y < 1 and x >= 1\.4917e-154, got "):
+            genfunc._check_range("x", below, "y", 0.5)
+        series = eval_from_grid(grid50, lowest, lowest)
+        quad = eval_by_quadrature(params3, query_from_grid(grid50, lowest, lowest))
+        assert quad == pytest.approx(series.value, rel=1e-3)
 
     def test_query_from_grid_pulls_first_column(self, grid50, params3):
         q = query_from_grid(grid50, 0.4, 0.2)

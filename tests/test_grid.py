@@ -1,6 +1,8 @@
 import io
+import itertools
 import tracemalloc
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -116,6 +118,55 @@ def oracle_gap(params: ModelParams, n: int, closure: str) -> float:
     return float(max(entries, residual))
 
 
+def exact_box(params: ModelParams, n: int, *edges) -> list[list[list[Fraction]]]:
+    """The N x N field of the unfolded truncated system T p = b, exactly,
+    for each closure edge p~_{k,N+1} = p~_{N+1,k} of ``edges``.
+
+    The system is built in Fractions from the exact values of the float
+    inputs, r, d and each edge entry, so it is the one a float solve
+    approximates, whatever formula produced its closure.  I - K is a
+    nonsingular M-matrix, so elimination needs no pivoting; in row-major
+    order it stays inside the band N, and the edges share it as columns of
+    b.
+    """
+    r, d = Fraction(params.r), Fraction(params.d)
+    m, birth = n * n, r / (2 * (r + d))
+    edges = [[Fraction(x) for x in edge] for edge in edges]
+    rows = [[Fraction(0)] * (m + len(edges)) for _ in range(m)]
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        row = rows[(i - 1) * n + j - 1]
+        row[(i - 1) * n + j - 1] = Fraction(1)
+        death = d / ((r + d) * (i + j))
+        for (y, x), w in (((i - 1, j), death * i), ((i, j - 1), death * j),
+                          ((i, j + 1), birth), ((i + 1, j), birth)):
+            if 0 < min(y, x) and max(y, x) <= n:
+                row[(y - 1) * n + x - 1] -= w
+            else:  # 1 on an axis, the edge entry of the other coordinate beyond N
+                for e, edge in enumerate(edges):
+                    row[m + e] += w * (1 if min(y, x) == 0 else edge[min(y, x) - 1])
+    for k in range(m):
+        band = [*range(k, min(k + n + 1, m)), *range(m, m + len(edges))]
+        for row in rows[k + 1 : k + n + 1]:
+            f = row[k] / rows[k][k]
+            if f:
+                for c in band:
+                    row[c] -= f * rows[k][c]
+    fields = []
+    for e in range(m, m + len(edges)):
+        p = [Fraction(0)] * m
+        for k in reversed(range(m)):
+            known = sum(rows[k][c] * p[c] for c in range(k + 1, min(k + n + 1, m)))
+            p[k] = (rows[k][e] - known) / rows[k][k]
+        fields.append([p[i * n : (i + 1) * n] for i in range(n)])
+    return fields
+
+
+def exact_gap(values: np.ndarray, field: list[list[Fraction]]) -> float:
+    """Largest |float field - exact field|, taken exactly, then rounded."""
+    pairs = zip(values.ravel().tolist(), itertools.chain(*field))
+    return float(max(abs(Fraction(v) - x) for v, x in pairs))
+
+
 def folded_oracle(params: ModelParams, n: int, edge: np.ndarray):
     """The folded system through the full one, an oracle for the fold in
     the solver: A = T[half] M and c = b[half], with the 0/1 mirror matrix
@@ -209,6 +260,39 @@ class TestAssembly:
             for n in (1, 2, 7):
                 for closure in CLOSURES:
                     assert oracle_gap(params, n, closure) > 1e-15, (params, n, closure)
+
+
+# Largest |solve_grid - exact_box| allowed, three times the worst gap
+# measured over N = 2..8, the named closures, r = 3, 2.002 and 9 with
+# d = 2, and both methods: 1.28e-15 (r=2.002, N=8, bounds-upper, LU).
+EXACT_SLACK = 4e-15
+
+
+class TestExactBox:
+    @pytest.mark.parametrize("r", [3.0, 2.002, 9.0])
+    def test_solutions_are_the_exact_box(self, r):
+        params = ModelParams(r, 2.0)
+        for n in range(2, 9):
+            edges = [closure_arrays(params, n, closure)[0] for closure in CLOSURES]
+            for closure, field in zip(CLOSURES, exact_box(params, n, *edges)):
+                for method in Method:
+                    sol = solve_grid(params, n, SolveOptions(method=method), closure=closure)
+                    assert exact_gap(sol.values, field) <= EXACT_SLACK, (n, closure, method)
+
+    def test_catches_a_birth_step_off_by_1e_9(self, monkeypatch):
+        stencil = grid._stencil
+
+        def mutated(params, n):
+            birth = (1 + 1e-9) * params.birth_step
+            return stencil(types.SimpleNamespace(r=params.r, d=params.d, birth_step=birth), n)
+
+        monkeypatch.setattr(grid, "_stencil", mutated)
+        for r in (3.0, 2.002, 9.0):
+            params = ModelParams(r, 2.0)
+            for method in Method:
+                sol = solve_grid(params, 4, SolveOptions(method=method))
+                [field] = exact_box(params, 4, sol.closure_edge)
+                assert exact_gap(sol.values, field) > EXACT_SLACK, (r, method)
 
 
 class TestSolvers:

@@ -194,6 +194,10 @@ class TestSpec:
             # every count and seed refusal starts with its key
             ("seed = -1\n", {}, ":3", "seed must lie in [0, 2^64), got -1"),
             ("run_genfunc = true\ngenfunc_max = 0.95\n", {}, ":4", GENFUNC_MAX),
+            # a range refusal names both keys, and the file set one of them
+            ("run_genfunc = true\ngenfunc_min = 1e-300\n", {}, "",
+             "need 0 < genfunc_min <= genfunc_max < 1 and genfunc_min >= 1.4917e-154, "
+             "got 1e-300 and 0.5"),
             ("mc_m = 0\n", {}, ":3", "mc_m must be >= 1, got 0"),
             # a refusal that names two keys is the caller's only when the
             # overrides gave both
@@ -204,7 +208,7 @@ class TestSpec:
              "the convergence fit needs three N from conv_min to conv_max other than "
              "conv_reference, got 2 from 20 to 21 other than 50"),
         ],
-        ids=["grid_n", "conv_range", "override", "seed", "genfunc_max", "mc_m",
+        ids=["grid_n", "conv_range", "override", "seed", "genfunc_max", "genfunc_min", "mc_m",
              "conv_range_mixed", "conv_range_override", "conv_fit_mixed"],
     )
     def test_load_spec_locates_range_error(self, tmp_path, lines, overrides, where, message):
