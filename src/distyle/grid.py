@@ -176,8 +176,8 @@ def closure_arrays(
     """Resolve a closure policy to the edge arrays (p~_{i,N+1}, p~_{N+1,j}).
 
     ``closure`` names one of :data:`CLOSURES` or is one explicit edge array
-    of shape (N,) and finite values.  By symmetry p~_{N+1,k} = p~_{k,N+1},
-    so both returned edges are that one array.
+    of shape (N,) and finite values, which is copied.  By symmetry
+    p~_{N+1,k} = p~_{k,N+1}, so both returned edges are that one array.
     """
     if isinstance(closure, str):
         if closure not in CLOSURES:
@@ -185,7 +185,7 @@ def closure_arrays(
         desc, value = CLOSURES[closure]
         edge = np.array([value(params, k, n + 1) for k in range(1, n + 1)])
         return edge, edge, desc
-    edge = np.asarray(closure, dtype=float)
+    edge = np.array(closure, dtype=float)
     if edge.shape != (n,):
         raise ValueError(f"an explicit closure is one edge array of shape ({n},)")
     bad = np.flatnonzero(~np.isfinite(edge))

@@ -14,15 +14,17 @@ min(i, j) >= k, where k = :func:`stop_level` is the smallest integer with
 Markov property a path retired at X is absorbed later with probability p(X),
 which the rigorous envelope of :func:`~distyle.model.extinction_bounds` caps
 at (d/r)^i + (d/r)^j <= 2 (d/r)^k.  A cell that starts inside the exit set
-draws nothing and reports 0.  The stopped frequency p_hat therefore
-estimates P[tau_0 <= min(T, tau_stop)], which lies below P[tau_0 <= T] by at
-most ``stop_bound`` = 2 (d/r)^k; every result reports that bound, and adding
-it to ``ci_high`` makes the interval cover P[tau_0 <= T].  At d/r = 2/3 and
-M = 200 the level is k = 21 (k = 25 at M = 1000, k = 36 at M = 100,000), and
-the paths of the supercritical lattice stop within a few hundred steps.  Near
-criticality the level is out of reach (r = 2.002, d = 2, M = 200 gives
-k = 8299), so no path stops early and the run costs as much as without the
-rule.
+is settled by :func:`start_cells` before any path is drawn: it draws
+nothing, reports 0, and all its M paths count as stopped.  Only the other
+cells, the live ones, reach the kernel.  The stopped frequency p_hat
+therefore estimates P[tau_0 <= min(T, tau_stop)], which lies below
+P[tau_0 <= T] by at most ``stop_bound`` = 2 (d/r)^k; every result reports
+that bound, and adding it to ``ci_high`` makes the interval cover
+P[tau_0 <= T].  At d/r = 2/3 and M = 200 the level is k = 21 (k = 25 at
+M = 1000, k = 36 at M = 100,000), and the paths of the supercritical
+lattice stop within a few hundred steps.  Near criticality the level is out
+of reach (r = 2.002, d = 2, M = 200 gives k = 8299), so no path stops early
+and the run costs as much as without the rule.
 
 Censoring at T remains: P[tau_0 <= T] is below the true extinction
 probability, the bias is one-sided and shrinks as T grows, but it is
@@ -63,27 +65,28 @@ does, and shortening the horizon only truncates the stream, the last block
 being cut at T.
 
 Workers: a large job runs on forked worker processes, one per CPU this
-process may run on and at most one per distinct canonical cell.  With W
-workers, worker w takes the share ``distinct[w::W]`` of the distinct
-canonical cells, in the order the request first names them, and streams it
-through one window of lanes: at the start of every block the window admits
-the next cells of the share while all M paths of each fit beside the paths
-still running, so cells join a window whose older cells are part-way through
-their horizons.  Every cell keeps its own clock: a cell admitted at block g0
-is at its time 32 (g - g0) in block g and reads min(32, T - t) rows of its
-stream, and its paths still running when its horizon ends are counted as
-censored there.  Each worker sends back only the per-cell counts of
-absorbed, stopped and censored paths.  The workers are forked when the job
-starts and draw while the caller goes on (:func:`start_cells`); the finish
-collects their counts, and leaving the job, also by an exception, stops and
-reaps them.  Jobs below ``_POOL_MIN_PATHS`` paths over their distinct cells,
-a single distinct cell, a single CPU, a platform without ``fork`` or a
-daemonic caller (a ``multiprocessing.Pool`` worker, say) run in the calling
-process instead, when the job finishes.  Workers are forked: a spawned or
-forkserver worker starts a fresh interpreter that imports NumPy, about half
-a second, which cancels most of what a second core saves on a lattice that
-runs for a few seconds.  Python 3.12 and later warn when a process that
-already runs threads, such as a BLAS thread pool, forks.
+process may run on and at most one per live canonical cell.  With W workers,
+worker w takes the share ``live[w::W]`` of the distinct live canonical
+cells, in ascending order of (min(i, j), max(i, j)), and streams it through
+one window of lanes: at the start of every block the window admits the next
+cells of the share while all M paths of each fit beside the paths still
+running, so cells join a window whose older cells are part-way through their
+horizons.  Every cell keeps its own clock: a cell admitted at block g0 is at
+its time 32 (g - g0) in block g and reads min(32, T - t) rows of its stream,
+and its paths still running when its horizon ends are counted as censored
+there.  Each worker sends back only the per-cell counts of absorbed and
+censored paths; the finish counts the rest of each cell's M paths as
+stopped.  The workers are forked when the job starts and draw while the
+caller goes on (:func:`start_cells`); the finish collects their counts, and
+leaving the job, also by an exception, stops and reaps them.  Jobs below
+``_POOL_MIN_PATHS`` paths over their live cells, at most one live cell, a
+single CPU, a platform without ``fork`` or a daemonic caller (a
+``multiprocessing.Pool`` worker, say) run in the calling process instead,
+when the job finishes.  Workers are forked: a spawned or forkserver worker
+starts a fresh interpreter that imports NumPy, about half a second, which
+cancels most of what a second core saves on a lattice that runs for a few
+seconds.  Python 3.12 and later warn when a process that already runs
+threads, such as a BLAS thread pool, forks.
 
 Memory: each worker's window holds at most ``_PATH_BUDGET`` // W lanes, W
 being the number of workers, or one cell's M when that is more.  Its bank
@@ -92,26 +95,29 @@ run at the start of the block, and has room for min(window, paths in the
 share) lanes, so the banks of all W workers together stay within ``_BLOCK``
 x ``_PATH_BUDGET`` doubles (8 MiB), or within one row of M per worker when
 one row alone exceeds a worker's share.  A cell's rows pass through a
-staging buffer of at most ``_BLOCK`` x M doubles on their way into the
-bank.  A window also holds about 50 bytes of work arrays per lane and about
-1.1 KiB of generator state per cell in it.  It admits a cell whenever M
-lanes are free, so it may hold more than lanes // M cells, but every cell
-in it holds at least one running path: a window holds at most one cell per
-lane.  A share holds about 40 bytes per cell for its start states and
-counts.  A single cell with more paths than a window's lanes thus refills
-fewer steps at a time, down to one; split draws read the same stream, so
-the refill size stays invisible.  Past ``_BLOCK`` x ``_PATH_BUDGET`` / W
-paths a cell refills one step at a time and costs about
-``_BYTES_PER_PATH`` = 64 bytes a path (bank, staging buffer and work
-arrays).  The caller holds about ``_BYTES_PER_CELL`` = 240 bytes a
-requested cell: the cells, their map to the canonical cells and the counts
-copied back.  Every entry point refuses an M or a number of requested cells
+staging buffer of at most ``_BLOCK`` x M doubles on their way into the bank.
+A window also holds about 50 bytes of work arrays per lane and about 1.1 KiB
+of generator state per cell in it.  It admits a cell whenever M lanes are
+free, so it may hold more than lanes // M cells, but every cell in it holds
+at least one running path: a window holds at most one cell per lane.  A
+share holds 24 bytes per live cell for its start states and counts.  A
+single cell with more paths than a window's lanes thus refills fewer steps
+at a time, down to one; split draws read the same stream, so the refill size
+stays invisible.  Past ``_BLOCK`` x ``_PATH_BUDGET`` / W paths a cell
+refills one step at a time and costs about ``_BYTES_PER_PATH`` = 64 bytes a
+path (bank, staging buffer and work arrays).  The caller holds at most
+``_BYTES_PER_CELL`` = 240 bytes a requested cell: the request's list of
+cells and the estimate's copy of it, the plan (the canonical cells as one
+int32 array, each cell's row in it, the live cells' start states) and the
+counts copied back.  Measured as the peak resident size above the import, a
+574 x 574 box at M = 1 holds 201-202 bytes a cell at r = 3 and 207-210 at
+r = 2.002 on two CPUs.  Every entry point refuses an M or a number of requested cells
 whose bytes at these rates exceed the 128 MiB request budget of
 ``model._BUDGET``, that is more than 2,097,152 paths a cell or 559,240
-cells; :func:`box_cells` refuses a box of more cells before it lists one.
-A window holds at least M lanes, so no more workers are forked than hold M
-paths each within the budget.  Memory is thus bounded whatever the flags
-and the CPU count.
+cells; :func:`box_cells` refuses a box of more cells before it lists one.  A
+window holds at least M lanes, so no more workers are forked than hold M
+paths each within the budget.  Memory is thus bounded whatever the flags and
+the CPU count.
 
 Entry points: ``start_cells(params, cells, m, t_horizon, seed)`` checks the
 request, starts estimating any list of cells and yields the finish, which
@@ -152,7 +158,7 @@ _Z95 = 1.96
 # Bytes a request holds per path and per requested cell, each size held to
 # model._BUDGET; peaks above the 61 MiB of the import.  One cell at M = 4e6
 # peaks at 304 MiB in one process (bank, staging buffer and work arrays), and
-# a 574 x 574 lattice at M = 1 holds 140 MiB in the caller.
+# a 574 x 574 lattice at M = 1 peaks at 63-66 MiB in the caller.
 _BYTES_PER_PATH = 64
 _BYTES_PER_CELL = 240
 
@@ -179,8 +185,9 @@ def stop_level(params: ModelParams, m: int) -> int:
 class McEstimate:
     """Monte-Carlo estimate of a list of cells.
 
-    Every per-cell field is a 1-D array aligned with ``cells``: entry k
-    belongs to ``cells[k]``.  A box from :func:`box_cells` lists its cells
+    Every per-cell field is a 1-D array aligned with ``cells``, the
+    estimate's own copy of the request's list: entry k belongs to
+    ``cells[k]``.  A box from :func:`box_cells` lists its cells
     row-major, so ``p_hat.reshape(i_max, j_max)`` is indexed [i-1, j-1].
     Each cell equals the estimate of that cell alone run with the same
     seed, bit for bit.
@@ -246,59 +253,64 @@ def start_cells(
     seed: int,
 ) -> Iterator[Callable[[], McEstimate]]:
     """Start estimating each of ``cells``; yields the finish, which waits
-    for the counts of absorbed, stopped and censored paths and returns the
-    estimate.
+    for the counts of absorbed and censored paths and returns the estimate.
 
     Every entry point checks its request here: at least one cell, each with
     integers i, j >= 1, ``m`` and ``t_horizon`` at least 1 and ``seed`` in
     [0, 2^64), and no more paths a cell or cells than fit the budget at
-    ``_BYTES_PER_PATH`` and ``_BYTES_PER_CELL`` bytes each.
-    Only the distinct canonical cells (min(i, j), max(i, j)) are counted, in
-    the order ``cells`` first names them, and the finish copies each one's
-    counts to every cell of ``cells`` it stands for; ``_POOL_MIN_PATHS`` and
-    the one worker per cell count distinct cells.  No more workers are
+    ``_BYTES_PER_PATH`` and ``_BYTES_PER_CELL`` bytes each.  This is the one
+    place a job is planned.  The estimate keeps its own copy of ``cells``.
+    The cells fold to their distinct canonical cells (min(i, j), max(i, j)),
+    held as one int32 array in ascending order, with each cell's row in it.
+    A canonical cell inside the exit set min(i, j) >= :func:`stop_level` is
+    settled here: it draws nothing and all ``m`` of its paths stop.  Only
+    the others, the live cells, go to the kernel, and ``_POOL_MIN_PATHS``
+    and the one worker per cell count live cells.  No more workers are
     forked than hold ``m`` paths each within the budget.  With W workers,
-    worker w counts the share ``distinct[w::W]`` in a window of
+    worker w counts the share ``live[w::W]`` in a window of
     ``max(m, _PATH_BUDGET // W)`` lanes, refilling ``_BLOCK`` steps at a
     time, or fewer when one cell has more paths than ``_PATH_BUDGET // W``.
-    The workers are forked on entry and draw while the ``with`` block runs,
-    so a caller can do other work between the start and the finish; leaving
-    the block, also by an exception, stops and reaps them.  A single worker
-    is this process, and the finish counts the share.
+    The finish counts each canonical cell's stopped paths as the ``m`` less
+    those absorbed and censored, and copies its counts to every cell of
+    ``cells`` it stands for.  The workers are forked on entry and draw while
+    the ``with`` block runs, so a caller can do other work between the start
+    and the finish; leaving the block, also by an exception, stops and reaps
+    them.  A single worker is this process, and the finish counts the share.
     """
     _check_count("t_horizon", t_horizon)
     _check_seed("seed", seed)
     _check_paths("m", m)
     _check_cells("len(cells)", len(cells))
-    keys: dict[tuple[int, int], int] = {}  # canonical cell -> its row in the counts
-    where = [keys.setdefault((min(i, j), max(i, j)), len(keys)) for i, j in cells]
-    distinct = list(keys)
-
-    def written(key: tuple) -> tuple:
-        """The first cell of ``cells`` that maps to the canonical ``key``."""
-        return cells[where.index(keys[key])]
-
-    # each refusal of a cell names one as the caller wrote it; the least
-    # canonical cell holds the least index of all
-    for key in distinct:
-        if not all(isinstance(k, numbers.Integral) for k in key):
-            raise ValueError(f"i and j of cell {written(key)} must be integers")
-    lowest = min(distinct)
-    _check_count(f"min(i, j) of cell {written(lowest)}", lowest[0])
+    cells = list(cells)
+    # each refusal of a cell names one as the caller wrote it
+    kinds = {type(k) for cell in cells for k in cell}
+    if not all(issubclass(kind, numbers.Integral) for kind in kinds):
+        cell = next(c for c in cells if not all(isinstance(k, numbers.Integral) for k in c))
+        raise ValueError(f"i and j of cell {cell} must be integers")
+    lowest = min(cells, key=lambda cell: (min(cell), max(cell)))
+    _check_count(f"min(i, j) of cell {lowest}", min(lowest))
+    # each cell's canonical cell (min(i, j), max(i, j)) as one key, ascending
+    lo, hi = np.sort(np.array(cells, dtype=np.int32).reshape(len(cells), 2), axis=1).T
+    keys, where = np.unique(lo.astype(np.int64) << 32 | hi, return_inverse=True)
+    distinct = np.column_stack(np.divmod(keys, 2**32)).astype(np.int32)
+    del lo, hi, keys
     level = stop_level(params, m)
-    workers = _workers() if len(distinct) * m >= _POOL_MIN_PATHS else 1
-    # a worker's window holds at least m lanes
-    workers = min(workers, len(distinct), _BUDGET // (_BYTES_PER_PATH * m))
-    lanes = _PATH_BUDGET // workers
-    depth = max(1, min(_BLOCK, _BLOCK * lanes // m))
     # the kernel reads an absorbed path's min(i, j) - 1 as 2^32 - 1, which must
     # reach level - 1; no int32 state reaches 2^31, so the cap stops no path
-    run = functools.partial(
-        _share_task, params, m, t_horizon, seed, min(level, 2**31), max(m, lanes), depth
+    reach = min(level, 2**31)
+    live = distinct[:, 0] < reach
+    start = distinct[live]
+    workers = _workers() if len(start) * m >= _POOL_MIN_PATHS else 1
+    # a worker's window holds at least m lanes
+    workers = max(1, min(workers, len(start), _BUDGET // (_BYTES_PER_PATH * m)))
+    lanes = _PATH_BUDGET // workers
+    depth = max(1, min(_BLOCK, _BLOCK * lanes // m))
+    run = functools.partial(_run_share, params, m, t_horizon, seed, reach, max(m, lanes), depth)
+    summarise = functools.partial(
+        _summarise, params, cells, m, t_horizon, seed, level, where, live
     )
-    summarise = functools.partial(_summarise, params, cells, m, t_horizon, seed, level)
     if workers == 1:
-        yield lambda: summarise(run(distinct)[where])
+        yield lambda: summarise(run(start))
         return
     import multiprocessing
 
@@ -308,13 +320,13 @@ def start_cells(
         for w in range(workers):
             receive, send = context.Pipe(duplex=False)
             pipes.append(receive)
-            share = distinct[w::workers]
+            share = start[w::workers]
             procs.append(context.Process(target=_worker, args=(send, run, share), daemon=True))
             procs[-1].start()
             send.close()
 
         def finish() -> McEstimate:
-            counts = np.empty((len(distinct), 3), dtype=np.int64)
+            found = np.empty((len(start), 2), dtype=np.int64)
             for w, receive in enumerate(pipes):
                 try:
                     share = receive.recv()
@@ -325,8 +337,8 @@ def start_cells(
                     ) from None
                 if isinstance(share, BaseException):
                     raise share
-                counts[w::workers] = share
-            return summarise(counts[where])
+                found[w::workers] = share
+            return summarise(found)
 
         yield finish
     finally:
@@ -338,7 +350,7 @@ def start_cells(
             receive.close()
 
 
-def _worker(send, run: Callable, share: list[tuple[int, int]]) -> None:
+def _worker(send, run: Callable, share: np.ndarray) -> None:
     """Body of a forked worker: send the counts of ``share``, or the error
     that stopped them, and exit.  An interrupt ends the worker without a
     word, and the finish reports its exit code."""
@@ -349,7 +361,7 @@ def _worker(send, run: Callable, share: list[tuple[int, int]]) -> None:
     send.send(result)
 
 
-def _share_task(
+def _run_share(
     params: ModelParams,
     m: int,
     t_horizon: int,
@@ -357,56 +369,41 @@ def _share_task(
     level: int,
     window: int,
     depth: int,
-    cells: list[tuple[int, int]],
+    cells: np.ndarray,
 ) -> np.ndarray:
-    """The counts of one share, run on a bank of ``depth`` steps of at most
-    ``window`` lanes, allocated here, in whichever process runs the share."""
-    bank = np.zeros((depth, min(window, len(cells) * m)))
-    return _run_share(params, cells, m, t_horizon, seed, level, window, bank)
+    """Counts of the paths absorbed and censored in each cell of one share,
+    shape (len(cells), 2), in whichever process runs the share.
 
-
-def _run_share(
-    params: ModelParams,
-    cells: list[tuple[int, int]],
-    m: int,
-    t_horizon: int,
-    seed: int,
-    level: int,
-    window: int,
-    bank: np.ndarray,
-) -> np.ndarray:
-    """Counts of the paths absorbed, stopped and censored in each cell of one
-    share, shape (len(cells), 3).
-
-    A path runs until it is absorbed, enters the exit set min(i, j) >=
-    ``level``, or reaches the horizon.  The cells stream through a window of
-    ``window`` lanes, in share order: at the start of every ``_BLOCK``-step
-    block the window admits the next cells while all M paths of each fit
-    beside the paths still running, and a cell admitted at block g0 is at
-    its own time ``_BLOCK * (g - g0)`` in block g.  Every cell therefore
-    ends in a block at the same step, ``tail``: the global block is cut
-    there when every cell in the window ends in it, and otherwise the
-    ending cells' paths still running are counted as censored and parked
-    at that step.  At the start of a block the paths still running become
-    lanes, cell by cell in admission order and in path order within a cell,
-    and a cell with L lanes reads its stream step-major, L uniforms a step,
-    slot r going to its lane r, for every step of the block up to its
-    horizon.  ``bank`` has shape (depth, lanes) and receives up to depth
-    steps of the block at a time: each cell's rows are drawn into a staging
-    buffer and copied into the cell's columns, so step k of the refill is
-    row k, one uniform per lane.  A path that ends inside a block is flagged
-    at once, in ``hit`` if it is absorbed, and then parked: its state is set
-    to ``_PARKED``, from where it can reach neither an axis nor a zero sum in
+    ``cells`` holds the start states (i, j), int32 of shape (n, 2), of cells
+    outside the exit set min(i, j) >= ``level``.  A path runs until it is
+    absorbed, enters the exit set, or reaches the horizon; the caller counts
+    the rest of the M paths of a cell as stopped there.  The cells stream
+    through a window of ``window`` lanes, in share order: at the start of
+    every ``_BLOCK``-step block the window admits the next cells while all M
+    paths of each fit beside the paths still running, and a cell admitted at
+    block g0 is at its own time ``_BLOCK * (g - g0)`` in block g.  Every
+    cell therefore ends in a block at the same step, ``tail``: the global
+    block is cut there when every cell in the window ends in it, and
+    otherwise the ending cells' paths still running are counted as censored
+    and parked at that step.  At the start of a block the paths still
+    running become lanes, cell by cell in admission order and in path order
+    within a cell, and a cell with L lanes reads its stream step-major, L
+    uniforms a step, slot r going to its lane r, for every step of the block
+    up to its horizon.  The bank, allocated here, has shape (depth, lanes),
+    lanes being at most ``window``, and receives up to depth steps of the
+    block at a time: each cell's rows are drawn into a staging buffer and
+    copied into the cell's columns, so step k of the refill is row k, one
+    uniform per lane.  A path that ends inside a block is flagged at once,
+    in ``hit`` if it is absorbed, and then parked: its state is set to
+    ``_PARKED``, from where it can reach neither an axis nor a zero sum in
     the rest of the block, and ``fin`` flags it so that it ends only once.
     Its lane keeps its slot until the block ends, when the absorbed paths
     are counted and the parked lanes are dropped.
     """
     n_cells = len(cells)
-    depth = bank.shape[0]
+    bank = np.zeros((depth, min(window, n_cells * m)))
     stage = np.empty(depth * m)
-    start = np.array(cells, dtype=np.int32).reshape(n_cells, 2)
-    runs = (start.min(axis=1) < level).tolist()  # cells outside the exit set
-    counts = np.zeros((n_cells, 3), dtype=np.int64)
+    counts = np.zeros((n_cells, 2), dtype=np.int64)
     last = (t_horizon - 1) // _BLOCK  # a cell's blocks, less one
     tail = t_horizon - _BLOCK * last  # the steps of a cell's last block
     owner = np.empty(0, dtype=np.intp)  # each lane's cell, nondecreasing
@@ -419,19 +416,16 @@ def _run_share(
         bounds = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()  # each cell's first lane
         active = owner[bounds].tolist()  # the cells holding lanes, in lane order
         streams = {k: streams[k] for k in active}
-        held = owner.size
-        while admitted < n_cells and held + m <= window:
-            if runs[admitted]:
-                active.append(admitted)
-                streams[admitted] = (_cell_stream(seed, *cells[admitted]), g + last)
-                held += m
-            admitted += 1
-        joined = active[len(bounds) :]
+        joined = range(admitted, min(n_cells, admitted + (window - owner.size) // m))
         if joined:
+            for k in joined:
+                streams[k] = (_cell_stream(seed, *cells[k].tolist()), g + last)
+            active += joined
             bounds += range(owner.size, owner.size + m * len(joined), m)
             owner = np.concatenate([owner, np.repeat(joined, m)])
-            ai = np.concatenate([ai, np.repeat(start[joined, 0], m)])
-            aj = np.concatenate([aj, np.repeat(start[joined, 1], m)])
+            ai = np.concatenate([ai, np.repeat(cells[joined, 0], m)])
+            aj = np.concatenate([aj, np.repeat(cells[joined, 1], m)])
+            admitted = joined.stop
         n = owner.size
         if not n:  # every cell admitted, and none left running
             break
@@ -498,7 +492,7 @@ def _run_share(
             if stop == tail and ending:
                 cut = bounds[ending]
                 censored = np.bincount(owner[:cut][~fin[:cut]])
-                counts[: censored.size, 2] += censored
+                counts[: censored.size, 1] += censored
                 fin[:cut] = True
                 ai[:cut] = _PARKED
                 aj[:cut] = _PARKED
@@ -510,7 +504,6 @@ def _run_share(
         owner = owner[keep]
         ai = ai[keep]
         aj = aj[keep]
-    counts[:, 1] = m - counts[:, 0] - counts[:, 2]
     return counts
 
 
@@ -521,11 +514,18 @@ def _summarise(
     t_horizon: int,
     seed: int,
     level: int,
-    counts: np.ndarray,
+    where: np.ndarray,
+    live: np.ndarray,
+    found: np.ndarray,
 ) -> McEstimate:
-    """The estimate of ``cells`` from their ``counts``, shape (len(cells), 3),
-    of paths stopped at the exit set min(i, j) >= ``level``."""
-    p_hat, stopped, censored = (counts / m).T
+    """The estimate of ``cells``, cell k standing for canonical cell
+    ``where[k]``, from the counts ``found`` of paths absorbed and censored in
+    each ``live`` canonical cell; the m paths of every other canonical cell
+    start in the exit set min(i, j) >= ``level`` and stop there."""
+    counts = np.zeros((live.size, 3), dtype=np.int64)
+    counts[live, ::2] = found
+    counts[:, 1] = m - counts[:, 0] - counts[:, 2]
+    p_hat, stopped, censored = (counts / m)[where].T
     half = _Z95 * np.sqrt(p_hat * (1.0 - p_hat) / m)
     stop_bound = 2.0 * params.ratio**level
     return McEstimate(

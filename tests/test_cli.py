@@ -746,7 +746,7 @@ def _refuse_work(monkeypatch):
 
     for module, name in [
         (montecarlo, "_workers"),
-        (montecarlo, "_share_task"),
+        (montecarlo, "_run_share"),
         (grid, "_folded_system"),
         (genfunc, "eval_by_quadrature"),
         (cli, "make_path"),

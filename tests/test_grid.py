@@ -331,6 +331,11 @@ class TestSolvers:
         # one edge closes both sides; a pair of edges is not a closure
         with pytest.raises(ValueError):
             solve_grid(params3, 10, closure=(edge, edge))
+        # the solution keeps the edge it was solved with, not the caller's array
+        caller = np.full(5, 0.1)
+        kept = solve_grid(params3, 5, closure=caller)
+        caller[:] = 0.9
+        assert np.all(kept.closure_edge == 0.1)
         # an edge that is not finite is refused before either method starts
         def fail(*args, **kwargs):
             raise AssertionError("a solve started")

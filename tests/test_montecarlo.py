@@ -174,6 +174,8 @@ class TestConfig:
             # an index, count or seed that is no integer, named as set
             (dict(cells=[(1.5, 2)]), "i and j of cell (1.5, 2) must be integers"),
             (dict(cells=[(1, 1), (3, 2.0), (0, 3)]), "i and j of cell (3, 2.0) must be integers"),
+            # a float cell is refused even where its mirror is an integer cell
+            (dict(cells=[(2, 3), (3, 2.0)]), "i and j of cell (3, 2.0) must be integers"),
             (dict(m=10.0), "m must be an integer, got 10.0"),
             (dict(t_horizon=1.5), "t_horizon must be an integer, got 1.5"),
             (dict(seed=1.5), "seed must be an integer, got 1.5"),
@@ -181,6 +183,10 @@ class TestConfig:
             with pytest.raises(ValueError) as info:
                 estimate_cells(params3, **{**good, **bad})
             assert str(info.value) == message
+        # a cell that is not a pair of indices is refused
+        for cells in ([(1, 2, 3)], [(1,)], [(1, 2), (3,)]):
+            with pytest.raises(ValueError):
+                estimate_cells(params3, **{**good, "cells": cells})
         # numpy integers are integers
         numpy_ints = dict(cells=[(np.int64(1), np.int32(1))], m=np.int64(10), seed=np.uint64(0))
         assert np.array_equal(
@@ -194,7 +200,7 @@ class TestConfig:
             raise AssertionError("work started")
 
         monkeypatch.setattr(montecarlo, "_workers", fail)
-        monkeypatch.setattr(montecarlo, "_share_task", fail)
+        monkeypatch.setattr(montecarlo, "_run_share", fail)
         too_many = "must be <= 559240, got {} (at 240 bytes a requested cell"
         calls = [
             (lambda: estimate_cells(params3, [(1, 1)] * 559_241, m=1, t_horizon=1, seed=0),
@@ -488,18 +494,23 @@ class TestOutcomes:
         assert est.stopped_frac == 1.0 and est.censored_frac == 0.0
 
 
-def record_depths(monkeypatch) -> list[int]:
-    """Patch ``_share_task`` to log the refill depth of each share run in
-    this process; returns the log."""
-    depths = []
-    share_task = montecarlo._share_task
+def watch_banks(monkeypatch, view=np.ndarray) -> list[tuple[int, int, int]]:
+    """Patch numpy's ``zeros`` to log each bank a share run in this process
+    allocates, the kernel's one two-dimensional float array, as (depth,
+    lanes, bytes tracemalloc traces once it exists), and to hand the kernel
+    the bank as a ``view``; returns the log."""
+    banks = []
+    zeros = np.zeros
 
-    def spy(params, m, t_horizon, seed, level, window, depth, cells):
-        depths.append(depth)
-        return share_task(params, m, t_horizon, seed, level, window, depth, cells)
+    def spy(shape, *args, **kwargs):
+        out = zeros(shape, *args, **kwargs)
+        if out.ndim != 2 or out.dtype != float:
+            return out
+        banks.append((*out.shape, tracemalloc.get_traced_memory()[0]))
+        return out.view(view)
 
-    monkeypatch.setattr(montecarlo, "_share_task", spy)
-    return depths
+    monkeypatch.setattr(np, "zeros", spy)
+    return banks
 
 
 class TestRefill:
@@ -521,12 +532,12 @@ class TestRefill:
         if r == 1000.0:
             first = path_counts(params, cells, m=60, t_horizon=montecarlo._BLOCK, seed=9)
             assert np.all(first[:, 2] == 0)  # nothing left running after one block
-        depths = record_depths(monkeypatch)
+        banks = watch_banks(monkeypatch)
         for budget, depth in ((2, 1), (6, 3), (60, 32)):
             monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
-            depths.clear()
+            banks.clear()
             b = path_counts(params, cells, m=60, t_horizon=500, seed=9)
-            assert set(depths) == {depth}
+            assert {rows for rows, _, _ in banks} == {depth}
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize(
@@ -564,8 +575,7 @@ class TestRefill:
             expected = estimate_cells(params3, cells, m=m, t_horizon=100, seed=3)
         n = held_cells["most"]
         shares = []
-        held = []
-        share_task = montecarlo._share_task
+        banks = watch_banks(monkeypatch)
         run_share = montecarlo._run_share
 
         def spy(*args):
@@ -573,19 +583,13 @@ class TestRefill:
             # arrays, streams and counts
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            counts = share_task(*args)
-            depth, lanes, after = held.pop()
+            counts = run_share(*args)
+            depth, lanes, after = banks.pop()
             peak = tracemalloc.get_traced_memory()[1] - before
             shares.append((depth, lanes, after - before, peak))
             return counts
 
-        def run_share_spy(*args):
-            # the share's bank exists before it runs
-            held.append((*args[-1].shape, tracemalloc.get_traced_memory()[0]))
-            return run_share(*args)
-
-        monkeypatch.setattr(montecarlo, "_share_task", spy)
-        monkeypatch.setattr(montecarlo, "_run_share", run_share_spy)
+        monkeypatch.setattr(montecarlo, "_run_share", spy)
         tracemalloc.start()
         try:
             p_hat = estimate_cells(params3, cells, m=m, t_horizon=100, seed=3)
@@ -664,13 +668,13 @@ class TestLiveLanes:
         # two, so the third and fourth cells join a window whose first cells
         # are part-way through their horizon; the default budget runs the four
         # cells side by side
-        depths = record_depths(monkeypatch)
+        banks = watch_banks(monkeypatch)
         budgets = ((1, 1), (2, 3), (20, 32), (40, 32), (montecarlo._PATH_BUDGET, 32))
         for budget, depth in budgets:
             monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
-            depths.clear()
+            banks.clear()
             counts = path_counts(params, cells, m, t_horizon, seed)
-            assert set(depths) == {depth}
+            assert {rows for rows, _, _ in banks} == {depth}
             assert counts.tolist() == expected, budget
 
     def test_draws_only_for_running_paths(self, params3, monkeypatch):
@@ -712,6 +716,9 @@ class TestWorkers:
             (3.0, [(i, j) for i in range(1, 7) for j in range(1, 7)], 5000),
             # near criticality nothing stops early and many paths are censored
             (2.002, [(k, k + 10) for k in range(10, 101, 10)], 400),
+            # the stop level 6 of M=100 splits the box: the cells with
+            # min(i, j) >= 6 are settled without a draw
+            (9.0, [(i, j) for i in range(1, 9) for j in range(1, 9)], 500),
         ],
     )
     def test_results_independent_of_worker_count(self, monkeypatch, r, cells, t_horizon):
@@ -733,21 +740,22 @@ class TestWorkers:
         monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
         monkeypatch.setattr(montecarlo, "_POOL_MIN_PATHS", 0)
         monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+        # every refill views the bank as (steps, lanes in flight); each share
+        # runs in a worker process, so it reports through a file
+        lanes = []
+
+        class Logged(np.ndarray):
+            def reshape(self, *shape):
+                if len(shape) == 2:
+                    lanes.append(shape[1])
+                return super().reshape(*shape)
+
+        watch_banks(monkeypatch, Logged)
         run_share = montecarlo._run_share
 
-        def spy(params, cells, m, t_horizon, seed, level, window, bank):
-            # every refill views the bank as (steps, lanes in flight); the
-            # share runs in a worker process, so it reports through a file
-            lanes = []
-
-            class Logged(np.ndarray):
-                def reshape(self, *shape):
-                    if len(shape) == 2:
-                        lanes.append(shape[1])
-                    return super().reshape(*shape)
-
-            counts = run_share(params, cells, m, t_horizon, seed, level, window, bank.view(Logged))
-            (tmp_path / f"{os.getpid()}.txt").write_text(f"{len(cells)} {max(lanes)}")
+        def spy(*args):
+            counts = run_share(*args)
+            (tmp_path / f"{os.getpid()}.txt").write_text(f"{len(args[-1])} {max(lanes)}")
             return counts
 
         monkeypatch.setattr(montecarlo, "_run_share", spy)
@@ -758,6 +766,36 @@ class TestWorkers:
         assert sorted(n for n, _ in shares) == [10, 11]
         for _, most in shares:
             assert m <= most <= max(budget // workers, m)
+
+    @needs_fork
+    @pytest.mark.parametrize(
+        "cells, pool_min",
+        [
+            # 820 distinct cells hold 8200 paths, but only the 442 with
+            # min(i, j) < 14, the stop level of M=10, draw: 4420 paths
+            ([(i, j) for i in range(1, 41) for j in range(1, 41)], montecarlo._POOL_MIN_PATHS),
+            # every cell starts in the exit set, so no path draws
+            ([(i, j) for i in range(14, 20) for j in range(14, 20)], 0),
+        ],
+        ids=["few-live-paths", "no-live-cell"],
+    )
+    def test_workers_count_live_paths(self, params3, monkeypatch, cells, pool_min):
+        import multiprocessing
+
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
+        expected = path_counts(params3, cells, 10, 200, seed=12)
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+
+        context = multiprocessing.get_context("fork")
+        monkeypatch.setattr(type(context), "Process", no_process)
+        monkeypatch.setattr(montecarlo, "_POOL_MIN_PATHS", pool_min)
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+        counts = path_counts(params3, cells, 10, 200, seed=12)
+        assert np.array_equal(counts, expected)
+        if pool_min == 0:
+            assert np.all(counts == [0, 10, 0])
 
     @needs_fork
     def test_worker_error_reaches_caller(self, params3, monkeypatch):
@@ -825,6 +863,20 @@ class TestCsv:
         assert first[6] == f"{lat.censored_frac[0]:.12g}"
         assert first[7] == "50" and first[8] == "400" and first[9] == "8"
         assert "\r" not in buf.getvalue()
+
+    def test_estimate_keeps_its_own_cells(self, params3):
+        # a caller that reuses its list relabels neither the estimate nor
+        # its rows
+        cells = [(1, 2), (3, 1)]
+        with start_cells(params3, cells, m=20, t_horizon=50, seed=1) as finish:
+            cells[0] = (4, 4)
+            est = finish()
+        cells[1] = (5, 5)
+        assert est.cells == [(1, 2), (3, 1)]
+        buf = io.StringIO()
+        write_mc_csv(est, buf)
+        rows = [line.split(",")[:2] for line in buf.getvalue().split("\n")[1:-1]]
+        assert rows == [["1", "2"], ["3", "1"]]
 
 
 class TestStopRule:
