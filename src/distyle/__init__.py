@@ -24,13 +24,7 @@ from .characteristics import (
     make_path,
 )
 from .genfunc import GenFuncQuery, eval_by_quadrature, eval_from_grid, query_from_grid
-from .grid import (
-    GridSolution,
-    Method,
-    SolveOptions,
-    assemble_system,
-    solve_grid,
-)
+from .grid import GridSolution, assemble_system, solve_grid
 from .harness import ExperimentSpec, compare, fit_log_slope, run_experiment
 from .model import ModelParams, extinction_bounds
 from .montecarlo import box_cells, estimate_cells, estimate_lattice, start_cells
@@ -42,9 +36,7 @@ __all__ = [
     "ExperimentSpec",
     "GenFuncQuery",
     "GridSolution",
-    "Method",
     "ModelParams",
-    "SolveOptions",
     "assemble_system",
     "box_cells",
     "closure_value",

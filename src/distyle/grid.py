@@ -23,29 +23,29 @@ one cell and its coefficient at every cell.  The rest reads that table.
 T (:func:`assemble_system`) and A are its rows as sparse matrices, A with
 the columns taken through the mirror index, and b is minus the table
 applied to the boundary values.  The residual max |T p - b| is the table
-applied to the padded field, minus b, so the solvers never form T.  Both
-solvers work on A q = c:
+applied to the padded field, minus b, so the solvers never form T.
 
-* ``DIRECT``           sparse LU of A (SuperLU, minimum-degree ordering on
-                       A + A^T), the solver of every default solve,
-* ``VALUE_ITERATION``  on request only: Jacobi iteration q <- (A + I) q - c
-                       from zero, one sparse mat-vec per step, which
-                       increases monotonically toward the minimal solution
-                       and stops at its floating-point fixed point.
-                       The tests use it as the reference for the LU.  Each
-                       step calls scipy's CSR kernel ``csr_matvec`` itself,
-                       the kernel ``(A + I) @ q`` ends in, so the iterates
-                       are those of ``@`` bit for bit without its dispatch.
+The solver is a sparse LU of A q = c (SuperLU, minimum-degree ordering on
+A + A^T).  Value iteration stays in this module as the reference that the
+tests and the benchmark check the LU against, not as a solver for users;
+``SolveOptions(method=Method.VALUE_ITERATION)`` selects it.  It is Jacobi
+iteration q <- (A + I) q - c from zero, one sparse mat-vec per step, which
+increases monotonically toward the minimal solution and stops at its
+floating-point fixed point.  Each step calls scipy's CSR kernel
+``csr_matvec`` itself, the kernel ``(A + I) @ q`` ends in, so the iterates
+are those of ``@`` bit for bit without its dispatch.
 
-The LU is made only where the factors predicted for the box fit the
-request budget ``model._BUDGET`` (128 MiB); a larger box is refused with a
-ValueError before any work is done.  The prediction is ``_FILL`` N^2 ln N nonzeros of L + U
-at ``_BYTES_PER_NONZERO`` each, an upper bound on the measured fill, so
-every box up to N=574 is factored.  The folded LU has 2.6-2.8 times less
-fill than the full one (141k against 371k nonzeros at N=100).  At r=3,
-N=200 a fresh interpreter peaks at 73 MiB for it, 62 MiB of which is the
-import, and factors in about 0.06 s where value iteration takes 4,224
-steps to its fixed point.
+One size rule holds for every box, whichever method solves it: the factors
+predicted for the box must fit the request budget ``model._BUDGET``
+(128 MiB).  :func:`closure_arrays`, which every solve calls first, and
+:func:`assemble_system` refuse a larger box with a ValueError before any
+work is done (:func:`_check_size`).  The prediction is ``_FILL`` N^2 ln N
+nonzeros of L + U at ``_BYTES_PER_NONZERO`` each, an upper bound on the
+measured fill, so every box up to N=574 is factored.  The folded LU has
+2.6-2.8 times less fill than the full one (141k against 371k nonzeros at
+N=100).  At r=3, N=200 a fresh interpreter peaks at 73 MiB for it, 62 MiB
+of which is the import, and factors in about 0.06 s where value iteration
+takes 4,224 steps to its fixed point.
 
 The constant field 1 satisfies the interior recurrence, so value iteration
 must start below the solution (from zero) to select the probabilistic
@@ -70,7 +70,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import asymptotics
-from .model import ModelParams, _check_budget, _check_count, extinction_bounds
+from .model import ModelParams, _check_budget, extinction_bounds
 
 
 class Method(enum.Enum):
@@ -99,7 +99,7 @@ def _lu_nonzeros(n: int) -> int:
 def _check_size(name: str, n: int) -> None:
     """Reject an N-box below 1 or one whose predicted LU would not fit
     ``model._BUDGET``, naming ``name`` and the largest N the budget admits
-    (574)."""
+    (574): the one size rule of every box, whichever method solves it."""
     _check_budget(
         name, n, lambda m: _BYTES_PER_NONZERO * _lu_nonzeros(m), "the largest box whose LU fits"
     )
@@ -114,9 +114,10 @@ _MAX_ITER = 400_000
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """``method`` is a :class:`Method`.  Value iteration runs on request
-    only; it stops at its floating-point fixed point, or raises after
-    ``_MAX_ITER`` steps."""
+    """``method`` is a :class:`Method`, ``DIRECT`` (the LU) by default.
+    ``VALUE_ITERATION`` is the reference the tests and the benchmark use; it
+    stops at its floating-point fixed point, or raises after ``_MAX_ITER``
+    steps."""
 
     method: Method = Method.DIRECT
 
@@ -178,7 +179,10 @@ def closure_arrays(
     ``closure`` names one of :data:`CLOSURES` or is one explicit edge array
     of shape (N,) and finite values, which is copied.  By symmetry
     p~_{N+1,k} = p~_{k,N+1}, so both returned edges are that one array.
+    Every solve calls this first, so a box whose predicted LU would not fit
+    ``model._BUDGET`` is refused here, before any work (:func:`_check_size`).
     """
+    _check_size("n", n)
     if isinstance(closure, str):
         if closure not in CLOSURES:
             raise ValueError(f"unknown closure policy {closure!r}")
@@ -277,9 +281,10 @@ def assemble_system(
     Row k = (i-1) N + (j-1) is the coupling table at (i, j): -1 on the
     diagonal and the in-box couplings off it, with b collecting the
     boundary and closure terms with a minus sign.  The solvers do not
-    build T; it states the system they solve.
+    build T; it states the system they solve.  A box the solvers refuse
+    (N > 574, :func:`_check_size`) is refused here too, before any work.
     """
-    _check_count("n", n)
+    _check_size("n", n)
     table = _stencil(params, n)
     rows, cols = np.indices((n, n)).reshape(2, -1)
     t = _matrix(table, np.arange(n * n).reshape(n, n), rows, cols)
@@ -369,29 +374,24 @@ def solve_grid(
 
     ``closure`` is a named policy (a key of :data:`CLOSURES`) or one
     explicit edge array p~_{k,N+1} = p~_{N+1,k}, k = 1..N.  The box is
-    factored; one whose predicted LU would not fit the 128 MiB budget
-    (N > 574) is refused with a ValueError before any work is done.  Value
-    iteration runs on request only, through ``options.method``.  The
-    residual max |T p - b| is taken on the full system, also for a
-    :class:`ConvergenceError`.
+    factored; :func:`closure_arrays` refuses one whose predicted LU would
+    not fit the 128 MiB budget (N > 574) before any work is done.
+    ``options`` selects value iteration, the reference of the tests and the
+    benchmark, on the same boxes.  The residual max |T p - b| is taken on
+    the full system, also for a :class:`ConvergenceError`.
     """
-    method = (options or SolveOptions()).method
-    if method is Method.DIRECT:
-        _check_size("n", n)
-    else:
-        _check_count("n", n)
     edge, _, desc = closure_arrays(params, n, closure)
     # the table and b of one solve, shared by its system and its residual
     table = _stencil(params, n)
     b = _rhs(table, edge, edge)
     a, c, pos = _folded_system(table, b)
-    if method is Method.DIRECT:
+    if (options or SolveOptions()).method is Method.VALUE_ITERATION:
+        q, iterations = _iterate(a, c)
+    else:
         a = a.tocsc()  # the CSR copy goes before the factors are made,
         lu = scipy.sparse.linalg.splu(a, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
         q, iterations = lu.solve(c), 1
         del lu  # and the factors before the residual's arrays
-    else:
-        q, iterations = _iterate(a, c)
     values = q[pos]
     values += 0.0  # a p that underflows to -0 becomes +0; no other bit moves
     residual = _residual(table, b, values)

@@ -70,15 +70,16 @@ worker w takes the share ``live[w::W]`` of the distinct live canonical
 cells, in ascending order of (min(i, j), max(i, j)), and streams it through
 one window of lanes: at the start of every block the window admits the next
 cells of the share while all M paths of each fit beside the paths still
-running, so cells join a window whose older cells are part-way through their
-horizons.  Every cell keeps its own clock: a cell admitted at block g0 is at
-its time 32 (g - g0) in block g and reads min(32, T - t) rows of its stream,
-and its paths still running when its horizon ends are counted as censored
-there.  Each worker sends back only the per-cell counts of absorbed and
-censored paths; the finish counts the rest of each cell's M paths as
-stopped.  The workers are forked when the job starts and draw while the
-caller goes on (:func:`start_cells`); the finish collects their counts, and
-leaving the job, also by an exception, stops and reaps them.  Jobs below
+running and it holds fewer than ``_WINDOW_CELLS`` cells, so cells join a
+window whose older cells are part-way through their horizons.  Every cell
+keeps its own clock: a cell admitted at block g0 is at its time 32 (g - g0)
+in block g and reads min(32, T - t) rows of its stream, and its paths still
+running when its horizon ends are counted as censored there.  Each worker
+sends back only the per-cell counts of absorbed and censored paths; the
+finish counts the rest of each cell's M paths as stopped.  The workers are
+forked when the job starts and draw while the caller goes on
+(:func:`start_cells`); the finish collects their counts, and leaving the
+job, also by an exception, stops and reaps them.  Jobs below
 ``_POOL_MIN_PATHS`` paths over their live cells, at most one live cell, a
 single CPU, a platform without ``fork`` or a daemonic caller (a
 ``multiprocessing.Pool`` worker, say) run in the calling process instead,
@@ -96,28 +97,30 @@ share) lanes, so the banks of all W workers together stay within ``_BLOCK``
 x ``_PATH_BUDGET`` doubles (8 MiB), or within one row of M per worker when
 one row alone exceeds a worker's share.  A cell's rows pass through a
 staging buffer of at most ``_BLOCK`` x M doubles on their way into the bank.
-A window also holds about 50 bytes of work arrays per lane and about 1.1 KiB
+A window also holds about 50 bytes of work arrays per lane and about 1 KiB
 of generator state per cell in it.  It admits a cell whenever M lanes are
 free, so it may hold more than lanes // M cells, but every cell in it holds
-at least one running path: a window holds at most one cell per lane.  A
-share holds 24 bytes per live cell for its start states and counts.  A
-single cell with more paths than a window's lanes thus refills fewer steps
-at a time, down to one; split draws read the same stream, so the refill size
-stays invisible.  Past ``_BLOCK`` x ``_PATH_BUDGET`` / W paths a cell
-refills one step at a time and costs about ``_BYTES_PER_PATH`` = 64 bytes a
-path (bank, staging buffer and work arrays).  The caller holds at most
+at least one running path, and it never holds more than ``_WINDOW_CELLS`` =
+8192 cells, whose generators take at most about 8 MiB.  A share holds 24
+bytes per live cell for its start states and counts.  A single cell with
+more paths than a window's lanes thus refills fewer steps at a time, down to
+one; split draws read the same stream, so the refill size stays invisible.
+Past ``_BLOCK`` x ``_PATH_BUDGET`` / W paths a cell refills one step at a
+time and costs about ``_BYTES_PER_PATH`` = 64 bytes a path (bank, staging
+buffer and work arrays).  The caller holds at most
 ``_BYTES_PER_CELL`` = 240 bytes a requested cell: the request's list of
 cells and the estimate's copy of it, the plan (the canonical cells as one
 int32 array, each cell's row in it, the live cells' start states) and the
 counts copied back.  Measured as the peak resident size above the import, a
 574 x 574 box at M = 1 holds 201-202 bytes a cell at r = 3 and 207-210 at
-r = 2.002 on two CPUs.  Every entry point refuses an M or a number of requested cells
-whose bytes at these rates exceed the 128 MiB request budget of
-``model._BUDGET``, that is more than 2,097,152 paths a cell or 559,240
-cells; :func:`box_cells` refuses a box of more cells before it lists one.  A
-window holds at least M lanes, so no more workers are forked than hold M
-paths each within the budget.  Memory is thus bounded whatever the flags and
-the CPU count.
+r = 2.002 on two CPUs, and 230-241 at r = 2.002 on one CPU, where the caller
+also holds the window: about 208 bytes a cell more than a 300 x 300 box.
+Every entry point refuses an M or a number of requested cells whose bytes
+at these rates exceed the 128 MiB request budget of ``model._BUDGET``, that
+is more than 2,097,152 paths a cell or 559,240 cells; :func:`box_cells`
+refuses a box of more cells before it lists one.  A window holds at least
+M lanes, so no more workers are forked than hold M paths each within the
+budget.  Memory is thus bounded whatever the flags and the CPU count.
 
 Entry points: ``start_cells(params, cells, m, t_horizon, seed)`` checks the
 request, starts estimating any list of cells and yields the finish, which
@@ -151,6 +154,9 @@ from .model import _BUDGET, ModelParams, _check_budget, _check_count, _check_see
 _BLOCK = 32  # steps between re-rankings of a cell's running paths; fixes the streams
 _PARKED = 2**20  # state of a path that ended earlier in the current block
 _PATH_BUDGET = 32_768  # most paths simulated side by side, over all workers
+# most cells a window holds at once, each with its stream; above the 1,275 and
+# 5,050 canonical cells of the presets' lattices, so it never binds on them
+_WINDOW_CELLS = 8192
 # fewest paths for which the shares go to worker processes: forking them costs
 # more than a smaller job gains from a second core
 _POOL_MIN_PATHS = 8192
@@ -268,7 +274,7 @@ def start_cells(
     and the one worker per cell count live cells.  No more workers are
     forked than hold ``m`` paths each within the budget.  With W workers,
     worker w counts the share ``live[w::W]`` in a window of
-    ``max(m, _PATH_BUDGET // W)`` lanes, refilling ``_BLOCK`` steps at a
+    ``max(m, _PATH_BUDGET // W)`` lanes and ``_WINDOW_CELLS`` cells, refilling ``_BLOCK`` steps at a
     time, or fewer when one cell has more paths than ``_PATH_BUDGET // W``.
     The finish counts each canonical cell's stopped paths as the ``m`` less
     those absorbed and censored, and copies its counts to every cell of
@@ -380,7 +386,8 @@ def _run_share(
     the rest of the M paths of a cell as stopped there.  The cells stream
     through a window of ``window`` lanes, in share order: at the start of
     every ``_BLOCK``-step block the window admits the next cells while all M
-    paths of each fit beside the paths still running, and a cell admitted at
+    paths of each fit beside the paths still running and it holds fewer than
+    ``_WINDOW_CELLS`` cells, each with its stream, and a cell admitted at
     block g0 is at its own time ``_BLOCK * (g - g0)`` in block g.  Every
     cell therefore ends in a block at the same step, ``tail``: the global
     block is cut there when every cell in the window ends in it, and
@@ -416,7 +423,8 @@ def _run_share(
         bounds = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()  # each cell's first lane
         active = owner[bounds].tolist()  # the cells holding lanes, in lane order
         streams = {k: streams[k] for k in active}
-        joined = range(admitted, min(n_cells, admitted + (window - owner.size) // m))
+        room = min((window - owner.size) // m, _WINDOW_CELLS - len(active))
+        joined = range(admitted, min(n_cells, admitted + room))
         if joined:
             for k in joined:
                 streams[k] = (_cell_stream(seed, *cells[k].tolist()), g + last)

@@ -862,6 +862,58 @@ def test_import_leaves_scipy_optimize_out():
     assert done.stdout == "False\n"
 
 
+def _assert_csv_close(a: Path, b: Path, atol: float) -> None:
+    """Two CSV files of one layout whose numbers differ by at most ``atol``;
+    every other field is equal."""
+    rows_a, rows_b = a.read_text().splitlines(), b.read_text().splitlines()
+    assert len(rows_a) == len(rows_b)
+    for row_a, row_b in zip(rows_a, rows_b):
+        for x, y in zip(row_a.split(","), row_b.split(","), strict=True):
+            assert x == y or abs(float(x) - float(y)) <= atol, (a.name, x, y)
+
+
+def test_outputs_under_other_cpu_kernels(tmp_path):
+    # the kernels another CPU would get, chosen for a child process: OpenBLAS
+    # for a Prescott core and numpy without its AVX-512 loops.  Measured on an
+    # AVX-512 machine, the Monte-Carlo, grid, comparison and manifest files
+    # keep their bytes; the quadrature's abs_diff moves by up to 2.8e-16, the
+    # rounding-level rows of nconv.csv by 3.2e-17 and the fit's intercept by
+    # 2.0e-6 (its slope by 9.8e-8)
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    avx512 = [
+        name for name in _multiarray_umath.__cpu_dispatch__
+        if name == "X86_V4" or name.startswith("AVX512")
+    ]
+    src = str(Path(distyle.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for name in ["OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"]:
+        env.pop(name, None)
+    other = {**env, "OPENBLAS_CORETYPE": "Prescott", "NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}
+    argv = [sys.executable, "-m", "distyle", "experiment", "--preset", "supercritical", "--genfunc"]
+    runs = [
+        subprocess.Popen(
+            [*argv, "--out", tmp_path / name], env=child, stderr=subprocess.PIPE, text=True
+        )
+        for name, child in [("here", env), ("other", other)]
+    ]
+    for child in runs:
+        err = child.communicate(timeout=60)[1]
+        assert child.returncode == 0, err
+    here, other = tmp_path / "here", tmp_path / "other"
+    assert sorted(path.name for path in other.iterdir()) == sorted(
+        path.name for path in here.iterdir()
+    )
+    for name in [
+        "mc_p.csv", "grid_p.csv", "manifest.txt", "comparison_stats.csv", "comparison_summary.csv"
+    ]:
+        assert (other / name).read_bytes() == (here / name).read_bytes(), name
+    for name, atol in [("genfunc.csv", 1e-15), ("nconv.csv", 1e-16), ("nconv_fit.csv", 1e-5)]:
+        _assert_csv_close(here / name, other / name, atol)
+
+
 def test_subcommand_required():
     with pytest.raises(SystemExit):
         main([])

@@ -405,18 +405,41 @@ class TestSolvers:
     def test_default_method_follows_box_size(self, params3, monkeypatch):
         # the default factors where the predicted LU fits the budget, also
         # above N=150, where value iteration fails near criticality, and
-        # refuses a larger box; value iteration runs on request only
+        # every method refuses a larger box; value iteration runs on request
         assert solve_grid(params3, 151).iterations == 1
         assert solve_grid(params3, 200).iterations == 1
         monkeypatch.setattr(model, "_BUDGET", grid._BYTES_PER_NONZERO * grid._lu_nonzeros(20))
         assert solve_grid(params3, 20).iterations == 1
-        for options in [None, SolveOptions(method=Method.DIRECT)]:
+        for options in [None, *(SolveOptions(method=method) for method in Method)]:
             with pytest.raises(ValueError, match=r"^n must be <= 20, got 21"):
                 solve_grid(params3, 21, options)
-        vi = solve_grid(params3, 21, SolveOptions(method=Method.VALUE_ITERATION))
+        vi = solve_grid(params3, 20, SolveOptions(method=Method.VALUE_ITERATION))
         # value iteration stops only at a multiple of its check interval
         assert vi.iterations > 1
         assert vi.iterations % grid._CHECK_EVERY == 0
+
+    def test_every_entry_point_refuses_a_box_the_lu_refuses(self, params3, monkeypatch):
+        # one size rule, stated before any work: neither the closure nor the
+        # coupling table is computed for N = 575, whichever entry point or
+        # method is asked
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(grid, "_stencil", fail)
+        monkeypatch.setattr(grid.asymptotics, "closure_value", fail)
+        edge = np.zeros(575)
+        for call in [
+            lambda: solve_grid(params3, 575, SolveOptions(method=Method.VALUE_ITERATION)),
+            lambda: solve_grid(params3, 575),
+            lambda: assemble_system(params3, 575, edge, edge),
+            lambda: closure_arrays(params3, 575),
+            lambda: closure_arrays(params3, 575, edge),
+        ]:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == (
+                "n must be <= 574, got 575 (the largest box whose LU fits the 128 MiB budget)"
+            )
 
     def test_budget_admits_boxes_up_to_574(self):
         def fits(n):

@@ -513,6 +513,30 @@ def watch_banks(monkeypatch, view=np.ndarray) -> list[tuple[int, int, int]]:
     return banks
 
 
+def watch_streams(monkeypatch) -> dict[str, int]:
+    """Count the cell streams alive, "now" and at "most": a cell's stream
+    lives from its admission to the window until the block after its last
+    path ended.  A Generator cannot be weakly referenced, so each stream is
+    wrapped in an object that counts itself."""
+    held = {"now": 0, "most": 0}
+    cell_stream = montecarlo._cell_stream
+
+    class Held:
+        def __init__(self, gen):
+            self.gen = gen
+            held["now"] += 1
+            held["most"] = max(held["most"], held["now"])
+
+        def __del__(self):
+            held["now"] -= 1
+
+        def random(self, out):
+            return self.gen.random(out=out)
+
+    monkeypatch.setattr(montecarlo, "_cell_stream", lambda *key: Held(cell_stream(*key)))
+    return held
+
+
 class TestRefill:
     @pytest.mark.parametrize(
         "r, cells",
@@ -553,25 +577,8 @@ class TestRefill:
         monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
         monkeypatch.setattr(montecarlo, "_PATH_BUDGET", budget)
         cells = [(1 + k % 20, 1 + k // 20) for k in range(n_cells)]
-        # the most cells the window holds at once: a cell's stream lives from
-        # its admission until the block after its last path ended
-        held_cells = {"now": 0, "most": 0}
-        cell_stream = montecarlo._cell_stream
-
-        class Held:
-            def __init__(self, gen):
-                self.gen = gen
-                held_cells["now"] += 1
-                held_cells["most"] = max(held_cells["most"], held_cells["now"])
-
-            def __del__(self):
-                held_cells["now"] -= 1
-
-            def random(self, out):
-                return self.gen.random(out=out)
-
         with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "_cell_stream", lambda *key: Held(cell_stream(*key)))
+            held_cells = watch_streams(patch)
             expected = estimate_cells(params3, cells, m=m, t_horizon=100, seed=3)
         n = held_cells["most"]
         shares = []
@@ -609,6 +616,23 @@ class TestRefill:
         # for each of the n cells the window held), and the same slack
         staging = 8 * depth * m
         assert 8 * m <= peak <= cap + staging + 64 * lanes + 1126 * n + 16384
+
+    def test_window_streams_stay_at_the_cap(self, paramsc, monkeypatch):
+        # at M = 1 a 32,768-lane window has room for all 8,256 canonical
+        # cells of a 128 x 128 box, none of which starts in the exit set at
+        # r = 2.002; it holds at most _WINDOW_CELLS of them, and so of their
+        # streams, at once, and the cap does not show in the results
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
+        with monkeypatch.context() as patch:
+            held = watch_streams(patch)
+            capped = estimate_lattice(paramsc, 128, 128, m=1, t_horizon=40, seed=0)
+        assert held["most"] == 8192
+        monkeypatch.setattr(montecarlo, "_WINDOW_CELLS", 2**20)
+        held = watch_streams(monkeypatch)
+        uncapped = estimate_lattice(paramsc, 128, 128, m=1, t_horizon=40, seed=0)
+        assert held["most"] == 8256
+        for name in PER_CELL:
+            assert np.array_equal(getattr(capped, name), getattr(uncapped, name))
 
     def test_concurrent_callers_agree(self, params3, monkeypatch):
         # four callers run at once; state shared between calls would change
