@@ -43,9 +43,10 @@ work is done (:func:`_check_size`).  The prediction is ``_FILL`` N^2 ln N
 nonzeros of L + U at ``_BYTES_PER_NONZERO`` each, an upper bound on the
 measured fill, so every box up to N=574 is factored.  The folded LU has
 2.6-2.8 times less fill than the full one (141k against 371k nonzeros at
-N=100).  At r=3, N=200 a fresh interpreter peaks at 73 MiB for it, 62 MiB
-of which is the import, and factors in about 0.06 s where value iteration
-takes 4,224 steps to its fixed point.
+N=100).  At r=3, N=200 a fresh interpreter peaks at 74 MiB for it, 62 MiB
+of which is the import; ``splu`` factors in about 0.03 s and the whole
+solve takes 0.03-0.05 s, where value iteration takes 4,224 steps to its
+fixed point.
 
 The constant field 1 satisfies the interior recurrence, so value iteration
 must start below the solution (from zero) to select the probabilistic

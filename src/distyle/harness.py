@@ -126,11 +126,6 @@ def compare(a: np.ndarray, b: np.ndarray, sub: int | None = None) -> ComparisonR
     absolute = np.abs(diff)
     included = (a != 0.0) & (b != 0.0)
     relative = absolute[included] / np.abs(b[included])
-
-    def rqe(reference: np.ndarray) -> float:
-        denom = float((reference * reference).sum())
-        return math.sqrt(float(square.sum()) / denom) if denom > 0.0 else float("nan")
-
     return ComparisonReport(
         cells_excluded=int(included.size - included.sum()),
         stats={
@@ -138,9 +133,18 @@ def compare(a: np.ndarray, b: np.ndarray, sub: int | None = None) -> ComparisonR
             "absolute_error": SummaryStats.of(absolute.ravel()),
             "relative_error": SummaryStats.of(relative),
         },
-        rqe_by_a=rqe(a),
-        rqe_by_b=rqe(b),
+        rqe_by_a=_rqe(b, a),
+        rqe_by_b=_rqe(a, b),
     )
+
+
+def _rqe(a: np.ndarray, b: np.ndarray) -> float:
+    """Relative quadratic error of ``a`` against the reference ``b``, two
+    fields of one shape: sqrt(sum (a - b)^2 / sum b^2), NaN where ``b`` is
+    zero everywhere."""
+    diff = a - b
+    denom = float((b * b).sum())
+    return math.sqrt(float((diff * diff).sum()) / denom) if denom > 0.0 else float("nan")
 
 
 class FitResult(NamedTuple):
@@ -180,7 +184,8 @@ def convergence_series(
     rows = []
     for n in n_values:
         box = solved[n] if n in solved else solve_grid(params, n)
-        rows.append((n, compare(box.values, reference, sub=SUBLATTICE).rqe_by_b))
+        k = min(n, len(reference), SUBLATTICE)
+        rows.append((n, _rqe(box.values[:k, :k], reference[:k, :k])))
     return rows
 
 

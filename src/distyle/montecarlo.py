@@ -51,9 +51,12 @@ keyed by ``SeedSequence([seed, i, j])`` (:func:`_cell_stream`), read in
 blocks of ``_BLOCK`` = 32 steps.  At the start of a block the cell ranks its
 L paths still running in path order, and the block reads the stream
 step-major, L uniforms a step, slot r going to the path of rank r.  A path
-that ends inside a block keeps its slots until the block ends, so uniforms
-are drawn only for paths that run at the start of a block: each path wastes
-at most the 31 slots left in the block it ends in.  With M = 1, step t reads
+that ends inside a block, absorbed, stopped or censored, stays where it
+ended: it keeps its slots until the block ends, and every move it draws
+there is multiplied by zero.  At the end of the block the paths on an axis
+are counted as absorbed and only the running paths go on, so uniforms are
+drawn only for paths that run at the start of a block: each path wastes at
+most the 31 slots left in the block it ends in.  With M = 1, step t reads
 the t-th uniform.  Every stream is read strictly in order, so no invariance
 below relies on a counter-based generator that can jump to a position.
 Results do not depend on how cells share a window, on how many worker
@@ -152,7 +155,6 @@ import numpy as np
 from .model import _BUDGET, ModelParams, _check_budget, _check_count, _check_seed
 
 _BLOCK = 32  # steps between re-rankings of a cell's running paths; fixes the streams
-_PARKED = 2**20  # state of a path that ended earlier in the current block
 _PATH_BUDGET = 32_768  # most paths simulated side by side, over all workers
 # most cells a window holds at once, each with its stream; above the 1,275 and
 # 5,050 canonical cells of the presets' lattices, so it never binds on them
@@ -392,7 +394,7 @@ def _run_share(
     cell therefore ends in a block at the same step, ``tail``: the global
     block is cut there when every cell in the window ends in it, and
     otherwise the ending cells' paths still running are counted as censored
-    and parked at that step.  At the start of a block the paths still
+    and end at that step.  At the start of a block the paths still
     running become lanes, cell by cell in admission order and in path order
     within a cell, and a cell with L lanes reads its stream step-major, L
     uniforms a step, slot r going to its lane r, for every step of the block
@@ -400,12 +402,12 @@ def _run_share(
     lanes being at most ``window``, and receives up to depth steps of the
     block at a time: each cell's rows are drawn into a staging buffer and
     copied into the cell's columns, so step k of the refill is row k, one
-    uniform per lane.  A path that ends inside a block is flagged at once,
-    in ``hit`` if it is absorbed, and then parked: its state is set to
-    ``_PARKED``, from where it can reach neither an axis nor a zero sum in
-    the rest of the block, and ``fin`` flags it so that it ends only once.
-    Its lane keeps its slot until the block ends, when the absorbed paths
-    are counted and the parked lanes are dropped.
+    uniform per lane.  One end rule holds for every path: when it is
+    absorbed, enters the exit set or is censored, its flag in ``run``
+    clears, and every later move of its lane is multiplied by that flag, so
+    the path stays where it ended.  Its lane keeps its slot until the block
+    ends; then the lanes on an axis, min(i, j) = 0, are counted as absorbed,
+    and only the lanes still running are kept.
     """
     n_cells = len(cells)
     bank = np.zeros((depth, min(window, n_cells * m)))
@@ -446,11 +448,11 @@ def _run_share(
             (streams[k][0], lo, hi, tail if e < ending else block)
             for e, (k, lo, hi) in enumerate(zip(active, bounds, bounds[1:]))
         ]
-        fin = np.zeros(n, dtype=bool)
-        hit = np.zeros(n, dtype=bool)
+        run = np.ones(n, dtype=bool)  # the paths still running
+        run8 = run.view(np.int8)
+        inside = np.empty(n, dtype=bool)
         went_left, in_loss, below_up = masks = np.empty((3, n), dtype=bool)
         left8, loss8, below8 = masks.view(np.int8)
-        done = np.empty(n, dtype=bool)
         di, dj = np.empty((2, n), dtype=np.int8)
         size = np.empty(n, dtype=np.int32)
         low = np.empty(n, dtype=np.int32)
@@ -477,41 +479,34 @@ def _run_share(
                 # went_left implies in_loss implies below_up (the left
                 # threshold lies below loss), so each move is a sum of masks:
                 # i gains 1 going right and loses 1 going left, j gains 1
-                # going up and loses 1 going down
+                # going up and loses 1 going down; a path that has ended
+                # moves by zero
                 np.subtract(below8, loss8, out=di)
                 di -= left8
+                di *= run8
                 ai += di
                 np.subtract(left8, below8, out=dj)
                 dj -= loss8
                 dj += 1
+                dj *= run8
                 aj += dj
                 # min(i, j) - 1 wraps round as unsigned when the path is
                 # absorbed, so one compare finds both ends
                 np.minimum(ai, aj, out=low)
                 low -= 1
-                np.greater_equal(low.view(np.uint32), level - 1, out=done)
-                # done and not fin: the paths that end at this step
-                new = np.flatnonzero(np.greater(done, fin, out=done))
-                if new.size:
-                    hit[new[low[new] < 0]] = True
-                    fin[new] = True
-                    ai[new] = _PARKED
-                    aj[new] = _PARKED
+                run &= np.less(low.view(np.uint32), level - 1, out=inside)
             if stop == tail and ending:
                 cut = bounds[ending]
-                censored = np.bincount(owner[:cut][~fin[:cut]])
+                censored = np.bincount(owner[:cut][run[:cut]])
                 counts[: censored.size, 1] += censored
-                fin[:cut] = True
-                ai[:cut] = _PARKED
-                aj[:cut] = _PARKED
+                run[:cut] = False
             first = stop
         del spans  # and with it the streams of the cells that ended
-        absorbed = np.bincount(owner[hit])
+        absorbed = np.bincount(owner[np.minimum(ai, aj) == 0])
         counts[: absorbed.size, 0] += absorbed
-        keep = ~fin
-        owner = owner[keep]
-        ai = ai[keep]
-        aj = aj[keep]
+        owner = owner[run]
+        ai = ai[run]
+        aj = aj[run]
     return counts
 
 
