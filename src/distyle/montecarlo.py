@@ -53,10 +53,12 @@ L paths still running in path order, and the block reads the stream
 step-major, L uniforms a step, slot r going to the path of rank r.  A path
 that ends inside a block, absorbed, stopped or censored, stays where it
 ended: it keeps its slots until the block ends, and every move it draws
-there is multiplied by zero.  At the end of the block the paths on an axis
-are counted as absorbed and only the running paths go on, so uniforms are
-drawn only for paths that run at the start of a block: each path wastes at
-most the 31 slots left in the block it ends in.  With M = 1, step t reads
+there is multiplied by zero.  At the end of the block every path that ended
+is counted once, where it stands: a path on an axis as absorbed, a path
+short of the exit set as censored, and a path in the exit set is left for
+the finish to count as stopped.  Only the running paths go on, so uniforms
+are drawn only for paths that run at the start of a block: each path wastes
+at most the 31 slots left in the block it ends in.  With M = 1, step t reads
 the t-th uniform.  Every stream is read strictly in order, so no invariance
 below relies on a counter-based generator that can jump to a position.
 Results do not depend on how cells share a window, on how many worker
@@ -77,7 +79,7 @@ running and it holds fewer than ``_WINDOW_CELLS`` cells, so cells join a
 window whose older cells are part-way through their horizons.  Every cell
 keeps its own clock: a cell admitted at block g0 is at its time 32 (g - g0)
 in block g and reads min(32, T - t) rows of its stream, and its paths still
-running when its horizon ends are counted as censored there.  Each worker
+running when its horizon ends stop there, short of the exit set.  Each worker
 sends back only the per-cell counts of absorbed and censored paths; the
 finish counts the rest of each cell's M paths as stopped.  The workers are
 forked when the job starts and draw while the caller goes on
@@ -392,22 +394,24 @@ def _run_share(
     ``_WINDOW_CELLS`` cells, each with its stream, and a cell admitted at
     block g0 is at its own time ``_BLOCK * (g - g0)`` in block g.  Every
     cell therefore ends in a block at the same step, ``tail``: the global
-    block is cut there when every cell in the window ends in it, and
-    otherwise the ending cells' paths still running are counted as censored
-    and end at that step.  At the start of a block the paths still
-    running become lanes, cell by cell in admission order and in path order
-    within a cell, and a cell with L lanes reads its stream step-major, L
-    uniforms a step, slot r going to its lane r, for every step of the block
-    up to its horizon.  The bank, allocated here, has shape (depth, lanes),
-    lanes being at most ``window``, and receives up to depth steps of the
-    block at a time: each cell's rows are drawn into a staging buffer and
-    copied into the cell's columns, so step k of the refill is row k, one
-    uniform per lane.  One end rule holds for every path: when it is
-    absorbed, enters the exit set or is censored, its flag in ``run``
-    clears, and every later move of its lane is multiplied by that flag, so
-    the path stays where it ended.  Its lane keeps its slot until the block
-    ends; then the lanes on an axis, min(i, j) = 0, are counted as absorbed,
-    and only the lanes still running are kept.
+    block is cut there when every cell in the window ends in it.  At the
+    start of a block the paths still running become lanes, cell by cell in
+    admission order and in path order within a cell, and a cell with L lanes
+    reads its stream step-major, L uniforms a step, slot r going to its lane
+    r, for every step of the block up to its horizon.  The bank, allocated
+    here, has shape (depth, lanes), lanes being at most ``window``, and
+    receives up to depth steps of the block at a time: each cell's rows are
+    drawn into a staging buffer and copied into the cell's columns, so step
+    k of the refill is row k, one uniform per lane.  The refills depend only
+    on ``depth`` and the block.  One end rule holds for every path: when it
+    is absorbed, enters the exit set or reaches its cell's horizon at step
+    ``tail``, its flag in ``run`` clears, and every later move of its lane
+    is multiplied by that flag, so the path stays where it ended.  Its lane
+    keeps its slot until the block ends.  Then every ended lane is counted
+    once, from the last step's state: on an axis, min(i, j) = 0, it was
+    absorbed; short of the exit set it was censored; in the exit set it
+    stopped, which the caller counts.  Only the lanes still running are
+    kept.
     """
     n_cells = len(cells)
     bank = np.zeros((depth, min(window, n_cells * m)))
@@ -457,11 +461,9 @@ def _run_share(
         size = np.empty(n, dtype=np.int32)
         low = np.empty(n, dtype=np.int32)
         thr = np.empty(n)
-        stops = {*range(depth, block, depth), block}
-        if ending:
-            stops.add(tail)  # the refill splits where the ending cells stop
+        cut = bounds[ending]  # the lanes of the ending cells
         first = 0
-        for stop in sorted(stops):
+        for stop in [*range(depth, block, depth), block]:
             rows = bank.reshape(-1)[: (stop - first) * n].reshape(stop - first, n)
             for gen, lo, hi, reads in spans:
                 steps = min(stop, reads) - first
@@ -469,7 +471,7 @@ def _run_share(
                     cell_rows = stage[: steps * (hi - lo)].reshape(steps, hi - lo)
                     gen.random(out=cell_rows)
                     rows[:steps, lo:hi] = cell_rows
-            for u in rows:
+            for step, u in enumerate(rows, first + 1):
                 np.add(ai, aj, out=size)
                 np.multiply(ai, loss, out=thr)
                 np.divide(thr, size, out=thr)
@@ -495,15 +497,15 @@ def _run_share(
                 np.minimum(ai, aj, out=low)
                 low -= 1
                 run &= np.less(low.view(np.uint32), level - 1, out=inside)
-            if stop == tail and ending:
-                cut = bounds[ending]
-                censored = np.bincount(owner[:cut][run[:cut]])
-                counts[: censored.size, 1] += censored
-                run[:cut] = False
+                if step == tail:  # the ending cells reach their horizon
+                    run[:cut] = False
             first = stop
         del spans  # and with it the streams of the cells that ended
-        absorbed = np.bincount(owner[np.minimum(ai, aj) == 0])
-        counts[: absorbed.size, 0] += absorbed
+        # an ended lane on an axis was absorbed, one short of the exit set was
+        # censored, and the caller counts the rest as stopped
+        for column, ended in enumerate((low < 0, inside & ~run)):
+            found = np.bincount(owner[ended])
+            counts[: found.size, column] += found
         owner = owner[run]
         ai = ai[run]
         aj = aj[run]

@@ -678,7 +678,8 @@ class TestRefill:
 
 class TestLiveLanes:
     @pytest.mark.parametrize("r", [3.0, 2.002, 20.0])  # stop levels 15, 5995 and 3 at M=20
-    @pytest.mark.parametrize("t_horizon", [50, 77, 500])  # 77 ends inside a block
+    # 13 ends inside the first block, 64 on a block boundary, 77 inside a block
+    @pytest.mark.parametrize("t_horizon", [13, 50, 64, 77, 500])
     def test_kernel_matches_cell_oracle(self, monkeypatch, r, t_horizon):
         params = ModelParams(r=r, d=2.0)
         cells = [(1, 1), (2, 3), (4, 1), (3, 5)]
