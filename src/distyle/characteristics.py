@@ -31,8 +31,9 @@ which keeps its full relative precision however close to an axis the start
 point lies.
 
 Both denominators stay positive up to s0, and each crosses zero exactly once
-past s0 (the blow-up times s_plus and s_minus).  The integrating factor
-exp(int_0^u R) along the curve has the closed form
+past s0 (the blow-up times s_plus and s_minus, which ``critical_times`` finds
+by bisection).  The integrating factor exp(int_0^u R) along the curve has the
+closed form
 
     IF(u) = [Dx(0) / Dx(u)] [Dy(0) / Dy(u)] [nu(0) / nu(u)] e^{(r+d) u},
 
@@ -128,46 +129,39 @@ def eval_path(path: CharacteristicPath, s):
 def critical_times(path: CharacteristicPath) -> tuple[float, float]:
     """Blow-up times (s_plus, s_minus) of x and y, both strictly past s0.
 
-    Bracketed on the rescaled denominators of ``_pieces``, then solved to
-    rounding by Brent's method.  Past s0 a denominator reads
+    Found by bisection of the rescaled denominators of ``_pieces`` down to
+    adjacent doubles.  Past s0 a denominator reads
     1 + b e^{-ds} - rho e^{(r-d)(s-s0)} with |b| <= 1 - rho, so it is at
-    most -2 from the offset s - s0 = log(4/rho) / (r - d) on: the bracket
-    doubles its first offset 0.5/d up to that cap, on the curve's own
-    scale, and e^{(r-d)(s-s0)} stays at most 4/rho, finite for every
-    admitted rate.  s_plus < s_minus iff y0 < x0; the two coincide on the
-    diagonal.  Near an axis the first-order terms of the
-    denominator cancel at s = 0, so a root s carries a relative error of
-    about eps / ((1 - rho) r (s - s0)); where four times that exceeds 1e-6,
-    or Brent's method does not converge, this raises ArithmeticError.
+    most -2 from the offset s - s0 = log(4/rho) / (r - d) on: that offset
+    caps the bracket [s0, s0 + cap], on the curve's own scale, and
+    e^{(r-d)(s-s0)} stays at most 4/rho, finite for every admitted rate.
+    s_plus < s_minus iff y0 < x0; the two coincide on the diagonal.  Near
+    an axis the first-order terms of the denominator cancel at s = 0, so a
+    root s carries a relative error of about eps / ((1 - rho) r (s - s0));
+    where four times that exceeds 1e-6, or a denominator does not change
+    sign on the bracket, this raises ArithmeticError.
     """
-    # imported here: scipy.optimize adds about 0.15 s to ``import distyle``
-    from scipy.optimize import brentq
-
     r, d = path.params.r, path.params.d
     eps = np.finfo(float).eps
-    lo, cap = path.s0, math.log(4.0 / path.params.ratio) / (r - d)
+    cap = math.log(4.0 / path.params.ratio) / (r - d)
     results = []
     for k in (1, 2):  # Dx root (s_plus), then Dy root (s_minus)
-
-        def g(s):
-            return float(_pieces(path, s)[k])
-
-        if g(lo) <= 0.0:
-            raise ArithmeticError("denominator not positive at s0; invalid path")
-        step = min(0.5 / d, cap)
-        while step < cap and g(lo + step) > 0.0:
-            step = min(2.0 * step, cap)
-        root, info = brentq(
-            g, lo, lo + step, xtol=1e-300, rtol=4 * eps, full_output=True, disp=False
-        )
-        if not info.converged:
-            raise ArithmeticError(f"blow-up time not found: Brent's method {info.flag}")
-        if 4.0 * eps > 1e-6 * (1.0 - path.params.ratio) * r * (root - path.s0):
+        lo, hi = path.s0, path.s0 + cap
+        if not _pieces(path, lo)[k] > 0.0 >= _pieces(path, hi)[k]:
+            raise ArithmeticError("denominator does not change sign past s0; invalid path")
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:  # down to adjacent doubles, the root in (lo, hi]
+            if _pieces(path, mid)[k] > 0.0:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        if 4.0 * eps > 1e-6 * (1.0 - path.params.ratio) * r * (hi - path.s0):
             raise ArithmeticError(
-                f"blow-up time {root:.3g} lies too close to s0 = {path.s0:.3g} to "
+                f"blow-up time {hi:.3g} lies too close to s0 = {path.s0:.3g} to "
                 "resolve to 1e-6: the start point is too near an axis"
             )
-        results.append(root)
+        results.append(hi)
     return results[0], results[1]
 
 

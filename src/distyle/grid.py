@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -141,7 +141,6 @@ class GridSolution:
     n: int
     values: np.ndarray
     closure: str
-    closure_edge: np.ndarray = field(repr=False)  # p~_{k,N+1} = p~_{N+1,k}, k = 1..N
     residual: float
     iterations: int  # 1 for the LU; value iteration's Jacobi steps otherwise
 
@@ -403,7 +402,6 @@ def solve_grid(
         n=n,
         values=values,
         closure=desc,
-        closure_edge=edge,
         residual=residual,
         iterations=iterations,
     )

@@ -46,6 +46,13 @@ _BYTES_PER_ROW = 256
 SUBLATTICE = 10
 
 
+def _check_flag(name: str, value) -> None:
+    """Reject a stage switch that is not a bool, which the manifest could
+    not write back as true or false."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value}")
+
+
 def _check_order(lo_name: str, lo: int, hi_name: str, hi: int) -> None:
     """Reject a range of convergence boxes whose low end lies above its high
     end, naming both ends as the caller set them."""
@@ -248,6 +255,8 @@ class ExperimentSpec:
         for field in ("grid_n", "mc_m", "mc_t"):
             check(_check_count, field)
         check(_check_seed, "seed")
+        for field in ("run_mc", "run_convergence", "run_genfunc"):
+            check(_check_flag, field)
         if self.run_convergence:
             for field in ("conv_min", "conv_reference"):
                 check(_check_count, field)

@@ -29,11 +29,17 @@ from dataclasses import dataclass
 _BUDGET = 128 * 2**20
 
 
+def _integral(kind: type) -> bool:
+    """Whether ``kind`` is an integer type: numpy integers are, ``bool`` and
+    ``np.bool_`` are not, since a flag is no count, index or seed."""
+    return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
+
+
 def _check_integer(name: str, value) -> None:
-    """Reject a ``value`` that is not an integer; numpy integers pass.  The
-    ValueError names ``name``, the flag, config key or parameter the caller
-    set."""
-    if not isinstance(value, numbers.Integral):
+    """Reject a ``value`` that is not an integer (see :func:`_integral`).
+    The ValueError names ``name``, the flag, config key or parameter the
+    caller set."""
+    if not _integral(type(value)):
         raise ValueError(f"{name} must be an integer, got {value}")
 
 
@@ -65,7 +71,10 @@ def _check_rates(r_name: str, r: float, d_name: str, d: float) -> None:
     p equals 1) and the asymptotic closures used by the solvers are
     meaningless.  Within the scale every product and ratio of two rates
     that the methods form (r r, (r + d) (i + j), d / r, ...) is a normal
-    double; p depends on d/r alone, so rates beyond it can be rescaled."""
+    double; p depends on d/r alone, so rates beyond it can be rescaled.
+    A bool is no rate, and neither is ``np.bool_``, which is no real number."""
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (r, d)):
+        raise ValueError(f"rates must be real numbers, got {r_name}={r}, {d_name}={d}")
     if not (math.isfinite(r) and math.isfinite(d)):
         raise ValueError(f"rates must be finite, got {r_name}={r}, {d_name}={d}")
     if not (d > 0.0 and r > 0.0):

@@ -147,14 +147,13 @@ import contextlib
 import functools
 import itertools
 import math
-import numbers
 import os
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _BUDGET, ModelParams, _check_budget, _check_count, _check_seed
+from .model import _BUDGET, ModelParams, _check_budget, _check_count, _check_seed, _integral
 
 _BLOCK = 32  # steps between re-rankings of a cell's running paths; fixes the streams
 _PATH_BUDGET = 32_768  # most paths simulated side by side, over all workers
@@ -294,8 +293,8 @@ def start_cells(
     cells = list(cells)
     # each refusal of a cell names one as the caller wrote it
     kinds = {type(k) for cell in cells for k in cell}
-    if not all(issubclass(kind, numbers.Integral) for kind in kinds):
-        cell = next(c for c in cells if not all(isinstance(k, numbers.Integral) for k in c))
+    if not all(_integral(kind) for kind in kinds):
+        cell = next(c for c in cells if not all(_integral(type(k)) for k in c))
         raise ValueError(f"i and j of cell {cell} must be integers")
     lowest = min(cells, key=lambda cell: (min(cell), max(cell)))
     _check_count(f"min(i, j) of cell {lowest}", min(lowest))

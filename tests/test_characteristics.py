@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from distyle.characteristics import (
@@ -168,6 +168,30 @@ class TestTrajectory:
         path = make_path(ModelParams(r, d), 0.3, 0.6)
         s_plus, s_minus = critical_times(path)
         assert path.s0 < s_minus < s_plus <= path.s0 + math.log(4.0 * r / d) / (r - d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # d from 2^-500 to 2^500 and r - d from 2^-30 d to 2^1000 d, within the scale
+        st.tuples(st.floats(-500.0, 500.0), st.floats(-30.0, 1000.0))
+        .map(lambda t: (2.0 ** t[0] * (1.0 + 2.0 ** t[1]), 2.0 ** t[0]))
+        .filter(lambda rates: rates[0] <= 2.0**500),
+        st.floats(-300.0, 0.0).map(lambda e: 10.0**e).filter(lambda x: x < 1.0),
+        st.floats(-300.0, 0.0).map(lambda e: 10.0**e).filter(lambda x: x < 1.0),
+    )
+    @example((1500.0, 1.0), 0.3, 0.6)
+    @example((3000.0, 1.0), 0.3, 0.6)
+    @example((2.0**500, 2.0**-500), 0.3, 0.6)
+    @example((2.0**500, 2.0**-500), 1e-300, 1.0 - 2.0**-53)
+    def test_denominators_are_at_most_minus_two_at_the_cap(self, rates, x0, y0):
+        # critical_times bisects [s0, s0 + cap]; the bracket rests on this
+        # bound, 1 + |b| - 4 with |b| < 1 - rho in exact arithmetic.  The
+        # exponent log(4/rho) is formed to a few ulps, which moves the term 4
+        # by a few eps log(4/rho) (at most 5.6 of them in 2e5 random draws)
+        params = ModelParams(*rates)
+        path = make_path(params, x0, y0)
+        log_cap = math.log(4.0 / params.ratio)
+        _, dx, dy = _pieces(path, path.s0 + log_cap / (params.r - params.d))
+        assert max(dx, dy) <= -2.0 + 16 * np.finfo(float).eps * log_cap
 
     def test_blow_up_is_only_past_s0(self, params3):
         # next to an axis Dx(0) is far below 1e-14 and still not a root

@@ -851,16 +851,22 @@ def test_solver_failures_exit_cleanly(capsys, monkeypatch):
     assert "error: quadrature did not meet its budget" in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_optimize_out():
-    # scipy.optimize adds about 0.15 s to the import; critical_times loads
-    # brentq only when it runs
+def test_import_leaves_scipy_optimize_out(tmp_path):
+    # scipy.optimize adds about 0.15 s to the import, and the blow-up times
+    # that ``characteristics`` prints are found by bisection without it
     src = str(Path(distyle.__file__).resolve().parents[1])
-    code = "import sys, distyle.cli; print('scipy.optimize' in sys.modules)"
+    argv = ["characteristics", "--r", "3", "--d", "2", "--x0", "0.5", "--y0", "0.3",
+            "--out", str(tmp_path)]
+    code = (
+        "import sys, distyle.cli; print('scipy.optimize' in sys.modules); "
+        f"assert distyle.cli.main({argv!r}) == 0; print('scipy.optimize' in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout == "False\n"
+    assert done.stdout == "False\nFalse\n"
+    assert "s_plus=" in done.stderr
 
 
 def _assert_csv_close(a: Path, b: Path, atol: float, rtol: float) -> None:

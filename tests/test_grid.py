@@ -226,7 +226,8 @@ class TestAssembly:
 
     def test_single_cell_solve_is_kernel_fixed_point(self, params3):
         sol = solve_grid(params3, 1)
-        field = padded_field(1, sol.closure_edge, sol.closure_edge)
+        edge, _, _ = closure_arrays(params3, 1)
+        field = padded_field(1, edge, edge)
         field[1, 1] = sol.values[0, 0]
         assert apply_kernel(params3, field, 1, 1) == pytest.approx(sol.values[0, 0], abs=1e-14)
 
@@ -237,7 +238,8 @@ class TestAssembly:
         # ulp by which the order of the sum may move it
         params = ModelParams(r, 2.0)
         sol = solve_grid(params, 1, closure=closure)
-        want = params.d / (params.r + params.d) + 2 * params.birth_step * sol.closure_edge[0]
+        [edge], _, _ = closure_arrays(params, 1, closure)
+        want = params.d / (params.r + params.d) + 2 * params.birth_step * edge
         assert abs(sol.values[0, 0] - want) <= np.spacing(want)
 
     @pytest.mark.parametrize("closure", list(CLOSURES))
@@ -291,7 +293,7 @@ class TestExactBox:
             params = ModelParams(r, 2.0)
             for method in Method:
                 sol = solve_grid(params, 4, SolveOptions(method=method))
-                [field] = exact_box(params, 4, sol.closure_edge)
+                [field] = exact_box(params, 4, closure_arrays(params, 4)[0])
                 assert exact_gap(sol.values, field) > EXACT_SLACK, (r, method)
 
 
@@ -331,11 +333,11 @@ class TestSolvers:
         # one edge closes both sides; a pair of edges is not a closure
         with pytest.raises(ValueError):
             solve_grid(params3, 10, closure=(edge, edge))
-        # the solution keeps the edge it was solved with, not the caller's array
+        # the edge is a copy, not the caller's array
         caller = np.full(5, 0.1)
-        kept = solve_grid(params3, 5, closure=caller)
+        kept, _, _ = closure_arrays(params3, 5, caller)
         caller[:] = 0.9
-        assert np.all(kept.closure_edge == 0.1)
+        assert np.all(kept == 0.1)
         # an edge that is not finite is refused before either method starts
         def fail(*args, **kwargs):
             raise AssertionError("a solve started")
@@ -441,6 +443,11 @@ class TestSolvers:
                 "n must be <= 574, got 575 (the largest box whose LU fits the 128 MiB budget)"
             )
 
+    def test_bool_box_size_refused(self, params3):
+        # True is a numbers.Integral, and used to solve the 1x1 box
+        with pytest.raises(ValueError, match=r"^n must be an integer, got True$"):
+            solve_grid(params3, True)
+
     def test_budget_admits_boxes_up_to_574(self):
         def fits(n):
             return grid._BYTES_PER_NONZERO * grid._lu_nonzeros(n) <= model._BUDGET
@@ -496,11 +503,12 @@ class TestSolvers:
         # bit for bit, for the solved field and for a field with no symmetry
         params = params3 if rate == "r3" else paramsc
         sol = solve_grid(params, n, closure=closure)
-        t, b = assemble_system(params, n, sol.closure_edge, sol.closure_edge)
+        edge, _, _ = closure_arrays(params, n, closure)
+        t, b = assemble_system(params, n, edge, edge)
         rough = np.random.default_rng(n).random((n, n))
         for values in (sol.values, rough):
             full = float(np.max(np.abs(t @ values.reshape(-1) - b)))
-            assert grid._residual(*solve_system(params, n, sol.closure_edge), values) == full
+            assert grid._residual(*solve_system(params, n, edge), values) == full
         assert sol.residual == float(np.max(np.abs(t @ sol.values.reshape(-1) - b)))
 
     def test_folded_direct_matches_unfolded_solve(self, paramsc):
@@ -515,7 +523,7 @@ class TestSolvers:
     def test_value_iteration_residual_is_system_residual(self, params3):
         n = 20
         sol = solve_grid(params3, n, SolveOptions(method=Method.VALUE_ITERATION))
-        mat, rhs = assemble_system(params3, n, sol.closure_edge, sol.closure_edge)
+        mat, rhs = assemble_system(params3, n, *closure_arrays(params3, n)[:2])
         full = float(np.max(np.abs(mat @ sol.values.reshape(-1) - rhs)))
         assert sol.residual > 0.0
         assert abs(sol.residual - full) < 1e-15
@@ -570,7 +578,7 @@ class TestSolvers:
         params = params3 if rate == "r3" else paramsc
         vi = SolveOptions(method=Method.VALUE_ITERATION)
         sol = solve_grid(params, n, vi, closure=closure)
-        _, _, a, c, mirror = folded_oracle(params, n, sol.closure_edge)
+        _, _, a, c, mirror = folded_oracle(params, n, closure_arrays(params, n, closure)[0])
         q, stop = one_step_iterate(a, c, sol.iterations)
         assert np.array_equal(sol.values, (mirror @ q).reshape(n, n))
         again = (a + scipy.sparse.identity(a.shape[0], format="csr")) @ q

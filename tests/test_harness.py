@@ -255,6 +255,19 @@ class TestSpec:
             (dict(grid_n=5.5), "grid_n must be an integer, got 5.5"),
             (dict(mc_t=100.0), "mc_t must be an integer, got 100.0"),
             (dict(seed=1.5), "seed must be an integer, got 1.5"),
+            # a bool count, seed or rate, or a stage flag that is no bool, which
+            # the manifest would write as a line that load_spec refuses
+            (dict(grid_n=True), "grid_n must be an integer, got True"),
+            (dict(mc_m=True), "mc_m must be an integer, got True"),
+            (dict(mc_t=True), "mc_t must be an integer, got True"),
+            (dict(seed=False), "seed must be an integer, got False"),
+            (dict(conv_min=True), "conv_min must be an integer, got True"),
+            (dict(r=True, d=0.5), "rates must be real numbers, got r=True, d=0.5"),
+            (dict(d=np.True_), "rates must be real numbers, got r=3.0, d=True"),
+            (dict(run_convergence=2), "run_convergence must be true or false, got 2"),
+            (dict(run_mc=0), "run_mc must be true or false, got 0"),
+            (dict(run_genfunc="yes"), "run_genfunc must be true or false, got yes"),
+            (dict(run_mc=np.False_), "run_mc must be true or false, got False"),
         ],
     )
     def test_bad_spec_rejected(self, fields, message):
@@ -277,9 +290,13 @@ class TestSpec:
             (dict(run_genfunc=True, genfunc_min=0.6), ("genfunc_min", "genfunc_max")),
             (dict(run_genfunc=True, genfunc_max=0.95), ("genfunc_max",)),
             (dict(run_genfunc=True, genfunc_count=725), ("genfunc_count",)),
+            (dict(grid_n=True), ("grid_n",)),
+            (dict(r=True, d=0.5), ("r", "d")),
+            (dict(run_convergence=2), ("run_convergence",)),
         ],
         ids=["count", "seed", "size", "paths", "conv-order", "conv-fit", "rates",
-             "rates-finite", "rates-scale", "genfunc-range", "genfunc-max", "genfunc-rows"],
+             "rates-finite", "rates-scale", "genfunc-range", "genfunc-max", "genfunc-rows",
+             "bool-count", "bool-rates", "flag"],
     )
     def test_refusal_carries_the_fields_it_names(self, fields, named):
         spec = {"r": 3.0, "d": 2.0, **fields}

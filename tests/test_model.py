@@ -69,8 +69,11 @@ class TestModelParams:
              "d=2.0; p depends on d/r alone, so scale both by one factor"),
             (3.0, 2.0**-501, "rates must lie in [2^-500, 2^500], got r=3.0, "
              "d=1.5274681817498023e-151; p depends on d/r alone, so scale both by one factor"),
+            (True, 0.5, "rates must be real numbers, got r=True, d=0.5"),
+            (3.0, np.True_, "rates must be real numbers, got r=3.0, d=True"),
         ],
-        ids=["supercritical", "positive", "finite", "scale-above", "scale-below"],
+        ids=["supercritical", "positive", "finite", "scale-above", "scale-below", "bool",
+             "numpy-bool"],
     )
     def test_refusal_names_the_parameters(self, r, d, message):
         with pytest.raises(ValueError) as info:

@@ -179,6 +179,11 @@ class TestConfig:
             (dict(m=10.0), "m must be an integer, got 10.0"),
             (dict(t_horizon=1.5), "t_horizon must be an integer, got 1.5"),
             (dict(seed=1.5), "seed must be an integer, got 1.5"),
+            # a bool is no index, count or seed
+            (dict(cells=[(True, 2)]), "i and j of cell (True, 2) must be integers"),
+            (dict(m=True), "m must be an integer, got True"),
+            (dict(t_horizon=True), "t_horizon must be an integer, got True"),
+            (dict(seed=False), "seed must be an integer, got False"),
         ]:
             with pytest.raises(ValueError) as info:
                 estimate_cells(params3, **{**good, **bad})
