@@ -121,6 +121,11 @@ def _cmd_characteristics(args) -> int:
     params = _params(args)
     _check_point("--x0", args.x0, "--y0", args.y0)
     path = make_path(params, args.x0, args.y0)
+    if path.s0 < np.finfo(float).tiny:  # x0 y0 underflowed: no curve to sample
+        raise ValueError(
+            f"(--x0, --y0) lie too near an axis, got ({args.x0}, {args.y0}): the arrival "
+            f"time s0 = {path.s0:.3g} underflows below the smallest normal double"
+        )
     s_plus, s_minus = critical_times(path)
     times = np.linspace(0.0, path.s0 * (1.0 - 1e-9), _SAMPLES)
     x, y = eval_path(path, times)

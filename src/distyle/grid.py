@@ -5,29 +5,45 @@ First-step analysis gives the interior recurrence
     p_{i,j} = d i / ((r+d)(i+j)) p_{i-1,j} + d j / ((r+d)(i+j)) p_{i,j-1}
             + r / (2 (r+d)) (p_{i,j+1} + p_{i+1,j}),
 
-with p_{i,0} = p_{0,j} = 1 on the axes.  The quadrant is truncated to the
-box 1 <= i, j <= N and the unknown values just outside, p_{i,N+1} and
-p_{N+1,j}, are closed with asymptotic estimates.  Unknowns are stacked
-row-major, k = (i-1) N + (j-1), producing a banded system T p = b with
-bandwidth N.
+with p_{i,0} = p_{0,j} = 1 on the axes.  The probabilities are its minimal
+nonnegative solution (Norris, *Markov Chains*, 1997, Thm 1.3.2).
+
+One private solve, :func:`_solve_cells`, takes the recurrence on a set of
+cells of the box 1 <= i, j <= N, given as an (N, N) mask, with the values
+outside the set given: on the axes, at the cells of the box left out of
+the set, and in row and column N+1.  They come as padded (N+2, N+2) boundary
+fields indexed [i, j], one per right-hand side, and one LU serves them all.
+By the strong Markov property a field that lies below p (above p) outside
+the set gives a solution below p (above p) on it, so two fields that hold
+the rigorous envelopes of :func:`distyle.model.extinction_bounds` outside
+a set bracket p on it.
+
+:func:`solve_grid` is the box case.  The set is the whole N-box, and the
+field holds 1 on the axes and, in row and column N+1, the unknown values
+just outside the box, p~_{i,N+1} and p~_{N+1,j}, closed with asymptotic
+estimates.  Unknowns are stacked row-major, k = (i-1) N + (j-1), producing a
+banded system T p = b with bandwidth N (:func:`assemble_system`).
 
 The walk treats the two morphs alike, so one edge array closes both sides,
-p~_{k,N+1} = p~_{N+1,k}.  The solution is then transpose-symmetric,
-p_{i,j} = p_{j,i}, and the system is folded onto the N(N+1)/2 unknowns with
-i <= j: A q = c keeps those rows of T and merges each column into its
-mirror.
+p~_{k,N+1} = p~_{N+1,k}, and a set and its fields are transpose-symmetric
+too.  The solution is then transpose-symmetric, p_{i,j} = p_{j,i}, and the
+system is folded onto the cells of the set with i <= j: A q = c keeps the
+rows of those cells and merges each column into its mirror.  On the box
+these are the N(N+1)/2 unknowns with i <= j.
 
 The recurrence is written down once, as a coupling table: for each of the
 five neighbours, in T's column order, its offset in the field padded by
 one cell and its coefficient at every cell.  The rest reads that table.
-T (:func:`assemble_system`) and A are its rows as sparse matrices, A with
-the columns taken through the mirror index, and b is minus the table
-applied to the boundary values.  The residual max |T p - b| is the table
-applied to the padded field, minus b, so the solvers never form T.
+T and A are its rows as sparse matrices, A with the columns taken through
+the mirror index and the neighbours outside the set dropped, and b is
+minus the table applied to the boundary field, zeroed on the set.  The
+residual max |T p - b| over the set is the table applied to the solved
+field, zeroed outside the set, minus b, so the solvers never form T.
 
 The solver is a sparse LU of A q = c (SuperLU, minimum-degree ordering on
-A + A^T).  Value iteration stays in this module as the reference that the
-tests and the benchmark check the LU against, not as a solver for users;
+A + A^T), with the fields' right-hand sides as the columns of one solve.
+Value iteration stays in this module as the reference that the tests and
+the benchmark check the LU against on the box, not as a solver for users;
 ``SolveOptions(method=Method.VALUE_ITERATION)`` selects it.  It is Jacobi
 iteration q <- (A + I) q - c from zero, one sparse mat-vec per step, which
 increases monotonically toward the minimal solution and stops at its
@@ -37,11 +53,12 @@ are those of ``@`` bit for bit without its dispatch.
 
 One size rule holds for every box, whichever method solves it: the factors
 predicted for the box must fit the request budget ``model._BUDGET``
-(128 MiB).  :func:`closure_arrays`, which every solve calls first, and
-:func:`assemble_system` refuse a larger box with a ValueError before any
-work is done (:func:`_check_size`).  The prediction is ``_FILL`` N^2 ln N
-nonzeros of L + U at ``_BYTES_PER_NONZERO`` each, an upper bound on the
-measured fill, so every box up to N=574 is factored.  The folded LU has
+(128 MiB).  :func:`closure_arrays`, which every :func:`solve_grid` calls
+first, and :func:`assemble_system` refuse a larger box with a ValueError
+before any work is done (:func:`_check_size`); a caller of
+:func:`_solve_cells` holds its box to the rule itself.  The prediction is
+``_FILL`` N^2 ln N nonzeros of L + U at ``_BYTES_PER_NONZERO`` each, an
+upper bound on the measured fill, so every box up to N=574 is factored.  The folded LU has
 2.6-2.8 times less fill than the full one (141k against 371k nonzeros at
 N=100).  At r=3, N=200 a fresh interpreter peaks at 74 MiB for it, 62 MiB
 of which is the import; ``splu`` factors in about 0.03 s and the whole
@@ -226,43 +243,49 @@ def _stencil(params: ModelParams, n: int) -> tuple:
 
 
 def _apply(table: tuple, padded: np.ndarray) -> np.ndarray:
-    """The table applied to an (N+2, N+2) padded field, as an (N, N)
-    array: each cell's five terms summed in T's column order."""
-    n = padded.shape[0] - 2
-    total = np.zeros((n, n))
+    """The table applied to padded (..., N+2, N+2) fields, as (..., N, N)
+    arrays: each cell's five terms summed in T's column order."""
+    n = padded.shape[-1] - 2
+    total = np.zeros(padded.shape[:-2] + (n, n))
     for (di, dj), coef in table:
-        total += coef * padded[1 + di : n + 1 + di, 1 + dj : n + 1 + dj]
+        total += coef * padded[..., 1 + di : n + 1 + di, 1 + dj : n + 1 + dj]
     return total
 
 
-def _rhs(table: tuple, closure_up: np.ndarray, closure_right: np.ndarray) -> np.ndarray:
-    """b of T p = b as an (N, N) array: the table applied to minus the
-    boundary values, 1 on the axes and the closure beyond column and row
-    N, with the box itself 0."""
+def _pad(x: np.ndarray, value=0) -> np.ndarray:
+    """``x`` padded by one cell of ``value`` on each side of its last two
+    axes, in its own dtype (``np.pad`` does the same some 10 us slower)."""
+    out = np.full(x.shape[:-2] + (x.shape[-2] + 2, x.shape[-1] + 2), value, dtype=x.dtype)
+    out[..., 1:-1, 1:-1] = x
+    return out
+
+
+def _box_field(closure_up: np.ndarray, closure_right: np.ndarray) -> np.ndarray:
+    """The padded (N+2, N+2) boundary field of the N-box: 1 on the axes,
+    row and column 0, the closure p~_{i,N+1} in column N+1 and p~_{N+1,j}
+    in row N+1, and 0 in the box itself."""
     n = closure_up.size
-    boundary = np.zeros((n + 2, n + 2))
-    boundary[0, :] = boundary[:, 0] = -1.0
-    boundary[1:-1, -1] = -closure_up
-    boundary[-1, 1:-1] = -closure_right
-    return _apply(table, boundary)
+    field = _pad(np.zeros((n, n)), 1.0)
+    field[1:-1, -1] = closure_up
+    field[-1, 1:-1] = closure_right
+    return field
 
 
-def _matrix(
-    table: tuple, index: np.ndarray, rows: np.ndarray, cols: np.ndarray
-) -> scipy.sparse.csr_matrix:
-    """The table's rows at the cells (rows, cols), zero-based, as a square
-    CSR matrix with int32 indices and ascending columns.  The neighbour at
+def _matrix(table: tuple, index: np.ndarray, cells: np.ndarray) -> scipy.sparse.csr_matrix:
+    """The table's rows at the cells of the (N, N) mask ``cells``, in
+    row-major order, as a square CSR matrix with ascending columns and the
+    dtype of the int32 array ``index`` for its indices.  The neighbour at
     cell (i', j') of the box takes the column ``index[i'-1, j'-1]``, one
-    outside the box is dropped, and neighbours that share a column are
-    summed."""
+    outside the box or at a negative index is dropped, and neighbours that
+    share a column are summed."""
     n = index.shape[0]
-    columns = np.full((n + 2, n + 2), -1, dtype=np.int32)
-    columns[1:-1, 1:-1] = index
+    rows, cols = np.divmod(np.flatnonzero(cells), n)  # contiguous, unlike np.nonzero's
+    columns = _pad(index, -1)
     at = (rows + 1) * (n + 2) + cols + 1  # the cells in the padded field
     neighbour = np.stack(
         [columns.reshape(-1)[at + di * (n + 2) + dj] for (di, dj), _ in table], axis=1
     )
-    value = np.stack([np.broadcast_to(coef, (n, n))[rows, cols] for _, coef in table], axis=1)
+    value = np.stack([np.broadcast_to(coef, (n, n))[cells] for _, coef in table], axis=1)
     present = neighbour >= 0
     indptr = np.zeros(rows.size + 1, dtype=np.int32)
     np.cumsum(present.sum(axis=1), out=indptr[1:])
@@ -286,38 +309,18 @@ def assemble_system(
     """
     _check_size("n", n)
     table = _stencil(params, n)
-    rows, cols = np.indices((n, n)).reshape(2, -1)
-    t = _matrix(table, np.arange(n * n).reshape(n, n), rows, cols)
-    return t, _rhs(table, closure_up, closure_right).reshape(-1)
+    t = _matrix(table, np.arange(n * n, dtype=np.int32).reshape(n, n), np.ones((n, n), dtype=bool))
+    return t, _apply(table, -_box_field(closure_up, closure_right)).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
 # solvers
 
 
-def _folded_system(
-    table: tuple, b: np.ndarray
-) -> tuple[scipy.sparse.csr_matrix, np.ndarray, np.ndarray]:
-    """The folded system A q = c the solvers work on, read from the
-    coupling table ``table`` and b of T p = b as an (N, N) array.
-
-    q holds the N(N+1)/2 cells i <= j, row by row, and ``pos[i-1, j-1]``
-    is the index in q of p_{i,j} and of p_{j,i}.  A is the table's rows
-    i <= j with each neighbour's column taken through ``pos``, so that the
-    two neighbours of a diagonal cell (i, i) that mirror each other are
-    summed into one column; no cell neighbours its own mirror, so A keeps
-    the diagonal -1.  c is b at those rows.  Returns (A, c, pos).
-    """
-    n = b.shape[0]
-    rows, cols = np.triu_indices(n)
-    pos = np.empty((n, n), dtype=np.int32)
-    pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
-    return _matrix(table, pos, rows, cols), b[rows, cols], pos
-
-
 def _iterate(a: scipy.sparse.csr_matrix, c: np.ndarray) -> tuple[np.ndarray, int | None]:
     """Value iteration q <- K q - c from zero, with K = A + I of the
-    folded system A q = c: one sparse mat-vec per Jacobi step.
+    folded system A q = c of one field, c of shape (1, len(q)): one sparse
+    mat-vec per Jacobi step.
 
     Each step zeroes a buffer, accumulates K q into it with scipy's
     ``csr_matvec`` and adds -c.  ``K @ q`` runs the same kernel into a fresh
@@ -339,7 +342,7 @@ def _iterate(a: scipy.sparse.csr_matrix, c: np.ndarray) -> tuple[np.ndarray, int
 
     k = a + scipy.sparse.identity(a.shape[0], format="csr")
     n, indptr, indices, data = k.shape[0], k.indptr, k.indices, k.data
-    source = -c
+    [source] = -c  # the reference solves one field
     q, image = np.zeros_like(source), np.empty_like(source)
     for step in range(1, _MAX_ITER + 1):
         image.fill(0.0)
@@ -351,17 +354,71 @@ def _iterate(a: scipy.sparse.csr_matrix, c: np.ndarray) -> tuple[np.ndarray, int
     return q, None
 
 
-def _residual(table: tuple, b: np.ndarray, values: np.ndarray) -> float:
-    """max |T p - b| for the field ``values``, the coupling table ``table``
-    and b as an (N, N) array: the table applied to the field padded with
-    zeros, minus b, equal bit for bit to the residual through
-    :func:`assemble_system`."""
-    n = values.shape[0]
-    padded = np.zeros((n + 2, n + 2))
-    padded[1:-1, 1:-1] = values
-    tp = _apply(table, padded)
+def _residual(cells: np.ndarray, table: tuple, b: np.ndarray, values: np.ndarray) -> float:
+    """max |T p - b| over the cells of the (N, N) mask ``cells`` and the
+    (..., N, N) fields ``values``, for the coupling table ``table`` and b
+    of the same shape: the table applied to the fields zeroed off the set
+    and padded with zeros, minus b.  On the box it equals bit for bit the
+    residual through :func:`assemble_system`."""
+    tp = _apply(table, _pad(np.where(cells, values, 0.0)))
     tp -= b
-    return float(np.max(np.abs(tp)))
+    return float(np.max(np.abs(tp), where=cells, initial=0.0))
+
+
+def _fold(params: ModelParams, cells: np.ndarray, fields: np.ndarray) -> tuple:
+    """The folded system A q = c on the cells of the (N, N) bool mask
+    ``cells``, indexed [i-1, j-1], for each padded (N+2, N+2) boundary field
+    of the (M, N+2, N+2) array ``fields``.
+
+    A field gives p off the set: on the axes, row and column 0, at the
+    cells of the box left out of the set, and in row and column N+1.  Its
+    values on the set are not read, and b, (M, N, N), is the table applied
+    to minus the field, zeroed on the set.  The set and every field must be
+    transpose-symmetric.  q holds the cells of the set with i <= j, row by
+    row, and ``pos[i-1, j-1]`` is the index in q of p_{i,j} and of
+    p_{j,i}, -1 off the set.  A is the table's rows at those cells with
+    each neighbour's column taken through ``pos``: a neighbour off the set
+    is dropped, and the two neighbours of a diagonal cell (i, i) that mirror
+    each other are summed into one column.  No cell neighbours its own
+    mirror, so A keeps the diagonal -1.  c, (M, len(q)), is b at those
+    rows.  Returns the table, b, A, c and ``pos``.
+    """
+    table = _stencil(params, cells.shape[0])
+    b = _apply(table, np.where(_pad(cells, False), 0.0, -fields))
+    upper = np.triu(cells)
+    pos = np.full(cells.shape, -1, dtype=np.int32)
+    pos[upper] = pos.T[upper] = np.arange(np.count_nonzero(upper))
+    return table, b, _matrix(table, pos, upper), np.stack([field[upper] for field in b]), pos
+
+
+def _solve_cells(params: ModelParams, cells: np.ndarray, fields: np.ndarray, options=None) -> tuple:
+    """Solve the recurrence on the cells of the (N, N) bool mask ``cells``
+    once for each padded boundary field of the (M, N+2, N+2) array
+    ``fields``, through the folded system of :func:`_fold`.
+
+    One LU of A serves all M fields.  ``options``, a :class:`SolveOptions`,
+    selects value iteration instead, the box reference, which solves one
+    field only.  Returns (values, residual, iterations): ``values[m]`` is
+    the (N, N) field solved with ``fields[m]``, equal to it off the set,
+    the residual is the largest max |T p - b| over the set and the fields,
+    and ``iterations`` is as in :class:`GridSolution`.  Raises
+    :class:`ConvergenceError` when value iteration runs out of steps.
+    """
+    # the table and b of one solve, shared by its system and its residual
+    table, b, a, c, pos = _fold(params, cells, fields)
+    if (options or SolveOptions()).method is Method.VALUE_ITERATION:
+        q, iterations = _iterate(a, c)
+    else:
+        a = a.tocsc()  # the CSR copy goes before the factors are made,
+        lu = scipy.sparse.linalg.splu(a, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
+        q, iterations = lu.solve(c.T).T, 1
+        del lu  # and the factors before the residual's arrays
+    values = np.where(cells, q[..., pos], fields[:, 1:-1, 1:-1])
+    values += 0.0  # a p that underflows to -0 becomes +0; no other bit moves
+    residual = _residual(cells, table, b, values)
+    if iterations is None:
+        raise ConvergenceError(f"no convergence within {_MAX_ITER} iterations", residual)
+    return values, residual, iterations
 
 
 def solve_grid(
@@ -372,31 +429,20 @@ def solve_grid(
 ) -> GridSolution:
     """Solve the closed box system and return the probability field.
 
-    ``closure`` is a named policy (a key of :data:`CLOSURES`) or one
-    explicit edge array p~_{k,N+1} = p~_{N+1,k}, k = 1..N.  The box is
-    factored; :func:`closure_arrays` refuses one whose predicted LU would
+    The box case of :func:`_solve_cells`: the set is the whole N-box, and
+    its boundary field holds 1 on the axes and the closure on row and
+    column N+1.  ``closure`` is a named policy (a key of :data:`CLOSURES`)
+    or one explicit edge array p~_{k,N+1} = p~_{N+1,k}, k = 1..N.  The box
+    is factored; :func:`closure_arrays` refuses one whose predicted LU would
     not fit the 128 MiB budget (N > 574) before any work is done.
     ``options`` selects value iteration, the reference of the tests and the
     benchmark, on the same boxes.  The residual max |T p - b| is taken on
     the full system, also for a :class:`ConvergenceError`.
     """
     edge, _, desc = closure_arrays(params, n, closure)
-    # the table and b of one solve, shared by its system and its residual
-    table = _stencil(params, n)
-    b = _rhs(table, edge, edge)
-    a, c, pos = _folded_system(table, b)
-    if (options or SolveOptions()).method is Method.VALUE_ITERATION:
-        q, iterations = _iterate(a, c)
-    else:
-        a = a.tocsc()  # the CSR copy goes before the factors are made,
-        lu = scipy.sparse.linalg.splu(a, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
-        q, iterations = lu.solve(c), 1
-        del lu  # and the factors before the residual's arrays
-    values = q[pos]
-    values += 0.0  # a p that underflows to -0 becomes +0; no other bit moves
-    residual = _residual(table, b, values)
-    if iterations is None:
-        raise ConvergenceError(f"no convergence within {_MAX_ITER} iterations", residual)
+    box = np.ones((n, n), dtype=bool)
+    fields = _box_field(edge, edge)[None]
+    [values], residual, iterations = _solve_cells(params, box, fields, options)
     return GridSolution(
         params=params,
         n=n,

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from distyle import grid
 from distyle.asymptotics import closure_value, row1_coefficients
 from distyle.characteristics import eval_path, integrating_factor, make_path
 from distyle.genfunc import eval_by_quadrature, eval_from_grid, query_from_grid
@@ -295,3 +296,61 @@ def test_12_hand_solved_two_by_two(params3):
         f"N=2 solutions match hand-eliminated rationals to {worst:.2e} "
         "(limit 1e-12) for every solver",
     )
+
+
+# The whole-box gate: the default N=50 grid's largest distance from the
+# strip enclosure [lo, hi] of p, by rate.  Readings 2.358e-5 at (1, 50),
+# 8.065e-6 at (2, 50) and 4.901e-6 at (2, 50); a better closure may
+# tighten these bounds, and none may loosen them.
+WHOLE_BOX_GATE = {3.0: 2.5e-5, 5.0: 8.5e-6, 9.0: 5.0e-6}
+# The strip's far end J for each rate; its depth k follows from the rate.
+STRIP_LENGTH = {3.0: 200, 5.0: 150, 9.0: 150}
+
+
+def strip_enclosure(params: ModelParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rigorous bounds lo <= p <= hi on the N-box, from one LU of the strip
+    S = {1 <= min(i, j) < k, max(i, j) <= J} with two boundary fields.
+
+    k is the smallest depth with 2 rho^k <= 1e-12.  Both fields hold 1 on
+    the axes; elsewhere off S the lower one holds rho^(i+j) and the upper
+    one the envelope rho^i + rho^j - rho^(i+j), which enclose p there.  A
+    path from a cell of S leaves it on an axis, at the exit set
+    min(i, j) >= k or past J, so by the strong Markov property the two
+    solutions enclose p on S, and the fields enclose it off S."""
+    rho, far = params.ratio, STRIP_LENGTH[params.r]
+    depth = next(k for k in range(1, 10_000) if 2.0 * rho**k <= 1e-12)
+    index = np.arange(far + 2)
+    exits = np.add.outer(index, index)
+    lower = rho**exits
+    upper = rho ** index[:, None] + rho ** index[None, :] - lower
+    fields = np.stack([lower, upper])
+    fields[:, 0, :] = fields[:, :, 0] = 1.0
+    cells = np.minimum.outer(index[1:-1], index[1:-1]) < depth
+    (lo, hi), _, _ = grid._solve_cells(params, cells, fields)
+    return lo[:n, :n], hi[:n, :n]
+
+
+def test_13_default_grid_within_whole_box_enclosure(grid50):
+    # the grid closed by the lower envelope must fail the same gate
+    report, ok = [], True
+    for r, bound in WHOLE_BOX_GATE.items():
+        params = ModelParams(r, 2.0)
+        start = time.perf_counter()
+        lo, hi = strip_enclosure(params, 50)
+        elapsed = time.perf_counter() - start
+        width = float(np.max(hi - lo))
+        default = grid50 if r == 3.0 else solve_grid(params, 50)
+        lower = solve_grid(params, 50, closure="bounds-lower")
+        gap, weak = (
+            np.maximum(np.maximum(lo - f.values, f.values - hi), 0.0) for f in (default, lower)
+        )
+        worst = np.unravel_index(np.argmax(gap), gap.shape)
+        corner = float(np.max(gap[:10, :10]))
+        ok &= bool(np.all(lo <= hi)) and width <= 1e-12 and corner <= 1e-14
+        ok &= float(gap.max()) <= bound < float(weak.max())
+        report.append(
+            f"r={r:g}: {gap.max():.3e} at ({worst[0] + 1}, {worst[1] + 1}) (limit {bound:.1e}, "
+            f"bounds-lower {weak.max():.1e}), corner {corner:.1e}, width {width:.1e}, "
+            f"{elapsed * 1e3:.0f} ms"
+        )
+    _verdict(13, ok, "default N=50 grid against the strip enclosure of p; " + "; ".join(report))

@@ -612,6 +612,27 @@ def test_characteristics_point_outside_the_square_exits_2(tmp_path, capsys, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize("x0,y0,s0", [(1e-200, 1e-200, "0"), (0.5, 1e-323, "9.88e-324")])
+def test_characteristics_arrival_time_underflow_exits_2(tmp_path, capsys, monkeypatch, x0, y0, s0):
+    # x0 y0 underflows, so s0 is no normal double: refused before any curve
+    # is sampled, where the integrating factor or the blow-up search failed
+    def fail(*args):
+        raise AssertionError("the curve was sampled")
+
+    for name in ["critical_times", "eval_path", "integrating_factor"]:
+        monkeypatch.setattr(cli, name, fail)
+    out = tmp_path / "out"
+    argv = ["characteristics", "--r", 3, "--d", 2, "--x0", x0, "--y0", y0, "--out", out]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: (--x0, --y0) lie too near an axis, got ({x0}, {y0}): the arrival time "
+        f"s0 = {s0} underflows below the smallest normal double\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", [False, True])
 @pytest.mark.parametrize(
     "flags,error",
@@ -727,7 +748,7 @@ def test_solve_above_the_budget_exits_2(tmp_path, capsys, monkeypatch, command):
         raise AssertionError("the box was solved")
 
     monkeypatch.setattr(grid, "_iterate", fail)
-    monkeypatch.setattr(grid, "_folded_system", fail)
+    monkeypatch.setattr(grid, "_fold", fail)
     out = tmp_path / "out"
     assert run([command, "--r", 3, "--d", 2, "--n", 575, "--out", out]) == 2
     captured = capsys.readouterr()
@@ -748,7 +769,7 @@ def _refuse_work(monkeypatch):
     for module, name in [
         (montecarlo, "_workers"),
         (montecarlo, "_run_share"),
-        (grid, "_folded_system"),
+        (grid, "_fold"),
         (genfunc, "eval_by_quadrature"),
         (cli, "make_path"),
     ]:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distyle import grid, model
@@ -99,11 +99,17 @@ def kernel_defect(params: ModelParams, edge: np.ndarray, values: np.ndarray) -> 
     return np.array([[apply_kernel(params, field, i, j) for j in cells] for i in cells]) - values
 
 
+def box_fold(params: ModelParams, n: int, edge: np.ndarray) -> tuple:
+    """The coupling table, b, A, c and the mirror index that a solve of the
+    N-box closed by ``edge`` builds once, through its one boundary field."""
+    return grid._fold(params, np.ones((n, n), dtype=bool), grid._box_field(edge, edge)[None])
+
+
 def solve_system(params: ModelParams, n: int, edge: np.ndarray) -> tuple:
-    """The coupling table and b, as an (N, N) array, that a solve builds
-    once for its folded system and its residual."""
-    table = grid._stencil(params, n)
-    return table, grid._rhs(table, edge, edge)
+    """The set, the coupling table and b, as an (N, N) array, that a box
+    solve builds once for its folded system and its residual."""
+    table, [b], _, _, _ = box_fold(params, n, edge)
+    return np.ones((n, n), dtype=bool), table, b
 
 
 def oracle_gap(params: ModelParams, n: int, closure: str) -> float:
@@ -404,6 +410,50 @@ class TestSolvers:
         assert np.min(raised.values - base.values) > -1e-12
         assert np.max(np.abs(base.values - base.values.T)) < 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(min_value=0.05, max_value=0.999),
+        st.integers(1, 12),
+        st.data(),
+    )
+    def test_cell_set_solve_symmetric_bounded_and_monotone(self, ratio, n, data):
+        # the solve on any symmetric set, one LU for two fields: each
+        # solution is symmetric, in [0, 1], a fixed point of the cell-by-cell
+        # recurrence on the set and no lower where its field is higher
+        params = ModelParams(r=2.0 / ratio, d=2.0)
+
+        def symmetric(size, elements):
+            # a size x size array drawn on and above its diagonal, mirrored
+            count = size * (size + 1) // 2
+            upper = np.zeros((size, size))
+            upper[np.triu_indices(size)] = data.draw(
+                st.lists(elements, min_size=count, max_size=count)
+            )
+            return upper + np.triu(upper, 1).T
+
+        cells = symmetric(n, st.sampled_from([0.0, 1.0])) > 0.0
+        assume(cells.any())
+        field = symmetric(n + 2, st.floats(0.0, 1.0))
+        field[0, :] = field[:, 0] = 1.0
+        raised = np.minimum(field + symmetric(n + 2, st.floats(0.0, 1.0)), 1.0)
+        values, residual, iterations = grid._solve_cells(params, cells, np.stack([field, raised]))
+        assert iterations == 1 and residual < 1e-12
+        assert np.array_equal(values, values.transpose(0, 2, 1))
+        assert np.min(values) > -1e-12 and np.max(values) < 1.0 + 1e-12
+        assert np.min(values[1] - values[0]) > -1e-12
+        for outside, solved in zip((field, raised), values):
+            assert np.array_equal(solved[~cells], outside[1:-1, 1:-1][~cells])
+            padded = outside.copy()
+            padded[1:-1, 1:-1] = solved
+            for i, j in zip(*np.nonzero(cells)):
+                assert abs(apply_kernel(params, padded, i + 1, j + 1) - solved[i, j]) < 1e-12
+        # the full box with solve_grid's own field is solve_grid, bit for bit
+        edge = field[1:-1, -1]
+        box = np.ones((n, n), dtype=bool)
+        [alone], residual, _ = grid._solve_cells(params, box, grid._box_field(edge, edge)[None])
+        sol = solve_grid(params, n, closure=edge)
+        assert alone.tobytes() == sol.values.tobytes() and residual == sol.residual
+
     def test_default_method_follows_box_size(self, params3, monkeypatch):
         # the default factors where the predicted LU fits the budget, also
         # above N=150, where value iteration fails near criticality, and
@@ -460,7 +510,7 @@ class TestSolvers:
         # rises with N, so the bound must hold at the large boxes too
         params = ModelParams(r, 2.0)
         for n in [10, 50, 100, 200, 300]:
-            a, _, _ = grid._folded_system(*solve_system(params, n, closure_arrays(params, n)[0]))
+            _, _, a, _, _ = box_fold(params, n, closure_arrays(params, n)[0])
             lu = scipy.sparse.linalg.splu(
                 a.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1
             )
@@ -485,7 +535,7 @@ class TestSolvers:
         params = params3 if rate == "r3" else paramsc
         edge = closure_arrays(params, n, closure)[0]
         _, _, want, want_c, _ = folded_oracle(params, n, edge)
-        a, c, pos = grid._folded_system(*solve_system(params, n, edge))
+        _, _, a, [c], pos = box_fold(params, n, edge)
         want.sort_indices()
         a.sort_indices()
         assert np.array_equal(a.indptr, want.indptr)
