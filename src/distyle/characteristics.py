@@ -25,10 +25,17 @@ trajectory is explicit.  Writing rho = d/r,
 kappa itself rounds to 1 once min(x0, y0) falls below about 1e-16, so s0 is
 computed as log1p(kappa - 1) / (d - r) from the exact difference
 
-    kappa - 1 = -2 (1 - rho) x0 y0 / (x0 + y0 - 2 rho x0 y0),
+    kappa - 1 = -2 (1 - rho) x0 y0 / (x0 + y0 - 2 rho x0 y0).
 
-which keeps its full relative precision however close to an axis the start
-point lies.
+Its numerator is formed as 2^-e x0 y0, the mantissa of the smaller
+coordinate min(x0, y0) = m 2^e times the larger one, and the quotient is
+scaled back by 2^e.  Powers of two scale exactly, so where the plain
+formula's product and quotient are normal doubles every bit is the same, and
+where x0 y0 is not, kappa - 1 keeps its full relative precision all the
+same: at r=3 and x0 = y0 = 1e-160, s0 = 3.33333333333e-161, where the
+subnormal x0 y0 gave 3.3324727812e-161.
+Only a start point within about 1e-308 of an axis, whose s0 lies below the
+smallest normal double, loses digits.
 
 Both denominators stay positive up to s0, and each crosses zero exactly once
 past s0 (the blow-up times s_plus and s_minus, which ``critical_times`` finds
@@ -82,7 +89,9 @@ def make_path(params: ModelParams, x0: float, y0: float) -> CharacteristicPath:
     rho = params.ratio
     xy = x0 * y0  # formed first, so that swapping x0 and y0 changes neither s0 nor |b|
     denom = x0 + y0 - 2.0 * rho * xy
-    kappa_m1 = -2.0 * (1.0 - rho) * xy / denom
+    # 2^-e x0 y0 with min(x0, y0) = m 2^e, scaled back by 2^e once divided
+    m, e = math.frexp(min(x0, y0))
+    kappa_m1 = math.ldexp(-2.0 * (1.0 - rho) * (m * max(x0, y0)) / denom, e)
     kappa = 1.0 + kappa_m1
     s0 = math.log1p(kappa_m1) / (d - r)
     b = (1.0 - rho) * (y0 - x0) / denom

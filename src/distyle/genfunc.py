@@ -32,11 +32,12 @@ from the N=300 series, yet the quadrature matches the N=100 series to
 The module states the coordinates it serves, [1.4917e-154, 0.9124), at
 both ends, and a caller refuses a range outside them before any grid is
 solved.  :func:`_check_range` states the lower end: the square root of the
-smallest normal double, so that the product x0 y0, which the path forms
-first, is a normal double (below about 1.5e-162 the arrival time s0 is
-exactly 0).  :func:`_check_served` states the upper end: a query keeps at
-most 200 first-column terms, so the largest coordinate served is
-QUAD_TOL^(1/201), about 0.9124.
+smallest normal double, so that at every point (x, y) of a range the
+product x y, the smallest monomial of the series, is a normal double.  The
+arrival time s0 keeps its precision much closer to an axis, down to about
+1e-308 (:func:`characteristics.make_path`).  :func:`_check_served` states
+the upper end: a query keeps at most 200 first-column terms, so the largest
+coordinate served is QUAD_TOL^(1/201), about 0.9124.
 """
 
 from __future__ import annotations
@@ -102,17 +103,16 @@ def default_n_terms(x0: float, y0: float) -> int:
 
 
 # The smallest coordinate served, sqrt(2.2e-308) = 1.49167e-154: the
-# square of any coordinate from it up is a normal double.
+# product of any two coordinates from it up is a normal double.
 _LOWEST = math.sqrt(np.finfo(float).tiny)
 
 
 def _check_range(lo_name: str, lo: float, hi_name: str, hi: float) -> None:
     """Reject a range of coordinates outside _LOWEST <= lo <= hi < 1,
     naming both ends as the caller set them.  Below _LOWEST the product
-    x0 y0, which :func:`characteristics.make_path` forms first, is no
-    normal double, and below about 1.5e-162 the arrival time s0 is exactly
-    0.  :func:`_check_served` holds ``hi`` to the coordinates the term cap
-    serves."""
+    x y at the range's corner (lo, lo), the smallest monomial of the series
+    sum p_{i,j} x^i y^j, is no normal double.  :func:`_check_served` holds
+    ``hi`` to the coordinates the term cap serves."""
     if not _LOWEST <= lo <= hi < 1.0:
         # printed as 1.4917e-154, above _LOWEST, so every refused lo lies below it
         raise ValueError(
@@ -220,9 +220,9 @@ def eval_by_quadrature(params: ModelParams, query: GenFuncQuery) -> float:
     folded tail, max(x0, y0)^(n_terms+1), to fall below the budget
     :data:`QUAD_TOL` (before any panel runs, so the estimate is NaN), when
     the arrival time s0 lies below the smallest normal double (a point
-    within about 1e-308 of an axis, which :func:`_check_range` refuses in a
-    range), where the panel nodes round past s0, or when the panels miss
-    the budget (or the integrand is NaN).
+    within about 1e-308 of an axis, far below the coordinates that
+    :func:`_check_range` admits in a range), where the panel nodes round
+    past s0, or when the panels miss the budget (or the integrand is NaN).
     """
     tail = max(query.x0, query.y0) ** (query.n_terms + 1)
     if tail >= QUAD_TOL:

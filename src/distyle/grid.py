@@ -193,27 +193,20 @@ def closure_arrays(
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """Resolve a closure policy to the edge arrays (p~_{i,N+1}, p~_{N+1,j}).
 
-    ``closure`` names one of :data:`CLOSURES` or is one explicit edge array
-    of shape (N,) and finite values, which is copied.  By symmetry
+    ``closure`` names one of :data:`CLOSURES`; anything else, an edge array
+    too, is refused with a ValueError that lists the policies.  By symmetry
     p~_{N+1,k} = p~_{k,N+1}, so both returned edges are that one array.
     Every solve calls this first, so a box whose predicted LU would not fit
     ``model._BUDGET`` is refused here, before any work (:func:`_check_size`).
+    A caller with an edge of its own solves the box through
+    :func:`_solve_cells` with the field ``_box_field(edge, edge)[None]``.
     """
     _check_size("n", n)
-    if isinstance(closure, str):
-        if closure not in CLOSURES:
-            raise ValueError(f"unknown closure policy {closure!r}")
-        desc, value = CLOSURES[closure]
-        edge = np.array([value(params, k, n + 1) for k in range(1, n + 1)])
-        return edge, edge, desc
-    edge = np.array(closure, dtype=float)
-    if edge.shape != (n,):
-        raise ValueError(f"an explicit closure is one edge array of shape ({n},)")
-    bad = np.flatnonzero(~np.isfinite(edge))
-    if bad.size:
-        k = int(bad[0])
-        raise ValueError(f"an explicit closure must be finite, got {edge[k]} at k = {k + 1}")
-    return edge, edge, "explicit array"
+    if not (isinstance(closure, str) and closure in CLOSURES):
+        raise ValueError(f"closure must be one of {', '.join(CLOSURES)}, got {closure!r}")
+    desc, value = CLOSURES[closure]
+    edge = np.array([value(params, k, n + 1) for k in range(1, n + 1)])
+    return edge, edge, desc
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +424,10 @@ def solve_grid(
 
     The box case of :func:`_solve_cells`: the set is the whole N-box, and
     its boundary field holds 1 on the axes and the closure on row and
-    column N+1.  ``closure`` is a named policy (a key of :data:`CLOSURES`)
-    or one explicit edge array p~_{k,N+1} = p~_{N+1,k}, k = 1..N.  The box
-    is factored; :func:`closure_arrays` refuses one whose predicted LU would
-    not fit the 128 MiB budget (N > 574) before any work is done.
+    column N+1.  ``closure`` names a policy, a key of :data:`CLOSURES`, and
+    :func:`closure_arrays` refuses any other value, and a box whose predicted
+    LU would not fit the 128 MiB budget (N > 574), before any work is done.
+    Boundary values of the caller's own go through :func:`_solve_cells`.
     ``options`` selects value iteration, the reference of the tests and the
     benchmark, on the same boxes.  The residual max |T p - b| is taken on
     the full system, also for a :class:`ConvergenceError`.

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,6 +51,29 @@ def classical_constants(params, x0, y0):
     return lam, mu
 
 
+def plain_s0(params: ModelParams, x0: float, y0: float) -> tuple[float, float, bool]:
+    """kappa and s0 by the plain formula, x0 y0 formed first, and whether
+    each of its intermediates, x0 y0, -2 (1 - rho) x0 y0 and kappa - 1, is
+    a normal double."""
+    rho = params.ratio
+    xy = x0 * y0
+    scaled = -2.0 * (1.0 - rho) * xy
+    kappa_m1 = scaled / (x0 + y0 - 2.0 * rho * xy)
+    normal = min(xy, -scaled, -kappa_m1) >= np.finfo(float).tiny
+    return 1.0 + kappa_m1, math.log1p(kappa_m1) / (params.d - params.r), normal
+
+
+def exact_s0(params: ModelParams, x0: float, y0: float) -> float:
+    """s0 = log1p(kappa - 1) / (d - r) in exact rationals, rounded once, for
+    a start point with |kappa - 1| < 1e-100: log1p(k) is cut after k - k^2/2,
+    a relative error below 1e-200."""
+    x, y, r, d = map(Fraction, (x0, y0, params.r, params.d))
+    rho = d / r
+    k = -2 * (1 - rho) * x * y / (x + y - 2 * rho * x * y)
+    assert abs(k) < Fraction(1, 10**100)
+    return float((k - k * k / 2) / (d - r))
+
+
 class TestPathConstants:
     def test_diagonal_midpoint(self, params3):
         path = make_path(params3, 0.5, 0.5)
@@ -71,6 +95,34 @@ class TestPathConstants:
         for bad in [(0.0, 0.5), (0.5, 1.0), (-0.1, 0.5), (0.5, 1.7)]:
             with pytest.raises(ValueError):
                 make_path(params3, *bad)
+
+    @pytest.mark.parametrize(
+        "x0, y0", [(1e-160, 1e-160), (1e-200, 1e-200), (1e-250, 1e-250), (1e-300, 0.5)]
+    )
+    def test_arrival_time_next_to_the_axes_is_exact(self, params3, x0, y0):
+        # x0 y0 is subnormal or 0 at the first three points; s0 used to
+        # read 3.3324727812e-161 and then 0 there.  mpmath at 120 digits
+        # gives the same values as the exact rationals
+        want = exact_s0(params3, x0, y0)
+        for a, b in ((x0, y0), (y0, x0)):
+            assert abs(make_path(params3, a, b).s0 - want) <= 4 * math.ulp(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        params_strategy(),
+        st.floats(-200.0, 0.0).map(lambda e: 10.0**e).filter(lambda x: x < 1.0),
+        st.floats(-200.0, 0.0).map(lambda e: 10.0**e).filter(lambda x: x < 1.0),
+    )
+    @example(ModelParams(3.0, 2.0), 0.5, 0.3)
+    @example(ModelParams(2.002, 2.0), 1e-150, 2e-155)
+    def test_arrival_time_is_the_plain_formula_where_it_is_normal(self, params, x0, y0):
+        # the scaled product moves no bit wherever the plain formula keeps
+        # every intermediate normal
+        kappa, s0, normal = plain_s0(params, x0, y0)
+        assume(normal)
+        for a, b in ((x0, y0), (y0, x0)):
+            path = make_path(params, a, b)
+            assert path.s0 == s0 and path.kappa == kappa
 
     @settings(max_examples=50, deadline=None)
     @given(params_strategy(), st.floats(0.01, 0.99), st.floats(0.01, 0.99))

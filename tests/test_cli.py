@@ -439,7 +439,7 @@ class TestExperimentCommand:
              "need 0 < --min <= --max < 1 and --min >= 1.4917e-154, got 0.5 and 0.2"),
             (["greens", "--r", 3, "--d", 2, "--min", 0.5, "--max", 1.0],
              "need 0 < --min <= --max < 1 and --min >= 1.4917e-154, got 0.5 and 1.0"),
-            # x*y would not be a normal double: s0 came out 0 after the solve
+            # x*y would not be a normal double; the range used to fail after the solve
             (["greens", "--r", 3, "--d", 2, "--min", 1e-200],
              "need 0 < --min <= --max < 1 and --min >= 1.4917e-154, got 1e-200 and 0.5"),
             # refused by its flag before the grid is solved
@@ -612,10 +612,21 @@ def test_characteristics_point_outside_the_square_exits_2(tmp_path, capsys, monk
     assert not out.exists()
 
 
-@pytest.mark.parametrize("x0,y0,s0", [(1e-200, 1e-200, "0"), (0.5, 1e-323, "9.88e-324")])
+def test_characteristics_next_to_both_axes_exits_0(tmp_path, capsys):
+    # x0 y0 = 1e-400 is no double, and s0 is a normal one all the same;
+    # it used to come out 0 and be refused
+    out = tmp_path / "out"
+    argv = ["characteristics", "--r", 3, "--d", 2, "--x0", 1e-200, "--y0", 1e-200, "--out", out]
+    assert run(argv) == 0
+    assert capsys.readouterr().err.startswith("s0=3.33333333333e-201 s_plus=")
+    assert (out / "characteristic.csv").exists()
+
+
+@pytest.mark.parametrize("x0,y0,s0", [(0.5, 1e-323, "4.94e-324"), (1e-310, 0.5, "6.67e-311")])
 def test_characteristics_arrival_time_underflow_exits_2(tmp_path, capsys, monkeypatch, x0, y0, s0):
-    # x0 y0 underflows, so s0 is no normal double: refused before any curve
-    # is sampled, where the integrating factor or the blow-up search failed
+    # within about 1e-308 of an axis s0 is no normal double: refused before
+    # any curve is sampled, where the integrating factor or the blow-up
+    # search failed
     def fail(*args):
         raise AssertionError("the curve was sampled")
 

@@ -105,6 +105,15 @@ def box_fold(params: ModelParams, n: int, edge: np.ndarray) -> tuple:
     return grid._fold(params, np.ones((n, n), dtype=bool), grid._box_field(edge, edge)[None])
 
 
+def solve_edge(params: ModelParams, n: int, edge: np.ndarray, options=None) -> np.ndarray:
+    """The N-box closed by an edge of the caller's own, p~_{k,N+1} =
+    p~_{N+1,k} = ``edge[k-1]``, solved through the cell-set solve as
+    :func:`solve_grid` solves a named closure: the (N, N) field."""
+    box = np.ones((n, n), dtype=bool)
+    [values], _, _ = grid._solve_cells(params, box, grid._box_field(edge, edge)[None], options)
+    return values
+
+
 def solve_system(params: ModelParams, n: int, edge: np.ndarray) -> tuple:
     """The set, the coupling table and b, as an (N, N) array, that a box
     solve builds once for its folded system and its residual."""
@@ -314,8 +323,8 @@ class TestSolvers:
         assert np.max(np.abs(sol.values - sol.values.T)) < 1e-12
 
     def test_unit_closure_gives_constant_solution(self, params3):
-        sol = solve_grid(params3, 12, SolveOptions(method=Method.DIRECT), closure=np.ones(12))
-        assert np.max(np.abs(sol.values - 1.0)) < 1e-12
+        values = solve_edge(params3, 12, np.ones(12), SolveOptions(method=Method.DIRECT))
+        assert np.max(np.abs(values - 1.0)) < 1e-12
 
     def test_closure_ordering_is_monotone(self, params3):
         # the system matrix is monotone, so raising the closure raises the
@@ -331,38 +340,34 @@ class TestSolvers:
         assert np.min(mid.values - low.values) > -1e-12
         assert np.min(high.values - mid.values) > -1e-12
 
-    def test_explicit_closure_arrays(self, params3, monkeypatch):
-        edge, _, _ = closure_arrays(params3, 10, "asymptotic")
-        sol = solve_grid(params3, 10, closure=edge)
-        ref = solve_grid(params3, 10)
-        assert np.array_equal(sol.values, ref.values)
-        # one edge closes both sides; a pair of edges is not a closure
-        with pytest.raises(ValueError):
-            solve_grid(params3, 10, closure=(edge, edge))
-        # the edge is a copy, not the caller's array
-        caller = np.full(5, 0.1)
-        kept, _, _ = closure_arrays(params3, 5, caller)
-        caller[:] = 0.9
-        assert np.all(kept == 0.1)
-        # an edge that is not finite is refused before either method starts
-        def fail(*args, **kwargs):
-            raise AssertionError("a solve started")
-
-        monkeypatch.setattr(grid, "_iterate", fail)
-        monkeypatch.setattr(grid.scipy.sparse.linalg, "splu", fail)
-        for value, text in [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")]:
-            broken = edge.copy()
-            broken[3] = value
-            for method in Method:
-                with pytest.raises(ValueError) as info:
-                    solve_grid(params3, 10, SolveOptions(method=method), closure=broken)
-                assert str(info.value) == f"an explicit closure must be finite, got {text} at k = 4"
-        # a finite edge above 1 is a closure still
-        assert np.array_equal(closure_arrays(params3, 10, edge + 1.0)[0], edge + 1.0)
-
     def test_unknown_closure_rejected(self, params3):
         with pytest.raises(ValueError):
             solve_grid(params3, 5, closure="midpoint")
+
+    def test_closure_is_a_policy_name(self, params3, monkeypatch):
+        # boundary values of a caller's own go through the cell-set solve:
+        # an edge array or a pair of them is refused before the coupling
+        # table or a closure value is computed, whichever method is asked
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(grid, "_stencil", fail)
+        monkeypatch.setattr(grid.asymptotics, "closure_value", fail)
+        edge = np.full(3, 0.5)
+        policies = "closure must be one of asymptotic, bounds-lower, bounds-upper"
+        for closure, got in [
+            (edge, "array([0.5, 0.5, 0.5])"),
+            ((edge, edge), "(array([0.5, 0.5, 0.5]), array([0.5, 0.5, 0.5]))"),
+        ]:
+            vi = SolveOptions(method=Method.VALUE_ITERATION)
+            for call in [
+                lambda: closure_arrays(params3, 3, closure),
+                lambda: solve_grid(params3, 3, closure=closure),
+                lambda: solve_grid(params3, 3, vi, closure=closure),
+            ]:
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert str(info.value) == f"{policies}, got {got}"
 
     def test_named_closures(self, params3):
         assert list(CLOSURES) == ["asymptotic", "bounds-lower", "bounds-upper"]
@@ -405,10 +410,10 @@ class TestSolvers:
         edges = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(np.array)
         edge, lift = data.draw(edges), data.draw(edges)
         opts = SolveOptions(method=Method.DIRECT)
-        base = solve_grid(params, n, opts, closure=edge)
-        raised = solve_grid(params, n, opts, closure=edge + lift)
-        assert np.min(raised.values - base.values) > -1e-12
-        assert np.max(np.abs(base.values - base.values.T)) < 1e-12
+        base = solve_edge(params, n, edge, opts)
+        raised = solve_edge(params, n, edge + lift, opts)
+        assert np.min(raised - base) > -1e-12
+        assert np.max(np.abs(base - base.T)) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -448,11 +453,12 @@ class TestSolvers:
             for i, j in zip(*np.nonzero(cells)):
                 assert abs(apply_kernel(params, padded, i + 1, j + 1) - solved[i, j]) < 1e-12
         # the full box with solve_grid's own field is solve_grid, bit for bit
-        edge = field[1:-1, -1]
         box = np.ones((n, n), dtype=bool)
-        [alone], residual, _ = grid._solve_cells(params, box, grid._box_field(edge, edge)[None])
-        sol = solve_grid(params, n, closure=edge)
-        assert alone.tobytes() == sol.values.tobytes() and residual == sol.residual
+        for closure in CLOSURES:
+            edge = closure_arrays(params, n, closure)[0]
+            [alone], residual, _ = grid._solve_cells(params, box, grid._box_field(edge, edge)[None])
+            sol = solve_grid(params, n, closure=closure)
+            assert alone.tobytes() == sol.values.tobytes() and residual == sol.residual
 
     def test_default_method_follows_box_size(self, params3, monkeypatch):
         # the default factors where the predicted LU fits the budget, also
@@ -609,9 +615,9 @@ class TestSolvers:
         edges = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(np.array)
         edge, lift = data.draw(edges), data.draw(edges)
         opts = SolveOptions(method=Method.VALUE_ITERATION)
-        base = solve_grid(params, n, opts, closure=edge)
-        raised = solve_grid(params, n, opts, closure=edge + lift)
-        assert np.all(raised.values >= base.values)
+        base = solve_edge(params, n, edge, opts)
+        raised = solve_edge(params, n, edge + lift, opts)
+        assert np.all(raised >= base)
 
     def test_iteration_cap_raises(self, params3, monkeypatch):
         monkeypatch.setattr(grid, "_MAX_ITER", 3)
