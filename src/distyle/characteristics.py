@@ -37,6 +37,11 @@ subnormal x0 y0 gave 3.3324727812e-161.
 Only a start point within about 1e-308 of an axis, whose s0 lies below the
 smallest normal double, loses digits.
 
+Every 1 - rho of the layer, here and in ``_pieces``, is formed once, as
+(r - d)/r (``ModelParams.gap``).  Near criticality 1.0 - rho would cancel the
+rounding of rho into s0, b and both denominators: at r=2.002, d=2 and
+x0 = y0 = 1e-200 it put s0 241 ulp from the exact value.
+
 Both denominators stay positive up to s0, and each crosses zero exactly once
 past s0 (the blow-up times s_plus and s_minus, which ``critical_times`` finds
 by bisection).  The integrating factor exp(int_0^u R) along the curve has the
@@ -85,17 +90,15 @@ def _check_point(x_name: str, x0: float, y_name: str, y0: float) -> None:
 def make_path(params: ModelParams, x0: float, y0: float) -> CharacteristicPath:
     """Build the characteristic through (x0, y0), 0 < x0, y0 < 1."""
     _check_point("x0", x0, "y0", y0)
-    r, d = params.r, params.d
-    rho = params.ratio
+    rho, gap = params.ratio, params.gap
     xy = x0 * y0  # formed first, so that swapping x0 and y0 changes neither s0 nor |b|
     denom = x0 + y0 - 2.0 * rho * xy
     # 2^-e x0 y0 with min(x0, y0) = m 2^e, scaled back by 2^e once divided
     m, e = math.frexp(min(x0, y0))
-    kappa_m1 = math.ldexp(-2.0 * (1.0 - rho) * (m * max(x0, y0)) / denom, e)
-    kappa = 1.0 + kappa_m1
-    s0 = math.log1p(kappa_m1) / (d - r)
-    b = (1.0 - rho) * (y0 - x0) / denom
-    return CharacteristicPath(params, x0, y0, kappa, s0, b, denom)
+    kappa_m1 = math.ldexp(-2.0 * gap * (m * max(x0, y0)) / denom, e)
+    s0 = math.log1p(kappa_m1) / (params.d - params.r)
+    b = gap * (y0 - x0) / denom
+    return CharacteristicPath(params, x0, y0, 1.0 + kappa_m1, s0, b, denom)
 
 
 def _pieces(path: CharacteristicPath, s):
@@ -112,12 +115,12 @@ def _pieces(path: CharacteristicPath, s):
     near an axis, where Dx~(0) = L y0 (1 - rho x0) is tiny.
     """
     r, d = path.params.r, path.params.d
-    rho = path.params.ratio
+    rho, gap = path.params.ratio, path.params.gap
     x0, y0 = path.x0, path.y0
     nu = -np.expm1((r - d) * (s - path.s0))
-    start = np.exp(-d * s) * (2.0 * (1.0 - rho) / path.denom)
-    shared = -(1.0 - rho) * np.expm1(-d * s) + rho * nu
-    return nu, start * y0 * (1.0 - rho * x0) + shared, start * x0 * (1.0 - rho * y0) + shared
+    start = np.exp(-d * s) * (2.0 * gap / path.denom)
+    shared = -gap * np.expm1(-d * s) + rho * nu
+    return nu, start * y0 * (1.0 - x0 * rho) + shared, start * x0 * (1.0 - y0 * rho) + shared
 
 
 def eval_path(path: CharacteristicPath, s):
@@ -135,6 +138,15 @@ def eval_path(path: CharacteristicPath, s):
     return nu / dx, nu / dy
 
 
+def _root_error(path: CharacteristicPath, s: float) -> float:
+    """The relative error 4 eps / ((r - d) (s - s0)) that a blow-up time s
+    of ``critical_times`` may carry: the one statement of the estimate,
+    which ``critical_times`` refuses above 1e-6 and ``distyle
+    characteristics`` reads for the digits it prints.  Divided twice, so
+    that it overflows to inf rather than dividing by an underflowed 0."""
+    return 4.0 * np.finfo(float).eps / (path.params.r - path.params.d) / (s - path.s0)
+
+
 def critical_times(path: CharacteristicPath) -> tuple[float, float]:
     """Blow-up times (s_plus, s_minus) of x and y, both strictly past s0.
 
@@ -146,13 +158,11 @@ def critical_times(path: CharacteristicPath) -> tuple[float, float]:
     e^{(r-d)(s-s0)} stays at most 4/rho, finite for every admitted rate.
     s_plus < s_minus iff y0 < x0; the two coincide on the diagonal.  Near
     an axis the first-order terms of the denominator cancel at s = 0, so a
-    root s carries a relative error of about eps / ((1 - rho) r (s - s0));
-    where four times that exceeds 1e-6, or a denominator does not change
-    sign on the bracket, this raises ArithmeticError.
+    root s carries a relative error of about eps / ((r - d) (s - s0));
+    where ``_root_error``, four times that, exceeds 1e-6, or a denominator
+    does not change sign on the bracket, this raises ArithmeticError.
     """
-    r, d = path.params.r, path.params.d
-    eps = np.finfo(float).eps
-    cap = math.log(4.0 / path.params.ratio) / (r - d)
+    cap = math.log(4.0 / path.params.ratio) / (path.params.r - path.params.d)
     results = []
     for k in (1, 2):  # Dx root (s_plus), then Dy root (s_minus)
         lo, hi = path.s0, path.s0 + cap
@@ -165,7 +175,7 @@ def critical_times(path: CharacteristicPath) -> tuple[float, float]:
             else:
                 hi = mid
             mid = 0.5 * (lo + hi)
-        if 4.0 * eps > 1e-6 * (1.0 - path.params.ratio) * r * (hi - path.s0):
+        if _root_error(path, hi) > 1e-6:
             raise ArithmeticError(
                 f"blow-up time {hi:.3g} lies too close to s0 = {path.s0:.3g} to "
                 "resolve to 1e-6: the start point is too near an axis"

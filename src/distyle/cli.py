@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import genfunc, harness
+from . import characteristics, genfunc, harness
 from .characteristics import _check_point, critical_times, eval_path, integrating_factor, make_path
 from .grid import CLOSURES, DEFAULT_CLOSURE, _check_size, solve_grid
 from .harness import OUTPUTS, write_csv, write_grid_csv, write_mc_csv
@@ -132,8 +132,11 @@ def _cmd_characteristics(args) -> int:
     factor = integrating_factor(path, times)
     with _output(args, "characteristic.csv") as fp:
         write_csv(fp, ["s", "x", "y", "integrating_factor"], zip(times, x, y, factor))
+    errors = [characteristics._root_error(path, s) for s in (s_plus, s_minus)]
+    # each blow-up time to the significant digits its error estimate supports, at most 12
+    sp, sm = (min(12, math.floor(-math.log10(e))) for e in errors)
     print(
-        f"s0={path.s0:.12g} s_plus={s_plus:.12g} s_minus={s_minus:.12g} "
+        f"s0={path.s0:.12g} s_plus={s_plus:.{sp}g} s_minus={s_minus:.{sm}g} "
         f"kappa={path.kappa:.12g}",
         file=sys.stderr,
     )

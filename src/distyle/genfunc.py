@@ -30,14 +30,18 @@ from the N=300 series, yet the quadrature matches the N=100 series to
 1.7e-14.
 
 The module states the coordinates it serves, [1.4917e-154, 0.9124), at
-both ends, and a caller refuses a range outside them before any grid is
-solved.  :func:`_check_range` states the lower end: the square root of the
-smallest normal double, so that at every point (x, y) of a range the
-product x y, the smallest monomial of the series, is a normal double.  The
-arrival time s0 keeps its precision much closer to an axis, down to about
-1e-308 (:func:`characteristics.make_path`).  :func:`_check_served` states
-the upper end: a query keeps at most 200 first-column terms, so the largest
-coordinate served is QUAD_TOL^(1/201), about 0.9124.
+both ends.  A caller refuses a range outside them before any grid is
+solved, and a query (:class:`GenFuncQuery`) refuses a point outside them:
+below the lower end or off the unit square by the same rule and text as a
+range, past the upper end by the quadrature's tail check.
+:func:`_check_range` states the lower end: the square root of the smallest
+normal double, so that at every point (x, y) of a range the product x y,
+the smallest monomial of the series, is a normal double.  The arrival time
+s0 keeps its precision much closer to an axis, down to about 1e-308
+(:func:`characteristics.make_path`), but no query reaches it.
+:func:`_check_served` states the upper end: a query keeps at most 200
+first-column terms, so the largest coordinate served is QUAD_TOL^(1/201),
+about 0.9124.
 """
 
 from __future__ import annotations
@@ -72,7 +76,8 @@ class GenFuncQuery:
 
     ``row1[k]`` holds p_{k+1,1}; one monomial integral is kept for each
     entry (``n_terms`` of them) before the folded tail takes over.  The
-    budget is :data:`QUAD_TOL`.
+    budget is :data:`QUAD_TOL`.  The point (x0, y0) must lie in the range
+    :func:`_check_range` serves, its smaller coordinate as the lower end.
     """
 
     x0: float
@@ -80,7 +85,7 @@ class GenFuncQuery:
     row1: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        characteristics._check_point("x0", self.x0, "y0", self.y0)
+        _check_range("min(x0, y0)", min(self.x0, self.y0), "max(x0, y0)", max(self.x0, self.y0))
         _check_count("len(row1)", len(self.row1))
 
     @property
@@ -218,11 +223,11 @@ def eval_by_quadrature(params: ModelParams, query: GenFuncQuery) -> float:
 
     Raises :class:`QuadratureError` when ``n_terms`` is too short for the
     folded tail, max(x0, y0)^(n_terms+1), to fall below the budget
-    :data:`QUAD_TOL` (before any panel runs, so the estimate is NaN), when
-    the arrival time s0 lies below the smallest normal double (a point
-    within about 1e-308 of an axis, far below the coordinates that
-    :func:`_check_range` admits in a range), where the panel nodes round
-    past s0, or when the panels miss the budget (or the integrand is NaN).
+    :data:`QUAD_TOL` (before any panel runs, so the estimate is NaN), or
+    when the panels miss the budget (or the integrand is NaN).  The query
+    lies in the range :func:`_check_range` serves, where s0 is at least
+    min(x0, y0) / r >= 1.4917e-154 * 2^-500, about 4.6e-305, a normal
+    double, so no panel node rounds past it.
     """
     tail = max(query.x0, query.y0) ** (query.n_terms + 1)
     if tail >= QUAD_TOL:
@@ -230,9 +235,6 @@ def eval_by_quadrature(params: ModelParams, query: GenFuncQuery) -> float:
             f"{query.n_terms} terms leave a folded tail above the budget", math.nan, tail
         )
     path = characteristics.make_path(params, query.x0, query.y0)
-    if path.s0 < np.finfo(float).tiny:
-        below = f"arrival time s0 = {path.s0:.1e} is below the smallest normal double"
-        raise QuadratureError(below, math.nan, math.nan)
     f = _integrand(params, path, query)
     mid = 0.5 * path.s0
     sums = _panels(f, (0.0, 0.0, mid), (path.s0, mid, path.s0))

@@ -52,12 +52,12 @@ def classical_constants(params, x0, y0):
 
 
 def plain_s0(params: ModelParams, x0: float, y0: float) -> tuple[float, float, bool]:
-    """kappa and s0 by the plain formula, x0 y0 formed first, and whether
-    each of its intermediates, x0 y0, -2 (1 - rho) x0 y0 and kappa - 1, is
-    a normal double."""
+    """kappa and s0 by the plain formula, x0 y0 formed first and 1 - rho
+    formed as make_path forms it, and whether each of its intermediates,
+    x0 y0, -2 (1 - rho) x0 y0 and kappa - 1, is a normal double."""
     rho = params.ratio
     xy = x0 * y0
-    scaled = -2.0 * (1.0 - rho) * xy
+    scaled = -2.0 * params.gap * xy
     kappa_m1 = scaled / (x0 + y0 - 2.0 * rho * xy)
     normal = min(xy, -scaled, -kappa_m1) >= np.finfo(float).tiny
     return 1.0 + kappa_m1, math.log1p(kappa_m1) / (params.d - params.r), normal
@@ -106,6 +106,15 @@ class TestPathConstants:
         want = exact_s0(params3, x0, y0)
         for a, b in ((x0, y0), (y0, x0)):
             assert abs(make_path(params3, a, b).s0 - want) <= 4 * math.ulp(want)
+
+    def test_arrival_time_near_criticality_is_exact(self):
+        # 1 - rho used to be formed as 1.0 - d/r, which cancels here: s0 came
+        # out 4.99500499500482e-201, 241 ulp off.  400-bit mpmath gives
+        # 4.9950049950049955e-201, the same double as the exact rationals
+        params = ModelParams(2.002, 2.0)
+        want = exact_s0(params, 1e-200, 1e-200)
+        assert want == 4.9950049950049955e-201
+        assert abs(make_path(params, 1e-200, 1e-200).s0 - want) <= 4 * math.ulp(want)
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -207,9 +207,18 @@ class TestCharacteristicsCommand:
         assert first == pytest.approx([0.0, 0.3, 0.6, 1.0])
 
     def test_start_next_to_an_axis(self, capsys):
-        # Dx(0) is about 2.2e-15 here, which used to pass for a blow-up
+        # Dx(0) is about 2.2e-15 here, which used to pass for a blow-up.  The
+        # root's error estimate, 4 eps / ((r - d) (s - s0)) = 1.9e-8, supports
+        # 7 significant digits of s_plus, which then lie within a unit of the
+        # last printed digit of the 80-digit mpmath root 4.7140450893918011e-8;
+        # s_minus keeps 12
         assert run(["characteristics", "--r", 3, "--d", 2, "--x0", 0.3, "--y0", 1e-15]) == 0
-        assert "s_plus=4.71404509" in capsys.readouterr().err
+        fields = dict(kv.split("=") for kv in capsys.readouterr().err.split())
+        mantissa, exponent = fields["s_plus"].split("e")
+        unit = 10.0 ** (int(exponent) - len(mantissa.split(".")[1]))
+        assert len(mantissa.replace(".", "")) == 7
+        assert abs(float(fields["s_plus"]) - 4.7140450893918011e-8) <= unit
+        assert fields["s_minus"] == "0.517394421181"
 
     def test_near_critical_corner_is_finite(self, tmp_path):
         # d s0 is about 2,400 here: e^(ds) used to overflow into NaN rows

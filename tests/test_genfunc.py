@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,21 @@ class TestQuery:
         with pytest.raises(ValueError):
             GenFuncQuery(x0=0.5, y0=0.5, row1=())
         assert GenFuncQuery(x0=0.5, y0=0.5, row1=(0.7, 0.4)).n_terms == 2
+
+    @pytest.mark.parametrize("x0, y0", [(1e-300, 0.5), (1e-320, 0.5), (0.5, 1e-300)])
+    def test_point_below_the_served_range_is_refused(self, grid50, x0, y0):
+        # (1e-300, 0.5) used to give 0.0 against a series value of 6.67e-301,
+        # inside the absolute budget but without a right digit, and
+        # (1e-320, 0.5) raised QuadratureError on a subnormal s0
+        lo, hi = sorted((x0, y0))
+        text = re.escape(
+            f"need 0 < min(x0, y0) <= max(x0, y0) < 1 and min(x0, y0) >= 1.4917e-154, "
+            f"got {lo} and {hi}"
+        )
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            GenFuncQuery(x0=x0, y0=y0, row1=(0.7,))
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            query_from_grid(grid50, x0, y0)
 
     def test_default_n_terms(self, params3, grid50):
         # max(x0,y0)^(n+1) < QUAD_TOL = 1e-8 at the returned n
@@ -146,9 +162,13 @@ class TestQuadrature:
     # quadrature returned 8.5e-5 against a series value of 5.4e-17
     @example(0.6875, 4.358518910596399e-17)
     # s0 = 1.5e-323 is subnormal: Gauss nodes rounded past it and
-    # weighted_coords raised ValueError
+    # weighted_coords raised ValueError; the query now refuses the point
     @example(0.390625, 1e-323)
     def test_raises_or_meets_series_tail(self, params3, grid100, x0, y0):
+        if min(x0, y0) < genfunc._LOWEST:
+            with pytest.raises(ValueError, match=r"^need 0 < min\(x0, y0\) <= max\(x0, y0\) < 1 "):
+                query_from_grid(grid100, x0, y0)
+            return
         q = query_from_grid(grid100, x0, y0)
         series = eval_from_grid(grid100, x0, y0)
         try:

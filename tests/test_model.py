@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from distyle.asymptotics import row1_coefficients
@@ -103,6 +104,23 @@ class TestModelParams:
         assert params3.ratio == pytest.approx(2.0 / 3.0, rel=1e-15)
         assert params3.birth_step == pytest.approx(0.3, rel=1e-15)
         assert params3.death_step == pytest.approx(0.4, rel=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(2.0**-500, 2.0**500), st.floats(0.0, 1.0, exclude_max=True))
+    @example(2.002, 2.0 / 2.002)
+    @example(1.0 + 2.0**-52, 1.0 / (1.0 + 2.0**-52))
+    @example(2.0**500, 2.0**-1000)
+    def test_gap_is_one_minus_the_ratio(self, r, fraction):
+        # (r - d) / r against 1 - d/r in exact rationals: r - d is exact
+        # wherever d >= r/2, so there the quotient is correctly rounded, and
+        # two roundings leave it within 1.5 ulp elsewhere
+        d = r * fraction
+        assume(2.0**-500 <= d < r)
+        params = ModelParams(r, d)
+        want = 1 - Fraction(d) / Fraction(r)
+        assert abs(Fraction(params.gap) - want) <= Fraction(3, 2) * Fraction(math.ulp(float(want)))
+        if d >= r / 2:
+            assert params.gap == float(want)
 
 
 class TestStepDistribution:
