@@ -160,11 +160,13 @@ def critical_times(path: CharacteristicPath) -> tuple[float, float]:
     an axis the first-order terms of the denominator cancel at s = 0, so a
     root s carries a relative error of about eps / ((r - d) (s - s0));
     where ``_root_error``, four times that, exceeds 1e-6, or a denominator
-    does not change sign on the bracket, this raises ArithmeticError.
+    does not change sign on the bracket, this raises ArithmeticError.  The
+    refusal names the root and its error estimate, and prints no digit of
+    the root itself.
     """
     cap = math.log(4.0 / path.params.ratio) / (path.params.r - path.params.d)
     results = []
-    for k in (1, 2):  # Dx root (s_plus), then Dy root (s_minus)
+    for k, name in ((1, "s_plus"), (2, "s_minus")):  # the roots of Dx and Dy
         lo, hi = path.s0, path.s0 + cap
         if not _pieces(path, lo)[k] > 0.0 >= _pieces(path, hi)[k]:
             raise ArithmeticError("denominator does not change sign past s0; invalid path")
@@ -175,10 +177,11 @@ def critical_times(path: CharacteristicPath) -> tuple[float, float]:
             else:
                 hi = mid
             mid = 0.5 * (lo + hi)
-        if _root_error(path, hi) > 1e-6:
+        error = _root_error(path, hi)
+        if error > 1e-6:
             raise ArithmeticError(
-                f"blow-up time {hi:.3g} lies too close to s0 = {path.s0:.3g} to "
-                "resolve to 1e-6: the start point is too near an axis"
+                f"blow-up time {name} lies too close to s0 = {path.s0:.3g} to resolve "
+                f"to 1e-6 (relative error up to {error:.1g}): the start point is too near an axis"
             )
         results.append(hi)
     return results[0], results[1]

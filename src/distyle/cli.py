@@ -23,7 +23,7 @@ from .characteristics import _check_point, critical_times, eval_path, integratin
 from .grid import CLOSURES, DEFAULT_CLOSURE, _check_size, solve_grid
 from .harness import OUTPUTS, write_csv, write_grid_csv, write_mc_csv
 from .model import ModelParams, _check_count, _check_rates, _check_seed
-from .montecarlo import _check_paths, box_cells, start_cells
+from .montecarlo import _check_paths, _check_reach, box_cells, start_cells
 
 # Points of the curve that ``characteristics`` writes, evenly spaced in
 # time from the start to just short of the arrival s0.
@@ -91,10 +91,12 @@ def _cmd_mc(args) -> int:
         # the two stay comparable
         for name in ("imax", "jmax"):
             _check_size(f"--{name}", getattr(args, name))
+        _check_reach("--imax", args.imax, "--jmax", args.jmax, "--t", args.t)
         cells = box_cells(args.imax, args.jmax)
     elif args.i is None or args.j is None:
         raise ValueError("point mode needs --i and --j (or --imax/--jmax for a lattice)")
     else:
+        _check_reach("--i", args.i, "--j", args.j, "--t", args.t)
         cells = [(args.i, args.j)]
     with start_cells(params, cells, args.m, args.t, args.seed) as finish:
         result = finish()

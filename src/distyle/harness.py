@@ -7,9 +7,11 @@ differences, plus the relative quadratic error
     rqe = sqrt( sum (a - b)^2 / sum b^2 )
 
 over a chosen sub-lattice; a run compares its fields on the 10x10 corner
-:data:`SUBLATTICE`.  ``run_experiment`` wires the solvers together
-for a parameter set, writes every table as CSV, and is deterministic: the
-same spec writes byte-identical files.
+:data:`SUBLATTICE`.  ``_corner`` is the one crop rule: ``compare``, the
+convergence series and the run's Monte-Carlo summary all cut their fields
+to the cells they compare through it.  ``run_experiment`` wires the solvers
+together for a parameter set, writes every table as CSV, and is
+deterministic: the same spec writes byte-identical files.
 
 This module owns all table output; the solver modules do no I/O.  Every
 table goes through :func:`write_csv`: a header row, then one line per row
@@ -32,8 +34,9 @@ import numpy as np
 from . import genfunc
 from .grid import GridSolution, _check_size, solve_grid
 from .model import ModelParams, _check_budget, _check_count, _check_rates, _check_seed
+from .montecarlo import McEstimate, _check_paths, _check_reach, box_cells, start_cells
 # estimate_lattice stays a name of this module: perfbench/tracing.py wraps it
-from .montecarlo import McEstimate, _check_paths, box_cells, estimate_lattice, start_cells  # noqa: F401
+from .montecarlo import estimate_lattice  # noqa: F401
 
 # Bytes a row of genfunc_table holds until the table is written, about 200
 # measured (tracemalloc, 6,400 rows); genfunc_count^2 rows must fit
@@ -80,24 +83,18 @@ def _check_rows(name: str, count: int) -> None:
     )
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+class SummaryStats(NamedTuple):
     mean: float
     st_dev: float
     min: float
     max: float
 
-    @classmethod
-    def of(cls, values: np.ndarray) -> "SummaryStats":
-        if values.size == 0:
-            nan = float("nan")
-            return cls(nan, nan, nan, nan)
-        return cls(
-            float(values.mean()),
-            float(values.std()),
-            float(values.min()),
-            float(values.max()),
-        )
+
+def _summary(values: np.ndarray) -> SummaryStats:
+    """Mean, standard deviation, min and max of ``values``; NaN for none."""
+    if values.size == 0:
+        return SummaryStats(*[math.nan] * 4)
+    return SummaryStats(*(float(f(values)) for f in (np.mean, np.std, np.min, np.max)))
 
 
 @dataclass(frozen=True)
@@ -108,25 +105,27 @@ class ComparisonReport:
     rqe_by_b: float
 
 
+def _corner(a: np.ndarray, b: np.ndarray, sub: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Two fields sharing the cell (1, 1), cut to their overlap and then to
+    the square 1 <= i, j <= ``sub`` unless ``sub`` is None: the one rule for
+    the cells two fields are compared on.  An empty region is refused."""
+    limit = math.inf if sub is None else sub
+    rows, cols = (min(x, y, limit) for x, y in zip(a.shape, b.shape))
+    if rows < 1 or cols < 1:
+        raise ValueError("comparison region is empty")
+    return a[:rows, :cols], b[:rows, :cols]
+
+
 def compare(a: np.ndarray, b: np.ndarray, sub: int | None = None) -> ComparisonReport:
     """Cellwise comparison of two fields sharing the origin cell (1, 1).
 
     Fields of different extent are compared on their overlap, further cropped
-    to the square sub-lattice 1 <= i, j <= ``sub`` when given.  Relative
-    differences use ``b`` as the reference and skip cells where either field
-    vanishes (Monte-Carlo zeros would otherwise produce infinities); the
-    skipped count is reported.
+    to the square sub-lattice 1 <= i, j <= ``sub`` when given, by
+    ``_corner``.  Relative differences use ``b`` as the reference and skip
+    cells where either field vanishes (Monte-Carlo zeros would otherwise
+    produce infinities); the skipped count is reported.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    rows = min(a.shape[0], b.shape[0])
-    cols = min(a.shape[1], b.shape[1])
-    if sub is not None:
-        rows, cols = min(rows, sub), min(cols, sub)
-    if rows < 1 or cols < 1:
-        raise ValueError("comparison region is empty")
-    a = a[:rows, :cols]
-    b = b[:rows, :cols]
+    a, b = _corner(np.asarray(a, dtype=float), np.asarray(b, dtype=float), sub)
 
     diff = a - b
     square = diff * diff
@@ -136,9 +135,9 @@ def compare(a: np.ndarray, b: np.ndarray, sub: int | None = None) -> ComparisonR
     return ComparisonReport(
         cells_excluded=int(included.size - included.sum()),
         stats={
-            "square_error": SummaryStats.of(square.ravel()),
-            "absolute_error": SummaryStats.of(absolute.ravel()),
-            "relative_error": SummaryStats.of(relative),
+            "square_error": _summary(square.ravel()),
+            "absolute_error": _summary(absolute.ravel()),
+            "relative_error": _summary(relative),
         },
         rqe_by_a=_rqe(b, a),
         rqe_by_b=_rqe(a, b),
@@ -163,12 +162,15 @@ class FitResult(NamedTuple):
 
 def fit_log_slope(n_values: np.ndarray, errors: np.ndarray) -> FitResult:
     """Least-squares slope of log(error) against N, skipping values at or
-    below 1e-12 (solver precision, not truncation, dominates there)."""
+    below 1e-12 (solver precision, not truncation, dominates there).  With
+    fewer than three values above that floor the slope, intercept and r^2
+    are NaN: which errors clear it is known only once the boxes are solved,
+    so a run writes that row rather than failing after its solves."""
     n_values = np.asarray(n_values, dtype=float)
     errors = np.asarray(errors, dtype=float)
     keep = errors > 1e-12
     if keep.sum() < 3:
-        raise ValueError("need at least three points above the floor to fit")
+        return FitResult(math.nan, math.nan, math.nan, int(keep.sum()))
     x, y = n_values[keep], np.log(errors[keep])
     slope, intercept = np.polyfit(x, y, 1)
     fitted = slope * x + intercept
@@ -191,8 +193,7 @@ def convergence_series(
     rows = []
     for n in n_values:
         box = solved[n] if n in solved else solve_grid(params, n)
-        k = min(n, len(reference), SUBLATTICE)
-        rows.append((n, _rqe(box.values[:k, :k], reference[:k, :k])))
+        rows.append((n, _rqe(*_corner(box.values, reference, SUBLATTICE))))
     return rows
 
 
@@ -267,6 +268,7 @@ class ExperimentSpec:
             check(_check_size, field)
         if self.run_mc:
             check(_check_paths, "mc_m")
+            check(_check_reach, "grid_n", "grid_n", "mc_t")
         if self.run_genfunc:
             check(genfunc._check_range, "genfunc_min", "genfunc_max")
             check(genfunc._check_served, "genfunc_max")
@@ -409,8 +411,7 @@ def write_mc_csv(estimate: McEstimate, fp) -> None:
 
 def stats_table(report: ComparisonReport) -> tuple[list[str], list[tuple]]:
     """Header and rows of the summary statistics of each error measure."""
-    rows = [(name, s.mean, s.st_dev, s.min, s.max) for name, s in report.stats.items()]
-    return ["metric", "mean", "st_dev", "min", "max"], rows
+    return ["metric", *SummaryStats._fields], [(name, *s) for name, s in report.stats.items()]
 
 
 def genfunc_table(
@@ -509,14 +510,14 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
     if mc is not None:
         p_mc = mc.p_hat.reshape(spec.grid_n, spec.grid_n)
         full = compare(p_mc, solution.values)
-        corner = np.s_[:SUBLATTICE, :SUBLATTICE]
+        grid_corner, mc_corner = _corner(solution.values, p_mc, SUBLATTICE)
         tables["comparison_stats"] = stats_table(full)
         tables["comparison_summary"] = (
             ["name", "value"],
             [
                 ("cells_excluded", full.cells_excluded),
-                ("rqe_sublattice_by_mc", _rqe(solution.values[corner], p_mc[corner])),
-                ("rqe_sublattice_by_grid", _rqe(p_mc[corner], solution.values[corner])),
+                ("rqe_sublattice_by_mc", _rqe(grid_corner, mc_corner)),
+                ("rqe_sublattice_by_grid", _rqe(mc_corner, grid_corner)),
                 ("grid_residual", solution.residual),
                 ("mc_stop_bound", mc.stop_bound),
             ],

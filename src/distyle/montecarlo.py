@@ -248,6 +248,15 @@ def _check_cells(name: str, count: int) -> None:
     )
 
 
+def _check_reach(i_name: str, i: int, j_name: str, j: int, t_name: str, t: int) -> None:
+    """Reject a cell (i, j) whose paths could leave the kernel's int32 state
+    within the horizon t: a path changes i + j by one a step, so every state
+    stays below 2^31 while i + j + t <= 2^31 - 1.  The one statement of the
+    rule, naming i, j and t as the caller set them."""
+    if int(i) + int(j) + int(t) > 2**31 - 1:
+        raise ValueError(f"{i_name} + {j_name} + {t_name} must be <= 2^31 - 1, got {i} + {j} + {t}")
+
+
 def _cell_stream(seed: int, i: int, j: int) -> np.random.Generator:
     """The uniforms of cell (i, j): the one place the bit generator is named."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i, j])))
@@ -264,8 +273,9 @@ def start_cells(
     """Start estimating each of ``cells``; yields the finish, which waits
     for the counts of absorbed and censored paths and returns the estimate.
 
-    Every entry point checks its request here: at least one cell, each with
-    integers i, j >= 1, ``m`` and ``t_horizon`` at least 1 and ``seed`` in
+    Every entry point checks its request here: at least one cell, each a
+    pair of integers i, j >= 1 with i + j + ``t_horizon`` <= 2^31 - 1 (the
+    kernel's int32 state), ``m`` and ``t_horizon`` at least 1 and ``seed`` in
     [0, 2^64), and no more paths a cell or cells than fit the budget at
     ``_BYTES_PER_PATH`` and ``_BYTES_PER_CELL`` bytes each.  This is the one
     place a job is planned.  The estimate keeps its own copy of ``cells``.
@@ -292,12 +302,16 @@ def start_cells(
     _check_cells("len(cells)", len(cells))
     cells = list(cells)
     # each refusal of a cell names one as the caller wrote it
+    if any(len(cell) != 2 for cell in cells):
+        raise ValueError(f"cell {next(c for c in cells if len(c) != 2)} must be a pair (i, j)")
     kinds = {type(k) for cell in cells for k in cell}
     if not all(_integral(kind) for kind in kinds):
         cell = next(c for c in cells if not all(_integral(type(k)) for k in c))
         raise ValueError(f"i and j of cell {cell} must be integers")
     lowest = min(cells, key=lambda cell: (min(cell), max(cell)))
     _check_count(f"min(i, j) of cell {lowest}", min(lowest))
+    top = max(cells, key=lambda cell: int(cell[0]) + int(cell[1]))
+    _check_reach("i", top[0], "j", top[1], "t_horizon", t_horizon)
     # each cell's canonical cell (min(i, j), max(i, j)) as one key, ascending
     lo, hi = np.sort(np.array(cells, dtype=np.int32).reshape(len(cells), 2), axis=1).T
     keys, where = np.unique(lo.astype(np.int64) << 32 | hi, return_inverse=True)
@@ -305,7 +319,8 @@ def start_cells(
     del lo, hi, keys
     level = stop_level(params, m)
     # the kernel reads an absorbed path's min(i, j) - 1 as 2^32 - 1, which must
-    # reach level - 1; no int32 state reaches 2^31, so the cap stops no path
+    # reach level - 1; _check_reach keeps every int32 state below 2^31, so the
+    # cap stops no path
     reach = min(level, 2**31)
     live = distinct[:, 0] < reach
     start = distinct[live]

@@ -128,6 +128,37 @@ class TestMcCommand:
         assert err.err.count("error:") == 4
         assert err.out == ""
 
+    @pytest.mark.parametrize(
+        "cell,t,error",
+        [
+            # used to run on a wrapped int32 state and report 0.535 of the
+            # paths stopped, which min(i, j) = 1 cannot do in 50 steps
+            (["--i", 2**31 - 1, "--j", 1], 50,
+             "--i + --j + --t must be <= 2^31 - 1, got 2147483647 + 1 + 50"),
+            # used to fail in numpy with a text that named no flag
+            (["--i", 2**31, "--j", 1], 50,
+             "--i + --j + --t must be <= 2^31 - 1, got 2147483648 + 1 + 50"),
+            (["--imax", 5, "--jmax", 5], 2**31 - 10,
+             "--imax + --jmax + --t must be <= 2^31 - 1, got 5 + 5 + 2147483638"),
+        ],
+        ids=["i-wraps", "i-past-int32", "lattice-horizon"],
+    )
+    def test_state_beyond_int32_exits_2(self, tmp_path, capsys, cell, t, error):
+        argv = ["mc", "--r", 2.002, "--d", 2, *cell, "--m", 200, "--t", t, "--out", tmp_path]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "mc_p.csv").exists()
+
+    def test_cell_at_the_int32_bound_runs(self, tmp_path):
+        # i + j + T = 2^31 - 1
+        argv = ["mc", "--r", 2.002, "--d", 2, "--i", 2**31 - 52, "--j", 1, "--m", 200, "--t", 50]
+        assert run([*argv, "--out", tmp_path]) == 0
+        header, row = (tmp_path / "mc_p.csv").read_text().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert (fields["i"], fields["stopped_frac"], fields["censored_frac"]) == (
+            "2147483596", "0", "1",
+        )
+
     def test_axis_cell_rejected(self, tmp_path, capsys):
         assert run(["mc", "--r", 3, "--d", 2, "--i", 0, "--j", 2, "--out", tmp_path]) == 2
         assert "error: --i must be >= 1, got 0" in capsys.readouterr().err
@@ -238,7 +269,12 @@ class TestCharacteristicsCommand:
         code = run(["characteristics", "--r", 3, "--d", 2, "--x0", 0.3, "--y0", 1e-30,
                     "--out", tmp_path])
         assert code == 2
-        assert "error: blow-up time" in capsys.readouterr().err
+        # no digit of the root: its relative error is about 0.6.  The text
+        # used to print it as 1.51e-15
+        assert capsys.readouterr().err == (
+            "error: blow-up time s_plus lies too close to s0 = 6.67e-31 to resolve to 1e-6 "
+            "(relative error up to 0.6): the start point is too near an axis\n"
+        )
         assert not any(tmp_path.iterdir())
 
 
@@ -443,6 +479,9 @@ class TestExperimentCommand:
             (["experiment", "--preset", "supercritical", "--no-mc",
               "--conv-min", 20, "--conv-max", 21, "--conv-reference", 50],
              "the convergence fit needs three N"),
+            # a path of the box's far cell would leave the kernel's int32 state
+            (["experiment", "--preset", "supercritical", "--mc-t", 2**31],
+             "grid_n + grid_n + --mc-t must be <= 2^31 - 1, got 50 + 50 + 2147483648"),
             # greens used to accept a range that a run rejects
             (["greens", "--r", 3, "--d", 2, "--min", 0.5, "--max", 0.2],
              "need 0 < --min <= --max < 1 and --min >= 1.4917e-154, got 0.5 and 0.2"),
@@ -456,7 +495,7 @@ class TestExperimentCommand:
              "--max must be below 0.9124, got 0.95 (past it 200 terms leave the folded tail "
              "max(x, y)^201 above the 1e-08 quadrature budget)"),
         ],
-        ids=["empty-convergence-range", "two-fit-points",
+        ids=["empty-convergence-range", "two-fit-points", "mc-state-int32",
              "greens-descending-range", "greens-range-reaches-1", "greens-range-below-normal",
              "greens-range-past-the-terms"],
     )

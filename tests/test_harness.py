@@ -41,6 +41,12 @@ class TestCompare:
         assert rep.cells_excluded == 0
         assert rep.rqe_by_b == pytest.approx(np.sqrt(2.0 / 36.0), rel=1e-12)
         assert rep.rqe_by_a == pytest.approx(np.sqrt(2.0 / 30.0), rel=1e-12)
+        # each summary is a named tuple (mean, st_dev, min, max), and its table
+        # row spreads it after the metric's name
+        assert rep.stats["square_error"] == (0.5, 0.5, 0.0, 1.0)
+        header, rows = harness.stats_table(rep)
+        assert header == ["metric", "mean", "st_dev", "min", "max"]
+        assert rows[0] == ("square_error", 0.5, 0.5, 0.0, 1.0)
 
     def test_zero_cells_skipped_in_relative(self):
         a = np.array([[0.0, 1.0]])
@@ -57,15 +63,21 @@ class TestCompare:
         # every cell of b differs from a by its own value, and no two alike
         a = np.zeros((3, 4))
         b = np.arange(1.0, 13.0).reshape(2, 6)
-        for sub, cells in [(None, [1, 2, 3, 4, 7, 8, 9, 10]), (2, [1, 2, 7, 8]), (1, [1])]:
-            rep = compare(a, b, sub=sub)
-            stats = rep.stats["absolute_error"]
-            assert (stats.mean, stats.min, stats.max) == (np.mean(cells), 1.0, max(cells)), sub
-            assert rep.cells_excluded == len(cells), sub
+        overlap = [1, 2, 3, 4, 7, 8, 9, 10]
+        # a sub-lattice above the 2x4 overlap crops nothing more
+        for sub, cells in [(None, overlap), (5, overlap), (2, [1, 2, 7, 8]), (1, [1])]:
+            # the field of more rows may come first or second
+            for first, second in [(a, b), (b, a)]:
+                rep = compare(first, second, sub=sub)
+                stats = rep.stats["absolute_error"]
+                assert (stats.mean, stats.min, stats.max) == (np.mean(cells), 1.0, max(cells)), sub
+                assert rep.cells_excluded == len(cells), sub
 
     def test_empty_region_rejected(self):
-        with pytest.raises(ValueError):
-            compare(np.ones((0, 2)), np.ones((3, 3)))
+        # an empty field, or a sub-lattice of side 0 or less
+        for a, sub in [(np.ones((0, 2)), None), (np.ones((2, 2)), 0), (np.ones((2, 2)), -1)]:
+            with pytest.raises(ValueError, match="^comparison region is empty$"):
+                compare(a, np.ones((3, 3)), sub=sub)
 
 
 class TestFit:
@@ -86,9 +98,12 @@ class TestFit:
         assert fit.n_used == 5
         assert fit.slope == pytest.approx(-1.0, rel=1e-9)
 
-    def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError):
-            fit_log_slope(np.array([1, 2, 3]), np.array([1e-15, 1e-14, 0.5]))
+    def test_too_few_points_give_nan(self):
+        # which errors clear the floor is known only once the boxes are
+        # solved, so the fit reports NaN rather than failing the run late
+        fit = fit_log_slope(np.array([1, 2, 3]), np.array([1e-15, 1e-14, 0.5]))
+        assert all(math.isnan(value) for value in fit[:3])
+        assert fit.n_used == 1
 
 
 class TestConvergenceSeries:
@@ -105,10 +120,12 @@ class TestConvergenceSeries:
         box = solve_grid(params3, 12).values
         assert errs[2] != compare(box, reference.values).rqe_by_b
         # the series' rqe is compare's, bit for bit, also where N < 10 crops
-        # the corner further
-        assert errs == [
-            compare(solve_grid(params3, n).values, reference.values, sub=10).rqe_by_b for n in ns
-        ]
+        # the corner further, and where a reference below 10 does
+        for ref in (reference, solve_grid(params3, 7)):
+            series = convergence_series(params3, ns, ref.values, {})
+            assert [e for _, e in series] == [
+                compare(solve_grid(params3, n).values, ref.values, sub=10).rqe_by_b for n in ns
+            ]
         solved = {16: reference}
         assert convergence_series(params3, [16], reference.values, solved) == [(16, 0.0)]
 
@@ -293,10 +310,11 @@ class TestSpec:
             (dict(grid_n=True), ("grid_n",)),
             (dict(r=True, d=0.5), ("r", "d")),
             (dict(run_convergence=2), ("run_convergence",)),
+            (dict(mc_t=2**31), ("grid_n", "grid_n", "mc_t")),
         ],
         ids=["count", "seed", "size", "paths", "conv-order", "conv-fit", "rates",
              "rates-finite", "rates-scale", "genfunc-range", "genfunc-max", "genfunc-rows",
-             "bool-count", "bool-rates", "flag"],
+             "bool-count", "bool-rates", "flag", "mc-reach"],
     )
     def test_refusal_carries_the_fields_it_names(self, fields, named):
         spec = {"r": 3.0, "d": 2.0, **fields}
@@ -314,6 +332,18 @@ class TestSpec:
         with pytest.raises(harness.SpecError) as same:
             ExperimentSpec(**spec, names=others)
         assert str(same.value) == text
+
+    def test_monte_carlo_state_stays_in_int32(self):
+        # the box's far cell (grid_n, grid_n) and the horizon: a path moves
+        # i + j by one a step, and the kernel holds it in int32
+        top = 2**31 - 1 - 2 * 50
+        ExperimentSpec(r=3.0, d=2.0, mc_t=top)
+        with pytest.raises(harness.SpecError) as info:
+            ExperimentSpec(r=3.0, d=2.0, mc_t=top + 1)
+        assert str(info.value) == (
+            "grid_n + grid_n + mc_t must be <= 2^31 - 1, got 50 + 50 + 2147483548"
+        )
+        ExperimentSpec(r=3.0, d=2.0, run_mc=False, mc_t=2**40)
 
     def test_rate_refusal_names_the_fields(self):
         with pytest.raises(ValueError) as info:
@@ -510,6 +540,35 @@ class TestRunExperiment:
         assert running == [2]
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "out").exists()
+
+    def test_every_comparison_crops_through_one_corner(self, tmp_path, monkeypatch):
+        calls = []
+        corner = harness._corner
+
+        def recording(a, b, sub):
+            calls.append((a.shape, b.shape, sub))
+            return corner(a, b, sub)
+
+        monkeypatch.setattr(harness, "_corner", recording)
+        spec = tiny_spec()
+        run_experiment(spec, tmp_path / "out")
+        box = (spec.grid_n, spec.grid_n)
+        # each box of the series against the reference, the Monte-Carlo against
+        # the grid on the whole box, then on the corner for the summary's rqe
+        assert calls == [
+            *(((n, n), box, harness.SUBLATTICE) for n in range(spec.conv_min, spec.conv_max + 1)),
+            (box, box, None),
+            (box, box, harness.SUBLATTICE),
+        ]
+
+    def test_fit_of_too_few_points_writes_a_nan_row(self, tmp_path):
+        # every error of the series lies at or below the fit's floor; the run
+        # used to solve every box, then fail without writing a file
+        spec = ExperimentSpec(r=20.0, d=2.0, run_mc=False, conv_min=40)
+        written = run_experiment(spec, tmp_path / "out")
+        assert written["nconv_fit"].read_text() == (
+            "target,slope,intercept,r_squared,n_used\nreference,nan,nan,nan,0\n"
+        )
 
     def test_convergence_solves_each_n_once(self, tmp_path, monkeypatch):
         calls = []

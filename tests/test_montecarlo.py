@@ -184,19 +184,40 @@ class TestConfig:
             (dict(m=True), "m must be an integer, got True"),
             (dict(t_horizon=True), "t_horizon must be an integer, got True"),
             (dict(seed=False), "seed must be an integer, got False"),
+            # a path moves i + j by one a step, and the kernel holds it in int32;
+            # the first used to run on a wrapped state, the second to fail in numpy
+            (dict(cells=[(1, 1), (2**31 - 1, 1)], t_horizon=50),
+             "i + j + t_horizon must be <= 2^31 - 1, got 2147483647 + 1 + 50"),
+            (dict(cells=[(1, 2**31)], t_horizon=50),
+             "i + j + t_horizon must be <= 2^31 - 1, got 1 + 2147483648 + 50"),
+            (dict(cells=[(np.int32(2**31 - 1), np.int32(1))], t_horizon=1),
+             "i + j + t_horizon must be <= 2^31 - 1, got 2147483647 + 1 + 1"),
         ]:
             with pytest.raises(ValueError) as info:
                 estimate_cells(params3, **{**good, **bad})
             assert str(info.value) == message
-        # a cell that is not a pair of indices is refused
-        for cells in ([(1, 2, 3)], [(1,)], [(1, 2), (3,)]):
-            with pytest.raises(ValueError):
+        # a cell that is not a pair of indices is refused, by the first such cell
+        for cells, bad in [
+            ([(1, 2, 3)], "(1, 2, 3)"), ([(1,)], "(1,)"), ([(1, 2), (3,), ()], "(3,)"),
+        ]:
+            with pytest.raises(ValueError) as info:
                 estimate_cells(params3, **{**good, "cells": cells})
+            assert str(info.value) == f"cell {bad} must be a pair (i, j)"
         # numpy integers are integers
         numpy_ints = dict(cells=[(np.int64(1), np.int32(1))], m=np.int64(10), seed=np.uint64(0))
         assert np.array_equal(
             estimate_cells(params3, **{**good, **numpy_ints}), estimate_cells(params3, **good)
         )
+
+    def test_cell_at_the_int32_bound_runs(self):
+        # i + j + T = 2^31 - 1: no state leaves int32.  min(i, j) = 1 cannot
+        # reach the exit level 8,299 in 50 steps, and a path from so far out
+        # is almost never absorbed, so the paths are censored at T
+        with start_cells(ModelParams(2.002, 2.0), [(2**31 - 52, 1)], 200, 50, 0) as finish:
+            far = finish()
+        assert (far.p_hat[0], far.stopped_frac[0], far.censored_frac[0]) == (0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"got 2147483596 \+ 1 \+ 51$"):
+            estimate_cells(ModelParams(2.002, 2.0), [(2**31 - 52, 1)], 200, 51, 0)
 
     def test_sizes_above_the_budget_rejected(self, params3, monkeypatch):
         # refused before a worker is forked or a path drawn, naming the
