@@ -175,7 +175,7 @@ CLOSURES = {
         lambda params, k, m: asymptotics.closure_value(params, k, m),
     ),
     "bounds-lower": (
-        "rigorous lower bound (d/r)^(i+j)",
+        "rigorous lower bound min(1, (d/r)^(i+j-1))",
         lambda params, k, m: extinction_bounds(params, k, m)[0],
     ),
     "bounds-upper": (

@@ -7,11 +7,12 @@ differences, plus the relative quadratic error
     rqe = sqrt( sum (a - b)^2 / sum b^2 )
 
 over a chosen sub-lattice; a run compares its fields on the 10x10 corner
-:data:`SUBLATTICE`.  ``_corner`` is the one crop rule: ``compare``, the
-convergence series and the run's Monte-Carlo summary all cut their fields
-to the cells they compare through it.  ``run_experiment`` wires the solvers
-together for a parameter set, writes every table as CSV, and is
-deterministic: the same spec writes byte-identical files.
+:data:`SUBLATTICE`.  ``_corner`` is the one crop rule, and ``compare`` the
+run's one comparison of the Monte-Carlo with the grid: the whole box and
+the corner are each one call.  ``_check_fit`` is the one rule on the range
+of convergence boxes.  ``run_experiment`` wires the solvers together for a
+parameter set, writes every table as CSV, and is deterministic: the same
+spec writes byte-identical files.
 
 This module owns all table output; the solver modules do no I/O.  Every
 table goes through :func:`write_csv`: a header row, then one line per row
@@ -56,17 +57,13 @@ def _check_flag(name: str, value) -> None:
         raise ValueError(f"{name} must be true or false, got {value}")
 
 
-def _check_order(lo_name: str, lo: int, hi_name: str, hi: int) -> None:
-    """Reject a range of convergence boxes whose low end lies above its high
-    end, naming both ends as the caller set them."""
-    if lo > hi:
-        raise ValueError(f"need {lo_name} <= {hi_name}, got {lo} and {hi}")
-
-
 def _check_fit(lo_name: str, lo: int, hi_name: str, hi: int, ref_name: str, ref: int) -> None:
     """Reject a range of convergence boxes that leaves the fit fewer than
-    three N besides the reference, naming all three as the caller set them."""
-    fitted = len(range(lo, hi + 1)) - (lo <= ref <= hi)
+    three N besides the reference, naming all three as the caller set them.
+    It is the one rule on the range: a low end above the high end leaves
+    none.  The count is formed by subtraction, so an end that is no
+    integer is refused here or by its size rule, never with a TypeError."""
+    fitted = max(0, hi - lo + 1) - (lo <= ref <= hi)
     if fitted < 3:
         raise ValueError(
             f"the convergence fit needs three N from {lo_name} to {hi_name} other than "
@@ -261,7 +258,6 @@ class ExperimentSpec:
         if self.run_convergence:
             for field in ("conv_min", "conv_reference"):
                 check(_check_count, field)
-            check(_check_order, "conv_min", "conv_max")
             check(_check_fit, "conv_min", "conv_max", "conv_reference")
         sizes = ("grid_n", "conv_reference", "conv_max") if self.run_convergence else ("grid_n",)
         for field in sizes:
@@ -317,10 +313,10 @@ def load_spec(path: Path, names: dict | None = None, **overrides) -> ExperimentS
     A value its field's type cannot read fails with its ``path:line``, and
     so does a value the spec rejects when the :class:`SpecError` names its
     key alone, as every refusal of a count, a seed or a size does; a
-    missing key and any other rejection of the spec carry the ``path``.  A
-    refusal whose fields all come from overrides is raised as the spec
-    raised it: the caller set those values, not the file.  ``names`` goes
-    to the spec, which shows each field by its name there.
+    missing key and any other rejection of the spec carry the ``path``.  The
+    file is named only when it set a refused value: a refusal whose fields
+    all come from overrides or defaults is raised as the spec raised it.
+    ``names`` goes to the spec, which shows each field by its name there.
     Lines starting with ``#`` and blank lines are ignored.
     """
     values: dict = {}
@@ -349,7 +345,7 @@ def load_spec(path: Path, names: dict | None = None, **overrides) -> ExperimentS
     try:
         return ExperimentSpec(**values, names=names)
     except SpecError as exc:
-        if overrides.keys() >= set(exc.fields):
+        if not set(exc.fields) & (lines.keys() - overrides.keys()):
             raise
         key = exc.fields[0] if len(exc.fields) == 1 else None
         where = f"{path}:{lines[key]}" if key in lines else path
@@ -492,9 +488,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
             )
             tables["nconv"] = (["n", "rqe_vs_reference"], series)
 
-            ns, errors = np.array(series, dtype=float).T
-            not_self = ns != spec.conv_reference
-            fit = fit_log_slope(ns[not_self], errors[not_self])
+            fit = fit_log_slope(*np.array(series, dtype=float).T)
             tables["nconv_fit"] = (
                 ["target", "slope", "intercept", "r_squared", "n_used"],
                 [("reference", *fit)],
@@ -510,14 +504,14 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
     if mc is not None:
         p_mc = mc.p_hat.reshape(spec.grid_n, spec.grid_n)
         full = compare(p_mc, solution.values)
-        grid_corner, mc_corner = _corner(solution.values, p_mc, SUBLATTICE)
+        corner = compare(p_mc, solution.values, SUBLATTICE)
         tables["comparison_stats"] = stats_table(full)
         tables["comparison_summary"] = (
             ["name", "value"],
             [
                 ("cells_excluded", full.cells_excluded),
-                ("rqe_sublattice_by_mc", _rqe(grid_corner, mc_corner)),
-                ("rqe_sublattice_by_grid", _rqe(mc_corner, grid_corner)),
+                ("rqe_sublattice_by_mc", corner.rqe_by_a),
+                ("rqe_sublattice_by_grid", corner.rqe_by_b),
                 ("grid_residual", solution.residual),
                 ("mc_stop_bound", mc.stop_bound),
             ],

@@ -151,17 +151,27 @@ class ModelParams:
 
 
 def extinction_bounds(params: ModelParams, i: int, j: int) -> tuple[float, float]:
-    """Rigorous envelope ``(d/r)^(i+j) <= p_{i,j} <= (d/r)^i + (d/r)^j - (d/r)^(i+j)``.
+    """Rigorous envelope ``min(1, rho^(i+j-1)) <= p_{i,j} <= rho^i + rho^j - rho^(i+j)``
+    with ``rho = d/r``.
 
-    The lower bound is the exact extinction probability of the embedded walk
-    projected on the total population size; the upper bound comes from
-    requiring each morph, on its own, to survive a single-type comparison
-    process.  Both are valid for every i, j >= 0 and the bracket degenerates
-    to [something, 1] on the axes, consistent with the boundary value 1.
+    The lower bound is a martingale argument.  Let f = rho^(i+j-1) and tau
+    the first time the walk hits an axis.  Off the axes f is harmonic for
+    the walk, as rho^(i+j) is, and it is bounded by 1/rho, so f stopped at
+    tau is a bounded martingale.  At tau the walk stands at (0, K) or
+    (K, 0) with K >= 1, since the step onto an axis is the death of the
+    last plant of one morph, so f = rho^(K-1) <= 1 = p there.  On
+    {tau = infinity} the population never dies out, so its size tends to
+    infinity and f to 0.  Hence f = E[rho^(K-1); tau < infinity] <=
+    P[tau < infinity] = p, strictly off the axes, since a path can be
+    absorbed with K >= 2; only the origin needs the cap at 1.  The upper
+    bound comes from requiring each morph, on its own, to survive a
+    single-type comparison process.  Both are valid for every i, j >= 0
+    and the bracket degenerates to [something, 1] on the axes, consistent
+    with the boundary value 1.
     """
     if i < 0 or j < 0:
         raise ValueError(f"indices must be non-negative, got ({i}, {j})")
     rho = params.ratio
-    lower = rho ** (i + j)
-    upper = min(1.0, rho**i + rho**j - lower)
+    lower = min(1.0, rho ** (i + j - 1))
+    upper = min(1.0, rho**i + rho**j - rho ** (i + j))
     return lower, upper

@@ -7,7 +7,7 @@ to one execution each; everything downstream reads them.
 import numpy as np
 import pytest
 
-from distyle.grid import Method, SolveOptions, solve_grid
+from distyle.grid import solve_grid
 from distyle.model import ModelParams
 
 
@@ -28,7 +28,7 @@ def grid50(params3):
 
 @pytest.fixture(scope="session")
 def grid100c(paramsc):
-    return solve_grid(paramsc, 100, SolveOptions(method=Method.DIRECT))
+    return solve_grid(paramsc, 100)
 
 
 @pytest.fixture(scope="session")

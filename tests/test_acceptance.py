@@ -250,13 +250,12 @@ def test_10_paper_scale_error_bands(grid50, grid100c, mc50_lattice, mc_subsample
 def test_11_exponential_truncation_convergence(params3, paramsc, grid50):
     start = time.perf_counter()
     ns = list(range(10, 50))
-    direct = SolveOptions(method=Method.DIRECT)
     series1 = convergence_series(params3, ns, grid50.values, {})
     fit1 = fit_log_slope(
         np.array([n for n, _ in series1]), np.array([e for _, e in series1])
     )
 
-    ref_c = solve_grid(paramsc, 50, direct)
+    ref_c = solve_grid(paramsc, 50)
     series2 = convergence_series(paramsc, ns, ref_c.values, {})
     fit2 = fit_log_slope(
         np.array([n for n, _ in series2]), np.array([e for _, e in series2])

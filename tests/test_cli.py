@@ -475,7 +475,8 @@ class TestExperimentCommand:
         [
             (["experiment", "--preset", "supercritical", "--no-mc",
               "--conv-min", 30, "--conv-max", 20],
-             "need --conv-min <= --conv-max, got 30 and 20"),
+             "the convergence fit needs three N from --conv-min to --conv-max other than "
+             "conv_reference, got 0 from 30 to 20 other than 50"),
             (["experiment", "--preset", "supercritical", "--no-mc",
               "--conv-min", 20, "--conv-max", 21, "--conv-reference", 50],
              "the convergence fit needs three N"),
@@ -699,9 +700,10 @@ def test_characteristics_arrival_time_underflow_exits_2(tmp_path, capsys, monkey
         (["--seed", -1], "--seed must lie in [0, 2^64), got -1"),
         (["--seed", 2**64], "--seed must lie in [0, 2^64), got 18446744073709551616"),
         (["--grid-n", 0], "--grid-n must be >= 1, got 0"),
-        # a refusal that names two fields names each by its flag
+        # a refusal that names several fields names each a flag set by its flag
         (["--no-mc", "--conv-min", 30, "--conv-max", 20],
-         "need --conv-min <= --conv-max, got 30 and 20"),
+         "the convergence fit needs three N from --conv-min to --conv-max other than "
+         "conv_reference, got 0 from 30 to 20 other than 50"),
         (["--r", 2, "--d", 2],
          "need the supercritical regime --r > --d, got --r=2.0 <= --d=2.0"),
         (["--r", "3.2733906078961426e+150", "--d", 2],
@@ -712,9 +714,14 @@ def test_characteristics_arrival_time_underflow_exits_2(tmp_path, capsys, monkey
         (["--no-mc", "--conv-min", 20, "--conv-max", 21, "--conv-reference", 50],
          "the convergence fit needs three N from --conv-min to --conv-max other than "
          "--conv-reference, got 2 from 20 to 21 other than 50"),
+        # conv_reference is the default's: a config file that set none of the
+        # three is not named
+        (["--no-mc", "--conv-min", 48, "--conv-max", 50],
+         "the convergence fit needs three N from --conv-min to --conv-max other than "
+         "conv_reference, got 2 from 48 to 50 other than 50"),
     ],
     ids=["seed-negative", "seed-2-64", "grid-n-0", "conv-range", "rates", "r-above-2-500",
-         "d-below-2-minus-500", "conv-fit"],
+         "d-below-2-minus-500", "conv-fit", "conv-fit-default-reference"],
 )
 def test_experiment_refusal_names_the_flag(tmp_path, capsys, monkeypatch, flags, error, config):
     # refused before any work and any file, by the flag, also when a config
@@ -742,6 +749,13 @@ def test_experiment_refusal_names_the_flag(tmp_path, capsys, monkeypatch, flags,
         ("conv_min = 20\nconv_max = 21\n", ["--conv-reference", 50], "",
          "the convergence fit needs three N from conv_min to conv_max other than "
          "--conv-reference, got 2 from 20 to 21 other than 50"),
+        # a reversed range set by the file, or by the file and a flag
+        ("conv_min = 30\nconv_max = 20\n", [], "",
+         "the convergence fit needs three N from conv_min to conv_max other than "
+         "conv_reference, got 0 from 30 to 20 other than 50"),
+        ("conv_min = 30\n", ["--conv-max", 20], "",
+         "the convergence fit needs three N from conv_min to --conv-max other than "
+         "conv_reference, got 0 from 30 to 20 other than 50"),
         # a refusal of one key names its line
         ("grid_n = 10\ngrid_n = 20\n", [], ":4", "key 'grid_n' given twice"),
         ("grid_n = 0\n", [], ":3", "grid_n must be >= 1, got 0"),
@@ -756,7 +770,8 @@ def test_experiment_refusal_names_the_flag(tmp_path, capsys, monkeypatch, flags,
          "need 0 < genfunc_min <= genfunc_max < 1 and genfunc_min >= 1.4917e-154, "
          "got 1e-300 and 0.5"),
     ],
-    ids=["rates", "conv-fit", "twice", "grid-n-0", "unknown-key", "genfunc-max", "genfunc-min"],
+    ids=["rates", "conv-fit", "conv-range", "conv-range-mixed", "twice", "grid-n-0",
+         "unknown-key", "genfunc-max", "genfunc-min"],
 )
 def test_experiment_refusal_keeps_the_config_path(
     tmp_path, capsys, monkeypatch, folder, lines, flags, where, error

@@ -296,6 +296,33 @@ class TestExactBox:
                     sol = solve_grid(params, n, SolveOptions(method=method), closure=closure)
                     assert exact_gap(sol.values, field) <= EXACT_SLACK, (n, closure, method)
 
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.floats(min_value=0.05, max_value=0.999),
+        st.integers(2, 8),
+        st.integers(1, 60),
+        st.integers(1, 60),
+    )
+    def test_bounds_lower_closure_lies_above_the_envelope(self, ratio, n, i, j):
+        # the lower envelope f = rho^(i+j-1) is harmonic off the axes, at
+        # most 1 on them and tends to 0 far out, so it lies below p; the box
+        # closed by it lies above it, taken exactly, and strictly once N >= 2
+        # lets a path reach an axis at K >= 2, where f = rho^(K-1) < 1
+        params = ModelParams(r=2.0 / ratio, d=2.0)
+        r, d = Fraction(params.r), Fraction(params.d)
+        rho, death, birth = d / r, d / ((r + d) * (i + j)), r / (2 * (r + d))
+
+        def f(y, x):
+            return rho ** (y + x - 1)
+
+        moves = death * i * f(i - 1, j) + death * j * f(i, j - 1)
+        assert moves + birth * (f(i, j + 1) + f(i + 1, j)) == f(i, j)
+        assert max(f(0, k) for k in range(1, i + j + 1)) == 1
+        assert extinction_bounds(params, i, j)[0] == min(1.0, params.ratio ** (i + j - 1))
+        [field] = exact_box(params, n, closure_arrays(params, n, "bounds-lower")[0])
+        cells = itertools.product(range(1, n + 1), repeat=2)
+        assert all(field[y - 1][x - 1] > f(y, x) for y, x in cells)
+
     def test_catches_a_birth_step_off_by_1e_9(self, monkeypatch):
         stencil = grid._stencil
 
@@ -323,17 +350,16 @@ class TestSolvers:
         assert np.max(np.abs(sol.values - sol.values.T)) < 1e-12
 
     def test_unit_closure_gives_constant_solution(self, params3):
-        values = solve_edge(params3, 12, np.ones(12), SolveOptions(method=Method.DIRECT))
+        values = solve_edge(params3, 12, np.ones(12))
         assert np.max(np.abs(values - 1.0)) < 1e-12
 
     def test_closure_ordering_is_monotone(self, params3):
         # the system matrix is monotone, so raising the closure raises the
         # solution; the lower-bound field itself sits below every variant
         # because the axes carry the value 1 >= (d/r)^k
-        opts = SolveOptions(method=Method.DIRECT)
-        low = solve_grid(params3, 15, opts, closure="bounds-lower")
-        mid = solve_grid(params3, 15, opts)
-        high = solve_grid(params3, 15, opts, closure="bounds-upper")
+        low = solve_grid(params3, 15, closure="bounds-lower")
+        mid = solve_grid(params3, 15)
+        high = solve_grid(params3, 15, closure="bounds-upper")
         i = np.arange(1, 16)
         floor = params3.ratio ** np.add.outer(i, i)
         assert np.min(low.values - floor) > -1e-12
@@ -388,7 +414,7 @@ class TestSolvers:
     def test_direct_solves_large_near_critical_grid(self, paramsc):
         # beyond the reach of value iteration's iteration cap
         n = 150
-        sol = solve_grid(paramsc, n, SolveOptions(method=Method.DIRECT))
+        sol = solve_grid(paramsc, n)
         powers = paramsc.ratio ** np.arange(1, n + 1)
         lo = np.outer(powers, powers)
         hi = np.add.outer(powers, powers) - lo
@@ -409,9 +435,8 @@ class TestSolvers:
         params = ModelParams(r=2.0 / ratio, d=2.0)
         edges = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(np.array)
         edge, lift = data.draw(edges), data.draw(edges)
-        opts = SolveOptions(method=Method.DIRECT)
-        base = solve_edge(params, n, edge, opts)
-        raised = solve_edge(params, n, edge + lift, opts)
+        base = solve_edge(params, n, edge)
+        raised = solve_edge(params, n, edge + lift)
         assert np.min(raised - base) > -1e-12
         assert np.max(np.abs(base - base.T)) < 1e-12
 
@@ -681,7 +706,7 @@ class TestSolvers:
 
 class TestSolutionAccess:
     def test_column_recursion_defect(self, params3):
-        sol = solve_grid(params3, 10, SolveOptions(method=Method.DIRECT))
+        sol = solve_grid(params3, 10)
         assert column_recursion_defect(sol) < 1e-12
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from distyle import genfunc, harness, montecarlo
-from distyle.grid import Method, SolveOptions, solve_grid
+from distyle.grid import solve_grid
 from distyle.harness import (
     ExperimentSpec,
     compare,
@@ -22,6 +22,11 @@ from distyle.harness import (
 GENFUNC_MAX = (
     "genfunc_max must be below 0.9124, got 0.95 (past it 200 terms leave the folded tail "
     "max(x, y)^201 above the 1e-08 quadrature budget)"
+)
+# a reversed range leaves the fit no N, and the fit's rule names all three
+REVERSED = (
+    "the convergence fit needs three N from conv_min to conv_max other than conv_reference, "
+    "got 0 from 30 to 20 other than 50"
 )
 
 
@@ -108,8 +113,7 @@ class TestFit:
 
 class TestConvergenceSeries:
     def test_errors_shrink_toward_reference(self, params3):
-        direct = SolveOptions(method=Method.DIRECT)
-        reference = solve_grid(params3, 16, direct)
+        reference = solve_grid(params3, 16)
         series = convergence_series(params3, [6, 9, 12], reference.values, {})
         ns = [n for n, _ in series]
         errs = [e for _, e in series]
@@ -208,7 +212,7 @@ class TestSpec:
             # the message names the key on line 3
             ("grid_n = 0\nseed = 1\n", {}, ":3", "grid_n must be >= 1, got 0"),
             # the message names no key of its own
-            ("conv_min = 30\nconv_max = 20\n", {}, "", "need conv_min <= conv_max"),
+            ("conv_min = 30\nconv_max = 20\n", {}, "", REVERSED),
             # the value that fails came from an override, not from the file,
             # and is refused by its own name alone
             ("grid_n = 5\n", {"grid_n": 0}, None, "grid_n must be >= 1, got 0"),
@@ -220,17 +224,26 @@ class TestSpec:
              "need 0 < genfunc_min <= genfunc_max < 1 and genfunc_min >= 1.4917e-154, "
              "got 1e-300 and 0.5"),
             ("mc_m = 0\n", {}, ":3", "mc_m must be >= 1, got 0"),
-            # a refusal that names two keys is the caller's only when the
-            # overrides gave both
-            ("conv_min = 30\n", {"conv_max": 20}, "", "need conv_min <= conv_max"),
-            ("", {"conv_min": 30, "conv_max": 20}, None, "need conv_min <= conv_max"),
+            # a refusal that names several keys is the file's when the file
+            # set one of them; conv_reference is the default's
+            ("conv_min = 30\n", {"conv_max": 20}, "", REVERSED),
+            ("", {"conv_min": 30, "conv_max": 20}, None, REVERSED),
+            # the file set none of the three refused values: no path
+            ("", {"conv_min": 48, "conv_max": 50}, None,
+             "the convergence fit needs three N from conv_min to conv_max other than "
+             "conv_reference, got 2 from 48 to 50 other than 50"),
+            # a conv_min the file set keeps the path, whatever the flags set
+            ("conv_min = 48\n", {"conv_max": 50}, "",
+             "the convergence fit needs three N from conv_min to conv_max other than "
+             "conv_reference, got 2 from 48 to 50 other than 50"),
             # the range is the file's, the reference an override: the path stays
             ("conv_min = 20\nconv_max = 21\n", {"conv_reference": 50}, "",
              "the convergence fit needs three N from conv_min to conv_max other than "
              "conv_reference, got 2 from 20 to 21 other than 50"),
         ],
         ids=["grid_n", "conv_range", "override", "seed", "genfunc_max", "genfunc_min", "mc_m",
-             "conv_range_mixed", "conv_range_override", "conv_fit_mixed"],
+             "conv_range_mixed", "conv_range_override", "conv_fit_override",
+             "conv_fit_file_min", "conv_fit_mixed"],
     )
     def test_load_spec_locates_range_error(self, tmp_path, lines, overrides, where, message):
         cfg = tmp_path / "exp.cfg"
@@ -253,7 +266,8 @@ class TestSpec:
             (dict(seed=2**64), "seed must lie in"),
             (dict(r=math.inf), "rates must be finite"),
             (dict(conv_min=0), "conv_min must be >= 1, got 0"),
-            (dict(conv_min=30, conv_max=20), "conv_min <= conv_max"),
+            # refused by the fit's rule, which names conv_reference too
+            (dict(conv_min=30, conv_max=20), "conv_reference, got 0 from 30 to 20"),
             (dict(conv_reference=0), "conv_reference must be >= 1, got 0"),
             (dict(conv_min=20, conv_max=22, conv_reference=21),
              "three N from conv_min to conv_max other than conv_reference, "
@@ -285,6 +299,10 @@ class TestSpec:
             (dict(run_mc=0), "run_mc must be true or false, got 0"),
             (dict(run_genfunc="yes"), "run_genfunc must be true or false, got yes"),
             (dict(run_mc=np.False_), "run_mc must be true or false, got False"),
+            # an end of the convergence range that is no integer is refused by
+            # a SpecError too, never a TypeError
+            (dict(conv_max=5.5), "got 0 from 10 to 5.5 other than 50"),
+            (dict(conv_max=55.5), "conv_max must be an integer, got 55.5"),
         ],
     )
     def test_bad_spec_rejected(self, fields, message):
@@ -298,7 +316,7 @@ class TestSpec:
             (dict(seed=1.5), ("seed",)),
             (dict(conv_max=575), ("conv_max",)),
             (dict(mc_m=2_097_153), ("mc_m",)),
-            (dict(conv_min=30, conv_max=20), ("conv_min", "conv_max")),
+            (dict(conv_min=30, conv_max=20), ("conv_min", "conv_max", "conv_reference")),
             (dict(conv_min=20, conv_max=22, conv_reference=21),
              ("conv_min", "conv_max", "conv_reference")),
             (dict(r=2.0), ("r", "d")),
@@ -560,6 +578,56 @@ class TestRunExperiment:
             (box, box, None),
             (box, box, harness.SUBLATTICE),
         ]
+
+    def test_summary_rqe_is_compare_on_the_corner(self, tmp_path, monkeypatch):
+        # a box larger than the corner, so that the corner's rqe differs from
+        # the whole box's; the Monte-Carlo is the reference of rqe_by_a
+        calls = []
+        original = harness.compare
+
+        def recording(a, b, sub=None):
+            calls.append((a, b, sub))
+            return original(a, b, sub)
+
+        monkeypatch.setattr(harness, "compare", recording)
+        spec = dataclasses.replace(tiny_spec(), grid_n=12, run_genfunc=False)
+        written = run_experiment(spec, tmp_path / "out")
+        [(p_mc, grid, whole), (p_mc_corner, grid_corner, sub)] = calls
+        assert (whole, sub) == (None, harness.SUBLATTICE)
+        assert p_mc_corner is p_mc and grid_corner is grid
+        corner, full = compare(p_mc, grid, harness.SUBLATTICE), compare(p_mc, grid)
+        assert (corner.rqe_by_a, corner.rqe_by_b) != (full.rqe_by_a, full.rqe_by_b)
+        m, g = p_mc[:10, :10], grid[:10, :10]
+        assert corner.rqe_by_a == math.sqrt(((g - m) ** 2).sum() / (m * m).sum())
+        assert corner.rqe_by_b == math.sqrt(((m - g) ** 2).sum() / (g * g).sum())
+        summary = dict(line.split(",") for line in
+                       written["comparison_summary"].read_text().splitlines()[1:])
+        assert summary["rqe_sublattice_by_mc"] == harness._fmt(corner.rqe_by_a)
+        assert summary["rqe_sublattice_by_grid"] == harness._fmt(corner.rqe_by_b)
+
+    @pytest.mark.parametrize(
+        "conv_min,conv_max,conv_reference",
+        [(4, 8, 8), (4, 10, 7), (4, 8, 9), (9, 12, 8)],
+        ids=["reference-at-max", "reference-inside", "reference-above", "reference-below"],
+    )
+    def test_fit_drops_the_reference_by_its_floor(
+        self, tmp_path, params3, conv_min, conv_max, conv_reference
+    ):
+        # the reference's own row has rqe 0, below the fit's floor: the fit
+        # of every row is the fit of the rows other than the reference
+        spec = dataclasses.replace(
+            tiny_spec(), run_mc=False, run_genfunc=False,
+            conv_min=conv_min, conv_max=conv_max, conv_reference=conv_reference,
+        )
+        written = run_experiment(spec, tmp_path / "out")
+        reference = solve_grid(params3, conv_reference).values
+        series = convergence_series(params3, list(range(conv_min, conv_max + 1)), reference, {})
+        ns, errors = np.array(series).T
+        others = ns != conv_reference
+        fit = fit_log_slope(ns[others], errors[others])
+        assert fit.n_used == others.sum() == len(ns) - (conv_min <= conv_reference <= conv_max)
+        rows = written["nconv_fit"].read_text().splitlines()
+        assert rows[1] == ",".join(harness._fmt(x) for x in ("reference", *fit))
 
     def test_fit_of_too_few_points_writes_a_nan_row(self, tmp_path):
         # every error of the series lies at or below the fit's floor; the run

@@ -159,7 +159,7 @@ class TestStepDistribution:
 class TestBounds:
     def test_known_cell(self, params3):
         lo, hi = extinction_bounds(params3, 1, 1)
-        assert lo == pytest.approx(4.0 / 9.0, rel=1e-15)
+        assert lo == pytest.approx(2.0 / 3.0, rel=1e-15)
         assert hi == pytest.approx(8.0 / 9.0, rel=1e-15)
 
     @settings(max_examples=50, deadline=None)
