@@ -12,7 +12,9 @@ run's one comparison of the Monte-Carlo with the grid: the whole box and
 the corner are each one call.  ``_check_fit`` is the one rule on the range
 of convergence boxes.  ``run_experiment`` wires the solvers together for a
 parameter set, writes every table as CSV, and is deterministic: the same
-spec writes byte-identical files.
+spec writes byte-identical files.  Each of its stages enters the files it
+writes in one map from a name of :data:`OUTPUTS` to that file's writer,
+and that map alone decides which files a run deletes, writes and returns.
 
 This module owns all table output; the solver modules do no I/O.  Every
 table goes through :func:`write_csv`: a header row, then one line per row
@@ -34,7 +36,9 @@ import numpy as np
 
 from . import genfunc
 from .grid import GridSolution, _check_size, solve_grid
-from .model import ModelParams, _check_budget, _check_count, _check_rates, _check_seed
+from .model import (
+    ModelParams, _check_budget, _check_count, _check_integer, _check_rates, _check_seed,
+)
 from .montecarlo import McEstimate, _check_paths, _check_reach, box_cells, start_cells
 # estimate_lattice stays a name of this module: perfbench/tracing.py wraps it
 from .montecarlo import estimate_lattice  # noqa: F401
@@ -105,7 +109,10 @@ class ComparisonReport:
 def _corner(a: np.ndarray, b: np.ndarray, sub: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Two fields sharing the cell (1, 1), cut to their overlap and then to
     the square 1 <= i, j <= ``sub`` unless ``sub`` is None: the one rule for
-    the cells two fields are compared on.  An empty region is refused."""
+    the cells two fields are compared on.  A ``sub`` that is no integer is
+    refused by name, and so is an empty region."""
+    if sub is not None:
+        _check_integer("sub", sub)
     limit = math.inf if sub is None else sub
     rows, cols = (min(x, y, limit) for x, y in zip(a.shape, b.shape))
     if rows < 1 or cols < 1:
@@ -159,7 +166,9 @@ class FitResult(NamedTuple):
 
 def fit_log_slope(n_values: np.ndarray, errors: np.ndarray) -> FitResult:
     """Least-squares slope of log(error) against N, skipping values at or
-    below 1e-12 (solver precision, not truncation, dominates there).  With
+    below 1e-12.  Those are still truncation error, about 100 times the
+    rounding level, but there the reference's own truncation error skews
+    what they read (at r=3 the N=50 reference is 1.39e-14 off N=200).  With
     fewer than three values above that floor the slope, intercept and r^2
     are NaN: which errors clear it is known only once the boxes are solved,
     so a run writes that row rather than failing after its solves."""
@@ -415,7 +424,9 @@ def genfunc_table(
 ) -> tuple[list[str], list[tuple]]:
     """Header and rows of the quadrature-vs-series check of the generating
     function at every point (x, y) with both coordinates from
-    ``linspace(lo, hi, count)``."""
+    ``linspace(lo, hi, count)``.  A ``count`` below 1, or one whose rows
+    would not fit the budget, is refused before the first query."""
+    _check_rows("count", count)
     points = np.linspace(lo, hi, count)
     rows = []
     for x0 in points:
@@ -442,7 +453,7 @@ OUTPUTS = {
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
-    """Execute the requested pipeline and write its tables under ``out_dir``.
+    """Execute the requested pipeline and write its files under ``out_dir``.
 
     Always writes the solved grid and a manifest of the resolved spec; the
     Monte-Carlo table, comparison summaries, truncation-convergence series
@@ -451,12 +462,15 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
     forked first and draw while this process solves the grid, runs the
     convergence series (each box solved once: the series is handed the main
     grid and the reference as already solved) and the quadrature; then the
-    Monte-Carlo counts are collected and compared with the grid.  Every
-    stage runs before ``out_dir`` is created, so a stage that raises leaves
-    no partial run behind, and no worker process either.  Once every stage
-    has succeeded, the files of :data:`OUTPUTS` that this run does not
-    write are deleted from ``out_dir``, so a reused directory holds one run
-    only; no other file there is touched.  Output is a name -> path map.
+    Monte-Carlo counts are collected and compared with the grid.  Each stage
+    ends by entering its files in one map, ``files``, from a name of
+    :data:`OUTPUTS` to the writer of that file; the map alone decides what
+    is pruned, written and returned.  Every stage runs before ``out_dir`` is
+    created, so a stage that raises leaves no partial run behind, and no
+    worker process either.  Once every stage has succeeded, the files of
+    :data:`OUTPUTS` that are not in the map are deleted from ``out_dir``, so
+    a reused directory holds one run only; no other file there is touched.
+    Then each file of the map is written.  Output is a name -> path map.
     """
     manifest = []
     for f in dataclasses.fields(spec):
@@ -465,9 +479,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
         if isinstance(value, float) and float(text) != value:
             text = repr(value)  # 12 digits would read back as another spec
         manifest.append(f"{f.name} = {text}\n")
+    files = {"manifest": lambda fp: fp.writelines(manifest)}  # name -> writer of its file
 
     params = ModelParams(spec.r, spec.d)
-    tables: dict[str, tuple] = {}  # name -> (header, rows)
     drawing = (
         start_cells(params, box_cells(spec.grid_n, spec.grid_n), spec.mc_m, spec.mc_t, spec.seed)
         if spec.run_mc
@@ -475,6 +489,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
     )
     with drawing as finish_mc:
         solution = solve_grid(params, spec.grid_n)
+        files["grid"] = lambda fp: write_grid_csv(solution, fp)
 
         if spec.run_convergence:
             solved = {spec.grid_n: solution}
@@ -486,51 +501,38 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict[str, Path]:
                 solved[spec.conv_reference].values,
                 solved,
             )
-            tables["nconv"] = (["n", "rqe_vs_reference"], series)
-
             fit = fit_log_slope(*np.array(series, dtype=float).T)
-            tables["nconv_fit"] = (
-                ["target", "slope", "intercept", "r_squared", "n_used"],
-                [("reference", *fit)],
+            files["nconv"] = lambda fp: write_csv(fp, ["n", "rqe_vs_reference"], series)
+            files["nconv_fit"] = lambda fp: write_csv(
+                fp, ["target", "slope", "intercept", "r_squared", "n_used"], [("reference", *fit)]
             )
 
         if spec.run_genfunc:
-            tables["genfunc"] = genfunc_table(
-                solution, spec.genfunc_min, spec.genfunc_max, spec.genfunc_count
-            )
+            table = genfunc_table(solution, spec.genfunc_min, spec.genfunc_max, spec.genfunc_count)
+            files["genfunc"] = lambda fp: write_csv(fp, *table)
 
-        mc = finish_mc() if spec.run_mc else None
-
-    if mc is not None:
-        p_mc = mc.p_hat.reshape(spec.grid_n, spec.grid_n)
-        full = compare(p_mc, solution.values)
-        corner = compare(p_mc, solution.values, SUBLATTICE)
-        tables["comparison_stats"] = stats_table(full)
-        tables["comparison_summary"] = (
-            ["name", "value"],
-            [
+        if spec.run_mc:
+            mc = finish_mc()
+            p_mc = mc.p_hat.reshape(spec.grid_n, spec.grid_n)
+            full = compare(p_mc, solution.values)
+            corner = compare(p_mc, solution.values, SUBLATTICE)
+            summary = [
                 ("cells_excluded", full.cells_excluded),
                 ("rqe_sublattice_by_mc", corner.rqe_by_a),
                 ("rqe_sublattice_by_grid", corner.rqe_by_b),
                 ("grid_residual", solution.residual),
                 ("mc_stop_bound", mc.stop_bound),
-            ],
-        )
+            ]
+            files["mc"] = lambda fp: write_mc_csv(mc, fp)
+            files["comparison_stats"] = lambda fp: write_csv(fp, *stats_table(full))
+            files["comparison_summary"] = lambda fp: write_csv(fp, ["name", "value"], summary)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = ["manifest", "grid", *(["mc"] if mc is not None else []), *tables]
-    written = {name: out_dir / OUTPUTS[name] for name in names}
-    for name in OUTPUTS.keys() - written.keys():
+    for name in OUTPUTS.keys() - files.keys():
         (out_dir / OUTPUTS[name]).unlink(missing_ok=True)  # left by an earlier run
-    with open(written["manifest"], "w", newline="") as fp:
-        fp.writelines(manifest)
-    with open(written["grid"], "w", newline="") as fp:
-        write_grid_csv(solution, fp)
-    if mc is not None:
-        with open(written["mc"], "w", newline="") as fp:
-            write_mc_csv(mc, fp)
-    for name, (header, rows) in tables.items():
+    written = {name: out_dir / OUTPUTS[name] for name in files}
+    for name, write in files.items():
         with open(written[name], "w", newline="") as fp:
-            write_csv(fp, header, rows)
+            write(fp)
     return written

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,13 @@ class TestCompare:
         for a, sub in [(np.ones((0, 2)), None), (np.ones((2, 2)), 0), (np.ones((2, 2)), -1)]:
             with pytest.raises(ValueError, match="^comparison region is empty$"):
                 compare(a, np.ones((3, 3)), sub=sub)
+
+    @pytest.mark.parametrize("sub", [True, False, 2.5, 10.0, "10"])
+    def test_sub_that_is_no_integer_is_refused(self, sub):
+        # sub=True used to compare the 1x1 corner, and sub=2.5 raised a
+        # slicing TypeError
+        with pytest.raises(ValueError, match=f"^sub must be an integer, got {sub}$"):
+            compare(np.ones((3, 3)), np.ones((3, 3)), sub=sub)
 
 
 class TestFit:
@@ -390,6 +398,25 @@ class TestSpec:
             load_spec(cfg)
 
 
+@pytest.mark.parametrize(
+    "count,error",
+    [
+        (0, "count must be >= 1, got 0"),
+        (-1, "count must be >= 1, got -1"),
+        (True, "count must be an integer, got True"),
+        (2.5, "count must be an integer, got 2.5"),
+        (725, "count must be <= 724, got 725"),
+    ],
+)
+def test_genfunc_table_refuses_bad_count(params3, monkeypatch, count, error):
+    # 0 used to give a header-only table, True one point, 2.5 a TypeError and
+    # -1 numpy's own message; the refusal comes before any query
+    monkeypatch.setattr(genfunc, "query_from_grid", None)
+    solution = solve_grid(params3, 8)
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}"):
+        harness.genfunc_table(solution, 0.1, 0.5, count)
+
+
 class TestWriteCsv:
     def test_rows_match_fmt_of_each_cell(self):
         # one %-template per tuple of cell types writes what _fmt writes
@@ -536,6 +563,40 @@ class TestRunExperiment:
         ]
         assert (out / "notes.txt").read_text() == "kept\n"
         assert written["grid"].read_bytes() == before["grid_p.csv"]
+
+    @pytest.mark.parametrize("run_mc", [False, True], ids=["no-mc", "mc"])
+    @pytest.mark.parametrize("run_convergence", [False, True], ids=["no-conv", "conv"])
+    @pytest.mark.parametrize("run_genfunc", [False, True], ids=["no-genfunc", "genfunc"])
+    def test_stages_name_the_files_of_a_run(self, tmp_path, run_mc, run_convergence, run_genfunc):
+        # each stage enters its own files; the run writes and returns those,
+        # and deletes every other file of OUTPUTS that an earlier run left
+        out = tmp_path / "out"
+        run_experiment(tiny_spec(), out)
+        (out / "notes.txt").write_text("kept\n")
+        spec = dataclasses.replace(
+            tiny_spec(), run_mc=run_mc, run_convergence=run_convergence, run_genfunc=run_genfunc
+        )
+        written = run_experiment(spec, out)
+        stages = {
+            "manifest": True,
+            "grid": True,
+            "nconv": run_convergence,
+            "nconv_fit": run_convergence,
+            "genfunc": run_genfunc,
+            "mc": run_mc,
+            "comparison_stats": run_mc,
+            "comparison_summary": run_mc,
+        }
+        expected = {name for name, runs in stages.items() if runs}
+        assert set(written) == expected
+        assert all(written[name] == out / harness.OUTPUTS[name] for name in written)
+        files = {harness.OUTPUTS[name] for name in expected}
+        assert {path.name for path in out.iterdir()} == files | {"notes.txt"}
+        assert (out / "notes.txt").read_text() == "kept\n"
+        fresh = run_experiment(spec, tmp_path / "fresh")
+        assert set(fresh) == expected
+        for name in expected:
+            assert written[name].read_bytes() == fresh[name].read_bytes(), name
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_stage_error_stops_the_workers(self, tmp_path, monkeypatch):
