@@ -106,19 +106,6 @@ def _cmd_mc(args) -> int:
     return 0
 
 
-def _cmd_greens(args) -> int:
-    params = _params(args)
-    _check_size("--n", args.n)
-    genfunc._check_range("--min", args.min, "--max", args.max)
-    genfunc._check_served("--max", args.max)
-    harness._check_rows("--count", args.count)
-    solution = solve_grid(params, args.n)
-    table = harness.genfunc_table(solution, args.min, args.max, args.count)
-    with _output(args, OUTPUTS["genfunc"]) as fp:
-        write_csv(fp, *table)
-    return 0
-
-
 def _cmd_characteristics(args) -> int:
     params = _params(args)
     _check_point("--x0", args.x0, "--y0", args.y0)
@@ -196,11 +183,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    # every flag stores into its ExperimentSpec field and defaults to None
+    # every ExperimentSpec field has a flag, which stores into it and
+    # defaults to None
     overrides = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(harness.ExperimentSpec)
-        if getattr(args, f.name, None) is not None
+        name: getattr(args, name)
+        for name in harness._FIELD_TYPES
+        if getattr(args, name) is not None
     }
     # a refusal names each field a flag set by that flag
     flags = {name: "--" + name.replace("_", "-") for name in overrides}
@@ -220,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="extinction probabilities of a two-morph flower population",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # mc's --m, --t and --seed and greens' --min, --max, --count and --n
-    # default to the experiment's settings
+    # mc's --m, --t and --seed default to the experiment's settings
     spec = {f.name: f.default for f in dataclasses.fields(harness.ExperimentSpec)}
 
     p = sub.add_parser("grid", help="solve the truncated recurrence on an NxN box")
@@ -247,17 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=_cmd_mc)
 
-    p = sub.add_parser("greens", help="generating function: quadrature vs series")
-    _add_rates(p)
-    p.add_argument("--min", type=float, default=spec["genfunc_min"], help="lowest x and y")
-    p.add_argument("--max", type=float, default=spec["genfunc_max"], help="highest x and y")
-    p.add_argument("--count", type=int, default=spec["genfunc_count"], help="points per axis")
-    p.add_argument(
-        "--n", type=int, default=spec["grid_n"], help="grid size for the series reference"
-    )
-    _add_out(p)
-    p.set_defaults(func=_cmd_greens)
-
     p = sub.add_parser("characteristics", help="sample one characteristic curve")
     _add_rates(p)
     p.add_argument("--x0", type=float, required=True)
@@ -281,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="named parameter set (default: supercritical)",
     )
     source.add_argument("--config", type=Path, default=None, help="key = value spec file")
-    for name in ("r", "d", "grid_n", "mc_m", "mc_t", "seed",
-                 "conv_min", "conv_max", "conv_reference"):
-        p.add_argument("--" + name.replace("_", "-"), type=harness._FIELD_TYPES[name], default=None)
+    for name, kind in harness._FIELD_TYPES.items():
+        if kind is not bool:  # the stage switches are the three flags below
+            p.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
     p.add_argument("--no-mc", dest="run_mc", action="store_false", default=None)
     p.add_argument("--no-convergence", dest="run_convergence", action="store_false", default=None)
     p.add_argument(

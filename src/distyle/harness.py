@@ -165,16 +165,17 @@ class FitResult(NamedTuple):
 
 
 def fit_log_slope(n_values: np.ndarray, errors: np.ndarray) -> FitResult:
-    """Least-squares slope of log(error) against N, skipping values at or
-    below 1e-12.  Those are still truncation error, about 100 times the
-    rounding level, but there the reference's own truncation error skews
-    what they read (at r=3 the N=50 reference is 1.39e-14 off N=200).  With
-    fewer than three values above that floor the slope, intercept and r^2
+    """Least-squares slope of log(error) against N, skipping values that
+    are not finite or lie at or below 1e-12.  The latter are still
+    truncation error, about 100 times the rounding level, but there the
+    reference's own truncation error skews what they read (at r=3 the N=50
+    reference is 1.39e-14 off N=200).  With fewer than three finite values
+    above that floor the slope, intercept and r^2
     are NaN: which errors clear it is known only once the boxes are solved,
     so a run writes that row rather than failing after its solves."""
     n_values = np.asarray(n_values, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    keep = errors > 1e-12
+    keep = np.isfinite(errors) & (errors > 1e-12)
     if keep.sum() < 3:
         return FitResult(math.nan, math.nan, math.nan, int(keep.sum()))
     x, y = n_values[keep], np.log(errors[keep])
@@ -221,7 +222,7 @@ class ExperimentSpec:
     """The settings of one run, as ``manifest.txt`` and a config file list
     them.  No solver, tolerance or comparison corner is among them: every
     grid is solved by the default of :func:`solve_grid`, as ``distyle
-    grid`` and ``distyle greens`` solve it, the quadrature keeps
+    grid`` solves it, the quadrature keeps
     :data:`genfunc.QUAD_TOL`, and every comparison reads the 10x10 corner
     :data:`SUBLATTICE`."""
 
@@ -424,8 +425,12 @@ def genfunc_table(
 ) -> tuple[list[str], list[tuple]]:
     """Header and rows of the quadrature-vs-series check of the generating
     function at every point (x, y) with both coordinates from
-    ``linspace(lo, hi, count)``.  A ``count`` below 1, or one whose rows
-    would not fit the budget, is refused before the first query."""
+    ``linspace(lo, hi, count)``.  A range outside the served coordinates,
+    a ``count`` below 1, or one whose rows would not fit the budget, is
+    refused by name before the first query, by the rules
+    :class:`ExperimentSpec` applies to its ``genfunc_*`` fields."""
+    genfunc._check_range("lo", lo, "hi", hi)
+    genfunc._check_served("hi", hi)
     _check_rows("count", count)
     points = np.linspace(lo, hi, count)
     rows = []

@@ -21,6 +21,11 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+RATES = ["--r", 3, "--d", 2]
+# the generating-function check alone: no Monte-Carlo, no convergence series
+GENFUNC = ["experiment", *RATES, "--no-mc", "--no-convergence", "--genfunc"]
+
+
 class TestGridCommand:
     def test_writes_csv(self, tmp_path, capsys):
         code = run(["grid", "--r", 3, "--d", 2, "--n", 6, "--out", tmp_path])
@@ -163,63 +168,6 @@ class TestMcCommand:
         assert run(["mc", "--r", 3, "--d", 2, "--i", 0, "--j", 2, "--out", tmp_path]) == 2
         assert "error: --i must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "mc_p.csv").exists()
-
-
-class TestGreensCommand:
-    def test_small_sweep(self, tmp_path):
-        code = run(
-            ["greens", "--r", 3, "--d", 2, "--n", 12,
-             "--min", 0.2, "--max", 0.3, "--count", 2, "--out", tmp_path]
-        )
-        assert code == 0
-        lines = (tmp_path / "genfunc.csv").read_text().splitlines()
-        assert lines[0] == "x,y,P_quadrature,P_series,abs_diff"
-        assert len(lines) == 5
-        for line in lines[1:]:
-            vals = [float(v) for v in line.split(",")]
-            assert np.isfinite(vals).all()
-            assert vals[4] < 1e-2
-
-    def test_same_bytes_as_experiment(self, tmp_path):
-        spec = ExperimentSpec(
-            r=3.0, d=2.0, grid_n=12, run_mc=False, run_convergence=False,
-            run_genfunc=True, genfunc_min=0.2, genfunc_max=0.4, genfunc_count=3,
-        )
-        written = run_experiment(spec, tmp_path / "run")
-        code = run(
-            ["greens", "--r", 3, "--d", 2, "--n", 12,
-             "--min", 0.2, "--max", 0.4, "--count", 3, "--out", tmp_path / "cli"]
-        )
-        assert code == 0
-        assert (tmp_path / "cli" / "genfunc.csv").read_bytes() == written["genfunc"].read_bytes()
-
-    def test_same_bytes_as_experiment_beyond_150(self, tmp_path):
-        # both solve the series grid with the default, which factors N=160
-        assert run(["experiment", "--preset", "supercritical", "--grid-n", 160, "--no-mc",
-                    "--no-convergence", "--genfunc", "--out", tmp_path / "run"]) == 0
-        assert run(["greens", "--r", 3, "--d", 2, "--n", 160, "--out", tmp_path / "cli"]) == 0
-        want = (tmp_path / "run" / "genfunc.csv").read_bytes()
-        assert (tmp_path / "cli" / "genfunc.csv").read_bytes() == want
-
-    def test_tol_option_is_gone(self, capsys):
-        # the grid behind the series is solved with the default options; the
-        # value-iteration tolerance, the quadrature budget, the experiment
-        # solver and its comparison corner are constants
-        greens = ["greens", "--r", 3, "--d", 2, "--n", 12]
-        experiment = ["experiment", "--preset", "supercritical", "--out", "x"]
-        for command, flag in [
-            (greens, "--tol"),
-            (greens, "--quad-tol"),
-            (["grid", "--r", 3, "--d", 2, "--n", 12], "--tol"),
-            (experiment, "--tol"),
-            (experiment, "--quad-tol"),
-            (experiment, "--solver"),
-            (experiment, "--sublattice"),
-        ]:
-            with pytest.raises(SystemExit) as info:
-                run([*command, flag, "1"])
-            assert info.value.code == 2
-            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 class TestCharacteristicsCommand:
@@ -392,7 +340,8 @@ class TestExperimentCommand:
             ["experiment", "--preset", "supercritical", "--r", 2.5, "--d", 1.5,
              "--grid-n", 7, "--mc-m", 11,
              "--mc-t", 333, "--seed", 42, "--conv-min", 3,
-             "--conv-max", 9, "--conv-reference", 8,
+             "--conv-max", 9, "--conv-reference", 8, "--genfunc-min", 0.2,
+             "--genfunc-max", 0.4, "--genfunc-count", 3,
              "--no-mc", "--no-convergence", "--genfunc", "--out", tmp_path]
         )
         assert code == 0
@@ -409,13 +358,60 @@ class TestExperimentCommand:
             "conv_max = 9",
             "conv_reference = 8",
             "run_genfunc = true",
-            "genfunc_min = 0.1",
-            "genfunc_max = 0.5",
-            "genfunc_count = 5",
+            "genfunc_min = 0.2",
+            "genfunc_max = 0.4",
+            "genfunc_count = 3",
         ]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "genfunc.csv", "grid_p.csv", "manifest.txt"
         ]
+
+    def test_genfunc_small_sweep(self, tmp_path):
+        code = run(
+            [*GENFUNC, "--grid-n", 12,
+             "--genfunc-min", 0.2, "--genfunc-max", 0.3, "--genfunc-count", 2, "--out", tmp_path]
+        )
+        assert code == 0
+        lines = (tmp_path / "genfunc.csv").read_text().splitlines()
+        assert lines[0] == "x,y,P_quadrature,P_series,abs_diff"
+        assert len(lines) == 5
+        for line in lines[1:]:
+            vals = [float(v) for v in line.split(",")]
+            assert np.isfinite(vals).all()
+            assert vals[4] < 1e-2
+
+    def test_genfunc_flags_write_the_config_bytes(self, tmp_path):
+        cfg = tmp_path / "genfunc.cfg"
+        cfg.write_text(
+            "r = 3\nd = 2\ngrid_n = 12\nrun_mc = false\nrun_convergence = false\n"
+            "run_genfunc = true\ngenfunc_min = 0.2\ngenfunc_max = 0.4\ngenfunc_count = 3\n"
+        )
+        assert run(["experiment", "--config", cfg, "--out", tmp_path / "cfg"]) == 0
+        code = run(
+            [*GENFUNC, "--grid-n", 12, "--genfunc-min", 0.2, "--genfunc-max", 0.4,
+             "--genfunc-count", 3, "--out", tmp_path / "flags"]
+        )
+        assert code == 0
+        want = (tmp_path / "cfg" / "genfunc.csv").read_bytes()
+        assert (tmp_path / "flags" / "genfunc.csv").read_bytes() == want
+        assert want.count(b"\n") == 10
+
+    def test_tol_option_is_gone(self, capsys):
+        # every grid is solved with the default options; the value-iteration
+        # tolerance, the quadrature budget, the experiment solver and its
+        # comparison corner are constants
+        experiment = ["experiment", "--preset", "supercritical", "--out", "x"]
+        for command, flag in [
+            (["grid", "--r", 3, "--d", 2, "--n", 12], "--tol"),
+            (experiment, "--tol"),
+            (experiment, "--quad-tol"),
+            (experiment, "--solver"),
+            (experiment, "--sublattice"),
+        ]:
+            with pytest.raises(SystemExit) as info:
+                run([*command, flag, "1"])
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     def test_flags_beat_the_config_file(self, tmp_path):
         cfg = tmp_path / "spec.cfg"
@@ -449,7 +445,7 @@ class TestExperimentCommand:
              "distyle: error: unrecognized arguments: --solver direct"),
             (["grid", "--r", 3, "--d", 2, "--n", 4, "--tol", 1e-12],
              "distyle: error: unrecognized arguments: --tol 1e-12"),
-            (["greens", "--r", 3, "--d", 2, "--quad-tol", 1e-8],
+            (["experiment", "--preset", "supercritical", "--quad-tol", 1e-8, "--out", "x"],
              "distyle: error: unrecognized arguments: --quad-tol 1e-08"),
             (["grid", "--r", 3, "--d", 2, "--n", 4, "--method", "vi"],
              "distyle: error: unrecognized arguments: --method vi"),
@@ -483,22 +479,25 @@ class TestExperimentCommand:
             # a path of the box's far cell would leave the kernel's int32 state
             (["experiment", "--preset", "supercritical", "--mc-t", 2**31],
              "grid_n + grid_n + --mc-t must be <= 2^31 - 1, got 50 + 50 + 2147483648"),
-            # greens used to accept a range that a run rejects
-            (["greens", "--r", 3, "--d", 2, "--min", 0.5, "--max", 0.2],
-             "need 0 < --min <= --max < 1 and --min >= 1.4917e-154, got 0.5 and 0.2"),
-            (["greens", "--r", 3, "--d", 2, "--min", 0.5, "--max", 1.0],
-             "need 0 < --min <= --max < 1 and --min >= 1.4917e-154, got 0.5 and 1.0"),
-            # x*y would not be a normal double; the range used to fail after the solve
-            (["greens", "--r", 3, "--d", 2, "--min", 1e-200],
-             "need 0 < --min <= --max < 1 and --min >= 1.4917e-154, got 1e-200 and 0.5"),
+            # a range refused by the flags that set it
+            ([*GENFUNC, "--genfunc-min", 0.5, "--genfunc-max", 0.2],
+             "need 0 < --genfunc-min <= --genfunc-max < 1 and --genfunc-min >= 1.4917e-154, "
+             "got 0.5 and 0.2"),
+            ([*GENFUNC, "--genfunc-min", 0.5, "--genfunc-max", 1.0],
+             "need 0 < --genfunc-min <= --genfunc-max < 1 and --genfunc-min >= 1.4917e-154, "
+             "got 0.5 and 1.0"),
+            # x*y would not be a normal double
+            ([*GENFUNC, "--genfunc-min", 1e-200],
+             "need 0 < --genfunc-min <= genfunc_max < 1 and --genfunc-min >= 1.4917e-154, "
+             "got 1e-200 and 0.5"),
             # refused by its flag before the grid is solved
-            (["greens", "--r", 3, "--d", 2, "--max", 0.95],
-             "--max must be below 0.9124, got 0.95 (past it 200 terms leave the folded tail "
-             "max(x, y)^201 above the 1e-08 quadrature budget)"),
+            ([*GENFUNC, "--genfunc-max", 0.95],
+             "--genfunc-max must be below 0.9124, got 0.95 (past it 200 terms leave the folded "
+             "tail max(x, y)^201 above the 1e-08 quadrature budget)"),
         ],
         ids=["empty-convergence-range", "two-fit-points", "mc-state-int32",
-             "greens-descending-range", "greens-range-reaches-1", "greens-range-below-normal",
-             "greens-range-past-the-terms"],
+             "genfunc-descending-range", "genfunc-range-reaches-1", "genfunc-range-below-normal",
+             "genfunc-range-past-the-terms"],
     )
     def test_bad_spec_writes_nothing(self, tmp_path, capsys, monkeypatch, argv, message):
         _refuse_work(monkeypatch)
@@ -548,11 +547,8 @@ class TestExperimentCommand:
 @pytest.mark.parametrize(
     "command,flag,error",
     [
-        (["greens", "--n", 12], "--count", "error: --count must be >= 1, got {count}"),
-        # the per-axis counts are gone, --count sets both axes: the old
-        # spellings are refused rather than left to fall back on the default
-        (["greens", "--n", 12], "--nx", "error: unrecognized arguments: --nx {count}"),
-        (["greens", "--n", 12], "--ny", "error: unrecognized arguments: --ny {count}"),
+        (["experiment", "--no-mc", "--no-convergence", "--genfunc", "--grid-n", 12],
+         "--genfunc-count", "error: --genfunc-count must be >= 1, got {count}"),
         # a curve has a fixed number of samples
         (["characteristics", "--x0", 0.3, "--y0", 0.6], "--samples",
          "error: unrecognized arguments: --samples {count}"),
@@ -562,10 +558,11 @@ class TestExperimentCommand:
         (["mc", "--i", 2], "--j", "error: --j must be >= 1, got {count}"),
         (["mc", "--jmax", 2], "--imax", "error: --imax must be >= 1, got {count}"),
         (["grid"], "--n", "error: --n must be >= 1, got {count}"),
-        (["greens"], "--n", "error: --n must be >= 1, got {count}"),
+        (["experiment", "--no-mc", "--no-convergence", "--genfunc"], "--grid-n",
+         "error: --grid-n must be >= 1, got {count}"),
     ],
-    ids=["greens-count", "greens-nx", "greens-ny", "characteristics-samples", "mc-m", "mc-t",
-         "mc-i", "mc-j", "mc-imax", "grid-n", "greens-n"],
+    ids=["genfunc-count", "characteristics-samples", "mc-m", "mc-t",
+         "mc-i", "mc-j", "mc-imax", "grid-n", "genfunc-grid-n"],
 )
 def test_count_below_one_exits_2(tmp_path, capsys, command, flag, error, count):
     # a count of 0 used to write a header-only CSV and exit 0
@@ -619,10 +616,9 @@ SCALE = "rates must lie in [2^-500, 2^500], got --r={}, --d={}; " \
     [
         ["grid", "--n", 5],
         ["mc", "--i", 1, "--j", 1],
-        ["greens"],
         ["characteristics", "--x0", 0.3, "--y0", 0.6],
     ],
-    ids=["grid", "mc", "greens", "characteristics"],
+    ids=["grid", "mc", "characteristics"],
 )
 def test_rejects_bad_rates(tmp_path, capsys, monkeypatch, command, rates, error):
     # refused by the flags before any work and any file
@@ -815,8 +811,12 @@ def test_unusable_path_exits_2(tmp_path, capsys, command):
     assert file.read_text() == "i,j,p\n1,1,0.5\n"
 
 
-@pytest.mark.parametrize("command", ["grid", "greens"])
-def test_solve_above_the_budget_exits_2(tmp_path, capsys, monkeypatch, command):
+@pytest.mark.parametrize(
+    "command,flag",
+    [(["grid", *RATES], "--n"), (GENFUNC, "--grid-n")],
+    ids=["grid", "genfunc"],
+)
+def test_solve_above_the_budget_exits_2(tmp_path, capsys, monkeypatch, command, flag):
     # refused before any work: no Jacobi step, no system, no file
     def fail(*args):
         raise AssertionError("the box was solved")
@@ -824,10 +824,10 @@ def test_solve_above_the_budget_exits_2(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setattr(grid, "_iterate", fail)
     monkeypatch.setattr(grid, "_fold", fail)
     out = tmp_path / "out"
-    assert run([command, "--r", 3, "--d", 2, "--n", 575, "--out", out]) == 2
+    assert run([*command, flag, 575, "--out", out]) == 2
     captured = capsys.readouterr()
     assert captured.err == (
-        "error: --n must be <= 574, got 575 "
+        f"error: {flag} must be <= 574, got 575 "
         "(the largest box whose LU fits the 128 MiB budget)\n"
     )
     assert captured.out == ""
@@ -850,7 +850,6 @@ def _refuse_work(monkeypatch):
         monkeypatch.setattr(module, name, fail)
 
 
-RATES = "--r 3 --d 2".split()
 MC_POINT = ["mc", *RATES, "--i", 1, "--j", 1, "--t", 1, "--m"]
 
 
@@ -864,10 +863,10 @@ MC_POINT = ["mc", *RATES, "--i", 1, "--j", 1, "--t", 1, "--m"]
          "--imax must be <= 574, got 575 (the largest box"),
         (["mc", *RATES, "--imax", 2, "--jmax", 30_000, "--m", 1, "--t", 1],
          "--jmax must be <= 574, got 30000 (the largest box"),
-        (["greens", *RATES, "--count", 725],
-         "--count must be <= 724, got 725 (at 256 bytes a row"),
+        ([*GENFUNC, "--genfunc-count", 725],
+         "--genfunc-count must be <= 724, got 725 (at 256 bytes a row"),
     ],
-    ids=["mc-m", "experiment-mc-m", "mc-imax", "mc-jmax", "greens-count"],
+    ids=["mc-m", "experiment-mc-m", "mc-imax", "mc-jmax", "genfunc-count"],
 )
 def test_request_above_the_budget_exits_2(tmp_path, capsys, monkeypatch, command, message):
     # refused before any work: no worker forked, no path drawn, no box
@@ -906,14 +905,14 @@ def test_mc_m_above_the_budget_is_refused_before_the_cells(tmp_path, capsys, mon
         (montecarlo, "_BYTES_PER_PATH",
          ["experiment", "--preset", "supercritical", "--grid-n", 4, "--no-convergence",
           "--mc-t", 1, "--mc-m"], 1000),
-        (harness, "_BYTES_PER_ROW", ["greens", *RATES, "--n", 10, "--count"], 3),
+        (harness, "_BYTES_PER_ROW", [*GENFUNC, "--grid-n", 10, "--genfunc-count"], 3),
     ],
-    ids=["mc-m", "experiment-mc-m", "greens-count"],
+    ids=["mc-m", "experiment-mc-m", "genfunc-count"],
 )
 def test_largest_admitted_request_runs(tmp_path, capsys, monkeypatch, module, rate, command,
                                        largest):
     # the rate raised so that the budget admits a small request, and no more;
-    # greens holds count^2 rows
+    # the generating-function table holds count^2 rows
     units = largest**2 if module is harness else largest
     monkeypatch.setattr(module, rate, model._BUDGET // units)
     out = tmp_path / "out"
@@ -935,15 +934,17 @@ def test_largest_admitted_lattice_runs(tmp_path, extents):
     assert len((out / "mc_p.csv").read_text().splitlines()) == 575
 
 
-def test_solver_failures_exit_cleanly(capsys, monkeypatch):
+def test_solver_failures_exit_cleanly(tmp_path, capsys, monkeypatch):
     # a QuadratureError is a RuntimeError and used to end in a traceback
     monkeypatch.setattr(genfunc, "_MAX_PANELS", 2)
     monkeypatch.setattr(genfunc, "QUAD_TOL", 1e-18)
     code = run(
-        ["greens", "--r", 3, "--d", 2, "--n", 12, "--min", 0.6, "--max", 0.6, "--count", 1]
+        [*GENFUNC, "--grid-n", 12, "--genfunc-min", 0.6, "--genfunc-max", 0.6,
+         "--genfunc-count", 1, "--out", tmp_path / "run"]
     )
     assert code == 2
     assert "error: quadrature did not meet its budget" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_import_leaves_scipy_optimize_out(tmp_path):
@@ -1035,3 +1036,11 @@ def test_outputs_under_other_cpu_kernels(tmp_path, argv, same, close):
 def test_subcommand_required():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_greens_is_an_unknown_command(capsys):
+    # the generating-function check runs as `experiment --genfunc`
+    with pytest.raises(SystemExit) as info:
+        run(["greens", *RATES])
+    assert info.value.code == 2
+    assert "argument command: invalid choice: 'greens'" in capsys.readouterr().err

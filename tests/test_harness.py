@@ -118,6 +118,19 @@ class TestFit:
         assert all(math.isnan(value) for value in fit[:3])
         assert fit.n_used == 1
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_error_is_dropped(self, bad):
+        # an inf used to be kept: log(inf) gave slope NaN with r^2 = 1 and a
+        # RuntimeWarning from numpy
+        n = np.arange(10, 16)
+        errors = np.exp(2.0 - 0.5 * n)
+        want = fit_log_slope(n[:-1], errors[:-1])
+        errors[-1] = bad
+        assert fit_log_slope(n, errors) == want
+        fit = fit_log_slope(np.array([1, 2, 3]), np.array([1e-3, 1e-4, bad]))
+        assert all(math.isnan(value) for value in fit[:3])
+        assert fit.n_used == 2
+
 
 class TestConvergenceSeries:
     def test_errors_shrink_toward_reference(self, params3):
@@ -415,6 +428,26 @@ def test_genfunc_table_refuses_bad_count(params3, monkeypatch, count, error):
     solution = solve_grid(params3, 8)
     with pytest.raises(ValueError, match=f"^{re.escape(error)}"):
         harness.genfunc_table(solution, 0.1, 0.5, count)
+
+
+@pytest.mark.parametrize(
+    "lo,hi,error",
+    [
+        (0.5, 0.1, "need 0 < lo <= hi < 1 and lo >= 1.4917e-154, got 0.5 and 0.1"),
+        (0.5, 1.0, "need 0 < lo <= hi < 1 and lo >= 1.4917e-154, got 0.5 and 1.0"),
+        (1e-200, 0.5, "need 0 < lo <= hi < 1 and lo >= 1.4917e-154, got 1e-200 and 0.5"),
+        (0.1, 0.95, "hi must be below 0.9124, got 0.95 (past it 200 terms leave the folded "
+         "tail max(x, y)^201 above the 1e-08 quadrature budget)"),
+    ],
+    ids=["descending", "reaches-1", "below-normal", "past-the-terms"],
+)
+def test_genfunc_table_refuses_bad_range(params3, monkeypatch, lo, hi, error):
+    # a reversed range used to give a descending table, and hi = 0.95 to run
+    # queries until a QuadratureError; the refusal comes before any query
+    monkeypatch.setattr(genfunc, "query_from_grid", None)
+    solution = solve_grid(params3, 8)
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        harness.genfunc_table(solution, lo, hi, 2)
 
 
 class TestWriteCsv:
